@@ -16,12 +16,11 @@ from .config import (EstimatorSettings, OutputConfig, RecoverySettings,
                      load_config, parse_config, validate_config, with_seed)
 from .delay_line import TappedDelayLine
 from .errors import ConfigError, EstimateNotPhysical, NumericFault
-from .estimator import (EstimatorConfig, EstimatorState, excitation_level,
-                        finite_time_estimate, reset_estimator, step_gradient)
-from .harness import (RunResult, TrajectoryRecord, estimate_from_file,
-                      run_scenario)
+from .estimator import (EstimatorConfig, EstimatorState, finite_time_estimate,
+                        reset_estimator, step_gradient)
+from .harness import RunResult, estimate_from_file, run_scenario
 from .mixing import (DremConfig, ExtendedRegression, MixedSample,
-                     RegressorExtender, adjugate, determinant, mix)
+                     RegressorExtender, adjugate, mix)
 from .pipeline import Pipeline, StepResult
 from .recovery import (FrequencyEstimate, find_roots, recover_frequencies,
                        roots_to_frequencies, theta_to_polynomial)
@@ -41,11 +40,11 @@ __all__ = [
     "OutputConfig", "Pipeline", "RecoverySettings", "RegressionSample",
     "RegressorExtender", "RunConfig", "RunResult", "SampledTrace",
     "ScenarioConfig", "ScheduleStep", "SignalSpec", "StepResult",
-    "TappedDelayLine", "TrajectoryRecord", "UniformDisturbance",
+    "TappedDelayLine", "UniformDisturbance",
     "adjugate", "binomial", "builtin_scenario", "compute_phi", "compute_psi",
-    "config_warnings", "determinant", "estimate_from_file",
-    "excitation_level", "find_roots", "finite_time_estimate", "format_config",
-    "generate_trace", "load_config", "mix", "parse_config",
+    "config_warnings", "estimate_from_file", "find_roots",
+    "finite_time_estimate", "format_config", "generate_trace", "load_config",
+    "mix", "parse_config",
     "recover_frequencies", "reset_estimator", "roots_to_frequencies",
     "run_scenario", "sample_regression", "sample_signal", "step_gradient",
     "theta_to_polynomial", "true_theta", "validate_config", "with_reset_times",

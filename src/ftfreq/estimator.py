@@ -135,15 +135,6 @@ def step_gradient(state: EstimatorState, mixed: MixedSample,
     return state
 
 
-def excitation_level(state: EstimatorState) -> tuple[float, ...]:
-    """Accumulated integral of delta^2 per parameter: -ln(W_i)/gamma_i.
-
-    The gains scale W but not the integral itself, so all entries agree;
-    the vector shape mirrors the per-parameter W it derives from.
-    """
-    return (state.excitation,) * state.n
-
-
 def finite_time_estimate(state: EstimatorState,
                          cfg: EstimatorConfig) -> tuple[float, ...] | None:
     """Algebraic re-estimate of theta once the extraction time has passed.

@@ -29,18 +29,13 @@ SIGN_CONVENTION = ("psi = [Z^2+1]^n y; theta_k = (-1)^(k+1) e_k(cos(omega_i h));
                    "recovery polynomial x^n - theta_1 x^(n-1) - ... - theta_n")
 
 
-# One CSV row: the pipeline's per-sample output is already record-shaped.
-# theta_ft / omega_ft are None (empty CSV fields) until extraction fires.
-TrajectoryRecord = StepResult
-
-
 @dataclass
 class RunResult:
     """Records plus run metadata; extracted is False when excitation never
     reached the floor and the finite-time columns stayed empty."""
 
     config: ScenarioConfig
-    records: list[TrajectoryRecord]
+    records: list[StepResult]
     metadata: dict[str, str]
     extracted: bool
     trace_path: str | None = None
@@ -48,7 +43,7 @@ class RunResult:
     metadata_path: str | None = None
 
     @property
-    def final(self) -> TrajectoryRecord:
+    def final(self) -> StepResult:
         return self.records[-1]
 
 
@@ -65,10 +60,10 @@ def build_pipeline(cfg: ScenarioConfig) -> Pipeline:
         sample_period=cfg.run.sample_period, imag_tol=cfg.recovery.imag_tol)
 
 
-def _drive(cfg: ScenarioConfig, samples, times) -> tuple[list[TrajectoryRecord], Pipeline]:
+def _drive(cfg: ScenarioConfig, samples, times) -> tuple[list[StepResult], Pipeline]:
     pipeline = build_pipeline(cfg)
     resets = list(cfg.run.reset_times)
-    records: list[TrajectoryRecord] = []
+    records: list[StepResult] = []
     next_reset = resets.pop(0) if resets else None
     for k, (t, y) in enumerate(zip(times, samples)):
         if next_reset is not None and t >= next_reset - _GRID_TOL:
@@ -195,7 +190,7 @@ def _estimate_header(n: int) -> str:
     return ",".join(cols)
 
 
-def _record_row(rec: TrajectoryRecord, n: int) -> str:
+def _record_row(rec: StepResult, n: int) -> str:
     empty = [""] * n
     parts = [_fmt(rec.time), _fmt(rec.y), _fmt(rec.delta)]
     parts += [_fmt(v) for v in rec.theta_hat]

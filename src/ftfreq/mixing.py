@@ -10,22 +10,26 @@ result decouples into n independent scalar regressions
 one per unknown, which is what lets each parameter be estimated on its own.
 The gain eps rescales the whole stacked system before mixing; with an n x n
 stack this multiplies delta and every mixed_psi_i by eps^n.
+
+One routine, `adjugate`, returns adj(M) and det(M) together for every n:
+exact closed forms for n <= 2 and, above that, G. W. Stewart's singular
+value form ("On the adjugate matrix", Lin. Alg. Appl. 1998), which costs
+O(n^3) and stays valid for singular M, including the all-zero stack seen
+during warm-up.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
+from itertools import chain
+from operator import mul
 
 import numpy as np
 
-from .delay_line import TappedDelayLine
 from .errors import ConfigError
 from .regression import MAX_HARMONICS, RegressionSample, steps_per_delay
-
-# Relative residual above which the LU-based adjugate is declared unreliable
-# and recomputed by cofactors (which are exact up to rounding for any M).
-_LU_RESIDUAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -72,9 +76,10 @@ class MixedSample:
 class RegressorExtender:
     """Streams RegressionSamples in, ExtendedRegressions out.
 
-    Keeps one delay line per scalar stream (the regressand and each
-    regressor component), deep enough for the n-fold d-delay. One instance
-    per estimation session; not safe to share across threads.
+    Keeps one zero-filled history of the last n * steps_d + 1 (psi, phi)
+    pairs; row i of the stacked system is the pair pushed i * steps_d pushes
+    ago. One instance per estimation session; not safe to share across
+    threads.
     """
 
     def __init__(self, n: int, d: float, sample_period: float):
@@ -82,125 +87,66 @@ class RegressorExtender:
             raise ConfigError(f"extension order must be in 1..{MAX_HARMONICS}, got {n}")
         self.n = n
         self.steps_d = steps_per_delay(d, sample_period, "drem.d")
-        depth = n * self.steps_d
-        self._psi_line = TappedDelayLine(depth, sample_period)
-        self._phi_lines = [TappedDelayLine(depth, sample_period) for _ in range(n)]
-        self._pushed = 0
-        self._first_valid: int | None = None
+        self._depth = n * self.steps_d
+        self._lags = range(self.steps_d, self._depth + 1, self.steps_d)
+        self.clear()
 
     def push(self, sample: RegressionSample) -> ExtendedRegression:
         if len(sample.phi) != self.n:
             raise ConfigError(
                 f"regression sample has {len(sample.phi)} components, extender expects {self.n}")
-        self._psi_line.push(sample.psi)
-        for line, value in zip(self._phi_lines, sample.phi):
-            line.push(value)
+        history = self._history
+        history.appendleft((sample.psi, sample.phi))
         if sample.valid and self._first_valid is None:
             self._first_valid = self._pushed
         current = self._pushed
         self._pushed += 1
 
-        psi_delayed = tuple(
-            self._psi_line.tap(i * self.steps_d) for i in range(1, self.n + 1))
-        phi_rows = tuple(
-            tuple(line.tap(i * self.steps_d) for line in self._phi_lines)
-            for i in range(1, self.n + 1))
+        psi_delayed, phi_rows = zip(*(history[lag] for lag in self._lags))
         complete = (self._first_valid is not None
-                    and current - self.n * self.steps_d >= self._first_valid)
+                    and current - self._depth >= self._first_valid)
         return ExtendedRegression(
             time=sample.time, psi_delayed=psi_delayed, phi_rows=phi_rows,
             complete=complete)
 
     def clear(self) -> None:
-        self._psi_line.clear()
-        for line in self._phi_lines:
-            line.clear()
+        zero = (0.0, (0.0,) * self.n)
+        self._history = deque([zero] * (self._depth + 1), maxlen=self._depth + 1)
         self._pushed = 0
         self._first_valid = None
 
 
-def _minor(rows, drop_row: int, drop_col: int):
-    return [
-        [row[c] for c in range(len(row)) if c != drop_col]
-        for r, row in enumerate(rows) if r != drop_row
-    ]
+def adjugate(matrix) -> tuple[list[list[float]], float]:
+    """(adj(M), det(M)), with adj(M) M = det(M) I for singular M too.
 
+    Closed forms for n <= 2. For n >= 3, with M = U diag(s) V^T,
 
-def _det_cofactor(rows) -> float:
+        adj(M) = det(U V^T) V diag(prod_{j != i} s_j) U^T,
+        det(M) = det(U V^T) prod_j s_j,
+
+    so no singular value is ever divided by. Input that is not a finite
+    square matrix of size 1..MAX_HARMONICS raises ConfigError before any
+    factorisation.
+    """
+    try:
+        rows = tuple(map(tuple, matrix))
+    except TypeError:  # a flat vector or a scalar: no rows at all
+        rows = ()
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    total = 0.0
-    sign = 1.0
-    for j in range(n):
-        total += sign * rows[0][j] * _det_cofactor(_minor(rows, 0, j))
-        sign = -sign
-    return total
-
-
-def determinant(matrix) -> float:
-    """Determinant of a small dense matrix (cofactors up to 4x4, LU beyond)."""
-    rows = [list(r) for r in matrix]
-    n = len(rows)
-    _check_square(rows, n)
-    if n <= 4:
-        return _det_cofactor(rows)
-    return float(np.linalg.det(np.asarray(rows, dtype=float)))
-
-
-def _check_square(rows, n):
-    if n == 0 or n > MAX_HARMONICS or any(len(r) != n for r in rows):
+    if not 1 <= n <= MAX_HARMONICS or any(len(row) != n for row in rows):
         raise ConfigError(f"matrix must be square with size 1..{MAX_HARMONICS}")
-    for r in rows:
-        for x in r:
-            if not math.isfinite(x):
-                raise ConfigError("matrix entries must be finite")
-
-
-def _adjugate_cofactor(rows):
-    n = len(rows)
+    if not all(map(math.isfinite, chain.from_iterable(rows))):
+        raise ConfigError("matrix entries must be finite")
     if n == 1:
-        return [[1.0]]
+        return [[1.0]], rows[0][0]
     if n == 2:
         (a, b), (c, d) = rows
-        return [[d, -b], [-c, a]]
-    adj = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sign = -1.0 if (i + j) % 2 else 1.0
-            # transposed cofactor matrix
-            adj[j][i] = sign * _det_cofactor(_minor(rows, i, j))
-    return adj
-
-
-def adjugate(matrix) -> list[list[float]]:
-    """Adjugate satisfying adj(M) M = det(M) I, defined for singular M too.
-
-    Cofactor expansion up to 4x4; det * inverse via LU for larger sizes,
-    falling back to cofactors whenever the LU route's residual on the
-    defining identity is poor (near-singular M).
-    """
-    rows = [list(r) for r in matrix]
-    n = len(rows)
-    _check_square(rows, n)
-    if n <= 4:
-        return _adjugate_cofactor(rows)
-    m = np.asarray(rows, dtype=float)
-    det = float(np.linalg.det(m))
-    try:
-        adj = det * np.linalg.inv(m)
-    except np.linalg.LinAlgError:
-        return _adjugate_cofactor(rows)
-    scale = float(np.abs(m).max()) or 1.0
-    residual = float(np.abs(adj @ m - det * np.eye(n)).max())
-    if not math.isfinite(residual) or residual > _LU_RESIDUAL_TOL * (1.0 + scale) * scale ** n:
-        return _adjugate_cofactor(rows)
-    return [[float(x) for x in row] for row in adj]
+        return [[d, -b], [-c, a]], a * d - b * c
+    u, s, vt = np.linalg.svd(rows)
+    s = s.tolist()
+    sign = math.copysign(1.0, np.linalg.det(u @ vt))  # U V^T is orthogonal: +-1
+    others = [sign * math.prod(s[:i]) * math.prod(s[i + 1:]) for i in range(n)]
+    return ((vt.T * others) @ u.T).tolist(), sign * math.prod(s)
 
 
 def mix(ext: ExtendedRegression, epsilon: float) -> MixedSample:
@@ -211,24 +157,7 @@ def mix(ext: ExtendedRegression, epsilon: float) -> MixedSample:
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
-    n = len(ext.psi_delayed)
-    scale = epsilon ** n
-    if n == 1:
-        phi = ext.phi_rows[0][0]
-        return MixedSample(
-            time=ext.time, delta=scale * phi,
-            psi=(scale * ext.psi_delayed[0],), warm=ext.complete)
-    if n == 2:
-        (a, b), (c, d) = ext.phi_rows
-        p1, p2 = ext.psi_delayed
-        return MixedSample(
-            time=ext.time,
-            delta=scale * (a * d - b * c),
-            psi=(scale * (d * p1 - b * p2), scale * (a * p2 - c * p1)),
-            warm=ext.complete)
-    adj = adjugate(ext.phi_rows)
-    delta = scale * determinant(ext.phi_rows)
-    psi = tuple(
-        scale * sum(adj_row[j] * ext.psi_delayed[j] for j in range(n))
-        for adj_row in adj)
-    return MixedSample(time=ext.time, delta=delta, psi=psi, warm=ext.complete)
+    adj, det = adjugate(ext.phi_rows)
+    scale = epsilon ** len(adj)
+    psi = tuple(scale * sum(map(mul, row, ext.psi_delayed)) for row in adj)
+    return MixedSample(time=ext.time, delta=scale * det, psi=psi, warm=ext.complete)

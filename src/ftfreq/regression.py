@@ -31,7 +31,7 @@ from .delay_line import TappedDelayLine
 from .errors import ConfigError
 
 MAX_BINOMIAL_ORDER = 20
-MAX_HARMONICS = 8  # adjugate-based mixing budget downstream
+MAX_HARMONICS = 8  # largest model order; mixing's adjugate is tested up to here
 
 H_RULE_QUARTER = "quarter-period"
 H_RULE_HALF = "half-period"

@@ -14,7 +14,7 @@ from conftest import SAMPLE_PERIOD, random_distinct_frequencies
 from ftfreq.delay_line import TappedDelayLine
 from ftfreq.estimator import EstimatorConfig, EstimatorState, step_gradient
 from ftfreq.harness import run_scenario
-from ftfreq.mixing import MixedSample, adjugate, determinant
+from ftfreq.mixing import MixedSample, adjugate
 from ftfreq.recovery import recover_frequencies
 from ftfreq.regression import ModelConfig, true_theta
 from ftfreq.scenarios import builtin_scenario, with_reset_times
@@ -208,22 +208,28 @@ def test_criterion_7_step_change_behavior():
 
 
 def test_criterion_8_adjugate_identity():
-    """adj(M) M = det(M) I within scale-aware bounds for 1000 random matrices."""
+    """adj(M) M = det(M) I within scale-aware bounds for 1000 random matrices
+    of size 1..8 (every 20th made singular) plus the all-zero 8x8."""
     started = time.perf_counter()
     rng = np.random.default_rng(88)
-    worst_ratio = 0.0
+    matrices = []
     for trial in range(1000):
-        n = int(rng.integers(1, 7))
+        n = int(rng.integers(1, 9))
         m = rng.uniform(-3.0, 3.0, (n, n))
         if trial % 20 == 0 and n >= 2:
             m[n - 1] = m[0]  # force singularity to exercise det = 0
-        adj = np.array(adjugate(m.tolist()))
-        det = determinant(m.tolist())
-        residual = np.abs(adj @ m - det * np.eye(n)).max()
+        matrices.append(m)
+    matrices.append(np.zeros((8, 8)))
+    worst_ratio = 0.0
+    for m in matrices:
+        n = len(m)
+        adj, det = adjugate(m.tolist())
+        residual = np.abs(np.array(adj) @ m - det * np.eye(n)).max()
         norm = float(np.linalg.norm(m))
         bound = 1e-10 * (1.0 + norm) * max(1.0, norm ** (n - 1))
         worst_ratio = max(worst_ratio, residual / bound)
     elapsed = time.perf_counter() - started
     report(8, worst_ratio <= 1.0 and elapsed < 2.0,
            f"worst residual at {worst_ratio:.2e} of the scale-aware bound "
-           f"over 1000 matrices, n in 1..6, {elapsed:.2f} s (< 2 s)")
+           f"over {len(matrices)} matrices, n in 1..8 plus an all-zero 8x8, "
+           f"{elapsed:.2f} s (< 2 s)")

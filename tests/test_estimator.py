@@ -8,8 +8,8 @@ import pytest
 from conftest import SAMPLE_PERIOD, mixed_stream
 from ftfreq.errors import ConfigError, NumericFault
 from ftfreq.estimator import (EstimatorConfig, EstimatorState,
-                              excitation_level, finite_time_estimate,
-                              reset_estimator, step_gradient)
+                              finite_time_estimate, reset_estimator,
+                              step_gradient)
 from ftfreq.mixing import MixedSample
 from ftfreq.regression import ModelConfig, true_theta
 from ftfreq.signals import HarmonicSpec, SignalSpec
@@ -113,13 +113,12 @@ class TestStepGradient:
 class TestExcitationLevel:
     def test_zero_before_any_warm_data(self):
         cfg = EstimatorConfig(gamma=(1.0, 2.0), t_ft=1.0, theta0=(0.0, 0.0))
-        assert excitation_level(EstimatorState(cfg)) == (0.0, 0.0)
+        assert EstimatorState(cfg).excitation == 0.0
 
     def test_constant_delta_integral(self):
         cfg = EstimatorConfig(gamma=(1.0, 2.0), t_ft=1.0, theta0=(0.0, 0.0))
         state = constant_session(cfg, delta=0.5, theta=(0.1, 0.2), steps=2000)
-        for level in excitation_level(state):
-            assert level == pytest.approx(0.25 * 2.0, rel=1e-12)
+        assert state.excitation == pytest.approx(0.25 * 2.0, rel=1e-12)
 
     def test_strictly_increasing_under_excitation(self):
         cfg = EstimatorConfig(gamma=(1.0,), t_ft=1.0, theta0=(0.0,))
@@ -129,7 +128,7 @@ class TestExcitationLevel:
             mixed = MixedSample(time=(k + 1) * SAMPLE_PERIOD, delta=0.3,
                                 psi=(0.0,), warm=True)
             step_gradient(state, mixed, cfg, SAMPLE_PERIOD)
-            level = excitation_level(state)[0]
+            level = state.excitation
             assert level > last
             last = level
 

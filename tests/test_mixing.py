@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import SAMPLE_PERIOD, mixed_stream, random_distinct_frequencies
 from ftfreq.errors import ConfigError
-from ftfreq.mixing import (DremConfig, RegressorExtender, adjugate,
-                           determinant, mix)
+from ftfreq.mixing import DremConfig, RegressorExtender, adjugate, mix
 from ftfreq.regression import ModelConfig, RegressionSample, true_theta
 from ftfreq.signals import HarmonicSpec, SignalSpec
 
@@ -70,55 +72,99 @@ class TestExtender:
         assert not ext.complete
 
 
+def cofactor_adjugate(m):
+    """Reference adjugate: transposed signed minors, each from np.linalg.det."""
+    n = len(m)
+    adj = np.ones((n, n))
+    if n > 1:
+        for i in range(n):
+            for j in range(n):
+                minor = np.delete(np.delete(m, i, axis=0), j, axis=1)
+                adj[j, i] = (-1) ** (i + j) * np.linalg.det(minor)
+    return adj
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """M = B C with B n x r and C r x n, so rank(M) <= r for r = 0..n."""
+    n = draw(st.integers(1, 8))
+    r = draw(st.integers(0, n))
+    entries = st.floats(-2.0, 2.0)
+    b = draw(arrays(float, (n, r), elements=entries))
+    c = draw(arrays(float, (r, n), elements=entries))
+    return b @ c
+
+
 class TestAdjugate:
     def test_2x2_closed_form(self):
-        assert adjugate([[1.0, 2.0], [3.0, 4.0]]) == [[4.0, -2.0], [-3.0, 1.0]]
+        assert adjugate([[1.0, 2.0], [3.0, 4.0]]) == ([[4.0, -2.0], [-3.0, 1.0]], -2.0)
 
     def test_identity_fixed_point(self):
-        for n in (1, 2, 3, 4, 5):
+        for n in range(1, 9):
             eye = np.eye(n).tolist()
-            assert np.allclose(adjugate(eye), eye)
+            adj, det = adjugate(eye)
+            assert np.allclose(adj, eye)
+            assert det == pytest.approx(1.0)
 
     def test_defining_identity_random_3x3(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             m = rng.uniform(-2, 2, (3, 3))
-            adj = np.array(adjugate(m.tolist()))
-            det = determinant(m.tolist())
-            assert np.allclose(adj @ m, det * np.eye(3), atol=1e-12 * max(1, abs(det)))
+            adj, det = adjugate(m.tolist())
+            assert np.allclose(np.array(adj) @ m, det * np.eye(3), atol=1e-12 * max(1, abs(det)))
 
-    def test_lu_path_matches_cofactors(self):
+    def test_svd_path_matches_cofactor_oracle(self):
         rng = np.random.default_rng(12)
-        for n in (5, 6, 7, 8):
-            m = rng.uniform(-2, 2, (n, n)).tolist()
-            lu = np.array(adjugate(m))
-            # force the cofactor route through a singular-looking copy check
-            from ftfreq.mixing import _adjugate_cofactor
-            cof = np.array(_adjugate_cofactor([list(r) for r in m]))
-            assert np.allclose(lu, cof, rtol=1e-9, atol=1e-9 * np.abs(cof).max())
+        for n in range(1, 9):
+            m = rng.uniform(-2, 2, (n, n))
+            adj = np.array(adjugate(m.tolist())[0])
+            cof = cofactor_adjugate(m)
+            assert np.allclose(adj, cof, rtol=1e-9, atol=1e-9 * np.abs(cof).max())
 
     def test_singular_matrix_still_satisfies_identity(self):
         # duplicated rows: det = 0, so adj(M) M must vanish
         m = [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
-        adj = np.array(adjugate(m))
+        adj = np.array(adjugate(m)[0])
         product = adj @ np.array(m)
         assert np.abs(product).max() < 1e-12
         m5 = np.vstack([np.ones((1, 5)), np.ones((1, 5)), np.random.default_rng(1).uniform(-1, 1, (3, 5))])
-        adj5 = np.array(adjugate(m5.tolist()))
+        adj5 = np.array(adjugate(m5.tolist())[0])
         assert np.abs(adj5 @ m5).max() < 1e-10
 
     def test_determinant_matches_numpy(self):
         rng = np.random.default_rng(13)
         for n in range(1, 7):
             m = rng.uniform(-3, 3, (n, n))
-            assert determinant(m.tolist()) == pytest.approx(
+            assert adjugate(m.tolist())[1] == pytest.approx(
                 float(np.linalg.det(m)), rel=1e-10, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(low_rank_matrices())
+    def test_identity_on_rank_deficient_matrices(self, m):
+        n = len(m)
+        adj, det = adjugate(m.tolist())
+        norm = float(np.linalg.norm(m))
+        bound = 1e-10 * (1.0 + norm) * max(1.0, norm ** (n - 1))
+        assert np.abs(np.array(adj) @ m - det * np.eye(n)).max() <= bound
+        with np.errstate(divide="ignore"):  # numpy's LU meets subnormal pivots
+            reference = np.linalg.det(m)
+        assert abs(det - reference) <= bound * max(1.0, norm)
 
     def test_rejects_non_square_and_non_finite(self):
         with pytest.raises(ConfigError):
-            determinant([[1.0, 2.0]])
+            adjugate([[1.0, 2.0]])
+        with pytest.raises(ConfigError):
+            adjugate([[1.0, 2.0], [3.0]])
+        with pytest.raises(ConfigError):
+            adjugate([1.0, 2.0])
         with pytest.raises(ConfigError):
             adjugate([[1.0, float("nan")], [0.0, 1.0]])
+        for n in (3, 8):
+            for bad in (float("nan"), float("inf"), -float("inf")):
+                m = np.eye(n)
+                m[n - 1, 0] = bad
+                with pytest.raises(ConfigError):
+                    adjugate(m.tolist())
 
 
 def two_tone():
@@ -137,7 +183,7 @@ class TestMix:
         assert sample.warm
 
     def test_mixing_identity_against_true_theta(self):
-        for n, seed in ((1, 21), (2, 22), (3, 23)):
+        for n, seed in ((1, 21), (2, 22), (3, 23), (4, 24), (5, 25), (6, 26)):
             rng = np.random.default_rng(seed)
             freqs = random_distinct_frequencies(rng, n, 0.6, 5.4)
             spec = SignalSpec(harmonics=tuple(
