@@ -24,8 +24,9 @@ from .mixing import (DremConfig, ExtendedRegression, MixedSample,
 from .pipeline import Pipeline, StepResult
 from .recovery import (FrequencyEstimate, find_roots, recover_frequencies,
                        roots_to_frequencies, theta_to_polynomial)
-from .regression import (ModelConfig, RegressionSample, binomial, compute_phi,
-                         compute_psi, sample_regression, true_theta)
+from .regression import (DelayTable, ModelConfig, RegressionSample, binomial,
+                         compute_phi, compute_psi, delay_table,
+                         sample_regression, true_theta)
 from .scenarios import BUILTIN_NAMES, builtin_scenario, with_reset_times
 from .signals import (HarmonicDisturbance, HarmonicSpec, SampledTrace,
                       ScheduleStep, SignalSpec, UniformDisturbance,
@@ -33,7 +34,7 @@ from .signals import (HarmonicDisturbance, HarmonicSpec, SampledTrace,
 
 __all__ = [
     "__version__",
-    "BUILTIN_NAMES", "ConfigError", "DremConfig", "EstimateNotPhysical",
+    "BUILTIN_NAMES", "ConfigError", "DelayTable", "DremConfig", "EstimateNotPhysical",
     "EstimatorConfig", "EstimatorSettings", "EstimatorState",
     "ExtendedRegression", "FrequencyEstimate", "HarmonicDisturbance",
     "HarmonicSpec", "MixedSample", "ModelConfig", "NumericFault",
@@ -42,7 +43,7 @@ __all__ = [
     "ScenarioConfig", "ScheduleStep", "SignalSpec", "StepResult",
     "TappedDelayLine", "UniformDisturbance",
     "adjugate", "binomial", "builtin_scenario", "compute_phi", "compute_psi",
-    "config_warnings", "estimate_from_file", "find_roots",
+    "config_warnings", "delay_table", "estimate_from_file", "find_roots",
     "finite_time_estimate", "format_config", "generate_trace", "load_config",
     "mix", "parse_config",
     "recover_frequencies", "reset_estimator", "roots_to_frequencies",

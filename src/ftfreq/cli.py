@@ -62,7 +62,7 @@ def _apply_seed(cfg, seed):
 
 def _report(result: RunResult) -> int:
     final = result.final
-    print(f"samples: {len(result.records)}")
+    print(f"samples: {len(result.trajectory)}")
     if result.estimate_path:
         print(f"estimates: {result.estimate_path}")
     if result.trace_path:

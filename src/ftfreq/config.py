@@ -385,8 +385,12 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
 
 
 def load_config(path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), source=str(path))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config file: {exc.strerror or exc}") from exc
+    return parse_config(text, source=str(path))
 
 
 # ---------------------------------------------------------------------------

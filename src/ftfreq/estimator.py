@@ -118,6 +118,18 @@ def step_gradient(state: EstimatorState, mixed: MixedSample,
         raise NumericFault(
             f"non-finite mixed regression at t = {mixed.time}: "
             f"delta = {delta}, psi = {mixed.psi}")
+    advance_gradient(state, delta, mixed.psi, dt)
+    state.time = mixed.time
+    return state
+
+
+def advance_gradient(state: EstimatorState, delta: float, psi, dt: float) -> None:
+    """Apply one warm sample interval of the gradient law to state in place.
+
+    The held-input update of every theta_hat_i, the excitation integral and
+    max_decay_step; the caller has checked delta and psi for finiteness and
+    owns state.time. Shared by step_gradient and the whole-trace engine.
+    """
     d2 = delta * delta
     d2dt = d2 * dt
     theta = state.theta_hat
@@ -126,13 +138,11 @@ def step_gradient(state: EstimatorState, mixed: MixedSample,
         if lam > state.max_decay_step:
             state.max_decay_step = lam
         if lam < 1e-12:
-            theta[i] += g * dt * delta * (mixed.psi[i] - delta * theta[i])
+            theta[i] += g * dt * delta * (psi[i] - delta * theta[i])
         else:
             growth = -math.expm1(-lam) / lam
-            theta[i] = theta[i] * math.exp(-lam) + g * dt * delta * mixed.psi[i] * growth
+            theta[i] = theta[i] * math.exp(-lam) + g * dt * delta * psi[i] * growth
     state.excitation += d2dt
-    state.time = mixed.time
-    return state
 
 
 def finite_time_estimate(state: EstimatorState,

@@ -1,8 +1,13 @@
-"""Scenario execution: drive the pipeline, write CSV trajectories and metadata.
+"""Scenario execution: run the engine over a trace, write CSVs and metadata.
 
-A run produces three files: the sampled measurement trace (time, y), the
-per-sample trajectory records, and a key-value metadata file embedding the
-full config echo so the run is reproducible from its own outputs.
+run_scenario simulates the configured signal and estimate_from_file reads a
+recorded one; both hand the whole trace to the whole-trace engine
+(engine.run_trace), with each scheduled reset mapped to the sample it
+applies at. A run produces three files: the sampled measurement trace
+(time, y), the per-sample estimates, written column by column in bounded row
+chunks, and a key-value metadata file embedding the full config echo so the
+run is reproducible from its own outputs. build_pipeline makes the streaming
+Pipeline for callers that feed one sample at a time.
 """
 
 from __future__ import annotations
@@ -10,20 +15,24 @@ from __future__ import annotations
 import math
 import os
 import platform
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import __version__
 from .config import (ScenarioConfig, config_warnings, ensure_valid,
                      format_config)
-from .errors import ConfigError, NumericFault
+from .engine import Trajectory, run_trace
+from .errors import ConfigError
 from .estimator import EstimatorConfig
-from .pipeline import Pipeline, StepResult
+from .pipeline import Pipeline, StepResult, warmup_time
 from .regression import true_theta
 from .signals import UniformDisturbance, sample_signal
 
 _GRID_TOL = 1e-9
+_CHUNK_ROWS = 4096  # CSV rows formatted per write: bounds the strings held at once
 
 SIGN_CONVENTION = ("psi = [Z^2+1]^n y; theta_k = (-1)^(k+1) e_k(cos(omega_i h)); "
                    "recovery polynomial x^n - theta_1 x^(n-1) - ... - theta_n")
@@ -31,20 +40,26 @@ SIGN_CONVENTION = ("psi = [Z^2+1]^n y; theta_k = (-1)^(k+1) e_k(cos(omega_i h));
 
 @dataclass
 class RunResult:
-    """Records plus run metadata; extracted is False when excitation never
-    reached the floor and the finite-time columns stayed empty."""
+    """Per-sample outputs plus run metadata; extracted is False when
+    excitation never reached the floor and the finite-time columns stayed
+    empty."""
 
     config: ScenarioConfig
-    records: list[StepResult]
+    trajectory: Trajectory
     metadata: dict[str, str]
     extracted: bool
     trace_path: str | None = None
     estimate_path: str | None = None
     metadata_path: str | None = None
 
+    @cached_property
+    def records(self) -> list[StepResult]:
+        """One StepResult per sample, built on first access."""
+        return self.trajectory.records()
+
     @property
     def final(self) -> StepResult:
-        return self.records[-1]
+        return self.trajectory.records(len(self.trajectory) - 1)[0]
 
 
 def _estimator_config(cfg: ScenarioConfig) -> EstimatorConfig:
@@ -60,23 +75,31 @@ def build_pipeline(cfg: ScenarioConfig) -> Pipeline:
         sample_period=cfg.run.sample_period, imag_tol=cfg.recovery.imag_tol)
 
 
-def _drive(cfg: ScenarioConfig, samples, times) -> tuple[list[StepResult], Pipeline]:
-    pipeline = build_pipeline(cfg)
-    resets = list(cfg.run.reset_times)
-    records: list[StepResult] = []
-    next_reset = resets.pop(0) if resets else None
-    for k, (t, y) in enumerate(zip(times, samples)):
-        if next_reset is not None and t >= next_reset - _GRID_TOL:
-            pipeline.reset()
-            next_reset = resets.pop(0) if resets else None
-        try:
-            records.append(pipeline.step(t, y))
-        except NumericFault as exc:
-            raise NumericFault(f"sample {k} (t = {t:.6g}): {exc}") from exc
-    return records, pipeline
+def _segment_starts(times: list[float], reset_times) -> list[int]:
+    """0 and the sample at which each reset applies: the first at or after its
+    time (within the grid slack), at most one reset per sample."""
+    starts, lo = [0], 0
+    for reset in reset_times:
+        k = bisect_left(times, reset - _GRID_TOL, lo)
+        if k == len(times):
+            break
+        if k:  # a reset before the first sample changes nothing
+            starts.append(k)
+        lo = k + 1
+    return starts
 
 
-def _metadata(cfg: ScenarioConfig, pipeline: Pipeline, source: str) -> dict[str, str]:
+def _run(cfg: ScenarioConfig, source: str, times, samples) -> RunResult:
+    trajectory = run_trace(
+        cfg.model, cfg.drem, _estimator_config(cfg), cfg.run.sample_period,
+        cfg.recovery.imag_tol, times, samples,
+        _segment_starts(times, cfg.run.reset_times))
+    return RunResult(config=cfg, trajectory=trajectory,
+                     metadata=_metadata(cfg, trajectory, source),
+                     extracted=trajectory.state.theta_ft is not None)
+
+
+def _metadata(cfg: ScenarioConfig, trajectory: Trajectory, source: str) -> dict[str, str]:
     meta = {
         "generator": f"ftfreq {__version__}",
         "versions": f"python {platform.python_version()}, numpy {np.__version__}",
@@ -88,9 +111,9 @@ def _metadata(cfg: ScenarioConfig, pipeline: Pipeline, source: str) -> dict[str,
         meta["rng.seed"] = str(cfg.signal.disturbance.seed)
     else:
         meta["rng.seed"] = "none"
-    meta["pipeline.warmup_time"] = repr(pipeline.warmup_time)
-    meta["pipeline.max_decay_step"] = repr(pipeline.max_decay_step)
-    state = pipeline.state
+    state = trajectory.state
+    meta["pipeline.warmup_time"] = repr(warmup_time(cfg.model, cfg.drem))
+    meta["pipeline.max_decay_step"] = repr(state.max_decay_step)
     meta["estimator.excitation_integral"] = repr(state.excitation)
     meta["estimator.extraction_time"] = (
         repr(state.extraction_time) if state.extraction_time is not None else "none")
@@ -102,8 +125,8 @@ def _metadata(cfg: ScenarioConfig, pipeline: Pipeline, source: str) -> dict[str,
 def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> RunResult:
     """Simulate the configured signal and estimate its frequencies.
 
-    Validates the config (raising ConfigError with every violation), drives
-    the pipeline over the uniform grid, applies scheduled resets, and writes
+    Validates the config (raising ConfigError with every violation), runs
+    the engine over the uniform grid with the scheduled resets, and writes
     the trace/estimate CSVs and the metadata file when out_dir is given.
     """
     ensure_valid(cfg)
@@ -114,18 +137,15 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> RunResult:
     count = math.floor(cfg.run.duration / period + _GRID_TOL) + 1
     times = [k * period for k in range(count)]
     samples = [sample_signal(cfg.signal, t) for t in times]
-    records, pipeline = _drive(cfg, samples, times)
-    meta = _metadata(cfg, pipeline, source="simulation")
-    result = RunResult(config=cfg, records=records, metadata=meta,
-                       extracted=pipeline.extracted)
+    result = _run(cfg, "simulation", times, samples)
     if out_dir is not None:
-        _write_outputs(result, out_dir, times, samples)
+        _write_outputs(result, out_dir)
     return result
 
 
 def estimate_from_file(trace_path: str, cfg: ScenarioConfig,
                        out_dir: str | None = None) -> RunResult:
-    """Run the identical pipeline over a recorded (time, y) CSV trace.
+    """Run the identical estimation over a recorded (time, y) CSV trace.
 
     The file must be on the uniform grid implied by run.sample_period; the
     first off-grid row is reported. The config's signal section, if any, is
@@ -133,12 +153,9 @@ def estimate_from_file(trace_path: str, cfg: ScenarioConfig,
     """
     ensure_valid(cfg)
     times, samples = _read_trace(trace_path, cfg.run.sample_period)
-    records, pipeline = _drive(cfg, samples, times)
-    meta = _metadata(cfg, pipeline, source=f"trace file {os.path.basename(trace_path)}")
-    result = RunResult(config=cfg, records=records, metadata=meta,
-                       extracted=pipeline.extracted)
+    result = _run(cfg, f"trace file {os.path.basename(trace_path)}", times, samples)
     if out_dir is not None:
-        _write_outputs(result, out_dir, times, samples, write_trace=False)
+        _write_outputs(result, out_dir, write_trace=False)
         result.trace_path = trace_path
     return result
 
@@ -146,7 +163,11 @@ def estimate_from_file(trace_path: str, cfg: ScenarioConfig,
 def _read_trace(path: str, sample_period: float) -> tuple[list[float], list[float]]:
     times: list[float] = []
     samples: list[float] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError([f"{path}: cannot read trace file: {exc.strerror or exc}"]) from exc
+    with fh:
         header = fh.readline().strip()
         if header.split(",")[:2] != ["time", "y"]:
             raise ConfigError([f"{path}: expected header 'time,y', got {header!r}"])
@@ -177,8 +198,14 @@ def _read_trace(path: str, sample_period: float) -> tuple[list[float], list[floa
 # ---------------------------------------------------------------------------
 # output files
 
-def _fmt(value: float) -> str:
-    return repr(value)
+def _reprs(values) -> list[str]:
+    return list(map(repr, values))
+
+
+def _write_rows(fh, columns) -> None:
+    """Write equal-length columns of formatted fields as CSV rows."""
+    fh.write("\n".join(map(",".join, zip(*columns))))
+    fh.write("\n")
 
 
 def _estimate_header(n: int) -> str:
@@ -190,28 +217,38 @@ def _estimate_header(n: int) -> str:
     return ",".join(cols)
 
 
-def _record_row(rec: StepResult, n: int) -> str:
-    empty = [""] * n
-    parts = [_fmt(rec.time), _fmt(rec.y), _fmt(rec.delta)]
-    parts += [_fmt(v) for v in rec.theta_hat]
-    parts += [_fmt(v) for v in rec.theta_ft] if rec.theta_ft is not None else empty
-    parts += [_fmt(v) for v in rec.omega_grad]
-    parts += [_fmt(v) for v in rec.omega_ft] if rec.omega_ft is not None else empty
-    return ",".join(parts)
+def _finite_time_columns(trajectory: Trajectory, a: int, b: int, n: int):
+    """theta_ft and omega_ft columns of rows a..b-1, empty where not held."""
+    theta = [[""] * (b - a) for _ in range(n)]
+    omega = [[""] * (b - a) for _ in range(n)]
+    for lo, hi, theta_ft, omega_ft in trajectory.held_in(a, b):
+        for column, value in zip(theta + omega, theta_ft + omega_ft):
+            column[lo:hi] = [repr(value)] * (hi - lo)
+    return theta, omega
 
 
 def write_trace_csv(path: str, times, samples) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("time,y\n")
-        for t, y in zip(times, samples):
-            fh.write(f"{_fmt(t)},{_fmt(y)}\n")
+        for a in range(0, len(times), _CHUNK_ROWS):
+            _write_rows(fh, (_reprs(times[a:a + _CHUNK_ROWS]),
+                             _reprs(samples[a:a + _CHUNK_ROWS])))
 
 
-def write_estimates_csv(path: str, records, n: int) -> None:
+def write_estimates_csv(path: str, trajectory: Trajectory) -> None:
+    n = trajectory.theta_hat.shape[1]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_estimate_header(n) + "\n")
-        for rec in records:
-            fh.write(_record_row(rec, n) + "\n")
+        for a in range(0, len(trajectory), _CHUNK_ROWS):
+            b = min(a + _CHUNK_ROWS, len(trajectory))
+            theta_ft, omega_ft = _finite_time_columns(trajectory, a, b, n)
+            columns = [_reprs(trajectory.times[a:b]), _reprs(trajectory.samples[a:b]),
+                       _reprs(trajectory.delta[a:b].tolist())]
+            columns += map(_reprs, trajectory.theta_hat[a:b].T.tolist())
+            columns += theta_ft
+            columns += map(_reprs, trajectory.omega_grad[a:b].T.tolist())
+            columns += omega_ft
+            _write_rows(fh, columns)
 
 
 def write_metadata(path: str, result: RunResult) -> None:
@@ -222,15 +259,14 @@ def write_metadata(path: str, result: RunResult) -> None:
         fh.write(format_config(result.config))
 
 
-def _write_outputs(result: RunResult, out_dir: str, times, samples,
-                   write_trace: bool = True) -> None:
+def _write_outputs(result: RunResult, out_dir: str, write_trace: bool = True) -> None:
     os.makedirs(out_dir, exist_ok=True)
     out = result.config.output
-    n = result.config.model.n
+    trajectory = result.trajectory
     if write_trace:
         result.trace_path = os.path.join(out_dir, out.trace_path)
-        write_trace_csv(result.trace_path, times, samples)
+        write_trace_csv(result.trace_path, trajectory.times, trajectory.samples)
     result.estimate_path = os.path.join(out_dir, out.estimate_path)
-    write_estimates_csv(result.estimate_path, result.records, n)
+    write_estimates_csv(result.estimate_path, trajectory)
     result.metadata_path = os.path.join(out_dir, out.metadata_path)
     write_metadata(result.metadata_path, result)

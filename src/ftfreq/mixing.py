@@ -29,7 +29,7 @@ from operator import mul
 import numpy as np
 
 from .errors import ConfigError
-from .regression import MAX_HARMONICS, RegressionSample, steps_per_delay
+from .regression import MAX_HARMONICS, DelayTable, RegressionSample
 
 
 @dataclass(frozen=True)
@@ -77,18 +77,15 @@ class RegressorExtender:
     """Streams RegressionSamples in, ExtendedRegressions out.
 
     Keeps one zero-filled history of the last n * steps_d + 1 (psi, phi)
-    pairs; row i of the stacked system is the pair pushed i * steps_d pushes
-    ago. One instance per estimation session; not safe to share across
-    threads.
+    pairs; row i of the stacked system is the pair pushed taps.rows[i - 1]
+    pushes ago. One instance per estimation session; not safe to share
+    across threads.
     """
 
-    def __init__(self, n: int, d: float, sample_period: float):
-        if not 1 <= n <= MAX_HARMONICS:
-            raise ConfigError(f"extension order must be in 1..{MAX_HARMONICS}, got {n}")
-        self.n = n
-        self.steps_d = steps_per_delay(d, sample_period, "drem.d")
-        self._depth = n * self.steps_d
-        self._lags = range(self.steps_d, self._depth + 1, self.steps_d)
+    def __init__(self, taps: DelayTable):
+        self.n = len(taps.rows)
+        self._lags = taps.rows
+        self._depth = taps.rows[-1]
         self.clear()
 
     def push(self, sample: RegressionSample) -> ExtendedRegression:

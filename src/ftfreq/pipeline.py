@@ -16,7 +16,7 @@ from .estimator import (EstimatorConfig, EstimatorState, finite_time_estimate,
                         reset_estimator, step_gradient)
 from .mixing import DremConfig, RegressorExtender, mix
 from .recovery import DEFAULT_IMAG_TOL, recover_frequencies
-from .regression import ModelConfig, sample_regression, steps_per_delay
+from .regression import ModelConfig, delay_table, sample_regression
 
 
 @dataclass(slots=True)
@@ -32,9 +32,22 @@ class StepResult:
     omega_ft: tuple[float, ...] | None
 
 
+def warmup_time(model: ModelConfig, drem: DremConfig) -> float:
+    """Seconds of history before mixed samples become warm: 2nh + nd."""
+    return 2 * model.n * model.h + model.n * drem.d
+
+
+def check_measurement(t: float, y: float) -> None:
+    """Reject a non-finite measurement sample."""
+    if not math.isfinite(y):
+        raise NumericFault(f"non-finite measurement {y} at t = {t}")
+
+
 class Pipeline:
     """Drives one estimation session over a uniform sample stream.
 
+    Callers that already hold a whole trace use the engine module instead;
+    this class is the streaming path, one step() per arriving sample.
     The frequency band of the model config doubles as the projection range
     for recovered estimates. The raw gradient estimates are recovered at
     every step with no imaginary-part limit (transients can wander through
@@ -50,9 +63,9 @@ class Pipeline:
         self.estimator_cfg = estimator
         self.sample_period = sample_period
         self.imag_tol = imag_tol
-        steps_h = steps_per_delay(model.h, sample_period, "model.h")
-        self._line = TappedDelayLine(2 * model.n * steps_h, sample_period)
-        self._extender = RegressorExtender(model.n, drem.d, sample_period)
+        self.taps = delay_table(model, drem.d, sample_period)
+        self._line = TappedDelayLine(self.taps.valid_from, sample_period)
+        self._extender = RegressorExtender(self.taps)
         self.state = EstimatorState(estimator)
         self._bounds = (model.omega_min, model.omega_max)
         self._omega_ft: tuple[float, ...] | None = None
@@ -61,19 +74,18 @@ class Pipeline:
     @property
     def warmup_time(self) -> float:
         """Seconds of history before mixed samples become warm."""
-        return 2 * self.model.n * self.model.h + self.model.n * self.drem.d
+        return warmup_time(self.model, self.drem)
 
     def step(self, t: float, y: float) -> StepResult:
         """Process one measurement sample and report the session outputs."""
-        if not math.isfinite(y):
-            raise NumericFault(f"non-finite measurement {y} at t = {t}")
+        check_measurement(t, y)
         if not self._primed:
             # epochs are measured from the first sample actually processed
             self.state.time = t
             self.state.epoch_start = t
             self._primed = True
         self._line.push(y)
-        reg = sample_regression(self._line, self.model, t)
+        reg = sample_regression(self._line, self.taps, t)
         mixed = mix(self._extender.push(reg), self.drem.epsilon)
         step_gradient(self.state, mixed, self.estimator_cfg, self.sample_period)
 

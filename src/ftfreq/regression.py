@@ -148,6 +148,41 @@ def steps_per_delay(delay: float, sample_period: float, label: str) -> int:
 
 
 @dataclass(frozen=True)
+class DelayTable:
+    """One session's delays in whole samples, derived once from its config.
+
+    psi and phi hold the (weight, lag) taps of the regressand and of each
+    regressor component (psi_taps and phi_taps with lags scaled by steps_h);
+    rows holds the lags i * steps_d, i = 1..n, of the stacked system;
+    valid_from = 2 n steps_h is the number of samples after a clear before
+    every tap reads real history. Both Pipeline (sample by sample) and the
+    whole-trace engine read these.
+    """
+
+    psi: tuple[tuple[float, int], ...]
+    phi: tuple[tuple[tuple[float, int], ...], ...]
+    rows: tuple[int, ...]
+    valid_from: int
+
+    @property
+    def warm_from(self) -> int:
+        """Samples after a clear before the deepest stacked row is valid."""
+        return self.valid_from + self.rows[-1]
+
+
+def delay_table(model: ModelConfig, d: float, sample_period: float) -> DelayTable:
+    """The session's taps and stacked-row lags; rejects off-grid h or d."""
+    steps_h = steps_per_delay(model.h, sample_period, "model.h")
+    steps_d = steps_per_delay(d, sample_period, "drem.d")
+    n = model.n
+    return DelayTable(
+        psi=tuple((w, lag * steps_h) for w, lag in psi_taps(n)),
+        phi=tuple(tuple((w, lag * steps_h) for w, lag in row) for row in phi_taps(n)),
+        rows=tuple(i * steps_d for i in range(1, n + 1)),
+        valid_from=2 * n * steps_h)
+
+
+@dataclass(frozen=True)
 class RegressionSample:
     """Regressand/regressor pair at one time instant.
 
@@ -161,35 +196,32 @@ class RegressionSample:
     valid: bool
 
 
-def compute_psi(line: TappedDelayLine, cfg: ModelConfig) -> float:
+def compute_psi(line: TappedDelayLine, taps: DelayTable) -> float:
     """Binomial-weighted sum of measurement taps at lags 2h(n-i), i = 0..n."""
-    steps_h = steps_per_delay(cfg.h, line.sample_period, "model.h")
     total = 0.0
-    for weight, lag in psi_taps(cfg.n):
-        total += weight * line.tap(lag * steps_h)
+    for weight, lag in taps.psi:
+        total += weight * line.tap(lag)
     return total
 
 
-def compute_phi(line: TappedDelayLine, cfg: ModelConfig) -> tuple[float, ...]:
+def compute_phi(line: TappedDelayLine, taps: DelayTable) -> tuple[float, ...]:
     """All n regressor components at the current time."""
-    steps_h = steps_per_delay(cfg.h, line.sample_period, "model.h")
     out = []
-    for row in phi_taps(cfg.n):
+    for row in taps.phi:
         acc = 0.0
         for weight, lag in row:
-            acc += weight * line.tap(lag * steps_h)
+            acc += weight * line.tap(lag)
         out.append(acc)
     return tuple(out)
 
 
-def sample_regression(line: TappedDelayLine, cfg: ModelConfig, time: float) -> RegressionSample:
+def sample_regression(line: TappedDelayLine, taps: DelayTable, time: float) -> RegressionSample:
     """Assemble the regression sample for the line's current contents."""
-    steps_h = steps_per_delay(cfg.h, line.sample_period, "model.h")
     return RegressionSample(
         time=time,
-        psi=compute_psi(line, cfg),
-        phi=compute_phi(line, cfg),
-        valid=line.count > 2 * cfg.n * steps_h,
+        psi=compute_psi(line, taps),
+        phi=compute_phi(line, taps),
+        valid=line.count > taps.valid_from,
     )
 
 

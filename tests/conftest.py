@@ -4,7 +4,7 @@ import numpy as np
 
 from ftfreq.delay_line import TappedDelayLine
 from ftfreq.mixing import RegressorExtender, mix
-from ftfreq.regression import sample_regression
+from ftfreq.regression import delay_table, sample_regression
 from ftfreq.signals import generate_trace
 
 SAMPLE_PERIOD = 0.001
@@ -12,13 +12,13 @@ SAMPLE_PERIOD = 0.001
 
 def mixed_stream(spec, model_cfg, d, epsilon, duration, sample_period=SAMPLE_PERIOD):
     """Yield (k, MixedSample) over a generated trace of the given signal."""
-    steps_h = round(model_cfg.h / sample_period)
-    line = TappedDelayLine(2 * model_cfg.n * steps_h, sample_period)
-    extender = RegressorExtender(model_cfg.n, d, sample_period)
+    taps = delay_table(model_cfg, d, sample_period)
+    line = TappedDelayLine(taps.valid_from, sample_period)
+    extender = RegressorExtender(taps)
     trace = generate_trace(spec, sample_period, duration)
     for k, y in enumerate(trace.values):
         line.push(y)
-        reg = sample_regression(line, model_cfg, k * sample_period)
+        reg = sample_regression(line, taps, k * sample_period)
         yield k, mix(extender.push(reg), epsilon)
 
 

@@ -82,12 +82,13 @@ def test_criterion_2_regression_and_mixing_consistency():
         steps = round(cfg.h / SAMPLE_PERIOD)
         line = TappedDelayLine(2 * n * steps, SAMPLE_PERIOD)
         from ftfreq.mixing import RegressorExtender, mix
-        from ftfreq.regression import sample_regression
-        extender = RegressorExtender(n, 0.07, SAMPLE_PERIOD)
+        from ftfreq.regression import delay_table, sample_regression
+        taps = delay_table(cfg, 0.07, SAMPLE_PERIOD)
+        extender = RegressorExtender(taps)
         trace = generate_trace(spec, SAMPLE_PERIOD, 4.0)
         for k, y in enumerate(trace.values):
             line.push(y)
-            reg = sample_regression(line, cfg, k * SAMPLE_PERIOD)
+            reg = sample_regression(line, taps, k * SAMPLE_PERIOD)
             mixed = mix(extender.push(reg), epsilon)
             if reg.valid:
                 predicted = sum(p * t for p, t in zip(reg.phi, theta))

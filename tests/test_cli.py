@@ -1,8 +1,13 @@
 """CLI behavior: subcommands, outputs, exit codes."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
+
+import ftfreq
 
 from ftfreq.cli import (EXIT_CONFIG, EXIT_NOT_EXCITED, EXIT_NUMERIC, EXIT_OK,
                         main)
@@ -57,6 +62,12 @@ class TestSimulate:
         cfg_path.write_text("model.n two\n")
         assert main(["simulate", "--config", str(cfg_path)]) == EXIT_CONFIG
 
+    def test_missing_config_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        code = main(["simulate", "--config", str(missing), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert f"config error: {missing}: cannot read" in capsys.readouterr().err
+
 
 class TestEstimate:
     def test_estimate_replays_simulated_trace(self, tmp_path, capsys):
@@ -96,6 +107,16 @@ class TestEstimate:
         assert "numeric fault" in capsys.readouterr().err
 
 
+    def test_missing_input_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "scenario.cfg"
+        write_quick_config(cfg_path)
+        missing = tmp_path / "missing.csv"
+        code = main(["estimate", "--config", str(cfg_path), "--input", str(missing),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert f"config error: {missing}: cannot read" in capsys.readouterr().err
+
+
 class TestScenarioCommand:
     def test_unknown_name_rejected_by_parser(self):
         with pytest.raises(SystemExit):
@@ -127,3 +148,21 @@ class TestScenarioCommand:
         assert code == EXIT_OK
         meta = (tmp_path / "out" / "metadata.txt").read_text()
         assert "rng.seed = 424242" in meta
+
+
+def test_python_m_ftfreq_runs_the_cli(tmp_path):
+    src = os.path.dirname(os.path.dirname(ftfreq.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    cfg_path = tmp_path / "scenario.cfg"
+    write_quick_config(cfg_path, duration=6.0)
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "ftfreq", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = run("simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+    assert done.returncode == EXIT_OK, done.stderr
+    assert "omega_ft: 2.000000 3.000000" in done.stdout
+    done = run("simulate", "--config", str(tmp_path / "missing.cfg"))
+    assert done.returncode == EXIT_CONFIG

@@ -1,0 +1,283 @@
+"""Whole-trace engine against the streaming Pipeline it replaces in the harness.
+
+The reference is the Pipeline loop: one step() per sample, resets applied
+at the first sample at or after each reset time (within the grid slack), a
+NumericFault re-raised naming its sample. Every output column and metadata
+value of the engine must equal it exactly for n <= 2 and within 1e-12
+relative above, and a run that faults must fault at the same sample with the
+same exception.
+"""
+
+import math
+import random
+import re
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ftfreq.config import (EstimatorSettings, RunConfig, ScenarioConfig,
+                           ensure_valid)
+from ftfreq.errors import ConfigError, NumericFault
+from ftfreq.harness import (RunResult, build_pipeline, estimate_from_file,
+                            run_scenario, write_metadata, write_trace_csv)
+from ftfreq.mixing import DremConfig
+from ftfreq.regression import ModelConfig
+from ftfreq.scenarios import BUILTIN_NAMES, builtin_scenario
+from ftfreq.signals import (HarmonicSpec, SignalSpec, UniformDisturbance,
+                            generate_trace)
+
+GRID_TOL = 1e-9
+
+
+def pipeline_reference(cfg, times, samples):
+    """Records and final Pipeline of the streaming path over one trace."""
+    pipeline = build_pipeline(cfg)
+    resets = list(cfg.run.reset_times)
+    next_reset = resets.pop(0) if resets else None
+    records = []
+    for k, (t, y) in enumerate(zip(times, samples)):
+        if next_reset is not None and t >= next_reset - GRID_TOL:
+            pipeline.reset()
+            next_reset = resets.pop(0) if resets else None
+        try:
+            records.append(pipeline.step(t, y))
+        except NumericFault as exc:
+            raise NumericFault(f"sample {k} (t = {t:.6g}): {exc}") from exc
+    return records, pipeline
+
+
+def reference_metadata(pipeline):
+    state = pipeline.state
+    return {
+        "pipeline.warmup_time": repr(pipeline.warmup_time),
+        "pipeline.max_decay_step": repr(state.max_decay_step),
+        "estimator.excitation_integral": repr(state.excitation),
+        "estimator.extraction_time": (repr(state.extraction_time)
+                                      if state.extraction_time is not None else "none"),
+    }
+
+
+def grid(cfg):
+    period = cfg.run.sample_period
+    times = [k * period for k in range(math.floor(cfg.run.duration / period + GRID_TOL) + 1)]
+    return times, [y for y in generate_trace(cfg.signal, period, cfg.run.duration).values]
+
+
+def outcome(run):
+    """('ok', value) or (exception type, sample index or None, message)."""
+    try:
+        return "ok", run()
+    except (NumericFault, ConfigError, ValueError) as exc:
+        found = re.search(r"sample (\d+)", str(exc))
+        return type(exc), found and int(found.group(1)), str(exc)
+
+
+def assert_same(a, b, exact):
+    if exact or a is None or b is None:
+        assert a == b
+    else:
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert math.isclose(x, y, rel_tol=1e-12), (x, y)
+
+
+def assert_parity(cfg, times, samples, tmp_path):
+    """The engine, replaying the trace from a file, reproduces the Pipeline
+    loop; returns the Pipeline's outcome."""
+    expected = outcome(lambda: pipeline_reference(cfg, times, samples))
+    path = str(tmp_path / "trace.csv")
+    write_trace_csv(path, times, samples)
+    got = outcome(lambda: estimate_from_file(path, cfg))
+    if expected[0] != "ok":
+        assert got[:2] == expected[:2]
+        assert got[2] == expected[2]
+        return expected
+    assert got[0] == "ok", got
+    records, pipeline = expected[1]
+    result = got[1]
+    exact = cfg.model.n <= 2
+    assert len(result.records) == len(records)
+    for mine, ref in zip(result.records, records):
+        assert (mine.time, mine.y) == (ref.time, ref.y)
+        assert_same((mine.delta,), (ref.delta,), exact)
+        for field in ("theta_hat", "theta_ft", "omega_grad", "omega_ft"):
+            assert_same(getattr(mine, field), getattr(ref, field), exact)
+    meta = reference_metadata(pipeline)
+    for key, value in meta.items():
+        if exact or value == "none":
+            assert result.metadata[key] == value, key
+        else:
+            assert math.isclose(float(result.metadata[key]), float(value), rel_tol=1e-12), key
+    assert result.extracted == pipeline.extracted
+    return expected
+
+
+@st.composite
+def scenarios(draw):
+    """Small n <= 4 scenarios on a 0.01 s grid: random tones, amplitudes,
+    phases, h and d, optional uniform noise and 0-2 resets."""
+    n = draw(st.integers(1, 4))
+    period = 0.01
+    lo, hi = 0.5, 4.0
+    steps_h = draw(st.integers(2, 30))  # h <= 0.30 < pi / (2 * hi)
+    steps_d = draw(st.integers(1, 30))
+    h, d = round(steps_h * period, 9), round(steps_d * period, 9)
+    gaps = draw(st.lists(st.floats(0.15, 1.0), min_size=n, max_size=n))
+    start = draw(st.floats(0.6, 1.0))
+    freqs = [start + sum(gaps[:i]) for i in range(n)]
+    if freqs[-1] > 3.9:
+        scale = (3.9 - start) / (freqs[-1] - start) if n > 1 else 1.0
+        freqs = [start + (w - start) * scale for w in freqs]
+    harmonics = tuple(
+        HarmonicSpec(draw(st.floats(0.3, 2.0)), w, draw(st.floats(0.0, 2 * math.pi)))
+        for w in freqs)
+    noise = None
+    if draw(st.booleans()):
+        noise = UniformDisturbance(draw(st.floats(0.001, 0.2)), period,
+                                   draw(st.integers(0, 2**32)))
+    latency = n * (h + d)
+    t_ft = round(latency + draw(st.floats(0.05, 3.0)), 6)
+    duration = round(t_ft + draw(st.floats(0.2, 2.0)), 6)
+    resets = sorted(set(draw(st.lists(st.floats(0.001, duration - 0.001),
+                                      max_size=2))))
+    omega0 = tuple(lo + (i + 0.5) * (hi - lo) / n for i in range(n))
+    cfg = ScenarioConfig(
+        name="drawn",
+        signal=SignalSpec(harmonics, noise),
+        model=ModelConfig(n=n, h=h, omega_min=lo, omega_max=hi),
+        drem=DremConfig(d=d, epsilon=draw(st.sampled_from((0.5, 2.0, 10.0)))),
+        estimator=EstimatorSettings(
+            gamma=tuple(draw(st.floats(0.1, 20.0)) for _ in range(n)),
+            omega0=omega0, t_ft=t_ft),
+        run=RunConfig(sample_period=period, duration=duration,
+                      reset_times=tuple(resets)),
+    )
+    return ensure_valid(cfg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenarios())
+def test_engine_matches_pipeline_on_drawn_scenarios(tmp_path_factory, cfg):
+    times, samples = grid(cfg)
+    assert_parity(cfg, times, samples, tmp_path_factory.mktemp("trace"))
+
+
+def synthetic(n, seed):
+    """Clean n-tone scenario (band [1, 4], h 0.3, d 0.4, eps 10, Ts 0.1 s)
+    with a reset halfway to t_ft and time to extract again after it."""
+    rng = random.Random(seed)
+    freqs = [1.0 + (i + 0.5) * 3.0 / n for i in range(n)]
+    harmonics = tuple(HarmonicSpec(rng.uniform(0.5, 1.5), w, rng.uniform(0.0, 2 * math.pi))
+                      for w in freqs)
+    t_ft = round(2 * n * 0.3 + n * 0.4 + 1.0, 9)
+    return ScenarioConfig(
+        name=f"n{n}", signal=SignalSpec(harmonics),
+        model=ModelConfig(n=n, h=0.3, omega_min=1.0, omega_max=4.0),
+        drem=DremConfig(d=0.4, epsilon=10.0),
+        estimator=EstimatorSettings(
+            gamma=(1.0,) * n, t_ft=t_ft,
+            omega0=tuple(1.0 + (i + 0.25) * 3.0 / n for i in range(n))),
+        run=RunConfig(sample_period=0.1, duration=round(1.5 * t_ft + 1.0, 9),
+                      reset_times=(round(t_ft / 2, 9),)))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+@pytest.mark.parametrize("seed", [1, 4])
+def test_engine_matches_pipeline_for_high_orders(tmp_path, n, seed):
+    cfg = synthetic(n, seed)
+    times, samples = grid(cfg)
+    assert_parity(cfg, times, samples, tmp_path)
+
+
+def test_resets_closer_than_a_sample(tmp_path):
+    # one reset per sample: the second and third of a burst land on the
+    # following samples; one before the first sample changes nothing
+    cfg = builtin_scenario("noiseless-2h")
+    cfg = replace(cfg, run=replace(cfg.run, duration=8.0,
+                                   reset_times=(1e-10, 2.0, 2.0002, 2.0004)))
+    times, samples = grid(cfg)
+    assert_parity(cfg, times, samples, tmp_path)
+
+
+class TestFaultParity:
+    def quick(self):
+        cfg = builtin_scenario("noiseless-2h")
+        return replace(cfg, run=replace(cfg.run, duration=6.0))
+
+    def test_non_finite_measurement_after_warm_up(self, tmp_path):
+        cfg = self.quick()
+        times, samples = grid(cfg)
+        samples[3000] = math.inf
+        kind, index, message = assert_parity(cfg, times, samples, tmp_path)
+        assert kind is NumericFault and index == 3000
+        assert "non-finite measurement" in message
+
+    def test_sample_42(self, tmp_path):
+        cfg = self.quick()
+        times = [k * 0.001 for k in range(100)]
+        samples = [0.5] * 100
+        samples[42] = math.nan
+        kind, index, _ = assert_parity(cfg, times, samples, tmp_path)
+        assert kind is NumericFault and index == 42
+
+    def test_non_finite_mixed_regression(self, tmp_path):
+        # a 1e307 spike reaches the first stacked row through psi's lag-0 tap
+        # while every stacked phi entry is still finite; eps^2 = 1e4 then
+        # overflows the mixed psi
+        cfg = self.quick()
+        times, samples = grid(cfg)
+        samples[2000] = 1e307
+        kind, index, message = assert_parity(cfg, times, samples, tmp_path)
+        assert kind is NumericFault and index == 2000 + 130
+        assert "non-finite mixed regression" in message
+
+    def test_recovery_fault_after_a_spike(self, tmp_path):
+        # a 1e200 spike leaves the mixed regression finite but throws
+        # theta_hat so far that the omega_grad roots miss their residual
+        cfg = self.quick()
+        times, samples = grid(cfg)
+        samples[2000] = 1e200
+        kind, index, message = assert_parity(cfg, times, samples, tmp_path)
+        assert kind is NumericFault and index == 2000 + 130
+        assert "root residual" in message
+
+    def test_overflowing_regressor(self, tmp_path):
+        cfg = self.quick()
+        times, samples = grid(cfg)
+        samples[10] = 1e308  # before warm-up: only adjugate's input check sees it
+        kind, _, message = assert_parity(cfg, times, samples, tmp_path)
+        assert kind is ConfigError and "finite" in message
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_outputs_match_pipeline_files(tmp_path, name):
+    """run_scenario writes the files a Pipeline-driven run writes, byte for byte."""
+    cfg = builtin_scenario(name)
+    result = run_scenario(cfg, out_dir=str(tmp_path / "engine"))
+    times, samples = grid(cfg)
+    records, pipeline = pipeline_reference(cfg, times, samples)
+    assert result.records == records
+
+    n = cfg.model.n
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    write_trace_csv(str(ref / "trace.csv"), times, samples)
+    header = ["time", "y", "delta"] + [
+        f"{name}_{i}" for name in ("theta_hat", "theta_ft", "omega_grad", "omega_ft")
+        for i in range(1, n + 1)]
+    with open(ref / "estimates.csv", "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for rec in records:
+            fields = [repr(rec.time), repr(rec.y), repr(rec.delta)]
+            for values in (rec.theta_hat, rec.theta_ft, rec.omega_grad, rec.omega_ft):
+                fields += [repr(v) for v in values] if values is not None else [""] * n
+            fh.write(",".join(fields) + "\n")
+    meta = dict(result.metadata)
+    meta.update(reference_metadata(pipeline))
+    write_metadata(str(ref / "metadata.txt"), RunResult(
+        config=cfg, trajectory=result.trajectory, metadata=meta, extracted=pipeline.extracted))
+
+    for file in ("trace.csv", "estimates.csv", "metadata.txt"):
+        assert (tmp_path / "engine" / file).read_bytes() == (ref / file).read_bytes(), file

@@ -11,7 +11,8 @@ from hypothesis.extra.numpy import arrays
 from conftest import SAMPLE_PERIOD, mixed_stream, random_distinct_frequencies
 from ftfreq.errors import ConfigError
 from ftfreq.mixing import DremConfig, RegressorExtender, adjugate, mix
-from ftfreq.regression import ModelConfig, RegressionSample, true_theta
+from ftfreq.regression import (ModelConfig, RegressionSample, delay_table,
+                               true_theta)
 from ftfreq.signals import HarmonicSpec, SignalSpec
 
 
@@ -26,9 +27,15 @@ def make_samples(n, count, valid_from=0):
         )
 
 
+def extender_for(n, d):
+    """Extender of an n-harmonic session with stacked rows d seconds apart."""
+    model = ModelConfig(n=n, h=0.01, omega_min=0.5, omega_max=5.0)
+    return RegressorExtender(delay_table(model, d, SAMPLE_PERIOD))
+
+
 class TestExtender:
     def test_single_delay_case(self):
-        extender = RegressorExtender(1, 0.01, SAMPLE_PERIOD)
+        extender = extender_for(1, 0.01)
         last = None
         for sample in make_samples(1, 30):
             last = extender.push(sample)
@@ -37,7 +44,7 @@ class TestExtender:
 
     def test_rows_at_multiples_of_d(self):
         # d = 0.13 at 1 kHz puts the two rows 130 and 260 samples back
-        extender = RegressorExtender(2, 0.13, SAMPLE_PERIOD)
+        extender = extender_for(2, 0.13)
         for sample in make_samples(2, 400):
             ext = extender.push(sample)
         assert ext.psi_delayed == (float(399 - 130), float(399 - 260))
@@ -45,7 +52,7 @@ class TestExtender:
         assert ext.phi_rows[1] == (float(1000 + 399 - 260), float(2000 + 399 - 260))
 
     def test_zero_stream_stays_zero(self):
-        extender = RegressorExtender(2, 0.01, SAMPLE_PERIOD)
+        extender = extender_for(2, 0.01)
         for k in range(100):
             ext = extender.push(RegressionSample(k * SAMPLE_PERIOD, 0.0, (0.0, 0.0), True))
         assert ext.psi_delayed == (0.0, 0.0)
@@ -53,17 +60,17 @@ class TestExtender:
 
     def test_complete_requires_valid_history_at_deepest_lag(self):
         valid_from = 40
-        extender = RegressorExtender(2, 0.01, SAMPLE_PERIOD)  # deepest lag 20
+        extender = extender_for(2, 0.01)  # deepest lag 20
         for k, sample in enumerate(make_samples(2, 100, valid_from=valid_from)):
             ext = extender.push(sample)
             assert ext.complete == (k - 20 >= valid_from)
 
     def test_off_grid_d_rejected(self):
         with pytest.raises(ConfigError):
-            RegressorExtender(2, 0.0105, SAMPLE_PERIOD)
+            extender_for(2, 0.0105)
 
     def test_clear_restarts_history(self):
-        extender = RegressorExtender(1, 0.01, SAMPLE_PERIOD)
+        extender = extender_for(1, 0.01)
         for sample in make_samples(1, 50):
             extender.push(sample)
         extender.clear()

@@ -16,8 +16,8 @@ import pytest
 from ftfreq.delay_line import TappedDelayLine
 from ftfreq.errors import ConfigError
 from ftfreq.regression import (ModelConfig, binomial, compute_phi, compute_psi,
-                               elementary_symmetric, phi_taps, psi_taps,
-                               sample_regression, true_theta)
+                               delay_table, elementary_symmetric, phi_taps,
+                               psi_taps, sample_regression, true_theta)
 from ftfreq.signals import HarmonicSpec, SignalSpec, generate_trace
 
 SAMPLE_PERIOD = 0.001
@@ -34,6 +34,11 @@ def random_signal(rng, n, lo=0.6, hi=5.4, min_gap=0.05):
                      float(rng.uniform(0, 2 * math.pi)))
         for w in freqs)
     return SignalSpec(harmonics=harmonics), [h.amplitude for h in harmonics]
+
+
+def taps(cfg):
+    """The session table; the regression reads its taps, not its d rows."""
+    return delay_table(cfg, cfg.h, SAMPLE_PERIOD)
 
 
 def feed_line(values, capacity):
@@ -82,7 +87,7 @@ class TestExpansions:
         values = [float(k % 17) for k in range(350)]  # integer-valued: exact sums
         for k, line in enumerate(feed_line(values, 2 * steps)):
             expected = values[k] + (values[k - 2 * steps] if k >= 2 * steps else 0.0)
-            assert compute_psi(line, cfg) == expected
+            assert compute_psi(line, taps(cfg)) == expected
 
     def test_psi_n2_binomial_weights(self):
         cfg = ModelConfig(n=2, h=0.1, omega_min=0.5, omega_max=5.0)
@@ -91,7 +96,7 @@ class TestExpansions:
         tap = lambda k, lag: values[k - lag] if k >= lag else 0.0
         for k, line in enumerate(feed_line(values, 4 * s)):
             expected = tap(k, 0) + 2.0 * tap(k, 2 * s) + tap(k, 4 * s)
-            assert compute_psi(line, cfg) == expected
+            assert compute_psi(line, taps(cfg)) == expected
 
     def test_phi_n2_components(self):
         cfg = ModelConfig(n=2, h=0.1, omega_min=0.5, omega_max=5.0)
@@ -99,7 +104,7 @@ class TestExpansions:
         values = [float((5 * k) % 19) for k in range(520)]
         tap = lambda k, lag: values[k - lag] if k >= lag else 0.0
         for k, line in enumerate(feed_line(values, 4 * s)):
-            phi = compute_phi(line, cfg)
+            phi = compute_phi(line, taps(cfg))
             assert phi[0] == 2.0 * (tap(k, s) + tap(k, 3 * s))
             assert phi[1] == 4.0 * tap(k, 2 * s)
 
@@ -109,15 +114,15 @@ class TestExpansions:
         values = [float(k % 11) for k in range(250)]
         for k, line in enumerate(feed_line(values, 2 * s)):
             expected = 2.0 * (values[k - s] if k >= s else 0.0)
-            assert compute_phi(line, cfg) == (expected,)
+            assert compute_phi(line, taps(cfg)) == (expected,)
 
     def test_zero_input_gives_zero_outputs(self):
         cfg = ModelConfig(n=3, h=0.05, omega_min=0.5, omega_max=6.0)
         line = TappedDelayLine(6 * 50, SAMPLE_PERIOD)
         for _ in range(700):
             line.push(0.0)
-        assert compute_psi(line, cfg) == 0.0
-        assert compute_phi(line, cfg) == (0.0, 0.0, 0.0)
+        assert compute_psi(line, taps(cfg)) == 0.0
+        assert compute_phi(line, taps(cfg)) == (0.0, 0.0, 0.0)
 
     def test_impulse_response_matches_tap_tables(self):
         # degree correctness: phi_k sees the impulse only at its table lags
@@ -128,7 +133,7 @@ class TestExpansions:
         responses = {k: {} for k in range(cfg.n)}
         line.push(1.0)
         for step in range(2 * cfg.n * s + 1):
-            phi = compute_phi(line, cfg)
+            phi = compute_phi(line, taps(cfg))
             for k, value in enumerate(phi):
                 if value != 0.0:
                     responses[k][step] = value
@@ -211,7 +216,7 @@ class TestConstructedIdentities:
         for k, line in enumerate(feed_line(trace.values, 2 * n * steps)):
             if k < start:
                 continue
-            sample = sample_regression(line, cfg, k * SAMPLE_PERIOD)
+            sample = sample_regression(line, taps(cfg), k * SAMPLE_PERIOD)
             assert sample.valid
             predicted = sum(p * t for p, t in zip(sample.phi, theta))
             assert abs(sample.psi - predicted) <= 1e-9 * scale
@@ -224,7 +229,7 @@ class TestConstructedIdentities:
         spec, _ = random_signal(np.random.default_rng(3), 2)
         trace = generate_trace(spec, SAMPLE_PERIOD, 1.0)
         for k, line in enumerate(feed_line(trace.values, 4 * steps)):
-            sample = sample_regression(line, cfg, k * SAMPLE_PERIOD)
+            sample = sample_regression(line, taps(cfg), k * SAMPLE_PERIOD)
             assert sample.valid == (k >= 2 * cfg.n * steps)
 
     def test_regressor_gram_matrix_positive_definite(self):
@@ -241,7 +246,7 @@ class TestConstructedIdentities:
         rows = []
         for k, line in enumerate(feed_line(trace.values, 4 * steps)):
             if start <= k < start + window:
-                rows.append(compute_phi(line, cfg))
+                rows.append(compute_phi(line, taps(cfg)))
         gram = np.array(rows).T @ np.array(rows) * SAMPLE_PERIOD
         eigenvalues = np.linalg.eigvalsh(gram)
         assert eigenvalues[0] > 0
@@ -279,4 +284,4 @@ class TestModelConfig:
         cfg = ModelConfig(n=1, h=0.0105, omega_min=0.5, omega_max=5.0)
         line = TappedDelayLine(100, SAMPLE_PERIOD)
         with pytest.raises(ConfigError):
-            compute_psi(line, cfg)
+            compute_psi(line, taps(cfg))
