@@ -11,13 +11,13 @@ and arccos.
 
 __version__ = "0.1.0"
 
-from .config import (EstimatorSettings, OutputConfig, RecoverySettings,
-                     RunConfig, ScenarioConfig, config_warnings, format_config,
+from .config import (OutputConfig, RecoverySettings, RunConfig,
+                     ScenarioConfig, config_warnings, format_config,
                      load_config, parse_config, validate_config, with_seed)
 from .delay_line import TappedDelayLine
 from .errors import ConfigError, EstimateNotPhysical, NumericFault
-from .estimator import (EstimatorConfig, EstimatorState, finite_time_estimate,
-                        reset_estimator, step_gradient)
+from .estimator import (EstimatorSettings, EstimatorState,
+                        finite_time_estimate, reset_estimator, step_gradient)
 from .harness import RunResult, estimate_from_file, run_scenario
 from .mixing import (DremConfig, ExtendedRegression, MixedSample,
                      RegressorExtender, adjugate, mix)
@@ -35,7 +35,7 @@ from .signals import (HarmonicDisturbance, HarmonicSpec, SampledTrace,
 __all__ = [
     "__version__",
     "BUILTIN_NAMES", "ConfigError", "DelayTable", "DremConfig", "EstimateNotPhysical",
-    "EstimatorConfig", "EstimatorSettings", "EstimatorState",
+    "EstimatorSettings", "EstimatorState",
     "ExtendedRegression", "FrequencyEstimate", "HarmonicDisturbance",
     "HarmonicSpec", "MixedSample", "ModelConfig", "NumericFault",
     "OutputConfig", "Pipeline", "RecoverySettings", "RegressionSample",

@@ -10,43 +10,26 @@ comment, blank lines ignored), for example::
 
 Vectors are space-separated. The same format is echoed into run metadata so
 a completed run documents exactly what produced it.
+
+The stage dataclasses are the schema: the keys of a section are
+<section>.<field> for each field of its dataclass (ModelConfig for model,
+DremConfig for drem, EstimatorSettings for estimator, and so on), each
+parsed by its annotation (int, float, str or tuple[float, ...]) and
+defaulted by its default. Parsing, formatting and the unknown-key check all
+read the fields, so a new field needs no edit here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .errors import ConfigError
+from .estimator import EstimatorSettings
 from .mixing import DremConfig
 from .regression import ModelConfig, steps_per_delay
 from .signals import (HarmonicDisturbance, HarmonicSpec, ScheduleStep,
                       SignalSpec, UniformDisturbance)
-
-
-@dataclass(frozen=True)
-class EstimatorSettings:
-    """User-facing estimator tuning; theta0 is derived from omega0 later."""
-
-    gamma: tuple[float, ...]
-    omega0: tuple[float, ...]
-    t_ft: float
-    w_floor: float = 1e-6
-
-    def __post_init__(self):
-        bad = []
-        if not self.gamma or any(not (math.isfinite(g) and g > 0) for g in self.gamma):
-            bad.append(f"estimator.gamma entries must be positive, got {self.gamma}")
-        if not self.omega0 or any(not (math.isfinite(w) and w > 0) for w in self.omega0):
-            bad.append(f"estimator.omega0 entries must be positive, got {self.omega0}")
-        if len(set(self.omega0)) != len(self.omega0):
-            bad.append(f"estimator.omega0 entries must be distinct, got {self.omega0}")
-        if not (math.isfinite(self.t_ft) and self.t_ft > 0):
-            bad.append(f"estimator.t_ft must be positive, got {self.t_ft}")
-        if not 0.0 < self.w_floor < 1.0:
-            bad.append(f"estimator.w_floor must lie in (0, 1), got {self.w_floor}")
-        if bad:
-            raise ConfigError(bad)
 
 
 @dataclass(frozen=True)
@@ -60,7 +43,8 @@ class RecoverySettings:
 
 @dataclass(frozen=True)
 class RunConfig:
-    sample_period: float
+    # keyword-only so it can keep its default and its place first in the echo
+    sample_period: float = field(default=0.001, kw_only=True)
     duration: float
     reset_times: tuple[float, ...] = ()
 
@@ -174,14 +158,35 @@ def ensure_valid(cfg: ScenarioConfig) -> ScenarioConfig:
 
 def with_seed(cfg: ScenarioConfig, seed: int) -> tuple[ScenarioConfig, bool]:
     """Copy of cfg with the uniform-noise seed replaced; False if not seeded."""
-    if cfg.signal is None or not isinstance(cfg.signal.disturbance, UniformDisturbance):
+    if cfg.signal is None or cfg.signal.seed is None:
         return cfg, False
     disturbance = replace(cfg.signal.disturbance, seed=seed)
     return replace(cfg, signal=replace(cfg.signal, disturbance=disturbance)), True
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# parsing and formatting, driven by the fields of the stage dataclasses
+
+# The sections after the signal, in echo order: key prefix and dataclass.
+_SECTIONS = (("model", ModelConfig), ("drem", DremConfig),
+             ("estimator", EstimatorSettings), ("recovery", RecoverySettings),
+             ("run", RunConfig), ("output", OutputConfig))
+
+_DISTURBANCES = {"harmonic": HarmonicDisturbance, "uniform": UniformDisturbance}
+
+
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in raw.split())
+
+
+# Field annotation (as written) -> (parser, what a bad value was expected to be).
+_PARSERS = {
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "str": (str, "text"),
+    "tuple[float, ...]": (_floats, "numbers"),
+}
+
 
 def _parse_lines(text: str, source: str) -> dict[str, str]:
     table: dict[str, str] = {}
@@ -208,55 +213,43 @@ def _parse_lines(text: str, source: str) -> dict[str, str]:
 
 
 class _Reader:
-    """Pulls typed values out of the key table, collecting complaints."""
+    """Takes typed values out of the key table, collecting complaints."""
 
     def __init__(self, table: dict[str, str], source: str):
         self.table = dict(table)
         self.source = source
         self.errors: list[str] = []
 
-    def _take(self, key: str, required: bool):
-        if key in self.table:
-            return self.table.pop(key)
-        if required:
-            self.errors.append(f"{self.source}: missing required key {key!r}")
-        return None
+    def value(self, key: str, kind: str, default=MISSING):
+        """The value of key parsed as annotation kind; default if absent.
 
-    def text(self, key: str, default: str | None = None) -> str | None:
-        raw = self._take(key, required=default is None)
-        return default if raw is None else raw
-
-    def number(self, key: str, default: float | None = None, required: bool = True) -> float | None:
-        raw = self._take(key, required=required and default is None)
-        if raw is None:
+        Returns MISSING, with the complaint recorded, for a required key that
+        is absent or a value that does not parse.
+        """
+        if key not in self.table:
+            if default is MISSING:
+                self.errors.append(f"{self.source}: missing required key {key!r}")
             return default
+        raw = self.table.pop(key)
+        parse, expected = _PARSERS[kind]
         try:
-            return float(raw)
+            return parse(raw)
         except ValueError:
-            self.errors.append(f"{self.source}: key {key!r}: expected a number, got {raw!r}")
-            return default
+            self.errors.append(f"{self.source}: key {key!r}: expected {expected}, got {raw!r}")
+            return MISSING
 
-    def integer(self, key: str, default: int | None = None, required: bool = True) -> int | None:
-        raw = self._take(key, required=required and default is None)
-        if raw is None:
-            return default
+    def build(self, prefix: str, cls):
+        """cls from the keys prefix.<field>; None once a complaint is recorded."""
+        kwargs = {f.name: self.value(f"{prefix}.{f.name}", f.type, f.default)
+                  for f in fields(cls)}
+        if any(v is MISSING for v in kwargs.values()):
+            return None
         try:
-            return int(raw)
-        except ValueError:
-            self.errors.append(f"{self.source}: key {key!r}: expected an integer, got {raw!r}")
-            return default
-
-    def numbers(self, key: str, default: tuple[float, ...] | None = None) -> tuple[float, ...]:
-        raw = self._take(key, required=default is None)
-        if raw is None:
-            return default if default is not None else ()
-        if not raw:
-            return ()
-        try:
-            return tuple(float(part) for part in raw.split())
-        except ValueError:
-            self.errors.append(f"{self.source}: key {key!r}: expected numbers, got {raw!r}")
-            return ()
+            return cls(**kwargs)
+        except ConfigError as exc:  # each complaint names its key group
+            self.errors.extend(v if v.startswith(prefix) else f"{prefix}: {v}"
+                               for v in exc.violations)
+            return None
 
     def group_indices(self, prefix: str) -> list[int]:
         found = set()
@@ -270,6 +263,10 @@ class _Reader:
                         f"{self.source}: key {key!r}: index after {prefix!r} must be an integer")
         return sorted(found)
 
+    def harmonics(self, prefix: str) -> tuple[HarmonicSpec, ...]:
+        built = (self.build(f"{prefix}.{i}", HarmonicSpec) for i in self.group_indices(prefix))
+        return tuple(h for h in built if h is not None)
+
     def finish(self):
         for key in sorted(self.table):
             self.errors.append(f"{self.source}: unknown key {key!r}")
@@ -277,53 +274,22 @@ class _Reader:
             raise ConfigError(self.errors)
 
 
-def _read_harmonics(r: _Reader, prefix: str) -> tuple[HarmonicSpec, ...]:
-    harmonics = []
-    for idx in r.group_indices(prefix):
-        base = f"{prefix}.{idx}"
-        amplitude = r.number(f"{base}.amplitude")
-        frequency = r.number(f"{base}.frequency")
-        phase = r.number(f"{base}.phase", default=0.0)
-        if amplitude is None or frequency is None:
-            continue
-        try:
-            harmonics.append(HarmonicSpec(amplitude, frequency, phase))
-        except ConfigError as exc:
-            r.errors.extend(f"{base}: {v}" for v in exc.violations)
-    return tuple(harmonics)
-
-
 def _read_signal(r: _Reader) -> SignalSpec | None:
-    has_signal = any(key == "signal" or key.startswith("signal.") for key in r.table)
-    if not has_signal:
+    if not any(key == "signal" or key.startswith("signal.") for key in r.table):
         return None
-    harmonics = _read_harmonics(r, "signal.harmonic")
-    kind = r.text("signal.disturbance.kind", default="none")
+    harmonics = r.harmonics("signal.harmonic")
+    kind = r.value("signal.disturbance.kind", "str", "none")
     disturbance = None
-    if kind == "harmonic":
-        amplitude = r.number("signal.disturbance.amplitude")
-        frequency = r.number("signal.disturbance.frequency")
-        phase = r.number("signal.disturbance.phase", default=0.0)
-        if amplitude is not None and frequency is not None:
-            disturbance = HarmonicDisturbance(amplitude, frequency, phase)
-    elif kind == "uniform":
-        half_range = r.number("signal.disturbance.half_range")
-        period = r.number("signal.disturbance.sample_period")
-        seed = r.integer("signal.disturbance.seed")
-        if None not in (half_range, period, seed):
-            try:
-                disturbance = UniformDisturbance(half_range, period, seed)
-            except ConfigError as exc:
-                r.errors.extend(exc.violations)
+    if kind in _DISTURBANCES:
+        disturbance = r.build("signal.disturbance", _DISTURBANCES[kind])
     elif kind != "none":
         r.errors.append(
             f"{r.source}: signal.disturbance.kind must be none, harmonic or uniform, got {kind!r}")
     schedule = []
-    for idx in r.group_indices("signal.schedule"):
-        base = f"signal.schedule.{idx}"
-        time = r.number(f"{base}.time")
-        replacement = _read_harmonics(r, f"{base}.harmonic")
-        if time is not None and replacement:
+    for j in r.group_indices("signal.schedule"):
+        time = r.value(f"signal.schedule.{j}.time", "float")
+        replacement = r.harmonics(f"signal.schedule.{j}.harmonic")
+        if time is not MISSING and replacement:
             schedule.append(ScheduleStep(time, replacement))
     if not harmonics:
         r.errors.append(f"{r.source}: signal present but has no harmonics")
@@ -338,50 +304,13 @@ def _read_signal(r: _Reader) -> SignalSpec | None:
 def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
     """Parse config text; raises ConfigError listing every problem found."""
     r = _Reader(_parse_lines(text, source), source)
-    name = r.text("scenario.name", default="custom")
+    name = r.value("scenario.name", "str", "custom")
     signal = _read_signal(r)
-
-    def build(cls, kwargs):
-        if any(v is None for v in kwargs.values()):
-            return None  # missing keys already recorded
-        try:
-            return cls(**kwargs)
-        except ConfigError as exc:
-            r.errors.extend(exc.violations)
-            return None
-
-    model = build(ModelConfig, dict(
-        n=r.integer("model.n"),
-        h=r.number("model.h"),
-        omega_min=r.number("model.omega_min"),
-        omega_max=r.number("model.omega_max"),
-        h_rule=r.text("model.h_rule", default="quarter-period"),
-    ))
-    drem = build(DremConfig, dict(
-        d=r.number("drem.d"), epsilon=r.number("drem.epsilon")))
-    estimator = build(EstimatorSettings, dict(
-        gamma=r.numbers("estimator.gamma"),
-        omega0=r.numbers("estimator.omega0"),
-        t_ft=r.number("estimator.t_ft"),
-        w_floor=r.number("estimator.w_floor", default=1e-6),
-    ))
-    recovery = build(RecoverySettings, dict(
-        imag_tol=r.number("recovery.imag_tol", default=1e-3)))
-    run = build(RunConfig, dict(
-        sample_period=r.number("run.sample_period", default=0.001),
-        duration=r.number("run.duration"),
-        reset_times=r.numbers("run.reset_times", default=()),
-    ))
-    output = OutputConfig(
-        trace_path=r.text("output.trace_path", default="trace.csv"),
-        estimate_path=r.text("output.estimate_path", default="estimates.csv"),
-        metadata_path=r.text("output.metadata_path", default="metadata.txt"),
-    )
+    sections = {prefix: r.build(prefix, cls) for prefix, cls in _SECTIONS}
     r.finish()
-    if None in (model, drem, estimator, recovery, run):
+    if any(section is None for section in sections.values()):
         raise ConfigError([f"{source}: configuration incomplete"])
-    return ScenarioConfig(model=model, drem=drem, estimator=estimator, run=run,
-                          signal=signal, recovery=recovery, output=output, name=name)
+    return ScenarioConfig(signal=signal, name=name, **sections)
 
 
 def load_config(path) -> ScenarioConfig:
@@ -393,63 +322,37 @@ def load_config(path) -> ScenarioConfig:
     return parse_config(text, source=str(path))
 
 
-# ---------------------------------------------------------------------------
-# formatting
-
 def _fmt(value) -> str:
+    if isinstance(value, tuple):
+        return " ".join(repr(float(v)) for v in value)
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
-def _fmt_vector(values) -> str:
-    return " ".join(repr(float(v)) for v in values)
+def _keys(prefix: str, obj) -> list[str]:
+    """One line per field of obj; an empty vector writes no key."""
+    return [f"{prefix}.{f.name} = {_fmt(value)}"
+            for f in fields(obj) if (value := getattr(obj, f.name)) != ()]
+
+
+def _harmonic_keys(prefix: str, harmonics) -> list[str]:
+    return [line for i, h in enumerate(harmonics, start=1) for line in _keys(f"{prefix}.{i}", h)]
 
 
 def format_config(cfg: ScenarioConfig) -> str:
     """Canonical flat key-value rendering; parse_config inverts it exactly."""
     lines = [f"scenario.name = {cfg.name}"]
     if cfg.signal is not None:
-        for i, h in enumerate(cfg.signal.harmonics, start=1):
-            lines.append(f"signal.harmonic.{i}.amplitude = {_fmt(h.amplitude)}")
-            lines.append(f"signal.harmonic.{i}.frequency = {_fmt(h.frequency)}")
-            lines.append(f"signal.harmonic.{i}.phase = {_fmt(h.phase)}")
+        lines += _harmonic_keys("signal.harmonic", cfg.signal.harmonics)
         d = cfg.signal.disturbance
-        if d is None:
-            lines.append("signal.disturbance.kind = none")
-        elif isinstance(d, HarmonicDisturbance):
-            lines.append("signal.disturbance.kind = harmonic")
-            lines.append(f"signal.disturbance.amplitude = {_fmt(d.amplitude)}")
-            lines.append(f"signal.disturbance.frequency = {_fmt(d.frequency)}")
-            lines.append(f"signal.disturbance.phase = {_fmt(d.phase)}")
-        else:
-            lines.append("signal.disturbance.kind = uniform")
-            lines.append(f"signal.disturbance.half_range = {_fmt(d.half_range)}")
-            lines.append(f"signal.disturbance.sample_period = {_fmt(d.sample_period)}")
-            lines.append(f"signal.disturbance.seed = {d.seed}")
+        kind = next((k for k, cls in _DISTURBANCES.items() if isinstance(d, cls)), "none")
+        lines.append(f"signal.disturbance.kind = {kind}")
+        if d is not None:
+            lines += _keys("signal.disturbance", d)
         for j, step in enumerate(cfg.signal.schedule, start=1):
             lines.append(f"signal.schedule.{j}.time = {_fmt(step.switch_time)}")
-            for i, h in enumerate(step.harmonics, start=1):
-                lines.append(f"signal.schedule.{j}.harmonic.{i}.amplitude = {_fmt(h.amplitude)}")
-                lines.append(f"signal.schedule.{j}.harmonic.{i}.frequency = {_fmt(h.frequency)}")
-                lines.append(f"signal.schedule.{j}.harmonic.{i}.phase = {_fmt(h.phase)}")
-    lines.append(f"model.n = {cfg.model.n}")
-    lines.append(f"model.h = {_fmt(cfg.model.h)}")
-    lines.append(f"model.omega_min = {_fmt(cfg.model.omega_min)}")
-    lines.append(f"model.omega_max = {_fmt(cfg.model.omega_max)}")
-    lines.append(f"model.h_rule = {cfg.model.h_rule}")
-    lines.append(f"drem.d = {_fmt(cfg.drem.d)}")
-    lines.append(f"drem.epsilon = {_fmt(cfg.drem.epsilon)}")
-    lines.append(f"estimator.gamma = {_fmt_vector(cfg.estimator.gamma)}")
-    lines.append(f"estimator.omega0 = {_fmt_vector(cfg.estimator.omega0)}")
-    lines.append(f"estimator.t_ft = {_fmt(cfg.estimator.t_ft)}")
-    lines.append(f"estimator.w_floor = {_fmt(cfg.estimator.w_floor)}")
-    lines.append(f"recovery.imag_tol = {_fmt(cfg.recovery.imag_tol)}")
-    lines.append(f"run.sample_period = {_fmt(cfg.run.sample_period)}")
-    lines.append(f"run.duration = {_fmt(cfg.run.duration)}")
-    if cfg.run.reset_times:
-        lines.append(f"run.reset_times = {_fmt_vector(cfg.run.reset_times)}")
-    lines.append(f"output.trace_path = {cfg.output.trace_path}")
-    lines.append(f"output.estimate_path = {cfg.output.estimate_path}")
-    lines.append(f"output.metadata_path = {cfg.output.metadata_path}")
+            lines += _harmonic_keys(f"signal.schedule.{j}.harmonic", step.harmonics)
+    for prefix, _ in _SECTIONS:
+        lines += _keys(prefix, getattr(cfg, prefix))
     return "\n".join(lines) + "\n"

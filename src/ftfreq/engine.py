@@ -30,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericFault
-from .estimator import (EstimatorConfig, EstimatorState, advance_gradient,
+from .estimator import (EstimatorSettings, EstimatorState, advance_gradient,
                         finite_time_estimate, reset_estimator, step_gradient)
-from .mixing import DremConfig, MixedSample, adjugate
+from .mixing import DremConfig, ExtendedRegression, MixedSample, mix
 from .pipeline import StepResult, check_measurement
 from .recovery import RESIDUAL_TOL, recover_frequencies
 from .regression import DelayTable, ModelConfig, delay_table
@@ -83,7 +83,7 @@ class Trajectory:
             map(tuple, self.omega_grad[first:stop].tolist()), omega_ft))
 
 
-def run_trace(model: ModelConfig, drem: DremConfig, estimator: EstimatorConfig,
+def run_trace(model: ModelConfig, drem: DremConfig, estimator: EstimatorSettings,
               sample_period: float, imag_tol: float, times: list[float],
               samples: list[float], starts: list[int]) -> Trajectory:
     """Estimate over a whole uniform trace; a reset precedes each start > 0.
@@ -106,7 +106,7 @@ def run_trace(model: ModelConfig, drem: DremConfig, estimator: EstimatorConfig,
 class _Run:
     """Output columns and estimator state of one run_trace call."""
 
-    def __init__(self, model: ModelConfig, drem: DremConfig, estimator: EstimatorConfig,
+    def __init__(self, model: ModelConfig, drem: DremConfig, estimator: EstimatorSettings,
                  sample_period: float, imag_tol: float, times: list[float],
                  samples: list[float]):
         self.taps = delay_table(model, drem.d, sample_period)
@@ -125,7 +125,7 @@ class _Run:
         self.theta_hat = np.empty((count, n))
         self.omega_grad = np.empty((count, n))
         self.held = []
-        self.state = EstimatorState(estimator)
+        self.state = EstimatorState(estimator, model.h)
 
     def segment(self, first: int, stop: int) -> None:
         """Samples first..stop-1, starting from flushed history and a new epoch."""
@@ -157,14 +157,16 @@ class _Run:
         psi_rows, phi_rows = _stack(psi, taps.rows), _stack(phi, taps.rows)
         bad = _first(~np.isfinite(phi_rows).all(axis=(1, 2)))
         if bad < end:
-            end, fault = bad, (bad, adjugate, phi_rows[bad].tolist())
+            ext = ExtendedRegression(times[first + bad], tuple(psi_rows[bad].tolist()),
+                                     tuple(map(tuple, phi_rows[bad].tolist())), False)
+            end, fault = bad, (bad, mix, ext, self.epsilon)
         delta, mixed = _mix(phi_rows[:end], psi_rows[:end], self.epsilon)
         warm = min(taps.warm_from, end)
         bad = warm + _first(~(np.isfinite(delta[warm:]) & np.isfinite(mixed[warm:]).all(axis=1)))
         if bad < end:
             sample = MixedSample(times[first + bad], float(delta[bad]),
                                  tuple(mixed[bad].tolist()), True)
-            fault = (bad, step_gradient, self.state, sample, self.estimator, self.dt)
+            fault = (bad, step_gradient, self.state, sample, self.dt)
         return delta[:bad], mixed[:bad], fault
 
     def _gradient(self, first: int, stop: int, delta: np.ndarray,

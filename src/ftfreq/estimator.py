@@ -23,6 +23,10 @@ The excitation integral uses the matching per-interval rectangle rule so W
 is algebraically identical to the decay actually applied to the error,
 which keeps the finite-time inversion exact on clean data at any
 extraction time.
+
+EstimatorSettings is the stage's one tuning type: the gains, the initial
+frequency guesses, the extraction time and the extraction floor, validated
+once when made. The estimator.* config keys are its fields.
 """
 
 from __future__ import annotations
@@ -32,37 +36,43 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, NumericFault
 from .mixing import MixedSample
+from .regression import true_theta
 
 
 @dataclass(frozen=True)
-class EstimatorConfig:
-    """Gradient gains, extraction time, and initial parameter estimates.
+class EstimatorSettings:
+    """Gradient gains, initial frequency guesses and extraction time.
 
     Args:
         gamma: per-parameter positive tuning gains.
+        omega0: initial frequency guesses, positive and distinct; the
+            estimator starts from theta_hat(0) = true_theta(omega0, h).
         t_ft: extraction time, measured from the start of the current
             estimation epoch (a reset starts a new epoch).
-        theta0: initial estimates theta_hat(0).
         w_floor: minimum 1 - W_i required before extraction; below it the
             division would amplify integration noise, so extraction defers.
     """
 
     gamma: tuple[float, ...]
+    omega0: tuple[float, ...]
     t_ft: float
-    theta0: tuple[float, ...]
     w_floor: float = 1e-6
 
     def __post_init__(self):
         bad = []
         if not self.gamma or any(not (math.isfinite(g) and g > 0) for g in self.gamma):
-            bad.append(f"estimator gains must all be positive, got {self.gamma}")
-        if len(self.theta0) != len(self.gamma):
-            bad.append(
-                f"theta0 has {len(self.theta0)} entries for {len(self.gamma)} gains")
+            bad.append(f"estimator.gamma entries must be positive, got {self.gamma}")
+        if not self.omega0 or any(not (math.isfinite(w) and w > 0) for w in self.omega0):
+            bad.append(f"estimator.omega0 entries must be positive, got {self.omega0}")
+        if len(set(self.omega0)) != len(self.omega0):
+            bad.append(f"estimator.omega0 entries must be distinct, got {self.omega0}")
+        if len(self.omega0) != len(self.gamma):
+            bad.append(f"estimator.omega0 has {len(self.omega0)} entries "
+                       f"for {len(self.gamma)} gains")
         if not (math.isfinite(self.t_ft) and self.t_ft > 0):
-            bad.append(f"t_ft must be positive, got {self.t_ft}")
-        if not (0.0 < self.w_floor < 1.0):
-            bad.append(f"w_floor must lie in (0, 1), got {self.w_floor}")
+            bad.append(f"estimator.t_ft must be positive, got {self.t_ft}")
+        if not 0.0 < self.w_floor < 1.0:
+            bad.append(f"estimator.w_floor must lie in (0, 1), got {self.w_floor}")
         if bad:
             raise ConfigError(bad)
 
@@ -70,7 +80,9 @@ class EstimatorConfig:
 class EstimatorState:
     """Mutable per-session estimator state.
 
-    Tracks the gradient estimates, the shared excitation integral
+    Starts from theta0 = true_theta(omega0, h), the parameters of the
+    initial frequency guesses under the model delay h. Tracks the gradient
+    estimates, the shared excitation integral
     S = integral of delta^2 over the current epoch (W_i = exp(-gamma_i S)),
     and the finite-time output once extracted. max_decay_step records the
     largest per-sample gamma_i * delta^2 * dt seen, as a stiffness
@@ -80,12 +92,12 @@ class EstimatorState:
     __slots__ = ("gamma", "theta_hat", "theta0", "time", "epoch_start",
                  "excitation", "theta_ft", "extraction_time", "max_decay_step")
 
-    def __init__(self, cfg: EstimatorConfig, start_time: float = 0.0):
-        self.gamma = cfg.gamma
-        self.theta_hat = list(cfg.theta0)
-        self.theta0 = tuple(cfg.theta0)
-        self.time = start_time
-        self.epoch_start = start_time
+    def __init__(self, settings: EstimatorSettings, h: float):
+        self.gamma = settings.gamma
+        self.theta0 = true_theta(settings.omega0, h)
+        self.theta_hat = list(self.theta0)
+        self.time = 0.0
+        self.epoch_start = 0.0
         self.excitation = 0.0
         self.theta_ft: tuple[float, ...] | None = None
         self.extraction_time: float | None = None
@@ -104,7 +116,7 @@ class EstimatorState:
 
 
 def step_gradient(state: EstimatorState, mixed: MixedSample,
-                  cfg: EstimatorConfig, dt: float) -> EstimatorState:
+                  dt: float) -> EstimatorState:
     """Advance the estimates by one sample interval.
 
     Updates are skipped (time still advances) while the mixed sample is not
@@ -146,7 +158,7 @@ def advance_gradient(state: EstimatorState, delta: float, psi, dt: float) -> Non
 
 
 def finite_time_estimate(state: EstimatorState,
-                         cfg: EstimatorConfig) -> tuple[float, ...] | None:
+                         cfg: EstimatorSettings) -> tuple[float, ...] | None:
     """Algebraic re-estimate of theta once the extraction time has passed.
 
     Returns None while any 1 - W_i is still below w_floor (not yet excited

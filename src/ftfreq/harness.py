@@ -12,7 +12,6 @@ Pipeline for callers that feed one sample at a time.
 
 from __future__ import annotations
 
-import math
 import os
 import platform
 from bisect import bisect_left
@@ -26,12 +25,9 @@ from .config import (ScenarioConfig, config_warnings, ensure_valid,
                      format_config)
 from .engine import Trajectory, run_trace
 from .errors import ConfigError
-from .estimator import EstimatorConfig
 from .pipeline import Pipeline, StepResult, warmup_time
-from .regression import true_theta
-from .signals import UniformDisturbance, sample_signal
+from .signals import GRID_TOL, sample_signal, sample_times
 
-_GRID_TOL = 1e-9
 _CHUNK_ROWS = 4096  # CSV rows formatted per write: bounds the strings held at once
 
 SIGN_CONVENTION = ("psi = [Z^2+1]^n y; theta_k = (-1)^(k+1) e_k(cos(omega_i h)); "
@@ -62,16 +58,9 @@ class RunResult:
         return self.trajectory.records(len(self.trajectory) - 1)[0]
 
 
-def _estimator_config(cfg: ScenarioConfig) -> EstimatorConfig:
-    theta0 = true_theta(cfg.estimator.omega0, cfg.model.h)
-    return EstimatorConfig(
-        gamma=cfg.estimator.gamma, t_ft=cfg.estimator.t_ft,
-        theta0=theta0, w_floor=cfg.estimator.w_floor)
-
-
 def build_pipeline(cfg: ScenarioConfig) -> Pipeline:
     return Pipeline(
-        model=cfg.model, drem=cfg.drem, estimator=_estimator_config(cfg),
+        model=cfg.model, drem=cfg.drem, estimator=cfg.estimator,
         sample_period=cfg.run.sample_period, imag_tol=cfg.recovery.imag_tol)
 
 
@@ -80,7 +69,7 @@ def _segment_starts(times: list[float], reset_times) -> list[int]:
     time (within the grid slack), at most one reset per sample."""
     starts, lo = [0], 0
     for reset in reset_times:
-        k = bisect_left(times, reset - _GRID_TOL, lo)
+        k = bisect_left(times, reset - GRID_TOL, lo)
         if k == len(times):
             break
         if k:  # a reset before the first sample changes nothing
@@ -91,7 +80,7 @@ def _segment_starts(times: list[float], reset_times) -> list[int]:
 
 def _run(cfg: ScenarioConfig, source: str, times, samples) -> RunResult:
     trajectory = run_trace(
-        cfg.model, cfg.drem, _estimator_config(cfg), cfg.run.sample_period,
+        cfg.model, cfg.drem, cfg.estimator, cfg.run.sample_period,
         cfg.recovery.imag_tol, times, samples,
         _segment_starts(times, cfg.run.reset_times))
     return RunResult(config=cfg, trajectory=trajectory,
@@ -107,10 +96,8 @@ def _metadata(cfg: ScenarioConfig, trajectory: Trajectory, source: str) -> dict[
         "convention": SIGN_CONVENTION,
         "rng.algorithm": "splitmix64 counter hash",
     }
-    if cfg.signal is not None and isinstance(cfg.signal.disturbance, UniformDisturbance):
-        meta["rng.seed"] = str(cfg.signal.disturbance.seed)
-    else:
-        meta["rng.seed"] = "none"
+    seed = cfg.signal.seed if cfg.signal is not None else None
+    meta["rng.seed"] = "none" if seed is None else str(seed)
     state = trajectory.state
     meta["pipeline.warmup_time"] = repr(warmup_time(cfg.model, cfg.drem))
     meta["pipeline.max_decay_step"] = repr(state.max_decay_step)
@@ -133,9 +120,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> RunResult:
     if cfg.signal is None:
         raise ConfigError(["run_scenario requires a signal section; "
                            "use estimate_from_file for recorded data"])
-    period = cfg.run.sample_period
-    count = math.floor(cfg.run.duration / period + _GRID_TOL) + 1
-    times = [k * period for k in range(count)]
+    times = sample_times(cfg.run.sample_period, cfg.run.duration)
     samples = [sample_signal(cfg.signal, t) for t in times]
     result = _run(cfg, "simulation", times, samples)
     if out_dir is not None:
@@ -184,7 +169,7 @@ def _read_trace(path: str, sample_period: float) -> tuple[list[float], list[floa
             if start is None:
                 start = t
             expected = start + len(times) * sample_period
-            if abs(t - expected) > _GRID_TOL * max(1.0, abs(expected) / sample_period):
+            if abs(t - expected) > GRID_TOL * max(1.0, abs(expected) / sample_period):
                 raise ConfigError([
                     f"{path}: row {row}: time {t!r} off the uniform grid "
                     f"(expected {expected!r} at sample_period {sample_period})"])
@@ -260,13 +245,18 @@ def write_metadata(path: str, result: RunResult) -> None:
 
 
 def _write_outputs(result: RunResult, out_dir: str, write_trace: bool = True) -> None:
-    os.makedirs(out_dir, exist_ok=True)
+    """Write the run's files into out_dir; an unusable path is a ConfigError."""
     out = result.config.output
     trajectory = result.trajectory
-    if write_trace:
-        result.trace_path = os.path.join(out_dir, out.trace_path)
-        write_trace_csv(result.trace_path, trajectory.times, trajectory.samples)
-    result.estimate_path = os.path.join(out_dir, out.estimate_path)
-    write_estimates_csv(result.estimate_path, trajectory)
-    result.metadata_path = os.path.join(out_dir, out.metadata_path)
-    write_metadata(result.metadata_path, result)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        if write_trace:
+            result.trace_path = os.path.join(out_dir, out.trace_path)
+            write_trace_csv(result.trace_path, trajectory.times, trajectory.samples)
+        result.estimate_path = os.path.join(out_dir, out.estimate_path)
+        write_estimates_csv(result.estimate_path, trajectory)
+        result.metadata_path = os.path.join(out_dir, out.metadata_path)
+        write_metadata(result.metadata_path, result)
+    except OSError as exc:
+        path = exc.filename or out_dir
+        raise ConfigError([f"{path}: cannot write output: {exc.strerror or exc}"]) from exc

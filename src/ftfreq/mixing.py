@@ -28,7 +28,7 @@ from operator import mul
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericFault
 from .regression import MAX_HARMONICS, DelayTable, RegressionSample
 
 
@@ -151,10 +151,17 @@ def mix(ext: ExtendedRegression, epsilon: float) -> MixedSample:
 
     With the whole stack scaled by epsilon first, delta = eps^n det(Phi) and
     mixed psi = eps^n adj(Phi) psi_delayed (adj(eps M) = eps^(n-1) adj(M)).
+    A stack that overflowed to a non-finite entry is a fault of the data
+    (NumericFault), where adjugate itself rejects it as bad input.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
-    adj, det = adjugate(ext.phi_rows)
+    try:
+        adj, det = adjugate(ext.phi_rows)
+    except ConfigError:
+        if all(map(math.isfinite, chain.from_iterable(ext.phi_rows))):
+            raise
+        raise NumericFault(f"non-finite stacked regressor at t = {ext.time}") from None
     scale = epsilon ** len(adj)
     psi = tuple(scale * sum(map(mul, row, ext.psi_delayed)) for row in adj)
     return MixedSample(time=ext.time, delta=scale * det, psi=psi, warm=ext.complete)

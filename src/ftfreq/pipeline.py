@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from .delay_line import TappedDelayLine
 from .errors import NumericFault
-from .estimator import (EstimatorConfig, EstimatorState, finite_time_estimate,
-                        reset_estimator, step_gradient)
+from .estimator import (EstimatorSettings, EstimatorState,
+                        finite_time_estimate, reset_estimator, step_gradient)
 from .mixing import DremConfig, RegressorExtender, mix
 from .recovery import DEFAULT_IMAG_TOL, recover_frequencies
 from .regression import ModelConfig, delay_table, sample_regression
@@ -56,17 +56,17 @@ class Pipeline:
     """
 
     def __init__(self, model: ModelConfig, drem: DremConfig,
-                 estimator: EstimatorConfig, sample_period: float,
+                 estimator: EstimatorSettings, sample_period: float,
                  imag_tol: float = DEFAULT_IMAG_TOL):
         self.model = model
         self.drem = drem
-        self.estimator_cfg = estimator
+        self.estimator = estimator
         self.sample_period = sample_period
         self.imag_tol = imag_tol
         self.taps = delay_table(model, drem.d, sample_period)
         self._line = TappedDelayLine(self.taps.valid_from, sample_period)
         self._extender = RegressorExtender(self.taps)
-        self.state = EstimatorState(estimator)
+        self.state = EstimatorState(estimator, model.h)
         self._bounds = (model.omega_min, model.omega_max)
         self._omega_ft: tuple[float, ...] | None = None
         self._primed = False
@@ -87,11 +87,11 @@ class Pipeline:
         self._line.push(y)
         reg = sample_regression(self._line, self.taps, t)
         mixed = mix(self._extender.push(reg), self.drem.epsilon)
-        step_gradient(self.state, mixed, self.estimator_cfg, self.sample_period)
+        step_gradient(self.state, mixed, self.sample_period)
 
         theta_ft = self.state.theta_ft
-        if theta_ft is None and self.state.epoch_elapsed() >= self.estimator_cfg.t_ft:
-            theta_ft = finite_time_estimate(self.state, self.estimator_cfg)
+        if theta_ft is None and self.state.epoch_elapsed() >= self.estimator.t_ft:
+            theta_ft = finite_time_estimate(self.state, self.estimator)
             if theta_ft is not None:
                 self._omega_ft = recover_frequencies(
                     theta_ft, self.model.h, self._bounds, self.imag_tol).omega_hat

@@ -18,6 +18,8 @@ from .errors import ConfigError
 
 _MASK64 = (1 << 64) - 1
 
+GRID_TOL = 1e-9  # slack for float times that land a hair off the uniform grid
+
 
 def _mix64(seed: int, index: int) -> int:
     # splitmix64-style avalanche over a (seed, counter) pair; splittable and
@@ -178,8 +180,14 @@ def sample_signal(spec: SignalSpec, t: float) -> float:
     return value
 
 
+def sample_times(sample_period: float, duration: float) -> list[float]:
+    """The uniform grid k * sample_period, k = 0..floor(duration / sample_period)."""
+    count = math.floor(duration / sample_period + GRID_TOL) + 1
+    return [k * sample_period for k in range(count)]
+
+
 def generate_trace(spec: SignalSpec, sample_period: float, duration: float) -> SampledTrace:
-    """Sample the signal on the uniform grid k * sample_period, k = 0..floor(duration/Ts).
+    """Sample the signal on the grid of sample_times(sample_period, duration).
 
     duration == 0 yields the single sample at t = 0.
     """
@@ -187,6 +195,5 @@ def generate_trace(spec: SignalSpec, sample_period: float, duration: float) -> S
         raise ConfigError(f"sample_period must be positive and finite, got {sample_period}")
     if not (math.isfinite(duration) and duration >= 0):
         raise ConfigError(f"duration must be non-negative and finite, got {duration}")
-    count = math.floor(duration / sample_period + 1e-9) + 1
-    values = tuple(sample_signal(spec, k * sample_period) for k in range(count))
+    values = tuple(sample_signal(spec, t) for t in sample_times(sample_period, duration))
     return SampledTrace(sample_period=sample_period, values=values)

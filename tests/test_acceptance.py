@@ -12,7 +12,7 @@ import numpy as np
 
 from conftest import SAMPLE_PERIOD, random_distinct_frequencies
 from ftfreq.delay_line import TappedDelayLine
-from ftfreq.estimator import EstimatorConfig, EstimatorState, step_gradient
+from ftfreq.estimator import EstimatorSettings, EstimatorState, step_gradient
 from ftfreq.harness import run_scenario
 from ftfreq.mixing import MixedSample, adjugate
 from ftfreq.recovery import recover_frequencies
@@ -108,17 +108,17 @@ def test_criterion_3_closed_form_gradient():
     """Constant-excitation session matches err(0)*exp(-gamma*delta^2*t)."""
     started = time.perf_counter()
     gamma = (2.0, 1.0)
-    theta_true = (0.3, -0.2)
-    theta_start = (0.8, 0.3)
+    h = 0.1
+    theta_true = true_theta((2.0, 3.0), h)
+    state = EstimatorState(EstimatorSettings(gamma=gamma, omega0=(2.0, 5.0), t_ft=0.5), h)
+    theta_start = state.theta0
     delta = 0.1
-    cfg = EstimatorConfig(gamma=gamma, t_ft=0.5, theta0=theta_start)
-    state = EstimatorState(cfg)
     psi = tuple(delta * t for t in theta_true)
     worst = 0.0
     checkpoints = {round(1.0 / SAMPLE_PERIOD): 1.0, round(10.0 / SAMPLE_PERIOD): 10.0}
     for k in range(1, round(10.0 / SAMPLE_PERIOD) + 1):
         mixed = MixedSample(time=k * SAMPLE_PERIOD, delta=delta, psi=psi, warm=True)
-        step_gradient(state, mixed, cfg, SAMPLE_PERIOD)
+        step_gradient(state, mixed, SAMPLE_PERIOD)
         if k in checkpoints:
             t = checkpoints[k]
             for i in range(2):

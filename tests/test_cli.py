@@ -68,6 +68,16 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         assert f"config error: {missing}: cannot read" in capsys.readouterr().err
 
+    def test_unusable_out_dir_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "scenario.cfg"
+        write_quick_config(cfg_path, duration=6.0)
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        out = blocker / "sub"
+        code = main(["simulate", "--config", str(cfg_path), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert f"config error: {out}: cannot write output" in capsys.readouterr().err
+
 
 class TestEstimate:
     def test_estimate_replays_simulated_trace(self, tmp_path, capsys):
@@ -106,6 +116,19 @@ class TestEstimate:
         assert code == EXIT_NUMERIC
         assert "numeric fault" in capsys.readouterr().err
 
+    def test_overflowing_sample_exits_3(self, tmp_path, capsys):
+        # finite, but phi = 2 y(t - h) + ... overflows: a fault of the data
+        cfg_path = tmp_path / "scenario.cfg"
+        write_quick_config(cfg_path)
+        trace = tmp_path / "huge.csv"
+        rows = ["time,y"] + [
+            f"{k * 0.001!r},{'1e308' if k == 10 else '0.5'}" for k in range(300)]
+        trace.write_text("\n".join(rows) + "\n")
+        code = main(["estimate", "--config", str(cfg_path),
+                     "--input", str(trace), "--out", str(tmp_path / "out")])
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numeric fault: sample 240" in err and "non-finite stacked regressor" in err
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "scenario.cfg"

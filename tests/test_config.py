@@ -1,16 +1,25 @@
 """Unit tests for config parsing, formatting, and validation."""
 
-import pytest
+import re
+from pathlib import Path
 
-from ftfreq.config import (EstimatorSettings, RunConfig, ScenarioConfig,
-                           config_warnings, format_config, parse_config,
-                           validate_config, with_seed)
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ftfreq.config import (EstimatorSettings, OutputConfig, RecoverySettings,
+                           RunConfig, ScenarioConfig, config_warnings,
+                           format_config, parse_config, validate_config,
+                           with_seed)
 from ftfreq.errors import ConfigError
 from ftfreq.mixing import DremConfig
-from ftfreq.regression import ModelConfig
+from ftfreq.regression import H_RULE_HALF, H_RULE_QUARTER, ModelConfig
 from ftfreq.scenarios import (BUILTIN_NAMES, builtin_scenario,
                               with_reset_times)
-from ftfreq.signals import UniformDisturbance
+from ftfreq.signals import (HarmonicDisturbance, HarmonicSpec, ScheduleStep,
+                            SignalSpec, UniformDisturbance)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 MINIMAL = """
 # two-tone demo
@@ -193,3 +202,82 @@ class TestBuiltinScenarios:
         same, applied = with_seed(clean, 99)
         assert not applied
         assert same == clean
+
+
+# ---------------------------------------------------------------------------
+# the schema: parse inverts format, and README lists exactly the keys
+
+positive = st.floats(min_value=1e-3, max_value=1e3)
+names = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789._-", min_size=1, max_size=12)
+
+
+@st.composite
+def harmonic_sets(draw, n):
+    freqs = draw(st.lists(positive, min_size=1, max_size=n, unique=True))
+    return tuple(HarmonicSpec(draw(positive), w, draw(st.floats(-7.0, 7.0)))
+                 for w in freqs)
+
+
+@st.composite
+def configs(draw):
+    """Valid configs: n = 1..8, each disturbance kind, 0-2 schedule steps,
+    0-3 reset times, drawn output names."""
+    n = draw(st.integers(1, 8))
+    lo = draw(positive)
+    disturbance = draw(st.one_of(
+        st.none(),
+        st.builds(HarmonicDisturbance, positive, positive, st.floats(-7.0, 7.0)),
+        st.builds(UniformDisturbance, positive, positive, st.integers(0, 2**64))))
+    switches = sorted(draw(st.lists(positive, max_size=2, unique=True)))
+    schedule = tuple(ScheduleStep(t, draw(harmonic_sets(n))) for t in switches)
+    signal = draw(st.one_of(
+        st.none(), st.just(SignalSpec(draw(harmonic_sets(n)), disturbance, schedule))))
+    return ScenarioConfig(
+        name=draw(names),
+        signal=signal,
+        model=ModelConfig(n=n, h=draw(positive), omega_min=lo, omega_max=lo + draw(positive),
+                          h_rule=draw(st.sampled_from((H_RULE_QUARTER, H_RULE_HALF)))),
+        drem=DremConfig(d=draw(positive), epsilon=draw(positive)),
+        estimator=EstimatorSettings(
+            gamma=tuple(draw(st.lists(positive, min_size=n, max_size=n))),
+            omega0=tuple(draw(st.lists(positive, min_size=n, max_size=n, unique=True))),
+            t_ft=draw(positive), w_floor=draw(st.floats(1e-9, 0.5))),
+        recovery=RecoverySettings(imag_tol=draw(positive)),
+        run=RunConfig(sample_period=draw(positive), duration=draw(positive),
+                      reset_times=tuple(sorted(draw(st.lists(positive, max_size=3,
+                                                             unique=True))))),
+        output=OutputConfig(trace_path=draw(names), estimate_path=draw(names),
+                            metadata_path=draw(names)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(configs())
+def test_format_then_parse_is_identity(cfg):
+    assert parse_config(format_config(cfg)) == cfg
+
+
+def emitted_keys():
+    """Every key format_config writes for configs covering each key group,
+    with harmonic indices written <i> and schedule indices <j>."""
+    cfgs = [builtin_scenario(name) for name in BUILTIN_NAMES]
+    cfgs.append(with_reset_times(builtin_scenario("step-change"), [30.0]))
+    keys = set()
+    for cfg in cfgs:
+        for line in format_config(cfg).splitlines():
+            key = line.partition(" = ")[0]
+            key = re.sub(r"^signal\.schedule\.\d+", "signal.schedule.<j>", key)
+            keys.add(re.sub(r"harmonic\.\d+", "harmonic.<i>", key))
+    return keys
+
+
+def readme_keys():
+    """The first word of each unindented line of README's key block."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("All keys,", 1)[1].split("```", 2)[1]
+    return {line.split()[0] for line in block.splitlines()
+            if line and not line[0].isspace()}
+
+
+def test_readme_lists_exactly_the_emitted_keys():
+    assert readme_keys() == emitted_keys()

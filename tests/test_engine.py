@@ -244,11 +244,15 @@ class TestFaultParity:
         assert "root residual" in message
 
     def test_overflowing_regressor(self, tmp_path):
+        # a finite 1e308 overflows phi before warm-up, a fault of the data:
+        # mix raises it once the stack holds it, after phi's shallowest tap
+        # (h = 100 samples) and the first stacked row (d = 130 samples)
         cfg = self.quick()
         times, samples = grid(cfg)
-        samples[10] = 1e308  # before warm-up: only adjugate's input check sees it
-        kind, _, message = assert_parity(cfg, times, samples, tmp_path)
-        assert kind is ConfigError and "finite" in message
+        samples[10] = 1e308
+        kind, index, message = assert_parity(cfg, times, samples, tmp_path)
+        assert kind is NumericFault and index == 10 + 100 + 130
+        assert "non-finite stacked regressor" in message
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)

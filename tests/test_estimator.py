@@ -7,21 +7,27 @@ import pytest
 
 from conftest import SAMPLE_PERIOD, mixed_stream
 from ftfreq.errors import ConfigError, NumericFault
-from ftfreq.estimator import (EstimatorConfig, EstimatorState,
+from ftfreq.estimator import (EstimatorSettings, EstimatorState,
                               finite_time_estimate, reset_estimator,
                               step_gradient)
 from ftfreq.mixing import MixedSample
 from ftfreq.regression import ModelConfig, true_theta
 from ftfreq.signals import HarmonicSpec, SignalSpec
 
+H = 0.1  # model delay that maps the initial guesses omega0 to theta0
+
+
+def settings(gamma, omega0=(2.0, 5.0), t_ft=1.0, **kwargs):
+    return EstimatorSettings(gamma=gamma, omega0=omega0[:len(gamma)], t_ft=t_ft, **kwargs)
+
 
 def constant_session(cfg, delta, theta, steps, dt=SAMPLE_PERIOD, start=0):
     """Drive a state with a constant-excitation synthetic stream."""
-    state = EstimatorState(cfg)
+    state = EstimatorState(cfg, H)
     psi = tuple(delta * t for t in theta)
     for k in range(start, start + steps):
         mixed = MixedSample(time=(k + 1) * dt, delta=delta, psi=psi, warm=True)
-        step_gradient(state, mixed, cfg, dt)
+        step_gradient(state, mixed, dt)
     return state
 
 
@@ -32,20 +38,18 @@ def two_tone():
 
 class TestStepGradient:
     def test_zero_delta_changes_nothing(self):
-        cfg = EstimatorConfig(gamma=(1.0, 1.0), t_ft=1.0, theta0=(0.4, -0.2))
-        state = EstimatorState(cfg)
+        state = EstimatorState(settings((1.0, 1.0)), H)
         mixed = MixedSample(time=SAMPLE_PERIOD, delta=0.0, psi=(0.0, 0.0), warm=True)
-        step_gradient(state, mixed, cfg, SAMPLE_PERIOD)
-        assert state.theta_hat == [0.4, -0.2]
+        step_gradient(state, mixed, SAMPLE_PERIOD)
+        assert state.theta_hat == list(true_theta((2.0, 5.0), H))
         assert state.W == (1.0, 1.0)
         assert state.time == SAMPLE_PERIOD
 
     def test_updates_skipped_until_warm(self):
-        cfg = EstimatorConfig(gamma=(1.0,), t_ft=1.0, theta0=(0.0,))
-        state = EstimatorState(cfg)
+        state = EstimatorState(settings((1.0,)), H)
         mixed = MixedSample(time=SAMPLE_PERIOD, delta=5.0, psi=(5.0,), warm=False)
-        step_gradient(state, mixed, cfg, SAMPLE_PERIOD)
-        assert state.theta_hat == [0.0]
+        step_gradient(state, mixed, SAMPLE_PERIOD)
+        assert state.theta_hat == list(state.theta0)
         assert state.excitation == 0.0
         assert state.time == SAMPLE_PERIOD
 
@@ -53,9 +57,9 @@ class TestStepGradient:
         # err(t) = err(0) * exp(-gamma * delta^2 * t), checked at 1 s and 10 s
         gamma = (2.0, 1.0)
         theta = (0.3, -0.2)
-        theta0 = (0.8, 0.3)
+        cfg = settings(gamma, t_ft=0.5)
+        theta0 = true_theta(cfg.omega0, H)
         delta = 0.1
-        cfg = EstimatorConfig(gamma=gamma, t_ft=0.5, theta0=theta0)
         for t_check in (1.0, 10.0):
             steps = round(t_check / SAMPLE_PERIOD)
             state = constant_session(cfg, delta, theta, steps)
@@ -67,13 +71,11 @@ class TestStepGradient:
     def test_error_monotone_on_consistent_data(self):
         cfg_model = ModelConfig(n=2, h=0.1, omega_min=0.5, omega_max=5.5)
         theta_star = true_theta([2.0, 3.0], cfg_model.h)
-        cfg = EstimatorConfig(gamma=(0.005, 0.005), t_ft=1.0,
-                              theta0=true_theta([2.0, 5.0], cfg_model.h))
-        state = EstimatorState(cfg)
-        previous = [abs(t0 - ts) for t0, ts in zip(cfg.theta0, theta_star)]
+        state = EstimatorState(settings((0.005, 0.005)), cfg_model.h)
+        previous = [abs(t0 - ts) for t0, ts in zip(state.theta0, theta_star)]
         for _, mixed in mixed_stream(two_tone(), cfg_model, d=0.13,
                                      epsilon=100.0, duration=3.0):
-            step_gradient(state, mixed, cfg, SAMPLE_PERIOD)
+            step_gradient(state, mixed, SAMPLE_PERIOD)
             current = [abs(th - ts) for th, ts in zip(state.theta_hat, theta_star)]
             for now, before in zip(current, previous):
                 assert now <= before + 1e-12
@@ -83,28 +85,26 @@ class TestStepGradient:
 
     def test_large_decay_steps_remain_contractive(self):
         # gamma * delta^2 * dt far above the explicit-Euler limit of 2
-        cfg = EstimatorConfig(gamma=(500.0,), t_ft=1.0, theta0=(1.0,))
-        state = constant_session(cfg, delta=5.0, theta=(0.2,), steps=200)
+        state = constant_session(settings((500.0,)), delta=5.0, theta=(0.2,), steps=200)
         assert state.max_decay_step > 2.0
         assert abs(state.theta_hat[0] - 0.2) < 1e-9
 
     def test_non_finite_mixed_data_faults(self):
-        cfg = EstimatorConfig(gamma=(1.0,), t_ft=1.0, theta0=(0.0,))
-        state = EstimatorState(cfg)
+        state = EstimatorState(settings((1.0,)), H)
         bad = MixedSample(time=0.1, delta=float("nan"), psi=(0.0,), warm=True)
         with pytest.raises(NumericFault):
-            step_gradient(state, bad, cfg, SAMPLE_PERIOD)
+            step_gradient(state, bad, SAMPLE_PERIOD)
 
     def test_w_consistency_with_recomputed_integral(self):
         rng = np.random.default_rng(8)
-        cfg = EstimatorConfig(gamma=(0.7, 1.3), t_ft=1.0, theta0=(0.0, 0.0))
-        state = EstimatorState(cfg)
+        cfg = settings((0.7, 1.3))
+        state = EstimatorState(cfg, H)
         deltas = rng.uniform(-2, 2, 4000)
         for k, delta in enumerate(deltas):
             psi = (delta * 0.5, delta * -0.25)
             mixed = MixedSample(time=(k + 1) * SAMPLE_PERIOD, delta=float(delta),
                                 psi=psi, warm=True)
-            step_gradient(state, mixed, cfg, SAMPLE_PERIOD)
+            step_gradient(state, mixed, SAMPLE_PERIOD)
         integral = float(np.sum(deltas ** 2) * SAMPLE_PERIOD)
         for g, w in zip(cfg.gamma, state.W):
             assert w == pytest.approx(math.exp(-g * integral), rel=1e-9)
@@ -112,22 +112,19 @@ class TestStepGradient:
 
 class TestExcitationLevel:
     def test_zero_before_any_warm_data(self):
-        cfg = EstimatorConfig(gamma=(1.0, 2.0), t_ft=1.0, theta0=(0.0, 0.0))
-        assert EstimatorState(cfg).excitation == 0.0
+        assert EstimatorState(settings((1.0, 2.0)), H).excitation == 0.0
 
     def test_constant_delta_integral(self):
-        cfg = EstimatorConfig(gamma=(1.0, 2.0), t_ft=1.0, theta0=(0.0, 0.0))
-        state = constant_session(cfg, delta=0.5, theta=(0.1, 0.2), steps=2000)
+        state = constant_session(settings((1.0, 2.0)), delta=0.5, theta=(0.1, 0.2), steps=2000)
         assert state.excitation == pytest.approx(0.25 * 2.0, rel=1e-12)
 
     def test_strictly_increasing_under_excitation(self):
-        cfg = EstimatorConfig(gamma=(1.0,), t_ft=1.0, theta0=(0.0,))
-        state = EstimatorState(cfg)
+        state = EstimatorState(settings((1.0,)), H)
         last = 0.0
         for k in range(100):
             mixed = MixedSample(time=(k + 1) * SAMPLE_PERIOD, delta=0.3,
                                 psi=(0.0,), warm=True)
-            step_gradient(state, mixed, cfg, SAMPLE_PERIOD)
+            step_gradient(state, mixed, SAMPLE_PERIOD)
             level = state.excitation
             assert level > last
             last = level
@@ -135,30 +132,30 @@ class TestExcitationLevel:
 
 class TestFiniteTimeEstimate:
     def test_no_learning_returns_initial_estimate(self):
-        cfg = EstimatorConfig(gamma=(1.0, 1.0), t_ft=0.5, theta0=(0.4, -0.1))
-        state = EstimatorState(cfg)
+        cfg = settings((1.0, 1.0), t_ft=0.5)
+        state = EstimatorState(cfg, H)
         state.time = 1.0
         state.excitation = 0.35  # W < 1, theta_hat still at theta0
         result = finite_time_estimate(state, cfg)
-        assert result == pytest.approx(cfg.theta0, rel=1e-14)
+        assert result == pytest.approx(state.theta0, rel=1e-14)
 
     def test_fully_excited_returns_current_estimate(self):
-        cfg = EstimatorConfig(gamma=(1.0, 1.0), t_ft=0.5, theta0=(0.4, -0.1))
-        state = EstimatorState(cfg)
+        cfg = settings((1.0, 1.0), t_ft=0.5)
+        state = EstimatorState(cfg, H)
         state.time = 1.0
         state.theta_hat = [0.9, 0.7]
         state.excitation = 1e6  # W underflows to 0
         assert finite_time_estimate(state, cfg) == (0.9, 0.7)
 
     def test_requires_extraction_time_reached(self):
-        cfg = EstimatorConfig(gamma=(1.0,), t_ft=5.0, theta0=(0.0,))
-        state = EstimatorState(cfg)
+        cfg = settings((1.0,), t_ft=5.0)
+        state = EstimatorState(cfg, H)
         state.time = 1.0
         with pytest.raises(ValueError):
             finite_time_estimate(state, cfg)
 
     def test_deferred_until_excited(self):
-        cfg = EstimatorConfig(gamma=(1.0,), t_ft=0.01, theta0=(1.0,), w_floor=1e-6)
+        cfg = settings((1.0,), t_ft=0.01, w_floor=1e-6)
         state = constant_session(cfg, delta=1e-5, theta=(0.3,), steps=20)
         assert 1.0 - state.W[0] < cfg.w_floor
         assert finite_time_estimate(state, cfg) is None
@@ -169,13 +166,12 @@ class TestFiniteTimeEstimate:
     def test_exact_on_simulated_session_at_any_time(self):
         model = ModelConfig(n=2, h=0.1, omega_min=0.5, omega_max=5.5)
         theta_star = true_theta([2.0, 3.0], model.h)
-        cfg = EstimatorConfig(gamma=(1.0, 1.0), t_ft=0.7,
-                              theta0=true_theta([1.0, 4.0], model.h))
+        cfg = settings((1.0, 1.0), omega0=(1.0, 4.0), t_ft=0.7)
         for t_extract in (0.8, 1.5, 3.0):
-            state = EstimatorState(cfg)
+            state = EstimatorState(cfg, model.h)
             for _, mixed in mixed_stream(two_tone(), model, d=0.13,
                                          epsilon=1.0, duration=t_extract):
-                step_gradient(state, mixed, cfg, SAMPLE_PERIOD)
+                step_gradient(state, mixed, SAMPLE_PERIOD)
             result = finite_time_estimate(state, cfg)
             assert result is not None
             # gradient estimate itself is still far off at epsilon = 1
@@ -184,20 +180,20 @@ class TestFiniteTimeEstimate:
                 assert abs(got - want) <= 1e-4
 
     def test_held_constant_after_extraction(self):
-        cfg = EstimatorConfig(gamma=(1.0,), t_ft=0.05, theta0=(1.0,))
+        cfg = settings((1.0,), t_ft=0.05)
         state = constant_session(cfg, delta=1.0, theta=(0.3,), steps=100)
         first = finite_time_estimate(state, cfg)
         for k in range(100, 300):
             mixed = MixedSample(time=(k + 1) * SAMPLE_PERIOD, delta=0.5,
                                 psi=(0.5 * -0.9,), warm=True)  # new "truth"
-            step_gradient(state, mixed, cfg, SAMPLE_PERIOD)
+            step_gradient(state, mixed, SAMPLE_PERIOD)
         assert finite_time_estimate(state, cfg) is first
         assert state.theta_ft == first
 
 
 class TestReset:
     def test_reset_starts_new_epoch_with_carried_estimate(self):
-        cfg = EstimatorConfig(gamma=(1.0,), t_ft=0.05, theta0=(1.0,))
+        cfg = settings((1.0,), t_ft=0.05)
         state = constant_session(cfg, delta=1.0, theta=(0.3,), steps=100)
         finite_time_estimate(state, cfg)
         carried = tuple(state.theta_hat)
@@ -209,25 +205,35 @@ class TestReset:
         assert state.W == (1.0,)
 
     def test_post_reset_extraction_reflects_new_data(self):
-        cfg = EstimatorConfig(gamma=(1.0,), t_ft=0.05, theta0=(1.0,))
+        cfg = settings((1.0,), t_ft=0.05)
         state = constant_session(cfg, delta=1.0, theta=(0.3,), steps=100)
         finite_time_estimate(state, cfg)
         reset_estimator(state)
         for k in range(100, 220):
             mixed = MixedSample(time=(k + 1) * SAMPLE_PERIOD, delta=1.0,
                                 psi=(-0.9,), warm=True)
-            step_gradient(state, mixed, cfg, SAMPLE_PERIOD)
+            step_gradient(state, mixed, SAMPLE_PERIOD)
         result = finite_time_estimate(state, cfg)
         assert result == pytest.approx((-0.9,), abs=1e-9)
 
 
-class TestEstimatorConfig:
+class TestEstimatorSettings:
     def test_rejects_bad_settings(self):
         with pytest.raises(ConfigError):
-            EstimatorConfig(gamma=(0.0,), t_ft=1.0, theta0=(0.0,))
+            EstimatorSettings(gamma=(0.0,), omega0=(2.0,), t_ft=1.0)
         with pytest.raises(ConfigError):
-            EstimatorConfig(gamma=(1.0,), t_ft=-1.0, theta0=(0.0,))
+            EstimatorSettings(gamma=(1.0,), omega0=(2.0,), t_ft=-1.0)
         with pytest.raises(ConfigError):
-            EstimatorConfig(gamma=(1.0,), t_ft=1.0, theta0=(0.0, 0.0))
+            EstimatorSettings(gamma=(1.0,), omega0=(2.0, 3.0), t_ft=1.0)
         with pytest.raises(ConfigError):
-            EstimatorConfig(gamma=(1.0,), t_ft=1.0, theta0=(0.0,), w_floor=2.0)
+            EstimatorSettings(gamma=(1.0,), omega0=(2.0,), t_ft=1.0, w_floor=2.0)
+        with pytest.raises(ConfigError):
+            EstimatorSettings(gamma=(1.0, 1.0), omega0=(2.0, 2.0), t_ft=1.0)
+        with pytest.raises(ConfigError):
+            EstimatorSettings(gamma=(1.0,), omega0=(-2.0,), t_ft=1.0)
+
+    def test_state_starts_at_the_initial_guesses(self):
+        state = EstimatorState(settings((1.0, 1.0)), H)
+        assert state.theta0 == true_theta((2.0, 5.0), H)
+        assert state.theta_hat == list(state.theta0)
+        assert (state.time, state.epoch_start) == (0.0, 0.0)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import SAMPLE_PERIOD, mixed_stream, random_distinct_frequencies
-from ftfreq.errors import ConfigError
+from ftfreq.errors import ConfigError, NumericFault
 from ftfreq.mixing import DremConfig, RegressorExtender, adjugate, mix
 from ftfreq.regression import (ModelConfig, RegressionSample, delay_table,
                                true_theta)
@@ -251,3 +251,12 @@ class TestMix:
             mix(ext, 0.0)
         with pytest.raises(ConfigError):
             DremConfig(d=0.1, epsilon=-1.0)
+
+    def test_overflowed_stack_is_a_numeric_fault(self):
+        # adjugate rejects the matrix as input; mix reports it as a data fault
+        from ftfreq.mixing import ExtendedRegression
+        rows = ((float("inf"), 0.0), (0.0, 1.0))
+        with pytest.raises(NumericFault, match="t = 0.25"):
+            mix(ExtendedRegression(0.25, (0.0, 0.0), rows, False), 1.0)
+        with pytest.raises(ConfigError):
+            mix(ExtendedRegression(0.25, (0.0,), ((1.0, 2.0),), False), 1.0)
