@@ -14,19 +14,16 @@ __version__ = "0.1.0"
 from .config import (OutputConfig, RecoverySettings, RunConfig,
                      ScenarioConfig, config_warnings, format_config,
                      load_config, parse_config, validate_config, with_seed)
-from .delay_line import TappedDelayLine
 from .errors import ConfigError, EstimateNotPhysical, NumericFault
 from .estimator import (EstimatorSettings, EstimatorState,
                         finite_time_estimate, reset_estimator, step_gradient)
 from .harness import RunResult, estimate_from_file, run_scenario
-from .mixing import (DremConfig, ExtendedRegression, MixedSample,
-                     RegressorExtender, adjugate, mix)
+from .mixing import DremConfig, MixedSample, adjugate, mix
 from .pipeline import Pipeline, StepResult
 from .recovery import (FrequencyEstimate, find_roots, recover_frequencies,
                        roots_to_frequencies, theta_to_polynomial)
-from .regression import (DelayTable, ModelConfig, RegressionSample, binomial,
-                         compute_phi, compute_psi, delay_table,
-                         sample_regression, true_theta)
+from .regression import (DelayTable, ModelConfig, delay_table, regression_at,
+                         true_theta)
 from .scenarios import BUILTIN_NAMES, builtin_scenario, with_reset_times
 from .signals import (HarmonicDisturbance, HarmonicSpec, SampledTrace,
                       ScheduleStep, SignalSpec, UniformDisturbance,
@@ -35,19 +32,16 @@ from .signals import (HarmonicDisturbance, HarmonicSpec, SampledTrace,
 __all__ = [
     "__version__",
     "BUILTIN_NAMES", "ConfigError", "DelayTable", "DremConfig", "EstimateNotPhysical",
-    "EstimatorSettings", "EstimatorState",
-    "ExtendedRegression", "FrequencyEstimate", "HarmonicDisturbance",
+    "EstimatorSettings", "EstimatorState", "FrequencyEstimate", "HarmonicDisturbance",
     "HarmonicSpec", "MixedSample", "ModelConfig", "NumericFault",
-    "OutputConfig", "Pipeline", "RecoverySettings", "RegressionSample",
-    "RegressorExtender", "RunConfig", "RunResult", "SampledTrace",
-    "ScenarioConfig", "ScheduleStep", "SignalSpec", "StepResult",
-    "TappedDelayLine", "UniformDisturbance",
-    "adjugate", "binomial", "builtin_scenario", "compute_phi", "compute_psi",
-    "config_warnings", "delay_table", "estimate_from_file", "find_roots",
-    "finite_time_estimate", "format_config", "generate_trace", "load_config",
-    "mix", "parse_config",
-    "recover_frequencies", "reset_estimator", "roots_to_frequencies",
-    "run_scenario", "sample_regression", "sample_signal", "step_gradient",
+    "OutputConfig", "Pipeline", "RecoverySettings", "RunConfig", "RunResult",
+    "SampledTrace", "ScenarioConfig", "ScheduleStep", "SignalSpec", "StepResult",
+    "UniformDisturbance",
+    "adjugate", "builtin_scenario", "config_warnings", "delay_table",
+    "estimate_from_file", "find_roots", "finite_time_estimate", "format_config",
+    "generate_trace", "load_config", "mix", "parse_config",
+    "recover_frequencies", "regression_at", "reset_estimator", "roots_to_frequencies",
+    "run_scenario", "sample_signal", "step_gradient",
     "theta_to_polynomial", "true_theta", "validate_config", "with_reset_times",
     "with_seed",
 ]

@@ -289,7 +289,9 @@ def _read_signal(r: _Reader) -> SignalSpec | None:
     for j in r.group_indices("signal.schedule"):
         time = r.value(f"signal.schedule.{j}.time", "float")
         replacement = r.harmonics(f"signal.schedule.{j}.harmonic")
-        if time is not MISSING and replacement:
+        if not replacement:
+            r.errors.append(f"{r.source}: signal.schedule.{j} has no harmonics")
+        elif time is not MISSING:
             schedule.append(ScheduleStep(time, replacement))
     if not harmonics:
         r.errors.append(f"{r.source}: signal present but has no harmonics")

@@ -4,8 +4,7 @@ Pipeline takes one sample per step(); run_trace takes a whole (time, y)
 trace and runs each stage over all of it at once:
 
 * regression and extension: shifted copies of the trace at the sample lags
-  of the session's DelayTable, summed in the tap order of compute_psi and
-  compute_phi;
+  of the session's DelayTable, summed in the tap order of regression_at;
 * mixing: adjugate's closed forms for n <= 2 elementwise and, for n >= 3,
   one stacked SVD with adjugate's product-of-others form;
 * gradient and extraction: one scalar loop over the warm samples calling
@@ -32,7 +31,7 @@ import numpy as np
 from .errors import NumericFault
 from .estimator import (EstimatorSettings, EstimatorState, advance_gradient,
                         finite_time_estimate, reset_estimator, step_gradient)
-from .mixing import DremConfig, ExtendedRegression, MixedSample, mix
+from .mixing import DremConfig, MixedSample, mix
 from .pipeline import StepResult, check_measurement
 from .recovery import RESIDUAL_TOL, recover_frequencies
 from .regression import DelayTable, ModelConfig, delay_table
@@ -125,7 +124,7 @@ class _Run:
         self.theta_hat = np.empty((count, n))
         self.omega_grad = np.empty((count, n))
         self.held = []
-        self.state = EstimatorState(estimator, model.h)
+        self.state = EstimatorState(estimator, model)
 
     def segment(self, first: int, stop: int) -> None:
         """Samples first..stop-1, starting from flushed history and a new epoch."""
@@ -157,9 +156,8 @@ class _Run:
         psi_rows, phi_rows = _stack(psi, taps.rows), _stack(phi, taps.rows)
         bad = _first(~np.isfinite(phi_rows).all(axis=(1, 2)))
         if bad < end:
-            ext = ExtendedRegression(times[first + bad], tuple(psi_rows[bad].tolist()),
-                                     tuple(map(tuple, phi_rows[bad].tolist())), False)
-            end, fault = bad, (bad, mix, ext, self.epsilon)
+            end, fault = bad, (bad, mix, times[first + bad], tuple(psi_rows[bad].tolist()),
+                               tuple(map(tuple, phi_rows[bad].tolist())), False, self.epsilon)
         delta, mixed = _mix(phi_rows[:end], psi_rows[:end], self.epsilon)
         warm = min(taps.warm_from, end)
         bad = warm + _first(~(np.isfinite(delta[warm:]) & np.isfinite(mixed[warm:]).all(axis=1)))
@@ -240,7 +238,7 @@ def _delayed(values: np.ndarray, lag: int, depth: int) -> np.ndarray:
 
 
 def _regression(y: np.ndarray, taps: DelayTable) -> tuple[np.ndarray, np.ndarray]:
-    """psi (K,) and phi (K, n) at every sample, as compute_psi/compute_phi."""
+    """psi (K,) and phi (K, n) at every sample, as regression_at at lag 0."""
     depth = taps.valid_from
     padded = np.concatenate((np.zeros(depth), y))
     psi = np.zeros(len(y))
@@ -256,7 +254,8 @@ def _regression(y: np.ndarray, taps: DelayTable) -> tuple[np.ndarray, np.ndarray
 
 
 def _stack(values: np.ndarray, lags: tuple[int, ...]) -> np.ndarray:
-    """Row i of sample j is values[j - lags[i]], zero before the first sample."""
+    """Row i of sample j is values[j - lags[i]], zero before the first sample:
+    the stacked rows Pipeline reads with regression_at at lag lags[i]."""
     depth = lags[-1]
     padded = np.concatenate((np.zeros((depth,) + values.shape[1:]), values))
     return np.stack([_delayed(padded, lag, depth) for lag in lags], axis=1)

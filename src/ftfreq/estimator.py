@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, NumericFault
 from .mixing import MixedSample
-from .regression import true_theta
+from .regression import ModelConfig, true_theta
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,9 @@ class EstimatorSettings:
 class EstimatorState:
     """Mutable per-session estimator state.
 
-    Starts from theta0 = true_theta(omega0, h), the parameters of the
-    initial frequency guesses under the model delay h. Tracks the gradient
+    Starts from theta0 = true_theta(omega0, model.h), the parameters of the
+    initial frequency guesses under the model delay; settings of another
+    length than model.n raise ConfigError. Tracks the gradient
     estimates, the shared excitation integral
     S = integral of delta^2 over the current epoch (W_i = exp(-gamma_i S)),
     and the finite-time output once extracted. max_decay_step records the
@@ -92,9 +93,12 @@ class EstimatorState:
     __slots__ = ("gamma", "theta_hat", "theta0", "time", "epoch_start",
                  "excitation", "theta_ft", "extraction_time", "max_decay_step")
 
-    def __init__(self, settings: EstimatorSettings, h: float):
+    def __init__(self, settings: EstimatorSettings, model: ModelConfig):
+        if len(settings.gamma) != model.n:
+            raise ConfigError(
+                f"estimator.gamma has {len(settings.gamma)} entries, model.n = {model.n}")
         self.gamma = settings.gamma
-        self.theta0 = true_theta(settings.omega0, h)
+        self.theta0 = true_theta(settings.omega0, model.h)
         self.theta_hat = list(self.theta0)
         self.time = 0.0
         self.epoch_start = 0.0

@@ -1,9 +1,10 @@
 """Regressor extension and mixing: n scalar regressions from one vector one.
 
 The n-th order regression psi = phi . theta is stacked with its own i-fold
-d-second delays (i = 1..n) into a square system, then multiplied by the
-adjugate of the stacked regressor matrix. Because adj(M) M = det(M) I, the
-result decouples into n independent scalar regressions
+d-second delays (i = 1..n: regression_at at the lags of DelayTable.rows)
+into a square system, then multiplied by the adjugate of the stacked
+regressor matrix. Because adj(M) M = det(M) I, the result decouples into n
+independent scalar regressions
 
     mixed_psi_i(t) = delta(t) * theta_i,      delta = det(eps * Phi),
 
@@ -21,7 +22,6 @@ during warm-up.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from operator import mul
@@ -29,7 +29,7 @@ from operator import mul
 import numpy as np
 
 from .errors import ConfigError, NumericFault
-from .regression import MAX_HARMONICS, DelayTable, RegressionSample
+from .regression import MAX_HARMONICS
 
 
 @dataclass(frozen=True)
@@ -50,20 +50,6 @@ class DremConfig:
 
 
 @dataclass(frozen=True)
-class ExtendedRegression:
-    """Stacked system at one instant: row i holds the regression delayed i*d.
-
-    complete is True once the deepest delayed sample (i = n) is itself valid,
-    i.e. t >= 2*n*h + n*d.
-    """
-
-    time: float
-    psi_delayed: tuple[float, ...]
-    phi_rows: tuple[tuple[float, ...], ...]
-    complete: bool
-
-
-@dataclass(frozen=True)
 class MixedSample:
     """Decoupled scalar regressions: psi[i] = delta * theta_i on clean data."""
 
@@ -71,46 +57,6 @@ class MixedSample:
     delta: float
     psi: tuple[float, ...]
     warm: bool
-
-
-class RegressorExtender:
-    """Streams RegressionSamples in, ExtendedRegressions out.
-
-    Keeps one zero-filled history of the last n * steps_d + 1 (psi, phi)
-    pairs; row i of the stacked system is the pair pushed taps.rows[i - 1]
-    pushes ago. One instance per estimation session; not safe to share
-    across threads.
-    """
-
-    def __init__(self, taps: DelayTable):
-        self.n = len(taps.rows)
-        self._lags = taps.rows
-        self._depth = taps.rows[-1]
-        self.clear()
-
-    def push(self, sample: RegressionSample) -> ExtendedRegression:
-        if len(sample.phi) != self.n:
-            raise ConfigError(
-                f"regression sample has {len(sample.phi)} components, extender expects {self.n}")
-        history = self._history
-        history.appendleft((sample.psi, sample.phi))
-        if sample.valid and self._first_valid is None:
-            self._first_valid = self._pushed
-        current = self._pushed
-        self._pushed += 1
-
-        psi_delayed, phi_rows = zip(*(history[lag] for lag in self._lags))
-        complete = (self._first_valid is not None
-                    and current - self._depth >= self._first_valid)
-        return ExtendedRegression(
-            time=sample.time, psi_delayed=psi_delayed, phi_rows=phi_rows,
-            complete=complete)
-
-    def clear(self) -> None:
-        zero = (0.0, (0.0,) * self.n)
-        self._history = deque([zero] * (self._depth + 1), maxlen=self._depth + 1)
-        self._pushed = 0
-        self._first_valid = None
 
 
 def adjugate(matrix) -> tuple[list[list[float]], float]:
@@ -146,22 +92,24 @@ def adjugate(matrix) -> tuple[list[list[float]], float]:
     return ((vt.T * others) @ u.T).tolist(), sign * math.prod(s)
 
 
-def mix(ext: ExtendedRegression, epsilon: float) -> MixedSample:
-    """Mix the stacked system into scalar regressions via the adjugate.
+def mix(time: float, psi_rows, phi_rows, warm: bool, epsilon: float) -> MixedSample:
+    """Mix the stacked system at one instant into scalar regressions.
 
-    With the whole stack scaled by epsilon first, delta = eps^n det(Phi) and
-    mixed psi = eps^n adj(Phi) psi_delayed (adj(eps M) = eps^(n-1) adj(M)).
+    Row i of psi_rows and phi_rows is the regression delayed by the i-th
+    stacked lag; warm says every row reads real history. With the whole
+    stack scaled by epsilon first, delta = eps^n det(Phi) and mixed
+    psi = eps^n adj(Phi) psi_rows (adj(eps M) = eps^(n-1) adj(M)).
     A stack that overflowed to a non-finite entry is a fault of the data
     (NumericFault), where adjugate itself rejects it as bad input.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
     try:
-        adj, det = adjugate(ext.phi_rows)
+        adj, det = adjugate(phi_rows)
     except ConfigError:
-        if all(map(math.isfinite, chain.from_iterable(ext.phi_rows))):
+        if all(map(math.isfinite, chain.from_iterable(phi_rows))):
             raise
-        raise NumericFault(f"non-finite stacked regressor at t = {ext.time}") from None
+        raise NumericFault(f"non-finite stacked regressor at t = {time}") from None
     scale = epsilon ** len(adj)
-    psi = tuple(scale * sum(map(mul, row, ext.psi_delayed)) for row in adj)
-    return MixedSample(time=ext.time, delta=scale * det, psi=psi, warm=ext.complete)
+    psi = tuple(scale * sum(map(mul, row, psi_rows)) for row in adj)
+    return MixedSample(time=time, delta=scale * det, psi=psi, warm=warm)

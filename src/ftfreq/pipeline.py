@@ -1,6 +1,6 @@
 """Sample-by-sample assembly of the full estimation chain.
 
-measurement -> delay line -> regression (psi, phi) -> delayed extension ->
+measurement window -> stacked regression (psi, phi at each delayed row) ->
 adjugate mixing -> per-parameter gradient + finite-time extraction ->
 frequency recovery. One Pipeline instance owns one estimation session.
 """
@@ -8,15 +8,15 @@ frequency recovery. One Pipeline instance owns one estimation session.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
-from .delay_line import TappedDelayLine
 from .errors import NumericFault
 from .estimator import (EstimatorSettings, EstimatorState,
                         finite_time_estimate, reset_estimator, step_gradient)
-from .mixing import DremConfig, RegressorExtender, mix
+from .mixing import DremConfig, mix
 from .recovery import DEFAULT_IMAG_TOL, recover_frequencies
-from .regression import ModelConfig, delay_table, sample_regression
+from .regression import ModelConfig, delay_table, regression_at
 
 
 @dataclass(slots=True)
@@ -48,6 +48,10 @@ class Pipeline:
 
     Callers that already hold a whole trace use the engine module instead;
     this class is the streaming path, one step() per arriving sample.
+    The session's whole history is one zero-filled window of the last
+    taps.warm_from + 1 measurements, newest first: stacked row i is
+    regression_at(window, taps, taps.rows[i]), and a mixed sample is warm
+    once more than taps.warm_from samples arrived since the last clear.
     The frequency band of the model config doubles as the projection range
     for recovered estimates. The raw gradient estimates are recovered at
     every step with no imaginary-part limit (transients can wander through
@@ -64,12 +68,12 @@ class Pipeline:
         self.sample_period = sample_period
         self.imag_tol = imag_tol
         self.taps = delay_table(model, drem.d, sample_period)
-        self._line = TappedDelayLine(self.taps.valid_from, sample_period)
-        self._extender = RegressorExtender(self.taps)
-        self.state = EstimatorState(estimator, model.h)
+        self._window = deque(maxlen=self.taps.warm_from + 1)
+        self.state = EstimatorState(estimator, model)
         self._bounds = (model.omega_min, model.omega_max)
         self._omega_ft: tuple[float, ...] | None = None
         self._primed = False
+        self._clear_window()
 
     @property
     def warmup_time(self) -> float:
@@ -84,9 +88,11 @@ class Pipeline:
             self.state.time = t
             self.state.epoch_start = t
             self._primed = True
-        self._line.push(y)
-        reg = sample_regression(self._line, self.taps, t)
-        mixed = mix(self._extender.push(reg), self.drem.epsilon)
+        taps = self.taps
+        self._window.appendleft(y)
+        self._count += 1
+        psi_rows, phi_rows = zip(*[regression_at(self._window, taps, lag) for lag in taps.rows])
+        mixed = mix(t, psi_rows, phi_rows, self._count > taps.warm_from, self.drem.epsilon)
         step_gradient(self.state, mixed, self.sample_period)
 
         theta_ft = self.state.theta_ft
@@ -113,11 +119,15 @@ class Pipeline:
         Without a reset the finite-time output deliberately keeps its stale
         extracted value.
         """
-        self._line.clear()
-        self._extender.clear()
+        self._clear_window()
         reset_estimator(self.state)
         self._omega_ft = None
         self._primed = False  # next sample starts the new epoch clock
+
+    def _clear_window(self) -> None:
+        """Zero the whole window: every tap reads 0.0 until refilled."""
+        self._window.extend([0.0] * self._window.maxlen)
+        self._count = 0  # samples since the last clear
 
     @property
     def max_decay_step(self) -> float:

@@ -19,6 +19,10 @@ whose roots they are, which is what the recovery stage later inverts.
 Sign convention: with psi taken as the plain (un-negated) binomial sum,
 the alternating (-1)^(k+1) signs on e_k are what make psi = phi . theta
 hold identically; the regression-consistency tests pin this down.
+
+Every term is a pure delay of y, so regression_at evaluates the pair as
+fixed weighted sums over one window of past samples, at any lag: the
+stacked rows of the mixing stage are the same sums taken i*d further back.
 """
 
 from __future__ import annotations
@@ -27,10 +31,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .delay_line import TappedDelayLine
 from .errors import ConfigError
 
-MAX_BINOMIAL_ORDER = 20
 MAX_HARMONICS = 8  # largest model order; mixing's adjugate is tested up to here
 
 H_RULE_QUARTER = "quarter-period"
@@ -41,19 +43,10 @@ H_RULE_HALF = "half-period"
 CONDITIONING_LIMIT = 1.4
 
 
-def binomial(n: int, i: int) -> int:
-    """Exact binomial coefficient n-choose-i for 0 <= i <= n <= 20."""
-    if not (isinstance(n, int) and isinstance(i, int)):
-        raise ValueError("binomial arguments must be integers")
-    if not (0 <= i <= n <= MAX_BINOMIAL_ORDER):
-        raise ValueError(f"binomial({n}, {i}) outside supported range 0 <= i <= n <= {MAX_BINOMIAL_ORDER}")
-    return math.comb(n, i)
-
-
 @lru_cache(maxsize=None)
 def psi_taps(n: int) -> tuple[tuple[float, int], ...]:
     """(weight, lag-in-units-of-h) pairs for the regressand sum."""
-    return tuple((float(binomial(n, i)), 2 * (n - i)) for i in range(n + 1))
+    return tuple((float(math.comb(n, i)), 2 * (n - i)) for i in range(n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -68,7 +61,7 @@ def phi_taps(n: int) -> tuple[tuple[tuple[float, int], ...], ...]:
     for k in range(1, n + 1):
         scale = float(2 ** k)
         rows.append(tuple(
-            (scale * binomial(n - k, i), 2 * (n - k - i) + k)
+            (scale * math.comb(n - k, i), 2 * (n - k - i) + k)
             for i in range(n - k + 1)
         ))
     return tuple(rows)
@@ -139,7 +132,7 @@ class ModelConfig:
 
 def steps_per_delay(delay: float, sample_period: float, label: str) -> int:
     """Delay expressed in whole samples; rejects off-grid delays."""
-    steps = round(delay / sample_period)
+    steps = round(delay / sample_period) if sample_period > 0 else 0
     if steps < 1 or abs(steps * sample_period - delay) > 1e-9 * sample_period:
         raise ConfigError(
             f"{label} = {delay} is not a positive integer multiple of "
@@ -155,8 +148,8 @@ class DelayTable:
     regressor component (psi_taps and phi_taps with lags scaled by steps_h);
     rows holds the lags i * steps_d, i = 1..n, of the stacked system;
     valid_from = 2 n steps_h is the number of samples after a clear before
-    every tap reads real history. Both Pipeline (sample by sample) and the
-    whole-trace engine read these.
+    every tap reads real history. Pipeline (through regression_at over its
+    window of warm_from + 1 samples) and the whole-trace engine read these.
     """
 
     psi: tuple[tuple[float, int], ...]
@@ -182,47 +175,26 @@ def delay_table(model: ModelConfig, d: float, sample_period: float) -> DelayTabl
         valid_from=2 * n * steps_h)
 
 
-@dataclass(frozen=True)
-class RegressionSample:
-    """Regressand/regressor pair at one time instant.
+def regression_at(window, taps: DelayTable, lag: int = 0) -> tuple[float, tuple[float, ...]]:
+    """(psi, phi) of the sample lag samples back in window.
 
-    valid is False while any contributing tap still reads zero pre-history,
-    i.e. until t >= 2*n*h.
+    window[k] is the measurement k samples ago, zero before the first (after
+    a clear) and at least lag + valid_from + 1 long. Each sum adds its taps
+    in table order, which the whole-trace engine repeats. A negative lag
+    raises ValueError; a window too short for the lag raises IndexError.
     """
-
-    time: float
-    psi: float
-    phi: tuple[float, ...]
-    valid: bool
-
-
-def compute_psi(line: TappedDelayLine, taps: DelayTable) -> float:
-    """Binomial-weighted sum of measurement taps at lags 2h(n-i), i = 0..n."""
-    total = 0.0
-    for weight, lag in taps.psi:
-        total += weight * line.tap(lag)
-    return total
-
-
-def compute_phi(line: TappedDelayLine, taps: DelayTable) -> tuple[float, ...]:
-    """All n regressor components at the current time."""
-    out = []
+    if lag < 0:
+        raise ValueError(f"lag must be >= 0, got {lag}")
+    psi = 0.0
+    for weight, tap in taps.psi:
+        psi += weight * window[tap + lag]
+    phi = []
     for row in taps.phi:
         acc = 0.0
-        for weight, lag in row:
-            acc += weight * line.tap(lag)
-        out.append(acc)
-    return tuple(out)
-
-
-def sample_regression(line: TappedDelayLine, taps: DelayTable, time: float) -> RegressionSample:
-    """Assemble the regression sample for the line's current contents."""
-    return RegressionSample(
-        time=time,
-        psi=compute_psi(line, taps),
-        phi=compute_phi(line, taps),
-        valid=line.count > taps.valid_from,
-    )
+        for weight, tap in row:
+            acc += weight * window[tap + lag]
+        phi.append(acc)
+    return psi, tuple(phi)
 
 
 def elementary_symmetric(values) -> list[float]:

@@ -10,13 +10,13 @@ import time
 
 import numpy as np
 
-from conftest import SAMPLE_PERIOD, random_distinct_frequencies
-from ftfreq.delay_line import TappedDelayLine
+from conftest import (SAMPLE_PERIOD, cascade_residual, mixed_stream,
+                      random_distinct_frequencies, window_at)
 from ftfreq.estimator import EstimatorSettings, EstimatorState, step_gradient
 from ftfreq.harness import run_scenario
 from ftfreq.mixing import MixedSample, adjugate
 from ftfreq.recovery import recover_frequencies
-from ftfreq.regression import ModelConfig, true_theta
+from ftfreq.regression import ModelConfig, delay_table, regression_at, true_theta
 from ftfreq.scenarios import builtin_scenario, with_reset_times
 from ftfreq.signals import HarmonicSpec, SignalSpec, generate_trace
 
@@ -46,16 +46,7 @@ def test_criterion_1_annihilation_oracle():
         spec = random_harmonics(rng, n)
         total_amplitude = sum(hm.amplitude for hm in spec.harmonics)
         trace = generate_trace(spec, SAMPLE_PERIOD, 8.0)
-        stream = list(trace.values)
-        for hm in spec.harmonics:
-            c = math.cos(hm.frequency * h)
-            line = TappedDelayLine(2 * steps, SAMPLE_PERIOD)
-            out = []
-            for v in stream:
-                line.push(v)
-                out.append(line.tap(0) - 2.0 * c * line.tap(steps)
-                           + line.tap(2 * steps))
-            stream = out
+        stream = cascade_residual(trace.values, [hm.frequency for hm in spec.harmonics], h)
         start = 2 * n * steps
         worst = max(abs(r) for r in stream[start:])
         worst_ratio = max(worst_ratio, worst / (1e-9 * total_amplitude))
@@ -79,21 +70,13 @@ def test_criterion_2_regression_and_mixing_consistency():
         theta = true_theta([hm.frequency for hm in spec.harmonics], cfg.h)
         scale_reg = (2 ** n) * total_amplitude
         scale_mix = math.factorial(n) * (epsilon * scale_reg) ** n
-        steps = round(cfg.h / SAMPLE_PERIOD)
-        line = TappedDelayLine(2 * n * steps, SAMPLE_PERIOD)
-        from ftfreq.mixing import RegressorExtender, mix
-        from ftfreq.regression import delay_table, sample_regression
         taps = delay_table(cfg, 0.07, SAMPLE_PERIOD)
-        extender = RegressorExtender(taps)
-        trace = generate_trace(spec, SAMPLE_PERIOD, 4.0)
-        for k, y in enumerate(trace.values):
-            line.push(y)
-            reg = sample_regression(line, taps, k * SAMPLE_PERIOD)
-            mixed = mix(extender.push(reg), epsilon)
-            if reg.valid:
-                predicted = sum(p * t for p, t in zip(reg.phi, theta))
-                worst_reg = max(worst_reg,
-                                abs(reg.psi - predicted) / (1e-9 * scale_reg))
+        values = generate_trace(spec, SAMPLE_PERIOD, 4.0).values
+        for k in range(taps.valid_from, len(values)):
+            psi, phi = regression_at(window_at(values, k, taps.valid_from + 1), taps)
+            predicted = sum(p * t for p, t in zip(phi, theta))
+            worst_reg = max(worst_reg, abs(psi - predicted) / (1e-9 * scale_reg))
+        for k, mixed in mixed_stream(spec, cfg, 0.07, epsilon, 4.0):
             if mixed.warm:
                 for i in range(n):
                     gap = abs(mixed.psi[i] - mixed.delta * theta[i])
@@ -110,7 +93,8 @@ def test_criterion_3_closed_form_gradient():
     gamma = (2.0, 1.0)
     h = 0.1
     theta_true = true_theta((2.0, 3.0), h)
-    state = EstimatorState(EstimatorSettings(gamma=gamma, omega0=(2.0, 5.0), t_ft=0.5), h)
+    state = EstimatorState(EstimatorSettings(gamma=gamma, omega0=(2.0, 5.0), t_ft=0.5),
+                           ModelConfig(n=2, h=h, omega_min=0.5, omega_max=6.0))
     theta_start = state.theta0
     delta = 0.1
     psi = tuple(delta * t for t in theta_true)

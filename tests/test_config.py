@@ -88,6 +88,12 @@ class TestParsing:
         assert cfg.signal is None
         assert validate_config(cfg) == []
 
+    def test_schedule_step_without_harmonics_rejected(self):
+        text = format_config(builtin_scenario("noiseless-2h")) + "\nsignal.schedule.1.time = 3.0\n"
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert any("signal.schedule.1" in v for v in info.value.violations)
+
     def test_round_trip_through_format(self):
         for name in BUILTIN_NAMES:
             cfg = builtin_scenario(name)

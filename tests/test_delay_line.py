@@ -1,100 +1,111 @@
-"""Unit tests for the tapped delay line."""
+"""The measurement window as a tapped delay line.
+
+Pipeline keeps the last taps.warm_from + 1 samples, newest first, and reads
+every delay from them with regression_at. For n = 1 at epsilon = 1 its
+delta is exactly 2 y(k - steps_h - steps_d), one tap of that window, so the
+delay-operator semantics show in the public outputs.
+"""
 
 import math
 
 import pytest
 
-from ftfreq.delay_line import TappedDelayLine
+from conftest import window_at
+from ftfreq.errors import ConfigError
+from ftfreq.estimator import EstimatorSettings
+from ftfreq.mixing import DremConfig
+from ftfreq.pipeline import Pipeline
+from ftfreq.regression import ModelConfig, delay_table, regression_at
+
+PERIOD = 0.001
+
+
+def one_tone(steps_h, steps_d, sample_period=PERIOD):
+    """n = 1 session whose delta is 2 y(k - steps_h - steps_d); it never extracts."""
+    model = ModelConfig(n=1, h=steps_h * PERIOD, omega_min=0.5, omega_max=5.0)
+    return Pipeline(model, DremConfig(d=steps_d * PERIOD, epsilon=1.0),
+                    EstimatorSettings(gamma=(1.0,), omega0=(2.0,), t_ft=1e6), sample_period)
+
+
+def deltas(pipeline, values, first=0):
+    return [pipeline.step((first + k) * PERIOD, y).delta for k, y in enumerate(values)]
 
 
 class TestPushTap:
     def test_zero_pre_history(self):
-        line = TappedDelayLine(4, 0.001)
-        line.push(1.0)
-        assert line.tap(0) == 1.0
-        assert line.tap(1) == 0.0
-        assert line.tap(4) == 0.0
+        assert deltas(one_tone(1, 3), [1.0, 0.0, 0.0, 0.0, 0.0]) == [0.0, 0.0, 0.0, 0.0, 2.0]
+        taps = delay_table(ModelConfig(n=1, h=PERIOD, omega_min=0.5, omega_max=5.0),
+                           PERIOD, PERIOD)
+        window = window_at([1.0], 0, taps.warm_from + 1)
+        assert regression_at(window, taps) == (1.0, (0.0,))
 
     def test_shift_order(self):
-        line = TappedDelayLine(4, 0.001)
-        for v in (1.0, 2.0, 3.0):  # a, b, c
-            line.push(v)
-        assert line.tap(0) == 3.0
-        assert line.tap(1) == 2.0
-        assert line.tap(2) == 1.0
+        assert deltas(one_tone(1, 1), [1.0, 2.0, 3.0, 4.0]) == [0.0, 0.0, 2.0, 4.0]
 
     def test_deep_tap_before_enough_pushes(self):
-        line = TappedDelayLine(10, 0.001)
-        line.push(5.0)
-        line.push(6.0)
-        assert line.tap(7) == 0.0
+        pipeline = one_tone(4, 6)
+        assert deltas(pipeline, [5.0, 6.0] * 5) == [0.0] * 10
+        assert deltas(pipeline, [7.0], first=10) == [10.0]
 
     def test_wraparound_keeps_serving_taps(self):
-        line = TappedDelayLine(3, 0.001)
-        for k in range(50):
-            line.push(float(k))
-            if k >= 3:
-                assert line.tap(3) == float(k - 3)
+        pipeline = one_tone(1, 2)  # a window of warm_from + 1 = 5 samples
+        assert pipeline.taps.warm_from == 4
+        for k, delta in enumerate(deltas(pipeline, [float(k) for k in range(50)])):
+            assert delta == (2.0 * (k - 3) if k >= 3 else 0.0)
 
     def test_tap_bounds_checked(self):
-        line = TappedDelayLine(3, 0.001)
+        taps = delay_table(ModelConfig(n=2, h=2 * PERIOD, omega_min=0.5, omega_max=5.0),
+                           3 * PERIOD, PERIOD)
+        window = [1.0] * (taps.warm_from + 1)
+        regression_at(window, taps, taps.rows[-1])
+        with pytest.raises(IndexError):
+            regression_at(window, taps, taps.rows[-1] + 1)
         with pytest.raises(ValueError):
-            line.tap(4)
-        with pytest.raises(ValueError):
-            line.tap(-1)
+            regression_at(window, taps, -1)
 
     def test_clear_restores_zero_history(self):
-        line = TappedDelayLine(2, 0.001)
-        line.push(1.0)
-        line.push(2.0)
-        line.clear()
-        assert line.count == 0
-        assert line.tap(0) == 0.0
+        pipeline = one_tone(1, 1)
+        deltas(pipeline, [1.0, 2.0, 3.0])
+        pipeline.reset()
+        assert deltas(pipeline, [4.0, 5.0, 6.0], first=3) == [0.0, 0.0, 8.0]
 
     def test_rejects_bad_construction(self):
-        with pytest.raises(ValueError):
-            TappedDelayLine(-1, 0.001)
-        with pytest.raises(ValueError):
-            TappedDelayLine(3, 0.0)
+        with pytest.raises(ConfigError):
+            one_tone(1, 1.5)  # d between grid points
+        for sample_period in (0.0, -PERIOD, math.nan):
+            with pytest.raises(ConfigError):
+                one_tone(1, 1, sample_period)
 
 
 class TestOperatorSemantics:
     def test_sine_tap_matches_shifted_grid_evaluation(self):
-        # tap(h/Ts) on a sampled sinusoid returns exactly the trace value at
-        # the shifted grid point
-        period, h, omega, phase = 0.001, 0.1, 2.0, 0.3
-        steps = round(h / period)
-        values = [math.sin(omega * (k * period) + phase) for k in range(400)]
-        line = TappedDelayLine(steps, period)
-        for k, v in enumerate(values):
-            line.push(v)
-            if k >= steps:
-                assert line.tap(steps) == values[k - steps]
-            else:
-                assert line.tap(steps) == 0.0
+        # the tap h + d back on a sampled sinusoid returns exactly the trace
+        # value at the shifted grid point
+        steps = 100 + 30
+        values = [math.sin(2.0 * (k * PERIOD) + 0.3) for k in range(400)]
+        for k, delta in enumerate(deltas(one_tone(100, 30), values)):
+            assert delta == (2.0 * values[k - steps] if k >= steps else 0.0)
 
     def test_composition_of_delays(self):
-        # feeding one line with another's tap(k) output makes tap(j) equal
-        # tap(j+k) on the original
-        j, k = 3, 5
-        original = TappedDelayLine(j + k, 0.001)
-        chained = TappedDelayLine(j, 0.001)
-        for step in range(60):
-            x = math.sin(0.37 * step) + 0.1 * step
-            original.push(x)
-            chained.push(original.tap(k))
-            assert chained.tap(j) == original.tap(j + k)
+        # a delay of h then d equals d then h: both are one delay of h + d
+        values = [math.sin(0.37 * k) + 0.1 * k for k in range(60)]
+        first = deltas(one_tone(3, 5), values)
+        assert first == deltas(one_tone(5, 3), values)
+        assert first == [2.0 * values[k - 8] if k >= 8 else 0.0 for k in range(60)]
 
     def test_linearity(self):
         alpha, beta = 1.7, -0.6
-        lx = TappedDelayLine(6, 0.001)
-        ly = TappedDelayLine(6, 0.001)
-        lc = TappedDelayLine(6, 0.001)
-        for step in range(40):
-            x = math.sin(0.41 * step)
-            y = math.cos(0.23 * step)
-            lx.push(x)
-            ly.push(y)
-            lc.push(alpha * x + beta * y)
-            for tap in (0, 2, 6):
-                assert lc.tap(tap) == alpha * lx.tap(tap) + beta * ly.tap(tap)
+        xs = [math.sin(0.41 * k) for k in range(40)]
+        ys = [math.cos(0.23 * k) for k in range(40)]
+        combined = deltas(one_tone(2, 4), [alpha * x + beta * y for x, y in zip(xs, ys)])
+        separate = zip(deltas(one_tone(2, 4), xs), deltas(one_tone(2, 4), ys))
+        assert combined == [alpha * dx + beta * dy for dx, dy in separate]
+        taps = delay_table(ModelConfig(n=3, h=2 * PERIOD, omega_min=0.5, omega_max=5.0),
+                           PERIOD, PERIOD)
+        wx = window_at(xs, 39, taps.warm_from + 1)
+        wy = window_at(ys, 39, taps.warm_from + 1)
+        wc = [alpha * x + beta * y for x, y in zip(wx, wy)]
+        (px, fx), (py, fy), (pc, fc) = (regression_at(w, taps) for w in (wx, wy, wc))
+        assert pc == pytest.approx(alpha * px + beta * py, rel=1e-12, abs=1e-12)
+        assert fc == pytest.approx([alpha * a + beta * b for a, b in zip(fx, fy)],
+                                   rel=1e-12, abs=1e-12)

@@ -10,7 +10,9 @@ from ftfreq.errors import ConfigError, NumericFault
 from ftfreq.estimator import (EstimatorSettings, EstimatorState,
                               finite_time_estimate, reset_estimator,
                               step_gradient)
-from ftfreq.mixing import MixedSample
+from ftfreq.engine import run_trace
+from ftfreq.mixing import DremConfig, MixedSample
+from ftfreq.pipeline import Pipeline
 from ftfreq.regression import ModelConfig, true_theta
 from ftfreq.signals import HarmonicSpec, SignalSpec
 
@@ -21,9 +23,14 @@ def settings(gamma, omega0=(2.0, 5.0), t_ft=1.0, **kwargs):
     return EstimatorSettings(gamma=gamma, omega0=omega0[:len(gamma)], t_ft=t_ft, **kwargs)
 
 
+def new_state(cfg):
+    """Estimator state of an n = len(gamma) model with delay H."""
+    return EstimatorState(cfg, ModelConfig(n=len(cfg.gamma), h=H, omega_min=0.5, omega_max=6.0))
+
+
 def constant_session(cfg, delta, theta, steps, dt=SAMPLE_PERIOD, start=0):
     """Drive a state with a constant-excitation synthetic stream."""
-    state = EstimatorState(cfg, H)
+    state = new_state(cfg)
     psi = tuple(delta * t for t in theta)
     for k in range(start, start + steps):
         mixed = MixedSample(time=(k + 1) * dt, delta=delta, psi=psi, warm=True)
@@ -38,7 +45,7 @@ def two_tone():
 
 class TestStepGradient:
     def test_zero_delta_changes_nothing(self):
-        state = EstimatorState(settings((1.0, 1.0)), H)
+        state = new_state(settings((1.0, 1.0)))
         mixed = MixedSample(time=SAMPLE_PERIOD, delta=0.0, psi=(0.0, 0.0), warm=True)
         step_gradient(state, mixed, SAMPLE_PERIOD)
         assert state.theta_hat == list(true_theta((2.0, 5.0), H))
@@ -46,7 +53,7 @@ class TestStepGradient:
         assert state.time == SAMPLE_PERIOD
 
     def test_updates_skipped_until_warm(self):
-        state = EstimatorState(settings((1.0,)), H)
+        state = new_state(settings((1.0,)))
         mixed = MixedSample(time=SAMPLE_PERIOD, delta=5.0, psi=(5.0,), warm=False)
         step_gradient(state, mixed, SAMPLE_PERIOD)
         assert state.theta_hat == list(state.theta0)
@@ -71,7 +78,7 @@ class TestStepGradient:
     def test_error_monotone_on_consistent_data(self):
         cfg_model = ModelConfig(n=2, h=0.1, omega_min=0.5, omega_max=5.5)
         theta_star = true_theta([2.0, 3.0], cfg_model.h)
-        state = EstimatorState(settings((0.005, 0.005)), cfg_model.h)
+        state = EstimatorState(settings((0.005, 0.005)), cfg_model)
         previous = [abs(t0 - ts) for t0, ts in zip(state.theta0, theta_star)]
         for _, mixed in mixed_stream(two_tone(), cfg_model, d=0.13,
                                      epsilon=100.0, duration=3.0):
@@ -90,7 +97,7 @@ class TestStepGradient:
         assert abs(state.theta_hat[0] - 0.2) < 1e-9
 
     def test_non_finite_mixed_data_faults(self):
-        state = EstimatorState(settings((1.0,)), H)
+        state = new_state(settings((1.0,)))
         bad = MixedSample(time=0.1, delta=float("nan"), psi=(0.0,), warm=True)
         with pytest.raises(NumericFault):
             step_gradient(state, bad, SAMPLE_PERIOD)
@@ -98,7 +105,7 @@ class TestStepGradient:
     def test_w_consistency_with_recomputed_integral(self):
         rng = np.random.default_rng(8)
         cfg = settings((0.7, 1.3))
-        state = EstimatorState(cfg, H)
+        state = new_state(cfg)
         deltas = rng.uniform(-2, 2, 4000)
         for k, delta in enumerate(deltas):
             psi = (delta * 0.5, delta * -0.25)
@@ -112,14 +119,14 @@ class TestStepGradient:
 
 class TestExcitationLevel:
     def test_zero_before_any_warm_data(self):
-        assert EstimatorState(settings((1.0, 2.0)), H).excitation == 0.0
+        assert new_state(settings((1.0, 2.0))).excitation == 0.0
 
     def test_constant_delta_integral(self):
         state = constant_session(settings((1.0, 2.0)), delta=0.5, theta=(0.1, 0.2), steps=2000)
         assert state.excitation == pytest.approx(0.25 * 2.0, rel=1e-12)
 
     def test_strictly_increasing_under_excitation(self):
-        state = EstimatorState(settings((1.0,)), H)
+        state = new_state(settings((1.0,)))
         last = 0.0
         for k in range(100):
             mixed = MixedSample(time=(k + 1) * SAMPLE_PERIOD, delta=0.3,
@@ -133,7 +140,7 @@ class TestExcitationLevel:
 class TestFiniteTimeEstimate:
     def test_no_learning_returns_initial_estimate(self):
         cfg = settings((1.0, 1.0), t_ft=0.5)
-        state = EstimatorState(cfg, H)
+        state = new_state(cfg)
         state.time = 1.0
         state.excitation = 0.35  # W < 1, theta_hat still at theta0
         result = finite_time_estimate(state, cfg)
@@ -141,7 +148,7 @@ class TestFiniteTimeEstimate:
 
     def test_fully_excited_returns_current_estimate(self):
         cfg = settings((1.0, 1.0), t_ft=0.5)
-        state = EstimatorState(cfg, H)
+        state = new_state(cfg)
         state.time = 1.0
         state.theta_hat = [0.9, 0.7]
         state.excitation = 1e6  # W underflows to 0
@@ -149,7 +156,7 @@ class TestFiniteTimeEstimate:
 
     def test_requires_extraction_time_reached(self):
         cfg = settings((1.0,), t_ft=5.0)
-        state = EstimatorState(cfg, H)
+        state = new_state(cfg)
         state.time = 1.0
         with pytest.raises(ValueError):
             finite_time_estimate(state, cfg)
@@ -168,7 +175,7 @@ class TestFiniteTimeEstimate:
         theta_star = true_theta([2.0, 3.0], model.h)
         cfg = settings((1.0, 1.0), omega0=(1.0, 4.0), t_ft=0.7)
         for t_extract in (0.8, 1.5, 3.0):
-            state = EstimatorState(cfg, model.h)
+            state = EstimatorState(cfg, model)
             for _, mixed in mixed_stream(two_tone(), model, d=0.13,
                                          epsilon=1.0, duration=t_extract):
                 step_gradient(state, mixed, SAMPLE_PERIOD)
@@ -232,8 +239,21 @@ class TestEstimatorSettings:
         with pytest.raises(ConfigError):
             EstimatorSettings(gamma=(1.0,), omega0=(-2.0,), t_ft=1.0)
 
+    def test_length_must_match_the_model(self):
+        # checked once, by the state both the streaming and whole-trace paths build
+        model = ModelConfig(n=2, h=H, omega_min=0.5, omega_max=6.0)
+        drem = DremConfig(d=0.13, epsilon=100.0)
+        short = settings((0.005,), t_ft=5.0)
+        with pytest.raises(ConfigError, match="model.n = 2"):
+            EstimatorState(short, model)
+        with pytest.raises(ConfigError, match="model.n = 2"):
+            Pipeline(model, drem, short, SAMPLE_PERIOD)
+        with pytest.raises(ConfigError, match="model.n = 2"):
+            run_trace(model, drem, short, SAMPLE_PERIOD, 1e-3, [0.0, SAMPLE_PERIOD],
+                      [0.0, 1.0], [0])
+
     def test_state_starts_at_the_initial_guesses(self):
-        state = EstimatorState(settings((1.0, 1.0)), H)
+        state = new_state(settings((1.0, 1.0)))
         assert state.theta0 == true_theta((2.0, 5.0), H)
         assert state.theta_hat == list(state.theta0)
         assert (state.time, state.epoch_start) == (0.0, 0.0)

@@ -1,6 +1,9 @@
-"""Unit tests for regressor extension and adjugate mixing."""
+"""Unit tests for regressor extension (the stacked rows) and adjugate mixing."""
 
+import contextlib
 import math
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,75 +11,113 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import SAMPLE_PERIOD, mixed_stream, random_distinct_frequencies
+from conftest import (SAMPLE_PERIOD, mixed_stream, random_distinct_frequencies,
+                      window_at)
+from ftfreq import pipeline as pipeline_module
 from ftfreq.errors import ConfigError, NumericFault
-from ftfreq.mixing import DremConfig, RegressorExtender, adjugate, mix
-from ftfreq.regression import (ModelConfig, RegressionSample, delay_table,
+from ftfreq.estimator import EstimatorSettings
+from ftfreq.mixing import DremConfig, adjugate, mix
+from ftfreq.pipeline import Pipeline
+from ftfreq.regression import (ModelConfig, delay_table, regression_at,
                                true_theta)
 from ftfreq.signals import HarmonicSpec, SignalSpec
 
 
-def make_samples(n, count, valid_from=0):
-    """Deterministic distinctive regression samples for lag checks."""
-    for k in range(count):
-        yield RegressionSample(
-            time=k * SAMPLE_PERIOD,
-            psi=float(k),
-            phi=tuple(float(1000 * (j + 1) + k) for j in range(n)),
-            valid=k >= valid_from,
-        )
+def session(n, steps_h, steps_d, period=SAMPLE_PERIOD):
+    """Pipeline of an n-harmonic model with h and d on the sample grid; it
+    never extracts, and its gains barely move theta_hat."""
+    model = ModelConfig(n=n, h=steps_h * period, omega_min=0.5, omega_max=5.0)
+    omega0 = tuple(1.0 + 0.5 * i for i in range(n))
+    return Pipeline(model, DremConfig(d=steps_d * period, epsilon=1.0),
+                    EstimatorSettings(gamma=(1e-6,) * n, omega0=omega0, t_ft=1e6), period)
 
 
-def extender_for(n, d):
-    """Extender of an n-harmonic session with stacked rows d seconds apart."""
-    model = ModelConfig(n=n, h=0.01, omega_min=0.5, omega_max=5.0)
-    return RegressorExtender(delay_table(model, d, SAMPLE_PERIOD))
+@contextlib.contextmanager
+def warm_flags():
+    """Record the warm flag of every sample a Pipeline mixes."""
+    flags = []
+
+    def recording(*args):
+        sample = mix(*args)
+        flags.append(sample.warm)
+        return sample
+
+    with mock.patch.object(pipeline_module, "mix", recording):
+        yield flags
 
 
 class TestExtender:
-    def test_single_delay_case(self):
-        extender = extender_for(1, 0.01)
-        last = None
-        for sample in make_samples(1, 30):
-            last = extender.push(sample)
-        assert last.psi_delayed == (float(29 - 10),)
-        assert last.phi_rows == ((float(1000 + 29 - 10),),)
+    """The stacked system: row i is the regression taps.rows[i] samples back."""
 
-    def test_rows_at_multiples_of_d(self):
-        # d = 0.13 at 1 kHz puts the two rows 130 and 260 samples back
-        extender = extender_for(2, 0.13)
-        for sample in make_samples(2, 400):
-            ext = extender.push(sample)
-        assert ext.psi_delayed == (float(399 - 130), float(399 - 260))
-        assert ext.phi_rows[0] == (float(1000 + 399 - 130), float(2000 + 399 - 130))
-        assert ext.phi_rows[1] == (float(1000 + 399 - 260), float(2000 + 399 - 260))
+    def test_single_delay_case(self):
+        # n = 1, h = d = 10 samples: psi = y(k) + y(k - 20), phi = 2 y(k - 10)
+        model = ModelConfig(n=1, h=0.01, omega_min=0.5, omega_max=5.0)
+        taps = delay_table(model, 0.01, SAMPLE_PERIOD)
+        window = window_at([float(k) for k in range(30)], 29, taps.warm_from + 1)
+        assert taps.rows == (10,)
+        assert regression_at(window, taps, taps.rows[0]) == (19.0, (18.0,))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 6), st.integers(1, 6),
+           st.integers(0, 200), st.integers(0, 2**32))
+    def test_rows_at_multiples_of_d(self, n, steps_h, steps_d, count, seed):
+        # the row at lag r is the lag-0 regression r samples earlier, and
+        # exactly zero before any history
+        model = ModelConfig(n=n, h=steps_h * SAMPLE_PERIOD, omega_min=0.5, omega_max=5.0)
+        taps = delay_table(model, steps_d * SAMPLE_PERIOD, SAMPLE_PERIOD)
+        assert taps.rows == tuple(i * steps_d for i in range(1, n + 1))
+        rng = random.Random(seed)
+        values = [rng.uniform(-2.0, 2.0) for _ in range(count)]
+        length = taps.warm_from + 1
+        window = window_at(values, count - 1, length)
+        for lag in taps.rows:
+            if lag >= count:
+                assert regression_at(window, taps, lag) == (0.0, (0.0,) * n)
+            else:
+                earlier = window_at(values, count - 1 - lag, length)
+                assert regression_at(window, taps, lag) == regression_at(earlier, taps)
 
     def test_zero_stream_stays_zero(self):
-        extender = extender_for(2, 0.01)
+        pipeline = session(2, 10, 10)
         for k in range(100):
-            ext = extender.push(RegressionSample(k * SAMPLE_PERIOD, 0.0, (0.0, 0.0), True))
-        assert ext.psi_delayed == (0.0, 0.0)
-        assert ext.phi_rows == ((0.0, 0.0), (0.0, 0.0))
+            assert pipeline.step(k * SAMPLE_PERIOD, 0.0).delta == 0.0
+        assert pipeline.state.excitation == 0.0
 
-    def test_complete_requires_valid_history_at_deepest_lag(self):
-        valid_from = 40
-        extender = extender_for(2, 0.01)  # deepest lag 20
-        for k, sample in enumerate(make_samples(2, 100, valid_from=valid_from)):
-            ext = extender.push(sample)
-            assert ext.complete == (k - 20 >= valid_from)
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 4), st.integers(1, 4),
+           st.integers(0, 80), st.integers(1, 80))
+    def test_complete_requires_valid_history_at_deepest_lag(self, n, steps_h, steps_d,
+                                                            reset_at, after):
+        # warm exactly from sample warm_from after the start and after a reset
+        pipeline = session(n, steps_h, steps_d, period=0.01)
+        warm_from = 2 * n * steps_h + n * steps_d
+        assert pipeline.taps.warm_from == warm_from
+        freqs = [1.0 + 0.4 * i for i in range(n)]
+        signal = [sum(math.sin(w * 0.01 * k + i) for i, w in enumerate(freqs))
+                  for k in range(reset_at + after)]
+        with warm_flags() as flags:
+            for k, y in enumerate(signal):
+                if k == reset_at:
+                    pipeline.reset()
+                pipeline.step(k * 0.01, y)
+        expected = [k >= warm_from for k in range(reset_at)]
+        expected += [k >= warm_from for k in range(after)]
+        assert flags == expected
 
     def test_off_grid_d_rejected(self):
         with pytest.raises(ConfigError):
-            extender_for(2, 0.0105)
+            session(2, 10, 10.5)
 
     def test_clear_restarts_history(self):
-        extender = extender_for(1, 0.01)
-        for sample in make_samples(1, 50):
-            extender.push(sample)
-        extender.clear()
-        ext = extender.push(RegressionSample(0.0, 7.0, (7.0,), True))
-        assert ext.psi_delayed == (0.0,)
-        assert not ext.complete
+        # n = 1: delta is 2 y(k - 20) exactly, and reads zero again after a reset
+        pipeline = session(1, 10, 10)
+        for k in range(50):
+            pipeline.step(k * SAMPLE_PERIOD, 1.0)
+        pipeline.reset()
+        with warm_flags() as flags:
+            deltas = [pipeline.step((50 + k) * SAMPLE_PERIOD, 7.0).delta for k in range(21)]
+        assert deltas == [0.0] * 20 + [14.0]
+        assert not any(flags)
 
 
 def cofactor_adjugate(m):
@@ -181,10 +222,7 @@ def two_tone():
 
 class TestMix:
     def test_n1_reduces_to_scaled_scalars(self):
-        from ftfreq.mixing import ExtendedRegression
-        ext = ExtendedRegression(time=1.0, psi_delayed=(0.7,), phi_rows=((0.2,),),
-                                 complete=True)
-        sample = mix(ext, 10.0)
+        sample = mix(1.0, (0.7,), ((0.2,),), True, 10.0)
         assert sample.delta == pytest.approx(2.0, abs=1e-15)
         assert sample.psi[0] == pytest.approx(7.0, abs=1e-14)
         assert sample.warm
@@ -245,18 +283,15 @@ class TestMix:
         assert energy > 1e-6 * peak ** 2
 
     def test_epsilon_must_be_positive(self):
-        from ftfreq.mixing import ExtendedRegression
-        ext = ExtendedRegression(0.0, (0.0,), ((0.0,),), False)
         with pytest.raises(ConfigError):
-            mix(ext, 0.0)
+            mix(0.0, (0.0,), ((0.0,),), False, 0.0)
         with pytest.raises(ConfigError):
             DremConfig(d=0.1, epsilon=-1.0)
 
     def test_overflowed_stack_is_a_numeric_fault(self):
         # adjugate rejects the matrix as input; mix reports it as a data fault
-        from ftfreq.mixing import ExtendedRegression
         rows = ((float("inf"), 0.0), (0.0, 1.0))
         with pytest.raises(NumericFault, match="t = 0.25"):
-            mix(ExtendedRegression(0.25, (0.0, 0.0), rows, False), 1.0)
+            mix(0.25, (0.0, 0.0), rows, False, 1.0)
         with pytest.raises(ConfigError):
-            mix(ExtendedRegression(0.25, (0.0,), ((1.0, 2.0),), False), 1.0)
+            mix(0.25, (0.0,), ((1.0, 2.0),), False, 1.0)

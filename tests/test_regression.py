@@ -12,12 +12,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ftfreq.delay_line import TappedDelayLine
+from conftest import cascade_residual, window_at
 from ftfreq.errors import ConfigError
-from ftfreq.regression import (ModelConfig, binomial, compute_phi, compute_psi,
-                               delay_table, elementary_symmetric, phi_taps,
-                               psi_taps, sample_regression, true_theta)
+from ftfreq.regression import (ModelConfig, delay_table, elementary_symmetric,
+                               phi_taps, psi_taps, regression_at, true_theta)
 from ftfreq.signals import HarmonicSpec, SignalSpec, generate_trace
 
 SAMPLE_PERIOD = 0.001
@@ -41,26 +42,10 @@ def taps(cfg):
     return delay_table(cfg, cfg.h, SAMPLE_PERIOD)
 
 
-def feed_line(values, capacity):
-    line = TappedDelayLine(capacity, SAMPLE_PERIOD)
-    for v in values:
-        line.push(v)
-        yield line
-
-
-class TestBinomial:
-    def test_small_values(self):
-        assert binomial(4, 2) == 6
-        assert binomial(7, 0) == 1
-        assert binomial(6, 3) == 20
-        assert binomial(20, 10) == 184756
-
-    def test_out_of_range_rejected(self):
-        for n, i in ((4, 5), (4, -1), (21, 3), (-1, 0)):
-            with pytest.raises(ValueError):
-                binomial(n, i)
-        with pytest.raises(ValueError):
-            binomial(4.0, 2)
+def windows(values, length):
+    """The measurement window after each sample of values."""
+    for k in range(len(values)):
+        yield window_at(values, k, length)
 
 
 class TestTapTables:
@@ -85,26 +70,26 @@ class TestExpansions:
         cfg = ModelConfig(n=1, h=0.1, omega_min=0.5, omega_max=5.0)
         steps = round(cfg.h / SAMPLE_PERIOD)
         values = [float(k % 17) for k in range(350)]  # integer-valued: exact sums
-        for k, line in enumerate(feed_line(values, 2 * steps)):
+        for k, window in enumerate(windows(values, 2 * steps + 1)):
             expected = values[k] + (values[k - 2 * steps] if k >= 2 * steps else 0.0)
-            assert compute_psi(line, taps(cfg)) == expected
+            assert regression_at(window, taps(cfg))[0] == expected
 
     def test_psi_n2_binomial_weights(self):
         cfg = ModelConfig(n=2, h=0.1, omega_min=0.5, omega_max=5.0)
         s = round(cfg.h / SAMPLE_PERIOD)
         values = [float((3 * k) % 23) for k in range(520)]
         tap = lambda k, lag: values[k - lag] if k >= lag else 0.0
-        for k, line in enumerate(feed_line(values, 4 * s)):
+        for k, window in enumerate(windows(values, 4 * s + 1)):
             expected = tap(k, 0) + 2.0 * tap(k, 2 * s) + tap(k, 4 * s)
-            assert compute_psi(line, taps(cfg)) == expected
+            assert regression_at(window, taps(cfg))[0] == expected
 
     def test_phi_n2_components(self):
         cfg = ModelConfig(n=2, h=0.1, omega_min=0.5, omega_max=5.0)
         s = round(cfg.h / SAMPLE_PERIOD)
         values = [float((5 * k) % 19) for k in range(520)]
         tap = lambda k, lag: values[k - lag] if k >= lag else 0.0
-        for k, line in enumerate(feed_line(values, 4 * s)):
-            phi = compute_phi(line, taps(cfg))
+        for k, window in enumerate(windows(values, 4 * s + 1)):
+            phi = regression_at(window, taps(cfg))[1]
             assert phi[0] == 2.0 * (tap(k, s) + tap(k, 3 * s))
             assert phi[1] == 4.0 * tap(k, 2 * s)
 
@@ -112,32 +97,27 @@ class TestExpansions:
         cfg = ModelConfig(n=1, h=0.1, omega_min=0.5, omega_max=5.0)
         s = round(cfg.h / SAMPLE_PERIOD)
         values = [float(k % 11) for k in range(250)]
-        for k, line in enumerate(feed_line(values, 2 * s)):
+        for k, window in enumerate(windows(values, 2 * s + 1)):
             expected = 2.0 * (values[k - s] if k >= s else 0.0)
-            assert compute_phi(line, taps(cfg)) == (expected,)
+            assert regression_at(window, taps(cfg))[1] == (expected,)
 
     def test_zero_input_gives_zero_outputs(self):
         cfg = ModelConfig(n=3, h=0.05, omega_min=0.5, omega_max=6.0)
-        line = TappedDelayLine(6 * 50, SAMPLE_PERIOD)
-        for _ in range(700):
-            line.push(0.0)
-        assert compute_psi(line, taps(cfg)) == 0.0
-        assert compute_phi(line, taps(cfg)) == (0.0, 0.0, 0.0)
+        assert regression_at([0.0] * (6 * 50 + 1), taps(cfg)) == (0.0, (0.0, 0.0, 0.0))
 
     def test_impulse_response_matches_tap_tables(self):
         # degree correctness: phi_k sees the impulse only at its table lags
         cfg = ModelConfig(n=3, h=0.05, omega_min=0.5, omega_max=6.0)
         s = round(cfg.h / SAMPLE_PERIOD)
-        line = TappedDelayLine(2 * cfg.n * s, SAMPLE_PERIOD)
         tables = phi_taps(cfg.n)
         responses = {k: {} for k in range(cfg.n)}
-        line.push(1.0)
         for step in range(2 * cfg.n * s + 1):
-            phi = compute_phi(line, taps(cfg))
+            window = [0.0] * (2 * cfg.n * s + 1)
+            window[step] = 1.0  # the impulse, step samples ago
+            phi = regression_at(window, taps(cfg))[1]
             for k, value in enumerate(phi):
                 if value != 0.0:
                     responses[k][step] = value
-            line.push(0.0)
         for k, row in enumerate(tables):
             expected = {lag * s: weight for weight, lag in row}
             assert responses[k] == expected
@@ -176,27 +156,13 @@ class TestTrueTheta:
 
 
 class TestConstructedIdentities:
-    def cascade_residual(self, values, freqs, h):
-        """Apply the per-harmonic annihilators in sequence via delay lines."""
-        steps = round(h / SAMPLE_PERIOD)
-        stream = list(values)
-        for w in freqs:
-            c = math.cos(w * h)
-            line = TappedDelayLine(2 * steps, SAMPLE_PERIOD)
-            out = []
-            for v in stream:
-                line.push(v)
-                out.append(line.tap(0) - 2.0 * c * line.tap(steps) + line.tap(2 * steps))
-            stream = out
-        return stream
-
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_annihilation(self, n):
         rng = np.random.default_rng(100 + n)
         spec, amps = random_signal(rng, n)
         h = 0.05
         trace = generate_trace(spec, SAMPLE_PERIOD, 8.0)
-        residual = self.cascade_residual(
+        residual = cascade_residual(
             trace.values, [hm.frequency for hm in spec.harmonics], h)
         start = round(2 * n * h / SAMPLE_PERIOD)
         worst = max(abs(r) for r in residual[start:])
@@ -213,24 +179,32 @@ class TestConstructedIdentities:
         scale = (2 ** n) * sum(amps)
         start = 2 * n * steps
         checked = 0
-        for k, line in enumerate(feed_line(trace.values, 2 * n * steps)):
+        for k, window in enumerate(windows(trace.values, start + 1)):
             if k < start:
                 continue
-            sample = sample_regression(line, taps(cfg), k * SAMPLE_PERIOD)
-            assert sample.valid
-            predicted = sum(p * t for p, t in zip(sample.phi, theta))
-            assert abs(sample.psi - predicted) <= 1e-9 * scale
+            psi, phi = regression_at(window, taps(cfg))
+            predicted = sum(p * t for p, t in zip(phi, theta))
+            assert abs(psi - predicted) <= 1e-9 * scale
             checked += 1
         assert checked > 1000
 
     def test_valid_flag_tracks_warmup(self):
+        # the regression holds from sample valid_from on, and not one sample
+        # earlier, when the deepest psi tap still reads zero pre-history
         cfg = ModelConfig(n=2, h=0.1, omega_min=0.5, omega_max=5.0)
-        steps = round(cfg.h / SAMPLE_PERIOD)
-        spec, _ = random_signal(np.random.default_rng(3), 2)
+        spec, amps = random_signal(np.random.default_rng(3), 2)
+        theta = true_theta([hm.frequency for hm in spec.harmonics], cfg.h)
         trace = generate_trace(spec, SAMPLE_PERIOD, 1.0)
-        for k, line in enumerate(feed_line(trace.values, 4 * steps)):
-            sample = sample_regression(line, taps(cfg), k * SAMPLE_PERIOD)
-            assert sample.valid == (k >= 2 * cfg.n * steps)
+        valid_from = taps(cfg).valid_from
+        assert valid_from == 2 * cfg.n * round(cfg.h / SAMPLE_PERIOD)
+        scale = (2 ** cfg.n) * sum(amps)
+        for k, window in enumerate(windows(trace.values, valid_from + 1)):
+            psi, phi = regression_at(window, taps(cfg))
+            residual = abs(psi - sum(p * t for p, t in zip(phi, theta)))
+            if k >= valid_from:
+                assert residual <= 1e-9 * scale
+            elif k == valid_from - 1:
+                assert residual > 1e-6 * scale
 
     def test_regressor_gram_matrix_positive_definite(self):
         # distinct in-band tones leave the regressor components independent
@@ -244,13 +218,43 @@ class TestConstructedIdentities:
         start = 2 * cfg.n * steps
         trace = generate_trace(spec, SAMPLE_PERIOD, (start + window) * SAMPLE_PERIOD + 1.0)
         rows = []
-        for k, line in enumerate(feed_line(trace.values, 4 * steps)):
+        for k, last in enumerate(windows(trace.values, 4 * steps + 1)):
             if start <= k < start + window:
-                rows.append(compute_phi(line, taps(cfg)))
+                rows.append(regression_at(last, taps(cfg))[1])
         gram = np.array(rows).T @ np.array(rows) * SAMPLE_PERIOD
         eigenvalues = np.linalg.eigvalsh(gram)
         assert eigenvalues[0] > 0
         assert eigenvalues[0] > 1e-6 * np.trace(gram)
+
+
+@st.composite
+def spectra(draw):
+    """n <= 8 distinct tones with random amplitudes and phases, and h on the
+    sample grid."""
+    n = draw(st.integers(1, 8))
+    freqs = draw(st.lists(st.floats(0.2, 6.0), min_size=n, max_size=n, unique=True))
+    harmonics = tuple(HarmonicSpec(draw(st.floats(0.1, 2.0)), w,
+                                   draw(st.floats(0.0, 2 * math.pi))) for w in freqs)
+    steps_h = draw(st.integers(1, 30))
+    return SignalSpec(harmonics=harmonics), steps_h
+
+
+class TestWindowIdentities:
+    @settings(max_examples=60, deadline=None)
+    @given(spectra(), st.integers(0, 40))
+    def test_annihilation_once_the_window_holds_valid_from_samples(self, drawn, extra):
+        # psi - phi . theta = 0 at every sample with real history under every tap
+        spec, steps_h = drawn
+        n = len(spec.harmonics)
+        cfg = ModelConfig(n=n, h=steps_h * SAMPLE_PERIOD, omega_min=0.1, omega_max=7.0)
+        table = taps(cfg)
+        theta = true_theta([hm.frequency for hm in spec.harmonics], cfg.h)
+        values = generate_trace(spec, SAMPLE_PERIOD,
+                                (table.valid_from + extra) * SAMPLE_PERIOD).values
+        scale = 4 ** n * sum(hm.amplitude for hm in spec.harmonics)
+        for k in range(table.valid_from, len(values)):
+            psi, phi = regression_at(window_at(values, k, table.valid_from + 1), table)
+            assert abs(psi - sum(p * t for p, t in zip(phi, theta))) <= 1e-12 * scale
 
 
 class TestModelConfig:
@@ -282,6 +286,5 @@ class TestModelConfig:
 
     def test_off_grid_h_rejected_at_use(self):
         cfg = ModelConfig(n=1, h=0.0105, omega_min=0.5, omega_max=5.0)
-        line = TappedDelayLine(100, SAMPLE_PERIOD)
         with pytest.raises(ConfigError):
-            compute_psi(line, taps(cfg))
+            taps(cfg)
