@@ -11,9 +11,10 @@ and arccos.
 
 __version__ = "0.1.0"
 
-from .config import (OutputConfig, RecoverySettings, RunConfig,
-                     ScenarioConfig, config_warnings, format_config,
-                     load_config, parse_config, validate_config, with_seed)
+from .config import (BUILTIN_NAMES, OutputConfig, RecoverySettings, RunConfig,
+                     ScenarioConfig, builtin_scenario, config_warnings,
+                     format_config, load_config, parse_config, validate_config,
+                     with_reset_times, with_seed)
 from .errors import ConfigError, EstimateNotPhysical, NumericFault
 from .estimator import (EstimatorSettings, EstimatorState,
                         finite_time_estimate, reset_estimator, step_gradient)
@@ -24,7 +25,6 @@ from .recovery import (FrequencyEstimate, find_roots, recover_frequencies,
                        roots_to_frequencies, theta_to_polynomial)
 from .regression import (DelayTable, ModelConfig, delay_table, regression_at,
                          true_theta)
-from .scenarios import BUILTIN_NAMES, builtin_scenario, with_reset_times
 from .signals import (HarmonicDisturbance, HarmonicSpec, SampledTrace,
                       ScheduleStep, SignalSpec, UniformDisturbance,
                       generate_trace, sample_signal)

@@ -14,10 +14,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import load_config, with_seed
+from .config import BUILTIN_NAMES, builtin_scenario, load_config, with_seed
 from .errors import ConfigError, NumericFault
 from .harness import RunResult, estimate_from_file, run_scenario
-from .scenarios import BUILTIN_NAMES, builtin_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

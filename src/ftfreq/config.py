@@ -1,4 +1,5 @@
-"""Scenario configuration: dataclasses, flat key-value parsing, validation.
+"""Scenario configuration: dataclasses, flat key-value parsing, validation,
+built-in scenarios.
 
 Config files are plain text with one dotted key per line (# starts a
 comment, blank lines ignored), for example::
@@ -10,6 +11,10 @@ comment, blank lines ignored), for example::
 
 Vectors are space-separated. The same format is echoed into run metadata so
 a completed run documents exactly what produced it.
+
+The built-in scenarios are such files, shipped in the package's scenarios/
+directory with their tuning rationale as comments: builtin_scenario(name)
+parses scenarios/<name>.cfg, and BUILTIN_NAMES lists the file stems.
 
 The stage dataclasses are the schema: the keys of a section are
 <section>.<field> for each field of its dataclass (ModelConfig for model,
@@ -23,10 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
+from importlib import resources
 
 from .errors import ConfigError
-from .estimator import EstimatorSettings
+from .estimator import EstimatorSettings, length_violations
 from .mixing import DremConfig
+from .recovery import DEFAULT_IMAG_TOL
 from .regression import ModelConfig, steps_per_delay
 from .signals import (HarmonicDisturbance, HarmonicSpec, ScheduleStep,
                       SignalSpec, UniformDisturbance)
@@ -34,7 +41,7 @@ from .signals import (HarmonicDisturbance, HarmonicSpec, ScheduleStep,
 
 @dataclass(frozen=True)
 class RecoverySettings:
-    imag_tol: float = 1e-3
+    imag_tol: float = DEFAULT_IMAG_TOL
 
     def __post_init__(self):
         if not (math.isfinite(self.imag_tol) and self.imag_tol > 0):
@@ -108,12 +115,7 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
             f"run.duration = {cfg.run.duration} must exceed "
             f"estimator.t_ft = {cfg.estimator.t_ft}")
 
-    if len(cfg.estimator.gamma) != n:
-        bad.append(
-            f"estimator.gamma has {len(cfg.estimator.gamma)} entries, model.n = {n}")
-    if len(cfg.estimator.omega0) != n:
-        bad.append(
-            f"estimator.omega0 has {len(cfg.estimator.omega0)} entries, model.n = {n}")
+    bad.extend(length_violations(cfg.estimator, cfg.model))
     lo, hi = cfg.model.omega_min, cfg.model.omega_max
     for w in cfg.estimator.omega0:
         if not lo <= w <= hi:
@@ -162,6 +164,11 @@ def with_seed(cfg: ScenarioConfig, seed: int) -> tuple[ScenarioConfig, bool]:
         return cfg, False
     disturbance = replace(cfg.signal.disturbance, seed=seed)
     return replace(cfg, signal=replace(cfg.signal, disturbance=disturbance)), True
+
+
+def with_reset_times(cfg: ScenarioConfig, reset_times) -> ScenarioConfig:
+    """Copy of cfg with scheduled pipeline resets."""
+    return replace(cfg, run=replace(cfg.run, reset_times=tuple(reset_times)))
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +329,21 @@ def load_config(path) -> ScenarioConfig:
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config file: {exc.strerror or exc}") from exc
     return parse_config(text, source=str(path))
+
+
+_BUILTIN_DIR = resources.files(__package__) / "scenarios"
+
+BUILTIN_NAMES = tuple(sorted(
+    entry.name.removesuffix(".cfg") for entry in _BUILTIN_DIR.iterdir()
+    if entry.name.endswith(".cfg")))
+
+
+def builtin_scenario(name: str) -> ScenarioConfig:
+    """The built-in scenario name, parsed from the package's scenarios/<name>.cfg."""
+    if name not in BUILTIN_NAMES:
+        raise ConfigError(
+            [f"unknown scenario {name!r}; available: {', '.join(BUILTIN_NAMES)}"])
+    return load_config(_BUILTIN_DIR / f"{name}.cfg")
 
 
 def _fmt(value) -> str:

@@ -77,6 +77,13 @@ class EstimatorSettings:
             raise ConfigError(bad)
 
 
+def length_violations(settings: EstimatorSettings, model: ModelConfig) -> list[str]:
+    """The complaint, if any, that settings do not have model.n entries."""
+    if len(settings.gamma) != model.n:
+        return [f"estimator.gamma has {len(settings.gamma)} entries, model.n = {model.n}"]
+    return []
+
+
 class EstimatorState:
     """Mutable per-session estimator state.
 
@@ -94,9 +101,9 @@ class EstimatorState:
                  "excitation", "theta_ft", "extraction_time", "max_decay_step")
 
     def __init__(self, settings: EstimatorSettings, model: ModelConfig):
-        if len(settings.gamma) != model.n:
-            raise ConfigError(
-                f"estimator.gamma has {len(settings.gamma)} entries, model.n = {model.n}")
+        bad = length_violations(settings, model)
+        if bad:
+            raise ConfigError(bad)
         self.gamma = settings.gamma
         self.theta0 = true_theta(settings.omega0, model.h)
         self.theta_hat = list(self.theta0)

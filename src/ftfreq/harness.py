@@ -169,7 +169,9 @@ def _read_trace(path: str, sample_period: float) -> tuple[list[float], list[floa
             if start is None:
                 start = t
             expected = start + len(times) * sample_period
-            if abs(t - expected) > GRID_TOL * max(1.0, abs(expected) / sample_period):
+            # slack relative to the time, so a missing sample stays an
+            # error until t reaches sample_period / GRID_TOL
+            if abs(t - expected) > GRID_TOL * max(sample_period, abs(expected)):
                 raise ConfigError([
                     f"{path}: row {row}: time {t!r} off the uniform grid "
                     f"(expected {expected!r} at sample_period {sample_period})"])

@@ -75,11 +75,6 @@ class Pipeline:
         self._primed = False
         self._clear_window()
 
-    @property
-    def warmup_time(self) -> float:
-        """Seconds of history before mixed samples become warm."""
-        return warmup_time(self.model, self.drem)
-
     def step(self, t: float, y: float) -> StepResult:
         """Process one measurement sample and report the session outputs."""
         check_measurement(t, y)
@@ -128,10 +123,6 @@ class Pipeline:
         """Zero the whole window: every tap reads 0.0 until refilled."""
         self._window.extend([0.0] * self._window.maxlen)
         self._count = 0  # samples since the last clear
-
-    @property
-    def max_decay_step(self) -> float:
-        return self.state.max_decay_step
 
     @property
     def extracted(self) -> bool:

@@ -157,14 +157,10 @@ class SignalSpec:
 
 @dataclass(frozen=True)
 class SampledTrace:
-    """Uniformly sampled signal values starting at start_time."""
+    """Signal values on the grid sample_times(sample_period, duration)."""
 
     sample_period: float
     values: tuple[float, ...]
-    start_time: float = 0.0
-
-    def time_at(self, index: int) -> float:
-        return self.start_time + index * self.sample_period
 
 
 def sample_signal(spec: SignalSpec, t: float) -> float:

@@ -12,12 +12,12 @@ import numpy as np
 
 from conftest import (SAMPLE_PERIOD, cascade_residual, mixed_stream,
                       random_distinct_frequencies, window_at)
+from ftfreq.config import builtin_scenario, with_reset_times
 from ftfreq.estimator import EstimatorSettings, EstimatorState, step_gradient
 from ftfreq.harness import run_scenario
 from ftfreq.mixing import MixedSample, adjugate
 from ftfreq.recovery import recover_frequencies
 from ftfreq.regression import ModelConfig, delay_table, regression_at, true_theta
-from ftfreq.scenarios import builtin_scenario, with_reset_times
 from ftfreq.signals import HarmonicSpec, SignalSpec, generate_trace
 
 

@@ -11,8 +11,7 @@ import ftfreq
 
 from ftfreq.cli import (EXIT_CONFIG, EXIT_NOT_EXCITED, EXIT_NUMERIC, EXIT_OK,
                         main)
-from ftfreq.config import format_config
-from ftfreq.scenarios import builtin_scenario
+from ftfreq.config import builtin_scenario, format_config
 from ftfreq.signals import HarmonicSpec, SignalSpec
 
 

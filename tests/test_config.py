@@ -7,15 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftfreq.config import (EstimatorSettings, OutputConfig, RecoverySettings,
-                           RunConfig, ScenarioConfig, config_warnings,
-                           format_config, parse_config, validate_config,
+from ftfreq.config import (BUILTIN_NAMES, EstimatorSettings, OutputConfig,
+                           RecoverySettings, RunConfig, ScenarioConfig,
+                           builtin_scenario, config_warnings, format_config,
+                           parse_config, validate_config, with_reset_times,
                            with_seed)
 from ftfreq.errors import ConfigError
 from ftfreq.mixing import DremConfig
 from ftfreq.regression import H_RULE_HALF, H_RULE_QUARTER, ModelConfig
-from ftfreq.scenarios import (BUILTIN_NAMES, builtin_scenario,
-                              with_reset_times)
 from ftfreq.signals import (HarmonicDisturbance, HarmonicSpec, ScheduleStep,
                             SignalSpec, UniformDisturbance)
 
@@ -196,8 +195,11 @@ class TestBuiltinScenarios:
         assert after == [2.0, 3.0]
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as info:
             builtin_scenario("chirp")
+        (message,) = info.value.violations
+        assert "'chirp'" in message
+        assert all(name in message for name in BUILTIN_NAMES)
 
     def test_with_seed_override(self):
         cfg = builtin_scenario("uniform-noise")

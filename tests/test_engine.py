@@ -17,14 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftfreq.config import (EstimatorSettings, RunConfig, ScenarioConfig,
-                           ensure_valid)
+from ftfreq.config import (BUILTIN_NAMES, EstimatorSettings, RunConfig,
+                           ScenarioConfig, builtin_scenario, ensure_valid)
 from ftfreq.errors import ConfigError, NumericFault
 from ftfreq.harness import (RunResult, build_pipeline, estimate_from_file,
                             run_scenario, write_metadata, write_trace_csv)
 from ftfreq.mixing import DremConfig
+from ftfreq.pipeline import warmup_time
 from ftfreq.regression import ModelConfig
-from ftfreq.scenarios import BUILTIN_NAMES, builtin_scenario
 from ftfreq.signals import (HarmonicSpec, SignalSpec, UniformDisturbance,
                             generate_trace)
 
@@ -51,7 +51,7 @@ def pipeline_reference(cfg, times, samples):
 def reference_metadata(pipeline):
     state = pipeline.state
     return {
-        "pipeline.warmup_time": repr(pipeline.warmup_time),
+        "pipeline.warmup_time": repr(warmup_time(pipeline.model, pipeline.drem)),
         "pipeline.max_decay_step": repr(state.max_decay_step),
         "estimator.excitation_integral": repr(state.excitation),
         "estimator.extraction_time": (repr(state.extraction_time)

@@ -1,21 +1,23 @@
 """Integration tests for scenario execution, CSV output, and file estimation."""
 
 import math
-import os
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from ftfreq.config import (EstimatorSettings, RunConfig, ScenarioConfig,
+from ftfreq.config import (BUILTIN_NAMES, EstimatorSettings, RunConfig,
+                           ScenarioConfig, builtin_scenario, load_config,
                            parse_config)
 from ftfreq.errors import ConfigError
 from ftfreq.harness import estimate_from_file, run_scenario, write_trace_csv
 from ftfreq.mixing import DremConfig
 from ftfreq.regression import ModelConfig
-from ftfreq.scenarios import builtin_scenario, with_reset_times
 from ftfreq.signals import (HarmonicSpec, ScheduleStep, SignalSpec,
                             generate_trace)
 
+ROOT = Path(__file__).resolve().parent.parent
 COS_PHASE = math.pi / 2
 
 
@@ -170,14 +172,18 @@ class TestEstimateFromFile:
             assert fa.read() == fb.read()
 
     def test_gap_in_grid_rejected_with_row(self, tmp_path):
-        cfg = quick_noiseless()
-        path = tmp_path / "gap.csv"
-        times = [k * 0.001 for k in range(100)]
-        del times[50]
-        write_trace_csv(str(path), times, [0.0] * len(times))
-        with pytest.raises(ConfigError) as info:
-            estimate_from_file(str(path), cfg)
-        assert any("row 52" in v for v in info.value.violations)
+        # (sample period, rows, dropped sample): early, and late enough that
+        # a slack growing with the sample count would swallow the gap
+        for period, rows, gap in ((0.001, 100, 50), (1e-5, 15100, 15000)):
+            cfg = quick_noiseless()
+            cfg = replace(cfg, run=replace(cfg.run, sample_period=period))
+            path = tmp_path / "gap.csv"
+            times = [k * period for k in range(rows)]
+            del times[gap]
+            write_trace_csv(str(path), times, [0.0] * len(times))
+            with pytest.raises(ConfigError) as info:
+                estimate_from_file(str(path), cfg)
+            assert any(f"row {gap + 2}:" in v for v in info.value.violations), period
 
     def test_header_required(self, tmp_path):
         cfg = quick_noiseless()
@@ -213,13 +219,20 @@ class TestEstimateFromFile:
 
 
 class TestBuiltinScenarioFiles:
-    def test_checked_in_files_match_builtins(self):
-        root = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
-        for name in ("noiseless-2h", "harmonic-noise", "uniform-noise",
-                     "step-change"):
-            with open(os.path.join(root, f"{name}.cfg")) as fh:
-                parsed = parse_config(fh.read(), source=f"{name}.cfg")
-            assert parsed == builtin_scenario(name), name
+    def test_root_files_are_the_builtins(self):
+        paths = sorted((ROOT / "scenarios").glob("*.cfg"))
+        assert tuple(path.stem for path in paths) == BUILTIN_NAMES
+        for path in paths:
+            assert load_config(path) == builtin_scenario(path.stem), path.stem
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in 3.11")
+    def test_package_data_ships_every_builtin(self):
+        import tomllib
+        with open(ROOT / "pyproject.toml", "rb") as fh:
+            package_data = tomllib.load(fh)["tool"]["setuptools"]["package-data"]
+        package = ROOT / "src" / "ftfreq"
+        shipped = {path for pattern in package_data["ftfreq"] for path in package.glob(pattern)}
+        assert {package / "scenarios" / f"{name}.cfg" for name in BUILTIN_NAMES} <= shipped
 
     def test_harmonic_noise_scenario_runs_and_extracts(self):
         cfg = builtin_scenario("harmonic-noise")

@@ -7,7 +7,7 @@ import pytest
 from ftfreq.errors import ConfigError
 from ftfreq.signals import (HarmonicDisturbance, HarmonicSpec, SampledTrace,
                             ScheduleStep, SignalSpec, UniformDisturbance,
-                            generate_trace, sample_signal)
+                            generate_trace, sample_signal, sample_times)
 
 COS_PHASE = math.pi / 2
 
@@ -126,7 +126,8 @@ class TestGenerateTrace:
     def test_length_and_grid(self):
         trace = generate_trace(two_tone(), 0.001, 2.0)
         assert len(trace.values) == 2001
-        assert trace.time_at(100) == pytest.approx(0.1, abs=1e-15)
+        assert trace.values[100] == sample_signal(two_tone(), sample_times(0.001, 2.0)[100])
+        assert sample_times(0.001, 2.0)[100] == pytest.approx(0.1, abs=1e-15)
 
     def test_values_match_pointwise_evaluation(self):
         spec = two_tone()
@@ -162,5 +163,7 @@ class TestSpecValidation:
             HarmonicSpec(1.0, -2.0, 0.0)
 
     def test_sampled_trace_time_origin(self):
-        trace = SampledTrace(sample_period=0.5, values=(1.0, 2.0), start_time=3.0)
-        assert trace.time_at(1) == 3.5
+        # a trace starts at t = 0: sample k is the signal at k * sample_period
+        trace = generate_trace(two_tone(), 0.5, 1.0)
+        assert trace == SampledTrace(sample_period=0.5, values=tuple(
+            sample_signal(two_tone(), t) for t in (0.0, 0.5, 1.0)))
