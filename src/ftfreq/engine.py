@@ -1,29 +1,35 @@
 """Whole-trace engine: the estimation chain over a trace already in memory.
 
 Pipeline takes one sample per step(); run_trace takes a whole (time, y)
-trace and runs each stage over all of it at once:
+trace, allocates one Trajectory, and for each segment calls the stages in
+the chain's order, each writing its rows into the Trajectory:
 
-* regression and extension: shifted copies of the trace at the sample lags
-  of the session's DelayTable, summed in the tap order of regression_at;
-* mixing: adjugate's closed forms for n <= 2 elementwise and, for n >= 3,
-  one stacked SVD with adjugate's product-of-others form;
-* gradient and extraction: one scalar loop over the warm samples calling
-  advance_gradient and finite_time_estimate, the functions Pipeline uses;
-* per-sample omega_grad recovery: find_roots' closed forms (n <= 2) or
-  stacked companion eigenvalues with its Newton polish (n >= 3), its
-  residual check on every root, and the math.acos of roots_to_frequencies.
+* _mixed: regression and extension (_regression, _stack: shifted copies of
+  the trace at the sample lags of the session's DelayTable, summed in the
+  tap order of regression_at), mixing (_mix: adjugate's closed forms for
+  n <= 2, one stacked SVD with its product-of-others form above), and the
+  scan for the first fault before the gradient step;
+* _gradient: one scalar loop calling advance_gradient and
+  finite_time_estimate, the functions Pipeline uses;
+* _recover: omega_grad in _CHUNK-row blocks (_grad_omegas: find_roots'
+  closed forms or stacked companion eigenvalues with its Newton polish, its
+  residual check on every root, and roots_to_frequencies' math.acos);
+* _replay: the first fault, raised by the streaming stage itself on that
+  sample's inputs, so its exception and message are Pipeline's too.
 
-Each elementwise operation is the one the streaming stage performs, in the
-same order and in the same float (or emulated complex) arithmetic, so the
-outputs equal Pipeline's bit for bit. A reset starts a new segment: cleared
-history, a new epoch, theta_hat carried over. The first fault is raised
-where Pipeline would raise it, by the streaming stage itself replayed on
-that sample's inputs, so its exception and message are Pipeline's too.
+Each elementwise operation is the streaming stage's, in the same order and
+the same float (or emulated complex) arithmetic, so for n <= 2 the outputs
+equal Pipeline's bit for bit. For n >= 3 the stacked LAPACK and BLAS calls
+(svd, det, matmul, eigvals) need not round as one-matrix calls do: they
+have matched in every case checked, and tests/test_engine.py holds them to
+1e-12 relative. A reset starts a new segment: cleared history, a new
+epoch, theta_hat carried over.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,131 +96,112 @@ def run_trace(model: ModelConfig, drem: DremConfig, estimator: EstimatorSettings
     The arguments are Pipeline's, plus the trace and the sample indices at
     which its segments start (0 first, strictly increasing).
     """
-    run = _Run(model, drem, estimator, sample_period, imag_tol, times, samples)
-    edges = [*starts, len(times)]
+    taps = delay_table(model, drem.d, sample_period)
+    bounds = (model.omega_min, model.omega_max)
+    count, n = len(times), model.n
+    run = Trajectory(times=times, samples=samples, delta=np.empty(count),
+                     theta_hat=np.empty((count, n)), omega_grad=np.empty((count, n)),
+                     held=[], state=EstimatorState(estimator, model))
+    edges = [*starts, count]
     with np.errstate(all="ignore"):  # non-finite values are checked, not warned about
         for first, stop in zip(edges, edges[1:]):
             if first:
                 reset_estimator(run.state)
-            run.segment(first, stop)
-    return Trajectory(times=times, samples=samples, delta=run.delta,
-                      theta_hat=run.theta_hat, omega_grad=run.omega_grad,
-                      held=run.held, state=run.state)
+            mixed, fault = _mixed(run, first, stop, taps, drem.epsilon, sample_period)
+            fault = _gradient(run, first, stop, mixed, taps.warm_from, estimator,
+                              model.h, bounds, imag_tol, sample_period) or fault
+            end = stop if fault is None else first + fault[0]
+            for a in range(first, end, _CHUNK):
+                _recover(run, a, min(a + _CHUNK, end), model.h, bounds)
+            if fault is not None:
+                k = first + fault[0]
+                _replay(k, times[k], *fault[1:])
+                raise RuntimeError(f"sample {k}: whole-trace check and streaming stage disagree")
+    return run
 
 
-class _Run:
-    """Output columns and estimator state of one run_trace call."""
+def _mixed(run: Trajectory, first: int, stop: int, taps: DelayTable,
+           epsilon: float, dt: float):
+    """Regression, stack and mix of rows first..stop-1, up to their first
+    pre-gradient fault; writes their delta rows.
 
-    def __init__(self, model: ModelConfig, drem: DremConfig, estimator: EstimatorSettings,
-                 sample_period: float, imag_tol: float, times: list[float],
-                 samples: list[float]):
-        self.taps = delay_table(model, drem.d, sample_period)
-        self.model = model
-        self.epsilon = drem.epsilon
-        self.estimator = estimator
-        self.dt = sample_period
-        self.imag_tol = imag_tol
-        self.bounds = (model.omega_min, model.omega_max)
-        self.times = times
-        self.samples = samples
-        self.t = np.array(times, dtype=float)
-        self.y = np.array(samples, dtype=float)
-        count, n = len(times), model.n
-        self.delta = np.empty(count)
-        self.theta_hat = np.empty((count, n))
-        self.omega_grad = np.empty((count, n))
-        self.held = []
-        self.state = EstimatorState(estimator, model)
+    Returns (mixed, fault): fault is None, or (row, streaming stage, its
+    arguments) for the first non-finite measurement, stacked regressor or
+    warm mixed sample, counted from first, and mixed stops at that row.
+    """
+    times = run.times
+    y = np.array(run.samples[first:stop], dtype=float)
+    fault = None
+    end = _first(~np.isfinite(y))
+    if end < len(y):
+        fault = (end, check_measurement, times[first + end], run.samples[first + end])
+    psi, phi = _regression(y[:end], taps)
+    psi_rows, phi_rows = _stack(psi, taps.rows), _stack(phi, taps.rows)
+    bad = _first(~np.isfinite(phi_rows).all(axis=(1, 2)))
+    if bad < end:
+        end, fault = bad, (bad, mix, times[first + bad], tuple(psi_rows[bad].tolist()),
+                           tuple(map(tuple, phi_rows[bad].tolist())), False, epsilon)
+    delta, mixed = _mix(phi_rows[:end], psi_rows[:end], epsilon)
+    warm = min(taps.warm_from, end)
+    bad = warm + _first(~(np.isfinite(delta[warm:]) & np.isfinite(mixed[warm:]).all(axis=1)))
+    if bad < end:
+        sample = MixedSample(times[first + bad], float(delta[bad]),
+                             tuple(mixed[bad].tolist()), True)
+        fault = (bad, step_gradient, run.state, sample, dt)
+    run.delta[first:first + bad] = delta[:bad]
+    return mixed[:bad], fault
 
-    def segment(self, first: int, stop: int) -> None:
-        """Samples first..stop-1, starting from flushed history and a new epoch."""
-        delta, mixed, fault = self._mixed(first, stop)
-        self.delta[first:first + len(delta)] = delta
-        fault = self._gradient(first, stop, delta, mixed, fault)
-        end = first + (stop - first if fault is None else fault[0])
-        for a in range(first, end, _CHUNK):
-            self._recover(a, min(a + _CHUNK, end))
-        if fault is not None:
-            k = first + fault[0]
-            _replay(k, self.times[k], *fault[1:])
-            raise RuntimeError(f"sample {k}: whole-trace check and streaming stage disagree")
 
-    def _mixed(self, first: int, stop: int):
-        """delta and mixed psi of the segment up to its first pre-gradient fault.
+def _gradient(run: Trajectory, first: int, stop: int, mixed: np.ndarray,
+              warm_from: int, estimator: EstimatorSettings, h: float,
+              bounds: tuple[float, float], imag_tol: float, dt: float):
+    """Gradient and extraction over the segment's mixed rows; writes its
+    theta_hat rows and held run. Returns None, or the fault of an extraction
+    whose recovery fails, as (row, streaming stage, its arguments)."""
+    state, times = run.state, run.times
+    end = len(mixed)
+    delta = run.delta[first:first + end]
+    warm = min(warm_from, end)
+    # Priming: the epoch clock starts at the segment's first sample.
+    start = state.time = state.epoch_start = times[first]
+    extract_from = bisect_left(times, estimator.t_ft, first, first + end,
+                               key=lambda t: t - start) - first
+    theta = state.theta_hat
+    n = len(theta)
+    run.theta_hat[first:first + warm] = theta  # holds still until the stack is warm
+    for a in range(warm, end, _CHUNK):
+        b = min(a + _CHUNK, end)
+        rows, failed = [], None
+        for j, d, psi in zip(range(a, b), delta[a:b].tolist(), mixed[a:b].tolist()):
+            advance_gradient(state, d, psi, dt)
+            rows += theta
+            if state.theta_ft is None and j >= extract_from:
+                state.time = times[first + j]
+                theta_ft = finite_time_estimate(state, estimator)
+                if theta_ft is None:
+                    continue
+                try:
+                    omega_ft = recover_frequencies(theta_ft, h, bounds, imag_tol).omega_hat
+                except (NumericFault, ValueError):
+                    failed = (j, recover_frequencies, theta_ft, h, bounds, imag_tol)
+                    break
+                run.held.append((first + j, stop, theta_ft, omega_ft))
+        run.theta_hat[first + a:first + a + len(rows) // n] = np.reshape(rows, (-1, n))
+        if failed is not None:
+            return failed
+    state.time = times[stop - 1]
+    return None
 
-        Returns (delta, mixed, fault): fault is None, or (row, streaming
-        stage, its arguments) for the first non-finite measurement, stacked
-        regressor or warm mixed sample, and delta and mixed stop at that row.
-        """
-        taps, times = self.taps, self.times
-        y = self.y[first:stop]
-        fault = None
-        end = _first(~np.isfinite(y))
-        if end < len(y):
-            fault = (end, check_measurement, times[first + end], self.samples[first + end])
-        psi, phi = _regression(y[:end], taps)
-        psi_rows, phi_rows = _stack(psi, taps.rows), _stack(phi, taps.rows)
-        bad = _first(~np.isfinite(phi_rows).all(axis=(1, 2)))
-        if bad < end:
-            end, fault = bad, (bad, mix, times[first + bad], tuple(psi_rows[bad].tolist()),
-                               tuple(map(tuple, phi_rows[bad].tolist())), False, self.epsilon)
-        delta, mixed = _mix(phi_rows[:end], psi_rows[:end], self.epsilon)
-        warm = min(taps.warm_from, end)
-        bad = warm + _first(~(np.isfinite(delta[warm:]) & np.isfinite(mixed[warm:]).all(axis=1)))
-        if bad < end:
-            sample = MixedSample(times[first + bad], float(delta[bad]),
-                                 tuple(mixed[bad].tolist()), True)
-            fault = (bad, step_gradient, self.state, sample, self.dt)
-        return delta[:bad], mixed[:bad], fault
 
-    def _gradient(self, first: int, stop: int, delta: np.ndarray,
-                  mixed: np.ndarray, fault):
-        """theta_hat rows of the segment and its extraction; returns the first
-        fault, which an extraction whose recovery fails moves earlier."""
-        state, times, estimator = self.state, self.times, self.estimator
-        end = len(delta)
-        warm = min(self.taps.warm_from, end)
-        # Priming: the epoch clock starts at the segment's first sample.
-        state.time = state.epoch_start = times[first]
-        elapsed = self.t[first:first + end] - times[first]
-        extract_from = int(np.searchsorted(elapsed, estimator.t_ft, side="left"))
-        theta = state.theta_hat
-        n = len(theta)
-        self.theta_hat[first:first + warm] = theta  # holds still until the stack is warm
-        h, dt = self.model.h, self.dt
-        for a in range(warm, end, _CHUNK):
-            b = min(a + _CHUNK, end)
-            rows, failed = [], None
-            for j, d, psi in zip(range(a, b), delta[a:b].tolist(), mixed[a:b].tolist()):
-                advance_gradient(state, d, psi, dt)
-                rows += theta
-                if state.theta_ft is None and j >= extract_from:
-                    state.time = times[first + j]
-                    theta_ft = finite_time_estimate(state, estimator)
-                    if theta_ft is None:
-                        continue
-                    try:
-                        omega_ft = recover_frequencies(
-                            theta_ft, h, self.bounds, self.imag_tol).omega_hat
-                    except (NumericFault, ValueError):
-                        failed = (j, recover_frequencies, theta_ft, h, self.bounds, self.imag_tol)
-                        break
-                    self.held.append((first + j, stop, theta_ft, omega_ft))
-            self.theta_hat[first + a:first + a + len(rows) // n] = np.reshape(rows, (-1, n))
-            if failed is not None:
-                return failed
-        state.time = times[stop - 1]
-        return fault
-
-    def _recover(self, first: int, stop: int) -> None:
-        """omega_grad of rows first..stop-1; a row that faults raises here."""
-        h, bounds = self.model.h, self.bounds
-        theta = self.theta_hat[first:stop]
-        omega, suspect = _grad_omegas(theta, h, bounds)
-        for j in np.flatnonzero(suspect).tolist():
-            omega[j] = _replay(first + j, self.times[first + j], recover_frequencies,
-                               tuple(theta[j].tolist()), h, bounds, math.inf).omega_hat
-        self.omega_grad[first:stop] = omega
+def _recover(run: Trajectory, first: int, stop: int, h: float,
+             bounds: tuple[float, float]) -> None:
+    """omega_grad of rows first..stop-1; a row that faults raises here."""
+    theta = run.theta_hat[first:stop]
+    omega, suspect = _grad_omegas(theta, h, bounds)
+    for j in np.flatnonzero(suspect).tolist():
+        omega[j] = _replay(first + j, run.times[first + j], recover_frequencies,
+                           tuple(theta[j].tolist()), h, bounds, math.inf).omega_hat
+    run.omega_grad[first:stop] = omega
 
 
 def _first(mask: np.ndarray) -> int:
@@ -272,8 +259,6 @@ def _mix(phi_rows: np.ndarray, psi_rows: np.ndarray,
         (a, b), (c, d) = phi_rows[:, 0].T, phi_rows[:, 1].T
         adj = np.stack((np.stack((d, -b), axis=1), np.stack((-c, a), axis=1)), axis=1)
         det = a * d - b * c
-    elif count == 0:
-        adj, det = np.zeros((0, n, n)), np.zeros(0)
     else:
         u, s, vt = np.linalg.svd(phi_rows)
         sign = np.copysign(1.0, np.linalg.det(u @ vt))
@@ -371,7 +356,7 @@ def _grad_omegas(theta: np.ndarray, h: float,
         companion[:, 0, :] = theta
         companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
         try:
-            eigen = np.linalg.eigvals(companion) if count else np.zeros((0, n))
+            eigen = np.linalg.eigvals(companion)
         except np.linalg.LinAlgError:  # find_roots names the matrix that failed
             return np.full((count, n), np.nan), np.ones(count, dtype=bool)
         xr, xi = _polish(coeffs, eigen.real.copy(), np.imag(eigen).copy())

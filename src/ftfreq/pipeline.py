@@ -72,17 +72,15 @@ class Pipeline:
         self.state = EstimatorState(estimator, model)
         self._bounds = (model.omega_min, model.omega_max)
         self._omega_ft: tuple[float, ...] | None = None
-        self._primed = False
         self._clear_window()
 
     def step(self, t: float, y: float) -> StepResult:
         """Process one measurement sample and report the session outputs."""
         check_measurement(t, y)
-        if not self._primed:
+        if self._count == 0:
             # epochs are measured from the first sample actually processed
             self.state.time = t
             self.state.epoch_start = t
-            self._primed = True
         taps = self.taps
         self._window.appendleft(y)
         self._count += 1
@@ -117,7 +115,6 @@ class Pipeline:
         self._clear_window()
         reset_estimator(self.state)
         self._omega_ft = None
-        self._primed = False  # next sample starts the new epoch clock
 
     def _clear_window(self) -> None:
         """Zero the whole window: every tap reads 0.0 until refilled."""

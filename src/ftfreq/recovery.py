@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimateNotPhysical, NumericFault
+from .regression import MAX_HARMONICS
 
-MAX_DEGREE = 8
 DEFAULT_IMAG_TOL = 1e-3
 
 # Residual target for every returned root: |p(r)| <= RESIDUAL_TOL * (1 + max|coeff|).
@@ -86,8 +86,8 @@ def find_roots(coeffs) -> list[complex]:
     """
     coeffs = [float(c) for c in coeffs]
     degree = len(coeffs) - 1
-    if not 1 <= degree <= MAX_DEGREE:
-        raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {degree}")
+    if not 1 <= degree <= MAX_HARMONICS:
+        raise ValueError(f"degree must be in 1..{MAX_HARMONICS}, got {degree}")
     if coeffs[0] != 1.0:
         raise ValueError(f"polynomial must be monic, got leading coefficient {coeffs[0]}")
     if any(not math.isfinite(c) for c in coeffs):

@@ -32,8 +32,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ConfigError
+from .signals import GRID_TOL
 
-MAX_HARMONICS = 8  # largest model order; mixing's adjugate is tested up to here
+MAX_HARMONICS = 8  # largest model order: also adjugate's matrix size and find_roots' degree limit
 
 H_RULE_QUARTER = "quarter-period"
 H_RULE_HALF = "half-period"
@@ -133,7 +134,7 @@ class ModelConfig:
 def steps_per_delay(delay: float, sample_period: float, label: str) -> int:
     """Delay expressed in whole samples; rejects off-grid delays."""
     steps = round(delay / sample_period) if sample_period > 0 else 0
-    if steps < 1 or abs(steps * sample_period - delay) > 1e-9 * sample_period:
+    if steps < 1 or abs(steps * sample_period - delay) > GRID_TOL * sample_period:
         raise ConfigError(
             f"{label} = {delay} is not a positive integer multiple of "
             f"sample_period = {sample_period}")

@@ -93,7 +93,7 @@ class UniformDisturbance:
 
     def value(self, t: float) -> float:
         # Nudge guards against t/p landing a hair below an integer slot edge.
-        index = math.floor(t / self.sample_period + 1e-9)
+        index = math.floor(t / self.sample_period + GRID_TOL)
         return uniform_noise_value(self.seed, index, self.half_range)
 
 

@@ -243,6 +243,20 @@ class TestFaultParity:
         assert kind is NumericFault and index == 2000 + 130
         assert "root residual" in message
 
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("after_reset", [False, True], ids=["t0", "after-reset"])
+    def test_non_finite_first_sample_of_a_segment(self, tmp_path, n, after_reset):
+        # the segment's measurement scan stops at its first row, so the
+        # regression, stack and mix run on empty arrays before the replay
+        cfg = synthetic(n, 1)
+        times, samples = grid(cfg)
+        reset = cfg.run.reset_times[0] - GRID_TOL
+        k = next(i for i, t in enumerate(times) if t >= reset) if after_reset else 0
+        samples[k] = math.nan
+        kind, index, message = assert_parity(cfg, times, samples, tmp_path)
+        assert kind is NumericFault and index == k
+        assert "non-finite measurement" in message
+
     def test_overflowing_regressor(self, tmp_path):
         # a finite 1e308 overflows phi before warm-up, a fault of the data:
         # mix raises it once the stack holds it, after phi's shallowest tap

@@ -2,19 +2,24 @@
 
 import math
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import SAMPLE_PERIOD, mixed_stream
+from ftfreq.config import RunConfig, ScenarioConfig, ensure_valid
 from ftfreq.errors import ConfigError, NumericFault
 from ftfreq.estimator import (EstimatorSettings, EstimatorState,
                               finite_time_estimate, reset_estimator,
                               step_gradient)
 from ftfreq.engine import run_trace
+from ftfreq.harness import build_pipeline, run_scenario
 from ftfreq.mixing import DremConfig, MixedSample
-from ftfreq.pipeline import Pipeline
+from ftfreq.pipeline import Pipeline, warmup_time
 from ftfreq.regression import ModelConfig, true_theta
-from ftfreq.signals import HarmonicSpec, SignalSpec
+from ftfreq.signals import HarmonicSpec, SignalSpec, generate_trace
 
 H = 0.1  # model delay that maps the initial guesses omega0 to theta0
 
@@ -41,6 +46,37 @@ def constant_session(cfg, delta, theta, steps, dt=SAMPLE_PERIOD, start=0):
 def two_tone():
     return SignalSpec(harmonics=(HarmonicSpec(1.0, 2.0, 0.0),
                                  HarmonicSpec(1.0, 3.0, math.pi / 2)))
+
+
+@st.composite
+def clean_sessions(draw):
+    """Configs of n <= 3 clean tones on a 0.02 s grid, with h and d on the
+    grid and t_ft 1 ms to 3 s after the warm-up 2nh + nd, log-uniformly, so
+    that many draws extract while W_i is still far from 0.
+    h, d >= 0.2 s, eps = 10 and amplitudes >= 0.8 excite every draw enough
+    to extract: at the weakest corner (n = 3, h = d = 0.2, tones 0.6, 1.0
+    and 1.4 of amplitude 0.8, gains 0.1) 1 - W_i reaches 6.6e-5, 66x
+    w_floor, by the end of the run, 3 s after t_ft."""
+    n = draw(st.integers(1, 3))
+    period = 0.02
+    h = round(draw(st.integers(10, 15)) * period, 9)  # h * 4.0 <= 1.2 < pi / 2
+    d = round(draw(st.integers(10, 20)) * period, 9)
+    start = draw(st.floats(0.6, 1.0))
+    gaps = draw(st.lists(st.floats(0.4, 1.0), min_size=n, max_size=n))
+    freqs = [start + sum(gaps[:i]) for i in range(n)]
+    harmonics = tuple(HarmonicSpec(draw(st.floats(0.8, 2.0)), w,
+                                   draw(st.floats(0.0, 2 * math.pi))) for w in freqs)
+    model = ModelConfig(n=n, h=h, omega_min=0.5, omega_max=4.0)
+    drem = DremConfig(d=d, epsilon=10.0)
+    after = 10.0 ** draw(st.floats(-3.0, math.log10(3.0)))
+    t_ft = round(warmup_time(model, drem) + after, 6)
+    cfg = ScenarioConfig(
+        name="clean", signal=SignalSpec(harmonics), model=model, drem=drem,
+        estimator=EstimatorSettings(
+            gamma=tuple(draw(st.floats(0.1, 5.0)) for _ in range(n)),
+            omega0=tuple(0.5 + (i + 0.5) * 3.5 / n for i in range(n)), t_ft=t_ft),
+        run=RunConfig(sample_period=period, duration=round(t_ft + 3.0, 6)))
+    return ensure_valid(cfg)
 
 
 class TestStepGradient:
@@ -186,6 +222,22 @@ class TestFiniteTimeEstimate:
             for got, want in zip(result, theta_star):
                 assert abs(got - want) <= 1e-4
 
+    @hypothesis.settings(max_examples=50, deadline=None)
+    @given(clean_sessions())
+    def test_exact_at_extraction_after_any_t_ft(self, cfg):
+        # On clean tones psi = delta * theta holds at every warm sample, so
+        # theta_ft is the true theta up to rounding. The rounding of theta_hat
+        # (~1e-15) is divided by 1 - W_i >= w_floor = 1e-6 when extraction
+        # fires on the deferral edge: below 2e-9 over 2000 draws, so the
+        # bound leaves 50x to spare. The gradient estimate alone is off by
+        # W_i * |theta0 - theta|, far above the bound unless W_i is ~0.
+        state = run_scenario(cfg).trajectory.state
+        assert state.theta_ft is not None
+        assert state.extraction_time >= cfg.estimator.t_ft - 1e-9
+        freqs = [tone.frequency for tone in cfg.signal.harmonics]
+        for got, want in zip(state.theta_ft, true_theta(freqs, cfg.model.h)):
+            assert abs(got - want) <= 1e-7
+
     def test_held_constant_after_extraction(self):
         cfg = settings((1.0,), t_ft=0.05)
         state = constant_session(cfg, delta=1.0, theta=(0.3,), steps=100)
@@ -222,6 +274,34 @@ class TestReset:
             step_gradient(state, mixed, SAMPLE_PERIOD)
         result = finite_time_estimate(state, cfg)
         assert result == pytest.approx((-0.9,), abs=1e-9)
+
+
+class TestPipelineReset:
+    @staticmethod
+    def records(cfg, resets, repeat=1, before=False):
+        """Pipeline records over cfg's trace, with reset() called repeat
+        times before each sample index in resets (and once before the first
+        sample if before)."""
+        pipeline = build_pipeline(cfg)
+        period = cfg.run.sample_period
+        values = generate_trace(cfg.signal, period, cfg.run.duration).values
+        if before:
+            pipeline.reset()
+        out = []
+        for k, y in enumerate(values):
+            for _ in range(repeat if k in resets else 0):
+                pipeline.reset()
+            out.append(pipeline.step(k * period, y))
+        return out
+
+    @hypothesis.settings(max_examples=25, deadline=None)
+    @given(clean_sessions(), st.data())
+    def test_reset_is_idempotent(self, cfg, data):
+        count = round(cfg.run.duration / cfg.run.sample_period) + 1
+        resets = set(data.draw(st.lists(st.integers(1, count - 1), max_size=3)))
+        once = self.records(cfg, resets)
+        assert self.records(cfg, resets, repeat=2) == once
+        assert self.records(cfg, resets, before=True) == once
 
 
 class TestEstimatorSettings:
