@@ -4,26 +4,29 @@ Pipeline takes one sample per step(); run_trace takes a whole (time, y)
 trace, allocates one Trajectory, and for each segment calls the stages in
 the chain's order, each writing its rows into the Trajectory:
 
-* _mixed: regression and extension (_regression, _stack: shifted copies of
-  the trace at the sample lags of the session's DelayTable, summed in the
-  tap order of regression_at), mixing (_mix: adjugate's closed forms for
-  n <= 2, one stacked SVD with its product-of-others form above), and the
-  scan for the first fault before the gradient step;
+* _mixed: regression_at on a window whose entry k is the whole segment k
+  samples back, the extension _stack (those columns shifted by the stacked
+  lags), _mix, and the scan for the first fault before the gradient step;
 * _gradient: one scalar loop calling advance_gradient and
-  finite_time_estimate, the functions Pipeline uses;
-* _recover: omega_grad in _CHUNK-row blocks (_grad_omegas: find_roots'
-  closed forms or stacked companion eigenvalues with its Newton polish, its
-  residual check on every root, and roots_to_frequencies' math.acos);
+  finite_time_estimate;
+* _recover: omega_grad in _CHUNK-row blocks;
 * _replay: the first fault, raised by the streaming stage itself on that
   sample's inputs, so its exception and message are Pipeline's too.
+
+The stages call Pipeline's own stage functions, on arrays where a stage
+runs per sample. Two are batched re-implementations instead, kept because
+one call per row costs several times more: the n >= 3 adjugate in _mix
+(one stacked SVD; mixing's closed forms and scaled product are shared) and
+_grad_omegas (find_roots over stacked companion matrices, in CPython's
+complex arithmetic, then math.acos).
 
 Each elementwise operation is the streaming stage's, in the same order and
 the same float (or emulated complex) arithmetic, so for n <= 2 the outputs
 equal Pipeline's bit for bit. For n >= 3 the stacked LAPACK and BLAS calls
 (svd, det, matmul, eigvals) need not round as one-matrix calls do: they
 have matched in every case checked, and tests/test_engine.py holds them to
-1e-12 relative. A reset starts a new segment: cleared history, a new
-epoch, theta_hat carried over.
+1e-12 relative. A reset starts a new segment: cleared history, a new epoch
+timed from its first sample, theta_hat carried over.
 """
 
 from __future__ import annotations
@@ -31,16 +34,18 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import NumericFault
 from .estimator import (EstimatorSettings, EstimatorState, advance_gradient,
                         finite_time_estimate, reset_estimator, step_gradient)
-from .mixing import DremConfig, MixedSample, mix
+from .mixing import (DremConfig, MixedSample, _closed_form, _scaled_product,
+                     mix)
 from .pipeline import StepResult, check_measurement
 from .recovery import RESIDUAL_TOL, recover_frequencies
-from .regression import DelayTable, ModelConfig, delay_table
+from .regression import DelayTable, ModelConfig, delay_table, regression_at
 
 _CHUNK = 4096  # rows per gradient-loop or recovery block: bounds the Python objects held
 
@@ -135,8 +140,15 @@ def _mixed(run: Trajectory, first: int, stop: int, taps: DelayTable,
     end = _first(~np.isfinite(y))
     if end < len(y):
         fault = (end, check_measurement, times[first + end], run.samples[first + end])
-    psi, phi = _regression(y[:end], taps)
-    psi_rows, phi_rows = _stack(psi, taps.rows), _stack(phi, taps.rows)
+    depth = taps.valid_from
+    padded = np.concatenate((np.zeros(depth), y[:end]))
+    # regression_at reads window[lag] for the lag of each tap: here the
+    # whole segment that many samples back
+    window = {lag: _delayed(padded, lag, depth)
+              for _, lag in chain(taps.psi, *taps.phi)}
+    psi, phi = regression_at(window, taps)
+    psi_rows = _stack(psi, taps.rows)
+    phi_rows = _stack(np.stack(phi, axis=1), taps.rows)
     bad = _first(~np.isfinite(phi_rows).all(axis=(1, 2)))
     if bad < end:
         end, fault = bad, (bad, mix, times[first + bad], tuple(psi_rows[bad].tolist()),
@@ -162,8 +174,7 @@ def _gradient(run: Trajectory, first: int, stop: int, mixed: np.ndarray,
     end = len(mixed)
     delta = run.delta[first:first + end]
     warm = min(warm_from, end)
-    # Priming: the epoch clock starts at the segment's first sample.
-    start = state.time = state.epoch_start = times[first]
+    start = times[first]  # the epoch clock starts at the segment's first sample
     extract_from = bisect_left(times, estimator.t_ft, first, first + end,
                                key=lambda t: t - start) - first
     theta = state.theta_hat
@@ -176,20 +187,18 @@ def _gradient(run: Trajectory, first: int, stop: int, mixed: np.ndarray,
             advance_gradient(state, d, psi, dt)
             rows += theta
             if state.theta_ft is None and j >= extract_from:
-                state.time = times[first + j]
-                theta_ft = finite_time_estimate(state, estimator)
+                theta_ft = finite_time_estimate(state, estimator, times[first + j])
                 if theta_ft is None:
                     continue
                 try:
                     omega_ft = recover_frequencies(theta_ft, h, bounds, imag_tol).omega_hat
-                except (NumericFault, ValueError):
+                except NumericFault:
                     failed = (j, recover_frequencies, theta_ft, h, bounds, imag_tol)
                     break
                 run.held.append((first + j, stop, theta_ft, omega_ft))
         run.theta_hat[first + a:first + a + len(rows) // n] = np.reshape(rows, (-1, n))
         if failed is not None:
             return failed
-    state.time = times[stop - 1]
     return None
 
 
@@ -224,22 +233,6 @@ def _delayed(values: np.ndarray, lag: int, depth: int) -> np.ndarray:
     return values[depth - lag:len(values) - lag]
 
 
-def _regression(y: np.ndarray, taps: DelayTable) -> tuple[np.ndarray, np.ndarray]:
-    """psi (K,) and phi (K, n) at every sample, as regression_at at lag 0."""
-    depth = taps.valid_from
-    padded = np.concatenate((np.zeros(depth), y))
-    psi = np.zeros(len(y))
-    for weight, lag in taps.psi:
-        psi += weight * _delayed(padded, lag, depth)
-    phi = np.zeros((len(y), len(taps.phi)))
-    for k, row in enumerate(taps.phi):
-        acc = np.zeros(len(y))
-        for weight, lag in row:
-            acc += weight * _delayed(padded, lag, depth)
-        phi[:, k] = acc
-    return psi, phi
-
-
 def _stack(values: np.ndarray, lags: tuple[int, ...]) -> np.ndarray:
     """Row i of sample j is values[j - lags[i]], zero before the first sample:
     the stacked rows Pipeline reads with regression_at at lag lags[i]."""
@@ -252,35 +245,18 @@ def _mix(phi_rows: np.ndarray, psi_rows: np.ndarray,
          epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """delta (K,) and mixed psi (K, n) at every sample, as mix does."""
     count, n = psi_rows.shape
-    scale = epsilon ** n
-    if n == 1:
-        adj, det = np.ones((count, 1, 1)), phi_rows[:, 0, 0]
-    elif n == 2:
-        (a, b), (c, d) = phi_rows[:, 0].T, phi_rows[:, 1].T
-        adj = np.stack((np.stack((d, -b), axis=1), np.stack((-c, a), axis=1)), axis=1)
-        det = a * d - b * c
+    if n <= 2:
+        adj, det = _closed_form(np.moveaxis(phi_rows, 0, -1))
     else:
         u, s, vt = np.linalg.svd(phi_rows)
         sign = np.copysign(1.0, np.linalg.det(u @ vt))
-        # math.prod(s[:i]) and math.prod(s[i + 1:]), each multiplied left to right
-        before = [np.ones(count)]
-        for i in range(n):
-            before.append(before[-1] * s[:, i])
-        others = np.empty((count, n))
-        for i in range(n):
-            after = np.ones(count)
-            for j in range(i + 1, n):
-                after = after * s[:, j]
-            others[:, i] = sign * before[i] * after
+        s, ones = s.T, np.ones(count)  # adjugate's math.prod, left to right from 1
+        others = np.stack([sign * math.prod(s[:i], start=ones) * math.prod(s[i + 1:], start=ones)
+                           for i in range(n)], axis=1)
         adj = (np.swapaxes(vt, 1, 2) * others[:, None, :]) @ np.swapaxes(u, 1, 2)
-        det = sign * before[n]
-    mixed = np.empty((count, n))
-    for i in range(n):
-        acc = np.zeros(count)
-        for j in range(n):
-            acc = acc + adj[:, i, j] * psi_rows[:, j]
-        mixed[:, i] = scale * acc
-    return scale * det, mixed
+        adj, det = np.moveaxis(adj, 0, -1), sign * math.prod(s, start=ones)
+    delta, mixed = _scaled_product(adj, det, psi_rows.T, epsilon)
+    return delta, np.stack(mixed, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -94,11 +94,12 @@ class EstimatorState:
     S = integral of delta^2 over the current epoch (W_i = exp(-gamma_i S)),
     and the finite-time output once extracted. max_decay_step records the
     largest per-sample gamma_i * delta^2 * dt seen, as a stiffness
-    diagnostic.
+    diagnostic. The state keeps no clock: the driver (Pipeline or the
+    whole-trace engine) times the epoch and says when extraction is due.
     """
 
-    __slots__ = ("gamma", "theta_hat", "theta0", "time", "epoch_start",
-                 "excitation", "theta_ft", "extraction_time", "max_decay_step")
+    __slots__ = ("gamma", "theta_hat", "theta0", "excitation", "theta_ft",
+                 "extraction_time", "max_decay_step")
 
     def __init__(self, settings: EstimatorSettings, model: ModelConfig):
         bad = length_violations(settings, model)
@@ -107,8 +108,6 @@ class EstimatorState:
         self.gamma = settings.gamma
         self.theta0 = true_theta(settings.omega0, model.h)
         self.theta_hat = list(self.theta0)
-        self.time = 0.0
-        self.epoch_start = 0.0
         self.excitation = 0.0
         self.theta_ft: tuple[float, ...] | None = None
         self.extraction_time: float | None = None
@@ -122,19 +121,15 @@ class EstimatorState:
     def W(self) -> tuple[float, ...]:
         return tuple(math.exp(-g * self.excitation) for g in self.gamma)
 
-    def epoch_elapsed(self) -> float:
-        return self.time - self.epoch_start
-
 
 def step_gradient(state: EstimatorState, mixed: MixedSample,
                   dt: float) -> EstimatorState:
     """Advance the estimates by one sample interval.
 
-    Updates are skipped (time still advances) while the mixed sample is not
-    warm, so zero-history transients never enter the excitation integral.
+    Updates are skipped while the mixed sample is not warm, so zero-history
+    transients never enter the excitation integral.
     """
     if not mixed.warm:
-        state.time = mixed.time
         return state
     delta = mixed.delta
     if not math.isfinite(delta) or any(not math.isfinite(p) for p in mixed.psi):
@@ -142,7 +137,6 @@ def step_gradient(state: EstimatorState, mixed: MixedSample,
             f"non-finite mixed regression at t = {mixed.time}: "
             f"delta = {delta}, psi = {mixed.psi}")
     advance_gradient(state, delta, mixed.psi, dt)
-    state.time = mixed.time
     return state
 
 
@@ -150,8 +144,8 @@ def advance_gradient(state: EstimatorState, delta: float, psi, dt: float) -> Non
     """Apply one warm sample interval of the gradient law to state in place.
 
     The held-input update of every theta_hat_i, the excitation integral and
-    max_decay_step; the caller has checked delta and psi for finiteness and
-    owns state.time. Shared by step_gradient and the whole-trace engine.
+    max_decay_step; the caller has checked delta and psi for finiteness.
+    Shared by step_gradient and the whole-trace engine.
     """
     d2 = delta * delta
     d2dt = d2 * dt
@@ -168,40 +162,38 @@ def advance_gradient(state: EstimatorState, delta: float, psi, dt: float) -> Non
     state.excitation += d2dt
 
 
-def finite_time_estimate(state: EstimatorState,
-                         cfg: EstimatorSettings) -> tuple[float, ...] | None:
-    """Algebraic re-estimate of theta once the extraction time has passed.
+def finite_time_estimate(state: EstimatorState, settings: EstimatorSettings,
+                         t: float) -> tuple[float, ...] | None:
+    """Algebraic re-estimate of theta at time t, recorded as extraction_time.
 
-    Returns None while any 1 - W_i is still below w_floor (not yet excited
-    enough to divide safely); the caller retries on later samples. The
-    first successful extraction is cached and returned unchanged afterward.
+    The caller decides when extraction is due (t_ft after its epoch start).
+    Returns None while any 1 - W_i is still below settings.w_floor (not yet
+    excited enough to divide safely); the caller retries on later samples.
+    The first successful extraction is cached and returned unchanged
+    afterward.
     """
     if state.theta_ft is not None:
         return state.theta_ft
-    if state.epoch_elapsed() < cfg.t_ft:
-        raise ValueError(
-            f"finite-time extraction requested at epoch time "
-            f"{state.epoch_elapsed():.6g} before t_ft = {cfg.t_ft}")
     w = state.W
-    if any(1.0 - wi < cfg.w_floor for wi in w):
+    if any(1.0 - wi < settings.w_floor for wi in w):
         return None
     state.theta_ft = tuple(
         (state.theta_hat[i] - state.theta0[i] * w[i]) / (1.0 - w[i])
         for i in range(state.n))
-    state.extraction_time = state.time
+    state.extraction_time = t
     return state.theta_ft
 
 
 def reset_estimator(state: EstimatorState) -> EstimatorState:
-    """Start a new estimation epoch at the current time.
+    """Start a new estimation epoch.
 
     The gradient estimate carries over as the new epoch's initial condition;
     the excitation integral and the cached finite-time output are cleared so
-    re-estimation reflects only post-reset data.
+    re-estimation reflects only post-reset data. The driver restarts its
+    epoch clock.
     """
     state.theta0 = tuple(state.theta_hat)
     state.excitation = 0.0
     state.theta_ft = None
     state.extraction_time = None
-    state.epoch_start = state.time
     return state

@@ -12,6 +12,7 @@ Pipeline for callers that feed one sample at a time.
 
 from __future__ import annotations
 
+import math
 import os
 import platform
 from bisect import bisect_left
@@ -166,6 +167,8 @@ def _read_trace(path: str, sample_period: float) -> tuple[list[float], list[floa
                 t, y = float(parts[0]), float(parts[1])
             except (ValueError, IndexError):
                 raise ConfigError([f"{path}: row {row}: malformed line {line!r}"]) from None
+            if not math.isfinite(t):
+                raise ConfigError([f"{path}: row {row}: non-finite time {t!r}"])
             if start is None:
                 start = t
             expected = start + len(times) * sample_period

@@ -16,7 +16,8 @@ One routine, `adjugate`, returns adj(M) and det(M) together for every n:
 exact closed forms for n <= 2 and, above that, G. W. Stewart's singular
 value form ("On the adjugate matrix", Lin. Alg. Appl. 1998), which costs
 O(n^3) and stays valid for singular M, including the all-zero stack seen
-during warm-up.
+during warm-up. _closed_form and _scaled_product also take equal-length
+arrays (one system per element): the whole-trace engine mixes with them too.
 """
 
 from __future__ import annotations
@@ -80,11 +81,8 @@ def adjugate(matrix) -> tuple[list[list[float]], float]:
         raise ConfigError(f"matrix must be square with size 1..{MAX_HARMONICS}")
     if not all(map(math.isfinite, chain.from_iterable(rows))):
         raise ConfigError("matrix entries must be finite")
-    if n == 1:
-        return [[1.0]], rows[0][0]
-    if n == 2:
-        (a, b), (c, d) = rows
-        return [[d, -b], [-c, a]], a * d - b * c
+    if n <= 2:
+        return _closed_form(rows)
     u, s, vt = np.linalg.svd(rows)
     s = s.tolist()
     sign = math.copysign(1.0, np.linalg.det(u @ vt))  # U V^T is orthogonal: +-1
@@ -110,6 +108,20 @@ def mix(time: float, psi_rows, phi_rows, warm: bool, epsilon: float) -> MixedSam
         if all(map(math.isfinite, chain.from_iterable(phi_rows))):
             raise
         raise NumericFault(f"non-finite stacked regressor at t = {time}") from None
+    delta, psi = _scaled_product(adj, det, psi_rows, epsilon)
+    return MixedSample(time=time, delta=delta, psi=psi, warm=warm)
+
+
+def _closed_form(rows):
+    """(adj(M), det(M)) of a 1 x 1 or 2 x 2 matrix given as rows."""
+    if len(rows) == 1:
+        return [[1.0]], rows[0][0]
+    (a, b), (c, d) = rows
+    return [[d, -b], [-c, a]], a * d - b * c
+
+
+def _scaled_product(adj, det, psi_rows, epsilon):
+    """(eps^n det, eps^n adj psi_rows): delta and the mixed psi, each row's
+    sum taken left to right."""
     scale = epsilon ** len(adj)
-    psi = tuple(scale * sum(map(mul, row, psi_rows)) for row in adj)
-    return MixedSample(time=time, delta=scale * det, psi=psi, warm=warm)
+    return scale * det, tuple(scale * sum(map(mul, row, psi_rows)) for row in adj)

@@ -52,6 +52,8 @@ class Pipeline:
     taps.warm_from + 1 measurements, newest first: stacked row i is
     regression_at(window, taps, taps.rows[i]), and a mixed sample is warm
     once more than taps.warm_from samples arrived since the last clear.
+    Pipeline keeps the epoch clock: an epoch starts at the first sample
+    after a clear, and extraction is tried from t_ft after that on.
     The frequency band of the model config doubles as the projection range
     for recovered estimates. The raw gradient estimates are recovered at
     every step with no imaginary-part limit (transients can wander through
@@ -79,8 +81,7 @@ class Pipeline:
         check_measurement(t, y)
         if self._count == 0:
             # epochs are measured from the first sample actually processed
-            self.state.time = t
-            self.state.epoch_start = t
+            self._epoch_start = t
         taps = self.taps
         self._window.appendleft(y)
         self._count += 1
@@ -89,8 +90,8 @@ class Pipeline:
         step_gradient(self.state, mixed, self.sample_period)
 
         theta_ft = self.state.theta_ft
-        if theta_ft is None and self.state.epoch_elapsed() >= self.estimator.t_ft:
-            theta_ft = finite_time_estimate(self.state, self.estimator)
+        if theta_ft is None and t - self._epoch_start >= self.estimator.t_ft:
+            theta_ft = finite_time_estimate(self.state, self.estimator, t)
             if theta_ft is not None:
                 self._omega_ft = recover_frequencies(
                     theta_ft, self.model.h, self._bounds, self.imag_tol).omega_hat

@@ -82,7 +82,8 @@ def find_roots(coeffs) -> list[complex]:
 
     Closed forms for degrees 1 and 2; companion-matrix eigenvalues with
     Newton polishing above that. Every root is checked against the residual
-    target; missing it raises NumericFault with the offending data.
+    target; missing it raises NumericFault with the offending data, and so
+    do non-finite coefficients (a fault of the data that produced them).
     """
     coeffs = [float(c) for c in coeffs]
     degree = len(coeffs) - 1
@@ -91,7 +92,7 @@ def find_roots(coeffs) -> list[complex]:
     if coeffs[0] != 1.0:
         raise ValueError(f"polynomial must be monic, got leading coefficient {coeffs[0]}")
     if any(not math.isfinite(c) for c in coeffs):
-        raise ValueError(f"polynomial coefficients must be finite, got {coeffs}")
+        raise NumericFault(f"polynomial coefficients must be finite, got {coeffs}")
 
     if degree == 1:
         roots = [complex(-coeffs[1], 0.0)]

@@ -181,8 +181,10 @@ def regression_at(window, taps: DelayTable, lag: int = 0) -> tuple[float, tuple[
 
     window[k] is the measurement k samples ago, zero before the first (after
     a clear) and at least lag + valid_from + 1 long. Each sum adds its taps
-    in table order, which the whole-trace engine repeats. A negative lag
-    raises ValueError; a window too short for the lag raises IndexError.
+    in table order. The whole-trace engine passes a window whose entries are
+    arrays (a whole segment k samples back), and gets arrays back. A
+    negative lag raises ValueError; a window too short for the lag raises
+    IndexError.
     """
     if lag < 0:
         raise ValueError(f"lag must be >= 0, got {lag}")

@@ -77,6 +77,19 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         assert f"config error: {out}: cannot write output" in capsys.readouterr().err
 
+    def test_overflowing_excitation_exits_3(self, tmp_path, capsys):
+        # delta^2 * dt overflows at the first warm sample and theta_hat
+        # turns NaN: a numeric fault naming that sample, not a traceback
+        cfg_path = tmp_path / "scenario.cfg"
+        cfg = builtin_scenario("noiseless-2h")
+        tones = tuple(replace(tone, amplitude=1e100) for tone in cfg.signal.harmonics)
+        write_quick_config(cfg_path, duration=6.0,
+                           signal=replace(cfg.signal, harmonics=tones))
+        code = main(["simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_NUMERIC
+        assert "numeric fault: sample 660 " in capsys.readouterr().err
+
 
 class TestEstimate:
     def test_estimate_replays_simulated_trace(self, tmp_path, capsys):

@@ -86,7 +86,6 @@ class TestStepGradient:
         step_gradient(state, mixed, SAMPLE_PERIOD)
         assert state.theta_hat == list(true_theta((2.0, 5.0), H))
         assert state.W == (1.0, 1.0)
-        assert state.time == SAMPLE_PERIOD
 
     def test_updates_skipped_until_warm(self):
         state = new_state(settings((1.0,)))
@@ -94,7 +93,6 @@ class TestStepGradient:
         step_gradient(state, mixed, SAMPLE_PERIOD)
         assert state.theta_hat == list(state.theta0)
         assert state.excitation == 0.0
-        assert state.time == SAMPLE_PERIOD
 
     def test_constant_delta_reproduces_error_exponential(self):
         # err(t) = err(0) * exp(-gamma * delta^2 * t), checked at 1 s and 10 s
@@ -177,34 +175,28 @@ class TestFiniteTimeEstimate:
     def test_no_learning_returns_initial_estimate(self):
         cfg = settings((1.0, 1.0), t_ft=0.5)
         state = new_state(cfg)
-        state.time = 1.0
         state.excitation = 0.35  # W < 1, theta_hat still at theta0
-        result = finite_time_estimate(state, cfg)
+        result = finite_time_estimate(state, cfg, 1.0)
         assert result == pytest.approx(state.theta0, rel=1e-14)
 
     def test_fully_excited_returns_current_estimate(self):
         cfg = settings((1.0, 1.0), t_ft=0.5)
         state = new_state(cfg)
-        state.time = 1.0
         state.theta_hat = [0.9, 0.7]
         state.excitation = 1e6  # W underflows to 0
-        assert finite_time_estimate(state, cfg) == (0.9, 0.7)
-
-    def test_requires_extraction_time_reached(self):
-        cfg = settings((1.0,), t_ft=5.0)
-        state = new_state(cfg)
-        state.time = 1.0
-        with pytest.raises(ValueError):
-            finite_time_estimate(state, cfg)
+        assert finite_time_estimate(state, cfg, 1.0) == (0.9, 0.7)
+        assert state.extraction_time == 1.0
 
     def test_deferred_until_excited(self):
         cfg = settings((1.0,), t_ft=0.01, w_floor=1e-6)
         state = constant_session(cfg, delta=1e-5, theta=(0.3,), steps=20)
         assert 1.0 - state.W[0] < cfg.w_floor
-        assert finite_time_estimate(state, cfg) is None
+        assert finite_time_estimate(state, cfg, 20 * SAMPLE_PERIOD) is None
+        assert state.extraction_time is None
         # excitation arrives later; the next attempt extracts
         state2 = constant_session(cfg, delta=1.0, theta=(0.3,), steps=100)
-        assert finite_time_estimate(state2, cfg) == pytest.approx((0.3,), abs=1e-9)
+        assert finite_time_estimate(state2, cfg, 100 * SAMPLE_PERIOD) == pytest.approx(
+            (0.3,), abs=1e-9)
 
     def test_exact_on_simulated_session_at_any_time(self):
         model = ModelConfig(n=2, h=0.1, omega_min=0.5, omega_max=5.5)
@@ -215,7 +207,7 @@ class TestFiniteTimeEstimate:
             for _, mixed in mixed_stream(two_tone(), model, d=0.13,
                                          epsilon=1.0, duration=t_extract):
                 step_gradient(state, mixed, SAMPLE_PERIOD)
-            result = finite_time_estimate(state, cfg)
+            result = finite_time_estimate(state, cfg, t_extract)
             assert result is not None
             # gradient estimate itself is still far off at epsilon = 1
             assert max(abs(w - 1.0) for w in state.W) < 0.9
@@ -241,38 +233,39 @@ class TestFiniteTimeEstimate:
     def test_held_constant_after_extraction(self):
         cfg = settings((1.0,), t_ft=0.05)
         state = constant_session(cfg, delta=1.0, theta=(0.3,), steps=100)
-        first = finite_time_estimate(state, cfg)
+        first = finite_time_estimate(state, cfg, 100 * SAMPLE_PERIOD)
         for k in range(100, 300):
             mixed = MixedSample(time=(k + 1) * SAMPLE_PERIOD, delta=0.5,
                                 psi=(0.5 * -0.9,), warm=True)  # new "truth"
             step_gradient(state, mixed, SAMPLE_PERIOD)
-        assert finite_time_estimate(state, cfg) is first
+        assert finite_time_estimate(state, cfg, 300 * SAMPLE_PERIOD) is first
         assert state.theta_ft == first
+        assert state.extraction_time == 100 * SAMPLE_PERIOD
 
 
 class TestReset:
     def test_reset_starts_new_epoch_with_carried_estimate(self):
         cfg = settings((1.0,), t_ft=0.05)
         state = constant_session(cfg, delta=1.0, theta=(0.3,), steps=100)
-        finite_time_estimate(state, cfg)
+        finite_time_estimate(state, cfg, 100 * SAMPLE_PERIOD)
         carried = tuple(state.theta_hat)
         reset_estimator(state)
         assert state.theta0 == carried
         assert state.excitation == 0.0
         assert state.theta_ft is None
-        assert state.epoch_start == state.time
+        assert state.extraction_time is None
         assert state.W == (1.0,)
 
     def test_post_reset_extraction_reflects_new_data(self):
         cfg = settings((1.0,), t_ft=0.05)
         state = constant_session(cfg, delta=1.0, theta=(0.3,), steps=100)
-        finite_time_estimate(state, cfg)
+        finite_time_estimate(state, cfg, 100 * SAMPLE_PERIOD)
         reset_estimator(state)
         for k in range(100, 220):
             mixed = MixedSample(time=(k + 1) * SAMPLE_PERIOD, delta=1.0,
                                 psi=(-0.9,), warm=True)
             step_gradient(state, mixed, SAMPLE_PERIOD)
-        result = finite_time_estimate(state, cfg)
+        result = finite_time_estimate(state, cfg, 220 * SAMPLE_PERIOD)
         assert result == pytest.approx((-0.9,), abs=1e-9)
 
 
@@ -336,4 +329,4 @@ class TestEstimatorSettings:
         state = new_state(settings((1.0, 1.0)))
         assert state.theta0 == true_theta((2.0, 5.0), H)
         assert state.theta_hat == list(state.theta0)
-        assert (state.time, state.epoch_start) == (0.0, 0.0)
+        assert (state.theta_ft, state.extraction_time) == (None, None)

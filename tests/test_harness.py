@@ -172,18 +172,26 @@ class TestEstimateFromFile:
             assert fa.read() == fb.read()
 
     def test_gap_in_grid_rejected_with_row(self, tmp_path):
-        # (sample period, rows, dropped sample): early, and late enough that
-        # a slack growing with the sample count would swallow the gap
+        # (sample period, times, index of the bad time): a dropped sample,
+        # early and late enough that a slack growing with the sample count
+        # would swallow the gap; and a non-finite first time, which no grid
+        # holds, rejected at its own row
+        cases = []
         for period, rows, gap in ((0.001, 100, 50), (1e-5, 15100, 15000)):
+            times = [k * period for k in range(rows)]
+            del times[gap]
+            cases.append((period, times, gap))
+        for bad in (math.nan, math.inf):
+            cases.append((0.001, [bad] + [k * 0.001 for k in range(1, 100)], 0))
+        for period, times, index in cases:
             cfg = quick_noiseless()
             cfg = replace(cfg, run=replace(cfg.run, sample_period=period))
             path = tmp_path / "gap.csv"
-            times = [k * period for k in range(rows)]
-            del times[gap]
             write_trace_csv(str(path), times, [0.0] * len(times))
             with pytest.raises(ConfigError) as info:
                 estimate_from_file(str(path), cfg)
-            assert any(f"row {gap + 2}:" in v for v in info.value.violations), period
+            assert any(f"row {index + 2}:" in v for v in info.value.violations), \
+                (period, times[index])
 
     def test_header_required(self, tmp_path):
         cfg = quick_noiseless()

@@ -1,9 +1,12 @@
 """Unit tests for polynomial-based frequency recovery."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_distinct_frequencies
 from ftfreq.errors import EstimateNotPhysical, NumericFault
@@ -76,7 +79,7 @@ class TestFindRoots:
             find_roots([1.0] + [0.0] * 9)  # degree 9
         with pytest.raises(ValueError):
             find_roots([2.0, 1.0])  # not monic
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericFault):  # a fault of the data, not a bad call
             find_roots([1.0, float("nan")])
 
 
@@ -158,3 +161,46 @@ class TestRoundtrip:
         for perm in ([0.9, 2.2, 3.1, 4.4], [4.4, 3.1, 0.9, 2.2], [2.2, 4.4, 0.9, 3.1]):
             est = recover_frequencies(true_theta(perm, self.H), self.H, self.BOUNDS)
             assert est.omega_hat == pytest.approx(reference.omega_hat, abs=1e-9)
+
+
+@st.composite
+def clustered_tones(draw):
+    """(omegas, h, bounds): n = 2..8 ascending tones whose gaps run
+    log-uniformly from 1e-6 to 1e-1 rad/s, all inside the quarter-period
+    band 0 < omega h < pi / 2, so every cosine lies in (0, 1)."""
+    n = draw(st.integers(2, 8))
+    h = draw(st.floats(0.05, 0.5))
+    top = math.pi / (2 * h)
+    gaps = [10.0 ** draw(st.floats(-6.0, -1.0)) for _ in range(n - 1)]
+    start = draw(st.floats(0.01 * top, 0.99 * top - sum(gaps)))
+    omegas = [start + sum(gaps[:i]) for i in range(n)]
+    return omegas, h, (0.5 * start, top)
+
+
+def recovery_condition(omegas, h):
+    """max_i 1 / (h |sin(omega_i h)| |p'(c_i)|): the first-order gain from
+    an error in the coefficients of p(x) = prod_j (x - c_j), relative to
+    their size, to an error in the omegas."""
+    cosines = [math.cos(w * h) for w in omegas]
+    return max(
+        1.0 / (h * abs(math.sin(w * h))
+               * abs(math.prod(c - other for j, other in enumerate(cosines) if j != i)))
+        for i, (w, c) in enumerate(zip(omegas, cosines)))
+
+
+# Error allowed per unit of eps * condition. 60k random draws peaked at 23;
+# the rounding of true_theta and of the roots each add a few units.
+ROUNDTRIP_K = 1e3
+
+
+@settings(max_examples=300, deadline=None)
+@given(clustered_tones())
+def test_roundtrip_with_clustered_cosines(case):
+    # imag_tol = inf, as for omega_grad: a cluster of several cosines closer
+    # than about eps^(1/m) may come back as a complex group, which the
+    # default tolerance reports as EstimateNotPhysical
+    omegas, h, bounds = case
+    got = recover_frequencies(true_theta(omegas, h), h, bounds, math.inf).omega_hat
+    allowed = ROUNDTRIP_K * sys.float_info.epsilon * recovery_condition(omegas, h)
+    for w_hat, w in zip(got, omegas):
+        assert abs(w_hat - w) <= allowed, (w_hat, w, allowed)
