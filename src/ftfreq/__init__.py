@@ -11,9 +11,9 @@ and arccos.
 
 __version__ = "0.1.0"
 
-from .config import (BUILTIN_NAMES, OutputConfig, RecoverySettings, RunConfig,
-                     ScenarioConfig, builtin_scenario, config_warnings,
-                     format_config, load_config, parse_config, validate_config,
+from .config import (BUILTIN_NAMES, OutputConfig, RunConfig, ScenarioConfig,
+                     builtin_scenario, config_warnings, format_config,
+                     load_config, parse_config, validate_config,
                      with_reset_times, with_seed)
 from .errors import ConfigError, EstimateNotPhysical, NumericFault
 from .estimator import (EstimatorSettings, EstimatorState,
@@ -25,16 +25,15 @@ from .recovery import (FrequencyEstimate, find_roots, recover_frequencies,
                        roots_to_frequencies, theta_to_polynomial)
 from .regression import (DelayTable, ModelConfig, delay_table, regression_at,
                          true_theta)
-from .signals import (HarmonicDisturbance, HarmonicSpec, SampledTrace,
-                      ScheduleStep, SignalSpec, UniformDisturbance,
-                      generate_trace, sample_signal)
+from .signals import (HarmonicSpec, SampledTrace, ScheduleStep, SignalSpec,
+                      UniformDisturbance, generate_trace, sample_signal)
 
 __all__ = [
     "__version__",
     "BUILTIN_NAMES", "ConfigError", "DelayTable", "DremConfig", "EstimateNotPhysical",
-    "EstimatorSettings", "EstimatorState", "FrequencyEstimate", "HarmonicDisturbance",
-    "HarmonicSpec", "MixedSample", "ModelConfig", "NumericFault",
-    "OutputConfig", "Pipeline", "RecoverySettings", "RunConfig", "RunResult",
+    "EstimatorSettings", "EstimatorState", "FrequencyEstimate", "HarmonicSpec",
+    "MixedSample", "ModelConfig", "NumericFault", "OutputConfig", "Pipeline",
+    "RunConfig", "RunResult",
     "SampledTrace", "ScenarioConfig", "ScheduleStep", "SignalSpec", "StepResult",
     "UniformDisturbance",
     "adjugate", "builtin_scenario", "config_warnings", "delay_table",

@@ -33,19 +33,9 @@ from importlib import resources
 from .errors import ConfigError
 from .estimator import EstimatorSettings, length_violations
 from .mixing import DremConfig
-from .recovery import DEFAULT_IMAG_TOL
+from .pipeline import warmup_time
 from .regression import ModelConfig, steps_per_delay
-from .signals import (HarmonicDisturbance, HarmonicSpec, ScheduleStep,
-                      SignalSpec, UniformDisturbance)
-
-
-@dataclass(frozen=True)
-class RecoverySettings:
-    imag_tol: float = DEFAULT_IMAG_TOL
-
-    def __post_init__(self):
-        if not (math.isfinite(self.imag_tol) and self.imag_tol > 0):
-            raise ConfigError(f"recovery.imag_tol must be positive, got {self.imag_tol}")
+from .signals import HarmonicSpec, ScheduleStep, SignalSpec, UniformDisturbance
 
 
 @dataclass(frozen=True)
@@ -86,7 +76,6 @@ class ScenarioConfig:
     estimator: EstimatorSettings
     run: RunConfig
     signal: SignalSpec | None = None
-    recovery: RecoverySettings = field(default_factory=RecoverySettings)
     output: OutputConfig = field(default_factory=OutputConfig)
     name: str = "custom"
 
@@ -94,7 +83,6 @@ class ScenarioConfig:
 def validate_config(cfg: ScenarioConfig) -> list[str]:
     """All rule violations in the config, each naming field, constraint, value."""
     bad = []
-    n = cfg.model.n
     try:
         steps_per_delay(cfg.model.h, cfg.run.sample_period, "model.h")
     except ConfigError as exc:
@@ -105,11 +93,11 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         bad.extend(exc.violations)
     bad.extend(cfg.model.check_h_bound())
 
-    latency = n * (cfg.model.h + cfg.drem.d)
+    latency = warmup_time(cfg.model, cfg.drem)
     if cfg.estimator.t_ft <= latency:
         bad.append(
             f"estimator.t_ft = {cfg.estimator.t_ft} must exceed "
-            f"n*(h + d) = {latency:.6g}")
+            f"the warm-up 2nh + nd = {latency:.6g}")
     if cfg.run.duration <= cfg.estimator.t_ft:
         bad.append(
             f"run.duration = {cfg.run.duration} must exceed "
@@ -176,10 +164,10 @@ def with_reset_times(cfg: ScenarioConfig, reset_times) -> ScenarioConfig:
 
 # The sections after the signal, in echo order: key prefix and dataclass.
 _SECTIONS = (("model", ModelConfig), ("drem", DremConfig),
-             ("estimator", EstimatorSettings), ("recovery", RecoverySettings),
-             ("run", RunConfig), ("output", OutputConfig))
+             ("estimator", EstimatorSettings), ("run", RunConfig),
+             ("output", OutputConfig))
 
-_DISTURBANCES = {"harmonic": HarmonicDisturbance, "uniform": UniformDisturbance}
+_DISTURBANCES = {"harmonic": HarmonicSpec, "uniform": UniformDisturbance}
 
 
 def _floats(raw: str) -> tuple[float, ...]:

@@ -6,9 +6,10 @@ the chain's order, each writing its rows into the Trajectory:
 
 * _mixed: regression_at on a window whose entry k is the whole segment k
   samples back, the extension _stack (those columns shifted by the stacked
-  lags), _mix, and the scan for the first fault before the gradient step;
+  lags), _mix, and the scan for the first fault before the gradient step
+  (a non-finite time or measurement, stacked regressor or mixed sample);
 * _gradient: one scalar loop calling advance_gradient and
-  finite_time_estimate;
+  finite_time_estimate, which also recovers omega_ft;
 * _recover: omega_grad in _CHUNK-row blocks;
 * _replay: the first fault, raised by the streaming stage itself on that
   sample's inputs, so its exception and message are Pipeline's too.
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -94,15 +95,14 @@ class Trajectory:
 
 
 def run_trace(model: ModelConfig, drem: DremConfig, estimator: EstimatorSettings,
-              sample_period: float, imag_tol: float, times: list[float],
-              samples: list[float], starts: list[int]) -> Trajectory:
+              sample_period: float, times: list[float], samples: list[float],
+              starts: list[int]) -> Trajectory:
     """Estimate over a whole uniform trace; a reset precedes each start > 0.
 
     The arguments are Pipeline's, plus the trace and the sample indices at
     which its segments start (0 first, strictly increasing).
     """
     taps = delay_table(model, drem.d, sample_period)
-    bounds = (model.omega_min, model.omega_max)
     count, n = len(times), model.n
     run = Trajectory(times=times, samples=samples, delta=np.empty(count),
                      theta_hat=np.empty((count, n)), omega_grad=np.empty((count, n)),
@@ -113,11 +113,10 @@ def run_trace(model: ModelConfig, drem: DremConfig, estimator: EstimatorSettings
             if first:
                 reset_estimator(run.state)
             mixed, fault = _mixed(run, first, stop, taps, drem.epsilon, sample_period)
-            fault = _gradient(run, first, stop, mixed, taps.warm_from, estimator,
-                              model.h, bounds, imag_tol, sample_period) or fault
+            fault = _gradient(run, first, stop, mixed, taps.warm_from, sample_period) or fault
             end = stop if fault is None else first + fault[0]
             for a in range(first, end, _CHUNK):
-                _recover(run, a, min(a + _CHUNK, end), model.h, bounds)
+                _recover(run, a, min(a + _CHUNK, end), model)
             if fault is not None:
                 k = first + fault[0]
                 _replay(k, times[k], *fault[1:])
@@ -131,13 +130,17 @@ def _mixed(run: Trajectory, first: int, stop: int, taps: DelayTable,
     pre-gradient fault; writes their delta rows.
 
     Returns (mixed, fault): fault is None, or (row, streaming stage, its
-    arguments) for the first non-finite measurement, stacked regressor or
-    warm mixed sample, counted from first, and mixed stops at that row.
+    arguments) for the first non-finite time or measurement, stacked
+    regressor or warm mixed sample, counted from first, and mixed stops at
+    that row.
     """
     times = run.times
     y = np.array(run.samples[first:stop], dtype=float)
     fault = None
-    end = _first(~np.isfinite(y))
+    # times are checked one by one: a float copy of them raised the builtins
+    # benchmark's peak RSS by 2 MB
+    timed = np.fromiter(map(math.isfinite, islice(times, first, stop)), bool, len(y))
+    end = _first(~(np.isfinite(y) & timed))
     if end < len(y):
         fault = (end, check_measurement, times[first + end], run.samples[first + end])
     depth = taps.valid_from
@@ -165,17 +168,17 @@ def _mixed(run: Trajectory, first: int, stop: int, taps: DelayTable,
 
 
 def _gradient(run: Trajectory, first: int, stop: int, mixed: np.ndarray,
-              warm_from: int, estimator: EstimatorSettings, h: float,
-              bounds: tuple[float, float], imag_tol: float, dt: float):
+              warm_from: int, dt: float):
     """Gradient and extraction over the segment's mixed rows; writes its
     theta_hat rows and held run. Returns None, or the fault of an extraction
-    whose recovery fails, as (row, streaming stage, its arguments)."""
+    whose recovery fails, as (row, finite_time_estimate, its arguments): the
+    failed call leaves the state as it was, so the replay raises it again."""
     state, times = run.state, run.times
     end = len(mixed)
     delta = run.delta[first:first + end]
     warm = min(warm_from, end)
     start = times[first]  # the epoch clock starts at the segment's first sample
-    extract_from = bisect_left(times, estimator.t_ft, first, first + end,
+    extract_from = bisect_left(times, state.settings.t_ft, first, first + end,
                                key=lambda t: t - start) - first
     theta = state.theta_hat
     n = len(theta)
@@ -187,29 +190,26 @@ def _gradient(run: Trajectory, first: int, stop: int, mixed: np.ndarray,
             advance_gradient(state, d, psi, dt)
             rows += theta
             if state.theta_ft is None and j >= extract_from:
-                theta_ft = finite_time_estimate(state, estimator, times[first + j])
-                if theta_ft is None:
-                    continue
                 try:
-                    omega_ft = recover_frequencies(theta_ft, h, bounds, imag_tol).omega_hat
+                    theta_ft = finite_time_estimate(state, times[first + j])
                 except NumericFault:
-                    failed = (j, recover_frequencies, theta_ft, h, bounds, imag_tol)
+                    failed = (j, finite_time_estimate, state, times[first + j])
                     break
-                run.held.append((first + j, stop, theta_ft, omega_ft))
+                if theta_ft is not None:
+                    run.held.append((first + j, stop, theta_ft, state.omega_ft))
         run.theta_hat[first + a:first + a + len(rows) // n] = np.reshape(rows, (-1, n))
         if failed is not None:
             return failed
     return None
 
 
-def _recover(run: Trajectory, first: int, stop: int, h: float,
-             bounds: tuple[float, float]) -> None:
+def _recover(run: Trajectory, first: int, stop: int, model: ModelConfig) -> None:
     """omega_grad of rows first..stop-1; a row that faults raises here."""
     theta = run.theta_hat[first:stop]
-    omega, suspect = _grad_omegas(theta, h, bounds)
+    omega, suspect = _grad_omegas(theta, model.h, model.band)
     for j in np.flatnonzero(suspect).tolist():
         omega[j] = _replay(first + j, run.times[first + j], recover_frequencies,
-                           tuple(theta[j].tolist()), h, bounds, math.inf).omega_hat
+                           tuple(theta[j].tolist()), model.h, model.band, math.inf).omega_hat
     run.omega_grad[first:stop] = omega
 
 

@@ -24,9 +24,14 @@ is algebraically identical to the decay actually applied to the error,
 which keeps the finite-time inversion exact on clean data at any
 extraction time.
 
+Extraction is one step: finite_time_estimate computes theta_ft and, under
+the imaginary-part tolerance, the frequencies omega_ft of its polynomial
+roots, and records both only when both succeed.
+
 EstimatorSettings is the stage's one tuning type: the gains, the initial
-frequency guesses, the extraction time and the extraction floor, validated
-once when made. The estimator.* config keys are its fields.
+frequency guesses, the extraction time, the extraction floor and the root
+tolerance, validated once when made. The estimator.* config keys are its
+fields.
 """
 
 from __future__ import annotations
@@ -36,12 +41,13 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, NumericFault
 from .mixing import MixedSample
+from .recovery import DEFAULT_IMAG_TOL, recover_frequencies
 from .regression import ModelConfig, true_theta
 
 
 @dataclass(frozen=True)
 class EstimatorSettings:
-    """Gradient gains, initial frequency guesses and extraction time.
+    """Gradient gains, initial frequency guesses, extraction time and tolerance.
 
     Args:
         gamma: per-parameter positive tuning gains.
@@ -51,12 +57,15 @@ class EstimatorSettings:
             estimation epoch (a reset starts a new epoch).
         w_floor: minimum 1 - W_i required before extraction; below it the
             division would amplify integration noise, so extraction defers.
+        imag_tol: largest root imaginary part, relative to 1 + |real part|,
+            that recovering omega_ft from theta_ft treats as rounding.
     """
 
     gamma: tuple[float, ...]
     omega0: tuple[float, ...]
     t_ft: float
     w_floor: float = 1e-6
+    imag_tol: float = DEFAULT_IMAG_TOL
 
     def __post_init__(self):
         bad = []
@@ -73,6 +82,8 @@ class EstimatorSettings:
             bad.append(f"estimator.t_ft must be positive, got {self.t_ft}")
         if not 0.0 < self.w_floor < 1.0:
             bad.append(f"estimator.w_floor must lie in (0, 1), got {self.w_floor}")
+        if not (math.isfinite(self.imag_tol) and self.imag_tol > 0):
+            bad.append(f"estimator.imag_tol must be positive, got {self.imag_tol}")
         if bad:
             raise ConfigError(bad)
 
@@ -87,39 +98,42 @@ def length_violations(settings: EstimatorSettings, model: ModelConfig) -> list[s
 class EstimatorState:
     """Mutable per-session estimator state.
 
-    Starts from theta0 = true_theta(omega0, model.h), the parameters of the
-    initial frequency guesses under the model delay; settings of another
-    length than model.n raise ConfigError. Tracks the gradient
-    estimates, the shared excitation integral
-    S = integral of delta^2 over the current epoch (W_i = exp(-gamma_i S)),
-    and the finite-time output once extracted. max_decay_step records the
-    largest per-sample gamma_i * delta^2 * dt seen, as a stiffness
-    diagnostic. The state keeps no clock: the driver (Pipeline or the
-    whole-trace engine) times the epoch and says when extraction is due.
+    Keeps the settings and the model it was built from; settings of another
+    length than model.n raise ConfigError. Starts from
+    theta0 = true_theta(omega0, model.h), the parameters of the initial
+    frequency guesses under the model delay. Tracks the gradient estimates,
+    the shared excitation integral S = integral of delta^2 over the current
+    epoch (W_i = exp(-gamma_i S)), and the finite-time output theta_ft,
+    omega_ft once extracted. max_decay_step records the largest per-sample
+    gamma_i * delta^2 * dt seen, as a stiffness diagnostic. The state keeps
+    no clock: the driver (Pipeline or the whole-trace engine) times the
+    epoch and says when extraction is due.
     """
 
-    __slots__ = ("gamma", "theta_hat", "theta0", "excitation", "theta_ft",
-                 "extraction_time", "max_decay_step")
+    __slots__ = ("settings", "model", "theta_hat", "theta0", "excitation", "theta_ft",
+                 "omega_ft", "extraction_time", "max_decay_step")
 
     def __init__(self, settings: EstimatorSettings, model: ModelConfig):
         bad = length_violations(settings, model)
         if bad:
             raise ConfigError(bad)
-        self.gamma = settings.gamma
+        self.settings = settings
+        self.model = model
         self.theta0 = true_theta(settings.omega0, model.h)
         self.theta_hat = list(self.theta0)
         self.excitation = 0.0
         self.theta_ft: tuple[float, ...] | None = None
+        self.omega_ft: tuple[float, ...] | None = None
         self.extraction_time: float | None = None
         self.max_decay_step = 0.0
 
     @property
     def n(self) -> int:
-        return len(self.gamma)
+        return len(self.theta0)
 
     @property
     def W(self) -> tuple[float, ...]:
-        return tuple(math.exp(-g * self.excitation) for g in self.gamma)
+        return tuple(math.exp(-g * self.excitation) for g in self.settings.gamma)
 
 
 def step_gradient(state: EstimatorState, mixed: MixedSample,
@@ -150,7 +164,7 @@ def advance_gradient(state: EstimatorState, delta: float, psi, dt: float) -> Non
     d2 = delta * delta
     d2dt = d2 * dt
     theta = state.theta_hat
-    for i, g in enumerate(state.gamma):
+    for i, g in enumerate(state.settings.gamma):
         lam = g * d2dt
         if lam > state.max_decay_step:
             state.max_decay_step = lam
@@ -162,38 +176,43 @@ def advance_gradient(state: EstimatorState, delta: float, psi, dt: float) -> Non
     state.excitation += d2dt
 
 
-def finite_time_estimate(state: EstimatorState, settings: EstimatorSettings,
-                         t: float) -> tuple[float, ...] | None:
-    """Algebraic re-estimate of theta at time t, recorded as extraction_time.
+def finite_time_estimate(state: EstimatorState, t: float) -> tuple[float, ...] | None:
+    """Algebraic re-estimate of theta at time t, and its frequencies.
 
     The caller decides when extraction is due (t_ft after its epoch start).
     Returns None while any 1 - W_i is still below settings.w_floor (not yet
     excited enough to divide safely); the caller retries on later samples.
-    The first successful extraction is cached and returned unchanged
-    afterward.
+    Otherwise computes theta_ft, recovers omega_ft from its roots under
+    settings.imag_tol and the model band, and only then records theta_ft,
+    omega_ft and extraction_time = t: a recovery fault leaves the state as
+    it was, so calling again raises the same fault. The first successful
+    extraction is cached and returned unchanged afterward.
     """
     if state.theta_ft is not None:
         return state.theta_ft
+    settings, model = state.settings, state.model
     w = state.W
     if any(1.0 - wi < settings.w_floor for wi in w):
         return None
-    state.theta_ft = tuple(
+    theta_ft = tuple(
         (state.theta_hat[i] - state.theta0[i] * w[i]) / (1.0 - w[i])
         for i in range(state.n))
-    state.extraction_time = t
-    return state.theta_ft
+    omega_ft = recover_frequencies(theta_ft, model.h, model.band, settings.imag_tol).omega_hat
+    state.theta_ft, state.omega_ft, state.extraction_time = theta_ft, omega_ft, t
+    return theta_ft
 
 
 def reset_estimator(state: EstimatorState) -> EstimatorState:
     """Start a new estimation epoch.
 
     The gradient estimate carries over as the new epoch's initial condition;
-    the excitation integral and the cached finite-time output are cleared so
+    the excitation integral and the cached finite-time outputs are cleared so
     re-estimation reflects only post-reset data. The driver restarts its
     epoch clock.
     """
     state.theta0 = tuple(state.theta_hat)
     state.excitation = 0.0
     state.theta_ft = None
+    state.omega_ft = None
     state.extraction_time = None
     return state

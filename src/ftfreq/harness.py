@@ -62,7 +62,7 @@ class RunResult:
 def build_pipeline(cfg: ScenarioConfig) -> Pipeline:
     return Pipeline(
         model=cfg.model, drem=cfg.drem, estimator=cfg.estimator,
-        sample_period=cfg.run.sample_period, imag_tol=cfg.recovery.imag_tol)
+        sample_period=cfg.run.sample_period)
 
 
 def _segment_starts(times: list[float], reset_times) -> list[int]:
@@ -81,8 +81,7 @@ def _segment_starts(times: list[float], reset_times) -> list[int]:
 
 def _run(cfg: ScenarioConfig, source: str, times, samples) -> RunResult:
     trajectory = run_trace(
-        cfg.model, cfg.drem, cfg.estimator, cfg.run.sample_period,
-        cfg.recovery.imag_tol, times, samples,
+        cfg.model, cfg.drem, cfg.estimator, cfg.run.sample_period, times, samples,
         _segment_starts(times, cfg.run.reset_times))
     return RunResult(config=cfg, trajectory=trajectory,
                      metadata=_metadata(cfg, trajectory, source),

@@ -1,8 +1,9 @@
 """Sample-by-sample assembly of the full estimation chain.
 
 measurement window -> stacked regression (psi, phi at each delayed row) ->
-adjugate mixing -> per-parameter gradient + finite-time extraction ->
-frequency recovery. One Pipeline instance owns one estimation session.
+adjugate mixing -> per-parameter gradient -> omega_grad recovery, with the
+finite-time extraction (theta_ft and its omega_ft) done once per epoch by
+the estimator. One Pipeline instance owns one estimation session.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .errors import NumericFault
 from .estimator import (EstimatorSettings, EstimatorState,
                         finite_time_estimate, reset_estimator, step_gradient)
 from .mixing import DremConfig, mix
-from .recovery import DEFAULT_IMAG_TOL, recover_frequencies
+from .recovery import recover_frequencies
 from .regression import ModelConfig, delay_table, regression_at
 
 
@@ -38,7 +39,9 @@ def warmup_time(model: ModelConfig, drem: DremConfig) -> float:
 
 
 def check_measurement(t: float, y: float) -> None:
-    """Reject a non-finite measurement sample."""
+    """Reject a measurement sample with a non-finite time or value."""
+    if not math.isfinite(t):
+        raise NumericFault(f"non-finite time {t}")
     if not math.isfinite(y):
         raise NumericFault(f"non-finite measurement {y} at t = {t}")
 
@@ -54,26 +57,22 @@ class Pipeline:
     once more than taps.warm_from samples arrived since the last clear.
     Pipeline keeps the epoch clock: an epoch starts at the first sample
     after a clear, and extraction is tried from t_ft after that on.
-    The frequency band of the model config doubles as the projection range
-    for recovered estimates. The raw gradient estimates are recovered at
-    every step with no imaginary-part limit (transients can wander through
-    complex root territory); the finite-time estimate is recovered once, at
-    extraction, under the configured tolerance.
+    The raw gradient estimates are recovered at every step with no
+    imaginary-part limit (transients can wander through complex root
+    territory), projected into the model band; the finite-time estimate is
+    recovered once, inside finite_time_estimate, under the estimator's
+    imag_tol, and the state holds it.
     """
 
     def __init__(self, model: ModelConfig, drem: DremConfig,
-                 estimator: EstimatorSettings, sample_period: float,
-                 imag_tol: float = DEFAULT_IMAG_TOL):
+                 estimator: EstimatorSettings, sample_period: float):
         self.model = model
         self.drem = drem
         self.estimator = estimator
         self.sample_period = sample_period
-        self.imag_tol = imag_tol
         self.taps = delay_table(model, drem.d, sample_period)
         self._window = deque(maxlen=self.taps.warm_from + 1)
         self.state = EstimatorState(estimator, model)
-        self._bounds = (model.omega_min, model.omega_max)
-        self._omega_ft: tuple[float, ...] | None = None
         self._clear_window()
 
     def step(self, t: float, y: float) -> StepResult:
@@ -87,22 +86,19 @@ class Pipeline:
         self._count += 1
         psi_rows, phi_rows = zip(*[regression_at(self._window, taps, lag) for lag in taps.rows])
         mixed = mix(t, psi_rows, phi_rows, self._count > taps.warm_from, self.drem.epsilon)
-        step_gradient(self.state, mixed, self.sample_period)
+        state = self.state
+        step_gradient(state, mixed, self.sample_period)
 
-        theta_ft = self.state.theta_ft
+        theta_ft = state.theta_ft
         if theta_ft is None and t - self._epoch_start >= self.estimator.t_ft:
-            theta_ft = finite_time_estimate(self.state, self.estimator, t)
-            if theta_ft is not None:
-                self._omega_ft = recover_frequencies(
-                    theta_ft, self.model.h, self._bounds, self.imag_tol).omega_hat
+            theta_ft = finite_time_estimate(state, t)
 
+        theta_hat = tuple(state.theta_hat)
         omega_grad = recover_frequencies(
-            tuple(self.state.theta_hat), self.model.h, self._bounds,
-            imag_tol=math.inf).omega_hat
+            theta_hat, self.model.h, self.model.band, imag_tol=math.inf).omega_hat
         return StepResult(
-            time=t, y=y, delta=mixed.delta,
-            theta_hat=tuple(self.state.theta_hat),
-            theta_ft=theta_ft, omega_grad=omega_grad, omega_ft=self._omega_ft)
+            time=t, y=y, delta=mixed.delta, theta_hat=theta_hat,
+            theta_ft=theta_ft, omega_grad=omega_grad, omega_ft=state.omega_ft)
 
     def reset(self) -> None:
         """Restart the session mid-stream after an external signal change.
@@ -115,7 +111,6 @@ class Pipeline:
         """
         self._clear_window()
         reset_estimator(self.state)
-        self._omega_ft = None
 
     def _clear_window(self) -> None:
         """Zero the whole window: every tap reads 0.0 until refilled."""

@@ -104,6 +104,11 @@ class ModelConfig:
         if bad:
             raise ConfigError(bad)
 
+    @property
+    def band(self) -> tuple[float, float]:
+        """(omega_min, omega_max): also the projection range of recovered estimates."""
+        return (self.omega_min, self.omega_max)
+
     def h_bound(self) -> float:
         """Upper bound on h implied by the band and the active rule."""
         if self.h_rule == H_RULE_QUARTER:

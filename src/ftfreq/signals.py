@@ -1,9 +1,10 @@
 """Multi-sinusoidal test signal generation.
 
 A signal is a sum of sinusoids A_i * sin(w_i * t + p_i) with pairwise
-distinct frequencies, optionally disturbed by an extra harmonic or by
-piecewise-constant uniform noise, and optionally switching to replacement
-harmonic sets at scheduled times (step-wise frequency variation).
+distinct frequencies, optionally disturbed by one more sinusoid (a
+HarmonicSpec outside the harmonic set) or by piecewise-constant uniform
+noise, and optionally switching to replacement harmonic sets at scheduled
+times (step-wise frequency variation).
 
 Everything here is a pure function of the spec and the query time, so the
 same spec and seed always reproduce the same trace, bitwise.
@@ -57,20 +58,6 @@ class HarmonicSpec:
 
 
 @dataclass(frozen=True)
-class HarmonicDisturbance:
-    """Additive deterministic sinusoidal disturbance."""
-
-    amplitude: float
-    frequency: float
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.amplitude) and math.isfinite(self.frequency)
-                and math.isfinite(self.phase)):
-            raise ConfigError("harmonic disturbance parameters must be finite")
-
-
-@dataclass(frozen=True)
 class UniformDisturbance:
     """Additive uniform noise, held piecewise-constant between its own samples.
 
@@ -117,13 +104,13 @@ class SignalSpec:
 
     Args:
         harmonics: initial (non-empty) set of sinusoidal components.
-        disturbance: optional additive disturbance.
+        disturbance: optional additive disturbance, a sinusoid or noise.
         schedule: optional switch times with replacement harmonic sets,
             strictly increasing; at exactly a switch time the new set applies.
     """
 
     harmonics: tuple[HarmonicSpec, ...]
-    disturbance: HarmonicDisturbance | UniformDisturbance | None = None
+    disturbance: HarmonicSpec | UniformDisturbance | None = None
     schedule: tuple[ScheduleStep, ...] = field(default=())
 
     def __post_init__(self):
@@ -169,7 +156,7 @@ def sample_signal(spec: SignalSpec, t: float) -> float:
     for h in spec.harmonics_at(t):
         value += h.amplitude * math.sin(h.frequency * t + h.phase)
     d = spec.disturbance
-    if isinstance(d, HarmonicDisturbance):
+    if isinstance(d, HarmonicSpec):
         value += d.amplitude * math.sin(d.frequency * t + d.phase)
     elif isinstance(d, UniformDisturbance):
         value += d.value(t)

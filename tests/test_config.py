@@ -8,15 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftfreq.config import (BUILTIN_NAMES, EstimatorSettings, OutputConfig,
-                           RecoverySettings, RunConfig, ScenarioConfig,
-                           builtin_scenario, config_warnings, format_config,
-                           parse_config, validate_config, with_reset_times,
-                           with_seed)
+                           RunConfig, ScenarioConfig, builtin_scenario,
+                           config_warnings, format_config, parse_config,
+                           validate_config, with_reset_times, with_seed)
 from ftfreq.errors import ConfigError
 from ftfreq.mixing import DremConfig
 from ftfreq.regression import H_RULE_HALF, H_RULE_QUARTER, ModelConfig
-from ftfreq.signals import (HarmonicDisturbance, HarmonicSpec, ScheduleStep,
-                            SignalSpec, UniformDisturbance)
+from ftfreq.signals import (HarmonicSpec, ScheduleStep, SignalSpec,
+                            UniformDisturbance)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -58,6 +57,10 @@ class TestParsing:
         with pytest.raises(ConfigError) as info:
             parse_config(MINIMAL + "\nmodel.hh = 3\n")
         assert any("model.hh" in v for v in info.value.violations)
+        # the root tolerance is estimator.imag_tol; the old key has no alias
+        with pytest.raises(ConfigError) as info:
+            parse_config(MINIMAL + "\nrecovery.imag_tol = 0.001\n")
+        assert any("unknown key 'recovery.imag_tol'" in v for v in info.value.violations)
 
     def test_malformed_line_reports_line_number(self):
         with pytest.raises(ConfigError) as info:
@@ -75,6 +78,19 @@ class TestParsing:
         with pytest.raises(ConfigError) as info:
             parse_config(text)
         assert len(info.value.violations) >= 2
+        # a missing required key and every run-section rejection, together
+        text = MINIMAL.replace("model.n = 2\n", "").replace(
+            "run.duration = 8.0",
+            "run.sample_period = 0.0\nrun.duration = -8.0\nrun.reset_times = 2.0 1.0 -1.0")
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        found = "\n".join(info.value.violations)
+        for message in ("missing required key 'model.n'",
+                        "run.sample_period must be positive, got 0.0",
+                        "run.duration must be positive, got -8.0",
+                        "run.reset_times must be positive",
+                        "run.reset_times must be strictly increasing"):
+            assert message in found
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -92,6 +108,12 @@ class TestParsing:
         with pytest.raises(ConfigError) as info:
             parse_config(text)
         assert any("signal.schedule.1" in v for v in info.value.violations)
+        # and a signal section with no harmonics at all
+        text = "\n".join(line for line in MINIMAL.splitlines()
+                         if not line.startswith("signal.harmonic"))
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert any("signal present but has no harmonics" in v for v in info.value.violations)
 
     def test_round_trip_through_format(self):
         for name in BUILTIN_NAMES:
@@ -101,6 +123,21 @@ class TestParsing:
     def test_round_trip_with_schedule_and_resets(self):
         cfg = with_reset_times(builtin_scenario("step-change"), [30.0])
         assert parse_config(format_config(cfg)) == cfg
+
+    def test_harmonic_disturbance_is_a_harmonic(self):
+        text = MINIMAL.replace("signal.disturbance.kind = none", "\n".join((
+            "signal.disturbance.kind = harmonic",
+            "signal.disturbance.amplitude = 0.25",
+            "signal.disturbance.frequency = 15.0")))
+        assert parse_config(text).signal.disturbance == HarmonicSpec(0.25, 15.0)
+        bad = text.replace("amplitude = 0.25", "amplitude = -0.25")
+        bad = bad.replace("frequency = 15.0", "frequency = 0.0")
+        with pytest.raises(ConfigError) as info:
+            parse_config(bad)
+        assert any(v.startswith("signal.disturbance: harmonic amplitude must be positive")
+                   for v in info.value.violations)
+        assert any(v.startswith("signal.disturbance: harmonic frequency must be positive")
+                   for v in info.value.violations)
 
     def test_uniform_disturbance_round_trip(self):
         cfg = builtin_scenario("uniform-noise")
@@ -133,7 +170,7 @@ class TestValidation:
         cfg = self.base(estimator=EstimatorSettings(
             gamma=(0.005, 0.005), omega0=(2.0, 5.0), t_ft=0.1))
         violations = validate_config(cfg)
-        assert any("0.46" in v for v in violations)
+        assert any("0.66" in v for v in violations)
 
     def test_duration_must_exceed_t_ft(self):
         cfg = self.base(run=RunConfig(sample_period=0.001, duration=4.0))
@@ -234,7 +271,7 @@ def configs(draw):
     lo = draw(positive)
     disturbance = draw(st.one_of(
         st.none(),
-        st.builds(HarmonicDisturbance, positive, positive, st.floats(-7.0, 7.0)),
+        st.builds(HarmonicSpec, positive, positive, st.floats(-7.0, 7.0)),
         st.builds(UniformDisturbance, positive, positive, st.integers(0, 2**64))))
     switches = sorted(draw(st.lists(positive, max_size=2, unique=True)))
     schedule = tuple(ScheduleStep(t, draw(harmonic_sets(n))) for t in switches)
@@ -249,8 +286,8 @@ def configs(draw):
         estimator=EstimatorSettings(
             gamma=tuple(draw(st.lists(positive, min_size=n, max_size=n))),
             omega0=tuple(draw(st.lists(positive, min_size=n, max_size=n, unique=True))),
-            t_ft=draw(positive), w_floor=draw(st.floats(1e-9, 0.5))),
-        recovery=RecoverySettings(imag_tol=draw(positive)),
+            t_ft=draw(positive), w_floor=draw(st.floats(1e-9, 0.5)),
+            imag_tol=draw(positive)),
         run=RunConfig(sample_period=draw(positive), duration=draw(positive),
                       reset_times=tuple(sorted(draw(st.lists(positive, max_size=3,
                                                              unique=True))))),

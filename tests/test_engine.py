@@ -18,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftfreq.config import (BUILTIN_NAMES, EstimatorSettings, RunConfig,
-                           ScenarioConfig, builtin_scenario, ensure_valid)
+                           ScenarioConfig, builtin_scenario, ensure_valid,
+                           validate_config)
+from ftfreq.engine import run_trace
 from ftfreq.errors import ConfigError, NumericFault
 from ftfreq.harness import (RunResult, build_pipeline, estimate_from_file,
                             run_scenario, write_metadata, write_trace_csv)
@@ -137,8 +139,9 @@ def scenarios(draw):
     if draw(st.booleans()):
         noise = UniformDisturbance(draw(st.floats(0.001, 0.2)), period,
                                    draw(st.integers(0, 2**32)))
-    latency = n * (h + d)
-    t_ft = round(latency + draw(st.floats(0.05, 3.0)), 6)
+    model = ModelConfig(n=n, h=h, omega_min=lo, omega_max=hi)
+    drem = DremConfig(d=d, epsilon=draw(st.sampled_from((0.5, 2.0, 10.0))))
+    t_ft = round(warmup_time(model, drem) + draw(st.floats(0.05, 3.0)), 6)
     duration = round(t_ft + draw(st.floats(0.2, 2.0)), 6)
     resets = sorted(set(draw(st.lists(st.floats(0.001, duration - 0.001),
                                       max_size=2))))
@@ -146,8 +149,8 @@ def scenarios(draw):
     cfg = ScenarioConfig(
         name="drawn",
         signal=SignalSpec(harmonics, noise),
-        model=ModelConfig(n=n, h=h, omega_min=lo, omega_max=hi),
-        drem=DremConfig(d=d, epsilon=draw(st.sampled_from((0.5, 2.0, 10.0)))),
+        model=model,
+        drem=drem,
         estimator=EstimatorSettings(
             gamma=tuple(draw(st.floats(0.1, 20.0)) for _ in range(n)),
             omega0=omega0, t_ft=t_ft),
@@ -191,6 +194,37 @@ def test_engine_matches_pipeline_for_high_orders(tmp_path, n, seed):
     assert_parity(cfg, times, samples, tmp_path)
 
 
+def engine_run(cfg, times, samples):
+    """run_trace called directly, without the harness's validation or reader."""
+    return run_trace(cfg.model, cfg.drem, cfg.estimator, cfg.run.sample_period,
+                     times, samples, [0])
+
+
+def test_t_ft_inside_the_warm_up():
+    # validation wants t_ft after the warm-up 2nh + nd = 0.66 s, but both
+    # drivers take an earlier one: extraction is tried from t_ft on and fires
+    # once warm samples have brought every 1 - W_i up to w_floor
+    cfg = builtin_scenario("noiseless-2h")
+    cfg = replace(cfg, estimator=replace(cfg.estimator, t_ft=0.5),
+                  run=replace(cfg.run, duration=3.0))
+    assert any("warm-up" in v for v in validate_config(cfg))
+    times, samples = grid(cfg)
+    records, pipeline = pipeline_reference(cfg, times, samples)
+    run = engine_run(cfg, times, samples)
+    assert run.records() == records
+    assert run.state.extraction_time == pipeline.state.extraction_time
+    assert pipeline.state.extraction_time >= warmup_time(cfg.model, cfg.drem)
+
+
+def test_pipeline_rejects_a_non_finite_time():
+    # a non-finite first time would become the epoch start, so that
+    # t - start >= t_ft never holds and extraction silently never fires
+    for bad in (math.nan, math.inf, -math.inf):
+        pipeline = build_pipeline(builtin_scenario("noiseless-2h"))
+        with pytest.raises(NumericFault, match=f"non-finite time {bad}"):
+            pipeline.step(bad, 0.0)
+
+
 def test_resets_closer_than_a_sample(tmp_path):
     # one reset per sample: the second and third of a burst land on the
     # following samples; one before the first sample changes nothing
@@ -213,6 +247,29 @@ class TestFaultParity:
         kind, index, message = assert_parity(cfg, times, samples, tmp_path)
         assert kind is NumericFault and index == 3000
         assert "non-finite measurement" in message
+
+    def test_non_finite_time(self):
+        # a trace file cannot hold one (its reader rejects the row), so both
+        # drivers are called directly
+        cfg = self.quick()
+        times, samples = grid(cfg)
+        times[3000] = math.nan
+        expected = outcome(lambda: pipeline_reference(cfg, times, samples))
+        assert outcome(lambda: engine_run(cfg, times, samples)) == expected
+        kind, index, message = expected
+        assert kind is NumericFault and index == 3000
+        assert "non-finite time nan" in message
+
+    def test_unphysical_roots_at_extraction(self, tmp_path):
+        # under heavy noise theta_ft's roots leave the real axis: the
+        # finite-time step faults at t_ft = 5 s, the extraction sample
+        cfg = self.quick()
+        noise = UniformDisturbance(0.5, 0.001, 7)
+        cfg = replace(cfg, signal=replace(cfg.signal, disturbance=noise))
+        times, samples = grid(cfg)
+        kind, index, message = assert_parity(cfg, times, samples, tmp_path)
+        assert kind is NumericFault and index == 5000
+        assert "imaginary part beyond tolerance 0.001" in message
 
     def test_sample_42(self, tmp_path):
         cfg = self.quick()

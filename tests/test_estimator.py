@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import SAMPLE_PERIOD, mixed_stream
 from ftfreq.config import RunConfig, ScenarioConfig, ensure_valid
-from ftfreq.errors import ConfigError, NumericFault
+from ftfreq.errors import ConfigError, EstimateNotPhysical, NumericFault
 from ftfreq.estimator import (EstimatorSettings, EstimatorState,
                               finite_time_estimate, reset_estimator,
                               step_gradient)
@@ -176,7 +176,7 @@ class TestFiniteTimeEstimate:
         cfg = settings((1.0, 1.0), t_ft=0.5)
         state = new_state(cfg)
         state.excitation = 0.35  # W < 1, theta_hat still at theta0
-        result = finite_time_estimate(state, cfg, 1.0)
+        result = finite_time_estimate(state, 1.0)
         assert result == pytest.approx(state.theta0, rel=1e-14)
 
     def test_fully_excited_returns_current_estimate(self):
@@ -184,18 +184,40 @@ class TestFiniteTimeEstimate:
         state = new_state(cfg)
         state.theta_hat = [0.9, 0.7]
         state.excitation = 1e6  # W underflows to 0
-        assert finite_time_estimate(state, cfg, 1.0) == (0.9, 0.7)
+        assert finite_time_estimate(state, 1.0) == (0.9, 0.7)
         assert state.extraction_time == 1.0
+
+    def test_recovers_omega_ft_with_theta_ft(self):
+        cfg = settings((1.0, 1.0), t_ft=0.5)
+        state = new_state(cfg)
+        state.theta_hat = list(true_theta((2.0, 3.0), H))
+        state.excitation = 1e6  # W underflows to 0: theta_ft = theta_hat
+        assert finite_time_estimate(state, 1.0) == tuple(state.theta_hat)
+        assert state.omega_ft == pytest.approx((2.0, 3.0), rel=1e-12)
+        reset_estimator(state)
+        assert (state.theta_ft, state.omega_ft, state.extraction_time) == (None, None, None)
+
+    def test_failed_recovery_records_nothing(self):
+        # x^2 + 1 has roots +-i: the fault leaves the state as it was, so a
+        # second call (the whole-trace engine's replay) raises it again
+        cfg = settings((1.0, 1.0), t_ft=0.5)
+        state = new_state(cfg)
+        state.theta_hat = [0.0, -1.0]
+        state.excitation = 1e6
+        for _ in range(2):
+            with pytest.raises(EstimateNotPhysical, match="beyond tolerance 0.001"):
+                finite_time_estimate(state, 1.0)
+            assert (state.theta_ft, state.omega_ft, state.extraction_time) == (None, None, None)
 
     def test_deferred_until_excited(self):
         cfg = settings((1.0,), t_ft=0.01, w_floor=1e-6)
         state = constant_session(cfg, delta=1e-5, theta=(0.3,), steps=20)
         assert 1.0 - state.W[0] < cfg.w_floor
-        assert finite_time_estimate(state, cfg, 20 * SAMPLE_PERIOD) is None
+        assert finite_time_estimate(state, 20 * SAMPLE_PERIOD) is None
         assert state.extraction_time is None
         # excitation arrives later; the next attempt extracts
         state2 = constant_session(cfg, delta=1.0, theta=(0.3,), steps=100)
-        assert finite_time_estimate(state2, cfg, 100 * SAMPLE_PERIOD) == pytest.approx(
+        assert finite_time_estimate(state2, 100 * SAMPLE_PERIOD) == pytest.approx(
             (0.3,), abs=1e-9)
 
     def test_exact_on_simulated_session_at_any_time(self):
@@ -207,7 +229,7 @@ class TestFiniteTimeEstimate:
             for _, mixed in mixed_stream(two_tone(), model, d=0.13,
                                          epsilon=1.0, duration=t_extract):
                 step_gradient(state, mixed, SAMPLE_PERIOD)
-            result = finite_time_estimate(state, cfg, t_extract)
+            result = finite_time_estimate(state, t_extract)
             assert result is not None
             # gradient estimate itself is still far off at epsilon = 1
             assert max(abs(w - 1.0) for w in state.W) < 0.9
@@ -233,12 +255,12 @@ class TestFiniteTimeEstimate:
     def test_held_constant_after_extraction(self):
         cfg = settings((1.0,), t_ft=0.05)
         state = constant_session(cfg, delta=1.0, theta=(0.3,), steps=100)
-        first = finite_time_estimate(state, cfg, 100 * SAMPLE_PERIOD)
+        first = finite_time_estimate(state, 100 * SAMPLE_PERIOD)
         for k in range(100, 300):
             mixed = MixedSample(time=(k + 1) * SAMPLE_PERIOD, delta=0.5,
                                 psi=(0.5 * -0.9,), warm=True)  # new "truth"
             step_gradient(state, mixed, SAMPLE_PERIOD)
-        assert finite_time_estimate(state, cfg, 300 * SAMPLE_PERIOD) is first
+        assert finite_time_estimate(state, 300 * SAMPLE_PERIOD) is first
         assert state.theta_ft == first
         assert state.extraction_time == 100 * SAMPLE_PERIOD
 
@@ -247,7 +269,7 @@ class TestReset:
     def test_reset_starts_new_epoch_with_carried_estimate(self):
         cfg = settings((1.0,), t_ft=0.05)
         state = constant_session(cfg, delta=1.0, theta=(0.3,), steps=100)
-        finite_time_estimate(state, cfg, 100 * SAMPLE_PERIOD)
+        finite_time_estimate(state, 100 * SAMPLE_PERIOD)
         carried = tuple(state.theta_hat)
         reset_estimator(state)
         assert state.theta0 == carried
@@ -259,13 +281,13 @@ class TestReset:
     def test_post_reset_extraction_reflects_new_data(self):
         cfg = settings((1.0,), t_ft=0.05)
         state = constant_session(cfg, delta=1.0, theta=(0.3,), steps=100)
-        finite_time_estimate(state, cfg, 100 * SAMPLE_PERIOD)
+        finite_time_estimate(state, 100 * SAMPLE_PERIOD)
         reset_estimator(state)
         for k in range(100, 220):
             mixed = MixedSample(time=(k + 1) * SAMPLE_PERIOD, delta=1.0,
                                 psi=(-0.9,), warm=True)
             step_gradient(state, mixed, SAMPLE_PERIOD)
-        result = finite_time_estimate(state, cfg, 220 * SAMPLE_PERIOD)
+        result = finite_time_estimate(state, 220 * SAMPLE_PERIOD)
         assert result == pytest.approx((-0.9,), abs=1e-9)
 
 
@@ -311,6 +333,9 @@ class TestEstimatorSettings:
             EstimatorSettings(gamma=(1.0, 1.0), omega0=(2.0, 2.0), t_ft=1.0)
         with pytest.raises(ConfigError):
             EstimatorSettings(gamma=(1.0,), omega0=(-2.0,), t_ft=1.0)
+        for imag_tol in (0.0, -1e-3, math.inf, math.nan):
+            with pytest.raises(ConfigError, match="estimator.imag_tol must be positive"):
+                EstimatorSettings(gamma=(1.0,), omega0=(2.0,), t_ft=1.0, imag_tol=imag_tol)
 
     def test_length_must_match_the_model(self):
         # checked once, by the state both the streaming and whole-trace paths build
@@ -322,8 +347,7 @@ class TestEstimatorSettings:
         with pytest.raises(ConfigError, match="model.n = 2"):
             Pipeline(model, drem, short, SAMPLE_PERIOD)
         with pytest.raises(ConfigError, match="model.n = 2"):
-            run_trace(model, drem, short, SAMPLE_PERIOD, 1e-3, [0.0, SAMPLE_PERIOD],
-                      [0.0, 1.0], [0])
+            run_trace(model, drem, short, SAMPLE_PERIOD, [0.0, SAMPLE_PERIOD], [0.0, 1.0], [0])
 
     def test_state_starts_at_the_initial_guesses(self):
         state = new_state(settings((1.0, 1.0)))

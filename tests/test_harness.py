@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from ftfreq.config import (BUILTIN_NAMES, EstimatorSettings, RunConfig,
-                           ScenarioConfig, builtin_scenario, load_config,
-                           parse_config)
+                           ScenarioConfig, builtin_scenario, format_config,
+                           load_config, parse_config)
 from ftfreq.errors import ConfigError
 from ftfreq.harness import estimate_from_file, run_scenario, write_trace_csv
 from ftfreq.mixing import DremConfig
@@ -194,11 +194,16 @@ class TestEstimateFromFile:
                 (period, times[index])
 
     def test_header_required(self, tmp_path):
+        # a wrong header, a header with no rows, and a row that does not parse
         cfg = quick_noiseless()
         path = tmp_path / "bad.csv"
-        path.write_text("t,value\n0.0,0.0\n")
-        with pytest.raises(ConfigError):
-            estimate_from_file(str(path), cfg)
+        for text, message in (("t,value\n0.0,0.0\n", "expected header 'time,y'"),
+                              ("time,y\n", "no samples"),
+                              ("time,y\n0.0,0.0\n0.001\n", "row 3: malformed line '0.001'")):
+            path.write_text(text)
+            with pytest.raises(ConfigError) as info:
+                estimate_from_file(str(path), cfg)
+            assert any(message in v for v in info.value.violations), text
 
     def test_external_two_tone_recovered(self, tmp_path):
         # externally synthesized file, slightly different tones
@@ -232,6 +237,14 @@ class TestBuiltinScenarioFiles:
         assert tuple(path.stem for path in paths) == BUILTIN_NAMES
         for path in paths:
             assert load_config(path) == builtin_scenario(path.stem), path.stem
+
+    def test_files_are_in_canonical_form(self):
+        # comments aside, each file is format_config of itself, so a
+        # built-in's metadata echo is its own file and no stale key survives
+        for path in sorted((ROOT / "src" / "ftfreq" / "scenarios").glob("*.cfg")):
+            lines = [line for line in path.read_text(encoding="utf-8").splitlines()
+                     if line.strip() and not line.lstrip().startswith("#")]
+            assert lines == format_config(load_config(path)).splitlines(), path.stem
 
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in 3.11")
     def test_package_data_ships_every_builtin(self):

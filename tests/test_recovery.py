@@ -46,6 +46,8 @@ class TestFindRoots:
         roots = find_roots([1.0, -1.0, 0.25])  # (x - 0.5)^2
         assert [r.real for r in roots] == [0.5, 0.5]
         assert all(r.imag == 0.0 for r in roots)
+        # theta = (0, 0): the larger root q is 0, so Vieta cannot give its mate
+        assert find_roots([1.0, 0.0, 0.0]) == [0j, 0j]
 
     def test_cubic_roundtrip(self):
         rng = np.random.default_rng(31)

@@ -5,9 +5,9 @@ import math
 import pytest
 
 from ftfreq.errors import ConfigError
-from ftfreq.signals import (HarmonicDisturbance, HarmonicSpec, SampledTrace,
-                            ScheduleStep, SignalSpec, UniformDisturbance,
-                            generate_trace, sample_signal, sample_times)
+from ftfreq.signals import (HarmonicSpec, SampledTrace, ScheduleStep,
+                            SignalSpec, UniformDisturbance, generate_trace,
+                            sample_signal, sample_times)
 
 COS_PHASE = math.pi / 2
 
@@ -47,7 +47,7 @@ class TestSampleSignal:
 
     def test_harmonic_disturbance_added(self):
         spec = SignalSpec(harmonics=(HarmonicSpec(1.0, 2.0, 0.0),),
-                          disturbance=HarmonicDisturbance(0.25, 15.0, 0.0))
+                          disturbance=HarmonicSpec(0.25, 15.0, 0.0))
         t = 0.8
         expected = math.sin(2 * t) + 0.25 * math.sin(15 * t)
         assert sample_signal(spec, t) == pytest.approx(expected, abs=1e-12)
