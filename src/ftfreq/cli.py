@@ -5,8 +5,9 @@
     ftfreq scenario NAME [--out DIR] [--seed N]
 
 Exit codes: 0 success, 2 invalid configuration or input file, 3 numeric
-fault during estimation, 4 run completed without enough excitation to
-extract the finite-time estimate.
+fault during estimation, 4 run completed without a finite-time estimate in
+its last epoch: that epoch was shorter than t_ft (the message names its
+start), or its excitation never reached the extraction floor.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import BUILTIN_NAMES, builtin_scenario, load_config, with_seed
+from .config import (BUILTIN_NAMES, builtin_scenario, load_config,
+                     short_last_epoch, with_seed)
 from .errors import ConfigError, NumericFault
 from .harness import RunResult, estimate_from_file, run_scenario
 
@@ -74,7 +76,12 @@ def _report(result: RunResult) -> int:
         ft = " ".join(f"{w:.6f}" for w in final.omega_ft)
         print(f"omega_ft: {ft}")
         return EXIT_OK
-    print("omega_ft: not extracted (insufficient excitation)")
+    start = short_last_epoch(result.config)
+    if start is None:
+        print("omega_ft: not extracted (insufficient excitation)")
+    else:
+        print(f"omega_ft: not extracted (last epoch, from t = {start:g}, is shorter "
+              f"than t_ft = {result.config.estimator.t_ft:g})")
     return EXIT_NOT_EXCITED
 
 

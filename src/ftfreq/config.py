@@ -125,9 +125,24 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
     return bad
 
 
+def short_last_epoch(cfg: ScenarioConfig) -> float | None:
+    """The last reset time, when the epoch it starts ends (at run.duration)
+    before reaching estimator.t_ft, so that extraction is never tried in it."""
+    resets = cfg.run.reset_times
+    if resets and cfg.run.duration - resets[-1] < cfg.estimator.t_ft:
+        return resets[-1]
+    return None
+
+
 def config_warnings(cfg: ScenarioConfig) -> list[str]:
     """Non-fatal notes recorded into run metadata."""
     notes = list(cfg.model.warnings())
+    start = short_last_epoch(cfg)
+    if start is not None:
+        notes.append(
+            f"run.reset_times entry {start} leaves a last epoch of "
+            f"{cfg.run.duration - start:.6g} s, shorter than estimator.t_ft = "
+            f"{cfg.estimator.t_ft}: it cannot extract, so the run ends without omega_ft")
     if cfg.signal is not None:
         for label, harmonics in [("signal", cfg.signal.harmonics)] + [
                 (f"schedule t={s.switch_time}", s.harmonics) for s in cfg.signal.schedule]:

@@ -6,11 +6,14 @@ the chain's order, each writing its rows into the Trajectory:
 
 * _mixed: regression_at on a window whose entry k is the whole segment k
   samples back, the extension _stack (those columns shifted by the stacked
-  lags), _mix, and the scan for the first fault before the gradient step
-  (a non-finite time or measurement, stacked regressor or mixed sample);
-* _gradient: one scalar loop calling advance_gradient and
-  finite_time_estimate, which also recovers omega_ft;
-* _recover: omega_grad in _CHUNK-row blocks;
+  lags), _mix on the warm rows only (a cold row's delta is 0.0), and the
+  scan for the first fault before the gradient step (a non-finite time or
+  measurement on any row; a non-finite stacked regressor or mixed sample on
+  a warm row);
+* _gradient: one scalar loop over the warm rows calling advance_gradient
+  and finite_time_estimate, which also recovers omega_ft;
+* _recover: omega_grad in _CHUNK-row blocks; the cold rows, whose
+  theta_hat is the segment's first, share one recovery;
 * _replay: the first fault, raised by the streaming stage itself on that
   sample's inputs, so its exception and message are Pipeline's too.
 
@@ -112,10 +115,13 @@ def run_trace(model: ModelConfig, drem: DremConfig, estimator: EstimatorSettings
         for first, stop in zip(edges, edges[1:]):
             if first:
                 reset_estimator(run.state)
-            mixed, fault = _mixed(run, first, stop, taps, drem.epsilon, sample_period)
-            fault = _gradient(run, first, stop, mixed, taps.warm_from, sample_period) or fault
+            warm, mixed, fault = _mixed(run, first, stop, taps, drem.epsilon, sample_period)
+            fault = _gradient(run, first, stop, warm, mixed, sample_period) or fault
             end = stop if fault is None else first + fault[0]
-            for a in range(first, end, _CHUNK):
+            if warm:  # theta_hat holds still over the cold rows
+                _recover(run, first, first + 1, model)
+                run.omega_grad[first + 1:first + warm] = run.omega_grad[first]
+            for a in range(first + warm, end, _CHUNK):
                 _recover(run, a, min(a + _CHUNK, end), model)
             if fault is not None:
                 k = first + fault[0]
@@ -127,12 +133,14 @@ def run_trace(model: ModelConfig, drem: DremConfig, estimator: EstimatorSettings
 def _mixed(run: Trajectory, first: int, stop: int, taps: DelayTable,
            epsilon: float, dt: float):
     """Regression, stack and mix of rows first..stop-1, up to their first
-    pre-gradient fault; writes their delta rows.
+    pre-gradient fault; writes their delta rows, 0.0 on the cold ones.
 
-    Returns (mixed, fault): fault is None, or (row, streaming stage, its
-    arguments) for the first non-finite time or measurement, stacked
-    regressor or warm mixed sample, counted from first, and mixed stops at
-    that row.
+    Returns (warm, mixed, fault): warm is the number of cold rows before that
+    fault, and mixed holds the mixed psi of the warm rows after them. fault
+    is None, or (row, streaming stage, its arguments) for the first
+    non-finite time or measurement, or warm row's non-finite stacked
+    regressor or mixed sample, counted from first, and mixed stops at that
+    row.
     """
     times = run.times
     y = np.array(run.samples[first:stop], dtype=float)
@@ -150,33 +158,34 @@ def _mixed(run: Trajectory, first: int, stop: int, taps: DelayTable,
     window = {lag: _delayed(padded, lag, depth)
               for _, lag in chain(taps.psi, *taps.phi)}
     psi, phi = regression_at(window, taps)
-    psi_rows = _stack(psi, taps.rows)
-    phi_rows = _stack(np.stack(phi, axis=1), taps.rows)
-    bad = _first(~np.isfinite(phi_rows).all(axis=(1, 2)))
-    if bad < end:
-        end, fault = bad, (bad, mix, times[first + bad], tuple(psi_rows[bad].tolist()),
-                           tuple(map(tuple, phi_rows[bad].tolist())), False, epsilon)
-    delta, mixed = _mix(phi_rows[:end], psi_rows[:end], epsilon)
     warm = min(taps.warm_from, end)
-    bad = warm + _first(~(np.isfinite(delta[warm:]) & np.isfinite(mixed[warm:]).all(axis=1)))
-    if bad < end:
-        sample = MixedSample(times[first + bad], float(delta[bad]),
+    psi_rows = _stack(psi, taps.rows)[warm:end]
+    phi_rows = _stack(np.stack(phi, axis=1), taps.rows)[warm:end]
+    bad = _first(~np.isfinite(phi_rows).all(axis=(1, 2)))
+    if bad < len(phi_rows):
+        fault = (warm + bad, mix, times[first + warm + bad], tuple(psi_rows[bad].tolist()),
+                 tuple(map(tuple, phi_rows[bad].tolist())), True, epsilon)
+    delta, mixed = _mix(phi_rows[:bad], psi_rows[:bad], epsilon)
+    bad = _first(~(np.isfinite(delta) & np.isfinite(mixed).all(axis=1)))
+    if bad < len(delta):
+        sample = MixedSample(times[first + warm + bad], float(delta[bad]),
                              tuple(mixed[bad].tolist()), True)
-        fault = (bad, step_gradient, run.state, sample, dt)
-    run.delta[first:first + bad] = delta[:bad]
-    return mixed[:bad], fault
+        fault = (warm + bad, step_gradient, run.state, sample, dt)
+    run.delta[first:first + warm] = 0.0
+    run.delta[first + warm:first + warm + bad] = delta[:bad]
+    return warm, mixed[:bad], fault
 
 
-def _gradient(run: Trajectory, first: int, stop: int, mixed: np.ndarray,
-              warm_from: int, dt: float):
-    """Gradient and extraction over the segment's mixed rows; writes its
+def _gradient(run: Trajectory, first: int, stop: int, warm: int, mixed: np.ndarray,
+              dt: float):
+    """Gradient and extraction over the segment's rows, of which the first
+    warm are cold and mixed holds the mixed psi of the rest. Writes their
     theta_hat rows and held run. Returns None, or the fault of an extraction
     whose recovery fails, as (row, finite_time_estimate, its arguments): the
     failed call leaves the state as it was, so the replay raises it again."""
     state, times = run.state, run.times
-    end = len(mixed)
+    end = warm + len(mixed)
     delta = run.delta[first:first + end]
-    warm = min(warm_from, end)
     start = times[first]  # the epoch clock starts at the segment's first sample
     extract_from = bisect_left(times, state.settings.t_ft, first, first + end,
                                key=lambda t: t - start) - first
@@ -186,7 +195,7 @@ def _gradient(run: Trajectory, first: int, stop: int, mixed: np.ndarray,
     for a in range(warm, end, _CHUNK):
         b = min(a + _CHUNK, end)
         rows, failed = [], None
-        for j, d, psi in zip(range(a, b), delta[a:b].tolist(), mixed[a:b].tolist()):
+        for j, d, psi in zip(range(a, b), delta[a:b].tolist(), mixed[a - warm:b - warm].tolist()):
             advance_gradient(state, d, psi, dt)
             rows += theta
             if state.theta_ft is None and j >= extract_from:

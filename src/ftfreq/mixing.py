@@ -15,8 +15,8 @@ stack this multiplies delta and every mixed_psi_i by eps^n.
 One routine, `adjugate`, returns adj(M) and det(M) together for every n:
 exact closed forms for n <= 2 and, above that, G. W. Stewart's singular
 value form ("On the adjugate matrix", Lin. Alg. Appl. 1998), which costs
-O(n^3) and stays valid for singular M, including the all-zero stack seen
-during warm-up. _closed_form and _scaled_product also take equal-length
+O(n^3) and stays valid for singular M, including the all-zero stack of a
+zero signal. _closed_form and _scaled_product also take equal-length
 arrays (one system per element): the whole-trace engine mixes with them too.
 """
 

@@ -53,12 +53,15 @@ class Pipeline:
     this class is the streaming path, one step() per arriving sample.
     The session's whole history is one zero-filled window of the last
     taps.warm_from + 1 measurements, newest first: stacked row i is
-    regression_at(window, taps, taps.rows[i]), and a mixed sample is warm
-    once more than taps.warm_from samples arrived since the last clear.
+    regression_at(window, taps, taps.rows[i]). A sample is warm once more
+    than taps.warm_from samples arrived since the last clear; only warm
+    samples are stacked, mixed and moved into theta_hat, and a cold one
+    reports delta 0.0, the excitation it adds.
     Pipeline keeps the epoch clock: an epoch starts at the first sample
     after a clear, and extraction is tried from t_ft after that on.
-    The raw gradient estimates are recovered at every step with no
-    imaginary-part limit (transients can wander through complex root
+    The raw gradient estimates are recovered whenever a warm sample has moved
+    theta_hat (cold samples, extraction and reset leave it as it was), with
+    no imaginary-part limit (transients can wander through complex root
     territory), projected into the model band; the finite-time estimate is
     recovered once, inside finite_time_estimate, under the estimator's
     imag_tol, and the state holds it.
@@ -73,6 +76,7 @@ class Pipeline:
         self.taps = delay_table(model, drem.d, sample_period)
         self._window = deque(maxlen=self.taps.warm_from + 1)
         self.state = EstimatorState(estimator, model)
+        self._omega_grad = None  # of the current theta_hat, once recovered
         self._clear_window()
 
     def step(self, t: float, y: float) -> StepResult:
@@ -84,21 +88,26 @@ class Pipeline:
         taps = self.taps
         self._window.appendleft(y)
         self._count += 1
-        psi_rows, phi_rows = zip(*[regression_at(self._window, taps, lag) for lag in taps.rows])
-        mixed = mix(t, psi_rows, phi_rows, self._count > taps.warm_from, self.drem.epsilon)
         state = self.state
-        step_gradient(state, mixed, self.sample_period)
+        delta = 0.0  # a cold sample adds no excitation
+        if self._count > taps.warm_from:
+            psi_rows, phi_rows = zip(*[regression_at(self._window, taps, lag) for lag in taps.rows])
+            mixed = mix(t, psi_rows, phi_rows, True, self.drem.epsilon)
+            step_gradient(state, mixed, self.sample_period)
+            delta = mixed.delta
+            self._omega_grad = None  # theta_hat has moved
 
         theta_ft = state.theta_ft
         if theta_ft is None and t - self._epoch_start >= self.estimator.t_ft:
             theta_ft = finite_time_estimate(state, t)
 
         theta_hat = tuple(state.theta_hat)
-        omega_grad = recover_frequencies(
-            theta_hat, self.model.h, self.model.band, imag_tol=math.inf).omega_hat
+        if self._omega_grad is None:
+            self._omega_grad = recover_frequencies(
+                theta_hat, self.model.h, self.model.band, imag_tol=math.inf).omega_hat
         return StepResult(
-            time=t, y=y, delta=mixed.delta, theta_hat=theta_hat,
-            theta_ft=theta_ft, omega_grad=omega_grad, omega_ft=state.omega_ft)
+            time=t, y=y, delta=delta, theta_hat=theta_hat,
+            theta_ft=theta_ft, omega_grad=self._omega_grad, omega_ft=state.omega_ft)
 
     def reset(self) -> None:
         """Restart the session mid-stream after an external signal change.

@@ -54,7 +54,22 @@ class TestSimulate:
         code = main(["simulate", "--config", str(cfg_path),
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_NOT_EXCITED
-        assert "not extracted" in capsys.readouterr().out
+        assert "omega_ft: not extracted (insufficient excitation)" in capsys.readouterr().out
+
+    def test_short_last_epoch_names_its_cause(self, tmp_path, capsys):
+        # the first epoch extracts at 5 s; the reset at 6 s leaves 2 s, too
+        # short to reach t_ft = 5 s, though the excitation is ample
+        cfg_path = tmp_path / "scenario.cfg"
+        cfg = builtin_scenario("noiseless-2h")
+        cfg_path.write_text(format_config(
+            replace(cfg, run=replace(cfg.run, duration=8.0, reset_times=(6.0,)))))
+        code = main(["simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_NOT_EXCITED
+        out = capsys.readouterr().out
+        assert "omega_ft: not extracted (last epoch, from t = 6, is shorter than t_ft = 5)" in out
+        meta = (tmp_path / "out" / "metadata.txt").read_text()
+        assert "warning.1 = run.reset_times entry 6.0 leaves a last epoch of 2 s" in meta
 
     def test_unparseable_file_exits_2(self, tmp_path):
         cfg_path = tmp_path / "scenario.cfg"
@@ -129,18 +144,23 @@ class TestEstimate:
         assert "numeric fault" in capsys.readouterr().err
 
     def test_overflowing_sample_exits_3(self, tmp_path, capsys):
-        # finite, but phi = 2 y(t - h) + ... overflows: a fault of the data
+        # finite, but phi = 2 y(t - h) + ... overflows: a fault of the data,
+        # raised once the first stacked row (h + d = 230 samples later) holds
+        # it. One h earlier the stack's psi row holds the spike; on a 0.25
+        # trace every adjugate entry is 1, so the mixed sum stays finite and
+        # eps^2 = 1e-200 keeps it so
         cfg_path = tmp_path / "scenario.cfg"
-        write_quick_config(cfg_path)
+        cfg = builtin_scenario("noiseless-2h")
+        write_quick_config(cfg_path, drem=replace(cfg.drem, epsilon=1e-100))
         trace = tmp_path / "huge.csv"
         rows = ["time,y"] + [
-            f"{k * 0.001!r},{'1e308' if k == 10 else '0.5'}" for k in range(300)]
+            f"{k * 0.001!r},{'1e308' if k == 3000 else '0.25'}" for k in range(3300)]
         trace.write_text("\n".join(rows) + "\n")
         code = main(["estimate", "--config", str(cfg_path),
                      "--input", str(trace), "--out", str(tmp_path / "out")])
         assert code == EXIT_NUMERIC
         err = capsys.readouterr().err
-        assert "numeric fault: sample 240" in err and "non-finite stacked regressor" in err
+        assert "numeric fault: sample 3230" in err and "non-finite stacked regressor" in err
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "scenario.cfg"

@@ -11,12 +11,16 @@ same exception.
 import math
 import random
 import re
+from bisect import bisect_left
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ftfreq import engine as engine_module
+from ftfreq import pipeline as pipeline_module
 from ftfreq.config import (BUILTIN_NAMES, EstimatorSettings, RunConfig,
                            ScenarioConfig, builtin_scenario, ensure_valid,
                            validate_config)
@@ -225,6 +229,45 @@ def test_pipeline_rejects_a_non_finite_time():
             pipeline.step(bad, 0.0)
 
 
+def test_cold_samples_are_not_mixed_or_recovered():
+    # n = 3 at 0.1 s: warm 30 samples after the start and after the reset at
+    # 5 s, so 20 of the first epoch's 50 samples and 21 of the second's 51
+    # are warm. Only those are mixed, and only their gradient steps move
+    # theta_hat and so call for a new omega_grad
+    cfg = synthetic(3, 1)
+    cfg = replace(cfg, run=replace(cfg.run, duration=10.0, reset_times=(5.0,)))
+    times, samples = grid(cfg)
+    warm = [20, 21]
+    counted = {"mix": 0, "recover_frequencies": 0}
+
+    def counting(name):
+        stage = getattr(pipeline_module, name)
+
+        def call(*args, **kwargs):
+            counted[name] += 1
+            return stage(*args, **kwargs)
+        return call
+
+    with mock.patch.object(pipeline_module, "mix", counting("mix")), \
+            mock.patch.object(pipeline_module, "recover_frequencies",
+                              counting("recover_frequencies")):
+        records, _ = pipeline_reference(cfg, times, samples)
+    assert counted == {"mix": sum(warm), "recover_frequencies": sum(warm) + 1}
+
+    rows, mix_rows = [], engine_module._mix
+
+    def recording(phi_rows, psi_rows, epsilon):
+        rows.append(len(phi_rows))
+        return mix_rows(phi_rows, psi_rows, epsilon)
+
+    with mock.patch.object(engine_module, "_mix", recording):
+        run = run_trace(cfg.model, cfg.drem, cfg.estimator, cfg.run.sample_period,
+                        times, samples, [0, 50])
+    assert rows == warm
+    cold = [*range(30), *range(50, 80)]
+    assert all(records[k].delta == 0.0 and run.delta[k] == 0.0 for k in cold)
+
+
 def test_resets_closer_than_a_sample(tmp_path):
     # one reset per sample: the second and third of a burst land on the
     # following samples; one before the first sample changes nothing
@@ -327,25 +370,52 @@ class TestFaultParity:
         assert "coefficients must be finite" in message
 
     def test_overflowing_regressor(self, tmp_path):
-        # a finite 1e308 overflows phi before warm-up, a fault of the data:
+        # a finite 1e308 overflows phi after warm-up, a fault of the data:
         # mix raises it once the stack holds it, after phi's shallowest tap
-        # (h = 100 samples) and the first stacked row (d = 130 samples)
+        # (h = 100 samples) and the first stacked row (d = 130 samples). One
+        # h earlier the first stacked psi row holds the spike: the adjugate
+        # entries that multiply it are below 1 in magnitude there, so the
+        # mixed sum stays finite, and eps^2 = 1e-200 keeps it so
         cfg = self.quick()
+        cfg = replace(cfg, drem=replace(cfg.drem, epsilon=1e-100))
         times, samples = grid(cfg)
-        samples[10] = 1e308
+        samples[2600] = 1e308
         kind, index, message = assert_parity(cfg, times, samples, tmp_path)
-        assert kind is NumericFault and index == 10 + 100 + 130
+        assert kind is NumericFault and index == 2600 + 100 + 130
         assert "non-finite stacked regressor" in message
 
 
-@pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_builtin_outputs_match_pipeline_files(tmp_path, name):
-    """run_scenario writes the files a Pipeline-driven run writes, byte for byte."""
+def summed_excitation(deltas, dt):
+    """The sum of d * d * dt in row order, as advance_gradient accumulates
+    the excitation; a cold row's delta 0.0 adds exactly nothing."""
+    total = 0.0
+    for d in deltas:
+        total += d * d * dt
+    return total
+
+
+@pytest.mark.parametrize("name, resets", [
+    *(pytest.param(name, (), id=name) for name in BUILTIN_NAMES),
+    pytest.param("noiseless-2h", (20.0,), id="noiseless-2h-reset")])
+def test_builtin_outputs_match_pipeline_files(tmp_path, name, resets):
+    """run_scenario writes the files a Pipeline-driven run writes, byte for
+    byte, and their delta column integrates to the last epoch's excitation."""
     cfg = builtin_scenario(name)
+    cfg = replace(cfg, run=replace(cfg.run, reset_times=resets))
     result = run_scenario(cfg, out_dir=str(tmp_path / "engine"))
     times, samples = grid(cfg)
     records, pipeline = pipeline_reference(cfg, times, samples)
     assert result.records == records
+
+    dt = cfg.run.sample_period
+    last = bisect_left(times, resets[-1] - GRID_TOL) if resets else 0
+    assert summed_excitation([rec.delta for rec in records[last:]], dt) == \
+        pipeline.state.excitation
+    assert summed_excitation(result.trajectory.delta[last:].tolist(), dt) == \
+        result.trajectory.state.excitation
+    rows = (tmp_path / "engine" / "estimates.csv").read_text().splitlines()[1 + last:]
+    assert summed_excitation([float(row.split(",")[2]) for row in rows], dt) == \
+        float(result.metadata["estimator.excitation_integral"])
 
     n = cfg.model.n
     ref = tmp_path / "ref"

@@ -33,17 +33,17 @@ def session(n, steps_h, steps_d, period=SAMPLE_PERIOD):
 
 
 @contextlib.contextmanager
-def warm_flags():
-    """Record the warm flag of every sample a Pipeline mixes."""
-    flags = []
+def mixed_samples():
+    """Record every MixedSample a Pipeline mixes."""
+    samples = []
 
     def recording(*args):
         sample = mix(*args)
-        flags.append(sample.warm)
+        samples.append(sample)
         return sample
 
     with mock.patch.object(pipeline_module, "mix", recording):
-        yield flags
+        yield samples
 
 
 class TestExtender:
@@ -88,36 +88,39 @@ class TestExtender:
            st.integers(0, 80), st.integers(1, 80))
     def test_complete_requires_valid_history_at_deepest_lag(self, n, steps_h, steps_d,
                                                             reset_at, after):
-        # warm exactly from sample warm_from after the start and after a reset
+        # warm exactly from sample warm_from after the start and after a
+        # reset, and only warm samples are mixed
         pipeline = session(n, steps_h, steps_d, period=0.01)
         warm_from = 2 * n * steps_h + n * steps_d
         assert pipeline.taps.warm_from == warm_from
         freqs = [1.0 + 0.4 * i for i in range(n)]
         signal = [sum(math.sin(w * 0.01 * k + i) for i, w in enumerate(freqs))
                   for k in range(reset_at + after)]
-        with warm_flags() as flags:
+        with mixed_samples() as mixed:
             for k, y in enumerate(signal):
                 if k == reset_at:
                     pipeline.reset()
                 pipeline.step(k * 0.01, y)
-        expected = [k >= warm_from for k in range(reset_at)]
-        expected += [k >= warm_from for k in range(after)]
-        assert flags == expected
+        expected = [k for k in range(reset_at) if k >= warm_from]
+        expected += [reset_at + k for k in range(after) if k >= warm_from]
+        assert [sample.time for sample in mixed] == [k * 0.01 for k in expected]
+        assert all(sample.warm for sample in mixed)
 
     def test_off_grid_d_rejected(self):
         with pytest.raises(ConfigError):
             session(2, 10, 10.5)
 
     def test_clear_restarts_history(self):
-        # n = 1: delta is 2 y(k - 20) exactly, and reads zero again after a reset
+        # n = 1: delta is 2 y(k - 20) exactly once warm (from 2h + d = 30
+        # samples on), and reads zero again after a reset
         pipeline = session(1, 10, 10)
         for k in range(50):
             pipeline.step(k * SAMPLE_PERIOD, 1.0)
         pipeline.reset()
-        with warm_flags() as flags:
-            deltas = [pipeline.step((50 + k) * SAMPLE_PERIOD, 7.0).delta for k in range(21)]
-        assert deltas == [0.0] * 20 + [14.0]
-        assert not any(flags)
+        with mixed_samples() as mixed:
+            deltas = [pipeline.step((50 + k) * SAMPLE_PERIOD, 7.0).delta for k in range(31)]
+        assert deltas == [0.0] * 30 + [14.0]
+        assert [sample.time for sample in mixed] == [80 * SAMPLE_PERIOD]
 
 
 def cofactor_adjugate(m):
