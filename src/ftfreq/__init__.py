@@ -19,7 +19,7 @@ from .errors import ConfigError, EstimateNotPhysical, NumericFault
 from .estimator import (EstimatorSettings, EstimatorState,
                         finite_time_estimate, reset_estimator, step_gradient)
 from .harness import RunResult, estimate_from_file, run_scenario
-from .mixing import DremConfig, MixedSample, adjugate, mix
+from .mixing import DremConfig, adjugate, mix
 from .pipeline import Pipeline, StepResult
 from .recovery import (FrequencyEstimate, find_roots, recover_frequencies,
                        roots_to_frequencies, theta_to_polynomial)
@@ -32,7 +32,7 @@ __all__ = [
     "__version__",
     "BUILTIN_NAMES", "ConfigError", "DelayTable", "DremConfig", "EstimateNotPhysical",
     "EstimatorSettings", "EstimatorState", "FrequencyEstimate", "HarmonicSpec",
-    "MixedSample", "ModelConfig", "NumericFault", "OutputConfig", "Pipeline",
+    "ModelConfig", "NumericFault", "OutputConfig", "Pipeline",
     "RunConfig", "RunResult",
     "SampledTrace", "ScenarioConfig", "ScheduleStep", "SignalSpec", "StepResult",
     "UniformDisturbance",

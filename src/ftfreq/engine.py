@@ -7,11 +7,11 @@ the chain's order, each writing its rows into the Trajectory:
 * _mixed: regression_at on a window whose entry k is the whole segment k
   samples back, the extension _stack (those columns shifted by the stacked
   lags), _mix on the warm rows only (a cold row's delta is 0.0), and the
-  scan for the first fault before the gradient step (a non-finite time or
-  measurement on any row; a non-finite stacked regressor or mixed sample on
-  a warm row);
-* _gradient: one scalar loop over the warm rows calling advance_gradient
-  and finite_time_estimate, which also recovers omega_ft;
+  scan for the first fault before the gradient step: a non-finite time or
+  measurement on any row, or a warm row that mix rejects (a non-finite
+  stack or mixed output), one fault replayed through mix;
+* _gradient: one scalar loop over the warm rows calling step_gradient and
+  finite_time_estimate, which also recovers omega_ft;
 * _recover: omega_grad in _CHUNK-row blocks; the cold rows, whose
   theta_hat is the segment's first, share one recovery;
 * _replay: the first fault, raised by the streaming stage itself on that
@@ -43,10 +43,9 @@ from itertools import chain, islice
 import numpy as np
 
 from .errors import NumericFault
-from .estimator import (EstimatorSettings, EstimatorState, advance_gradient,
+from .estimator import (EstimatorSettings, EstimatorState,
                         finite_time_estimate, reset_estimator, step_gradient)
-from .mixing import (DremConfig, MixedSample, _closed_form, _scaled_product,
-                     mix)
+from .mixing import DremConfig, _closed_form, _scaled_product, mix
 from .pipeline import StepResult, check_measurement
 from .recovery import RESIDUAL_TOL, recover_frequencies
 from .regression import DelayTable, ModelConfig, delay_table, regression_at
@@ -115,7 +114,7 @@ def run_trace(model: ModelConfig, drem: DremConfig, estimator: EstimatorSettings
         for first, stop in zip(edges, edges[1:]):
             if first:
                 reset_estimator(run.state)
-            warm, mixed, fault = _mixed(run, first, stop, taps, drem.epsilon, sample_period)
+            warm, mixed, fault = _mixed(run, first, stop, taps, drem.epsilon)
             fault = _gradient(run, first, stop, warm, mixed, sample_period) or fault
             end = stop if fault is None else first + fault[0]
             if warm:  # theta_hat holds still over the cold rows
@@ -130,17 +129,16 @@ def run_trace(model: ModelConfig, drem: DremConfig, estimator: EstimatorSettings
     return run
 
 
-def _mixed(run: Trajectory, first: int, stop: int, taps: DelayTable,
-           epsilon: float, dt: float):
+def _mixed(run: Trajectory, first: int, stop: int, taps: DelayTable, epsilon: float):
     """Regression, stack and mix of rows first..stop-1, up to their first
     pre-gradient fault; writes their delta rows, 0.0 on the cold ones.
 
     Returns (warm, mixed, fault): warm is the number of cold rows before that
     fault, and mixed holds the mixed psi of the warm rows after them. fault
-    is None, or (row, streaming stage, its arguments) for the first
-    non-finite time or measurement, or warm row's non-finite stacked
-    regressor or mixed sample, counted from first, and mixed stops at that
-    row.
+    is None, or (row, streaming stage, its arguments), counted from first,
+    for the first row with a non-finite time or measurement
+    (check_measurement) or, if earlier, the first warm row whose stack or
+    mixed output is non-finite (mix); mixed stops at that row.
     """
     times = run.times
     y = np.array(run.samples[first:stop], dtype=float)
@@ -161,16 +159,13 @@ def _mixed(run: Trajectory, first: int, stop: int, taps: DelayTable,
     warm = min(taps.warm_from, end)
     psi_rows = _stack(psi, taps.rows)[warm:end]
     phi_rows = _stack(np.stack(phi, axis=1), taps.rows)[warm:end]
-    bad = _first(~np.isfinite(phi_rows).all(axis=(1, 2)))
+    # the SVD rejects a non-finite stack: mix only the rows before the first
+    finite = _first(~np.isfinite(phi_rows).all(axis=(1, 2)))
+    delta, mixed = _mix(phi_rows[:finite], psi_rows[:finite], epsilon)
+    bad = _first(~(np.isfinite(delta) & np.isfinite(mixed).all(axis=1)))
     if bad < len(phi_rows):
         fault = (warm + bad, mix, times[first + warm + bad], tuple(psi_rows[bad].tolist()),
-                 tuple(map(tuple, phi_rows[bad].tolist())), True, epsilon)
-    delta, mixed = _mix(phi_rows[:bad], psi_rows[:bad], epsilon)
-    bad = _first(~(np.isfinite(delta) & np.isfinite(mixed).all(axis=1)))
-    if bad < len(delta):
-        sample = MixedSample(times[first + warm + bad], float(delta[bad]),
-                             tuple(mixed[bad].tolist()), True)
-        fault = (warm + bad, step_gradient, run.state, sample, dt)
+                 tuple(map(tuple, phi_rows[bad].tolist())), epsilon)
     run.delta[first:first + warm] = 0.0
     run.delta[first + warm:first + warm + bad] = delta[:bad]
     return warm, mixed[:bad], fault
@@ -196,7 +191,7 @@ def _gradient(run: Trajectory, first: int, stop: int, warm: int, mixed: np.ndarr
         b = min(a + _CHUNK, end)
         rows, failed = [], None
         for j, d, psi in zip(range(a, b), delta[a:b].tolist(), mixed[a - warm:b - warm].tolist()):
-            advance_gradient(state, d, psi, dt)
+            step_gradient(state, d, psi, dt)
             rows += theta
             if state.theta_ft is None and j >= extract_from:
                 try:

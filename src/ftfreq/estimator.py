@@ -1,6 +1,7 @@
 """Per-parameter gradient estimation with finite-time re-estimation.
 
-Each mixed scalar regression psi_i = delta * theta_i drives the gradient law
+Each mixed scalar regression psi_i = delta * theta_i, from the finite pair
+(delta, psi) that mix returns, drives the gradient law
 
     d/dt theta_hat_i = gamma_i * delta * (psi_i - delta * theta_hat_i),
 
@@ -39,8 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, NumericFault
-from .mixing import MixedSample
+from .errors import ConfigError
 from .recovery import DEFAULT_IMAG_TOL, recover_frequencies
 from .regression import ModelConfig, true_theta
 
@@ -136,30 +136,14 @@ class EstimatorState:
         return tuple(math.exp(-g * self.excitation) for g in self.settings.gamma)
 
 
-def step_gradient(state: EstimatorState, mixed: MixedSample,
-                  dt: float) -> EstimatorState:
-    """Advance the estimates by one sample interval.
-
-    Updates are skipped while the mixed sample is not warm, so zero-history
-    transients never enter the excitation integral.
-    """
-    if not mixed.warm:
-        return state
-    delta = mixed.delta
-    if not math.isfinite(delta) or any(not math.isfinite(p) for p in mixed.psi):
-        raise NumericFault(
-            f"non-finite mixed regression at t = {mixed.time}: "
-            f"delta = {delta}, psi = {mixed.psi}")
-    advance_gradient(state, delta, mixed.psi, dt)
-    return state
-
-
-def advance_gradient(state: EstimatorState, delta: float, psi, dt: float) -> None:
+def step_gradient(state: EstimatorState, delta: float, psi, dt: float) -> None:
     """Apply one warm sample interval of the gradient law to state in place.
 
     The held-input update of every theta_hat_i, the excitation integral and
-    max_decay_step; the caller has checked delta and psi for finiteness.
-    Shared by step_gradient and the whole-trace engine.
+    max_decay_step. delta and psi must be finite, as mix returns them: a
+    non-finite one is not checked here and turns theta_hat non-finite, which
+    the frequency recovery then rejects. The drivers call it on warm samples
+    only.
     """
     d2 = delta * delta
     d2dt = d2 * dt

@@ -18,6 +18,10 @@ value form ("On the adjugate matrix", Lin. Alg. Appl. 1998), which costs
 O(n^3) and stays valid for singular M, including the all-zero stack of a
 zero signal. _closed_form and _scaled_product also take equal-length
 arrays (one system per element): the whole-trace engine mixes with them too.
+
+`mix` returns the plain pair (delta, mixed psi), all the gradient stage
+needs, and is the one stage that rejects a non-finite stack or mixed output
+(NumericFault), in both drivers.
 """
 
 from __future__ import annotations
@@ -50,16 +54,6 @@ class DremConfig:
             raise ConfigError(bad)
 
 
-@dataclass(frozen=True)
-class MixedSample:
-    """Decoupled scalar regressions: psi[i] = delta * theta_i on clean data."""
-
-    time: float
-    delta: float
-    psi: tuple[float, ...]
-    warm: bool
-
-
 def adjugate(matrix) -> tuple[list[list[float]], float]:
     """(adj(M), det(M)), with adj(M) M = det(M) I for singular M too.
 
@@ -87,18 +81,27 @@ def adjugate(matrix) -> tuple[list[list[float]], float]:
     s = s.tolist()
     sign = math.copysign(1.0, np.linalg.det(u @ vt))  # U V^T is orthogonal: +-1
     others = [sign * math.prod(s[:i]) * math.prod(s[i + 1:]) for i in range(n)]
-    return ((vt.T * others) @ u.T).tolist(), sign * math.prod(s)
+    if math.isfinite(sum(others)):  # bounds every entry and partial sum of adj
+        adj = (vt.T * others) @ u.T
+    else:  # an overflowed cofactor: inf * 0 is NaN, which mix rejects
+        with np.errstate(invalid="ignore", over="ignore"):
+            adj = (vt.T * others) @ u.T
+    return adj.tolist(), sign * math.prod(s)
 
 
-def mix(time: float, psi_rows, phi_rows, warm: bool, epsilon: float) -> MixedSample:
-    """Mix the stacked system at one instant into scalar regressions.
+def mix(time: float, psi_rows, phi_rows,
+        epsilon: float) -> tuple[float, tuple[float, ...]]:
+    """Mix the stacked system at one instant into (delta, mixed psi).
 
     Row i of psi_rows and phi_rows is the regression delayed by the i-th
-    stacked lag; warm says every row reads real history. With the whole
-    stack scaled by epsilon first, delta = eps^n det(Phi) and mixed
-    psi = eps^n adj(Phi) psi_rows (adj(eps M) = eps^(n-1) adj(M)).
-    A stack that overflowed to a non-finite entry is a fault of the data
-    (NumericFault), where adjugate itself rejects it as bad input.
+    stacked lag. With the whole stack scaled by epsilon first,
+    delta = eps^n det(Phi) and mixed psi = eps^n adj(Phi) psi_rows
+    (adj(eps M) = eps^(n-1) adj(M)); on clean data psi[i] = delta * theta_i.
+    Non-finite values are a fault of the data (NumericFault): a stack that
+    overflowed to a non-finite entry, where adjugate itself rejects it as
+    bad input, and a non-finite delta or mixed psi, so both are finite when
+    returned. The eps^n scale is applied after adj(Phi) psi_rows is summed,
+    so a small epsilon cannot keep an overflowing product finite.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
@@ -109,7 +112,10 @@ def mix(time: float, psi_rows, phi_rows, warm: bool, epsilon: float) -> MixedSam
             raise
         raise NumericFault(f"non-finite stacked regressor at t = {time}") from None
     delta, psi = _scaled_product(adj, det, psi_rows, epsilon)
-    return MixedSample(time=time, delta=delta, psi=psi, warm=warm)
+    if not (math.isfinite(delta) and all(map(math.isfinite, psi))):
+        raise NumericFault(
+            f"non-finite mixed regression at t = {time}: delta = {delta}, psi = {psi}")
+    return delta, psi
 
 
 def _closed_form(rows):

@@ -1,9 +1,11 @@
 """Sample-by-sample assembly of the full estimation chain.
 
 measurement window -> stacked regression (psi, phi at each delayed row) ->
-adjugate mixing -> per-parameter gradient -> omega_grad recovery, with the
-finite-time extraction (theta_ft and its omega_ft) done once per epoch by
-the estimator. One Pipeline instance owns one estimation session.
+adjugate mixing into (delta, psi) -> per-parameter gradient -> omega_grad
+recovery, with the finite-time extraction (theta_ft and its omega_ft) done
+once per epoch by the estimator. mix rejects a non-finite stack or mixed
+output, so the gradient step takes its (delta, psi) as they come. One
+Pipeline instance owns one estimation session.
 """
 
 from __future__ import annotations
@@ -92,9 +94,8 @@ class Pipeline:
         delta = 0.0  # a cold sample adds no excitation
         if self._count > taps.warm_from:
             psi_rows, phi_rows = zip(*[regression_at(self._window, taps, lag) for lag in taps.rows])
-            mixed = mix(t, psi_rows, phi_rows, True, self.drem.epsilon)
-            step_gradient(state, mixed, self.sample_period)
-            delta = mixed.delta
+            delta, psi = mix(t, psi_rows, phi_rows, self.drem.epsilon)
+            step_gradient(state, delta, psi, self.sample_period)
             self._omega_grad = None  # theta_hat has moved
 
         theta_ft = state.theta_ft

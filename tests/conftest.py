@@ -12,14 +12,16 @@ SAMPLE_PERIOD = 0.001
 
 
 def mixed_stream(spec, model_cfg, d, epsilon, duration, sample_period=SAMPLE_PERIOD):
-    """Yield (k, MixedSample) over a generated trace of the given signal."""
+    """Yield (k, (delta, psi)) at every warm sample k of a generated trace of
+    the given signal: the samples the drivers mix."""
     taps = delay_table(model_cfg, d, sample_period)
     window = [0.0] * (taps.warm_from + 1)
     trace = generate_trace(spec, sample_period, duration)
     for k, y in enumerate(trace.values):
         window = [y] + window[:-1]
-        psi_rows, phi_rows = zip(*(regression_at(window, taps, lag) for lag in taps.rows))
-        yield k, mix(k * sample_period, psi_rows, phi_rows, k >= taps.warm_from, epsilon)
+        if k >= taps.warm_from:
+            psi_rows, phi_rows = zip(*(regression_at(window, taps, lag) for lag in taps.rows))
+            yield k, mix(k * sample_period, psi_rows, phi_rows, epsilon)
 
 
 def window_at(values, k, length):

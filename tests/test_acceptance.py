@@ -15,7 +15,7 @@ from conftest import (SAMPLE_PERIOD, cascade_residual, mixed_stream,
 from ftfreq.config import builtin_scenario, with_reset_times
 from ftfreq.estimator import EstimatorSettings, EstimatorState, step_gradient
 from ftfreq.harness import run_scenario
-from ftfreq.mixing import MixedSample, adjugate
+from ftfreq.mixing import adjugate
 from ftfreq.recovery import recover_frequencies
 from ftfreq.regression import ModelConfig, delay_table, regression_at, true_theta
 from ftfreq.signals import HarmonicSpec, SignalSpec, generate_trace
@@ -76,11 +76,10 @@ def test_criterion_2_regression_and_mixing_consistency():
             psi, phi = regression_at(window_at(values, k, taps.valid_from + 1), taps)
             predicted = sum(p * t for p, t in zip(phi, theta))
             worst_reg = max(worst_reg, abs(psi - predicted) / (1e-9 * scale_reg))
-        for k, mixed in mixed_stream(spec, cfg, 0.07, epsilon, 4.0):
-            if mixed.warm:
-                for i in range(n):
-                    gap = abs(mixed.psi[i] - mixed.delta * theta[i])
-                    worst_mix = max(worst_mix, gap / (1e-9 * scale_mix))
+        for k, (delta, mixed_psi) in mixed_stream(spec, cfg, 0.07, epsilon, 4.0):
+            for i in range(n):
+                gap = abs(mixed_psi[i] - delta * theta[i])
+                worst_mix = max(worst_mix, gap / (1e-9 * scale_mix))
     elapsed = time.perf_counter() - started
     report(2, worst_reg <= 1.0 and worst_mix <= 1.0 and elapsed < 5.0,
            f"regression residual at {worst_reg:.2e} and mixing residual at "
@@ -101,8 +100,7 @@ def test_criterion_3_closed_form_gradient():
     worst = 0.0
     checkpoints = {round(1.0 / SAMPLE_PERIOD): 1.0, round(10.0 / SAMPLE_PERIOD): 10.0}
     for k in range(1, round(10.0 / SAMPLE_PERIOD) + 1):
-        mixed = MixedSample(time=k * SAMPLE_PERIOD, delta=delta, psi=psi, warm=True)
-        step_gradient(state, mixed, SAMPLE_PERIOD)
+        step_gradient(state, delta, psi, SAMPLE_PERIOD)
         if k in checkpoints:
             t = checkpoints[k]
             for i in range(2):

@@ -333,6 +333,18 @@ class TestFaultParity:
         assert kind is NumericFault and index == 2000 + 130
         assert "non-finite mixed regression" in message
 
+    def test_non_finite_mixed_regression_stacked_svd(self, tmp_path):
+        # n = 3 mixes through the SVD adjugate: a finite 1e307 spike after the
+        # reset at sample 20 overflows a cofactor at the segment's first warm
+        # sample (20 + 2nh + nd = 50), where inf * 0 turns the adjugate NaN;
+        # both drivers raise the fault without a numpy warning
+        cfg = synthetic(3, 1)
+        times, samples = grid(cfg)
+        samples[35] = 1e307
+        kind, index, message = assert_parity(cfg, times, samples, tmp_path)
+        assert kind is NumericFault and index == 50
+        assert "non-finite mixed regression" in message
+
     def test_recovery_fault_after_a_spike(self, tmp_path):
         # a 1e200 spike leaves the mixed regression finite but throws
         # theta_hat so far that the omega_grad roots miss their residual
@@ -386,7 +398,7 @@ class TestFaultParity:
 
 
 def summed_excitation(deltas, dt):
-    """The sum of d * d * dt in row order, as advance_gradient accumulates
+    """The sum of d * d * dt in row order, as step_gradient accumulates
     the excitation; a cold row's delta 0.0 adds exactly nothing."""
     total = 0.0
     for d in deltas:

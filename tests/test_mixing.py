@@ -33,17 +33,16 @@ def session(n, steps_h, steps_d, period=SAMPLE_PERIOD):
 
 
 @contextlib.contextmanager
-def mixed_samples():
-    """Record every MixedSample a Pipeline mixes."""
-    samples = []
+def mixed_times():
+    """Record the time of every sample a Pipeline mixes."""
+    times = []
 
-    def recording(*args):
-        sample = mix(*args)
-        samples.append(sample)
-        return sample
+    def recording(time, *args):
+        times.append(time)
+        return mix(time, *args)
 
     with mock.patch.object(pipeline_module, "mix", recording):
-        yield samples
+        yield times
 
 
 class TestExtender:
@@ -96,15 +95,14 @@ class TestExtender:
         freqs = [1.0 + 0.4 * i for i in range(n)]
         signal = [sum(math.sin(w * 0.01 * k + i) for i, w in enumerate(freqs))
                   for k in range(reset_at + after)]
-        with mixed_samples() as mixed:
+        with mixed_times() as mixed:
             for k, y in enumerate(signal):
                 if k == reset_at:
                     pipeline.reset()
                 pipeline.step(k * 0.01, y)
         expected = [k for k in range(reset_at) if k >= warm_from]
         expected += [reset_at + k for k in range(after) if k >= warm_from]
-        assert [sample.time for sample in mixed] == [k * 0.01 for k in expected]
-        assert all(sample.warm for sample in mixed)
+        assert mixed == [k * 0.01 for k in expected]
 
     def test_off_grid_d_rejected(self):
         with pytest.raises(ConfigError):
@@ -117,10 +115,10 @@ class TestExtender:
         for k in range(50):
             pipeline.step(k * SAMPLE_PERIOD, 1.0)
         pipeline.reset()
-        with mixed_samples() as mixed:
+        with mixed_times() as mixed:
             deltas = [pipeline.step((50 + k) * SAMPLE_PERIOD, 7.0).delta for k in range(31)]
         assert deltas == [0.0] * 30 + [14.0]
-        assert [sample.time for sample in mixed] == [80 * SAMPLE_PERIOD]
+        assert mixed == [80 * SAMPLE_PERIOD]
 
 
 def cofactor_adjugate(m):
@@ -225,10 +223,9 @@ def two_tone():
 
 class TestMix:
     def test_n1_reduces_to_scaled_scalars(self):
-        sample = mix(1.0, (0.7,), ((0.2,),), True, 10.0)
-        assert sample.delta == pytest.approx(2.0, abs=1e-15)
-        assert sample.psi[0] == pytest.approx(7.0, abs=1e-14)
-        assert sample.warm
+        delta, psi = mix(1.0, (0.7,), ((0.2,),), 10.0)
+        assert delta == pytest.approx(2.0, abs=1e-15)
+        assert psi[0] == pytest.approx(7.0, abs=1e-14)
 
     def test_mixing_identity_against_true_theta(self):
         for n, seed in ((1, 21), (2, 22), (3, 23), (4, 24), (5, 25), (6, 26)):
@@ -241,12 +238,10 @@ class TestMix:
             epsilon = 1.0
             scale = math.factorial(n) * (epsilon * (2 ** n) * n) ** n
             checked = 0
-            for k, sample in mixed_stream(spec, cfg, d=0.07, epsilon=epsilon,
-                                          duration=4.0):
-                if not sample.warm:
-                    continue
+            for k, (delta, psi) in mixed_stream(spec, cfg, d=0.07, epsilon=epsilon,
+                                                duration=4.0):
                 for i in range(n):
-                    assert abs(sample.psi[i] - sample.delta * theta[i]) <= 1e-9 * scale
+                    assert abs(psi[i] - delta * theta[i]) <= 1e-9 * scale
                 checked += 1
             assert checked > 1000
 
@@ -256,18 +251,12 @@ class TestMix:
         hundred = dict(mixed_stream(two_tone(), cfg, d=0.13, epsilon=100.0, duration=2.0))
         kappa_n = 100.0 ** 2
         for k in range(700, 2001, 97):
-            assert hundred[k].delta == pytest.approx(kappa_n * base[k].delta, rel=1e-12)
+            (delta, psi), (delta_100, psi_100) = base[k], hundred[k]
+            assert delta_100 == pytest.approx(kappa_n * delta, rel=1e-12)
             for i in range(2):
-                assert hundred[k].psi[i] == pytest.approx(kappa_n * base[k].psi[i], rel=1e-12)
-            if abs(base[k].delta) > 1e-6:
-                assert (hundred[k].psi[0] / hundred[k].delta ==
-                        pytest.approx(base[k].psi[0] / base[k].delta, rel=1e-9))
-
-    def test_warm_flag_threshold(self):
-        cfg = ModelConfig(n=2, h=0.1, omega_min=0.5, omega_max=5.0)
-        warm_index = round((2 * 2 * 0.1 + 2 * 0.13) / SAMPLE_PERIOD)
-        for k, sample in mixed_stream(two_tone(), cfg, d=0.13, epsilon=1.0, duration=1.0):
-            assert sample.warm == (k >= warm_index)
+                assert psi_100[i] == pytest.approx(kappa_n * psi[i], rel=1e-12)
+            if abs(delta) > 1e-6:
+                assert psi_100[0] / delta_100 == pytest.approx(psi[0] / delta, rel=1e-9)
 
     def test_delta_periodic_with_positive_energy(self):
         # grid-aligned common period: 2 s for tones at pi and 2*pi rad/s
@@ -275,7 +264,7 @@ class TestMix:
                                      HarmonicSpec(1.0, 2 * math.pi, 1.1)))
         cfg = ModelConfig(n=2, h=0.2, omega_min=1.0, omega_max=7.0)
         period_samples = 2000
-        deltas = {k: s.delta for k, s in
+        deltas = {k: delta for k, (delta, _) in
                   mixed_stream(spec, cfg, d=0.25, epsilon=1.0, duration=6.0)}
         warm = round((2 * 2 * 0.2 + 2 * 0.25) / SAMPLE_PERIOD)
         peak = max(abs(d) for d in deltas.values())
@@ -287,7 +276,7 @@ class TestMix:
 
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ConfigError):
-            mix(0.0, (0.0,), ((0.0,),), False, 0.0)
+            mix(0.0, (0.0,), ((0.0,),), 0.0)
         with pytest.raises(ConfigError):
             DremConfig(d=0.1, epsilon=-1.0)
 
@@ -295,6 +284,12 @@ class TestMix:
         # adjugate rejects the matrix as input; mix reports it as a data fault
         rows = ((float("inf"), 0.0), (0.0, 1.0))
         with pytest.raises(NumericFault, match="t = 0.25"):
-            mix(0.25, (0.0, 0.0), rows, False, 1.0)
+            mix(0.25, (0.0, 0.0), rows, 1.0)
         with pytest.raises(ConfigError):
-            mix(0.25, (0.0,), ((1.0, 2.0),), False, 1.0)
+            mix(0.25, (0.0,), ((1.0, 2.0),), 1.0)
+
+    def test_non_finite_mixed_output_is_a_numeric_fault(self):
+        # a finite stack whose mixed psi overflows: the gradient stage gets
+        # only finite (delta, psi) pairs
+        with pytest.raises(NumericFault, match="non-finite mixed regression at t = 0.25"):
+            mix(0.25, (1e308,), ((1.0,),), 10.0)
