@@ -13,8 +13,7 @@ __version__ = "0.1.0"
 
 from .config import (BUILTIN_NAMES, OutputConfig, RunConfig, ScenarioConfig,
                      builtin_scenario, config_warnings, format_config,
-                     load_config, parse_config, validate_config,
-                     with_reset_times, with_seed)
+                     load_config, parse_config, validate_config, with_seed)
 from .errors import ConfigError, EstimateNotPhysical, NumericFault
 from .estimator import (EstimatorSettings, EstimatorState,
                         finite_time_estimate, reset_estimator, step_gradient)
@@ -41,6 +40,5 @@ __all__ = [
     "generate_trace", "load_config", "mix", "parse_config",
     "recover_frequencies", "regression_at", "reset_estimator", "roots_to_frequencies",
     "run_scenario", "sample_signal", "step_gradient",
-    "theta_to_polynomial", "true_theta", "validate_config", "with_reset_times",
-    "with_seed",
+    "theta_to_polynomial", "true_theta", "validate_config", "with_seed",
 ]

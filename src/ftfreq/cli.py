@@ -7,7 +7,9 @@
 Exit codes: 0 success, 2 invalid configuration or input file, 3 numeric
 fault during estimation, 4 run completed without a finite-time estimate in
 its last epoch: that epoch was shorter than t_ft (the message names its
-start), or its excitation never reached the extraction floor.
+start), or its excitation never reached the extraction floor. The cause is
+judged on the epoch the run itself ended in, so for estimate on the trace's
+own times, not on run.duration.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import (BUILTIN_NAMES, builtin_scenario, load_config,
-                     short_last_epoch, with_seed)
+from .config import BUILTIN_NAMES, builtin_scenario, load_config, with_seed
 from .errors import ConfigError, NumericFault
 from .harness import RunResult, estimate_from_file, run_scenario
 
@@ -34,20 +35,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="simulate a configured scenario")
     sim.add_argument("--config", required=True, help="scenario config file")
-    sim.add_argument("--out", default="out", help="output directory")
-    sim.add_argument("--seed", type=int, default=None,
-                     help="override the uniform-noise seed")
-
     est = sub.add_parser("estimate", help="estimate frequencies from a recorded trace")
     est.add_argument("--config", required=True, help="config file (signal section ignored)")
     est.add_argument("--input", required=True, help="input CSV with columns time,y")
-    est.add_argument("--out", default="out", help="output directory")
-
     scen = sub.add_parser("scenario", help="run a built-in scenario")
     scen.add_argument("name", choices=BUILTIN_NAMES)
-    scen.add_argument("--out", default="out", help="output directory")
-    scen.add_argument("--seed", type=int, default=None,
-                      help="override the uniform-noise seed")
+    for command in (sim, est, scen):
+        command.add_argument("--out", default="out", help="output directory")
+    for command in (sim, scen):
+        command.add_argument("--seed", type=int, default=None,
+                             help="override the uniform-noise seed")
     return parser
 
 
@@ -64,24 +61,21 @@ def _apply_seed(cfg, seed):
 def _report(result: RunResult) -> int:
     final = result.final
     print(f"samples: {len(result.trajectory)}")
-    if result.estimate_path:
-        print(f"estimates: {result.estimate_path}")
-    if result.trace_path:
-        print(f"trace: {result.trace_path}")
-    if result.metadata_path:
-        print(f"metadata: {result.metadata_path}")
+    for label, path in (("estimates", result.estimate_path), ("trace", result.trace_path),
+                        ("metadata", result.metadata_path)):
+        if path:
+            print(f"{label}: {path}")
     grad = " ".join(f"{w:.6f}" for w in final.omega_grad)
     print(f"omega_grad(final): {grad}")
     if final.omega_ft is not None:
         ft = " ".join(f"{w:.6f}" for w in final.omega_ft)
         print(f"omega_ft: {ft}")
         return EXIT_OK
-    start = short_last_epoch(result.config)
-    if start is None:
-        print("omega_ft: not extracted (insufficient excitation)")
-    else:
-        print(f"omega_ft: not extracted (last epoch, from t = {start:g}, is shorter "
-              f"than t_ft = {result.config.estimator.t_ft:g})")
+    last = result.trajectory.epochs[-1]
+    cause = ("insufficient excitation" if last.due is not None else
+             f"last epoch, from t = {result.trajectory.times[last.first]:g}, "
+             f"is shorter than t_ft = {result.config.estimator.t_ft:g}")
+    print(f"omega_ft: not extracted ({cause})")
     return EXIT_NOT_EXCITED
 
 

@@ -83,14 +83,11 @@ class ScenarioConfig:
 def validate_config(cfg: ScenarioConfig) -> list[str]:
     """All rule violations in the config, each naming field, constraint, value."""
     bad = []
-    try:
-        steps_per_delay(cfg.model.h, cfg.run.sample_period, "model.h")
-    except ConfigError as exc:
-        bad.extend(exc.violations)
-    try:
-        steps_per_delay(cfg.drem.d, cfg.run.sample_period, "drem.d")
-    except ConfigError as exc:
-        bad.extend(exc.violations)
+    for delay, label in ((cfg.model.h, "model.h"), (cfg.drem.d, "drem.d")):
+        try:
+            steps_per_delay(delay, cfg.run.sample_period, label)
+        except ConfigError as exc:
+            bad.extend(exc.violations)
     bad.extend(cfg.model.check_h_bound())
 
     latency = warmup_time(cfg.model, cfg.drem)
@@ -107,50 +104,30 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
     lo, hi = cfg.model.omega_min, cfg.model.omega_max
     for w in cfg.estimator.omega0:
         if not lo <= w <= hi:
-            bad.append(
-                f"estimator.omega0 entry {w} outside band [{lo}, {hi}]")
+            bad.append(f"estimator.omega0 entry {w} outside band [{lo}, {hi}]")
     if cfg.signal is not None:
-        sets = [("signal", cfg.signal.harmonics)]
-        sets.extend((f"signal.schedule t={s.switch_time}", s.harmonics)
-                    for s in cfg.signal.schedule)
-        for label, harmonics in sets:
+        for label, harmonics in [("signal", cfg.signal.harmonics)] + [
+                (f"signal.schedule t={s.switch_time}", s.harmonics) for s in cfg.signal.schedule]:
             for harm in harmonics:
                 if not lo <= harm.frequency <= hi:
-                    bad.append(
-                        f"{label}: harmonic frequency {harm.frequency} outside "
-                        f"band [{lo}, {hi}]")
+                    bad.append(f"{label}: harmonic frequency {harm.frequency} outside "
+                               f"band [{lo}, {hi}]")
     for t in cfg.run.reset_times:
         if t >= cfg.run.duration:
             bad.append(f"run.reset_times entry {t} not before duration {cfg.run.duration}")
     return bad
 
 
-def short_last_epoch(cfg: ScenarioConfig) -> float | None:
-    """The last reset time, when the epoch it starts ends (at run.duration)
-    before reaching estimator.t_ft, so that extraction is never tried in it."""
-    resets = cfg.run.reset_times
-    if resets and cfg.run.duration - resets[-1] < cfg.estimator.t_ft:
-        return resets[-1]
-    return None
-
-
 def config_warnings(cfg: ScenarioConfig) -> list[str]:
     """Non-fatal notes recorded into run metadata."""
     notes = list(cfg.model.warnings())
-    start = short_last_epoch(cfg)
-    if start is not None:
-        notes.append(
-            f"run.reset_times entry {start} leaves a last epoch of "
-            f"{cfg.run.duration - start:.6g} s, shorter than estimator.t_ft = "
-            f"{cfg.estimator.t_ft}: it cannot extract, so the run ends without omega_ft")
     if cfg.signal is not None:
         for label, harmonics in [("signal", cfg.signal.harmonics)] + [
                 (f"schedule t={s.switch_time}", s.harmonics) for s in cfg.signal.schedule]:
+            deficient = "; excitation will be deficient" if len(harmonics) < cfg.model.n else ""
             if len(harmonics) != cfg.model.n:
-                notes.append(
-                    f"{label} has {len(harmonics)} harmonics for model.n = {cfg.model.n}; "
-                    "excitation will be deficient" if len(harmonics) < cfg.model.n
-                    else f"{label} has {len(harmonics)} harmonics for model.n = {cfg.model.n}")
+                notes.append(f"{label} has {len(harmonics)} harmonics "
+                             f"for model.n = {cfg.model.n}{deficient}")
     return notes
 
 
@@ -167,11 +144,6 @@ def with_seed(cfg: ScenarioConfig, seed: int) -> tuple[ScenarioConfig, bool]:
         return cfg, False
     disturbance = replace(cfg.signal.disturbance, seed=seed)
     return replace(cfg, signal=replace(cfg.signal, disturbance=disturbance)), True
-
-
-def with_reset_times(cfg: ScenarioConfig, reset_times) -> ScenarioConfig:
-    """Copy of cfg with scheduled pipeline resets."""
-    return replace(cfg, run=replace(cfg.run, reset_times=tuple(reset_times)))
 
 
 # ---------------------------------------------------------------------------

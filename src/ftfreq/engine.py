@@ -1,8 +1,9 @@
 """Whole-trace engine: the estimation chain over a trace already in memory.
 
 Pipeline takes one sample per step(); run_trace takes a whole (time, y)
-trace, allocates one Trajectory, and for each segment calls the stages in
-the chain's order, each writing its rows into the Trajectory:
+trace, allocates one Trajectory with one Epoch per segment, and for each
+segment calls the stages in the chain's order, each writing its rows (and
+_gradient the segment's Epoch) into the Trajectory:
 
 * _mixed: regression_at on a window whose entry k is the whole segment k
   samples back, the extension _stack (those columns shifted by the stacked
@@ -11,7 +12,8 @@ the chain's order, each writing its rows into the Trajectory:
   measurement on any row, or a warm row that mix rejects (a non-finite
   stack or mixed output), one fault replayed through mix;
 * _gradient: one scalar loop over the warm rows calling step_gradient and
-  finite_time_estimate, which also recovers omega_ft;
+  finite_time_estimate, which also recovers omega_ft, and the epoch's
+  record: the row where extraction came due and the row where it fired;
 * _recover: omega_grad in _CHUNK-row blocks; the cold rows, whose
   theta_hat is the segment's first, share one recovery;
 * _replay: the first fault, raised by the streaming stage itself on that
@@ -53,13 +55,27 @@ from .regression import DelayTable, ModelConfig, delay_table, regression_at
 _CHUNK = 4096  # rows per gradient-loop or recovery block: bounds the Python objects held
 
 
+@dataclass(slots=True)
+class Epoch:
+    """Rows [first, stop) of one segment: due is the row where its clock
+    reached t_ft and fired the row where extraction succeeded, each None if
+    never; the rows from fired on report theta_ft and omega_ft."""
+
+    first: int
+    stop: int
+    due: int | None = None
+    fired: int | None = None
+    theta_ft: tuple[float, ...] | None = None
+    omega_ft: tuple[float, ...] | None = None
+
+
 @dataclass(eq=False)
 class Trajectory:
     """Every per-sample output of one run, held column by column.
 
-    held lists (first, stop, theta_ft, omega_ft): the rows [first, stop)
-    that report an extracted finite-time estimate; every other row reports
-    none. state is the estimator state after the last sample.
+    epochs holds one Epoch per segment, in order; every row before an
+    epoch's fired row reports no finite-time estimate. state is the
+    estimator state after the last sample.
     """
 
     times: list[float]
@@ -67,19 +83,20 @@ class Trajectory:
     delta: np.ndarray  # (K,)
     theta_hat: np.ndarray  # (K, n)
     omega_grad: np.ndarray  # (K, n)
-    held: list[tuple[int, int, tuple[float, ...], tuple[float, ...]]]
+    epochs: list[Epoch]
     state: EstimatorState
 
     def __len__(self) -> int:
         return len(self.times)
 
     def held_in(self, first: int, stop: int):
-        """(lo, hi, theta_ft, omega_ft) for each held run within rows
-        first..stop-1, with lo and hi counted from first."""
-        for a, b, theta_ft, omega_ft in self.held:
-            lo, hi = max(a, first) - first, min(b, stop) - first
-            if lo < hi:
-                yield lo, hi, theta_ft, omega_ft
+        """(lo, hi, theta_ft, omega_ft) for each epoch's rows from fired on
+        within rows first..stop-1, with lo and hi counted from first."""
+        for epoch in self.epochs:
+            if epoch.fired is not None:
+                lo, hi = max(epoch.fired, first) - first, min(epoch.stop, stop) - first
+                if lo < hi:
+                    yield lo, hi, epoch.theta_ft, epoch.omega_ft
 
     def records(self, first: int = 0, stop: int | None = None) -> list[StepResult]:
         """Rows first..stop-1 as the StepResults Pipeline.step returns."""
@@ -106,16 +123,18 @@ def run_trace(model: ModelConfig, drem: DremConfig, estimator: EstimatorSettings
     """
     taps = delay_table(model, drem.d, sample_period)
     count, n = len(times), model.n
+    edges = [*starts, count]
     run = Trajectory(times=times, samples=samples, delta=np.empty(count),
                      theta_hat=np.empty((count, n)), omega_grad=np.empty((count, n)),
-                     held=[], state=EstimatorState(estimator, model))
-    edges = [*starts, count]
+                     epochs=[Epoch(a, b) for a, b in zip(edges, edges[1:])],
+                     state=EstimatorState(estimator, model))
     with np.errstate(all="ignore"):  # non-finite values are checked, not warned about
-        for first, stop in zip(edges, edges[1:]):
+        for epoch in run.epochs:
+            first, stop = epoch.first, epoch.stop
             if first:
                 reset_estimator(run.state)
             warm, mixed, fault = _mixed(run, first, stop, taps, drem.epsilon)
-            fault = _gradient(run, first, stop, warm, mixed, sample_period) or fault
+            fault = _gradient(run, epoch, warm, mixed, sample_period) or fault
             end = stop if fault is None else first + fault[0]
             if warm:  # theta_hat holds still over the cold rows
                 _recover(run, first, first + 1, model)
@@ -171,19 +190,21 @@ def _mixed(run: Trajectory, first: int, stop: int, taps: DelayTable, epsilon: fl
     return warm, mixed[:bad], fault
 
 
-def _gradient(run: Trajectory, first: int, stop: int, warm: int, mixed: np.ndarray,
-              dt: float):
-    """Gradient and extraction over the segment's rows, of which the first
+def _gradient(run: Trajectory, epoch: Epoch, warm: int, mixed: np.ndarray, dt: float):
+    """Gradient and extraction over the epoch's rows, of which the first
     warm are cold and mixed holds the mixed psi of the rest. Writes their
-    theta_hat rows and held run. Returns None, or the fault of an extraction
-    whose recovery fails, as (row, finite_time_estimate, its arguments): the
-    failed call leaves the state as it was, so the replay raises it again."""
-    state, times = run.state, run.times
+    theta_hat rows and the epoch's due and fired rows and estimates. Returns
+    None, or the fault of an extraction whose recovery fails, as (row,
+    finite_time_estimate, its arguments): the failed call leaves the state
+    as it was, so the replay raises it again."""
+    state, times, first = run.state, run.times, epoch.first
     end = warm + len(mixed)
     delta = run.delta[first:first + end]
     start = times[first]  # the epoch clock starts at the segment's first sample
     extract_from = bisect_left(times, state.settings.t_ft, first, first + end,
                                key=lambda t: t - start) - first
+    if extract_from < end:
+        epoch.due = first + extract_from
     theta = state.theta_hat
     n = len(theta)
     run.theta_hat[first:first + warm] = theta  # holds still until the stack is warm
@@ -200,7 +221,7 @@ def _gradient(run: Trajectory, first: int, stop: int, warm: int, mixed: np.ndarr
                     failed = (j, finite_time_estimate, state, times[first + j])
                     break
                 if theta_ft is not None:
-                    run.held.append((first + j, stop, theta_ft, state.omega_ft))
+                    epoch.fired, epoch.theta_ft, epoch.omega_ft = first + j, theta_ft, state.omega_ft
         run.theta_hat[first + a:first + a + len(rows) // n] = np.reshape(rows, (-1, n))
         if failed is not None:
             return failed

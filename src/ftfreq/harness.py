@@ -3,11 +3,13 @@
 run_scenario simulates the configured signal and estimate_from_file reads a
 recorded one; both hand the whole trace to the whole-trace engine
 (engine.run_trace), with each scheduled reset mapped to the sample it
-applies at. A run produces three files: the sampled measurement trace
-(time, y), the per-sample estimates, written column by column in bounded row
-chunks, and a key-value metadata file embedding the full config echo so the
-run is reproducible from its own outputs. build_pipeline makes the streaming
-Pipeline for callers that feed one sample at a time.
+applies at; the metadata warns of a reset after the last sample and of an
+epoch that ends before its clock reaches t_ft. A run produces three files:
+the sampled measurement trace (time, y), the per-sample estimates, written
+column by column in bounded row chunks, and a key-value metadata file
+embedding the full config echo so the run is reproducible from its own
+outputs. build_pipeline makes the streaming Pipeline for callers that feed
+one sample at a time.
 """
 
 from __future__ import annotations
@@ -37,9 +39,10 @@ SIGN_CONVENTION = ("psi = [Z^2+1]^n y; theta_k = (-1)^(k+1) e_k(cos(omega_i h));
 
 @dataclass
 class RunResult:
-    """Per-sample outputs plus run metadata; extracted is False when
-    excitation never reached the floor and the finite-time columns stayed
-    empty."""
+    """Per-sample outputs plus run metadata; extracted is False when the
+    last epoch ended without a finite-time estimate, because it was shorter
+    than t_ft or its excitation never reached the floor, and its rows'
+    finite-time columns stayed empty."""
 
     config: ScenarioConfig
     trajectory: Trajectory
@@ -65,46 +68,61 @@ def build_pipeline(cfg: ScenarioConfig) -> Pipeline:
         sample_period=cfg.run.sample_period)
 
 
-def _segment_starts(times: list[float], reset_times) -> list[int]:
-    """0 and the sample at which each reset applies: the first at or after its
-    time (within the grid slack), at most one reset per sample."""
-    starts, lo = [0], 0
+def _reset_rows(times: list[float], reset_times) -> list[int | None]:
+    """The sample at which each reset applies: the first at or after its time
+    (within the grid slack), at most one reset per sample; None for a reset
+    after the last sample. A reset at sample 0 changes nothing."""
+    rows, lo = [], 0
     for reset in reset_times:
         k = bisect_left(times, reset - GRID_TOL, lo)
-        if k == len(times):
-            break
-        if k:  # a reset before the first sample changes nothing
-            starts.append(k)
+        rows.append(k if k < len(times) else None)
         lo = k + 1
-    return starts
+    return rows
 
 
 def _run(cfg: ScenarioConfig, source: str, times, samples) -> RunResult:
+    reset_rows = _reset_rows(times, cfg.run.reset_times)
     trajectory = run_trace(
         cfg.model, cfg.drem, cfg.estimator, cfg.run.sample_period, times, samples,
-        _segment_starts(times, cfg.run.reset_times))
+        [0, *(k for k in reset_rows if k)])
     return RunResult(config=cfg, trajectory=trajectory,
-                     metadata=_metadata(cfg, trajectory, source),
+                     metadata=_metadata(cfg, trajectory, reset_rows, source),
                      extracted=trajectory.state.theta_ft is not None)
 
 
-def _metadata(cfg: ScenarioConfig, trajectory: Trajectory, source: str) -> dict[str, str]:
+def _metadata(cfg: ScenarioConfig, trajectory: Trajectory, reset_rows,
+              source: str) -> dict[str, str]:
+    seed = cfg.signal.seed if cfg.signal is not None else None
+    state = trajectory.state
     meta = {
         "generator": f"ftfreq {__version__}",
         "versions": f"python {platform.python_version()}, numpy {np.__version__}",
         "source": source,
         "convention": SIGN_CONVENTION,
         "rng.algorithm": "splitmix64 counter hash",
+        "rng.seed": "none" if seed is None else str(seed),
+        "pipeline.warmup_time": repr(warmup_time(cfg.model, cfg.drem)),
+        "pipeline.max_decay_step": repr(state.max_decay_step),
+        "estimator.excitation_integral": repr(state.excitation),
+        "estimator.extraction_time": (
+            "none" if state.extraction_time is None else repr(state.extraction_time)),
     }
-    seed = cfg.signal.seed if cfg.signal is not None else None
-    meta["rng.seed"] = "none" if seed is None else str(seed)
-    state = trajectory.state
-    meta["pipeline.warmup_time"] = repr(warmup_time(cfg.model, cfg.drem))
-    meta["pipeline.max_decay_step"] = repr(state.max_decay_step)
-    meta["estimator.excitation_integral"] = repr(state.excitation)
-    meta["estimator.extraction_time"] = (
-        repr(state.extraction_time) if state.extraction_time is not None else "none")
-    for i, note in enumerate(config_warnings(cfg), start=1):
+    # the run's own notes, read from its times and epochs
+    times, t_ft, resets = trajectory.times, cfg.estimator.t_ft, cfg.run.reset_times
+    notes = config_warnings(cfg)
+    notes += [f"run.reset_times entry {reset} is after the last sample, at t = {times[-1]:g}: "
+              "it is not applied" for reset, k in zip(resets, reset_rows) if k is None]
+    *earlier, last = trajectory.epochs
+    notes += [f"the epoch from t = {times[epoch.first]:g} to {times[epoch.stop]:g} is shorter "
+              f"than estimator.t_ft = {t_ft}: it cannot extract"
+              for epoch in earlier if epoch.due is None]
+    if last.due is None:
+        span = f"{times[-1] - times[last.first]:.6g} s"
+        cause = (f"run.reset_times entry {dict(zip(reset_rows, resets))[last.first]} "
+                 f"leaves a last epoch of {span}" if last.first else f"the trace spans only {span}")
+        notes.append(f"{cause}, shorter than estimator.t_ft = {t_ft}: it cannot extract, "
+                     "so the run ends without omega_ft")
+    for i, note in enumerate(notes, start=1):
         meta[f"warning.{i}"] = note
     return meta
 
@@ -198,16 +216,13 @@ def _write_rows(fh, columns) -> None:
 
 
 def _estimate_header(n: int) -> str:
-    cols = ["time", "y", "delta"]
-    cols += [f"theta_hat_{i}" for i in range(1, n + 1)]
-    cols += [f"theta_ft_{i}" for i in range(1, n + 1)]
-    cols += [f"omega_grad_{i}" for i in range(1, n + 1)]
-    cols += [f"omega_ft_{i}" for i in range(1, n + 1)]
-    return ",".join(cols)
+    return ",".join(["time", "y", "delta"] + [
+        f"{column}_{i}" for column in ("theta_hat", "theta_ft", "omega_grad", "omega_ft")
+        for i in range(1, n + 1)])
 
 
 def _finite_time_columns(trajectory: Trajectory, a: int, b: int, n: int):
-    """theta_ft and omega_ft columns of rows a..b-1, empty where not held."""
+    """theta_ft and omega_ft columns of rows a..b-1, empty before an epoch fires."""
     theta = [[""] * (b - a) for _ in range(n)]
     omega = [[""] * (b - a) for _ in range(n)]
     for lo, hi, theta_ft, omega_ft in trajectory.held_in(a, b):

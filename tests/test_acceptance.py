@@ -7,12 +7,13 @@ runtime budgets are asserted too.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from conftest import (SAMPLE_PERIOD, cascade_residual, mixed_stream,
                       random_distinct_frequencies, window_at)
-from ftfreq.config import builtin_scenario, with_reset_times
+from ftfreq.config import builtin_scenario
 from ftfreq.estimator import EstimatorSettings, EstimatorState, step_gradient
 from ftfreq.harness import run_scenario
 from ftfreq.mixing import adjugate
@@ -179,7 +180,7 @@ def test_criterion_7_step_change_behavior():
     final = no_reset.final
     grad_err = max(abs(final.omega_grad[0] - 2.0), abs(final.omega_grad[1] - 3.0))
     stale_err = max(abs(final.omega_ft[0] - 2.0), abs(final.omega_ft[1] - 3.0))
-    with_reset = run_scenario(with_reset_times(base, [30.0]))
+    with_reset = run_scenario(replace(base, run=replace(base.run, reset_times=(30.0,))))
     ft = with_reset.final.omega_ft
     reset_err = (max(abs(ft[0] - 2.0), abs(ft[1] - 3.0))
                  if ft is not None else float("inf"))

@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, outputs, exit codes."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -11,8 +12,10 @@ import ftfreq
 
 from ftfreq.cli import (EXIT_CONFIG, EXIT_NOT_EXCITED, EXIT_NUMERIC, EXIT_OK,
                         main)
-from ftfreq.config import builtin_scenario, format_config
-from ftfreq.signals import HarmonicSpec, SignalSpec
+from ftfreq.config import BUILTIN_NAMES, builtin_scenario, format_config
+from ftfreq.harness import write_trace_csv
+from ftfreq.signals import (HarmonicSpec, SignalSpec, generate_trace,
+                            sample_times)
 
 
 def write_quick_config(path, duration=8.0, **signal_override):
@@ -203,6 +206,123 @@ class TestScenarioCommand:
         assert code == EXIT_OK
         meta = (tmp_path / "out" / "metadata.txt").read_text()
         assert "rng.seed = 424242" in meta
+
+
+def warnings_in(meta):
+    return [line.partition(" = ")[2] for line in meta.splitlines()
+            if line.startswith("warning.")]
+
+
+class TestEpochCauses:
+    """Exit 4's cause and the metadata warnings are read from the epochs the
+    run itself ran, so a trace longer or shorter than run.duration is judged
+    on its own times. noiseless-2h has no warnings of its own."""
+
+    def write_config(self, tmp_path, **run_fields):
+        cfg = builtin_scenario("noiseless-2h")
+        cfg_path = tmp_path / "scenario.cfg"
+        cfg_path.write_text(format_config(replace(cfg, run=replace(cfg.run, **run_fields))))
+        return cfg_path
+
+    def estimate(self, tmp_path, trace_seconds, **run_fields):
+        """estimate of a noiseless-2h trace of trace_seconds under the
+        scenario with run_fields replaced; (exit code, stdout, metadata)."""
+        cfg = builtin_scenario("noiseless-2h")
+        period = cfg.run.sample_period
+        trace = tmp_path / "trace.csv"
+        write_trace_csv(str(trace), sample_times(period, trace_seconds),
+                        generate_trace(cfg.signal, period, trace_seconds).values)
+        code = main(["estimate", "--config", str(self.write_config(tmp_path, **run_fields)),
+                     "--input", str(trace), "--out", str(tmp_path / "out")])
+        return code, (tmp_path / "out" / "metadata.txt").read_text()
+
+    def simulate(self, tmp_path, **run_fields):
+        code = main(["simulate", "--config", str(self.write_config(tmp_path, **run_fields)),
+                     "--out", str(tmp_path / "out")])
+        return code, (tmp_path / "out" / "metadata.txt").read_text()
+
+    def test_trace_shorter_than_duration(self, tmp_path, capsys):
+        # run.duration = 60 would leave the last epoch 22 s, but the 40 s
+        # trace leaves it 2 s: that, not the ample excitation, is the cause
+        code, meta = self.estimate(tmp_path, 40.0, duration=60.0, reset_times=(38.0,))
+        assert code == EXIT_NOT_EXCITED
+        out = capsys.readouterr().out
+        assert "omega_ft: not extracted (last epoch, from t = 38, is shorter than t_ft = 5)" in out
+        assert warnings_in(meta) == [
+            "run.reset_times entry 38.0 leaves a last epoch of 2 s, shorter than "
+            "estimator.t_ft = 5.0: it cannot extract, so the run ends without omega_ft"]
+
+    def test_trace_shorter_than_t_ft(self, tmp_path, capsys):
+        # without resets the one epoch is the whole 3 s trace
+        code, meta = self.estimate(tmp_path, 3.0)
+        assert code == EXIT_NOT_EXCITED
+        out = capsys.readouterr().out
+        assert "omega_ft: not extracted (last epoch, from t = 0, is shorter than t_ft = 5)" in out
+        assert warnings_in(meta) == [
+            "the trace spans only 3 s, shorter than estimator.t_ft = 5.0: it cannot extract, "
+            "so the run ends without omega_ft"]
+
+    def test_trace_longer_than_duration(self, tmp_path, capsys):
+        # run.duration = 40 would leave the last epoch 2 s, but the 60 s
+        # trace leaves it 22 s, and it extracts 5 s after the reset
+        code, meta = self.estimate(tmp_path, 60.0, reset_times=(38.0,))
+        assert code == EXIT_OK
+        assert "omega_ft: 2.000000 3.000000" in capsys.readouterr().out
+        assert "estimator.extraction_time = 43.0" in meta
+        assert warnings_in(meta) == []
+
+    def test_reset_after_the_last_sample(self, tmp_path, capsys):
+        # the grid ends at 10.0, before the reset at 10.0003: the one epoch
+        # runs the whole trace and extracts
+        code, meta = self.simulate(tmp_path, duration=10.0005, reset_times=(10.0003,))
+        assert code == EXIT_OK
+        assert "omega_ft: 2.000000 3.000000" in capsys.readouterr().out
+        assert warnings_in(meta) == [
+            "run.reset_times entry 10.0003 is after the last sample, at t = 10: "
+            "it is not applied"]
+
+    def test_reset_beyond_the_trace(self, tmp_path):
+        code, meta = self.estimate(tmp_path, 40.0, duration=60.0, reset_times=(50.0,))
+        assert code == EXIT_OK
+        assert warnings_in(meta) == [
+            "run.reset_times entry 50.0 is after the last sample, at t = 40: it is not applied"]
+
+    def test_epoch_between_resets(self, tmp_path, capsys):
+        # the epoch from 10 to 12 s ends before t_ft; the last one extracts
+        code, meta = self.simulate(tmp_path, reset_times=(10.0, 12.0))
+        assert code == EXIT_OK
+        assert "omega_ft: 2.000000 3.000000" in capsys.readouterr().out
+        assert "estimator.extraction_time = 17.0" in meta
+        assert warnings_in(meta) == [
+            "the epoch from t = 10 to 12 is shorter than estimator.t_ft = 5.0: it cannot extract"]
+
+
+# sha256 of each built-in's trace.csv and estimates.csv (Python 3.11, numpy
+# 2.4, x86-64). A change that alters these numbers says so and why, and
+# records the new digests; metadata.txt is left out, as it names the
+# interpreter's version
+BUILTIN_DIGESTS = {
+    "harmonic-noise": (
+        "d7dcd8a8b516a938544f557e5a788e135449870d40f3512614d7c2b1039373c0",
+        "9cc39adab022b1e99f949e9d983f4ca916c4efdde535060706328d73f0fbb7c7"),
+    "noiseless-2h": (
+        "8d32f9b6095eb633234f9c6fa28f6236a7039e28961cc043159de126f838cab8",
+        "b9850fd5cc6d39c0fefddeee18b7dcd9517e28060ffe44d8d9569729a1725214"),
+    "step-change": (
+        "71b027b3649299ca7ecfd2850e5315bcba97fce3645d7fe67724ade3f88bfc0b",
+        "4574e5f06cc325d5b64f395186784fc939dc3c9ae9afc3656978b64173e0e30a"),
+    "uniform-noise": (
+        "ecbe4a0545fa0dbdc249f2213a3029c341b157839fdf61e90e1f240464b4542e",
+        "46ddb4bea748ca9584e3263246c877581dbf4d898b0f2c3b8e26cb78df0f406c"),
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_outputs_are_byte_identical(tmp_path, capsys, name):
+    assert main(["scenario", name, "--out", str(tmp_path)]) == EXIT_OK
+    digests = tuple(hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
+                    for file in ("trace.csv", "estimates.csv"))
+    assert digests == BUILTIN_DIGESTS[name]
 
 
 def test_python_m_ftfreq_runs_the_cli(tmp_path):

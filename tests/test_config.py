@@ -1,6 +1,7 @@
 """Unit tests for config parsing, formatting, and validation."""
 
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from ftfreq.config import (BUILTIN_NAMES, EstimatorSettings, OutputConfig,
                            RunConfig, ScenarioConfig, builtin_scenario,
                            config_warnings, format_config, parse_config,
-                           validate_config, with_reset_times, with_seed)
+                           validate_config, with_seed)
 from ftfreq.errors import ConfigError
 from ftfreq.mixing import DremConfig
 from ftfreq.regression import H_RULE_HALF, H_RULE_QUARTER, ModelConfig
@@ -121,7 +122,8 @@ class TestParsing:
             assert parse_config(format_config(cfg)) == cfg
 
     def test_round_trip_with_schedule_and_resets(self):
-        cfg = with_reset_times(builtin_scenario("step-change"), [30.0])
+        cfg = builtin_scenario("step-change")
+        cfg = replace(cfg, run=replace(cfg.run, reset_times=(30.0,)))
         assert parse_config(format_config(cfg)) == cfg
 
     def test_harmonic_disturbance_is_a_harmonic(self):
@@ -188,7 +190,8 @@ class TestValidation:
         assert any("omega0" in v for v in validate_config(cfg))
 
     def test_reset_times_inside_duration(self):
-        cfg = with_reset_times(self.base(), [9.0])
+        cfg = self.base()
+        cfg = replace(cfg, run=replace(cfg.run, reset_times=(9.0,)))
         assert any("reset_times" in v for v in validate_config(cfg))
 
     def test_violations_are_collected_together(self):
@@ -306,7 +309,8 @@ def emitted_keys():
     """Every key format_config writes for configs covering each key group,
     with harmonic indices written <i> and schedule indices <j>."""
     cfgs = [builtin_scenario(name) for name in BUILTIN_NAMES]
-    cfgs.append(with_reset_times(builtin_scenario("step-change"), [30.0]))
+    step = builtin_scenario("step-change")
+    cfgs.append(replace(step, run=replace(step.run, reset_times=(30.0,))))
     keys = set()
     for cfg in cfgs:
         for line in format_config(cfg).splitlines():

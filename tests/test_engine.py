@@ -117,6 +117,17 @@ def assert_parity(cfg, times, samples, tmp_path):
         else:
             assert math.isclose(float(result.metadata[key]), float(value), rel_tol=1e-12), key
     assert result.extracted == pipeline.extracted
+    # each epoch comes due where its clock reaches t_ft and fires at the
+    # first row of its segment whose Pipeline record holds omega_ft
+    epochs = result.trajectory.epochs
+    assert [epoch.first for epoch in epochs] == [0, *(epoch.stop for epoch in epochs[:-1])]
+    assert epochs[-1].stop == len(records)
+    for epoch in epochs:
+        rows = range(epoch.first, epoch.stop)
+        start = times[epoch.first]
+        assert epoch.due == next(
+            (k for k in rows if times[k] - start >= cfg.estimator.t_ft), None)
+        assert epoch.fired == next((k for k in rows if records[k].omega_ft is not None), None)
     return expected
 
 
