@@ -10,6 +10,11 @@ its last epoch: that epoch was shorter than t_ft (the message names its
 start), or its excitation never reached the extraction floor. The cause is
 judged on the epoch the run itself ended in, so for estimate on the trace's
 own times, not on run.duration.
+
+run.duration defines the trace only for simulate and scenario, so only they
+exit 2 when it does not exceed estimator.t_ft or a run.reset_times entry is
+not before it. estimate does not read it: a reset beyond the trace is a
+metadata warning, and an epoch shorter than t_ft exits 4 as above.
 """
 
 from __future__ import annotations

@@ -81,7 +81,26 @@ class ScenarioConfig:
 
 
 def validate_config(cfg: ScenarioConfig) -> list[str]:
-    """All rule violations in the config, each naming field, constraint, value."""
+    """All rule violations in the config, each naming field, constraint, value.
+
+    These are recording_violations and then the two rules on run.duration,
+    which hold where run.duration defines the trace (simulation): it must
+    exceed t_ft, and every reset must come before it.
+    """
+    bad = recording_violations(cfg)
+    if cfg.run.duration <= cfg.estimator.t_ft:
+        bad.append(
+            f"run.duration = {cfg.run.duration} must exceed "
+            f"estimator.t_ft = {cfg.estimator.t_ft}")
+    for t in cfg.run.reset_times:
+        if t >= cfg.run.duration:
+            bad.append(f"run.reset_times entry {t} not before duration {cfg.run.duration}")
+    return bad
+
+
+def recording_violations(cfg: ScenarioConfig) -> list[str]:
+    """The rule violations of a run over any trace, recorded or simulated:
+    every rule but the two on run.duration."""
     bad = []
     for delay, label in ((cfg.model.h, "model.h"), (cfg.drem.d, "drem.d")):
         try:
@@ -95,10 +114,6 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         bad.append(
             f"estimator.t_ft = {cfg.estimator.t_ft} must exceed "
             f"the warm-up 2nh + nd = {latency:.6g}")
-    if cfg.run.duration <= cfg.estimator.t_ft:
-        bad.append(
-            f"run.duration = {cfg.run.duration} must exceed "
-            f"estimator.t_ft = {cfg.estimator.t_ft}")
 
     bad.extend(length_violations(cfg.estimator, cfg.model))
     lo, hi = cfg.model.omega_min, cfg.model.omega_max
@@ -112,9 +127,6 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
                 if not lo <= harm.frequency <= hi:
                     bad.append(f"{label}: harmonic frequency {harm.frequency} outside "
                                f"band [{lo}, {hi}]")
-    for t in cfg.run.reset_times:
-        if t >= cfg.run.duration:
-            bad.append(f"run.reset_times entry {t} not before duration {cfg.run.duration}")
     return bad
 
 

@@ -11,20 +11,28 @@ _gradient the segment's Epoch) into the Trajectory:
   scan for the first fault before the gradient step: a non-finite time or
   measurement on any row, or a warm row that mix rejects (a non-finite
   stack or mixed output), one fault replayed through mix;
-* _gradient: one scalar loop over the warm rows calling step_gradient and
-  finite_time_estimate, which also recovers omega_ft, and the epoch's
-  record: the row where extraction came due and the row where it fired;
+* _gradient: step_gradient's law by columns. Per _CHUNK-row block, every
+  row's d^2*dt, lambda, exp(-lambda) and expm1(-lambda) (math.exp and
+  math.expm1, never numpy's), drive and running excitation come first, then
+  one loop per parameter, theta = theta*a + b, keeping step_gradient's
+  Euler form on rows with lambda < 1e-12. The state is set to a row only
+  where extraction is tried (finite_time_estimate, which also recovers
+  omega_ft); the epoch's record gets the row where extraction came due and
+  the row where it fired;
 * _recover: omega_grad in _CHUNK-row blocks; the cold rows, whose
-  theta_hat is the segment's first, share one recovery;
+  theta_hat is the segment's first, share one recovery by the streaming
+  stage, recover_frequencies, as Pipeline's first recovery of the epoch;
 * _replay: the first fault, raised by the streaming stage itself on that
   sample's inputs, so its exception and message are Pipeline's too.
 
 The stages call Pipeline's own stage functions, on arrays where a stage
-runs per sample. Two are batched re-implementations instead, kept because
-one call per row costs several times more: the n >= 3 adjugate in _mix
-(one stacked SVD; mixing's closed forms and scaled product are shared) and
-_grad_omegas (find_roots over stacked companion matrices, in CPython's
-complex arithmetic, then math.acos).
+runs per sample. Three are batched re-implementations instead, kept because
+one call per row costs several times more: the gradient above (a second
+written form of step_gradient, which the engine-Pipeline parity tests
+pin to it), the n >= 3 adjugate in _mix (one stacked SVD; mixing's closed
+forms and scaled product are shared) and _grad_omegas (find_roots over
+stacked companion matrices, in CPython's complex arithmetic, then
+math.acos).
 
 Each elementwise operation is the streaming stage's, in the same order and
 the same float (or emulated complex) arithmetic, so for n <= 2 the outputs
@@ -46,7 +54,7 @@ import numpy as np
 
 from .errors import NumericFault
 from .estimator import (EstimatorSettings, EstimatorState,
-                        finite_time_estimate, reset_estimator, step_gradient)
+                        finite_time_estimate, reset_estimator)
 from .mixing import DremConfig, _closed_form, _scaled_product, mix
 from .pipeline import StepResult, check_measurement
 from .recovery import RESIDUAL_TOL, recover_frequencies
@@ -136,9 +144,10 @@ def run_trace(model: ModelConfig, drem: DremConfig, estimator: EstimatorSettings
             warm, mixed, fault = _mixed(run, first, stop, taps, drem.epsilon)
             fault = _gradient(run, epoch, warm, mixed, sample_period) or fault
             end = stop if fault is None else first + fault[0]
-            if warm:  # theta_hat holds still over the cold rows
-                _recover(run, first, first + 1, model)
-                run.omega_grad[first + 1:first + warm] = run.omega_grad[first]
+            if warm:  # theta_hat holds still over the cold rows: one streaming recovery
+                run.omega_grad[first:first + warm] = _replay(
+                    first, times[first], recover_frequencies, tuple(run.theta_hat[first].tolist()),
+                    model.h, model.band, math.inf).omega_hat
             for a in range(first + warm, end, _CHUNK):
                 _recover(run, a, min(a + _CHUNK, end), model)
             if fault is not None:
@@ -196,36 +205,68 @@ def _gradient(run: Trajectory, epoch: Epoch, warm: int, mixed: np.ndarray, dt: f
     theta_hat rows and the epoch's due and fired rows and estimates. Returns
     None, or the fault of an extraction whose recovery fails, as (row,
     finite_time_estimate, its arguments): the failed call leaves the state
-    as it was, so the replay raises it again."""
+    as it was, so the replay raises it again. The state is set to a row
+    only where extraction is tried, and to a block's last row after it.
+    """
     state, times, first = run.state, run.times, epoch.first
     end = warm + len(mixed)
-    delta = run.delta[first:first + end]
     start = times[first]  # the epoch clock starts at the segment's first sample
     extract_from = bisect_left(times, state.settings.t_ft, first, first + end,
                                key=lambda t: t - start) - first
     if extract_from < end:
         epoch.due = first + extract_from
-    theta = state.theta_hat
-    n = len(theta)
-    run.theta_hat[first:first + warm] = theta  # holds still until the stack is warm
+    run.theta_hat[first:first + warm] = state.theta_hat  # holds still until the stack is warm
+    gains = state.settings.gamma
     for a in range(warm, end, _CHUNK):
         b = min(a + _CHUNK, end)
-        rows, failed = [], None
-        for j, d, psi in zip(range(a, b), delta[a:b].tolist(), mixed[a - warm:b - warm].tolist()):
-            step_gradient(state, d, psi, dt)
-            rows += theta
-            if state.theta_ft is None and j >= extract_from:
-                try:
-                    theta_ft = finite_time_estimate(state, times[first + j])
-                except NumericFault:
-                    failed = (j, finite_time_estimate, state, times[first + j])
-                    break
-                if theta_ft is not None:
-                    epoch.fired, epoch.theta_ft, epoch.omega_ft = first + j, theta_ft, state.omega_ft
-        run.theta_hat[first + a:first + a + len(rows) // n] = np.reshape(rows, (-1, n))
-        if failed is not None:
-            return failed
+        delta = run.delta[first + a:first + b]
+        psi = mixed[a - warm:b - warm]
+        d2dt = delta * delta * dt
+        excitation = np.add.accumulate(np.concatenate(([state.excitation], d2dt)))[1:]
+        columns = []
+        for i, g in enumerate(gains):
+            lam = g * d2dt
+            # fmax skips a NaN lam, which step_gradient's lam > max never takes
+            state.max_decay_step = float(np.fmax.reduce(lam, initial=state.max_decay_step))
+            columns.append(_advance(state.theta_hat[i], g * dt, lam, delta, psi[:, i]))
+        rows = np.array(columns).T
+        run.theta_hat[first + a:first + b] = rows
+        for j in range(max(a, extract_from), b) if state.theta_ft is None else ():
+            state.theta_hat[:], state.excitation = rows[j - a].tolist(), float(excitation[j - a])
+            try:
+                theta_ft = finite_time_estimate(state, times[first + j])
+            except NumericFault:
+                return j, finite_time_estimate, state, times[first + j]
+            if theta_ft is not None:
+                epoch.fired, epoch.theta_ft, epoch.omega_ft = first + j, theta_ft, state.omega_ft
+                break
+        state.theta_hat[:], state.excitation = rows[-1].tolist(), float(excitation[-1])
     return None
+
+
+def _advance(theta: float, gdt: float, lam: np.ndarray, delta: np.ndarray,
+             psi: np.ndarray) -> list[float]:
+    """theta_hat_i after each row, as step_gradient moves it: theta*exp(-lam)
+    + ((gdt*delta)*psi)*growth, or below lam 1e-12 the Euler form
+    theta + (gdt*delta)*(psi - delta*theta)."""
+    exponents = (-lam).tolist()
+    decay = list(map(math.exp, exponents))
+    growth = -np.fromiter(map(math.expm1, exponents), float, len(lam)) / lam
+    drive = (gdt * delta * psi * growth).tolist()
+    small = np.flatnonzero(lam < 1e-12).tolist()
+    delta, psi = delta.tolist(), psi.tolist()
+    out = []
+    append = out.append
+    lo = 0
+    for s in [*small, len(decay)]:
+        for a, b in zip(decay[lo:s], drive[lo:s]):
+            theta = theta * a + b
+            append(theta)
+        if s < len(decay):
+            theta += gdt * delta[s] * (psi[s] - delta[s] * theta)
+            append(theta)
+        lo = s + 1
+    return out
 
 
 def _recover(run: Trajectory, first: int, stop: int, model: ModelConfig) -> None:

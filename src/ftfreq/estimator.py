@@ -23,7 +23,10 @@ lam (high-gain tunings put lam well above the Euler stability limit of 2).
 The excitation integral uses the matching per-interval rectangle rule so W
 is algebraically identical to the decay actually applied to the error,
 which keeps the finite-time inversion exact on clean data at any
-extraction time.
+extraction time. step_gradient applies this law one warm sample at a time,
+as Pipeline calls it; the whole-trace engine holds a second written form of
+it (engine._gradient, by columns, the same operations in the same order),
+and only the engine-Pipeline parity tests pin the two together.
 
 Extraction is one step: finite_time_estimate computes theta_ft and, under
 the imaginary-part tolerance, the frequencies omega_ft of its polynomial

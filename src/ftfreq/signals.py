@@ -7,7 +7,13 @@ noise, and optionally switching to replacement harmonic sets at scheduled
 times (step-wise frequency variation).
 
 Everything here is a pure function of the spec and the query time, so the
-same spec and seed always reproduce the same trace, bitwise.
+same spec and seed always reproduce the same trace, bitwise. One sampler,
+signal_values, evaluates a whole array of times at once: each harmonic's
+phase f*t + p in numpy, its sine through math.sin, summed in the harmonic
+order; the schedule set of each time located by searchsorted; the noise
+hash as numpy uint64 arithmetic, exact modulo 2**64. numpy does only the
+correctly rounded +, -, * and /, so every value equals the one-point
+evaluation sample_signal(spec, t), which calls the same sampler.
 """
 
 from __future__ import annotations
@@ -15,26 +21,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConfigError
 
 _MASK64 = (1 << 64) - 1
 
 GRID_TOL = 1e-9  # slack for float times that land a hair off the uniform grid
 
-
-def _mix64(seed: int, index: int) -> int:
-    # splitmix64-style avalanche over a (seed, counter) pair; splittable and
-    # random-access, which a stateful generator is not.
-    z = (seed * 0x9E3779B97F4A7C15 + index * 0xD1B54A32D192ED03) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
-def uniform_noise_value(seed: int, index: int, half_range: float) -> float:
-    """Deterministic uniform draw in [-half_range, half_range) for one noise slot."""
-    u = (_mix64(seed, index) >> 11) * 2.0 ** -53
-    return (2.0 * u - 1.0) * half_range
+# splitmix64 constants: the seed and slot weights, then the two avalanche
+# multipliers
+_SEED_WEIGHT = 0x9E3779B97F4A7C15
+_SLOT_WEIGHT = np.uint64(0xD1B54A32D192ED03)
+_AVALANCHE = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
 
 
 @dataclass(frozen=True)
@@ -78,11 +77,6 @@ class UniformDisturbance:
         if bad:
             raise ConfigError(bad)
 
-    def value(self, t: float) -> float:
-        # Nudge guards against t/p landing a hair below an integer slot edge.
-        index = math.floor(t / self.sample_period + GRID_TOL)
-        return uniform_noise_value(self.seed, index, self.half_range)
-
 
 @dataclass(frozen=True)
 class ScheduleStep:
@@ -125,16 +119,6 @@ class SignalSpec:
                 raise ConfigError("schedule replacement harmonic set must be non-empty")
             _check_distinct(step.harmonics, f"schedule t={step.switch_time}")
 
-    def harmonics_at(self, t: float) -> tuple[HarmonicSpec, ...]:
-        """Harmonic set active at time t (closed on the right at switches)."""
-        active = self.harmonics
-        for step in self.schedule:
-            if t >= step.switch_time:
-                active = step.harmonics
-            else:
-                break
-        return active
-
     @property
     def seed(self) -> int | None:
         if isinstance(self.disturbance, UniformDisturbance):
@@ -150,17 +134,55 @@ class SampledTrace:
     values: tuple[float, ...]
 
 
-def sample_signal(spec: SignalSpec, t: float) -> float:
-    """Evaluate the signal (active harmonics plus disturbance) at time t."""
-    value = 0.0
-    for h in spec.harmonics_at(t):
-        value += h.amplitude * math.sin(h.frequency * t + h.phase)
+def signal_values(spec: SignalSpec, times) -> list[float]:
+    """The signal (active harmonics plus disturbance) at each of times.
+
+    A time t reads slot floor(t / sample_period) of uniform noise, which
+    must lie within the int64 range.
+    """
+    t = np.asarray(times, dtype=float)
+    value = np.zeros(len(t))
+    sets = (spec.harmonics, *(step.harmonics for step in spec.schedule))
+    switches = np.array([step.switch_time for step in spec.schedule], dtype=float)
+    active = np.searchsorted(switches, t, side="right")  # closed on the right at switches
+    for k, harmonics in enumerate(sets):
+        rows = active == k
+        at = t[rows]
+        part = np.zeros(len(at))
+        for harmonic in harmonics:
+            part += _sines(harmonic, at)
+        value[rows] = part
     d = spec.disturbance
     if isinstance(d, HarmonicSpec):
-        value += d.amplitude * math.sin(d.frequency * t + d.phase)
+        value += _sines(d, t)
     elif isinstance(d, UniformDisturbance):
-        value += d.value(t)
-    return value
+        value += _uniform_noise(d, t)
+    return value.tolist()
+
+
+def _sines(harmonic: HarmonicSpec, t: np.ndarray) -> np.ndarray:
+    phases = harmonic.frequency * t + harmonic.phase
+    return harmonic.amplitude * np.fromiter(map(math.sin, phases.tolist()), float, len(t))
+
+
+def _uniform_noise(d: UniformDisturbance, t: np.ndarray) -> np.ndarray:
+    """Deterministic uniform draws in [-half_range, half_range), one per noise
+    slot: a splitmix64-style avalanche over a (seed, slot) pair, splittable
+    and random-access, which a stateful generator is not."""
+    # Nudge guards against t/p landing a hair below an integer slot edge. A
+    # negative slot wraps modulo 2**64 through the int64 bit pattern.
+    slot = np.floor(t / d.sample_period + GRID_TOL).astype(np.int64).view(np.uint64)
+    z = np.uint64(d.seed * _SEED_WEIGHT & _MASK64) + slot * _SLOT_WEIGHT
+    for shift, weight in zip((30, 27), _AVALANCHE):
+        z = (z ^ (z >> np.uint64(shift))) * weight
+    z ^= z >> np.uint64(31)
+    u = (z >> np.uint64(11)).astype(float) * 2.0 ** -53
+    return (2.0 * u - 1.0) * d.half_range
+
+
+def sample_signal(spec: SignalSpec, t: float) -> float:
+    """Evaluate the signal (active harmonics plus disturbance) at time t."""
+    return signal_values(spec, [t])[0]
 
 
 def sample_times(sample_period: float, duration: float) -> list[float]:
@@ -178,5 +200,5 @@ def generate_trace(spec: SignalSpec, sample_period: float, duration: float) -> S
         raise ConfigError(f"sample_period must be positive and finite, got {sample_period}")
     if not (math.isfinite(duration) and duration >= 0):
         raise ConfigError(f"duration must be non-negative and finite, got {duration}")
-    values = tuple(sample_signal(spec, t) for t in sample_times(sample_period, duration))
+    values = tuple(signal_values(spec, sample_times(sample_period, duration)))
     return SampledTrace(sample_period=sample_period, values=values)

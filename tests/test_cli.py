@@ -287,6 +287,26 @@ class TestEpochCauses:
         assert warnings_in(meta) == [
             "run.reset_times entry 50.0 is after the last sample, at t = 40: it is not applied"]
 
+    @pytest.mark.parametrize("run_fields, extraction, message", [
+        ({"reset_times": (50.0,)}, "55.0",
+         "run.reset_times entry 50.0 not before duration 40.0"),
+        ({"duration": 4.0}, "5.0", "run.duration = 4.0 must exceed estimator.t_ft = 5.0"),
+    ], ids=["reset-after-duration", "duration-below-t_ft"])
+    def test_duration_rules_bind_simulate_only(self, tmp_path, capsys, run_fields,
+                                               extraction, message):
+        # run.duration defines a simulated trace but not a recorded one: its
+        # two rules make the config invalid for simulate, while estimate of a
+        # 60 s trace under it extracts
+        code, meta = self.estimate(tmp_path, 60.0, **run_fields)
+        assert code == EXIT_OK
+        assert "omega_ft: 2.000000 3.000000" in capsys.readouterr().out
+        assert f"estimator.extraction_time = {extraction}" in meta
+        assert warnings_in(meta) == []
+        code = main(["simulate", "--config", str(self.write_config(tmp_path, **run_fields)),
+                     "--out", str(tmp_path / "simulated")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_epoch_between_resets(self, tmp_path, capsys):
         # the epoch from 10 to 12 s ends before t_ft; the last one extracts
         code, meta = self.simulate(tmp_path, reset_times=(10.0, 12.0))

@@ -289,6 +289,29 @@ def test_resets_closer_than_a_sample(tmp_path):
     assert_parity(cfg, times, samples, tmp_path)
 
 
+@pytest.mark.parametrize("name, run_fields, estimator_fields, expected", [
+    # small-lambda rows at 3210, 3232, 3286, 3455 and 3759; extraction comes
+    # due at 3500 and w_floor defers it to 3521
+    ("uniform-noise", {"duration": 4.0}, {"t_ft": 3.5, "w_floor": 2.2e-5}, [(3500, 3521)]),
+    # a small-lambda row at 8249, in the second epoch
+    ("noiseless-2h", {"duration": 8.5, "reset_times": (1.0,)}, {},
+     [(None, None), (6000, 6000)]),
+], ids=["uniform-noise", "noiseless-2h-reset"])
+def test_gradient_blocks_of_seven_rows(tmp_path, monkeypatch, name, run_fields,
+                                       estimator_fields, expected):
+    # with 7-row blocks, the small-lambda rows, the deferral and the due and
+    # fired rows fall on and across block edges; the engine still matches
+    # the streaming path exactly
+    monkeypatch.setattr(engine_module, "_CHUNK", 7)
+    cfg = builtin_scenario(name)
+    cfg = replace(cfg, run=replace(cfg.run, **run_fields),
+                  estimator=replace(cfg.estimator, **estimator_fields))
+    times, samples = grid(cfg)
+    assert assert_parity(cfg, times, samples, tmp_path)[0] == "ok"
+    epochs = run_scenario(cfg).trajectory.epochs
+    assert [(epoch.due, epoch.fired) for epoch in epochs] == expected
+
+
 class TestFaultParity:
     def quick(self):
         cfg = builtin_scenario("noiseless-2h")

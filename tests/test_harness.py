@@ -159,6 +159,21 @@ class TestOutputs:
         assert values == list(trace.values)
 
 
+    def test_trace_and_estimates_in_lockstep(self, tmp_path):
+        # the two CSVs are written chunk by chunk from the same strings; a
+        # trace named like the estimates is left to them, which replace it
+        cfg = quick_noiseless(duration=6.0)
+        result = run_scenario(cfg, out_dir=str(tmp_path / "apart"))
+        trace = (tmp_path / "apart" / "trace.csv").read_text().splitlines()
+        estimates = (tmp_path / "apart" / "estimates.csv").read_text().splitlines()
+        assert len(trace) == len(estimates) == len(result.trajectory) + 1
+        assert [row.split(",")[:2] for row in estimates[1:]] == \
+            [row.split(",") for row in trace[1:]]
+        same = replace(cfg, output=replace(cfg.output, trace_path="run.csv",
+                                           estimate_path="./run.csv"))
+        run_scenario(same, out_dir=str(tmp_path / "same"))
+        assert (tmp_path / "same" / "run.csv").read_text().splitlines() == estimates
+
 class TestEstimateFromFile:
     def test_round_trip_identical_records(self, tmp_path):
         cfg = quick_noiseless(duration=6.5)

@@ -3,9 +3,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftfreq.errors import ConfigError
-from ftfreq.signals import (HarmonicSpec, SampledTrace, ScheduleStep,
+from ftfreq.signals import (GRID_TOL, HarmonicSpec, SampledTrace, ScheduleStep,
                             SignalSpec, UniformDisturbance, generate_trace,
                             sample_signal, sample_times)
 
@@ -167,3 +169,81 @@ class TestSpecValidation:
         trace = generate_trace(two_tone(), 0.5, 1.0)
         assert trace == SampledTrace(sample_period=0.5, values=tuple(
             sample_signal(two_tone(), t) for t in (0.0, 0.5, 1.0)))
+
+
+# ---------------------------------------------------------------------------
+# the vectorized sampler against a one-point-at-a-time oracle
+
+MASK64 = (1 << 64) - 1
+
+
+def oracle(spec, t):
+    """The signal at t evaluated one point at a time in Python floats and
+    ints: the reference the sampler must match bit for bit."""
+    active = spec.harmonics
+    for step in spec.schedule:
+        if t >= step.switch_time:
+            active = step.harmonics
+        else:
+            break
+    value = 0.0
+    for h in active:
+        value += h.amplitude * math.sin(h.frequency * t + h.phase)
+    d = spec.disturbance
+    if isinstance(d, HarmonicSpec):
+        value += d.amplitude * math.sin(d.frequency * t + d.phase)
+    elif isinstance(d, UniformDisturbance):
+        index = math.floor(t / d.sample_period + GRID_TOL)
+        z = (d.seed * 0x9E3779B97F4A7C15 + index * 0xD1B54A32D192ED03) & MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        u = ((z ^ (z >> 31)) >> 11) * 2.0 ** -53
+        value += (2.0 * u - 1.0) * d.half_range
+    return value
+
+
+def same_bits(a, b):
+    return type(a) is float and a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+PERIODS = (0.001, 0.01, 0.013, 0.1)
+harmonics = st.lists(
+    st.builds(HarmonicSpec, st.floats(0.01, 10.0), st.floats(0.01, 50.0),
+              st.floats(-10.0, 10.0)),
+    min_size=1, max_size=8, unique_by=lambda h: h.frequency).map(tuple)
+seeds = st.one_of(st.just(0), st.integers(-2**70, -1), st.integers(0, 2**64 - 1),
+                  st.integers(2**64, 2**70))
+
+
+@st.composite
+def specs(draw):
+    """1-8 harmonics, 0-3 switches on or off the grid of period, and no
+    disturbance, a harmonic one or uniform noise of any seed."""
+    period = draw(st.sampled_from(PERIODS))
+    switch = st.one_of(st.integers(-10, 300).map(lambda k: k * period),
+                       st.floats(-0.5, 3.0))
+    times = sorted(set(draw(st.lists(switch, max_size=3))))
+    schedule = tuple(ScheduleStep(t, draw(harmonics)) for t in times)
+    noise = st.builds(UniformDisturbance, st.floats(1e-3, 1.0),
+                      st.sampled_from((*PERIODS, 2 * period, 0.0037)), seeds)
+    disturbance = draw(st.one_of(st.none(), harmonics.map(lambda hs: hs[0]), noise))
+    return SignalSpec(draw(harmonics), disturbance, schedule), period
+
+
+@settings(max_examples=100, deadline=None)
+@given(specs(), st.integers(0, 300))
+def test_trace_matches_the_pointwise_oracle(drawn, count):
+    spec, period = drawn
+    trace = generate_trace(spec, period, count * period)
+    times = sample_times(period, count * period)
+    assert len(trace.values) == len(times)
+    for t, value in zip(times, trace.values):
+        assert same_bits(value, oracle(spec, t)), (t, value, oracle(spec, t))
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs(), st.floats(-1e4, 1e4))
+def test_one_point_matches_the_oracle(drawn, t):
+    # negative t reaches negative noise slots, which wrap modulo 2**64
+    spec, _ = drawn
+    assert same_bits(sample_signal(spec, t), oracle(spec, t))
