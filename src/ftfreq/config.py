@@ -27,6 +27,7 @@ read the fields, so a new field needs no edit here.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import MISSING, dataclass, field, fields, replace
 from importlib import resources
 
@@ -83,11 +84,13 @@ class ScenarioConfig:
 def validate_config(cfg: ScenarioConfig) -> list[str]:
     """All rule violations in the config, each naming field, constraint, value.
 
-    These are recording_violations and then the two rules on run.duration,
-    which hold where run.duration defines the trace (simulation): it must
-    exceed t_ft, and every reset must come before it.
+    These are recording_violations and then the rules of a simulation, which
+    writes the trace and reads run.duration: output.trace_path must differ
+    from the other two output files, run.duration must exceed t_ft, and
+    every reset must come before it.
     """
     bad = recording_violations(cfg)
+    bad += _clashes(cfg.output, "trace_path", ("estimate_path", "metadata_path"))
     if cfg.run.duration <= cfg.estimator.t_ft:
         bad.append(
             f"run.duration = {cfg.run.duration} must exceed "
@@ -100,8 +103,8 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
 
 def recording_violations(cfg: ScenarioConfig) -> list[str]:
     """The rule violations of a run over any trace, recorded or simulated:
-    every rule but the two on run.duration."""
-    bad = []
+    every rule but those of a simulation (validate_config)."""
+    bad = _clashes(cfg.output, "metadata_path", ("estimate_path",))
     for delay, label in ((cfg.model.h, "model.h"), (cfg.drem.d, "drem.d")):
         try:
             steps_per_delay(delay, cfg.run.sample_period, label)
@@ -128,6 +131,15 @@ def recording_violations(cfg: ScenarioConfig) -> list[str]:
                     bad.append(f"{label}: harmonic frequency {harm.frequency} outside "
                                f"band [{lo}, {hi}]")
     return bad
+
+
+def _clashes(output: OutputConfig, name: str, others) -> list[str]:
+    """A complaint for each output file in others that output.<name> names
+    too (the names compared after normpath): one would overwrite the other."""
+    path = getattr(output, name)
+    return [f"output.{name} = {path!r} names the same file as output.{other} = "
+            f"{getattr(output, other)!r}" for other in others
+            if os.path.normpath(path) == os.path.normpath(getattr(output, other))]
 
 
 def config_warnings(cfg: ScenarioConfig) -> list[str]:

@@ -5,12 +5,12 @@ trace, allocates one Trajectory with one Epoch per segment, and for each
 segment calls the stages in the chain's order, each writing its rows (and
 _gradient the segment's Epoch) into the Trajectory:
 
-* _mixed: regression_at on a window whose entry k is the whole segment k
-  samples back, the extension _stack (those columns shifted by the stacked
-  lags), _mix on the warm rows only (a cold row's delta is 0.0), and the
-  scan for the first fault before the gradient step: a non-finite time or
-  measurement on any row, or a warm row that mix rejects (a non-finite
-  stack or mixed output), one fault replayed through mix;
+* _mixed: the scan for the first non-finite time or measurement, then
+  mixing's mix_rows on the warm rows before it (a cold row's delta is
+  0.0): regression_at on whole lagged columns, the stack, the stacked mix
+  and the scan for the first warm row whose stack or mixed output is
+  non-finite, the one fault of these replayed through mix before the
+  gradient step; Pipeline mixes its rows with the same stage;
 * _gradient: step_gradient's law by columns. Per _CHUNK-row block, every
   row's d^2*dt, lambda, exp(-lambda) and expm1(-lambda) (math.exp and
   math.expm1, never numpy's), drive and running excitation come first, then
@@ -26,21 +26,20 @@ _gradient the segment's Epoch) into the Trajectory:
   sample's inputs, so its exception and message are Pipeline's too.
 
 The stages call Pipeline's own stage functions, on arrays where a stage
-runs per sample. Three are batched re-implementations instead, kept because
+runs per sample. Two are batched re-implementations instead, kept because
 one call per row costs several times more: the gradient above (a second
 written form of step_gradient, which the engine-Pipeline parity tests
-pin to it), the n >= 3 adjugate in _mix (one stacked SVD; mixing's closed
-forms and scaled product are shared) and _grad_omegas (find_roots over
-stacked companion matrices, in CPython's complex arithmetic, then
-math.acos).
+pin to it) and _grad_omegas (find_roots over stacked companion matrices,
+in CPython's complex arithmetic, then math.acos).
 
 Each elementwise operation is the streaming stage's, in the same order and
 the same float (or emulated complex) arithmetic, so for n <= 2 the outputs
-equal Pipeline's bit for bit. For n >= 3 the stacked LAPACK and BLAS calls
-(svd, det, matmul, eigvals) need not round as one-matrix calls do: they
-have matched in every case checked, and tests/test_engine.py holds them to
-1e-12 relative. A reset starts a new segment: cleared history, a new epoch
-timed from its first sample, theta_hat carried over.
+equal Pipeline's bit for bit. For n >= 3 the stacked eigvals need not
+round as find_roots' one-matrix calls do, nor mix_rows' stacked SVD alike
+in a segment and in Pipeline's shorter batches: they have matched in every
+case checked, and tests/test_engine.py holds them to 1e-12 relative. A
+reset starts a new segment: cleared history, a new epoch timed from its
+first sample, theta_hat carried over.
 """
 
 from __future__ import annotations
@@ -48,17 +47,17 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
 from .errors import NumericFault
 from .estimator import (EstimatorSettings, EstimatorState,
                         finite_time_estimate, reset_estimator)
-from .mixing import DremConfig, _closed_form, _scaled_product, mix
+from .mixing import DremConfig, _first, mix, mix_rows
 from .pipeline import StepResult, check_measurement
 from .recovery import RESIDUAL_TOL, recover_frequencies
-from .regression import DelayTable, ModelConfig, delay_table, regression_at
+from .regression import DelayTable, ModelConfig, delay_table
 
 _CHUNK = 4096  # rows per gradient-loop or recovery block: bounds the Python objects held
 
@@ -177,26 +176,18 @@ def _mixed(run: Trajectory, first: int, stop: int, taps: DelayTable, epsilon: fl
     end = _first(~(np.isfinite(y) & timed))
     if end < len(y):
         fault = (end, check_measurement, times[first + end], run.samples[first + end])
-    depth = taps.valid_from
-    padded = np.concatenate((np.zeros(depth), y[:end]))
-    # regression_at reads window[lag] for the lag of each tap: here the
-    # whole segment that many samples back
-    window = {lag: _delayed(padded, lag, depth)
-              for _, lag in chain(taps.psi, *taps.phi)}
-    psi, phi = regression_at(window, taps)
     warm = min(taps.warm_from, end)
-    psi_rows = _stack(psi, taps.rows)[warm:end]
-    phi_rows = _stack(np.stack(phi, axis=1), taps.rows)[warm:end]
-    # the SVD rejects a non-finite stack: mix only the rows before the first
-    finite = _first(~np.isfinite(phi_rows).all(axis=(1, 2)))
-    delta, mixed = _mix(phi_rows[:finite], psi_rows[:finite], epsilon)
-    bad = _first(~(np.isfinite(delta) & np.isfinite(mixed).all(axis=1)))
-    if bad < len(phi_rows):
-        fault = (warm + bad, mix, times[first + warm + bad], tuple(psi_rows[bad].tolist()),
-                 tuple(map(tuple, phi_rows[bad].tolist())), epsilon)
+    # the zeros before the segment make every row a valid mix_rows row;
+    # warm rows never read them
+    depth = taps.warm_from
+    padded = np.concatenate((np.zeros(depth), y[:end]))
+    delta, mixed, bad = mix_rows(padded, taps, depth + warm, depth + end, epsilon)
+    row = warm + len(delta)
+    if bad is not None:
+        fault = (row, mix, times[first + row], *bad, epsilon)
     run.delta[first:first + warm] = 0.0
-    run.delta[first + warm:first + warm + bad] = delta[:bad]
-    return warm, mixed[:bad], fault
+    run.delta[first + warm:first + row] = delta
+    return warm, mixed, fault
 
 
 def _gradient(run: Trajectory, epoch: Epoch, warm: int, mixed: np.ndarray, dt: float):
@@ -279,50 +270,12 @@ def _recover(run: Trajectory, first: int, stop: int, model: ModelConfig) -> None
     run.omega_grad[first:stop] = omega
 
 
-def _first(mask: np.ndarray) -> int:
-    """Index of the first True in mask, or len(mask) if there is none."""
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if len(hits) else len(mask)
-
-
 def _replay(k: int, t: float, stage, *args):
     """Call a streaming stage on sample k's inputs; its faults name the sample."""
     try:
         return stage(*args)
     except NumericFault as exc:
         raise NumericFault(f"sample {k} (t = {t:.6g}): {exc}") from exc
-
-
-def _delayed(values: np.ndarray, lag: int, depth: int) -> np.ndarray:
-    """values delayed by lag samples, reading 0.0 before the first; values is
-    padded with depth leading zeros."""
-    return values[depth - lag:len(values) - lag]
-
-
-def _stack(values: np.ndarray, lags: tuple[int, ...]) -> np.ndarray:
-    """Row i of sample j is values[j - lags[i]], zero before the first sample:
-    the stacked rows Pipeline reads with regression_at at lag lags[i]."""
-    depth = lags[-1]
-    padded = np.concatenate((np.zeros((depth,) + values.shape[1:]), values))
-    return np.stack([_delayed(padded, lag, depth) for lag in lags], axis=1)
-
-
-def _mix(phi_rows: np.ndarray, psi_rows: np.ndarray,
-         epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """delta (K,) and mixed psi (K, n) at every sample, as mix does."""
-    count, n = psi_rows.shape
-    if n <= 2:
-        adj, det = _closed_form(np.moveaxis(phi_rows, 0, -1))
-    else:
-        u, s, vt = np.linalg.svd(phi_rows)
-        sign = np.copysign(1.0, np.linalg.det(u @ vt))
-        s, ones = s.T, np.ones(count)  # adjugate's math.prod, left to right from 1
-        others = np.stack([sign * math.prod(s[:i], start=ones) * math.prod(s[i + 1:], start=ones)
-                           for i in range(n)], axis=1)
-        adj = (np.swapaxes(vt, 1, 2) * others[:, None, :]) @ np.swapaxes(u, 1, 2)
-        adj, det = np.moveaxis(adj, 0, -1), sign * math.prod(s, start=ones)
-    delta, mixed = _scaled_product(adj, det, psi_rows.T, epsilon)
-    return delta, np.stack(mixed, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -353,19 +306,22 @@ def _horner(coeffs, xr, xi, weights=None):
 
 
 def _polish(coeffs, xr, xi):
-    """find_roots' Newton polish: up to two steps, each kept only if it helps."""
+    """find_roots' Newton polish: up to two steps, each kept only if it
+    helps. Returns the roots and |p| at them, each p evaluated once."""
     degree = len(coeffs) - 1
     weights = [float(degree - i) for i in range(degree)]
     active = np.ones(xr.shape, dtype=bool)
+    pr, pi = _horner(coeffs, xr, xi)
     for _ in range(2):
-        pr, pi = _horner(coeffs, xr, xi)
         dr, di = _horner(coeffs[:-1], xr, xi, weights)
         active &= ~(np.hypot(dr, di) < 1e-300)
         qr, qi = _cdiv(pr, pi, dr, di)
         cr, ci = xr - qr, xi - qi
-        active &= np.hypot(*_horner(coeffs, cr, ci)) < np.hypot(pr, pi)
+        cpr, cpi = _horner(coeffs, cr, ci)
+        active &= np.hypot(cpr, cpi) < np.hypot(pr, pi)
         xr, xi = np.where(active, cr, xr), np.where(active, ci, xi)
-    return xr, xi
+        pr, pi = np.where(active, cpr, pr), np.where(active, cpi, pi)
+    return xr, xi, np.hypot(pr, pi)
 
 
 def _grad_omegas(theta: np.ndarray, h: float,
@@ -401,9 +357,10 @@ def _grad_omegas(theta: np.ndarray, h: float,
             eigen = np.linalg.eigvals(companion)
         except np.linalg.LinAlgError:  # find_roots names the matrix that failed
             return np.full((count, n), np.nan), np.ones(count, dtype=bool)
-        xr, xi = _polish(coeffs, eigen.real.copy(), np.imag(eigen).copy())
+        xr, xi, residual = _polish(coeffs, eigen.real.copy(), np.imag(eigen).copy())
+    if n <= 2:
+        residual = np.hypot(*_horner(coeffs, xr, xi))
     allowed = RESIDUAL_TOL * (1.0 + np.maximum.reduce([np.abs(c) for c in coeffs]))
-    residual = np.hypot(*_horner(coeffs, xr, xi))
     suspect = ~(finite & (residual <= allowed).all(axis=1))
     cosines = np.clip(xr, -1.0, 1.0).ravel().tolist()
     omega = np.array(list(map(math.acos, cosines))).reshape(count, n) / h

@@ -107,14 +107,17 @@ class EstimatorState:
     frequency guesses under the model delay. Tracks the gradient estimates,
     the shared excitation integral S = integral of delta^2 over the current
     epoch (W_i = exp(-gamma_i S)), and the finite-time output theta_ft,
-    omega_ft once extracted. max_decay_step records the largest per-sample
-    gamma_i * delta^2 * dt seen, as a stiffness diagnostic. The state keeps
+    omega_ft once extracted, with the diagnostics of omega_ft's recovery:
+    root_residual, the largest root imaginary part dropped, and clamped,
+    whether a root's real part was clamped into [-1, 1]. max_decay_step
+    records the largest per-sample gamma_i * delta^2 * dt seen, as a
+    stiffness diagnostic. The state keeps
     no clock: the driver (Pipeline or the whole-trace engine) times the
     epoch and says when extraction is due.
     """
 
     __slots__ = ("settings", "model", "theta_hat", "theta0", "excitation", "theta_ft",
-                 "omega_ft", "extraction_time", "max_decay_step")
+                 "omega_ft", "root_residual", "clamped", "extraction_time", "max_decay_step")
 
     def __init__(self, settings: EstimatorSettings, model: ModelConfig):
         bad = length_violations(settings, model)
@@ -127,6 +130,8 @@ class EstimatorState:
         self.excitation = 0.0
         self.theta_ft: tuple[float, ...] | None = None
         self.omega_ft: tuple[float, ...] | None = None
+        self.root_residual: float | None = None
+        self.clamped: bool | None = None
         self.extraction_time: float | None = None
         self.max_decay_step = 0.0
 
@@ -171,7 +176,8 @@ def finite_time_estimate(state: EstimatorState, t: float) -> tuple[float, ...] |
     excited enough to divide safely); the caller retries on later samples.
     Otherwise computes theta_ft, recovers omega_ft from its roots under
     settings.imag_tol and the model band, and only then records theta_ft,
-    omega_ft and extraction_time = t: a recovery fault leaves the state as
+    omega_ft, its recovery's root_residual and clamped, and
+    extraction_time = t: a recovery fault leaves the state as
     it was, so calling again raises the same fault. The first successful
     extraction is cached and returned unchanged afterward.
     """
@@ -184,8 +190,9 @@ def finite_time_estimate(state: EstimatorState, t: float) -> tuple[float, ...] |
     theta_ft = tuple(
         (state.theta_hat[i] - state.theta0[i] * w[i]) / (1.0 - w[i])
         for i in range(state.n))
-    omega_ft = recover_frequencies(theta_ft, model.h, model.band, settings.imag_tol).omega_hat
-    state.theta_ft, state.omega_ft, state.extraction_time = theta_ft, omega_ft, t
+    estimate = recover_frequencies(theta_ft, model.h, model.band, settings.imag_tol)
+    state.theta_ft, state.omega_ft, state.extraction_time = theta_ft, estimate.omega_hat, t
+    state.root_residual, state.clamped = estimate.residual, estimate.clamped
     return theta_ft
 
 
@@ -201,5 +208,7 @@ def reset_estimator(state: EstimatorState) -> EstimatorState:
     state.excitation = 0.0
     state.theta_ft = None
     state.omega_ft = None
+    state.root_residual = None
+    state.clamped = None
     state.extraction_time = None
     return state

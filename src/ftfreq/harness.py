@@ -110,6 +110,11 @@ def _metadata(cfg: ScenarioConfig, trajectory: Trajectory, reset_rows,
         "estimator.excitation_integral": repr(state.excitation),
         "estimator.extraction_time": (
             "none" if state.extraction_time is None else repr(state.extraction_time)),
+        # omega_ft's recovery: the largest root imaginary part it dropped and
+        # whether it clamped a root into [-1, 1]
+        "estimator.root_residual": (
+            "none" if state.root_residual is None else repr(state.root_residual)),
+        "estimator.clamped": "none" if state.clamped is None else repr(state.clamped),
     }
     # the run's own notes, read from its times and epochs
     times, t_ft, resets = trajectory.times, cfg.estimator.t_ft, cfg.run.reset_times
@@ -292,10 +297,7 @@ def _write_outputs(result: RunResult, out_dir: str, write_trace: bool = True) ->
         if write_trace:
             result.trace_path = os.path.join(out_dir, out.trace_path)
         result.estimate_path = os.path.join(out_dir, out.estimate_path)
-        trace_path = result.trace_path
-        if trace_path and os.path.normpath(trace_path) == os.path.normpath(result.estimate_path):
-            trace_path = None  # the estimates, written after it, would replace it
-        _write_csvs(trajectory, result.estimate_path, trace_path)
+        _write_csvs(trajectory, result.estimate_path, result.trace_path)
         result.metadata_path = os.path.join(out_dir, out.metadata_path)
         write_metadata(result.metadata_path, result)
     except OSError as exc:

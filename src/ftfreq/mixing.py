@@ -17,11 +17,17 @@ exact closed forms for n <= 2 and, above that, G. W. Stewart's singular
 value form ("On the adjugate matrix", Lin. Alg. Appl. 1998), which costs
 O(n^3) and stays valid for singular M, including the all-zero stack of a
 zero signal. _closed_form and _scaled_product also take equal-length
-arrays (one system per element): the whole-trace engine mixes with them too.
+arrays (one system per element).
 
-`mix` returns the plain pair (delta, mixed psi), all the gradient stage
-needs, and is the one stage that rejects a non-finite stack or mixed output
-(NumericFault), in both drivers.
+`mix` returns the plain pair (delta, mixed psi) of one instant, all the
+gradient stage needs, and is the one stage that rejects a non-finite stack
+or mixed output (NumericFault). Pipeline and the engine mix many
+instants at once with `mix_rows`: regression_at on whole lagged columns,
+the stack, one stacked SVD adjugate for n >= 3 (the closed forms and the
+scaled product on arrays for n <= 2), and the scan for the first row whose
+stack or output is non-finite, which the caller replays through `mix` to
+raise the fault. The engine calls it on a whole segment, Pipeline on the
+rows of the next d seconds.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from operator import mul
 import numpy as np
 
 from .errors import ConfigError, NumericFault
-from .regression import MAX_HARMONICS
+from .regression import MAX_HARMONICS, DelayTable, regression_at
 
 
 @dataclass(frozen=True)
@@ -131,3 +137,61 @@ def _scaled_product(adj, det, psi_rows, epsilon):
     sum taken left to right."""
     scale = epsilon ** len(adj)
     return scale * det, tuple(scale * sum(map(mul, row, psi_rows)) for row in adj)
+
+
+def mix_rows(y: np.ndarray, taps: DelayTable, first: int, stop: int,
+             epsilon: float) -> tuple[np.ndarray, np.ndarray, tuple | None]:
+    """Regression, stack and mix of rows first..stop-1 of the samples y, up to
+    the first row whose stack or mixed output is non-finite.
+
+    Row j is sample j; its stacked row i is the regression taps.rows[i]
+    samples back, so the rows read y[first - taps.warm_from] up to
+    y[stop - 1 - taps.rows[0]] and need first >= taps.warm_from and
+    stop - taps.rows[0] <= len(y). Returns (delta, mixed, bad): delta (K,)
+    and mixed psi (K, n) of the first K rows, as mix returns them, and bad,
+    None or the (psi_rows, phi_rows) of row first + K, the first non-finite
+    one, on which mix raises its fault.
+    """
+    lo, hi = first - taps.rows[-1], stop - taps.rows[0]
+    count = stop - first
+    with np.errstate(all="ignore"):  # non-finite values are scanned for, not warned about
+        # regression_at reads window[tap]: here samples lo..hi-1, tap samples back
+        window = {tap: y[lo - tap:hi - tap] for _, tap in chain(taps.psi, *taps.phi)}
+        psi, phi = regression_at(window, taps)
+        phi = np.stack(phi, axis=1)
+        # stacked row i of row j is the regression at j - taps.rows[i]
+        shifts = [taps.rows[-1] - lag for lag in taps.rows]
+        psi_rows = np.stack([psi[s:s + count] for s in shifts], axis=1)
+        phi_rows = np.stack([phi[s:s + count] for s in shifts], axis=1)
+        # the SVD rejects a non-finite stack: mix only the rows before the first
+        finite = _first(~np.isfinite(phi_rows).all(axis=(1, 2)))
+        delta, mixed = _mix(phi_rows[:finite], psi_rows[:finite], epsilon)
+        bad = _first(~(np.isfinite(delta) & np.isfinite(mixed).all(axis=1)))
+    if bad == count:
+        return delta, mixed, None
+    return delta[:bad], mixed[:bad], (tuple(psi_rows[bad].tolist()),
+                                      tuple(map(tuple, phi_rows[bad].tolist())))
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True in mask, or len(mask) if there is none."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if len(hits) else len(mask)
+
+
+def _mix(phi_rows: np.ndarray, psi_rows: np.ndarray,
+         epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """delta (K,) and mixed psi (K, n) of K stacked systems, as mix does."""
+    count, n = psi_rows.shape
+    if n <= 2:
+        adj, det = _closed_form(np.moveaxis(phi_rows, 0, -1))
+    else:
+        u, s, vt = np.linalg.svd(phi_rows)
+        sign = np.copysign(1.0, np.linalg.det(u @ vt))
+        s, ones = s.T, np.ones(count)  # adjugate's math.prod, left to right from 1
+        others = np.stack([sign * math.prod(s[:i], start=ones) * math.prod(s[i + 1:], start=ones)
+                           for i in range(n)], axis=1)
+        adj = (np.swapaxes(vt, 1, 2) * others[:, None, :]) @ np.swapaxes(u, 1, 2)
+        adj, det = np.moveaxis(adj, 0, -1), sign * math.prod(s, start=ones)
+    delta, mixed = _scaled_product(adj, det, psi_rows.T, epsilon)
+    return delta, np.stack(mixed, axis=1)

@@ -63,18 +63,20 @@ def _eval_deriv(coeffs, x):
 
 
 def _polish(coeffs, root):
-    # One or two Newton corrections; keep a step only if it shrinks |p|.
+    """(root, |p(root)|) after one or two Newton corrections, each kept only
+    if it shrinks |p|; each |p| is evaluated once."""
+    p = _eval_poly(coeffs, root)
     for _ in range(2):
-        p = _eval_poly(coeffs, root)
         dp = _eval_deriv(coeffs, root)
         if abs(dp) < 1e-300:
             break
         candidate = root - p / dp
-        if abs(_eval_poly(coeffs, candidate)) < abs(p):
-            root = candidate
+        p_candidate = _eval_poly(coeffs, candidate)
+        if abs(p_candidate) < abs(p):
+            root, p = candidate, p_candidate
         else:
             break
-    return root
+    return root, abs(p)
 
 
 def find_roots(coeffs) -> list[complex]:
@@ -119,11 +121,12 @@ def find_roots(coeffs) -> list[complex]:
             raise NumericFault(
                 f"companion eigenvalue iteration failed for coefficients {coeffs}: {exc}"
             ) from exc
-        roots = [_polish(coeffs, complex(r)) for r in eigen]
+        roots, residuals = map(list, zip(*(_polish(coeffs, complex(r)) for r in eigen)))
+    if degree <= 2:
+        residuals = [abs(_eval_poly(coeffs, r)) for r in roots]
 
     allowed = RESIDUAL_TOL * (1.0 + max(abs(c) for c in coeffs))
-    for r in roots:
-        residual = abs(_eval_poly(coeffs, r))
+    for residual in residuals:
         if not residual <= allowed:
             raise NumericFault(
                 f"root residual {residual:.3g} exceeds {allowed:.3g} "

@@ -154,8 +154,8 @@ class DelayTable:
     regressor component (psi_taps and phi_taps with lags scaled by steps_h);
     rows holds the lags i * steps_d, i = 1..n, of the stacked system;
     valid_from = 2 n steps_h is the number of samples after a clear before
-    every tap reads real history. Pipeline (through regression_at over its
-    window of warm_from + 1 samples) and the whole-trace engine read these.
+    every tap reads real history. Pipeline and the engine read these through
+    mixing.mix_rows, which calls regression_at on lagged sample columns.
     """
 
     psi: tuple[tuple[float, int], ...]
@@ -186,8 +186,8 @@ def regression_at(window, taps: DelayTable, lag: int = 0) -> tuple[float, tuple[
 
     window[k] is the measurement k samples ago, zero before the first (after
     a clear) and at least lag + valid_from + 1 long. Each sum adds its taps
-    in table order. The whole-trace engine passes a window whose entries are
-    arrays (a whole segment k samples back), and gets arrays back. A
+    in table order. mixing.mix_rows passes a window whose entries are arrays
+    (its samples k back), and gets arrays back. A
     negative lag raises ValueError; a window too short for the lag raises
     IndexError.
     """

@@ -1,10 +1,13 @@
 """Shared helpers for driving pipeline stages over generated traces."""
 
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 
-from ftfreq.mixing import mix
+from ftfreq import pipeline as pipeline_module
+from ftfreq.mixing import mix, mix_rows
 from ftfreq.regression import delay_table, regression_at
 from ftfreq.signals import generate_trace
 
@@ -48,3 +51,50 @@ def random_distinct_frequencies(rng, n, lo, hi, min_gap=0.05):
         freqs = np.sort(rng.uniform(lo, hi, n))
         if n == 1 or np.min(np.diff(freqs)) > min_gap:
             return [float(w) for w in freqs]
+
+
+@contextlib.contextmanager
+def batched_mixing():
+    """Record every batch a Pipeline mixes ahead, as (time, deltas): time is
+    the sample being stepped when mix_rows ran, deltas the delta of each row
+    it mixed, that sample's first and the following samples' after it."""
+    batches, stepping = [], [None]
+    check = pipeline_module.check_measurement
+
+    def checking(t, y):
+        stepping[0] = t
+        return check(t, y)
+
+    def recording(*args):
+        delta, mixed, bad = mix_rows(*args)
+        batches.append((stepping[0], delta.tolist()))
+        return delta, mixed, bad
+
+    with mock.patch.object(pipeline_module, "check_measurement", checking), \
+            mock.patch.object(pipeline_module, "mix_rows", recording):
+        yield batches
+
+
+def assert_mixed_ahead(batches, deltas, starts, warm_from, ahead, period):
+    """batches (from batched_mixing) and the delta of every step of a run of
+    len(deltas) samples at times k * period, whose sessions start at the
+    sample indices starts, show the look-ahead at work: a batch of `ahead`
+    rows is mixed exactly at the sample warm_from into each session and every
+    `ahead` samples after it, so no cold sample's step mixes; every warm
+    sample takes the row its session mixed for it, and every cold one
+    reports 0.0."""
+    edges = [*starts, len(deltas)]
+    expected = {}  # first row of each batch -> its session's first sample
+    for a, b in zip(edges, edges[1:]):
+        expected.update((k, a) for k in range(a + warm_from, b, ahead))
+    assert [round(t / period) for t, _ in batches] == list(expected)
+    assert all(len(rows) == ahead for _, rows in batches)
+    rows = dict(zip(expected, (rows for _, rows in batches)))
+    for a, b in zip(edges, edges[1:]):
+        for k in range(a, b):
+            if k < a + warm_from:
+                assert deltas[k] == 0.0, k
+            else:
+                first = k - (k - a - warm_from) % ahead
+                assert deltas[k] == rows[first][k - first], k
+    return sum(max(0, b - a - warm_from) for a, b in zip(edges, edges[1:]))

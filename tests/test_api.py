@@ -66,3 +66,28 @@ def test_benchmark_imports_resolve():
             checked.append(f"{node.value.id}.{node.attr}")
     assert {"ftfreq.signals.generate_trace", "harness.build_pipeline",
             "harness.run_scenario", "cli.main"} <= set(checked)
+
+
+def imported_modules(module):
+    """The ftfreq modules a module of the package imports, by their names."""
+    tree = ast.parse(Path(inspect.getfile(module)).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = "ftfreq" if node.level else ""
+            name = ".".join(filter(None, (base, node.module)))
+            names.add(name)
+            names.update(f"{name}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+    return {name for name in names if name.startswith("ftfreq")}
+
+
+def test_the_streaming_path_does_not_import_the_engine():
+    """Pipeline and the engine share their mixing stage through mixing,
+    which imports neither pipeline nor engine; the engine imports pipeline."""
+    from ftfreq import engine, mixing, pipeline
+    assert "ftfreq.engine" not in imported_modules(pipeline)
+    assert {"ftfreq.mixing", "ftfreq.mixing.mix_rows"} <= imported_modules(pipeline)
+    assert not {"ftfreq.engine", "ftfreq.pipeline"} & imported_modules(mixing)
+    assert "ftfreq.pipeline" in imported_modules(engine)

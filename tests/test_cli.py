@@ -12,7 +12,8 @@ import ftfreq
 
 from ftfreq.cli import (EXIT_CONFIG, EXIT_NOT_EXCITED, EXIT_NUMERIC, EXIT_OK,
                         main)
-from ftfreq.config import BUILTIN_NAMES, builtin_scenario, format_config
+from ftfreq.config import (BUILTIN_NAMES, OutputConfig, builtin_scenario,
+                           format_config)
 from ftfreq.harness import write_trace_csv
 from ftfreq.signals import (HarmonicSpec, SignalSpec, generate_trace,
                             sample_times)
@@ -109,7 +110,45 @@ class TestSimulate:
         assert "numeric fault: sample 660 " in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("output, clash", [
+        ({"metadata_path": "estimates.csv"}, "output.metadata_path = 'estimates.csv'"),
+        ({"trace_path": "./estimates.csv"}, "output.trace_path = './estimates.csv'"),
+        ({"trace_path": "a/../metadata.txt"}, "output.trace_path = 'a/../metadata.txt'"),
+    ], ids=["metadata-estimates", "trace-estimates", "trace-metadata"])
+    def test_colliding_output_names_exit_2(self, tmp_path, capsys, output, clash):
+        # one file would overwrite another: rejected before anything is written
+        cfg_path = tmp_path / "scenario.cfg"
+        write_quick_config(cfg_path, duration=6.0, output=OutputConfig(**output))
+        code = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert f"config error: {clash} names the same file as" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestEstimate:
+    def test_colliding_output_names(self, tmp_path, capsys):
+        # estimate writes no trace, so only metadata_path may not name the
+        # estimates file
+        cfg_path = tmp_path / "scenario.cfg"
+        write_quick_config(cfg_path, duration=6.0)
+        assert main(["simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "sim")]) == EXIT_OK
+        trace = str(tmp_path / "sim" / "trace.csv")
+        write_quick_config(cfg_path, duration=6.0,
+                           output=OutputConfig(metadata_path="./estimates.csv"))
+        code = main(["estimate", "--config", str(cfg_path), "--input", trace,
+                     "--out", str(tmp_path / "clash")])
+        assert code == EXIT_CONFIG
+        assert "output.metadata_path = './estimates.csv' names the same file as " \
+            "output.estimate_path = 'estimates.csv'" in capsys.readouterr().err
+        assert not (tmp_path / "clash").exists()
+        write_quick_config(cfg_path, duration=6.0,
+                           output=OutputConfig(trace_path="estimates.csv"))
+        assert main(["estimate", "--config", str(cfg_path), "--input", trace,
+                     "--out", str(tmp_path / "replay")]) == EXIT_OK
+        assert (tmp_path / "replay" / "estimates.csv").read_bytes() == \
+            (tmp_path / "sim" / "estimates.csv").read_bytes()
+
     def test_estimate_replays_simulated_trace(self, tmp_path, capsys):
         cfg_path = tmp_path / "scenario.cfg"
         write_quick_config(cfg_path)

@@ -1,7 +1,8 @@
 """The measurement window as a tapped delay line.
 
-Pipeline keeps the last taps.warm_from + 1 samples, newest first, and reads
-every delay from them with regression_at. For n = 1 at epsilon = 1 its
+Pipeline keeps the samples since the last clear and reads every delay from
+them with regression_at, on the rows of the next d seconds at once
+(mixing.mix_rows). For n = 1 at epsilon = 1 its
 delta is exactly 2 y(k - steps_h - steps_d), one tap of that window, from the
 first warm sample k = 2 steps_h + steps_d on (a cold sample reports 0.0), so
 the delay-operator semantics show in the public outputs.

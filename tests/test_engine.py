@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_mixed_ahead, batched_mixing
 from ftfreq import engine as engine_module
 from ftfreq import pipeline as pipeline_module
 from ftfreq.config import (BUILTIN_NAMES, EstimatorSettings, RunConfig,
@@ -28,7 +29,7 @@ from ftfreq.engine import run_trace
 from ftfreq.errors import ConfigError, NumericFault
 from ftfreq.harness import (RunResult, build_pipeline, estimate_from_file,
                             run_scenario, write_metadata, write_trace_csv)
-from ftfreq.mixing import DremConfig
+from ftfreq.mixing import DremConfig, mix_rows
 from ftfreq.pipeline import warmup_time
 from ftfreq.regression import ModelConfig
 from ftfreq.signals import (HarmonicSpec, SignalSpec, UniformDisturbance,
@@ -62,6 +63,9 @@ def reference_metadata(pipeline):
         "estimator.excitation_integral": repr(state.excitation),
         "estimator.extraction_time": (repr(state.extraction_time)
                                       if state.extraction_time is not None else "none"),
+        "estimator.root_residual": (repr(state.root_residual)
+                                    if state.root_residual is not None else "none"),
+        "estimator.clamped": repr(state.clamped) if state.clamped is not None else "none",
     }
 
 
@@ -112,7 +116,7 @@ def assert_parity(cfg, times, samples, tmp_path):
             assert_same(getattr(mine, field), getattr(ref, field), exact)
     meta = reference_metadata(pipeline)
     for key, value in meta.items():
-        if exact or value == "none":
+        if exact or value in ("none", "True", "False"):
             assert result.metadata[key] == value, key
         else:
             assert math.isclose(float(result.metadata[key]), float(value), rel_tol=1e-12), key
@@ -243,35 +247,34 @@ def test_pipeline_rejects_a_non_finite_time():
 def test_cold_samples_are_not_mixed_or_recovered():
     # n = 3 at 0.1 s: warm 30 samples after the start and after the reset at
     # 5 s, so 20 of the first epoch's 50 samples and 21 of the second's 51
-    # are warm. Only those are mixed, and only their gradient steps move
-    # theta_hat and so call for a new omega_grad
+    # are warm. Only their steps mix (d = 4 samples ahead at a time) and take
+    # a mixed row, and only their gradient steps move theta_hat and so call
+    # for a new omega_grad
     cfg = synthetic(3, 1)
     cfg = replace(cfg, run=replace(cfg.run, duration=10.0, reset_times=(5.0,)))
     times, samples = grid(cfg)
     warm = [20, 21]
-    counted = {"mix": 0, "recover_frequencies": 0}
+    recovered = [0]
+    recover = pipeline_module.recover_frequencies
 
-    def counting(name):
-        stage = getattr(pipeline_module, name)
+    def counting(*args, **kwargs):
+        recovered[0] += 1
+        return recover(*args, **kwargs)
 
-        def call(*args, **kwargs):
-            counted[name] += 1
-            return stage(*args, **kwargs)
-        return call
-
-    with mock.patch.object(pipeline_module, "mix", counting("mix")), \
-            mock.patch.object(pipeline_module, "recover_frequencies",
-                              counting("recover_frequencies")):
+    with batched_mixing() as batches, \
+            mock.patch.object(pipeline_module, "recover_frequencies", counting):
         records, _ = pipeline_reference(cfg, times, samples)
-    assert counted == {"mix": sum(warm), "recover_frequencies": sum(warm) + 1}
+    assert assert_mixed_ahead(batches, [rec.delta for rec in records], [0, 50], 30, 4,
+                              cfg.run.sample_period) == sum(warm)
+    assert recovered == [sum(warm) + 1]
 
-    rows, mix_rows = [], engine_module._mix
+    rows = []
 
-    def recording(phi_rows, psi_rows, epsilon):
-        rows.append(len(phi_rows))
-        return mix_rows(phi_rows, psi_rows, epsilon)
+    def recording(y, taps, first, stop, epsilon):
+        rows.append(stop - first)
+        return mix_rows(y, taps, first, stop, epsilon)
 
-    with mock.patch.object(engine_module, "_mix", recording):
+    with mock.patch.object(engine_module, "mix_rows", recording):
         run = run_trace(cfg.model, cfg.drem, cfg.estimator, cfg.run.sample_period,
                         times, samples, [0, 50])
     assert rows == warm

@@ -185,8 +185,24 @@ class TestFiniteTimeEstimate:
         state.excitation = 1e6  # W underflows to 0: theta_ft = theta_hat
         assert finite_time_estimate(state, 1.0) == tuple(state.theta_hat)
         assert state.omega_ft == pytest.approx((2.0, 3.0), rel=1e-12)
+        assert (state.root_residual, state.clamped) == (0.0, False)
         reset_estimator(state)
         assert (state.theta_ft, state.omega_ft, state.extraction_time) == (None, None, None)
+        assert (state.root_residual, state.clamped) == (None, None)
+
+    @pytest.mark.parametrize("roots, residual, clamped", [
+        ((0.5 + 1e-6j, 0.5 - 1e-6j), 1e-6, False),  # a pair just off the real axis
+        ((1.0 + 1e-9, 0.5), 0.0, True),  # a cosine just above 1
+    ])
+    def test_keeps_the_recovery_diagnostics(self, roots, residual, clamped):
+        cfg = settings((1.0, 1.0), t_ft=0.5)
+        state = new_state(cfg)
+        a, b = roots
+        state.theta_hat = [(a + b).real, -(a * b).real]
+        state.excitation = 1e6
+        finite_time_estimate(state, 1.0)
+        assert state.root_residual == pytest.approx(residual, rel=1e-4)  # b^2 - 4c cancels
+        assert state.clamped is clamped
 
     def test_failed_recovery_records_nothing(self):
         # x^2 + 1 has roots +-i: the fault leaves the state as it was, so a

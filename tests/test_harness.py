@@ -145,6 +145,11 @@ class TestOutputs:
         assert "splitmix64" in text
         assert "convention = psi" in text
         assert "pipeline.max_decay_step" in text
+        # omega_ft's recovery diagnostics, as the last epoch's state holds them
+        state = result.trajectory.state
+        assert f"estimator.root_residual = {state.root_residual!r}\n" in text
+        assert f"estimator.clamped = {state.clamped!r}\n" in text
+        assert isinstance(state.root_residual, float) and isinstance(state.clamped, bool)
         # the config echo parses back to the original config
         echo = text.split("# config echo\n", 1)[1]
         assert parse_config(echo) == cfg
@@ -161,7 +166,7 @@ class TestOutputs:
 
     def test_trace_and_estimates_in_lockstep(self, tmp_path):
         # the two CSVs are written chunk by chunk from the same strings; a
-        # trace named like the estimates is left to them, which replace it
+        # trace named like the estimates is rejected before either is written
         cfg = quick_noiseless(duration=6.0)
         result = run_scenario(cfg, out_dir=str(tmp_path / "apart"))
         trace = (tmp_path / "apart" / "trace.csv").read_text().splitlines()
@@ -171,8 +176,9 @@ class TestOutputs:
             [row.split(",") for row in trace[1:]]
         same = replace(cfg, output=replace(cfg.output, trace_path="run.csv",
                                            estimate_path="./run.csv"))
-        run_scenario(same, out_dir=str(tmp_path / "same"))
-        assert (tmp_path / "same" / "run.csv").read_text().splitlines() == estimates
+        with pytest.raises(ConfigError, match="output.trace_path = 'run.csv' names the same"):
+            run_scenario(same, out_dir=str(tmp_path / "same"))
+        assert not (tmp_path / "same").exists()
 
 class TestEstimateFromFile:
     def test_round_trip_identical_records(self, tmp_path):

@@ -1,9 +1,7 @@
 """Unit tests for regressor extension (the stacked rows) and adjugate mixing."""
 
-import contextlib
 import math
 import random
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import (SAMPLE_PERIOD, mixed_stream, random_distinct_frequencies,
-                      window_at)
-from ftfreq import pipeline as pipeline_module
+from conftest import (SAMPLE_PERIOD, assert_mixed_ahead, batched_mixing,
+                      mixed_stream, random_distinct_frequencies, window_at)
 from ftfreq.errors import ConfigError, NumericFault
 from ftfreq.estimator import EstimatorSettings
 from ftfreq.mixing import DremConfig, adjugate, mix
@@ -30,19 +27,6 @@ def session(n, steps_h, steps_d, period=SAMPLE_PERIOD):
     omega0 = tuple(1.0 + 0.5 * i for i in range(n))
     return Pipeline(model, DremConfig(d=steps_d * period, epsilon=1.0),
                     EstimatorSettings(gamma=(1e-6,) * n, omega0=omega0, t_ft=1e6), period)
-
-
-@contextlib.contextmanager
-def mixed_times():
-    """Record the time of every sample a Pipeline mixes."""
-    times = []
-
-    def recording(time, *args):
-        times.append(time)
-        return mix(time, *args)
-
-    with mock.patch.object(pipeline_module, "mix", recording):
-        yield times
 
 
 class TestExtender:
@@ -88,21 +72,23 @@ class TestExtender:
     def test_complete_requires_valid_history_at_deepest_lag(self, n, steps_h, steps_d,
                                                             reset_at, after):
         # warm exactly from sample warm_from after the start and after a
-        # reset, and only warm samples are mixed
+        # reset: only warm steps mix, each batch holding the rows of the
+        # next d seconds, and each warm sample takes its own row
         pipeline = session(n, steps_h, steps_d, period=0.01)
         warm_from = 2 * n * steps_h + n * steps_d
         assert pipeline.taps.warm_from == warm_from
         freqs = [1.0 + 0.4 * i for i in range(n)]
         signal = [sum(math.sin(w * 0.01 * k + i) for i, w in enumerate(freqs))
                   for k in range(reset_at + after)]
-        with mixed_times() as mixed:
+        with batched_mixing() as batches:
+            deltas = []
             for k, y in enumerate(signal):
                 if k == reset_at:
                     pipeline.reset()
-                pipeline.step(k * 0.01, y)
-        expected = [k for k in range(reset_at) if k >= warm_from]
-        expected += [reset_at + k for k in range(after) if k >= warm_from]
-        assert mixed == [k * 0.01 for k in expected]
+                deltas.append(pipeline.step(k * 0.01, y).delta)
+        warm = assert_mixed_ahead(batches, deltas, sorted({0, reset_at}), warm_from,
+                                  steps_d, 0.01)
+        assert warm == max(0, reset_at - warm_from) + max(0, after - warm_from)
 
     def test_off_grid_d_rejected(self):
         with pytest.raises(ConfigError):
@@ -115,10 +101,11 @@ class TestExtender:
         for k in range(50):
             pipeline.step(k * SAMPLE_PERIOD, 1.0)
         pipeline.reset()
-        with mixed_times() as mixed:
+        with batched_mixing() as batches:
             deltas = [pipeline.step((50 + k) * SAMPLE_PERIOD, 7.0).delta for k in range(31)]
         assert deltas == [0.0] * 30 + [14.0]
-        assert mixed == [80 * SAMPLE_PERIOD]
+        # one batch, at the first warm sample: its row and the next d's
+        assert batches == [(80 * SAMPLE_PERIOD, [14.0] * 10)]
 
 
 def cofactor_adjugate(m):

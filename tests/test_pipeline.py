@@ -1,0 +1,153 @@
+"""The look-ahead Pipeline against the per-sample path it replaced.
+
+Pipeline mixes the rows of the next d seconds in one batch; PerSamplePipeline
+(tests/per_sample.py) mixes each warm sample on its own. With batches of at
+most 7 rows, both step through the same samples, with resets in mid-batch
+and spikes whose faults land on batch edges and across them, and keep
+stepping after a fault: every step returns the same StepResult (exactly for
+n <= 2, within 1e-12 relative above, as in tests/test_engine.py) or raises
+the same exception with the same message.
+"""
+
+import math
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ftfreq import pipeline as pipeline_module
+from ftfreq.errors import NumericFault
+from ftfreq.estimator import EstimatorSettings
+from ftfreq.mixing import DremConfig
+from ftfreq.pipeline import Pipeline
+from ftfreq.regression import ModelConfig
+from per_sample import PerSamplePipeline
+
+AHEAD = 7
+PERIOD = 0.01
+
+# (spike, epsilon) pairs of tests/test_engine.py's TestFaultParity: a
+# non-finite mixed regression, a recovery fault, a non-finite stacked
+# regressor under a tiny epsilon, and non-finite measurements
+SPIKES = ((1e307, 10.0), (-1e307, 2.0), (1e200, 10.0), (1e308, 1e-100),
+          (math.inf, 1.0), (math.nan, 1.0))
+
+
+def outcome(pipeline, t, y):
+    try:
+        return pipeline.step(t, y)
+    except NumericFault as exc:
+        return type(exc), str(exc)
+
+
+def assert_same(mine, ref, exact):
+    if exact or isinstance(ref, tuple) or isinstance(mine, tuple):
+        assert mine == ref
+        return
+    assert (mine.time, mine.y) == (ref.time, ref.y)
+    for field in ("delta", "theta_hat", "theta_ft", "omega_grad", "omega_ft"):
+        a, b = getattr(mine, field), getattr(ref, field)
+        if a is None or b is None:
+            assert a == b, field
+        else:
+            for x, y in zip(*(v if isinstance(v, tuple) else (v,) for v in (a, b))):
+                assert math.isclose(x, y, rel_tol=1e-12), (field, x, y)
+
+
+def step_both(model, drem, estimator, samples, resets):
+    """Step both pipelines through samples, resetting before each index in
+    resets; returns the outcomes, which agree at every step."""
+    with mock.patch.object(pipeline_module, "_AHEAD", AHEAD):
+        ahead = Pipeline(model, drem, estimator, PERIOD)
+        per_sample = PerSamplePipeline(model, drem, estimator, PERIOD)
+        outcomes = []
+        for k, y in enumerate(samples):
+            if k in resets:
+                ahead.reset()
+                per_sample.reset()
+            mine = outcome(ahead, k * PERIOD, y)
+            ref = outcome(per_sample, k * PERIOD, y)
+            assert_same(mine, ref, model.n <= 2)
+            outcomes.append(ref)
+    return outcomes
+
+
+def tones(n, count, phase=0.0):
+    freqs = [0.8 + 2.8 * (i + 0.5) / n for i in range(n)]
+    return [sum(math.sin(w * k * PERIOD + phase + i) for i, w in enumerate(freqs))
+            for k in range(count)]
+
+
+def settings_for(n, t_ft, gamma=1.0):
+    return EstimatorSettings(gamma=(gamma,) * n, t_ft=t_ft,
+                             omega0=tuple(0.5 + 3.5 * (i + 0.25) / n for i in range(n)))
+
+
+@st.composite
+def runs(draw):
+    """(model, drem, estimator, samples, resets) with n <= 5, h and d of a
+    few samples, up to three resets and up to three spikes, each placed so
+    that the first mixed row it reaches, d after it, is a batch's first or
+    last row, one beside them, or any row."""
+    n = draw(st.integers(1, 5))
+    steps_h, steps_d = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    spike, epsilon = draw(st.sampled_from(SPIKES))
+    model = ModelConfig(n=n, h=steps_h * PERIOD, omega_min=0.5, omega_max=4.0)
+    drem = DremConfig(d=steps_d * PERIOD, epsilon=epsilon)
+    warm_from = 2 * n * steps_h + n * steps_d
+    ahead = min(steps_d, AHEAD)
+    count = warm_from + draw(st.integers(1, 6 * AHEAD))
+    samples = tones(n, count, draw(st.floats(0.0, 2 * math.pi)))
+    for _ in range(draw(st.integers(0, 3))):
+        batch = warm_from + ahead * draw(st.integers(0, 6))
+        row = draw(st.one_of(
+            st.sampled_from((batch, batch + ahead - 1, batch - 1, batch + ahead)),
+            st.integers(0, count - 1)))
+        if 0 <= row - steps_d < count:
+            samples[row - steps_d] = spike
+    resets = set(draw(st.lists(st.integers(1, count - 1), max_size=3)))
+    t_ft = (warm_from + draw(st.integers(1, 3 * AHEAD))) * PERIOD
+    estimator = settings_for(n, t_ft, draw(st.floats(0.5, 20.0)))
+    return model, drem, estimator, samples, resets
+
+
+@settings(max_examples=120, deadline=None)
+@given(runs())
+def test_look_ahead_matches_per_sample_mixing(run):
+    step_both(*run)
+
+
+@pytest.mark.parametrize("row", [39, 45, 46, 50, 52])
+@pytest.mark.parametrize("n", [2, 3])
+def test_mixed_fault_at_a_batch_edge(n, row):
+    # d = 10 samples and batches of 7 from the first warm sample: a 1e307
+    # spike reaches the first stacked row's psi d after it, overflows the
+    # mixed psi there, and the queued marker raises at that row's own step,
+    # which batches start at or end at; stepping on afterwards stays in step
+    steps_h, steps_d = 3, 10
+    warm_from = 2 * n * steps_h + n * steps_d
+    row += warm_from - 32
+    model = ModelConfig(n=n, h=steps_h * PERIOD, omega_min=0.5, omega_max=4.0)
+    samples = tones(n, warm_from + 60)
+    samples[row - steps_d] = 1e307
+    outcomes = step_both(model, DremConfig(d=steps_d * PERIOD, epsilon=10.0),
+                         settings_for(n, 10.0), samples, set())
+    faults = [k for k, out in enumerate(outcomes) if isinstance(out, tuple)]
+    assert faults[0] == row
+    assert outcomes[row] == (NumericFault, outcomes[row][1])
+    assert f"non-finite mixed regression at t = {row * PERIOD}" in outcomes[row][1]
+
+
+@pytest.mark.parametrize("reset", [35, 38, 39, 40])
+def test_reset_in_mid_batch_drops_the_queue(reset):
+    # a reset inside, at the end of, or just after a batch: the rows mixed
+    # ahead of it are never used, and the new session warms up afresh
+    n, steps_h, steps_d = 2, 3, 10
+    model = ModelConfig(n=n, h=steps_h * PERIOD, omega_min=0.5, omega_max=4.0)
+    samples = tones(n, 120)
+    outcomes = step_both(model, DremConfig(d=steps_d * PERIOD, epsilon=10.0),
+                         settings_for(n, 10.0), samples, {reset})
+    deltas = [out.delta for out in outcomes]
+    assert deltas[reset:reset + 32] == [0.0] * 32
+    assert all(delta != 0.0 for delta in deltas[reset + 32:])
