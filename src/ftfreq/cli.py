@@ -9,7 +9,10 @@ fault during estimation, 4 run completed without a finite-time estimate in
 its last epoch: that epoch was shorter than t_ft (the message names its
 start), or its excitation never reached the extraction floor. The cause is
 judged on the epoch the run itself ended in, so for estimate on the trace's
-own times, not on run.duration.
+own times, not on run.duration. Exit 4 and the metadata's estimator.* keys
+both refer to the last epoch only: an earlier epoch that extracted is
+recorded in metadata.txt as epoch.<k>.start and epoch.<k>.extraction_time
+(k = 1 for the first epoch), one pair per epoch.
 
 run.duration defines the trace only for simulate and scenario, so only they
 exit 2 when it does not exceed estimator.t_ft or a run.reset_times entry is

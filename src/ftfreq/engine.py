@@ -3,43 +3,31 @@
 Pipeline takes one sample per step(); run_trace takes a whole (time, y)
 trace, allocates one Trajectory with one Epoch per segment, and for each
 segment calls the stages in the chain's order, each writing its rows (and
-_gradient the segment's Epoch) into the Trajectory:
+_gradient the segment's Epoch) into the Trajectory. The engine is a
+driver only: each stage's math has one written form in its own module,
+called here on a segment's rows and by Pipeline on a shorter batch.
 
 * _mixed: the scan for the first non-finite time or measurement, then
-  mixing's mix_rows on the warm rows before it (a cold row's delta is
-  0.0): regression_at on whole lagged columns, the stack, the stacked mix
-  and the scan for the first warm row whose stack or mixed output is
-  non-finite, the one fault of these replayed through mix before the
-  gradient step; Pipeline mixes its rows with the same stage;
-* _gradient: step_gradient's law by columns. Per _CHUNK-row block, every
-  row's d^2*dt, lambda, exp(-lambda) and expm1(-lambda) (math.exp and
-  math.expm1, never numpy's), drive and running excitation come first, then
-  one loop per parameter, theta = theta*a + b, keeping step_gradient's
-  Euler form on rows with lambda < 1e-12. The state is set to a row only
-  where extraction is tried (finite_time_estimate, which also recovers
-  omega_ft); the epoch's record gets the row where extraction came due and
-  the row where it fired;
-* _recover: omega_grad in _CHUNK-row blocks; the cold rows, whose
-  theta_hat is the segment's first, share one recovery by the streaming
-  stage, recover_frequencies, as Pipeline's first recovery of the epoch;
+  mixing.mix_rows on the warm rows before it (a cold row's delta is 0.0),
+  whose first non-finite stack or mixed output is the one fault of these
+  replayed through mix before the gradient step;
+* _gradient: estimator.gradient_rows in _CHUNK-row blocks, and the
+  extraction search: the state is set to a row only where extraction is
+  tried (finite_time_estimate, which also recovers omega_ft) and at the end
+  of each block; the epoch's record gets the row where extraction came due
+  and the row where it fired;
+* _recover: omega_grad by recovery.recover_rows in _CHUNK-row blocks; the
+  cold rows, whose theta_hat is the segment's first, share one recovery by
+  recover_frequencies, as Pipeline's first recovery of the epoch;
 * _replay: the first fault, raised by the streaming stage itself on that
   sample's inputs, so its exception and message are Pipeline's too.
 
-The stages call Pipeline's own stage functions, on arrays where a stage
-runs per sample. Two are batched re-implementations instead, kept because
-one call per row costs several times more: the gradient above (a second
-written form of step_gradient, which the engine-Pipeline parity tests
-pin to it) and _grad_omegas (find_roots over stacked companion matrices,
-in CPython's complex arithmetic, then math.acos).
-
-Each elementwise operation is the streaming stage's, in the same order and
-the same float (or emulated complex) arithmetic, so for n <= 2 the outputs
-equal Pipeline's bit for bit. For n >= 3 the stacked eigvals need not
-round as find_roots' one-matrix calls do, nor mix_rows' stacked SVD alike
-in a segment and in Pipeline's shorter batches: they have matched in every
-case checked, and tests/test_engine.py holds them to 1e-12 relative. A
-reset starts a new segment: cleared history, a new epoch timed from its
-first sample, theta_hat carried over.
+For n <= 2 the outputs equal Pipeline's bit for bit. For n >= 3 the
+stacked eigvals need not round as find_roots' one-matrix calls do, nor
+mix_rows' stacked SVD alike in a segment and in Pipeline's shorter
+batches: they have matched in every case checked, and tests/test_engine.py
+holds them to 1e-12 relative. A reset starts a new segment: cleared
+history, a new epoch timed from its first sample, theta_hat carried over.
 """
 
 from __future__ import annotations
@@ -53,10 +41,10 @@ import numpy as np
 
 from .errors import NumericFault
 from .estimator import (EstimatorSettings, EstimatorState,
-                        finite_time_estimate, reset_estimator)
+                        finite_time_estimate, gradient_rows, reset_estimator)
 from .mixing import DremConfig, _first, mix, mix_rows
 from .pipeline import StepResult, check_measurement
-from .recovery import RESIDUAL_TOL, recover_frequencies
+from .recovery import recover_frequencies, recover_rows
 from .regression import DelayTable, ModelConfig, delay_table
 
 _CHUNK = 4096  # rows per gradient-loop or recovery block: bounds the Python objects held
@@ -207,23 +195,15 @@ def _gradient(run: Trajectory, epoch: Epoch, warm: int, mixed: np.ndarray, dt: f
     if extract_from < end:
         epoch.due = first + extract_from
     run.theta_hat[first:first + warm] = state.theta_hat  # holds still until the stack is warm
-    gains = state.settings.gamma
     for a in range(warm, end, _CHUNK):
         b = min(a + _CHUNK, end)
-        delta = run.delta[first + a:first + b]
-        psi = mixed[a - warm:b - warm]
-        d2dt = delta * delta * dt
-        excitation = np.add.accumulate(np.concatenate(([state.excitation], d2dt)))[1:]
-        columns = []
-        for i, g in enumerate(gains):
-            lam = g * d2dt
-            # fmax skips a NaN lam, which step_gradient's lam > max never takes
-            state.max_decay_step = float(np.fmax.reduce(lam, initial=state.max_decay_step))
-            columns.append(_advance(state.theta_hat[i], g * dt, lam, delta, psi[:, i]))
-        rows = np.array(columns).T
+        rows, excitation, max_steps = gradient_rows(
+            state, run.delta[first + a:first + b], mixed[a - warm:b - warm], dt)
         run.theta_hat[first + a:first + b] = rows
         for j in range(max(a, extract_from), b) if state.theta_ft is None else ():
-            state.theta_hat[:], state.excitation = rows[j - a].tolist(), float(excitation[j - a])
+            state.theta_hat[:] = rows[j - a].tolist()
+            state.excitation = float(excitation[j - a])
+            state.max_decay_step = float(max_steps[j - a])
             try:
                 theta_ft = finite_time_estimate(state, times[first + j])
             except NumericFault:
@@ -231,39 +211,15 @@ def _gradient(run: Trajectory, epoch: Epoch, warm: int, mixed: np.ndarray, dt: f
             if theta_ft is not None:
                 epoch.fired, epoch.theta_ft, epoch.omega_ft = first + j, theta_ft, state.omega_ft
                 break
-        state.theta_hat[:], state.excitation = rows[-1].tolist(), float(excitation[-1])
+        state.theta_hat[:] = rows[-1].tolist()
+        state.excitation, state.max_decay_step = float(excitation[-1]), float(max_steps[-1])
     return None
-
-
-def _advance(theta: float, gdt: float, lam: np.ndarray, delta: np.ndarray,
-             psi: np.ndarray) -> list[float]:
-    """theta_hat_i after each row, as step_gradient moves it: theta*exp(-lam)
-    + ((gdt*delta)*psi)*growth, or below lam 1e-12 the Euler form
-    theta + (gdt*delta)*(psi - delta*theta)."""
-    exponents = (-lam).tolist()
-    decay = list(map(math.exp, exponents))
-    growth = -np.fromiter(map(math.expm1, exponents), float, len(lam)) / lam
-    drive = (gdt * delta * psi * growth).tolist()
-    small = np.flatnonzero(lam < 1e-12).tolist()
-    delta, psi = delta.tolist(), psi.tolist()
-    out = []
-    append = out.append
-    lo = 0
-    for s in [*small, len(decay)]:
-        for a, b in zip(decay[lo:s], drive[lo:s]):
-            theta = theta * a + b
-            append(theta)
-        if s < len(decay):
-            theta += gdt * delta[s] * (psi[s] - delta[s] * theta)
-            append(theta)
-        lo = s + 1
-    return out
 
 
 def _recover(run: Trajectory, first: int, stop: int, model: ModelConfig) -> None:
     """omega_grad of rows first..stop-1; a row that faults raises here."""
     theta = run.theta_hat[first:stop]
-    omega, suspect = _grad_omegas(theta, model.h, model.band)
+    omega, suspect = recover_rows(theta, model.h, model.band)
     for j in np.flatnonzero(suspect).tolist():
         omega[j] = _replay(first + j, run.times[first + j], recover_frequencies,
                            tuple(theta[j].tolist()), model.h, model.band, math.inf).omega_hat
@@ -276,94 +232,3 @@ def _replay(k: int, t: float, stage, *args):
         return stage(*args)
     except NumericFault as exc:
         raise NumericFault(f"sample {k} (t = {t:.6g}): {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# omega_grad recovery: complex arithmetic on (real, imaginary) float arrays,
-# operation for operation as CPython evaluates find_roots' complex values
-
-def _cmul(ar, ai, br, bi):
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _cdiv(ar, ai, br, bi):
-    """CPython's complex quotient (Smith's algorithm, by the larger part)."""
-    by_real = np.abs(br) >= np.abs(bi)
-    ratio = np.where(by_real, bi / br, br / bi)
-    denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
-    real = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
-    imag = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
-    return real, imag
-
-
-def _horner(coeffs, xr, xi, weights=None):
-    """p(x) (or, with weights degree - i, p'(x)) as _eval_poly/_eval_deriv."""
-    vr, vi = np.zeros_like(xr), np.zeros_like(xr)
-    for i, c in enumerate(coeffs):
-        pr, pi = _cmul(vr, vi, xr, xi)
-        vr, vi = pr + (c if weights is None else weights[i] * c), pi + 0.0
-    return vr, vi
-
-
-def _polish(coeffs, xr, xi):
-    """find_roots' Newton polish: up to two steps, each kept only if it
-    helps. Returns the roots and |p| at them, each p evaluated once."""
-    degree = len(coeffs) - 1
-    weights = [float(degree - i) for i in range(degree)]
-    active = np.ones(xr.shape, dtype=bool)
-    pr, pi = _horner(coeffs, xr, xi)
-    for _ in range(2):
-        dr, di = _horner(coeffs[:-1], xr, xi, weights)
-        active &= ~(np.hypot(dr, di) < 1e-300)
-        qr, qi = _cdiv(pr, pi, dr, di)
-        cr, ci = xr - qr, xi - qi
-        cpr, cpi = _horner(coeffs, cr, ci)
-        active &= np.hypot(cpr, cpi) < np.hypot(pr, pi)
-        xr, xi = np.where(active, cr, xr), np.where(active, ci, xi)
-        pr, pi = np.where(active, cpr, pr), np.where(active, cpi, pi)
-    return xr, xi, np.hypot(pr, pi)
-
-
-def _grad_omegas(theta: np.ndarray, h: float,
-                 bounds: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """omega_grad of every row of theta under recover_frequencies(imag_tol=inf).
-
-    Returns (omega, suspect): rows whose coefficients are not finite or whose
-    roots miss find_roots' residual target are suspect, with NaN omegas; the
-    caller settles them with the streaming stage, which raises its fault.
-    """
-    count, n = theta.shape
-    finite = np.isfinite(theta).all(axis=1)
-    theta = np.where(finite[:, None], theta, 0.0)
-    coeffs = [np.ones((count, 1))] + [-theta[:, k:k + 1] for k in range(n)]
-    if n == 1:
-        xr, xi = -coeffs[1], np.zeros((count, 1))
-    elif n == 2:
-        b, c = coeffs[1][:, 0], coeffs[2][:, 0]
-        disc = b * b - 4.0 * c
-        real = disc >= 0.0
-        root = np.sqrt(np.abs(disc))
-        q = -0.5 * (b + np.copysign(root, b))
-        mid = -0.5 * b
-        double = ~real | (q == 0.0)
-        xr = np.stack((np.where(double, mid, q), np.where(double, mid, c / q)), axis=1)
-        half_im = np.where(real, 0.0, 0.5 * root)
-        xi = np.stack((half_im, -half_im), axis=1)
-    else:
-        companion = np.zeros((count, n, n))
-        companion[:, 0, :] = theta
-        companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-        try:
-            eigen = np.linalg.eigvals(companion)
-        except np.linalg.LinAlgError:  # find_roots names the matrix that failed
-            return np.full((count, n), np.nan), np.ones(count, dtype=bool)
-        xr, xi, residual = _polish(coeffs, eigen.real.copy(), np.imag(eigen).copy())
-    if n <= 2:
-        residual = np.hypot(*_horner(coeffs, xr, xi))
-    allowed = RESIDUAL_TOL * (1.0 + np.maximum.reduce([np.abs(c) for c in coeffs]))
-    suspect = ~(finite & (residual <= allowed).all(axis=1))
-    cosines = np.clip(xr, -1.0, 1.0).ravel().tolist()
-    omega = np.array(list(map(math.acos, cosines))).reshape(count, n) / h
-    omega = np.sort(np.minimum(bounds[1], np.maximum(bounds[0], omega)), axis=1)
-    omega[suspect] = np.nan
-    return omega, suspect

@@ -23,10 +23,10 @@ lam (high-gain tunings put lam well above the Euler stability limit of 2).
 The excitation integral uses the matching per-interval rectangle rule so W
 is algebraically identical to the decay actually applied to the error,
 which keeps the finite-time inversion exact on clean data at any
-extraction time. step_gradient applies this law one warm sample at a time,
-as Pipeline calls it; the whole-trace engine holds a second written form of
-it (engine._gradient, by columns, the same operations in the same order),
-and only the engine-Pipeline parity tests pin the two together.
+extraction time. The law has one written form, gradient_rows, by columns
+over a run of warm rows: the whole-trace engine calls it on a segment's
+blocks, Pipeline on the rows it mixed ahead, and step_gradient is its
+one-row call.
 
 Extraction is one step: finite_time_estimate computes theta_ft and, under
 the imaginary-part tolerance, the frequencies omega_ft of its polynomial
@@ -42,6 +42,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigError
 from .recovery import DEFAULT_IMAG_TOL, recover_frequencies
@@ -144,28 +146,60 @@ class EstimatorState:
         return tuple(math.exp(-g * self.excitation) for g in self.settings.gamma)
 
 
-def step_gradient(state: EstimatorState, delta: float, psi, dt: float) -> None:
-    """Apply one warm sample interval of the gradient law to state in place.
+def gradient_rows(state: EstimatorState, delta: np.ndarray, psi: np.ndarray,
+                  dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """theta_hat (K, n), the excitation integral (K,) and max_decay_step
+    (K,) after each of K warm rows of mixed pairs delta (K,), psi (K, n),
+    starting from state, which is left as it was.
 
-    The held-input update of every theta_hat_i, the excitation integral and
-    max_decay_step. delta and psi must be finite, as mix returns them: a
-    non-finite one is not checked here and turns theta_hat non-finite, which
-    the frequency recovery then rejects. The drivers call it on warm samples
-    only.
+    Each theta_hat_i moves by theta*exp(-lam) + ((gamma*dt*delta)*psi)*g(lam),
+    or below lam 1e-12 by the Euler form, with math.exp and math.expm1,
+    never numpy's, so every K rounds alike. A non-finite delta or psi turns
+    theta_hat non-finite, which the frequency recovery rejects.
     """
-    d2 = delta * delta
-    d2dt = d2 * dt
-    theta = state.theta_hat
-    for i, g in enumerate(state.settings.gamma):
-        lam = g * d2dt
-        if lam > state.max_decay_step:
-            state.max_decay_step = lam
-        if lam < 1e-12:
-            theta[i] += g * dt * delta * (psi[i] - delta * theta[i])
-        else:
-            growth = -math.expm1(-lam) / lam
-            theta[i] = theta[i] * math.exp(-lam) + g * dt * delta * psi[i] * growth
-    state.excitation += d2dt
+    gains = state.settings.gamma
+    with np.errstate(all="ignore"):  # lam = 0 rows divide 0 by 0 for a growth they never use
+        d2dt = delta * delta * dt
+        excitation = np.add.accumulate(np.concatenate(([state.excitation], d2dt)))[1:]
+        lams = [g * d2dt for g in gains]
+        largest = np.fmax.reduce(lams, axis=0)  # fmax skips a NaN lam, as lam > max does
+        max_steps = np.fmax.accumulate(np.concatenate(([state.max_decay_step], largest)))[1:]
+        columns = [_advance(theta, g * dt, lam, delta, psi[:, i])
+                   for i, (theta, g, lam) in enumerate(zip(state.theta_hat, gains, lams))]
+    return np.array(columns).T, excitation, max_steps
+
+
+def _advance(theta: float, gdt: float, lam: np.ndarray, delta: np.ndarray,
+             psi: np.ndarray) -> list[float]:
+    """One theta_hat_i after each row, as gradient_rows moves it."""
+    exponents = (-lam).tolist()
+    decay = list(map(math.exp, exponents))
+    growth = -np.fromiter(map(math.expm1, exponents), float, len(lam)) / lam
+    drive = (gdt * delta * psi * growth).tolist()
+    small = np.flatnonzero(lam < 1e-12).tolist()
+    delta, psi = delta.tolist(), psi.tolist()
+    out = []
+    append = out.append
+    lo = 0
+    for s in [*small, len(decay)]:
+        for a, b in zip(decay[lo:s], drive[lo:s]):
+            theta = theta * a + b
+            append(theta)
+        if s < len(decay):
+            theta += gdt * delta[s] * (psi[s] - delta[s] * theta)
+            append(theta)
+        lo = s + 1
+    return out
+
+
+def step_gradient(state: EstimatorState, delta: float, psi, dt: float) -> None:
+    """Apply one warm sample interval of the gradient law to state in place:
+    gradient_rows' one-row call, moving theta_hat, the excitation integral
+    and max_decay_step."""
+    theta, excitation, max_steps = gradient_rows(
+        state, np.array([delta], dtype=float), np.array([psi], dtype=float), dt)
+    state.theta_hat[:] = theta[0].tolist()
+    state.excitation, state.max_decay_step = float(excitation[0]), float(max_steps[0])
 
 
 def finite_time_estimate(state: EstimatorState, t: float) -> tuple[float, ...] | None:

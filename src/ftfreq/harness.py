@@ -3,8 +3,9 @@
 run_scenario simulates the configured signal and estimate_from_file reads a
 recorded one; both hand the whole trace to the whole-trace engine
 (engine.run_trace), with each scheduled reset mapped to the sample it
-applies at; the metadata warns of a reset after the last sample and of an
-epoch that ends before its clock reaches t_ft. A run produces three files:
+applies at; the metadata records each epoch's start and extraction time
+and warns of a reset after the last sample and of an epoch that ends
+before its clock reaches t_ft. A run produces three files:
 the sampled measurement trace (time, y), the per-sample estimates, written
 column by column in bounded row chunks, and a key-value metadata file
 embedding the full config echo so the run is reproducible from its own
@@ -116,8 +117,14 @@ def _metadata(cfg: ScenarioConfig, trajectory: Trajectory, reset_rows,
             "none" if state.root_residual is None else repr(state.root_residual)),
         "estimator.clamped": "none" if state.clamped is None else repr(state.clamped),
     }
-    # the run's own notes, read from its times and epochs
     times, t_ft, resets = trajectory.times, cfg.estimator.t_ft, cfg.run.reset_times
+    # the estimator.* keys are the last epoch's; every epoch's start and
+    # extraction follow, so an earlier extraction is not lost
+    for k, epoch in enumerate(trajectory.epochs, start=1):
+        meta[f"epoch.{k}.start"] = repr(times[epoch.first])
+        meta[f"epoch.{k}.extraction_time"] = (
+            "none" if epoch.fired is None else repr(times[epoch.fired]))
+    # the run's own notes, read from its times and epochs
     notes = config_warnings(cfg)
     notes += [f"run.reset_times entry {reset} is after the last sample, at t = {times[-1]:g}: "
               "it is not applied" for reset, k in zip(resets, reset_rows) if k is None]
@@ -249,10 +256,6 @@ def write_trace_csv(path: str, times, samples) -> None:
         for a in range(0, len(times), _CHUNK_ROWS):
             _write_rows(fh, (_reprs(times[a:a + _CHUNK_ROWS]),
                              _reprs(samples[a:a + _CHUNK_ROWS])))
-
-
-def write_estimates_csv(path: str, trajectory: Trajectory) -> None:
-    _write_csvs(trajectory, path, None)
 
 
 def _write_csvs(trajectory: Trajectory, estimate_path: str, trace_path: str | None) -> None:

@@ -12,22 +12,18 @@ one per unknown, which is what lets each parameter be estimated on its own.
 The gain eps rescales the whole stacked system before mixing; with an n x n
 stack this multiplies delta and every mixed_psi_i by eps^n.
 
-One routine, `adjugate`, returns adj(M) and det(M) together for every n:
-exact closed forms for n <= 2 and, above that, G. W. Stewart's singular
-value form ("On the adjugate matrix", Lin. Alg. Appl. 1998), which costs
-O(n^3) and stays valid for singular M, including the all-zero stack of a
-zero signal. _closed_form and _scaled_product also take equal-length
-arrays (one system per element).
-
-`mix` returns the plain pair (delta, mixed psi) of one instant, all the
-gradient stage needs, and is the one stage that rejects a non-finite stack
-or mixed output (NumericFault). Pipeline and the engine mix many
-instants at once with `mix_rows`: regression_at on whole lagged columns,
-the stack, one stacked SVD adjugate for n >= 3 (the closed forms and the
-scaled product on arrays for n <= 2), and the scan for the first row whose
-stack or output is non-finite, which the caller replays through `mix` to
-raise the fault. The engine calls it on a whole segment, Pipeline on the
-rows of the next d seconds.
+Mixing has one written form, over K stacked systems at once: _adjugates
+(adj(M) and det(M) together: exact closed forms for n <= 2, above that
+G. W. Stewart's singular value form, "On the adjugate matrix", Lin. Alg.
+Appl. 1998, which stays valid for singular M, including the all-zero stack
+of a zero signal) and _scaled_product (the eps^n scale and adj(M)
+psi_rows). Both drivers mix with `mix_rows`: regression_at on whole lagged
+columns, the stack, both steps, and the scan for the first row whose stack
+or output is non-finite; the engine on a whole segment, Pipeline on the
+rows of the next d seconds. `adjugate` and `mix` (the plain pair (delta,
+mixed psi) of one instant) are their one-row calls; `mix` is the one stage
+that rejects a non-finite stack or output (NumericFault), and the drivers
+replay the row mix_rows found through it to raise the fault.
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from operator import mul
 
 import numpy as np
 
@@ -68,9 +63,9 @@ def adjugate(matrix) -> tuple[list[list[float]], float]:
         adj(M) = det(U V^T) V diag(prod_{j != i} s_j) U^T,
         det(M) = det(U V^T) prod_j s_j,
 
-    so no singular value is ever divided by. Input that is not a finite
-    square matrix of size 1..MAX_HARMONICS raises ConfigError before any
-    factorisation.
+    so no singular value is ever divided by; an overflowed cofactor makes
+    inf or NaN entries. Input that is not a finite square matrix of size
+    1..MAX_HARMONICS raises ConfigError before any factorisation.
     """
     try:
         rows = tuple(map(tuple, matrix))
@@ -81,18 +76,9 @@ def adjugate(matrix) -> tuple[list[list[float]], float]:
         raise ConfigError(f"matrix must be square with size 1..{MAX_HARMONICS}")
     if not all(map(math.isfinite, chain.from_iterable(rows))):
         raise ConfigError("matrix entries must be finite")
-    if n <= 2:
-        return _closed_form(rows)
-    u, s, vt = np.linalg.svd(rows)
-    s = s.tolist()
-    sign = math.copysign(1.0, np.linalg.det(u @ vt))  # U V^T is orthogonal: +-1
-    others = [sign * math.prod(s[:i]) * math.prod(s[i + 1:]) for i in range(n)]
-    if math.isfinite(sum(others)):  # bounds every entry and partial sum of adj
-        adj = (vt.T * others) @ u.T
-    else:  # an overflowed cofactor: inf * 0 is NaN, which mix rejects
-        with np.errstate(invalid="ignore", over="ignore"):
-            adj = (vt.T * others) @ u.T
-    return adj.tolist(), sign * math.prod(s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        adj, det = _adjugates(np.array([rows], dtype=float))
+    return adj[0].tolist(), float(det[0])
 
 
 def mix(time: float, psi_rows, phi_rows,
@@ -117,26 +103,14 @@ def mix(time: float, psi_rows, phi_rows,
         if all(map(math.isfinite, chain.from_iterable(phi_rows))):
             raise
         raise NumericFault(f"non-finite stacked regressor at t = {time}") from None
-    delta, psi = _scaled_product(adj, det, psi_rows, epsilon)
+    with np.errstate(all="ignore"):  # non-finite outputs are checked, not warned about
+        delta, psi = _scaled_product(np.array([adj]), np.array([det]),
+                                     np.array([psi_rows], dtype=float), epsilon)
+    delta, psi = float(delta[0]), tuple(psi[0].tolist())
     if not (math.isfinite(delta) and all(map(math.isfinite, psi))):
         raise NumericFault(
             f"non-finite mixed regression at t = {time}: delta = {delta}, psi = {psi}")
     return delta, psi
-
-
-def _closed_form(rows):
-    """(adj(M), det(M)) of a 1 x 1 or 2 x 2 matrix given as rows."""
-    if len(rows) == 1:
-        return [[1.0]], rows[0][0]
-    (a, b), (c, d) = rows
-    return [[d, -b], [-c, a]], a * d - b * c
-
-
-def _scaled_product(adj, det, psi_rows, epsilon):
-    """(eps^n det, eps^n adj psi_rows): delta and the mixed psi, each row's
-    sum taken left to right."""
-    scale = epsilon ** len(adj)
-    return scale * det, tuple(scale * sum(map(mul, row, psi_rows)) for row in adj)
 
 
 def mix_rows(y: np.ndarray, taps: DelayTable, first: int, stop: int,
@@ -165,7 +139,8 @@ def mix_rows(y: np.ndarray, taps: DelayTable, first: int, stop: int,
         phi_rows = np.stack([phi[s:s + count] for s in shifts], axis=1)
         # the SVD rejects a non-finite stack: mix only the rows before the first
         finite = _first(~np.isfinite(phi_rows).all(axis=(1, 2)))
-        delta, mixed = _mix(phi_rows[:finite], psi_rows[:finite], epsilon)
+        delta, mixed = _scaled_product(*_adjugates(phi_rows[:finite]),
+                                       psi_rows[:finite], epsilon)
         bad = _first(~(np.isfinite(delta) & np.isfinite(mixed).all(axis=1)))
     if bad == count:
         return delta, mixed, None
@@ -179,19 +154,29 @@ def _first(mask: np.ndarray) -> int:
     return int(hits[0]) if len(hits) else len(mask)
 
 
-def _mix(phi_rows: np.ndarray, psi_rows: np.ndarray,
-         epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """delta (K,) and mixed psi (K, n) of K stacked systems, as mix does."""
-    count, n = psi_rows.shape
-    if n <= 2:
-        adj, det = _closed_form(np.moveaxis(phi_rows, 0, -1))
-    else:
-        u, s, vt = np.linalg.svd(phi_rows)
-        sign = np.copysign(1.0, np.linalg.det(u @ vt))
-        s, ones = s.T, np.ones(count)  # adjugate's math.prod, left to right from 1
-        others = np.stack([sign * math.prod(s[:i], start=ones) * math.prod(s[i + 1:], start=ones)
-                           for i in range(n)], axis=1)
-        adj = (np.swapaxes(vt, 1, 2) * others[:, None, :]) @ np.swapaxes(u, 1, 2)
-        adj, det = np.moveaxis(adj, 0, -1), sign * math.prod(s, start=ones)
-    delta, mixed = _scaled_product(adj, det, psi_rows.T, epsilon)
-    return delta, np.stack(mixed, axis=1)
+def _adjugates(phi_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """adj (K, n, n) and det (K,) of K stacked n x n matrices, as adjugate
+    states them."""
+    count, n = phi_rows.shape[:2]
+    if n == 1:
+        return np.ones_like(phi_rows), phi_rows[:, 0, 0]
+    if n == 2:
+        (a, b), (c, d) = np.moveaxis(phi_rows, 0, -1)
+        return np.moveaxis(np.array([[d, -b], [-c, a]]), -1, 0), a * d - b * c
+    u, s, vt = np.linalg.svd(phi_rows)
+    sign = np.copysign(1.0, np.linalg.det(u @ vt))  # U V^T is orthogonal: +-1
+    s, ones = s.T, np.ones(count)  # each product left to right from 1
+    others = np.stack([sign * math.prod(s[:i], start=ones) * math.prod(s[i + 1:], start=ones)
+                       for i in range(n)], axis=1)
+    adj = (np.swapaxes(vt, 1, 2) * others[:, None, :]) @ np.swapaxes(u, 1, 2)
+    return adj, sign * math.prod(s, start=ones)
+
+
+def _scaled_product(adj: np.ndarray, det: np.ndarray, psi_rows: np.ndarray,
+                    epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """delta = eps^n det (K,) and mixed psi = eps^n adj psi_rows (K, n),
+    each mixed psi_i summed left to right over the stacked rows."""
+    n = psi_rows.shape[1]
+    mixed = sum(adj[:, :, j] * psi_rows[:, j, None] for j in range(n))
+    scale = epsilon ** n
+    return scale * det, scale * mixed

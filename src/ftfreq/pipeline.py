@@ -6,19 +6,23 @@ recovery, with the finite-time extraction (theta_ft and its omega_ft) done
 once per epoch by the estimator. One Pipeline instance owns one estimation
 session.
 
-Mixing looks ahead. The stack reads the regression d, 2d, ..., nd seconds
-back, so the mixed pair of a sample depends only on measurements at least
-d old, and the pairs of the next d seconds are already fixed by the
-history. A warm step that finds no mixed pair queued mixes its own row and
-those of up to min(d / Ts, _AHEAD) - 1 later samples in one mix_rows call,
-the engine's batched stage, and every later step pops its own. A row whose
-stack or output is non-finite is queued as a marker and replayed through
-mix at its own step, so the fault, its sample and its message are the
+Mixing and the gradient look ahead. The stack reads the regression d,
+2d, ..., nd seconds back, so the mixed pair of a sample depends only on
+measurements at least d old, and the pairs of the next d seconds are
+already fixed by the history; so are theta_hat after each of them, since
+the gradient law reads only the pair, dt and the previous theta_hat. A
+warm step that finds nothing queued mixes its own row and those of up to
+min(d / Ts, _AHEAD) - 1 later samples in one mix_rows call and moves the
+gradient over them in one gradient_rows call, the engine's own stages;
+every later step pops its row (delta, theta_hat, excitation,
+max_decay_step) and sets the estimator state from it. A row whose stack
+or output is non-finite is queued as a marker and replayed through mix at
+its own step, so the fault, its sample and its message are the
 per-sample path's. The trade-off is latency: once every
-min(d / Ts, _AHEAD) warm samples one step mixes the whole batch. On the
-n = 3 stream benchmark (2-vCPU Xeon, Python 3.11, numpy 2.4) that step
-takes about 1.4 ms, against about 0.1 ms for the 99th-percentile step
-(0.2 ms when every warm step mixed its own sample).
+min(d / Ts, _AHEAD) warm samples one step computes the whole batch. On
+the n = 3 stream benchmark's 128-row batches (2-vCPU Xeon, Python 3.11,
+numpy 2.4) that step takes about 1.3 ms, 0.2 ms of it the gradient,
+against about 0.1 ms for the 99th-percentile step.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 
 from .errors import NumericFault
 from .estimator import (EstimatorSettings, EstimatorState,
-                        finite_time_estimate, reset_estimator, step_gradient)
+                        finite_time_estimate, gradient_rows, reset_estimator)
 from .mixing import DremConfig, mix, mix_rows
 from .recovery import recover_frequencies
 from .regression import ModelConfig, delay_table
@@ -81,9 +85,9 @@ class Pipeline:
     sample is warm once more than taps.warm_from samples arrived since the
     last clear, and only warm samples are stacked, mixed and moved into
     theta_hat. A cold one reports delta 0.0, the excitation it adds. Warm
-    samples are mixed ahead in batches (see the module docstring): the
-    queue holds the mixed pairs of the next samples, the first last, and a
-    clear drops it.
+    samples are mixed and moved ahead in batches (see the module
+    docstring): the queue holds the rows of the next samples, the first
+    last, and a clear drops it.
     Pipeline keeps the epoch clock: an epoch starts at the first sample
     after a clear, and extraction is tried from t_ft after that on.
     The raw gradient estimates are recovered whenever a warm sample has moved
@@ -118,10 +122,11 @@ class Pipeline:
         if self._count > self.taps.warm_from:
             if not self._queue:
                 self._mix_ahead()
-            delta, psi = self._queue.pop()
-            if delta is None:  # the first non-finite row: mix raises its fault
-                delta, psi = mix(t, *psi, self.drem.epsilon)
-            step_gradient(state, delta, psi, self.sample_period)
+            row = self._queue.pop()
+            if row[0] is None:  # the first non-finite row: mix raises its fault
+                mix(t, *row[1], self.drem.epsilon)
+                raise RuntimeError(f"sample at t = {t}: mix_rows and mix disagree")
+            delta, state.theta_hat, state.excitation, state.max_decay_step = row
             self._omega_grad = None  # theta_hat has moved
 
         theta_ft = state.theta_ft
@@ -155,11 +160,11 @@ class Pipeline:
         self._count = 0  # samples since the last clear
 
     def _mix_ahead(self) -> None:
-        """Queue the mixed pairs of this sample and of the next ones up to
-        min(d / Ts, _AHEAD) samples in all, all read from the history: one
-        (delta, psi) per row, and for a row whose stack or output is
-        non-finite a (None, (psi_rows, phi_rows)) marker, after which the
-        batch stops."""
+        """Queue the rows of this sample and of the next ones up to
+        min(d / Ts, _AHEAD) samples in all, all read from the history and
+        the state: one (delta, theta_hat, excitation, max_decay_step) per
+        row, and for a row whose stack or output is non-finite a
+        (None, (psi_rows, phi_rows)) marker, after which the batch stops."""
         taps = self.taps
         count = min(taps.rows[0], _AHEAD)
         history = self._history
@@ -167,7 +172,8 @@ class Pipeline:
         y = np.array(history[:taps.warm_from + count - taps.rows[0]])
         delta, mixed, bad = mix_rows(y, taps, taps.warm_from, taps.warm_from + count,
                                      self.drem.epsilon)
-        queue = list(zip(delta.tolist(), map(tuple, mixed.tolist())))
+        theta, excitation, max_steps = gradient_rows(self.state, delta, mixed, self.sample_period)
+        queue = list(zip(delta.tolist(), theta.tolist(), excitation.tolist(), max_steps.tolist()))
         if bad is not None:
             queue.append((None, bad))
         queue.reverse()

@@ -8,6 +8,12 @@ coefficients of their monic polynomial, so recovery is root finding on
 followed by w_i = arccos(c_i) / h, projection into the known band, and an
 ascending sort (the regression is symmetric in the harmonics, so sorted
 order is the only canonical labeling).
+
+Root finding has two written forms: find_roots, one polynomial in CPython
+complex arithmetic, which Pipeline calls on every warm sample, and the
+engine's batched recover_rows, the same operations on (real, imaginary)
+float arrays. A one-row recover_rows call costs several times
+find_roots, and numpy complex arithmetic would round differently.
 """
 
 from __future__ import annotations
@@ -181,3 +187,95 @@ def recover_frequencies(theta, h: float, bounds: tuple[float, float],
     """
     return roots_to_frequencies(
         find_roots(theta_to_polynomial(theta)), h, bounds, imag_tol)
+
+
+# ---------------------------------------------------------------------------
+# recover_rows: complex arithmetic on (real, imaginary) float arrays,
+# operation for operation as CPython evaluates find_roots' complex values
+
+def _cmul(ar, ai, br, bi):
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _cdiv(ar, ai, br, bi):
+    """CPython's complex quotient (Smith's algorithm, by the larger part)."""
+    by_real = np.abs(br) >= np.abs(bi)
+    ratio = np.where(by_real, bi / br, br / bi)
+    denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
+    real = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
+    imag = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
+    return real, imag
+
+
+def _horner_rows(coeffs, xr, xi, weights=None):
+    """p(x) (or, with weights degree - i, p'(x)) as _eval_poly/_eval_deriv."""
+    vr, vi = np.zeros_like(xr), np.zeros_like(xr)
+    for i, c in enumerate(coeffs):
+        pr, pi = _cmul(vr, vi, xr, xi)
+        vr, vi = pr + (c if weights is None else weights[i] * c), pi + 0.0
+    return vr, vi
+
+
+def _polish_rows(coeffs, xr, xi):
+    """find_roots' Newton polish: up to two steps, each kept only if it
+    helps. Returns the roots and |p| at them, each p evaluated once."""
+    degree = len(coeffs) - 1
+    weights = [float(degree - i) for i in range(degree)]
+    active = np.ones(xr.shape, dtype=bool)
+    pr, pi = _horner_rows(coeffs, xr, xi)
+    for _ in range(2):
+        dr, di = _horner_rows(coeffs[:-1], xr, xi, weights)
+        active &= ~(np.hypot(dr, di) < 1e-300)
+        qr, qi = _cdiv(pr, pi, dr, di)
+        cr, ci = xr - qr, xi - qi
+        cpr, cpi = _horner_rows(coeffs, cr, ci)
+        active &= np.hypot(cpr, cpi) < np.hypot(pr, pi)
+        xr, xi = np.where(active, cr, xr), np.where(active, ci, xi)
+        pr, pi = np.where(active, cpr, pr), np.where(active, cpi, pi)
+    return xr, xi, np.hypot(pr, pi)
+
+
+def recover_rows(theta: np.ndarray, h: float,
+                 bounds: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """omega_grad of every row of theta under recover_frequencies(imag_tol=inf).
+
+    Returns (omega, suspect): rows whose coefficients are not finite or whose
+    roots miss find_roots' residual target are suspect, with NaN omegas; the
+    caller settles them with recover_frequencies, which raises its fault.
+    """
+    with np.errstate(all="ignore"):  # suspect rows are flagged, not warned about
+        count, n = theta.shape
+        finite = np.isfinite(theta).all(axis=1)
+        theta = np.where(finite[:, None], theta, 0.0)
+        coeffs = [np.ones((count, 1))] + [-theta[:, k:k + 1] for k in range(n)]
+        if n == 1:
+            xr, xi = -coeffs[1], np.zeros((count, 1))
+        elif n == 2:
+            b, c = coeffs[1][:, 0], coeffs[2][:, 0]
+            disc = b * b - 4.0 * c
+            real = disc >= 0.0
+            root = np.sqrt(np.abs(disc))
+            q = -0.5 * (b + np.copysign(root, b))
+            mid = -0.5 * b
+            double = ~real | (q == 0.0)
+            xr = np.stack((np.where(double, mid, q), np.where(double, mid, c / q)), axis=1)
+            half_im = np.where(real, 0.0, 0.5 * root)
+            xi = np.stack((half_im, -half_im), axis=1)
+        else:
+            companion = np.zeros((count, n, n))
+            companion[:, 0, :] = theta
+            companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+            try:
+                eigen = np.linalg.eigvals(companion)
+            except np.linalg.LinAlgError:  # find_roots names the matrix that failed
+                return np.full((count, n), np.nan), np.ones(count, dtype=bool)
+            xr, xi, residual = _polish_rows(coeffs, eigen.real.copy(), np.imag(eigen).copy())
+        if n <= 2:
+            residual = np.hypot(*_horner_rows(coeffs, xr, xi))
+        allowed = RESIDUAL_TOL * (1.0 + np.maximum.reduce([np.abs(c) for c in coeffs]))
+        suspect = ~(finite & (residual <= allowed).all(axis=1))
+        cosines = np.clip(xr, -1.0, 1.0).ravel().tolist()
+        omega = np.array(list(map(math.acos, cosines))).reshape(count, n) / h
+        omega = np.sort(np.minimum(bounds[1], np.maximum(bounds[0], omega)), axis=1)
+        omega[suspect] = np.nan
+        return omega, suspect

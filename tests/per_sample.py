@@ -1,21 +1,40 @@
-"""The streaming Pipeline as it mixed before mixing ahead: a test oracle.
+"""The streaming Pipeline as it ran before computing ahead: a test oracle.
 
 Each warm step reads its n stacked rows with regression_at from a
-zero-filled window of the last taps.warm_from + 1 samples and mixes them
-with one mix call. Everything else is Pipeline's. The look-ahead Pipeline
-must return the same StepResults and raise the same faults at the same
-samples.
+zero-filled window of the last taps.warm_from + 1 samples, mixes them with
+one mix call and moves theta_hat with step_gradient below, the gradient
+law one sample at a time in scalar float arithmetic, written independently
+of the column form the package applies. Everything else is Pipeline's. The
+look-ahead Pipeline must return the same StepResults, leave the same
+estimator state and raise the same faults at the same samples.
 """
 
 import math
 from collections import deque
 
 from ftfreq.estimator import (EstimatorState, finite_time_estimate,
-                              reset_estimator, step_gradient)
+                              reset_estimator)
 from ftfreq.mixing import mix
 from ftfreq.pipeline import StepResult, check_measurement
 from ftfreq.recovery import recover_frequencies
 from ftfreq.regression import delay_table, regression_at
+
+
+def step_gradient(state, delta, psi, dt):
+    """One warm sample interval of the gradient law, scalar by scalar."""
+    d2 = delta * delta
+    d2dt = d2 * dt
+    theta = state.theta_hat
+    for i, g in enumerate(state.settings.gamma):
+        lam = g * d2dt
+        if lam > state.max_decay_step:
+            state.max_decay_step = lam
+        if lam < 1e-12:
+            theta[i] += g * dt * delta * (psi[i] - delta * theta[i])
+        else:
+            growth = -math.expm1(-lam) / lam
+            theta[i] = theta[i] * math.exp(-lam) + g * dt * delta * psi[i] * growth
+    state.excitation += d2dt
 
 
 class PerSamplePipeline:

@@ -91,3 +91,17 @@ def test_the_streaming_path_does_not_import_the_engine():
     assert {"ftfreq.mixing", "ftfreq.mixing.mix_rows"} <= imported_modules(pipeline)
     assert not {"ftfreq.engine", "ftfreq.pipeline"} & imported_modules(mixing)
     assert "ftfreq.pipeline" in imported_modules(engine)
+
+
+def test_both_drivers_call_the_one_batched_form_of_each_stage():
+    """The mixing and gradient stages each have one written form, which
+    Pipeline and the engine both import, so that a second form in either
+    driver shows here."""
+    from ftfreq import engine, estimator, pipeline
+    shared = {"ftfreq.estimator.gradient_rows", "ftfreq.mixing.mix_rows"}
+    assert shared <= imported_modules(pipeline)
+    assert shared <= imported_modules(engine)
+    assert not {"ftfreq.estimator.step_gradient", "ftfreq.mixing.adjugate"} & (
+        imported_modules(pipeline) | imported_modules(engine))
+    assert "ftfreq.recovery.recover_rows" in imported_modules(engine)
+    assert not {"ftfreq.pipeline", "ftfreq.engine"} & imported_modules(estimator)

@@ -346,12 +346,30 @@ class TestEpochCauses:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    def test_an_earlier_extraction_is_recorded_when_the_last_epoch_fails(self, tmp_path, capsys):
+        # the first epoch extracts at t = 5 and its rows carry omega_ft; the
+        # reset at 38 s leaves a last epoch of 2 s, so the run exits 4 and
+        # the estimator.* keys, the last epoch's, say none
+        code, meta = self.simulate(tmp_path, reset_times=(38.0,))
+        assert code == EXIT_NOT_EXCITED
+        assert "omega_ft: not extracted (last epoch, from t = 38" in capsys.readouterr().out
+        assert "estimator.extraction_time = none" in meta
+        epochs = [line for line in meta.splitlines() if line.startswith("epoch.")]
+        assert epochs == ["epoch.1.start = 0.0", "epoch.1.extraction_time = 5.0",
+                          "epoch.2.start = 38.0", "epoch.2.extraction_time = none"]
+        rows = (tmp_path / "out" / "estimates.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        at_five = dict(zip(header, rows[1 + 5000].split(",")))
+        assert float(at_five["time"]) == 5.0
+        assert abs(float(at_five["omega_ft_1"]) - 2.0) < 1e-6
+
     def test_epoch_between_resets(self, tmp_path, capsys):
         # the epoch from 10 to 12 s ends before t_ft; the last one extracts
         code, meta = self.simulate(tmp_path, reset_times=(10.0, 12.0))
         assert code == EXIT_OK
         assert "omega_ft: 2.000000 3.000000" in capsys.readouterr().out
         assert "estimator.extraction_time = 17.0" in meta
+        assert "epoch.2.extraction_time = none" in meta
         assert warnings_in(meta) == [
             "the epoch from t = 10 to 12 is shorter than estimator.t_ft = 5.0: it cannot extract"]
 

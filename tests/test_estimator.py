@@ -5,7 +5,7 @@ import math
 import hypothesis
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import SAMPLE_PERIOD, mixed_stream
@@ -21,6 +21,7 @@ from ftfreq.pipeline import Pipeline, warmup_time
 from ftfreq.recovery import recover_frequencies
 from ftfreq.regression import ModelConfig, true_theta
 from ftfreq.signals import HarmonicSpec, SignalSpec, generate_trace
+from per_sample import step_gradient as scalar_step_gradient
 
 H = 0.1  # model delay that maps the initial guesses omega0 to theta0
 
@@ -79,7 +80,43 @@ def clean_sessions(draw):
     return ensure_valid(cfg)
 
 
+@st.composite
+def gradient_steps(draw):
+    """Gains of n <= 4 parameters and up to six (delta, psi, dt) steps, with
+    deltas small enough for lam < 1e-12, large enough for lam >> 2, signed
+    zeros and NaN."""
+    n = draw(st.integers(1, 4))
+    gamma = tuple(draw(st.floats(1e-3, 1e3)) for _ in range(n))
+    deltas = st.one_of(st.floats(-1e-6, 1e-6), st.floats(-1e3, 1e3),
+                       st.sampled_from([0.0, -0.0, math.nan]))
+    psi = st.tuples(*[st.floats(-1e3, 1e3)] * n)
+    steps = draw(st.lists(st.tuples(deltas, psi, st.sampled_from([1e-3, 0.01, 0.5])),
+                          min_size=1, max_size=6))
+    return gamma, steps
+
+
 class TestStepGradient:
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @given(gradient_steps())
+    @example(((1.0, 2.0), [(1e-7, (1.0, -1.0), 0.01), (40.0, (3.0, 2.0), 0.5),
+                           (math.nan, (0.0, 0.0), 0.01), (0.5, (0.1, 0.2), 0.01)]))
+    def test_one_row_call_is_the_scalar_law(self, case):
+        # step_gradient, gradient_rows' one-row call, against the scalar law
+        # of tests/per_sample.py, bit for bit; a NaN delta turns theta_hat
+        # NaN and leaves max_decay_step as it was
+        gamma, steps = case
+        cfg = settings(gamma, omega0=tuple(0.5 + i for i in range(len(gamma))))
+        mine, ref = new_state(cfg), new_state(cfg)
+        for delta, psi, dt in steps:
+            before = mine.max_decay_step
+            step_gradient(mine, delta, psi, dt)
+            scalar_step_gradient(ref, delta, psi, dt)
+            assert list(map(repr, (*mine.theta_hat, mine.excitation, mine.max_decay_step))) == \
+                list(map(repr, (*ref.theta_hat, ref.excitation, ref.max_decay_step)))
+            if math.isnan(delta):
+                assert mine.max_decay_step == before
+                assert all(map(math.isnan, mine.theta_hat))
+
     def test_zero_delta_changes_nothing(self):
         state = new_state(settings((1.0, 1.0)))
         step_gradient(state, 0.0, (0.0, 0.0), SAMPLE_PERIOD)

@@ -1,12 +1,14 @@
 """The look-ahead Pipeline against the per-sample path it replaced.
 
-Pipeline mixes the rows of the next d seconds in one batch; PerSamplePipeline
-(tests/per_sample.py) mixes each warm sample on its own. With batches of at
-most 7 rows, both step through the same samples, with resets in mid-batch
-and spikes whose faults land on batch edges and across them, and keep
-stepping after a fault: every step returns the same StepResult (exactly for
-n <= 2, within 1e-12 relative above, as in tests/test_engine.py) or raises
-the same exception with the same message.
+Pipeline mixes the rows of the next d seconds and moves the gradient over
+them in one batch; PerSamplePipeline (tests/per_sample.py) mixes each warm
+sample on its own and applies its own scalar gradient law. With batches of
+at most 7 rows, both step through the same samples, with resets in
+mid-batch and spikes whose faults land on batch edges and across them, and
+keep stepping after a fault: every step returns the same StepResult and
+leaves the same estimator state (exactly for n <= 2, within 1e-12 relative
+above, as in tests/test_engine.py) or raises the same exception with the
+same message.
 """
 
 import math
@@ -55,9 +57,20 @@ def assert_same(mine, ref, exact):
                 assert math.isclose(x, y, rel_tol=1e-12), (field, x, y)
 
 
+def assert_same_state(mine, ref, exact):
+    """The estimator state the queue set against the one the oracle moved;
+    a NaN theta_hat (after a recovery fault) matches a NaN."""
+    assert mine.extraction_time == ref.extraction_time
+    for a, b in zip((*mine.theta_hat, mine.excitation, mine.max_decay_step),
+                    (*ref.theta_hat, ref.excitation, ref.max_decay_step), strict=True):
+        same = repr(a) == repr(b) if exact else math.isclose(a, b, rel_tol=1e-12)
+        assert same or math.isnan(a) and math.isnan(b), (a, b)
+
+
 def step_both(model, drem, estimator, samples, resets):
     """Step both pipelines through samples, resetting before each index in
-    resets; returns the outcomes, which agree at every step."""
+    resets; returns the outcomes, which agree at every step, as do the
+    estimator states after it."""
     with mock.patch.object(pipeline_module, "_AHEAD", AHEAD):
         ahead = Pipeline(model, drem, estimator, PERIOD)
         per_sample = PerSamplePipeline(model, drem, estimator, PERIOD)
@@ -69,6 +82,7 @@ def step_both(model, drem, estimator, samples, resets):
             mine = outcome(ahead, k * PERIOD, y)
             ref = outcome(per_sample, k * PERIOD, y)
             assert_same(mine, ref, model.n <= 2)
+            assert_same_state(ahead.state, per_sample.state, model.n <= 2)
             outcomes.append(ref)
     return outcomes
 
@@ -151,3 +165,20 @@ def test_reset_in_mid_batch_drops_the_queue(reset):
     deltas = [out.delta for out in outcomes]
     assert deltas[reset:reset + 32] == [0.0] * 32
     assert all(delta != 0.0 for delta in deltas[reset + 32:])
+
+
+def test_a_replayed_row_that_mixes_finite_is_an_error():
+    # the queued marker says the row's stack or output is non-finite; if mix
+    # then returns instead of raising, the step names its sample and stops
+    n, steps_h, steps_d = 2, 3, 10
+    warm_from = 2 * n * steps_h + n * steps_d
+    model = ModelConfig(n=n, h=steps_h * PERIOD, omega_min=0.5, omega_max=4.0)
+    pipeline = Pipeline(model, DremConfig(d=steps_d * PERIOD, epsilon=10.0),
+                        settings_for(n, 10.0), PERIOD)
+    samples = tones(n, warm_from + 5)
+    samples[warm_from - steps_d] = 1e307
+    with mock.patch.object(pipeline_module, "mix", lambda *args: (1.0, (0.0, 0.0))):
+        for k, y in enumerate(samples[:warm_from]):
+            pipeline.step(k * PERIOD, y)
+        with pytest.raises(RuntimeError, match=f"sample at t = {warm_from * PERIOD}: "):
+            pipeline.step(warm_from * PERIOD, samples[warm_from])
