@@ -18,15 +18,19 @@ called here on a segment's rows and by Pipeline on a shorter batch.
   and the row where it fired;
 * _recover: omega_grad by recovery.recover_rows in _CHUNK-row blocks; the
   cold rows, whose theta_hat is the segment's first, share one recovery by
-  recover_frequencies, as Pipeline's first recovery of the epoch;
+  recover_frequencies, as Pipeline's first recovery of a session (after a
+  reset, Pipeline keeps the omega_grad its last batch recovered for that
+  theta_hat);
 * _replay: the first fault, raised by the streaming stage itself on that
   sample's inputs, so its exception and message are Pipeline's too.
 
-For n <= 2 the outputs equal Pipeline's bit for bit. For n >= 3 the
-stacked eigvals need not round as find_roots' one-matrix calls do, nor
-mix_rows' stacked SVD alike in a segment and in Pipeline's shorter
-batches: they have matched in every case checked, and tests/test_engine.py
-holds them to 1e-12 relative. A reset starts a new segment: cleared
+For n <= 2 the outputs equal Pipeline's bit for bit. For n >= 3 both
+drivers call the same stacked routines (mix_rows' SVD, recover_rows'
+eigvals), here on segments and in Pipeline on shorter batches, and a stack
+need not round alike at every length, nor as find_roots' one-matrix call
+does where the engine recovers a reset's cold rows anew and Pipeline keeps
+the omega_grad its last batch recovered: they have matched in every case
+checked, and tests/test_engine.py holds them to 1e-12 relative. A reset starts a new segment: cleared
 history, a new epoch timed from its first sample, theta_hat carried over.
 """
 

@@ -6,23 +6,30 @@ recovery, with the finite-time extraction (theta_ft and its omega_ft) done
 once per epoch by the estimator. One Pipeline instance owns one estimation
 session.
 
-Mixing and the gradient look ahead. The stack reads the regression d,
-2d, ..., nd seconds back, so the mixed pair of a sample depends only on
-measurements at least d old, and the pairs of the next d seconds are
-already fixed by the history; so are theta_hat after each of them, since
-the gradient law reads only the pair, dt and the previous theta_hat. A
-warm step that finds nothing queued mixes its own row and those of up to
-min(d / Ts, _AHEAD) - 1 later samples in one mix_rows call and moves the
-gradient over them in one gradient_rows call, the engine's own stages;
-every later step pops its row (delta, theta_hat, excitation,
-max_decay_step) and sets the estimator state from it. A row whose stack
-or output is non-finite is queued as a marker and replayed through mix at
-its own step, so the fault, its sample and its message are the
-per-sample path's. The trade-off is latency: once every
-min(d / Ts, _AHEAD) warm samples one step computes the whole batch. On
-the n = 3 stream benchmark's 128-row batches (2-vCPU Xeon, Python 3.11,
-numpy 2.4) that step takes about 1.3 ms, 0.2 ms of it the gradient,
-against about 0.1 ms for the 99th-percentile step.
+Mixing, the gradient and omega_grad recovery look ahead. The stack reads
+the regression d, 2d, ..., nd seconds back, so the mixed pair of a sample
+depends only on measurements at least d old, and the pairs of the next d
+seconds are already fixed by the history; so are theta_hat after each of
+them, since the gradient law reads only the pair, dt and the previous
+theta_hat, and so is the omega_grad recovered from each theta_hat. A warm
+step that finds nothing queued mixes its own row and those of up to
+min(d / Ts, _AHEAD) - 1 later samples in one mix_rows call, moves the
+gradient over them in one gradient_rows call and recovers their omega_grad
+in one recover_rows call, the engine's own stages; every later step pops
+its row (delta, theta_hat, excitation, max_decay_step, omega_grad) and
+sets the estimator state from it. A row whose stack or output is
+non-finite is queued as a marker and replayed through mix at its own
+step, and a row recover_rows flags as suspect is queued without its
+omega_grad and recovered by recover_frequencies at its own step, so each
+fault, its sample and its message are the per-sample path's. The
+trade-off is latency: once every min(d / Ts, _AHEAD) warm samples one step
+computes the whole batch. On the n = 3 stream benchmark's 128-row batches
+(2-vCPU Xeon, Python 3.11, numpy 2.4) that step takes about 2.1-2.6 ms,
+0.2 ms of it the gradient and 0.8-1.1 ms the recovery, against about
+4 us for the 99th-percentile step. recover_rows has a fixed cost of about
+0.2 ms a call, so below about 6 rows (d / Ts < 6) a batch costs more per
+sample than recovering each sample on its own; the built-in scenarios
+(d / Ts = 130) and the stream benchmark (370) batch 128 rows.
 """
 
 from __future__ import annotations
@@ -36,16 +43,19 @@ from .errors import NumericFault
 from .estimator import (EstimatorSettings, EstimatorState,
                         finite_time_estimate, gradient_rows, reset_estimator)
 from .mixing import DremConfig, mix, mix_rows
-from .recovery import recover_frequencies
+from .recovery import recover_frequencies, recover_rows
 from .regression import ModelConfig, delay_table
 
-# Most rows one mix_rows call mixes ahead: a fixed size, like the engine's
-# _CHUNK. At n = 3 (same machine, best of 30) a call costs about 30 us a row
-# at 8 rows, 6.8 at 128 and 5.7 at 370, against 26 us for one sample's n
-# regression_at calls and mix call: its fixed part (the regression columns,
-# the stack, the stacked SVD call) is spread thin by 128 rows, while larger
-# batches only lengthen the step that mixes them. Batching steps are then
-# under 1 % of warm steps and stay out of the 99th latency percentile.
+# Most rows one batch mixes, moves and recovers ahead: a fixed size, like
+# the engine's _CHUNK. At n = 3 (same machine, best of 30) a mix_rows call
+# costs about 30 us a row at 8 rows, 6.8 at 128 and 5.7 at 370, against
+# 26 us for one sample's n regression_at calls and mix call, and a
+# recover_rows call (best of 9) 58-72 us a row at 4 rows, 17-26 at 16 and
+# 5-8 at 128, against 57-64 us for one recover_frequencies call: the fixed
+# part of each (the regression columns, the stack, the stacked SVD and
+# eigvals calls) is spread thin by 128 rows, while larger batches only
+# lengthen the step that computes them. Batching steps are then under 1 %
+# of warm steps and stay out of the 99th latency percentile.
 _AHEAD = 128
 
 
@@ -90,12 +100,13 @@ class Pipeline:
     last, and a clear drops it.
     Pipeline keeps the epoch clock: an epoch starts at the first sample
     after a clear, and extraction is tried from t_ft after that on.
-    The raw gradient estimates are recovered whenever a warm sample has moved
-    theta_hat (cold samples, extraction and reset leave it as it was), with
-    no imaginary-part limit (transients can wander through complex root
-    territory), projected into the model band; the finite-time estimate is
-    recovered once, inside finite_time_estimate, under the estimator's
-    imag_tol, and the state holds it.
+    The raw gradient estimates are recovered with the rest of each warm
+    sample's row, ahead in its batch (cold samples, extraction and reset
+    leave theta_hat as it was, so only the session's first sample and a
+    suspect row recover on their own), with no imaginary-part limit (transients can wander
+    through complex root territory), projected into the model band; the
+    finite-time estimate is recovered once, inside finite_time_estimate,
+    under the estimator's imag_tol, and the state holds it.
     """
 
     def __init__(self, model: ModelConfig, drem: DremConfig,
@@ -126,8 +137,8 @@ class Pipeline:
             if row[0] is None:  # the first non-finite row: mix raises its fault
                 mix(t, *row[1], self.drem.epsilon)
                 raise RuntimeError(f"sample at t = {t}: mix_rows and mix disagree")
-            delta, state.theta_hat, state.excitation, state.max_decay_step = row
-            self._omega_grad = None  # theta_hat has moved
+            # a suspect row's omega_grad is None: recover_frequencies below settles it
+            delta, state.theta_hat, state.excitation, state.max_decay_step, self._omega_grad = row
 
         theta_ft = state.theta_ft
         if theta_ft is None and t - self._epoch_start >= self.estimator.t_ft:
@@ -162,8 +173,9 @@ class Pipeline:
     def _mix_ahead(self) -> None:
         """Queue the rows of this sample and of the next ones up to
         min(d / Ts, _AHEAD) samples in all, all read from the history and
-        the state: one (delta, theta_hat, excitation, max_decay_step) per
-        row, and for a row whose stack or output is non-finite a
+        the state: one (delta, theta_hat, excitation, max_decay_step,
+        omega_grad) per row, omega_grad None where recover_rows flags the
+        row suspect, and for a row whose stack or output is non-finite a
         (None, (psi_rows, phi_rows)) marker, after which the batch stops."""
         taps = self.taps
         count = min(taps.rows[0], _AHEAD)
@@ -173,7 +185,11 @@ class Pipeline:
         delta, mixed, bad = mix_rows(y, taps, taps.warm_from, taps.warm_from + count,
                                      self.drem.epsilon)
         theta, excitation, max_steps = gradient_rows(self.state, delta, mixed, self.sample_period)
-        queue = list(zip(delta.tolist(), theta.tolist(), excitation.tolist(), max_steps.tolist()))
+        omega, suspect = recover_rows(theta, self.model.h, self.model.band)
+        omega = [None if flagged else tuple(row)
+                 for row, flagged in zip(omega.tolist(), suspect.tolist())]
+        queue = list(zip(delta.tolist(), theta.tolist(), excitation.tolist(), max_steps.tolist(),
+                         omega))
         if bad is not None:
             queue.append((None, bad))
         queue.reverse()

@@ -10,9 +10,11 @@ ascending sort (the regression is symmetric in the harmonics, so sorted
 order is the only canonical labeling).
 
 Root finding has two written forms: find_roots, one polynomial in CPython
-complex arithmetic, which Pipeline calls on every warm sample, and the
-engine's batched recover_rows, the same operations on (real, imaginary)
-float arrays. A one-row recover_rows call costs several times
+complex arithmetic, and recover_rows, the same operations on (real,
+imaginary) float arrays, with which both drivers recover omega_grad (the
+engine per segment, Pipeline per look-ahead batch). find_roots runs for
+omega_ft, for a session's first omega_grad and to replay a row
+recover_rows flags. A one-row recover_rows call costs several times
 find_roots, and numpy complex arithmetic would round differently.
 """
 
@@ -182,8 +184,9 @@ def recover_frequencies(theta, h: float, bounds: tuple[float, float],
     """Full recovery chain theta -> polynomial -> roots -> frequencies.
 
     Used with the finite-time estimate for the headline output and, with a
-    permissive imag_tol (math.inf), on the raw gradient estimates at every
-    sample to produce the exponentially convergent companion stream.
+    permissive imag_tol (math.inf), on a raw gradient estimate that
+    recover_rows does not settle: the exponentially convergent companion
+    stream.
     """
     return roots_to_frequencies(
         find_roots(theta_to_polynomial(theta)), h, bounds, imag_tol)

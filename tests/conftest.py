@@ -54,25 +54,58 @@ def random_distinct_frequencies(rng, n, lo, hi, min_gap=0.05):
 
 
 @contextlib.contextmanager
-def batched_mixing():
-    """Record every batch a Pipeline mixes ahead, as (time, deltas): time is
-    the sample being stepped when mix_rows ran, deltas the delta of each row
-    it mixed, that sample's first and the following samples' after it."""
-    batches, stepping = [], [None]
+def _stepping():
+    """Yield a one-item list holding the time of the sample a Pipeline is
+    stepping."""
+    stepping = [None]
     check = pipeline_module.check_measurement
 
     def checking(t, y):
         stepping[0] = t
         return check(t, y)
 
+    with mock.patch.object(pipeline_module, "check_measurement", checking):
+        yield stepping
+
+
+@contextlib.contextmanager
+def batched_mixing():
+    """Record every batch a Pipeline mixes ahead, as (time, deltas): time is
+    the sample being stepped when mix_rows ran, deltas the delta of each row
+    it mixed, that sample's first and the following samples' after it."""
+    batches = []
+
     def recording(*args):
         delta, mixed, bad = mix_rows(*args)
         batches.append((stepping[0], delta.tolist()))
         return delta, mixed, bad
 
-    with mock.patch.object(pipeline_module, "check_measurement", checking), \
-            mock.patch.object(pipeline_module, "mix_rows", recording):
+    with _stepping() as stepping, mock.patch.object(pipeline_module, "mix_rows", recording):
         yield batches
+
+
+@contextlib.contextmanager
+def batched_recovery():
+    """Record every omega_grad recovery a Pipeline makes, in order, as
+    (time, rows): time is the sample being stepped, rows the number of
+    theta_hat rows one recover_rows call recovered ahead, or None for one
+    recover_frequencies call on the current theta_hat."""
+    calls = []
+    recover_many = pipeline_module.recover_rows
+    recover_one = pipeline_module.recover_frequencies
+
+    def recording(theta, *args):
+        calls.append((stepping[0], len(theta)))
+        return recover_many(theta, *args)
+
+    def recording_one(*args, **kwargs):
+        calls.append((stepping[0], None))
+        return recover_one(*args, **kwargs)
+
+    with _stepping() as stepping, \
+            mock.patch.object(pipeline_module, "recover_rows", recording), \
+            mock.patch.object(pipeline_module, "recover_frequencies", recording_one):
+        yield calls
 
 
 def assert_mixed_ahead(batches, deltas, starts, warm_from, ahead, period):

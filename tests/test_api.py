@@ -94,14 +94,14 @@ def test_the_streaming_path_does_not_import_the_engine():
 
 
 def test_both_drivers_call_the_one_batched_form_of_each_stage():
-    """The mixing and gradient stages each have one written form, which
-    Pipeline and the engine both import, so that a second form in either
-    driver shows here."""
+    """The mixing, gradient and omega_grad recovery stages each have one
+    batched form, which Pipeline and the engine both import, so that a
+    second form in either driver shows here."""
     from ftfreq import engine, estimator, pipeline
-    shared = {"ftfreq.estimator.gradient_rows", "ftfreq.mixing.mix_rows"}
+    shared = {"ftfreq.estimator.gradient_rows", "ftfreq.mixing.mix_rows",
+              "ftfreq.recovery.recover_rows"}
     assert shared <= imported_modules(pipeline)
     assert shared <= imported_modules(engine)
     assert not {"ftfreq.estimator.step_gradient", "ftfreq.mixing.adjugate"} & (
         imported_modules(pipeline) | imported_modules(engine))
-    assert "ftfreq.recovery.recover_rows" in imported_modules(engine)
     assert not {"ftfreq.pipeline", "ftfreq.engine"} & imported_modules(estimator)

@@ -19,9 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_mixed_ahead, batched_mixing
+from conftest import assert_mixed_ahead, batched_mixing, batched_recovery
 from ftfreq import engine as engine_module
-from ftfreq import pipeline as pipeline_module
 from ftfreq.config import (BUILTIN_NAMES, EstimatorSettings, RunConfig,
                            ScenarioConfig, builtin_scenario, ensure_valid,
                            validate_config)
@@ -249,24 +248,19 @@ def test_cold_samples_are_not_mixed_or_recovered():
     # 5 s, so 20 of the first epoch's 50 samples and 21 of the second's 51
     # are warm. Only their steps mix (d = 4 samples ahead at a time) and take
     # a mixed row, and only their gradient steps move theta_hat and so call
-    # for a new omega_grad
+    # for a new omega_grad: the step that mixes a batch recovers its rows in
+    # one recover_rows call, and only the session's first, cold sample
+    # recovers on its own. The last batch runs 3 rows past the trace's end
     cfg = synthetic(3, 1)
     cfg = replace(cfg, run=replace(cfg.run, duration=10.0, reset_times=(5.0,)))
     times, samples = grid(cfg)
     warm = [20, 21]
-    recovered = [0]
-    recover = pipeline_module.recover_frequencies
-
-    def counting(*args, **kwargs):
-        recovered[0] += 1
-        return recover(*args, **kwargs)
-
-    with batched_mixing() as batches, \
-            mock.patch.object(pipeline_module, "recover_frequencies", counting):
+    with batched_mixing() as batches, batched_recovery() as recoveries:
         records, _ = pipeline_reference(cfg, times, samples)
     assert assert_mixed_ahead(batches, [rec.delta for rec in records], [0, 50], 30, 4,
                               cfg.run.sample_period) == sum(warm)
-    assert recovered == [sum(warm) + 1]
+    assert recoveries == [(times[0], None), *((t, len(rows)) for t, rows in batches)]
+    assert sum(rows for _, rows in recoveries[1:]) == sum(warm) + 3
 
     rows = []
 

@@ -1,14 +1,14 @@
 """The look-ahead Pipeline against the per-sample path it replaced.
 
-Pipeline mixes the rows of the next d seconds and moves the gradient over
-them in one batch; PerSamplePipeline (tests/per_sample.py) mixes each warm
-sample on its own and applies its own scalar gradient law. With batches of
-at most 7 rows, both step through the same samples, with resets in
-mid-batch and spikes whose faults land on batch edges and across them, and
-keep stepping after a fault: every step returns the same StepResult and
-leaves the same estimator state (exactly for n <= 2, within 1e-12 relative
-above, as in tests/test_engine.py) or raises the same exception with the
-same message.
+Pipeline mixes the rows of the next d seconds, moves the gradient over
+them and recovers their omega_grad in one batch; PerSamplePipeline
+(tests/per_sample.py) mixes and recovers each warm sample on its own and
+applies its own scalar gradient law. With batches of at most 7 rows, both
+step through the same samples, with resets in mid-batch and spikes whose
+faults land on batch edges and across them, and keep stepping after a
+fault: every step returns the same StepResult and leaves the same
+estimator state (exactly for n <= 2, within 1e-12 relative above, as in
+tests/test_engine.py) or raises the same exception with the same message.
 """
 
 import math
@@ -18,11 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import batched_recovery
 from ftfreq import pipeline as pipeline_module
 from ftfreq.errors import NumericFault
 from ftfreq.estimator import EstimatorSettings
 from ftfreq.mixing import DremConfig
-from ftfreq.pipeline import Pipeline
+from ftfreq.pipeline import Pipeline, StepResult
 from ftfreq.regression import ModelConfig
 from per_sample import PerSamplePipeline
 
@@ -69,8 +70,8 @@ def assert_same_state(mine, ref, exact):
 
 def step_both(model, drem, estimator, samples, resets):
     """Step both pipelines through samples, resetting before each index in
-    resets; returns the outcomes, which agree at every step, as do the
-    estimator states after it."""
+    resets; returns the look-ahead Pipeline's outcomes, which agree with the
+    per-sample path's at every step, as do the estimator states after it."""
     with mock.patch.object(pipeline_module, "_AHEAD", AHEAD):
         ahead = Pipeline(model, drem, estimator, PERIOD)
         per_sample = PerSamplePipeline(model, drem, estimator, PERIOD)
@@ -83,7 +84,7 @@ def step_both(model, drem, estimator, samples, resets):
             ref = outcome(per_sample, k * PERIOD, y)
             assert_same(mine, ref, model.n <= 2)
             assert_same_state(ahead.state, per_sample.state, model.n <= 2)
-            outcomes.append(ref)
+            outcomes.append(mine)
     return outcomes
 
 
@@ -151,6 +152,59 @@ def test_mixed_fault_at_a_batch_edge(n, row):
     assert faults[0] == row
     assert outcomes[row] == (NumericFault, outcomes[row][1])
     assert f"non-finite mixed regression at t = {row * PERIOD}" in outcomes[row][1]
+
+
+@pytest.mark.parametrize("offset", [6, 7, 8, 12, 13, 14])
+def test_recovery_fault_at_a_batch_edge(offset):
+    # n = 3, d = 10 samples and batches of 7 from the first warm sample 48:
+    # a -1e307 spike under epsilon = 2 leaves the mixed pair finite, but the
+    # theta_hat it moves d later has roots that miss the residual target.
+    # recover_rows flags that row, and recover_frequencies raises its fault
+    # at the row's own step, which is a batch's first or last row or next to
+    # one; the rows of its batch before it are served from the queue
+    n, steps_h, steps_d = 3, 3, 10
+    warm_from = 2 * n * steps_h + n * steps_d
+    row = warm_from + offset
+    first = row - (row - warm_from) % AHEAD
+    model = ModelConfig(n=n, h=steps_h * PERIOD, omega_min=0.5, omega_max=4.0)
+    samples = tones(n, warm_from + 4 * AHEAD)
+    samples[row - steps_d] = -1e307
+    with batched_recovery() as recoveries:
+        outcomes = step_both(model, DremConfig(d=steps_d * PERIOD, epsilon=2.0),
+                             settings_for(n, 10.0), samples, set())
+    assert all(isinstance(out, StepResult) for out in outcomes[first:row])
+    assert outcomes[row][0] is NumericFault
+    assert outcomes[row][1].startswith("root residual inf exceeds ")
+    # after the session's first recovery, the fault row is the first that
+    # recover_rows leaves to recover_frequencies
+    one_row = [round(t / PERIOD) for t, rows in recoveries if rows is None]
+    assert one_row[:2] == [0, row]
+
+
+def test_a_suspect_row_whose_replay_returns():
+    # recover_rows flags a row of the second batch it recovers, mid-batch:
+    # that row's step recovers it with recover_frequencies, which returns,
+    # and the run's outcomes are the unflagged run's
+    n, steps_h, steps_d = 3, 3, 10
+    warm_from = 2 * n * steps_h + n * steps_d
+    model = ModelConfig(n=n, h=steps_h * PERIOD, omega_min=0.5, omega_max=4.0)
+    run = (model, DremConfig(d=steps_d * PERIOD, epsilon=10.0), settings_for(n, 0.6),
+           tones(n, warm_from + 3 * AHEAD), set())
+    recover, batches = pipeline_module.recover_rows, []
+
+    def flagging(theta, *args):
+        omega, suspect = recover(theta, *args)
+        batches.append(len(theta))
+        if len(batches) == 2:
+            omega[3], suspect[3] = math.nan, True
+        return omega, suspect
+
+    with mock.patch.object(pipeline_module, "recover_rows", flagging), \
+            batched_recovery() as recoveries:
+        flagged = step_both(*run)
+    assert flagged == step_both(*run)
+    one_row = [round(t / PERIOD) for t, rows in recoveries if rows is None]
+    assert one_row == [0, warm_from + AHEAD + 3]
 
 
 @pytest.mark.parametrize("reset", [35, 38, 39, 40])
