@@ -25,13 +25,16 @@ called here on a segment's rows and by Pipeline on a shorter batch.
   sample's inputs, so its exception and message are Pipeline's too.
 
 For n <= 2 the outputs equal Pipeline's bit for bit. For n >= 3 both
-drivers call the same stacked routines (mix_rows' SVD, recover_rows'
-eigvals), here on segments and in Pipeline on shorter batches, and a stack
-need not round alike at every length, nor as find_roots' one-matrix call
-does where the engine recovers a reset's cold rows anew and Pipeline keeps
-the omega_grad its last batch recovered: they have matched in every case
-checked, and tests/test_engine.py holds them to 1e-12 relative. A reset starts a new segment: cleared
-history, a new epoch timed from its first sample, theta_hat carried over.
+drivers call the same stacked routines (mix_rows' cofactors at n = 3 and
+SVD above, recover_rows' eigvals), here on segments and in Pipeline on
+shorter batches. Each of their rows has matched its one-row call bit for
+bit at every length tested (tests/test_mixing.py, tests/test_recovery.py),
+but LAPACK does not promise it, nor that a stacked eigvals rounds as
+find_roots' one-matrix call, which runs where the engine recovers a
+reset's cold rows anew and Pipeline keeps the omega_grad its last batch
+recovered; so tests/test_engine.py holds the drivers to 1e-12 relative. A
+reset starts a new segment: cleared history, a new epoch timed from its
+first sample, theta_hat carried over.
 """
 
 from __future__ import annotations

@@ -13,9 +13,9 @@ The gain eps rescales the whole stacked system before mixing; with an n x n
 stack this multiplies delta and every mixed_psi_i by eps^n.
 
 Mixing has one written form, over K stacked systems at once: _adjugates
-(adj(M) and det(M) together: exact closed forms for n <= 2, above that
+(adj(M) and det(M) together: elementwise cofactors for n <= 3, above that
 G. W. Stewart's singular value form, "On the adjugate matrix", Lin. Alg.
-Appl. 1998, which stays valid for singular M, including the all-zero stack
+Appl. 1998; both stay valid for singular M, including the all-zero stack
 of a zero signal) and _scaled_product (the eps^n scale and adj(M)
 psi_rows). Both drivers mix with `mix_rows`: regression_at on whole lagged
 columns, the stack, both steps, and the scan for the first row whose stack
@@ -58,14 +58,17 @@ class DremConfig:
 def adjugate(matrix) -> tuple[list[list[float]], float]:
     """(adj(M), det(M)), with adj(M) M = det(M) I for singular M too.
 
-    Closed forms for n <= 2. For n >= 3, with M = U diag(s) V^T,
+    Closed forms for n <= 3: the transposed cofactors, and det(M) expanded
+    along the first row, polynomial identities that hold for singular M.
+    For n >= 4, with M = U diag(s) V^T,
 
         adj(M) = det(U V^T) V diag(prod_{j != i} s_j) U^T,
         det(M) = det(U V^T) prod_j s_j,
 
-    so no singular value is ever divided by; an overflowed cofactor makes
-    inf or NaN entries. Input that is not a finite square matrix of size
-    1..MAX_HARMONICS raises ConfigError before any factorisation.
+    so no singular value is ever divided by. Either way an overflowed
+    cofactor makes inf or NaN entries. Input that is not a finite square
+    matrix of size 1..MAX_HARMONICS raises ConfigError before any
+    factorisation.
     """
     try:
         rows = tuple(map(tuple, matrix))
@@ -137,7 +140,7 @@ def mix_rows(y: np.ndarray, taps: DelayTable, first: int, stop: int,
         shifts = [taps.rows[-1] - lag for lag in taps.rows]
         psi_rows = np.stack([psi[s:s + count] for s in shifts], axis=1)
         phi_rows = np.stack([phi[s:s + count] for s in shifts], axis=1)
-        # the SVD rejects a non-finite stack: mix only the rows before the first
+        # the SVD (n >= 4) rejects a non-finite stack: mix the rows before the first
         finite = _first(~np.isfinite(phi_rows).all(axis=(1, 2)))
         delta, mixed = _scaled_product(*_adjugates(phi_rows[:finite]),
                                        psi_rows[:finite], epsilon)
@@ -156,13 +159,20 @@ def _first(mask: np.ndarray) -> int:
 
 def _adjugates(phi_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """adj (K, n, n) and det (K,) of K stacked n x n matrices, as adjugate
-    states them."""
+    states them: elementwise cofactors over the K matrices for n <= 3, the
+    stacked SVD for n >= 4."""
     count, n = phi_rows.shape[:2]
     if n == 1:
         return np.ones_like(phi_rows), phi_rows[:, 0, 0]
     if n == 2:
         (a, b), (c, d) = np.moveaxis(phi_rows, 0, -1)
         return np.moveaxis(np.array([[d, -b], [-c, a]]), -1, 0), a * d - b * c
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(phi_rows, 0, -1)
+        adj = np.array([[e * i - f * h, c * h - b * i, b * f - c * e],
+                        [f * g - d * i, a * i - c * g, c * d - a * f],
+                        [d * h - e * g, b * g - a * h, a * e - b * d]])
+        return np.moveaxis(adj, -1, 0), a * adj[0, 0] + b * adj[1, 0] + c * adj[2, 0]
     u, s, vt = np.linalg.svd(phi_rows)
     sign = np.copysign(1.0, np.linalg.det(u @ vt))  # U V^T is orthogonal: +-1
     s, ones = s.T, np.ones(count)  # each product left to right from 1

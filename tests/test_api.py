@@ -1,10 +1,15 @@
 """The public API: every exported name, every name README's API paragraph
-gives, and every name the benchmark's workloads use resolves."""
+gives, and every name the benchmark's workloads use resolves; the package
+depends on numpy alone."""
 
 import ast
 import importlib
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import ftfreq
@@ -68,9 +73,10 @@ def test_benchmark_imports_resolve():
             "harness.run_scenario", "cli.main"} <= set(checked)
 
 
-def imported_modules(module):
-    """The ftfreq modules a module of the package imports, by their names."""
-    tree = ast.parse(Path(inspect.getfile(module)).read_text(encoding="utf-8"))
+def imports(path):
+    """Every module, and every name from a module, that a source file
+    imports, by its dotted name."""
+    tree = ast.parse(Path(path).read_text(encoding="utf-8"))
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -80,7 +86,12 @@ def imported_modules(module):
             names.update(f"{name}.{alias.name}" for alias in node.names)
         elif isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
-    return {name for name in names if name.startswith("ftfreq")}
+    return names
+
+
+def imported_modules(module):
+    """The ftfreq modules a module of the package imports, by their names."""
+    return {name for name in imports(inspect.getfile(module)) if name.startswith("ftfreq")}
 
 
 def test_the_streaming_path_does_not_import_the_engine():
@@ -105,3 +116,39 @@ def test_both_drivers_call_the_one_batched_form_of_each_stage():
     assert not {"ftfreq.estimator.step_gradient", "ftfreq.mixing.adjugate"} & (
         imported_modules(pipeline) | imported_modules(engine))
     assert not {"ftfreq.pipeline", "ftfreq.engine"} & imported_modules(estimator)
+
+
+# A built-in simulate, then an n = 3 Pipeline run through its extraction;
+# prints the modules loaded by then.
+RUN_BOTH_DRIVERS = """
+import json, math, sys
+from ftfreq import DremConfig, EstimatorSettings, ModelConfig, Pipeline
+from ftfreq.cli import main
+assert main(["scenario", "noiseless-2h", "--out", sys.argv[1]]) == 0
+freqs = (1.5, 2.5, 3.5)
+pipeline = Pipeline(ModelConfig(n=3, h=0.3, omega_min=1.0, omega_max=4.0),
+                    DremConfig(d=0.4, epsilon=10.0),
+                    EstimatorSettings(gamma=(1.0,) * 3, omega0=freqs, t_ft=6.0), 0.01)
+for k in range(700):
+    result = pipeline.step(k * 0.01, sum(math.sin(w * k * 0.01) for w in freqs))
+assert result.omega_ft is not None
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_the_package_depends_on_numpy_alone(tmp_path):
+    """scipy is installed beside numpy but not declared: neither driver
+    loads it; and no package module reaches for the tests' exact
+    arithmetic (fractions) or for anything under tests/."""
+    package = Path(ftfreq.__file__).parent
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    done = subprocess.run([sys.executable, "-c", RUN_BOTH_DRIVERS, str(tmp_path)], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert "numpy" in loaded
+    assert not [name for name in loaded if name.split(".")[0] == "scipy"]
+    for path in package.glob("*.py"):
+        for name in imports(path):
+            assert name.split(".")[0] not in ("fractions", "tests", "exact", "conftest"), (
+                path.name, name)

@@ -365,15 +365,29 @@ class TestFaultParity:
         assert "non-finite mixed regression" in message
 
     def test_non_finite_mixed_regression_stacked_svd(self, tmp_path):
-        # n = 3 mixes through the SVD adjugate: a finite 1e307 spike after the
-        # reset at sample 20 overflows a cofactor at the segment's first warm
-        # sample (20 + 2nh + nd = 50), where inf * 0 turns the adjugate NaN;
-        # both drivers raise the fault without a numpy warning
+        # n = 3 mixes through the closed-form cofactors: a finite 1e307 spike
+        # after the reset at sample 20 overflows the cofactors' products at
+        # the segment's first warm sample (20 + 2nh + nd = 50), where
+        # inf - inf turns them NaN; both drivers raise the fault without a
+        # numpy warning
         cfg = synthetic(3, 1)
         times, samples = grid(cfg)
         samples[35] = 1e307
         kind, index, message = assert_parity(cfg, times, samples, tmp_path)
         assert kind is NumericFault and index == 50
+        assert "non-finite mixed regression" in message
+
+    def test_non_finite_mixed_regression_stacked_svd_n4(self, tmp_path):
+        # n = 4 mixes through the stacked SVD: the same spike after the reset
+        # at sample 25 overflows the products of the singular values at the
+        # segment's first warm sample (25 + 2nh + nd = 65), where inf * 0
+        # turns the adjugate NaN; both drivers raise the fault without a
+        # numpy warning
+        cfg = synthetic(4, 1)
+        times, samples = grid(cfg)
+        samples[45] = 1e307
+        kind, index, message = assert_parity(cfg, times, samples, tmp_path)
+        assert kind is NumericFault and index == 65
         assert "non-finite mixed regression" in message
 
     def test_recovery_fault_after_a_spike(self, tmp_path):

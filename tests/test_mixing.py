@@ -2,6 +2,8 @@
 
 import math
 import random
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import exact
 from conftest import (SAMPLE_PERIOD, assert_mixed_ahead, batched_mixing,
                       mixed_stream, random_distinct_frequencies, window_at)
+from ftfreq import mixing
 from ftfreq.errors import ConfigError, NumericFault
 from ftfreq.estimator import EstimatorSettings
-from ftfreq.mixing import DremConfig, adjugate, mix
+from ftfreq.mixing import DremConfig, adjugate, mix, mix_rows
 from ftfreq.pipeline import Pipeline
 from ftfreq.regression import (ModelConfig, delay_table, regression_at,
                                true_theta)
@@ -121,9 +125,10 @@ def cofactor_adjugate(m):
 
 
 @st.composite
-def low_rank_matrices(draw):
-    """M = B C with B n x r and C r x n, so rank(M) <= r for r = 0..n."""
-    n = draw(st.integers(1, 8))
+def low_rank_matrices(draw, n=None):
+    """M = B C with B n x r and C r x n, so rank(M) <= r for r = 0..n; n is
+    drawn from 1..8 unless given."""
+    n = draw(st.integers(1, 8)) if n is None else n
     r = draw(st.integers(0, n))
     entries = st.floats(-2.0, 2.0)
     b = draw(arrays(float, (n, r), elements=entries))
@@ -134,6 +139,13 @@ def low_rank_matrices(draw):
 class TestAdjugate:
     def test_2x2_closed_form(self):
         assert adjugate([[1.0, 2.0], [3.0, 4.0]]) == ([[4.0, -2.0], [-3.0, 1.0]], -2.0)
+
+    def test_3x3_closed_form(self):
+        assert adjugate([[2.0, -1.0, 0.0], [1.0, 3.0, 2.0], [4.0, 1.0, 5.0]]) == (
+            [[13.0, 5.0, -2.0], [3.0, 10.0, -4.0], [-11.0, -6.0, 7.0]], 23.0)
+        # rank 2: the cofactors are exact integers, so det reads exactly 0.0
+        assert adjugate([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]) == (
+            [[-3.0, 6.0, -3.0], [6.0, -12.0, 6.0], [-3.0, 6.0, -3.0]], 0.0)
 
     def test_identity_fixed_point(self):
         for n in range(1, 9):
@@ -280,3 +292,131 @@ class TestMix:
         # only finite (delta, psi) pairs
         with pytest.raises(NumericFault, match="non-finite mixed regression at t = 0.25"):
             mix(0.25, (1e308,), ((1.0,),), 10.0)
+
+
+def stacked_mix(y, taps, first, stop, epsilon):
+    """mix_rows' (delta, mixed) of rows first..stop-1, all finite, with the
+    stacks (psi_rows, phi_rows) it mixed them from."""
+    with mock.patch.object(mixing, "_adjugates", wraps=mixing._adjugates) as adjugates, \
+            mock.patch.object(mixing, "_scaled_product", wraps=mixing._scaled_product) as product:
+        delta, mixed, bad = mix_rows(y, taps, first, stop, epsilon)
+    assert bad is None
+    return delta, mixed, product.call_args.args[2], adjugates.call_args.args[0]
+
+
+def tone_rows(n, steps_h, steps_d, tones, offset, rows, epsilon, period=0.01):
+    """stacked_mix of `rows` rows of an n-tone signal, offset samples past
+    the warm-up; tones holds (slot, amplitude, phase) per tone, the i-th
+    frequency at 0.5 + 4.5 (i + slot) / n rad/s, so neighbours may crowd."""
+    model = ModelConfig(n=n, h=steps_h * period, omega_min=0.5, omega_max=5.0)
+    taps = delay_table(model, steps_d * period, period)
+    first = taps.warm_from + offset
+    t = np.arange(first + rows) * period
+    y = sum(a * np.sin((0.5 + 4.5 * (i + slot) / n) * t + phase)
+            for i, (slot, a, phase) in enumerate(tones))
+    return stacked_mix(y, taps, first, first + rows, epsilon)
+
+
+@st.composite
+def tone_stacks(draw, n):
+    """Stacks mix_rows builds from n random tones, up to 3 rows of each."""
+    tone = st.tuples(st.floats(0.0, 0.99), st.floats(0.2, 2.0), st.floats(0.0, 6.3))
+    epsilon = draw(st.sampled_from([1.0, 2.0, 10.0]) | st.floats(0.5, 20.0))
+    delta, mixed, psi_rows, phi_rows = tone_rows(
+        n, draw(st.integers(5, 30)), draw(st.integers(10, 60)),
+        draw(st.lists(tone, min_size=n, max_size=n)), draw(st.integers(0, 300)),
+        draw(st.integers(1, 3)), epsilon)
+    return [(delta[k], mixed[k], psi_rows[k], phi_rows[k], epsilon) for k in range(len(delta))]
+
+
+@st.composite
+def low_rank_systems(draw, n):
+    """A low_rank_matrices stack with random psi rows, mixed by mix. Entries
+    below 2^-100 are flushed to zero, so that no product of up to 9 of them
+    underflows: the rounding model the oracle bound rests on has no
+    underflow, and a determinant that underflows has no relative accuracy."""
+    def flushed(values):
+        return np.where(np.abs(values) < 2.0 ** -100, 0.0, values)
+
+    phi_rows = flushed(draw(low_rank_matrices(n)))
+    psi_rows = flushed(draw(arrays(float, (n,), elements=st.floats(-2.0, 2.0))))
+    epsilon = draw(st.sampled_from([1.0, 2.0, 10.0]))
+    delta, mixed = mix(0.0, psi_rows.tolist(), phi_rows.tolist(), epsilon)
+    return [(delta, mixed, psi_rows, phi_rows, epsilon)]
+
+
+UNIT_ROUNDOFF = 2.0 ** -53
+ORACLE_C = 64.0  # fitted; see oracle_ratio
+
+
+def hadamard(matrix) -> float:
+    """Hadamard's bound on |det M|: the product of M's row norms."""
+    return math.prod(math.hypot(*row) for row in matrix)
+
+
+def oracle_ratio(delta, mixed, psi_rows, phi_rows, epsilon) -> float:
+    """The larger of delta's and mixed psi's distance from their exact
+    values, each over u eps^n (P + H); mixing is sound where this stays
+    below ORACLE_C.
+
+    P is the first-order change of the exact value when Phi moves by a
+    relative u in the 2-norm, which bounds a backward-stable route such as
+    the SVD up to its backward-error constant: for delta,
+    ||Phi|| ||adj Phi|| = s_1 s_1 ... s_{n-1}, which is kappa_2(Phi)
+    |det Phi| for invertible Phi and stays finite at singular Phi; for
+    psi = adj(Phi) b, ||Phi|| s_1 ... s_{n-2} ||b||, the derivative of adj
+    being a sum of (n-2)-fold products of singular values. H is Hadamard's
+    bound, of Phi for delta and of the Cramer matrix Phi_i(b) for psi_i,
+    which scales the rounding of the closed-form cofactors and covers the
+    stacks where P vanishes. Fitted by targeted searches: the closed forms
+    (n <= 3) stayed below 1, and LAPACK's SVD, whose backward error reached
+    50 u ||Phi||, below 24; ORACLE_C = 64 leaves a margin of about 2.7."""
+    n = len(phi_rows)
+    want_delta, want_psi = exact.mixed(psi_rows.tolist(), phi_rows.tolist(), epsilon)
+    s = np.linalg.svd(phi_rows, compute_uv=False).tolist()
+    scale = float(epsilon) ** n
+    adj_norm = math.prod(s[:n - 1])
+
+    def ratio(got, want, perturbed, bound):
+        error = abs(Fraction(float(got)) - want)
+        return float(error) / (UNIT_ROUNDOFF * scale * (perturbed + bound)) if error else 0.0
+
+    ratios = [ratio(delta, want_delta, s[0] * adj_norm, hadamard(phi_rows))]
+    perturbed = s[0] * math.prod(s[:n - 2]) * math.hypot(*psi_rows)
+    ratios += [ratio(got, want, perturbed,
+                     hadamard(exact.replaced(phi_rows.tolist(), i, psi_rows.tolist())))
+               for i, (got, want) in enumerate(zip(mixed, want_psi))]
+    return max(ratios)
+
+
+class TestExactOracle:
+    """mix_rows against tests/exact.py's rational (delta, mixed psi)."""
+
+    # per n, so that every route (n = 3's cofactors above all) is drawn in
+    # every run: one draw over all n clumps on a few of them
+    @pytest.mark.parametrize("n", range(1, 9))
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_tone_stacks_within_conditioned_roundoff_of_exact(self, n, data):
+        for system in data.draw(tone_stacks(n)):
+            assert oracle_ratio(*system) <= ORACLE_C
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_low_rank_stacks_within_conditioned_roundoff_of_exact(self, n, data):
+        for system in data.draw(low_rank_systems(n)):
+            assert oracle_ratio(*system) <= ORACLE_C
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("rows", [1, 7, 128])
+    def test_rows_are_mixed_independently(self, n, rows):
+        # each row of one mix_rows call is bit for bit mix's one-row call,
+        # whatever else the call holds: both drivers' parity rests on it
+        rng = random.Random(n * 1000 + rows)
+        tones = [(rng.random(), rng.uniform(0.2, 2.0), rng.uniform(0.0, 6.3)) for _ in range(n)]
+        delta, mixed, psi_rows, phi_rows = tone_rows(n, 20, 37, tones, 11, rows, 10.0)
+        assert len(delta) == rows
+        for k in range(rows):
+            one = mix(0.0, psi_rows[k].tolist(), phi_rows[k].tolist(), 10.0)
+            assert repr(one) == repr((float(delta[k]), tuple(mixed[k].tolist()))), k

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import random_distinct_frequencies
 from ftfreq.errors import EstimateNotPhysical, NumericFault
-from ftfreq.recovery import (find_roots, recover_frequencies,
+from ftfreq.recovery import (find_roots, recover_frequencies, recover_rows,
                              roots_to_frequencies, theta_to_polynomial)
 from ftfreq.regression import true_theta
 
@@ -206,3 +206,19 @@ def test_roundtrip_with_clustered_cosines(case):
     allowed = ROUNDTRIP_K * sys.float_info.epsilon * recovery_condition(omegas, h)
     for w_hat, w in zip(got, omegas):
         assert abs(w_hat - w) <= allowed, (w_hat, w, allowed)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("rows", [1, 7, 128])
+def test_rows_are_recovered_independently(n, rows):
+    # each row of one recover_rows call is bit for bit its one-row call,
+    # whatever else the call holds: both drivers' parity rests on it
+    rng = np.random.default_rng(n * 1000 + rows)
+    h = 0.3
+    freqs = random_distinct_frequencies(rng, n, 1.0, 4.0)
+    theta = np.array(true_theta(freqs, h)) * (1.0 + rng.normal(0.0, 1e-3, (rows, n)))
+    omega, suspect = recover_rows(theta, h, (1.0, 4.0))
+    for k in range(rows):
+        one = recover_rows(theta[k:k + 1], h, (1.0, 4.0))
+        assert repr((omega[k].tolist(), bool(suspect[k]))) == repr(
+            (one[0][0].tolist(), bool(one[1][0]))), k
