@@ -17,24 +17,24 @@ called here on a segment's rows and by Pipeline on a shorter batch.
   of each block; the epoch's record gets the row where extraction came due
   and the row where it fired;
 * _recover: omega_grad by recovery.recover_rows in _CHUNK-row blocks; the
-  cold rows, whose theta_hat is the segment's first, share one recovery by
-  recover_frequencies, as Pipeline's first recovery of a session (after a
-  reset, Pipeline keeps the omega_grad its last batch recovered for that
-  theta_hat);
+  cold rows, whose theta_hat is the segment's first, share a single
+  one-row recovery by recover_frequencies, as Pipeline's first recovery of
+  a session (after a reset, Pipeline keeps the omega_grad its last batch
+  recovered for that theta_hat);
 * _replay: the first fault, raised by the streaming stage itself on that
   sample's inputs, so its exception and message are Pipeline's too.
 
 For n <= 2 the outputs equal Pipeline's bit for bit. For n >= 3 both
 drivers call the same stacked routines (mix_rows' cofactors at n = 3 and
 SVD above, recover_rows' eigvals), here on segments and in Pipeline on
-shorter batches. Each of their rows has matched its one-row call bit for
-bit at every length tested (tests/test_mixing.py, tests/test_recovery.py),
-but LAPACK does not promise it, nor that a stacked eigvals rounds as
-find_roots' one-matrix call, which runs where the engine recovers a
-reset's cold rows anew and Pipeline keeps the omega_grad its last batch
-recovered; so tests/test_engine.py holds the drivers to 1e-12 relative. A
-reset starts a new segment: cleared history, a new epoch timed from its
-first sample, theta_hat carried over.
+shorter batches, and recover_frequencies is recover_rows' one-row call
+(where the engine recovers a reset's cold rows anew, Pipeline keeps the
+omega_grad its last batch recovered). Each of their rows has matched its
+one-row call bit for bit at every length tested (tests/test_mixing.py,
+tests/test_recovery.py), but LAPACK does not promise it, so
+tests/test_engine.py holds the drivers to 1e-12 relative. A reset starts a
+new segment: cleared history, a new epoch timed from its first sample,
+theta_hat carried over.
 """
 
 from __future__ import annotations

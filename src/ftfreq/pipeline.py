@@ -24,12 +24,12 @@ omega_grad and recovered by recover_frequencies at its own step, so each
 fault, its sample and its message are the per-sample path's. The
 trade-off is latency: once every min(d / Ts, _AHEAD) warm samples one step
 computes the whole batch. On the n = 3 stream benchmark's 128-row batches
-(2-vCPU Xeon, Python 3.11, numpy 2.4) that step takes about 1.9-2.1 ms,
-0.3 ms of it the mixing, 0.3 ms the gradient and 1.1-1.2 ms the recovery,
-against about 4 us for the 99th-percentile step. recover_rows has a fixed
-cost of about 0.2 ms a call, so below about 6 rows (d / Ts < 6) a batch
-costs more per sample than recovering each sample on its own; the built-in
-scenarios (d / Ts = 130) and the stream benchmark (370) batch 128 rows.
+(2-vCPU Xeon, Python 3.11, numpy 2.4) that step takes about 1.7 ms,
+0.3 ms of it the mixing, 0.3 ms the gradient and 0.9 ms the recovery,
+against about 4 us for the 99th-percentile step. A sample recovered on its
+own is a one-row recover_rows call, so a batch of any size recovers for no
+more per sample; the built-in scenarios (d / Ts = 130) and the stream
+benchmark (370) batch 128 rows.
 """
 
 from __future__ import annotations
@@ -50,12 +50,13 @@ from .regression import ModelConfig, delay_table
 # the engine's _CHUNK. At n = 3 (same machine, best of 30) a mix_rows call
 # costs about 20 us a row at 8 rows, 1.5 at 128 and 0.4 at 370, against
 # 61 us for one sample's n regression_at calls and mix call, and a
-# recover_rows call (best of 9) 58-72 us a row at 4 rows, 17-26 at 16 and
-# 5-8 at 128, against 57-64 us for one recover_frequencies call: the fixed
-# part of each (the regression columns, the stack, the cofactor arrays and
-# the stacked eigvals call) is spread thin by 128 rows, while larger
-# batches only lengthen the step that computes them. Batching steps are
-# then under 1 % of warm steps and stay out of the 99th latency percentile.
+# recover_rows call (best of 9) 27-47 us a row at 4 rows, 9-14 at 16 and
+# 4-6 at 128, against 90-175 us for one row, as recover_frequencies: the
+# fixed part of each (the regression columns, the stack, the cofactor
+# arrays, the stacked eigvals call and the polish) is spread thin by 128
+# rows, while larger batches only lengthen the step that computes them.
+# Batching steps are then under 1 % of warm steps and stay out of the 99th
+# latency percentile.
 _AHEAD = 128
 
 

@@ -9,13 +9,11 @@ followed by w_i = arccos(c_i) / h, projection into the known band, and an
 ascending sort (the regression is symmetric in the harmonics, so sorted
 order is the only canonical labeling).
 
-Root finding has two written forms: find_roots, one polynomial in CPython
-complex arithmetic, and recover_rows, the same operations on (real,
-imaginary) float arrays, with which both drivers recover omega_grad (the
-engine per segment, Pipeline per look-ahead batch). find_roots runs for
-omega_ft, for a session's first omega_grad and to replay a row
-recover_rows flags. A one-row recover_rows call costs several times
-find_roots, and numpy complex arithmetic would round differently.
+Root finding has one written form, _roots, over stacked rows of theta in
+numpy complex arithmetic. recover_rows is its batched call, with which both
+drivers recover omega_grad (the engine per segment, Pipeline per look-ahead
+batch); find_roots is its one-row call, which runs for omega_ft, for a
+session's first omega_grad and to replay a row recover_rows flags.
 """
 
 from __future__ import annotations
@@ -55,45 +53,75 @@ def theta_to_polynomial(theta) -> list[float]:
     return coeffs
 
 
-def _eval_poly(coeffs, x):
-    value = 0.0 + 0.0j
-    for c in coeffs:
+def _horner(coeffs, x):
+    """sum_i coeffs[i] x^(len(coeffs) - 1 - i) at every x, by Horner's rule."""
+    value = coeffs[0]
+    for c in coeffs[1:]:
         value = value * x + c
     return value
 
 
-def _eval_deriv(coeffs, x):
-    degree = len(coeffs) - 1
-    value = 0.0 + 0.0j
-    for i, c in enumerate(coeffs[:-1]):
-        value = value * x + (degree - i) * c
-    return value
+def _roots(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Roots of x^n - theta_1 x^(n-1) - ... - theta_n for each row of theta.
 
-
-def _polish(coeffs, root):
-    """(root, |p(root)|) after one or two Newton corrections, each kept only
-    if it shrinks |p|; each |p| is evaluated once."""
-    p = _eval_poly(coeffs, root)
-    for _ in range(2):
-        dp = _eval_deriv(coeffs, root)
-        if abs(dp) < 1e-300:
-            break
-        candidate = root - p / dp
-        p_candidate = _eval_poly(coeffs, candidate)
-        if abs(p_candidate) < abs(p):
-            root, p = candidate, p_candidate
+    Returns (roots (K, n) complex, |p| at each root, the |p| allowed per
+    row). Closed forms for n = 1 and 2; above that the stacked companion
+    matrices' eigenvalues, each polished by up to two Newton steps, a step
+    kept only if it shrinks |p|. An overflow shows as a residual miss, not
+    as a warning; eigvals' LinAlgError propagates.
+    """
+    count, n = theta.shape
+    with np.errstate(all="ignore"):
+        coeffs = [1.0, *(-theta.T[:, :, None])]
+        if n <= 2:
+            # set part by part, so that signed zeros survive
+            roots = np.empty((count, n), dtype=complex)
+            if n == 1:
+                roots.real, roots.imag = theta, 0.0
+            else:
+                b, c = coeffs[1][:, 0], coeffs[2][:, 0]
+                disc = b * b - 4.0 * c
+                real = disc >= 0.0
+                root = np.sqrt(np.abs(disc))
+                # the root further from cancellation first, its mate by Vieta
+                q = -0.5 * (b + np.copysign(root, b))
+                mid = -0.5 * b
+                double = ~real | (q == 0.0)
+                roots.real[:, 0] = np.where(double, mid, q)
+                roots.real[:, 1] = np.where(double, mid, c / q)
+                roots.imag = np.where(real[:, None], 0.0, (0.5 * root)[:, None] * (1.0, -1.0))
+            residual = np.abs(_horner(coeffs, roots))
         else:
-            break
-    return root, abs(p)
+            companion = np.zeros((count, n, n))
+            companion[:, 0, :] = theta
+            companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+            roots = np.linalg.eigvals(companion).astype(complex)
+            slopes = [(n - i) * c for i, c in enumerate(coeffs[:-1])]
+            active = np.ones(roots.shape, dtype=bool)
+            p = _horner(coeffs, roots)
+            for _ in range(2):
+                dp = _horner(slopes, roots)
+                candidate = roots - p / dp
+                p_candidate = _horner(coeffs, candidate)
+                active &= ~(np.abs(dp) < 1e-300) & (np.abs(p_candidate) < np.abs(p))
+                if not active.any():
+                    break
+                roots = np.where(active, candidate, roots)
+                p = np.where(active, p_candidate, p)
+            residual = np.abs(p)
+        allowed = RESIDUAL_TOL * (1.0 + np.abs(theta).max(axis=1, initial=1.0))
+    return roots, residual, allowed
 
 
 def find_roots(coeffs) -> list[complex]:
     """All roots of a monic polynomial of degree 1..8, multiplicities repeated.
 
-    Closed forms for degrees 1 and 2; companion-matrix eigenvalues with
-    Newton polishing above that. Every root is checked against the residual
-    target; missing it raises NumericFault with the offending data, and so
-    do non-finite coefficients (a fault of the data that produced them).
+    The one-row call of recover_rows' root finder: closed forms for degrees
+    1 and 2, companion-matrix eigenvalues with Newton polishing above that.
+    Every root is checked against the residual target; missing it raises
+    NumericFault with the offending data, and so do non-finite coefficients
+    (a fault of the data that produced them) and a failed eigenvalue
+    iteration.
     """
     coeffs = [float(c) for c in coeffs]
     degree = len(coeffs) - 1
@@ -103,38 +131,14 @@ def find_roots(coeffs) -> list[complex]:
         raise ValueError(f"polynomial must be monic, got leading coefficient {coeffs[0]}")
     if any(not math.isfinite(c) for c in coeffs):
         raise NumericFault(f"polynomial coefficients must be finite, got {coeffs}")
-
-    if degree == 1:
-        roots = [complex(-coeffs[1], 0.0)]
-    elif degree == 2:
-        b, c = coeffs[1], coeffs[2]
-        disc = b * b - 4.0 * c
-        if disc >= 0.0:
-            # root further from cancellation first, mate via Vieta
-            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-            if q == 0.0:
-                roots = [complex(-0.5 * b, 0.0)] * 2
-            else:
-                roots = [complex(q, 0.0), complex(c / q, 0.0)]
-        else:
-            half_im = 0.5 * math.sqrt(-disc)
-            roots = [complex(-0.5 * b, half_im), complex(-0.5 * b, -half_im)]
-    else:
-        companion = np.zeros((degree, degree))
-        companion[0, :] = [-c for c in coeffs[1:]]
-        companion[1:, :-1] = np.eye(degree - 1)
-        try:
-            eigen = np.linalg.eigvals(companion)
-        except np.linalg.LinAlgError as exc:
-            raise NumericFault(
-                f"companion eigenvalue iteration failed for coefficients {coeffs}: {exc}"
-            ) from exc
-        roots, residuals = map(list, zip(*(_polish(coeffs, complex(r)) for r in eigen)))
-    if degree <= 2:
-        residuals = [abs(_eval_poly(coeffs, r)) for r in roots]
-
-    allowed = RESIDUAL_TOL * (1.0 + max(abs(c) for c in coeffs))
-    for residual in residuals:
+    try:
+        roots, residuals, allowed = _roots(-np.array([coeffs[1:]]))
+    except np.linalg.LinAlgError as exc:
+        raise NumericFault(
+            f"companion eigenvalue iteration failed for coefficients {coeffs}: {exc}"
+        ) from exc
+    roots, allowed = roots[0].tolist(), float(allowed[0])
+    for residual in residuals[0].tolist():
         if not residual <= allowed:
             raise NumericFault(
                 f"root residual {residual:.3g} exceeds {allowed:.3g} "
@@ -146,6 +150,7 @@ def roots_to_frequencies(roots, h: float, bounds: tuple[float, float],
                          imag_tol: float = DEFAULT_IMAG_TOL) -> FrequencyEstimate:
     """Map cosine roots to sorted in-band frequency estimates.
 
+    A root with a non-finite real or imaginary part raises NumericFault.
     Imaginary parts up to imag_tol * (1 + |Re|) are treated as numeric noise
     and dropped; anything larger means the parameter estimate does not
     describe real cosines and raises EstimateNotPhysical. Real parts are
@@ -162,6 +167,8 @@ def roots_to_frequencies(roots, h: float, bounds: tuple[float, float],
     omegas = []
     for root in roots:
         root = complex(root)
+        if not (math.isfinite(root.real) and math.isfinite(root.imag)):
+            raise NumericFault(f"root {root} is not finite")
         if abs(root.imag) > imag_tol * (1.0 + abs(root.real)):
             raise EstimateNotPhysical(
                 f"root {root} has imaginary part beyond tolerance {imag_tol}", roots)
@@ -192,52 +199,6 @@ def recover_frequencies(theta, h: float, bounds: tuple[float, float],
         find_roots(theta_to_polynomial(theta)), h, bounds, imag_tol)
 
 
-# ---------------------------------------------------------------------------
-# recover_rows: complex arithmetic on (real, imaginary) float arrays,
-# operation for operation as CPython evaluates find_roots' complex values
-
-def _cmul(ar, ai, br, bi):
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _cdiv(ar, ai, br, bi):
-    """CPython's complex quotient (Smith's algorithm, by the larger part)."""
-    by_real = np.abs(br) >= np.abs(bi)
-    ratio = np.where(by_real, bi / br, br / bi)
-    denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
-    real = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
-    imag = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
-    return real, imag
-
-
-def _horner_rows(coeffs, xr, xi, weights=None):
-    """p(x) (or, with weights degree - i, p'(x)) as _eval_poly/_eval_deriv."""
-    vr, vi = np.zeros_like(xr), np.zeros_like(xr)
-    for i, c in enumerate(coeffs):
-        pr, pi = _cmul(vr, vi, xr, xi)
-        vr, vi = pr + (c if weights is None else weights[i] * c), pi + 0.0
-    return vr, vi
-
-
-def _polish_rows(coeffs, xr, xi):
-    """find_roots' Newton polish: up to two steps, each kept only if it
-    helps. Returns the roots and |p| at them, each p evaluated once."""
-    degree = len(coeffs) - 1
-    weights = [float(degree - i) for i in range(degree)]
-    active = np.ones(xr.shape, dtype=bool)
-    pr, pi = _horner_rows(coeffs, xr, xi)
-    for _ in range(2):
-        dr, di = _horner_rows(coeffs[:-1], xr, xi, weights)
-        active &= ~(np.hypot(dr, di) < 1e-300)
-        qr, qi = _cdiv(pr, pi, dr, di)
-        cr, ci = xr - qr, xi - qi
-        cpr, cpi = _horner_rows(coeffs, cr, ci)
-        active &= np.hypot(cpr, cpi) < np.hypot(pr, pi)
-        xr, xi = np.where(active, cr, xr), np.where(active, ci, xi)
-        pr, pi = np.where(active, cpr, pr), np.where(active, cpi, pi)
-    return xr, xi, np.hypot(pr, pi)
-
-
 def recover_rows(theta: np.ndarray, h: float,
                  bounds: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     """omega_grad of every row of theta under recover_frequencies(imag_tol=inf).
@@ -246,39 +207,15 @@ def recover_rows(theta: np.ndarray, h: float,
     roots miss find_roots' residual target are suspect, with NaN omegas; the
     caller settles them with recover_frequencies, which raises its fault.
     """
-    with np.errstate(all="ignore"):  # suspect rows are flagged, not warned about
-        count, n = theta.shape
-        finite = np.isfinite(theta).all(axis=1)
-        theta = np.where(finite[:, None], theta, 0.0)
-        coeffs = [np.ones((count, 1))] + [-theta[:, k:k + 1] for k in range(n)]
-        if n == 1:
-            xr, xi = -coeffs[1], np.zeros((count, 1))
-        elif n == 2:
-            b, c = coeffs[1][:, 0], coeffs[2][:, 0]
-            disc = b * b - 4.0 * c
-            real = disc >= 0.0
-            root = np.sqrt(np.abs(disc))
-            q = -0.5 * (b + np.copysign(root, b))
-            mid = -0.5 * b
-            double = ~real | (q == 0.0)
-            xr = np.stack((np.where(double, mid, q), np.where(double, mid, c / q)), axis=1)
-            half_im = np.where(real, 0.0, 0.5 * root)
-            xi = np.stack((half_im, -half_im), axis=1)
-        else:
-            companion = np.zeros((count, n, n))
-            companion[:, 0, :] = theta
-            companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-            try:
-                eigen = np.linalg.eigvals(companion)
-            except np.linalg.LinAlgError:  # find_roots names the matrix that failed
-                return np.full((count, n), np.nan), np.ones(count, dtype=bool)
-            xr, xi, residual = _polish_rows(coeffs, eigen.real.copy(), np.imag(eigen).copy())
-        if n <= 2:
-            residual = np.hypot(*_horner_rows(coeffs, xr, xi))
-        allowed = RESIDUAL_TOL * (1.0 + np.maximum.reduce([np.abs(c) for c in coeffs]))
-        suspect = ~(finite & (residual <= allowed).all(axis=1))
-        cosines = np.clip(xr, -1.0, 1.0).ravel().tolist()
-        omega = np.array(list(map(math.acos, cosines))).reshape(count, n) / h
-        omega = np.sort(np.minimum(bounds[1], np.maximum(bounds[0], omega)), axis=1)
-        omega[suspect] = np.nan
-        return omega, suspect
+    count, n = theta.shape
+    finite = np.isfinite(theta).all(axis=1)
+    try:
+        roots, residual, allowed = _roots(np.where(finite[:, None], theta, 0.0))
+    except np.linalg.LinAlgError:  # find_roots names the matrix that failed
+        return np.full((count, n), np.nan), np.ones(count, dtype=bool)
+    suspect = ~(finite & (residual <= allowed[:, None]).all(axis=1))
+    cosines = np.clip(roots.real, -1.0, 1.0).ravel().tolist()
+    omega = np.array(list(map(math.acos, cosines))).reshape(count, n) / h
+    omega = np.sort(np.minimum(bounds[1], np.maximum(bounds[0], omega)), axis=1)
+    omega[suspect] = np.nan
+    return omega, suspect

@@ -400,6 +400,19 @@ class TestFaultParity:
         assert kind is NumericFault and index == 2000 + 130
         assert "root residual" in message
 
+    @pytest.mark.parametrize("n, index", [(3, 55), (8, 130)])
+    def test_recovery_fault_after_a_spike_high_order(self, tmp_path, n, index):
+        # the same through the companion eigenvalues: a 1e100 spike 20
+        # samples before the end, after the reset, reaches theta_hat through
+        # the stack's first row d = 4 samples later, and the polished roots
+        # miss their residual there
+        cfg = synthetic(n, 1)
+        times, samples = grid(cfg)
+        samples[len(samples) - 20] = 1e100
+        kind, at, message = assert_parity(cfg, times, samples, tmp_path)
+        assert kind is NumericFault and at == index == len(samples) - 20 + 4
+        assert "root residual" in message
+
     @pytest.mark.parametrize("n", [2, 3, 8])
     @pytest.mark.parametrize("after_reset", [False, True], ids=["t0", "after-reset"])
     def test_non_finite_first_sample_of_a_segment(self, tmp_path, n, after_reset):

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,10 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_distinct_frequencies
+from ftfreq import recovery
 from ftfreq.errors import EstimateNotPhysical, NumericFault
+from ftfreq.estimator import EstimatorSettings
+from ftfreq.mixing import DremConfig
+from ftfreq.pipeline import Pipeline
 from ftfreq.recovery import (find_roots, recover_frequencies, recover_rows,
                              roots_to_frequencies, theta_to_polynomial)
-from ftfreq.regression import true_theta
+from ftfreq.regression import ModelConfig, true_theta
 
 
 class TestThetaToPolynomial:
@@ -74,6 +79,25 @@ class TestFindRoots:
                     value = value * r + c
                 assert abs(value) <= bound
 
+    @pytest.mark.parametrize("coeffs, expected", [
+        ((1.0, 0.0), "[(-0+0j)]"),
+        ((1.0, -0.0), "[0j]"),
+        ((1.0, 0.0, 0.0), "[(-0+0j), (-0+0j)]"),
+        ((1.0, -0.0, 0.0), "[0j, 0j]"),
+        ((1.0, 0.0, -0.0), "[(-0+0j), (-0+0j)]"),
+        ((1.0, -0.0, -0.0), "[0j, 0j]"),
+        ((1.0, 0.0, 1.0), "[(-0+1j), (-0-1j)]"),
+        ((1.0, -0.0, 1.0), "[1j, -1j]"),
+        ((1.0, 0.0, -1.0), "[(-1+0j), (1+0j)]"),
+        ((1.0, -0.0, -1.0), "[(1+0j), (-1+0j)]"),
+        ((1.0, 1.0, 0.0), "[(-1+0j), (-0+0j)]"),
+        ((1.0, -1.0, 0.0), "[(1+0j), 0j]"),
+        ((1.0, -1.0, -0.0), "[(1+0j), (-0+0j)]"),
+    ])
+    def test_signed_zeros_at_low_degree(self, coeffs, expected):
+        # the closed forms' roots, signs of zero and order included
+        assert repr(find_roots(coeffs)) == expected
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             find_roots([1.0])  # degree 0
@@ -126,6 +150,14 @@ class TestRootsToFrequencies:
         cs = np.linspace(math.cos(hi * h), math.cos(lo * h), 50)
         omegas = [roots_to_frequencies([c], h, self.BOUNDS).omega_hat[0] for c in cs]
         assert all(b < a for a, b in zip(omegas, omegas[1:]))
+
+    @pytest.mark.parametrize("root", [math.nan, complex(0.9, math.nan), complex(math.inf, 0.0)],
+                             ids=["nan-real", "nan-imag", "inf-real"])
+    def test_non_finite_root_is_a_fault(self, root):
+        # a NaN part would pass the imaginary-part check and clamp to the band
+        with pytest.raises(NumericFault, match="is not finite") as info:
+            roots_to_frequencies([0.5, root], 0.1, self.BOUNDS)
+        assert type(info.value) is NumericFault
 
     def test_sorted_ascending(self):
         est = roots_to_frequencies([0.5, 0.99, 0.8], 0.1, self.BOUNDS)
@@ -222,3 +254,39 @@ def test_rows_are_recovered_independently(n, rows):
         one = recover_rows(theta[k:k + 1], h, (1.0, 4.0))
         assert repr((omega[k].tolist(), bool(suspect[k]))) == repr(
             (one[0][0].tolist(), bool(one[1][0]))), k
+        # and recover_frequencies, as the drivers' cold rows, first steps
+        # and suspect replays call it, returns that row
+        if not suspect[k]:
+            alone = recover_frequencies(tuple(theta[k].tolist()), h, (1.0, 4.0), math.inf)
+            assert repr(alone.omega_hat) == repr(tuple(omega[k].tolist())), k
+
+
+def test_a_failed_eigenvalue_iteration():
+    def failing(matrices):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    coeffs = [1.0, -2.8, 2.6, -0.8]
+    freqs = (1.5, 2.5, 3.5)
+    model = ModelConfig(n=3, h=0.3, omega_min=1.0, omega_max=4.0)
+    pipeline = Pipeline(model, DremConfig(d=0.4, epsilon=10.0),
+                        EstimatorSettings(gamma=(1.0,) * 3, omega0=(1.2, 2.2, 3.2), t_ft=100.0),
+                        0.1)
+    signal = [sum(math.cos(w * 0.1 * k) for w in freqs)
+              for k in range(pipeline.taps.warm_from + 1)]
+    for k, y in enumerate(signal[:-1]):  # the cold steps
+        pipeline.step(0.1 * k, y)
+    with mock.patch.object(recovery.np.linalg, "eigvals", failing):
+        with pytest.raises(NumericFault) as info:
+            find_roots(coeffs)
+        assert str(info.value).startswith(
+            f"companion eigenvalue iteration failed for coefficients {coeffs}: ")
+        # the batch flags every row: one failure fails the stacked call
+        omega, suspect = recover_rows(np.array([[2.8, -2.6, 0.8]] * 5), 0.3, (1.0, 4.0))
+        assert suspect.all() and np.isnan(omega).all()
+        # the first warm step recovers its batch, then replays its own row
+        with pytest.raises(NumericFault) as stepped:
+            pipeline.step(0.1 * (len(signal) - 1), signal[-1])
+        with pytest.raises(NumericFault) as alone:
+            find_roots(theta_to_polynomial(pipeline.state.theta_hat))
+    assert str(stepped.value) == str(alone.value)
+    assert "companion eigenvalue iteration failed" in str(stepped.value)
