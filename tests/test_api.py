@@ -1,6 +1,6 @@
 """The public API: every exported name, every name README's API paragraph
-gives, and every name the benchmark's workloads use resolves; the package
-depends on numpy alone."""
+gives, every private name README's module map gives, and every name the
+benchmark's workloads use resolves; the package depends on numpy alone."""
 
 import ast
 import importlib
@@ -43,6 +43,24 @@ def test_readme_api_names_resolve():
     assert "Pipeline" in names and "regression_at" in names
     for name in names:
         resolve(name)
+
+
+def module_map_private_names():
+    """(module, name) for each backticked name that starts with _ in the
+    rows of README's module map."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Module map", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", section, flags=re.MULTILINE)
+    return [(module, name) for module, contents in rows
+            for name in re.findall(r"`(_\w+)`", contents)]
+
+
+def test_module_map_private_names_resolve():
+    names = module_map_private_names()
+    assert {("mixing", "_adjugates"), ("recovery", "_frequencies"),
+            ("engine", "_replay")} <= set(names)
+    for module, name in names:
+        assert hasattr(importlib.import_module(f"ftfreq.{module}"), name), (module, name)
 
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"

@@ -51,6 +51,19 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    def test_noise_slot_beyond_int64_exits_2(self, tmp_path, capsys):
+        # a valid noise period so small that t / sample_period leaves the
+        # int64 range from the second sample on
+        cfg_path = tmp_path / "scenario.cfg"
+        text = format_config(builtin_scenario("uniform-noise"))
+        cfg_path.write_text(text.replace("signal.disturbance.sample_period = 0.001",
+                                         "signal.disturbance.sample_period = 1e-300"))
+        code = main(["simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert ("noise sample_period 1e-300 puts the noise slot of t = 0.001 outside "
+                "the int64 range") in capsys.readouterr().err
+
     def test_insufficient_excitation_exits_4(self, tmp_path, capsys):
         cfg_path = tmp_path / "scenario.cfg"
         single = SignalSpec(harmonics=(HarmonicSpec(1.0, 2.0, 0.0),))

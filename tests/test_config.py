@@ -148,6 +148,21 @@ class TestParsing:
         assert parsed.signal.disturbance.seed == cfg.signal.disturbance.seed
 
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text + " = 3\n", "empty key"),
+        (lambda text: text + "signal.harmonic.x.amplitude = 1.0\n",
+         "key 'signal.harmonic.x.amplitude': index after 'signal.harmonic' must be an integer"),
+        (lambda text: text.replace("disturbance.kind = none", "disturbance.kind = pink"),
+         "signal.disturbance.kind must be none, harmonic or uniform, got 'pink'"),
+        (lambda text: text.replace("harmonic.2.frequency = 3.0", "harmonic.2.frequency = 2.0"),
+         "signal: harmonic frequencies must be pairwise distinct, got [2.0, 2.0]"),
+    ], ids=["empty-key", "group-index", "disturbance-kind", "equal-frequencies"])
+    def test_each_rejection_is_named(self, edit, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(edit(MINIMAL))
+        assert any(message in v for v in info.value.violations), info.value.violations
+
+
 class TestValidation:
     def base(self, **overrides):
         cfg = parse_config(MINIMAL)

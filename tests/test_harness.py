@@ -15,7 +15,7 @@ from ftfreq.harness import estimate_from_file, run_scenario, write_trace_csv
 from ftfreq.mixing import DremConfig
 from ftfreq.regression import ModelConfig
 from ftfreq.signals import (HarmonicSpec, ScheduleStep, SignalSpec,
-                            generate_trace)
+                            generate_trace, sample_times)
 
 ROOT = Path(__file__).resolve().parent.parent
 COS_PHASE = math.pi / 2
@@ -65,6 +65,11 @@ class TestRunScenario:
         cfg = replace(cfg, model=ModelConfig(n=2, h=0.2, omega_min=0.5,
                                              omega_max=10.0))
         with pytest.raises(ConfigError):
+            run_scenario(cfg)
+
+    def test_a_config_without_a_signal_is_rejected(self):
+        cfg = replace(quick_noiseless(), signal=None)
+        with pytest.raises(ConfigError, match="run_scenario requires a signal section"):
             run_scenario(cfg)
 
     def test_under_excited_model_never_extracts(self):
@@ -225,6 +230,16 @@ class TestEstimateFromFile:
             with pytest.raises(ConfigError) as info:
                 estimate_from_file(str(path), cfg)
             assert any(message in v for v in info.value.violations), text
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        cfg = quick_noiseless(duration=1.0)
+        path = tmp_path / "trace.csv"
+        times = sample_times(0.001, 1.0)
+        write_trace_csv(str(path), times, generate_trace(cfg.signal, 0.001, 1.0).values)
+        plain = estimate_from_file(str(path), cfg).records
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join([*lines[:3], "\n", "  \n", *lines[3:], "\n"]))
+        assert estimate_from_file(str(path), cfg).records == plain
 
     def test_external_two_tone_recovered(self, tmp_path):
         # externally synthesized file, slightly different tones

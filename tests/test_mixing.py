@@ -279,6 +279,18 @@ class TestMix:
         with pytest.raises(ConfigError):
             DremConfig(d=0.1, epsilon=-1.0)
 
+    @pytest.mark.parametrize("d", [0.0, -0.1, math.nan])
+    def test_delay_must_be_positive(self, d):
+        with pytest.raises(ConfigError, match="drem.d must be positive"):
+            DremConfig(d=d, epsilon=1.0)
+
+    @pytest.mark.parametrize("phi_rows", [[1.0], [[1.0, math.nan]]], ids=["flat", "not-square"])
+    def test_a_malformed_stack_is_bad_input(self, phi_rows):
+        # adjugate's shape check, before any finiteness check: a flat vector
+        # and a non-square stack with a NaN entry are not data faults
+        with pytest.raises(ConfigError, match="matrix must be square with size 1..8"):
+            mix(0.0, [1.0, 2.0], phi_rows, 1.0)
+
     def test_overflowed_stack_is_a_numeric_fault(self):
         # adjugate rejects the matrix as input; mix reports it as a data fault
         rows = ((float("inf"), 0.0), (0.0, 1.0))

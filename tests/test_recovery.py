@@ -129,6 +129,23 @@ class TestRootsToFrequencies:
         assert est.clamped
         assert est.omega_hat == (0.5,)
 
+    @pytest.mark.parametrize("bounds, omega", [((0.5, 5.5), 5.5), ((0.5, 40.0), math.pi / 0.1)])
+    def test_root_below_minus_one_clamped(self, bounds, omega):
+        # clamped to -1, whose arccos is pi: omega = pi / h, projected into the band
+        est = roots_to_frequencies([-1.02], 0.1, bounds)
+        assert est.clamped
+        assert est.omega_hat == (omega,)
+
+    @pytest.mark.parametrize("h, bounds, message", [
+        (0.0, BOUNDS, "h must be positive"),
+        (math.nan, BOUNDS, "h must be positive"),
+        (0.1, (5.5, 0.5), "bounds must satisfy omega_min < omega_max"),
+        (0.1, (0.5, 0.5), "bounds must satisfy omega_min < omega_max"),
+    ])
+    def test_input_validation(self, h, bounds, message):
+        with pytest.raises(ValueError, match=message):
+            roots_to_frequencies([0.9], h, bounds)
+
     def test_excessive_imaginary_part_rejected(self):
         with pytest.raises(EstimateNotPhysical) as info:
             roots_to_frequencies([complex(0.9, 0.2)], 0.1, self.BOUNDS)

@@ -150,6 +150,17 @@ class TestTrueTheta:
         with pytest.raises(ValueError):
             true_theta([2.0, 2.0], 0.1)
 
+    @pytest.mark.parametrize("freqs, h, message", [
+        ([], 0.1, "at least one frequency required"),
+        ([2.0, 0.0], 0.1, "frequencies must be positive and finite, got 0.0"),
+        ([2.0, math.inf], 0.1, "frequencies must be positive and finite, got inf"),
+        ([2.0], 0.0, "h must be positive and finite, got 0.0"),
+        ([2.0], math.nan, "h must be positive and finite, got nan"),
+    ])
+    def test_invalid_input_rejected(self, freqs, h, message):
+        with pytest.raises(ValueError, match=message):
+            true_theta(freqs, h)
+
     def test_elementary_symmetric_recurrence(self):
         e = elementary_symmetric([1.0, 2.0, 3.0])
         assert e == [1.0, 6.0, 11.0, 6.0]

@@ -1,6 +1,7 @@
 """Unit tests for multi-sinusoidal signal generation."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from ftfreq.errors import ConfigError
 from ftfreq.signals import (GRID_TOL, HarmonicSpec, SampledTrace, ScheduleStep,
                             SignalSpec, UniformDisturbance, generate_trace,
-                            sample_signal, sample_times)
+                            sample_signal, sample_times, signal_values)
 
 COS_PHASE = math.pi / 2
 
@@ -118,6 +119,27 @@ class TestUniformNoise:
             assert len(values) == 1
         assert len({round(v, 15) for v in noise}) > 1
 
+    @pytest.mark.parametrize("period, times, bad", [
+        (1e-300, [0.0, 0.001, 0.002], 0.001),
+        (1.0, [0.0, 2.0 ** 63], 2.0 ** 63),
+        (0.001, [0.0, -1e300], -1e300),
+        (0.001, [0.0, math.nan], math.nan),
+    ], ids=["tiny-period", "at-2**63", "far-negative", "nan"])
+    def test_a_slot_outside_the_int64_range_is_rejected(self, period, times, bad):
+        # the int64 cast would turn such a slot into -2**63 with a warning, so
+        # that the noise silently holds one value from there on
+        spec = SignalSpec(harmonics=(HarmonicSpec(1.0, 2.0, 0.0),),
+                          disturbance=UniformDisturbance(0.2, period, 7))
+        message = f"noise sample_period {period} puts the noise slot of t = {bad} outside"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            signal_values(spec, times)
+
+    def test_the_int64_range_ends_are_slots(self):
+        spec = SignalSpec(harmonics=(HarmonicSpec(1.0, 2.0, 0.0),),
+                          disturbance=UniformDisturbance(0.2, 1.0, 7))
+        values = signal_values(spec, [-2.0 ** 63, 2.0 ** 63 - 1024.0])
+        assert all(map(math.isfinite, values))
+
 
 class TestGenerateTrace:
     def test_zero_duration_single_sample(self):
@@ -163,6 +185,17 @@ class TestSpecValidation:
     def test_rejects_non_positive_frequency(self):
         with pytest.raises(ConfigError):
             HarmonicSpec(1.0, -2.0, 0.0)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: HarmonicSpec(1.0, 2.0, math.nan), "harmonic phase must be finite, got nan"),
+        (lambda: UniformDisturbance(0.0, 0.001, 1), "noise half_range must be positive"),
+        (lambda: UniformDisturbance(0.2, math.inf, 1), "noise sample_period must be positive"),
+        (lambda: SignalSpec(two_tone().harmonics, schedule=(ScheduleStep(1.0, ()),)),
+         "schedule replacement harmonic set must be non-empty"),
+    ], ids=["phase", "half-range", "noise-period", "empty-replacement"])
+    def test_rejects_each_bad_field(self, build, message):
+        with pytest.raises(ConfigError, match=message):
+            build()
 
     def test_sampled_trace_time_origin(self):
         # a trace starts at t = 0: sample k is the signal at k * sample_period
