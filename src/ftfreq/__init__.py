@@ -16,16 +16,16 @@ from .config import (BUILTIN_NAMES, OutputConfig, RunConfig, ScenarioConfig,
                      load_config, parse_config, validate_config, with_seed)
 from .errors import ConfigError, EstimateNotPhysical, NumericFault
 from .estimator import (EstimatorSettings, EstimatorState,
-                        finite_time_estimate, reset_estimator, step_gradient)
+                        finite_time_estimate, reset_estimator)
 from .harness import RunResult, estimate_from_file, run_scenario
-from .mixing import DremConfig, adjugate, mix
+from .mixing import DremConfig, mix
 from .pipeline import Pipeline, StepResult
 from .recovery import (FrequencyEstimate, find_roots, recover_frequencies,
                        roots_to_frequencies, theta_to_polynomial)
 from .regression import (DelayTable, ModelConfig, delay_table, regression_at,
                          true_theta)
-from .signals import (HarmonicSpec, SampledTrace, ScheduleStep, SignalSpec,
-                      UniformDisturbance, generate_trace, sample_signal)
+from .signals import (HarmonicSpec, ScheduleStep, SignalSpec,
+                      UniformDisturbance)
 
 __all__ = [
     "__version__",
@@ -33,12 +33,12 @@ __all__ = [
     "EstimatorSettings", "EstimatorState", "FrequencyEstimate", "HarmonicSpec",
     "ModelConfig", "NumericFault", "OutputConfig", "Pipeline",
     "RunConfig", "RunResult",
-    "SampledTrace", "ScenarioConfig", "ScheduleStep", "SignalSpec", "StepResult",
+    "ScenarioConfig", "ScheduleStep", "SignalSpec", "StepResult",
     "UniformDisturbance",
-    "adjugate", "builtin_scenario", "config_warnings", "delay_table",
+    "builtin_scenario", "config_warnings", "delay_table",
     "estimate_from_file", "find_roots", "finite_time_estimate", "format_config",
-    "generate_trace", "load_config", "mix", "parse_config",
+    "load_config", "mix", "parse_config",
     "recover_frequencies", "regression_at", "reset_estimator", "roots_to_frequencies",
-    "run_scenario", "sample_signal", "step_gradient",
+    "run_scenario",
     "theta_to_polynomial", "true_theta", "validate_config", "with_seed",
 ]

@@ -24,9 +24,8 @@ The excitation integral uses the matching per-interval rectangle rule so W
 is algebraically identical to the decay actually applied to the error,
 which keeps the finite-time inversion exact on clean data at any
 extraction time. The law has one written form, gradient_rows, by columns
-over a run of warm rows: the whole-trace engine calls it on a segment's
-blocks, Pipeline on the rows it mixed ahead, and step_gradient is its
-one-row call.
+over a run of warm rows: Pipeline's block routine calls it on the rows it
+mixed, and step_gradient is its one-row call.
 
 Extraction is one step: finite_time_estimate computes theta_ft and, under
 the imaginary-part tolerance, the frequencies omega_ft of its polynomial
@@ -114,8 +113,8 @@ class EstimatorState:
     whether a root's real part was clamped into [-1, 1]. max_decay_step
     records the largest per-sample gamma_i * delta^2 * dt seen, as a
     stiffness diagnostic. The state keeps
-    no clock: the driver (Pipeline or the whole-trace engine) times the
-    epoch and says when extraction is due.
+    no clock: the driver, Pipeline, times the epoch and says when
+    extraction is due.
     """
 
     __slots__ = ("settings", "model", "theta_hat", "theta0", "excitation", "theta_ft",

@@ -1,16 +1,15 @@
-"""Scenario execution: run the engine over a trace, write CSVs and metadata.
+"""Scenario execution: run a Pipeline over a trace, write CSVs and metadata.
 
 run_scenario simulates the configured signal and estimate_from_file reads a
-recorded one; both hand the whole trace to the whole-trace engine
-(engine.run_trace), with each scheduled reset mapped to the sample it
-applies at; the metadata records each epoch's start and extraction time
-and warns of a reset after the last sample and of an epoch that ends
-before its clock reaches t_ft. A run produces three files:
-the sampled measurement trace (time, y), the per-sample estimates, written
-column by column in bounded row chunks, and a key-value metadata file
-embedding the full config echo so the run is reproducible from its own
-outputs. build_pipeline makes the streaming Pipeline for callers that feed
-one sample at a time.
+recorded one; both hand the whole trace to Pipeline.run, with each
+scheduled reset mapped to the sample it applies at; the metadata records
+each epoch's start and extraction time and warns of a reset after the last
+sample and of an epoch that ends before its clock reaches t_ft. A run
+produces three files: the sampled measurement trace (time, y), the
+per-sample estimates, written column by column in bounded row chunks, and a
+key-value metadata file embedding the full config echo so the run is
+reproducible from its own outputs. build_pipeline makes the Pipeline of a
+config, for run and for callers that step() one sample at a time.
 """
 
 from __future__ import annotations
@@ -28,9 +27,8 @@ import numpy as np
 from . import __version__
 from .config import (ScenarioConfig, config_warnings, ensure_valid,
                      format_config, recording_violations)
-from .engine import Trajectory, run_trace
 from .errors import ConfigError
-from .pipeline import Pipeline, StepResult, warmup_time
+from .pipeline import Pipeline, StepResult, Trajectory, warmup_time
 from .signals import GRID_TOL, sample_times, signal_values
 
 # CSV rows formatted per write: bounds the strings held at once. At 4096 rows
@@ -87,9 +85,7 @@ def _reset_rows(times: list[float], reset_times) -> list[int | None]:
 
 def _run(cfg: ScenarioConfig, source: str, times, samples) -> RunResult:
     reset_rows = _reset_rows(times, cfg.run.reset_times)
-    trajectory = run_trace(
-        cfg.model, cfg.drem, cfg.estimator, cfg.run.sample_period, times, samples,
-        [0, *(k for k in reset_rows if k)])
+    trajectory = build_pipeline(cfg).run(times, samples, [0, *(k for k in reset_rows if k)])
     return RunResult(config=cfg, trajectory=trajectory,
                      metadata=_metadata(cfg, trajectory, reset_rows, source),
                      extracted=trajectory.state.theta_ft is not None)
@@ -147,7 +143,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> RunResult:
     """Simulate the configured signal and estimate its frequencies.
 
     Validates the config (raising ConfigError with every violation), runs
-    the engine over the uniform grid with the scheduled resets, and writes
+    Pipeline.run over the uniform grid with the scheduled resets, and writes
     the trace/estimate CSVs and the metadata file when out_dir is given.
     """
     ensure_valid(cfg)

@@ -16,15 +16,12 @@ Mixing has one written form, over K stacked systems at once: _adjugates
 (adj(M) and det(M) together: elementwise cofactors for n <= 3, above that
 G. W. Stewart's singular value form, "On the adjugate matrix", Lin. Alg.
 Appl. 1998; both stay valid for singular M, including the all-zero stack
-of a zero signal) and _scaled_product (the eps^n scale and adj(M)
-psi_rows). Both drivers mix with `mix_rows`: regression_at on whole lagged
-columns, the stack, both steps, and the scan for the first row whose stack
-or output is non-finite; the engine on a whole segment, Pipeline on the
-rows of the next d seconds. `adjugate` and `mix` (the plain pair (delta,
-mixed psi) of one instant) are their one-row calls, behind one shape check
-(_one_row_stack); `mix` is the one stage that rejects a non-finite stack
-or output (NumericFault), and the drivers replay the row mix_rows found
-through it to raise the fault.
+of a zero signal), _scaled_product (the eps^n scale and adj(M) psi_rows)
+and _mixed_stacks (both, up to the first non-finite stack or output).
+mix_rows stacks whole lagged columns for the driver; adjugate and mix are
+the one-row calls, behind one shape check (_one_row_stack). mix_fault
+builds the fault of a non-finite stack or output, which mix raises and the
+driver raises at the row where mix_rows stopped.
 """
 
 from __future__ import annotations
@@ -87,26 +84,33 @@ def mix(time: float, psi_rows, phi_rows,
     stacked lag. With the whole stack scaled by epsilon first,
     delta = eps^n det(Phi) and mixed psi = eps^n adj(Phi) psi_rows
     (adj(eps M) = eps^(n-1) adj(M)); on clean data psi[i] = delta * theta_i.
-    A phi_rows that is not a square matrix of size 1..MAX_HARMONICS is bad
-    input (ConfigError, as in adjugate). Non-finite values are a fault of
-    the data (NumericFault): a stack that overflowed to a non-finite entry,
-    and a non-finite delta or mixed psi, so both are finite when returned.
-    The eps^n scale is applied after adj(Phi) psi_rows is summed, so a
-    small epsilon cannot keep an overflowing product finite.
+    A phi_rows that is not a square matrix of size 1..MAX_HARMONICS, or a
+    psi_rows without one entry per row of it, is bad input (ConfigError).
+    A non-finite stack or delta or mixed psi is a fault of the data
+    (mix_fault's NumericFault), so both are finite when returned. The eps^n
+    scale is applied after adj(Phi) psi_rows is summed, so a small epsilon
+    cannot keep an overflowing product finite.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
     stack = _one_row_stack(phi_rows)
-    if not np.isfinite(stack).all():
-        raise NumericFault(f"non-finite stacked regressor at t = {time}")
-    with np.errstate(all="ignore"):  # non-finite outputs are checked, not warned about
-        delta, psi = _scaled_product(*_adjugates(stack), np.array([psi_rows], dtype=float),
-                                     epsilon)
-    delta, psi = float(delta[0]), tuple(psi[0].tolist())
-    if not (math.isfinite(delta) and all(map(math.isfinite, psi))):
-        raise NumericFault(
-            f"non-finite mixed regression at t = {time}: delta = {delta}, psi = {psi}")
-    return delta, psi
+    psi = np.array(psi_rows, dtype=float)
+    if psi.shape != stack.shape[1:2]:
+        raise ConfigError(f"psi_rows must have {stack.shape[1]} entries, one per stacked row, "
+                          f"got shape {psi.shape}")
+    delta, psi, bad = _mixed_stacks(psi[None], stack, epsilon)
+    if bad is not None:
+        raise mix_fault(time, *bad)
+    return float(delta[0]), tuple(psi[0].tolist())
+
+
+def mix_fault(time: float, delta: float | None = None, psi=None) -> NumericFault:
+    """The fault of a row mixed at time: a non-finite stacked regressor, or,
+    given its delta and psi, a non-finite mixed regression."""
+    if psi is None:
+        return NumericFault(f"non-finite stacked regressor at t = {time}")
+    return NumericFault(
+        f"non-finite mixed regression at t = {time}: delta = {delta}, psi = {psi}")
 
 
 def _one_row_stack(matrix) -> np.ndarray:
@@ -133,8 +137,7 @@ def mix_rows(y: np.ndarray, taps: DelayTable, first: int, stop: int,
     y[stop - 1 - taps.rows[0]] and need first >= taps.warm_from and
     stop - taps.rows[0] <= len(y). Returns (delta, mixed, bad): delta (K,)
     and mixed psi (K, n) of the first K rows, as mix returns them, and bad,
-    None or the (psi_rows, phi_rows) of row first + K, the first non-finite
-    one, on which mix raises its fault.
+    None or the fault of row first + K as _mixed_stacks gives it.
     """
     lo, hi = first - taps.rows[-1], stop - taps.rows[0]
     count = stop - first
@@ -147,15 +150,24 @@ def mix_rows(y: np.ndarray, taps: DelayTable, first: int, stop: int,
         shifts = [taps.rows[-1] - lag for lag in taps.rows]
         psi_rows = np.stack([psi[s:s + count] for s in shifts], axis=1)
         phi_rows = np.stack([phi[s:s + count] for s in shifts], axis=1)
+    return _mixed_stacks(psi_rows, phi_rows, epsilon)
+
+
+def _mixed_stacks(psi_rows: np.ndarray, phi_rows: np.ndarray,
+                  epsilon: float) -> tuple[np.ndarray, np.ndarray, tuple | None]:
+    """delta (K,) and mixed psi (K, n) of the K stacks before the first whose
+    stack or output is non-finite, and bad: None if there is none, else the
+    arguments after the time that mix_fault takes for it, () for a
+    non-finite stack or (delta, psi) for a non-finite output."""
+    with np.errstate(all="ignore"):  # non-finite values are scanned for, not warned about
         # the SVD (n >= 4) rejects a non-finite stack: mix the rows before the first
         finite = _first(~np.isfinite(phi_rows).all(axis=(1, 2)))
         delta, mixed = _scaled_product(*_adjugates(phi_rows[:finite]),
                                        psi_rows[:finite], epsilon)
         bad = _first(~(np.isfinite(delta) & np.isfinite(mixed).all(axis=1)))
-    if bad == count:
-        return delta, mixed, None
-    return delta[:bad], mixed[:bad], (tuple(psi_rows[bad].tolist()),
-                                      tuple(map(tuple, phi_rows[bad].tolist())))
+    if bad < finite:
+        return delta[:bad], mixed[:bad], (float(delta[bad]), tuple(mixed[bad].tolist()))
+    return delta, mixed, None if finite == len(phi_rows) else ()
 
 
 def _first(mask: np.ndarray) -> int:

@@ -1,63 +1,63 @@
-"""Sample-by-sample assembly of the full estimation chain.
+"""The estimation chain's one driver, Pipeline, with two entry points.
 
-measurement history -> stacked regression (psi, phi at each delayed row) ->
-adjugate mixing into (delta, psi) -> per-parameter gradient -> omega_grad
-recovery, with the finite-time extraction (theta_ft and its omega_ft) done
-once per epoch by the estimator. One Pipeline instance owns one estimation
-session.
+measurement history -> stacked regression -> adjugate mixing into
+(delta, psi) -> per-parameter gradient -> omega_grad recovery, with the
+finite-time extraction (theta_ft and its omega_ft) once per epoch. step()
+takes one arriving sample, run() a whole trace in memory. Both drive the
+chain through one block routine, Pipeline._rows: one mix_rows, one
+gradient_rows and one recover_rows call over a run of rows. The driver
+holds no stage math: it chooses the rows, tries extraction where it is due,
+settles each row recover_rows flags as suspect with recover_frequencies
+(which may recover a row the stacked eigvals call did not) and raises each
+fault once, at its row, with its stage's own exception and message.
 
-Mixing, the gradient and omega_grad recovery look ahead. The stack reads
-the regression d, 2d, ..., nd seconds back, so the mixed pair of a sample
-depends only on measurements at least d old, and the pairs of the next d
-seconds are already fixed by the history; so are theta_hat after each of
-them, since the gradient law reads only the pair, dt and the previous
-theta_hat, and so is the omega_grad recovered from each theta_hat. A warm
-step that finds nothing queued mixes its own row and those of up to
-min(d / Ts, _AHEAD) - 1 later samples in one mix_rows call, moves the
-gradient over them in one gradient_rows call and recovers their omega_grad
-in one recover_rows call, the engine's own stages; every later step pops
-its row (delta, theta_hat, excitation, max_decay_step, omega_grad) and
-sets the estimator state from it. A row whose stack or output is
-non-finite is queued as a marker and replayed through mix at its own
-step, and a row recover_rows flags as suspect is queued without its
-omega_grad and recovered by recover_frequencies at its own step, so each
-fault, its sample and its message are the per-sample path's. The
-trade-off is latency: once every min(d / Ts, _AHEAD) warm samples one step
-computes the whole batch. On the n = 3 stream benchmark's 128-row batches
-(2-vCPU Xeon, Python 3.11, numpy 2.4) that step takes about 1.7 ms,
-0.3 ms of it the mixing, 0.3 ms the gradient and 0.9 ms the recovery,
-against about 4 us for the 99th-percentile step. A sample recovered on its
-own is a one-row recover_rows call, so a batch of any size recovers for no
-more per sample; the built-in scenarios (d / Ts = 130) and the stream
-benchmark (370) batch 128 rows.
+step() looks ahead: the stack reads the regression d, 2d, ..., nd seconds
+back, so the next d seconds' mixed pairs, theta_hat after each and its
+omega_grad are fixed by the history. A warm step with nothing queued calls
+the block routine on its own row and up to min(d / Ts, _AHEAD) - 1 later
+ones, and each later step pops its row. The cost is latency: on the n = 3
+stream benchmark (2-vCPU Xeon, Python 3.11, numpy 2.4) a 128-row batching
+step takes about 1.7 ms (0.3 mixing, 0.3 gradient, 0.9 recovery), against
+about 4 us for the 99th-percentile step. run() calls the block routine per
+_CHUNK rows of each epoch and finds the row where the epoch comes due by
+bisection over the known times. Both entries' outputs, Epoch records and
+faults are equal bit for bit at every order n, because each batched
+stage's row equals its one-row call (tests/test_mixing.py,
+tests/test_recovery.py).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .errors import NumericFault
 from .estimator import (EstimatorSettings, EstimatorState,
                         finite_time_estimate, gradient_rows, reset_estimator)
-from .mixing import DremConfig, mix, mix_rows
+from .mixing import DremConfig, _first, mix_fault, mix_rows
 from .recovery import recover_frequencies, recover_rows
 from .regression import ModelConfig, delay_table
 
-# Most rows one batch mixes, moves and recovers ahead: a fixed size, like
-# the engine's _CHUNK. At n = 3 (same machine, best of 30) a mix_rows call
-# costs about 20 us a row at 8 rows, 1.5 at 128 and 0.4 at 370, against
-# 61 us for one sample's n regression_at calls and mix call, and a
-# recover_rows call (best of 9) 27-47 us a row at 4 rows, 9-14 at 16 and
-# 4-6 at 128, against 90-175 us for one row, as recover_frequencies: the
-# fixed part of each (the regression columns, the stack, the cofactor
-# arrays, the stacked eigvals call and the polish) is spread thin by 128
-# rows, while larger batches only lengthen the step that computes them.
-# Batching steps are then under 1 % of warm steps and stay out of the 99th
-# latency percentile.
+# Most rows one step() batch computes ahead. Per row at n = 3 (same machine),
+# mix_rows costs about 20 us at 8 rows, 1.5 at 128 and 0.4 at 370, against
+# 61 us for one sample's regression and mix, and recover_rows 27-47 us at 4
+# rows and 4-6 at 128, against 90-175 us for recover_frequencies: 128 rows
+# spread each call's fixed part thin, while larger batches only lengthen
+# the step that computes them, and batching steps stay under 1 % of warm
+# steps, out of the 99th latency percentile.
 _AHEAD = 128
+
+# Rows per run() block: bounds what one block holds. On the builtins
+# benchmark (2-vCPU Xeon, Python 3.11, alternating pairs against the former
+# whole-trace engine, which ran each stage over a whole segment), 4096-row
+# blocks read a median peak RSS of 92.4 against 91.6 MB over 10 pairs of
+# 20 s runs; in a 5 s prototype 90.2 against 88.2 MB, and 8192 rows 92.6 MB.
+_CHUNK = 4096
 
 
 @dataclass(slots=True)
@@ -73,6 +73,65 @@ class StepResult:
     omega_ft: tuple[float, ...] | None
 
 
+@dataclass(slots=True)
+class Epoch:
+    """Rows [first, stop) of one epoch: due is the row where its clock
+    reached t_ft and fired the row where extraction succeeded, each None if
+    never; the rows from fired on report theta_ft and omega_ft. stop reads
+    None while the epoch is open: Pipeline.epoch, which reset() replaces."""
+
+    first: int
+    stop: int | None = None
+    due: int | None = None
+    fired: int | None = None
+    theta_ft: tuple[float, ...] | None = None
+    omega_ft: tuple[float, ...] | None = None
+
+
+@dataclass(eq=False)
+class Trajectory:
+    """Every per-sample output of one run, held column by column.
+
+    epochs holds one Epoch per segment, in order; every row before an
+    epoch's fired row reports no finite-time estimate. state is the
+    estimator state after the last sample.
+    """
+
+    times: list[float]
+    samples: list[float]
+    delta: np.ndarray  # (K,)
+    theta_hat: np.ndarray  # (K, n)
+    omega_grad: np.ndarray  # (K, n)
+    epochs: list[Epoch]
+    state: EstimatorState
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def held_in(self, first: int, stop: int):
+        """(lo, hi, theta_ft, omega_ft) for each epoch's rows from fired on
+        within rows first..stop-1, with lo and hi counted from first."""
+        for epoch in self.epochs:
+            if epoch.fired is not None:
+                lo, hi = max(epoch.fired, first) - first, min(epoch.stop, stop) - first
+                if lo < hi:
+                    yield lo, hi, epoch.theta_ft, epoch.omega_ft
+
+    def records(self, first: int = 0, stop: int | None = None) -> list[StepResult]:
+        """Rows first..stop-1 as the StepResults Pipeline.step returns."""
+        stop = len(self) if stop is None else stop
+        theta_ft = [None] * (stop - first)
+        omega_ft = [None] * (stop - first)
+        for lo, hi, theta, omega in self.held_in(first, stop):
+            theta_ft[lo:hi] = [theta] * (hi - lo)
+            omega_ft[lo:hi] = [omega] * (hi - lo)
+        return list(map(
+            StepResult, self.times[first:stop], self.samples[first:stop],
+            self.delta[first:stop].tolist(),
+            map(tuple, self.theta_hat[first:stop].tolist()), theta_ft,
+            map(tuple, self.omega_grad[first:stop].tolist()), omega_ft))
+
+
 def warmup_time(model: ModelConfig, drem: DremConfig) -> float:
     """Seconds of history before mixed samples become warm: 2nh + nd."""
     return 2 * model.n * model.h + model.n * drem.d
@@ -86,28 +145,27 @@ def check_measurement(t: float, y: float) -> None:
         raise NumericFault(f"non-finite measurement {y} at t = {t}")
 
 
+@contextmanager
+def _at_sample(k: int, t: float):
+    """Re-raise a stage's NumericFault as one naming sample k of a run."""
+    try:
+        yield
+    except NumericFault as exc:
+        raise NumericFault(f"sample {k} (t = {t:.6g}): {exc}") from exc
+
+
 class Pipeline:
     """Drives one estimation session over a uniform sample stream.
 
-    Callers that already hold a whole trace use the engine module instead;
-    this class is the streaming path, one step() per arriving sample.
-    The session's history is the list of measurements since the last clear,
-    cut back to the last taps.warm_from + 1 whenever a batch is mixed; a
-    sample is warm once more than taps.warm_from samples arrived since the
-    last clear, and only warm samples are stacked, mixed and moved into
-    theta_hat. A cold one reports delta 0.0, the excitation it adds. Warm
-    samples are mixed and moved ahead in batches (see the module
-    docstring): the queue holds the rows of the next samples, the first
-    last, and a clear drops it.
-    Pipeline keeps the epoch clock: an epoch starts at the first sample
-    after a clear, and extraction is tried from t_ft after that on.
-    The raw gradient estimates are recovered with the rest of each warm
-    sample's row, ahead in its batch (cold samples, extraction and reset
-    leave theta_hat as it was, so only the session's first sample and a
-    suspect row recover on their own), with no imaginary-part limit (transients can wander
-    through complex root territory), projected into the model band; the
-    finite-time estimate is recovered once, inside finite_time_estimate,
-    under the estimator's imag_tol, and the state holds it.
+    A sample is warm once more than taps.warm_from samples arrived since
+    the last clear (the start or a reset); only warm samples are mixed and
+    moved into theta_hat. step() keeps the measurements since the last
+    clear and the queue of rows computed ahead, the first last. An epoch
+    starts at the first sample after a clear, and extraction is tried from
+    t_ft after it on; epoch is its record, rows counted from the session's
+    first sample (run() counts from the trace's). omega_grad is recovered
+    with no imaginary-part limit (transients can wander through complex
+    root territory), omega_ft under the estimator's imag_tol.
     """
 
     def __init__(self, model: ModelConfig, drem: DremConfig,
@@ -118,6 +176,7 @@ class Pipeline:
         self.sample_period = sample_period
         self.taps = delay_table(model, drem.d, sample_period)
         self.state = EstimatorState(estimator, model)
+        self.epoch = Epoch(0)
         self._omega_grad = None  # of the current theta_hat, once recovered
         self._clear_history()
 
@@ -132,36 +191,151 @@ class Pipeline:
         state = self.state
         delta = 0.0  # a cold sample adds no excitation
         if self._count > self.taps.warm_from:
-            if not self._queue:
+            if not self._queue and self._bad is None:
                 self._mix_ahead()
-            row = self._queue.pop()
-            if row[0] is None:  # the first non-finite row: mix raises its fault
-                mix(t, *row[1], self.drem.epsilon)
-                raise RuntimeError(f"sample at t = {t}: mix_rows and mix disagree")
-            # a suspect row's omega_grad is None: recover_frequencies below settles it
-            delta, state.theta_hat, state.excitation, state.max_decay_step, self._omega_grad = row
+            if not self._queue:  # the block stopped at this row
+                bad, self._bad = self._bad, None
+                raise mix_fault(t, *bad)
+            # a suspect row's omega_grad is None: recovered below
+            delta, state.theta_hat, state.excitation, state.max_decay_step, self._omega_grad = \
+                self._queue.pop()
 
         theta_ft = state.theta_ft
         if theta_ft is None and t - self._epoch_start >= self.estimator.t_ft:
-            theta_ft = finite_time_estimate(state, t)
+            theta_ft = self._extract(self.epoch.first + self._count - 1, t)
 
         theta_hat = tuple(state.theta_hat)
         if self._omega_grad is None:
-            self._omega_grad = recover_frequencies(
-                theta_hat, self.model.h, self.model.band, imag_tol=math.inf).omega_hat
+            self._omega_grad = self._omega(theta_hat)
         return StepResult(
             time=t, y=y, delta=delta, theta_hat=theta_hat,
             theta_ft=theta_ft, omega_grad=self._omega_grad, omega_ft=state.omega_ft)
 
+    def run(self, times: list[float], samples: list[float], starts: list[int]) -> Trajectory:
+        """Estimate over a whole uniform trace, whose epochs start at the
+        sample indices starts (0 first, increasing), each after a reset:
+        step()'s outputs and one Epoch per epoch. A fault is raised as a
+        NumericFault naming its sample, from the stage's own. The returned
+        state and last Epoch are this Pipeline's: do not step() on after."""
+        count, n = len(times), self.model.n
+        edges = [*starts, count]
+        state, depth = self.state, self.taps.warm_from
+        run = Trajectory(times=times, samples=samples, delta=np.empty(count),
+                         theta_hat=np.empty((count, n)), omega_grad=np.empty((count, n)),
+                         epochs=[Epoch(a, b) for a, b in zip(edges, edges[1:])], state=state)
+        for epoch in run.epochs:
+            first, stop = epoch.first, epoch.stop
+            self.reset()  # a fresh Pipeline's state is the same after it
+            self.epoch = epoch
+            # the zeros before the segment make every row a valid mix_rows
+            # row; warm rows never read them
+            y = np.zeros(depth + stop - first)
+            y[depth:] = samples[first:stop]
+            # times are checked one by one: a float copy of them raised the
+            # builtins benchmark's peak RSS by 2 MB
+            timed = np.fromiter(map(math.isfinite, islice(times, first, stop)), bool, stop - first)
+            end = first + _first(~(np.isfinite(y[depth:]) & timed))
+            warm = min(first + depth, end)
+            start = times[first]  # the epoch clock starts at the segment's first sample
+            due = bisect_left(times, self.estimator.t_ft, first, end, key=lambda t: t - start)
+            epoch.due = due if due < end else None
+            run.delta[first:warm] = 0.0
+            run.theta_hat[first:warm] = state.theta_hat  # holds still until the stack is warm
+            if warm > first:
+                if self._omega_grad is None:
+                    with _at_sample(first, start):
+                        self._omega_grad = self._omega(tuple(state.theta_hat))
+                run.omega_grad[first:warm] = self._omega_grad
+            for a in range(warm, end, _CHUNK):
+                self._run_block(run, y, depth - first, a, min(a + _CHUNK, end), due)
+            if end < stop:
+                with _at_sample(end, times[end]):
+                    check_measurement(times[end], samples[end])
+        return run
+
+    def _run_block(self, run: Trajectory, y: np.ndarray, offset: int, a: int, b: int,
+                   due: int) -> None:
+        """Rows a..b-1 of run from y[offset + a:]: the block routine, then
+        extraction from row due on, the suspect rows and the first fault."""
+        state, times = self.state, run.times
+        delta, theta, excitation, max_steps, omega, suspect, bad = self._rows(
+            y, offset + a, offset + b)
+        b = a + len(delta)  # the block stops at its first non-finite row, if any
+        run.delta[a:b], run.theta_hat[a:b] = delta, theta
+        fault = None if bad is None else (b, mix_fault(times[b], *bad))
+        for j in range(max(a, due), b) if state.theta_ft is None else ():
+            state.theta_hat[:], state.excitation, state.max_decay_step = \
+                theta[j - a].tolist(), float(excitation[j - a]), float(max_steps[j - a])
+            try:
+                if self._extract(j, times[j]) is not None:
+                    break
+            except NumericFault as exc:  # the failed call left the state as it was
+                fault = j, exc
+                break
+        settled = b if fault is None else fault[0]
+        for j in np.flatnonzero(suspect[:settled - a]).tolist():
+            with _at_sample(a + j, times[a + j]):
+                omega[j] = self._omega(tuple(theta[j].tolist()))
+        if fault is not None:
+            with _at_sample(fault[0], times[fault[0]]):
+                raise fault[1]
+        run.omega_grad[a:b] = omega
+        state.theta_hat[:], state.excitation, state.max_decay_step = \
+            theta[-1].tolist(), float(excitation[-1]), float(max_steps[-1])
+        self._omega_grad = tuple(omega[-1].tolist())
+
+    def _rows(self, y: np.ndarray, first: int, stop: int):
+        """The block routine: (delta, theta_hat, excitation, max_decay_step,
+        omega_grad, suspect) of the K rows first..first+K-1 of the samples
+        y, mixed, moved from the state (left as it was) and recovered, and
+        bad: None, or mix_fault's arguments for row first + K < stop."""
+        delta, mixed, bad = mix_rows(y, self.taps, first, stop, self.drem.epsilon)
+        theta, excitation, max_steps = gradient_rows(self.state, delta, mixed, self.sample_period)
+        omega, suspect = recover_rows(theta, self.model.h, self.model.band)
+        return delta, theta, excitation, max_steps, omega, suspect, bad
+
+    def _mix_ahead(self) -> None:
+        """Queue the rows of this sample and the next, min(d / Ts, _AHEAD)
+        in all: (delta, theta_hat, excitation, max_decay_step, omega_grad),
+        omega_grad None where suspect. _bad keeps the fault of the row a
+        block stops at for that row's step."""
+        taps = self.taps
+        count = min(taps.rows[0], _AHEAD)
+        history = self._history
+        del history[:-(taps.warm_from + 1)]  # this sample is the last
+        y = np.array(history[:taps.warm_from + count - taps.rows[0]])
+        delta, theta, excitation, max_steps, omega, suspect, self._bad = self._rows(
+            y, taps.warm_from, taps.warm_from + count)
+        omega = [None if flagged else tuple(row)
+                 for row, flagged in zip(omega.tolist(), suspect.tolist())]
+        self._queue = list(zip(delta.tolist(), theta.tolist(), excitation.tolist(),
+                               max_steps.tolist(), omega))[::-1]
+
+    def _extract(self, row: int, t: float) -> tuple[float, ...] | None:
+        """Try extraction at row (time t), where it is due; the epoch's
+        record gets the row where it first came due and where it fired."""
+        epoch = self.epoch
+        if epoch.due is None:
+            epoch.due = row
+        theta_ft = finite_time_estimate(self.state, t)
+        if theta_ft is not None:
+            epoch.fired, epoch.theta_ft, epoch.omega_ft = row, theta_ft, self.state.omega_ft
+        return theta_ft
+
+    def _omega(self, theta_hat: tuple[float, ...]) -> tuple[float, ...]:
+        """omega_grad of one theta_hat, recovered on its own."""
+        return recover_frequencies(
+            theta_hat, self.model.h, self.model.band, imag_tol=math.inf).omega_hat
+
     def reset(self) -> None:
         """Restart the session mid-stream after an external signal change.
 
-        Flushes all delay history and the mixed pairs queued from it (the
-        pipeline re-warms on post-reset data only, with estimator updates
-        gated off meanwhile) and starts a new estimation epoch with the
-        current gradient estimate carried over. Without a reset the
-        finite-time output deliberately keeps its stale extracted value.
+        Flushes all delay history and the rows computed ahead from it (the
+        pipeline re-warms on post-reset data only) and starts a new epoch,
+        with a new record, carrying the gradient estimate over. Without a
+        reset the finite-time output keeps its stale extracted value.
         """
+        self.epoch = Epoch(self.epoch.first + self._count)
         self._clear_history()
         reset_estimator(self.state)
 
@@ -169,32 +343,8 @@ class Pipeline:
         """Drop the history and the queue: the session re-warms from scratch."""
         self._history = []
         self._queue = []
+        self._bad = None  # mix_fault's arguments for the row the queue stops at
         self._count = 0  # samples since the last clear
-
-    def _mix_ahead(self) -> None:
-        """Queue the rows of this sample and of the next ones up to
-        min(d / Ts, _AHEAD) samples in all, all read from the history and
-        the state: one (delta, theta_hat, excitation, max_decay_step,
-        omega_grad) per row, omega_grad None where recover_rows flags the
-        row suspect, and for a row whose stack or output is non-finite a
-        (None, (psi_rows, phi_rows)) marker, after which the batch stops."""
-        taps = self.taps
-        count = min(taps.rows[0], _AHEAD)
-        history = self._history
-        del history[:-(taps.warm_from + 1)]  # this sample is the last
-        y = np.array(history[:taps.warm_from + count - taps.rows[0]])
-        delta, mixed, bad = mix_rows(y, taps, taps.warm_from, taps.warm_from + count,
-                                     self.drem.epsilon)
-        theta, excitation, max_steps = gradient_rows(self.state, delta, mixed, self.sample_period)
-        omega, suspect = recover_rows(theta, self.model.h, self.model.band)
-        omega = [None if flagged else tuple(row)
-                 for row, flagged in zip(omega.tolist(), suspect.tolist())]
-        queue = list(zip(delta.tolist(), theta.tolist(), excitation.tolist(), max_steps.tolist(),
-                         omega))
-        if bad is not None:
-            queue.append((None, bad))
-        queue.reverse()
-        self._queue = queue
 
     @property
     def extracted(self) -> bool:

@@ -10,13 +10,13 @@ ascending sort (the regression is symmetric in the harmonics, so sorted
 order is the only canonical labeling).
 
 Root finding has one written form, _roots, over stacked rows of theta in
-numpy complex arithmetic. recover_rows is its batched call, with which both
-drivers recover omega_grad (the engine per segment, Pipeline per look-ahead
-batch); find_roots is its one-row call, which runs for omega_ft, for a
-session's first omega_grad and to replay a row recover_rows flags. The
-tail from cosines to sorted in-band frequencies has one written form as
-well, _frequencies, which recover_rows calls on all its rows and
-roots_to_frequencies on its one row, after checking each root.
+numpy complex arithmetic. recover_rows is its batched call, with which
+Pipeline's block routine recovers omega_grad; find_roots is its one-row
+call, which runs for omega_ft, for a session's first omega_grad and to
+settle a row recover_rows flags. The tail from cosines to sorted in-band
+frequencies has one written form as well, _frequencies, which recover_rows
+calls on all its rows and roots_to_frequencies on its one row, after
+checking each root.
 """
 
 from __future__ import annotations

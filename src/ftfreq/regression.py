@@ -154,7 +154,7 @@ class DelayTable:
     regressor component (psi_taps and phi_taps with lags scaled by steps_h);
     rows holds the lags i * steps_d, i = 1..n, of the stacked system;
     valid_from = 2 n steps_h is the number of samples after a clear before
-    every tap reads real history. Pipeline and the engine read these through
+    every tap reads real history. Pipeline reads these through
     mixing.mix_rows, which calls regression_at on lagged sample columns.
     """
 

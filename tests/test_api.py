@@ -4,6 +4,7 @@ benchmark's workloads use resolves; the package depends on numpy alone."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -58,7 +59,7 @@ def module_map_private_names():
 def test_module_map_private_names_resolve():
     names = module_map_private_names()
     assert {("mixing", "_adjugates"), ("recovery", "_frequencies"),
-            ("engine", "_replay")} <= set(names)
+            ("pipeline", "_CHUNK")} <= set(names)
     for module, name in names:
         assert hasattr(importlib.import_module(f"ftfreq.{module}"), name), (module, name)
 
@@ -113,27 +114,63 @@ def imported_modules(module):
 
 
 def test_the_streaming_path_does_not_import_the_engine():
-    """Pipeline and the engine share their mixing stage through mixing,
-    which imports neither pipeline nor engine; the engine imports pipeline."""
-    from ftfreq import engine, mixing, pipeline
-    assert "ftfreq.engine" not in imported_modules(pipeline)
+    """There is one driver: the whole-trace engine module is gone, and
+    pipeline, which holds both entries, shares its mixing stage through
+    mixing, which imports no driver; harness runs scenarios through
+    pipeline."""
+    from ftfreq import harness, mixing, pipeline
+    assert importlib.util.find_spec("ftfreq.engine") is None
     assert {"ftfreq.mixing", "ftfreq.mixing.mix_rows"} <= imported_modules(pipeline)
-    assert not {"ftfreq.engine", "ftfreq.pipeline"} & imported_modules(mixing)
-    assert "ftfreq.pipeline" in imported_modules(engine)
+    assert not {"ftfreq.pipeline", "ftfreq.harness"} & imported_modules(mixing)
+    assert "ftfreq.pipeline" in imported_modules(harness)
 
 
 def test_both_drivers_call_the_one_batched_form_of_each_stage():
     """The mixing, gradient and omega_grad recovery stages each have one
-    batched form, which Pipeline and the engine both import, so that a
-    second form in either driver shows here."""
-    from ftfreq import engine, estimator, pipeline
+    batched form, which the driver imports in place of their one-row calls,
+    so that a second form shows here; no stage module imports the driver."""
+    from ftfreq import estimator, pipeline
     shared = {"ftfreq.estimator.gradient_rows", "ftfreq.mixing.mix_rows",
               "ftfreq.recovery.recover_rows"}
     assert shared <= imported_modules(pipeline)
-    assert shared <= imported_modules(engine)
-    assert not {"ftfreq.estimator.step_gradient", "ftfreq.mixing.adjugate"} & (
-        imported_modules(pipeline) | imported_modules(engine))
-    assert not {"ftfreq.pipeline", "ftfreq.engine"} & imported_modules(estimator)
+    assert not {"ftfreq.estimator.step_gradient", "ftfreq.mixing.adjugate"} & \
+        imported_modules(pipeline)
+    assert "ftfreq.pipeline" not in imported_modules(estimator)
+
+
+def stage_callers(names):
+    """For each function name in names, the functions of the package that
+    call it, as "module.Class.function"."""
+    callers = {name: set() for name in names}
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in callers:
+                    callers[name].add(".".join([module, *scope]))
+            visit(child, module, scope)
+
+    for path in Path(ftfreq.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, [])
+    return callers
+
+
+def test_one_block_routine_calls_the_batched_stages():
+    """mix_rows, gradient_rows and recover_rows are each called from one
+    function of the package, Pipeline._rows, the block routine both of its
+    entries drive the chain through, so that a second driving path shows
+    here. The one other call is gradient_rows' one-row call in its own
+    module, step_gradient."""
+    assert stage_callers(("mix_rows", "gradient_rows", "recover_rows")) == {
+        "mix_rows": {"pipeline.Pipeline._rows"},
+        "gradient_rows": {"pipeline.Pipeline._rows", "estimator.step_gradient"},
+        "recover_rows": {"pipeline.Pipeline._rows"},
+    }
 
 
 # A built-in simulate, then an n = 3 Pipeline run through its extraction;

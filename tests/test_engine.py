@@ -1,14 +1,16 @@
-"""Whole-trace engine against the streaming Pipeline it replaces in the harness.
+"""Pipeline.run, the whole-trace entry the harness calls, against step().
 
 The reference is the Pipeline loop: one step() per sample, resets applied
 at the first sample at or after each reset time (within the grid slack), a
 NumericFault re-raised naming its sample. Every record and metadata value of
-the engine must equal it bit for bit, at every order n: both drivers call
-the same batched stage routines, whose rows equal their one-row calls
-(tests/test_mixing.py and tests/test_recovery.py pin that). A run that
-faults must fault at the same sample with the same exception and message.
+run must equal it bit for bit, at every order n: both entries call the same
+block routine on different runs of rows, and the batched stages' rows equal
+their one-row calls (tests/test_mixing.py and tests/test_recovery.py pin
+that). A run that faults must fault at the same sample with the same
+exception and message.
 """
 
+import contextlib
 import math
 import random
 import re
@@ -21,11 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_mixed_ahead, batched_mixing, batched_recovery
-from ftfreq import engine as engine_module
+from ftfreq import pipeline as pipeline_module
 from ftfreq.config import (BUILTIN_NAMES, EstimatorSettings, RunConfig,
                            ScenarioConfig, builtin_scenario, ensure_valid,
                            validate_config)
-from ftfreq.engine import run_trace
 from ftfreq.errors import ConfigError, NumericFault
 from ftfreq.harness import (RunResult, build_pipeline, estimate_from_file,
                             run_scenario, write_metadata, write_trace_csv)
@@ -85,7 +86,7 @@ def outcome(run):
 
 
 def assert_parity(cfg, times, samples, tmp_path):
-    """The engine, replaying the trace from a file, reproduces the Pipeline
+    """Pipeline.run, replaying the trace from a file, reproduces the Pipeline
     loop; returns the Pipeline's outcome."""
     expected = outcome(lambda: pipeline_reference(cfg, times, samples))
     path = str(tmp_path / "trace.csv")
@@ -196,10 +197,55 @@ def test_engine_matches_pipeline_for_high_orders(tmp_path, n, seed):
     assert_parity(cfg, times, samples, tmp_path)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_streaming_epochs_match_run(n):
+    # Pipeline.epoch, read before each reset and after the last sample, is
+    # the record run writes for that epoch: a short epoch that never comes
+    # due, then two that extract (seed 3: at n = 8, seed 1's roots leave the
+    # real axis); a streaming record stays open (stop None)
+    cfg = synthetic(n, 3)
+    t_ft = cfg.estimator.t_ft
+    cfg = replace(cfg, run=replace(cfg.run, duration=round(2.5 * t_ft + 2.0, 9),
+                                   reset_times=(round(t_ft / 2, 9), round(1.5 * t_ft + 1.0, 9))))
+    times, samples = grid(cfg)
+    resets = [bisect_left(times, reset - GRID_TOL) for reset in cfg.run.reset_times]
+    pipeline = build_pipeline(cfg)
+    streamed = []
+    for k, (t, y) in enumerate(zip(times, samples)):
+        if k in resets:
+            streamed.append(pipeline.epoch)
+            pipeline.reset()
+        pipeline.step(t, y)
+    streamed.append(pipeline.epoch)
+    run = build_pipeline(cfg).run(times, samples, [0, *resets])
+
+    def record(epoch):
+        return repr((epoch.first, epoch.due, epoch.fired, epoch.theta_ft, epoch.omega_ft))
+
+    assert list(map(record, streamed)) == list(map(record, run.epochs))
+    assert [epoch.first for epoch in run.epochs] == [0, *resets]
+    assert [epoch.fired is not None for epoch in run.epochs] == [False, True, True]
+    assert [epoch.stop for epoch in streamed] == [None] * 3
+
+
+def test_a_second_run_starts_a_new_session():
+    # each run starts with a reset, so a second run on the same Pipeline
+    # extracts again and records it, from the theta_hat the first left
+    cfg = builtin_scenario("noiseless-2h")
+    cfg = replace(cfg, run=replace(cfg.run, duration=6.0))
+    times, samples = grid(cfg)
+    pipeline = build_pipeline(cfg)
+    first = pipeline.run(times, samples, [0])
+    second = pipeline.run(times, samples, [0])
+    for run in (first, second):
+        assert run.epochs[0].fired == 5000
+        assert run.records()[-1].omega_ft == pipeline.state.omega_ft
+    assert pipeline.state.theta0 == tuple(first.theta_hat[-1].tolist())
+
+
 def engine_run(cfg, times, samples):
-    """run_trace called directly, without the harness's validation or reader."""
-    return run_trace(cfg.model, cfg.drem, cfg.estimator, cfg.run.sample_period,
-                     times, samples, [0])
+    """Pipeline.run called directly, without the harness's validation or reader."""
+    return build_pipeline(cfg).run(times, samples, [0])
 
 
 def test_t_ft_inside_the_warm_up():
@@ -252,9 +298,8 @@ def test_cold_samples_are_not_mixed_or_recovered():
         rows.append(stop - first)
         return mix_rows(y, taps, first, stop, epsilon)
 
-    with mock.patch.object(engine_module, "mix_rows", recording):
-        run = run_trace(cfg.model, cfg.drem, cfg.estimator, cfg.run.sample_period,
-                        times, samples, [0, 50])
+    with mock.patch.object(pipeline_module, "mix_rows", recording):
+        run = build_pipeline(cfg).run(times, samples, [0, 50])
     assert rows == warm
     cold = [*range(30), *range(50, 80)]
     assert all(records[k].delta == 0.0 and run.delta[k] == 0.0 for k in cold)
@@ -281,9 +326,9 @@ def test_resets_closer_than_a_sample(tmp_path):
 def test_gradient_blocks_of_seven_rows(tmp_path, monkeypatch, name, run_fields,
                                        estimator_fields, expected):
     # with 7-row blocks, the small-lambda rows, the deferral and the due and
-    # fired rows fall on and across block edges; the engine still matches
+    # fired rows fall on and across block edges; run still matches
     # the streaming path exactly
-    monkeypatch.setattr(engine_module, "_CHUNK", 7)
+    monkeypatch.setattr(pipeline_module, "_CHUNK", 7)
     cfg = builtin_scenario(name)
     cfg = replace(cfg, run=replace(cfg.run, **run_fields),
                   estimator=replace(cfg.estimator, **estimator_fields))
@@ -328,6 +373,50 @@ class TestFaultParity:
         kind, index, message = assert_parity(cfg, times, samples, tmp_path)
         assert kind is NumericFault and index == 5000
         assert "imaginary part beyond tolerance 0.001" in message
+
+    @pytest.mark.parametrize("flagged, index, fault", [
+        (5001, 5000, "imaginary part beyond tolerance 0.001"), (4990, 4990, "a flagged row")])
+    def test_suspect_rows_around_an_extraction_fault(self, flagged, index, fault):
+        # recover_rows flags every warm row from `flagged` on, and recovering
+        # any of them on its own fails. The block holding the extraction
+        # fault at 5000 has such rows after it or before it: the first of
+        # the two faults, by row, is the run's, as in the streaming path
+        cfg = self.quick()
+        noise = UniformDisturbance(0.5, 0.001, 7)
+        cfg = replace(cfg, signal=replace(cfg.signal, disturbance=noise))
+        times, samples = grid(cfg)
+        warm_from = pipeline_module.delay_table(cfg.model, cfg.drem.d,
+                                                cfg.run.sample_period).warm_from
+
+        @contextlib.contextmanager
+        def failing_from(row):
+            seen, flagged = [warm_from], set()
+            recover_many = pipeline_module.recover_rows
+            recover_one = pipeline_module.recover_frequencies
+
+            def flagging(theta, *args):
+                omega, suspect = recover_many(theta, *args)
+                for i in range(max(0, row - seen[0]), len(theta)):
+                    suspect[i] = True
+                    flagged.add(tuple(theta[i].tolist()))
+                seen[0] += len(theta)
+                return omega, suspect
+
+            def failing(theta, *args, **kwargs):
+                if tuple(theta) in flagged:
+                    raise NumericFault("a flagged row")
+                return recover_one(theta, *args, **kwargs)
+
+            with mock.patch.object(pipeline_module, "recover_rows", flagging), \
+                    mock.patch.object(pipeline_module, "recover_frequencies", failing):
+                yield
+
+        with failing_from(flagged):
+            expected = outcome(lambda: pipeline_reference(cfg, times, samples))
+        with failing_from(flagged):
+            assert outcome(lambda: engine_run(cfg, times, samples)) == expected
+        assert expected[:2] == (NumericFault, index)
+        assert fault in expected[2]
 
     def test_sample_42(self, tmp_path):
         cfg = self.quick()

@@ -14,7 +14,6 @@ from ftfreq.errors import ConfigError, EstimateNotPhysical, NumericFault
 from ftfreq.estimator import (EstimatorSettings, EstimatorState,
                               finite_time_estimate, reset_estimator,
                               step_gradient)
-from ftfreq.engine import run_trace
 from ftfreq.harness import build_pipeline, run_scenario
 from ftfreq.mixing import DremConfig
 from ftfreq.pipeline import Pipeline, warmup_time
@@ -243,7 +242,7 @@ class TestFiniteTimeEstimate:
 
     def test_failed_recovery_records_nothing(self):
         # x^2 + 1 has roots +-i: the fault leaves the state as it was, so a
-        # second call (the whole-trace engine's replay) raises it again
+        # second call raises it again
         cfg = settings((1.0, 1.0), t_ft=0.5)
         state = new_state(cfg)
         state.theta_hat = [0.0, -1.0]
@@ -378,7 +377,7 @@ class TestEstimatorSettings:
                 EstimatorSettings(gamma=(1.0,), omega0=(2.0,), t_ft=1.0, imag_tol=imag_tol)
 
     def test_length_must_match_the_model(self):
-        # checked once, by the state both the streaming and whole-trace paths build
+        # checked once, by the state a Pipeline builds for step() and run() alike
         model = ModelConfig(n=2, h=H, omega_min=0.5, omega_max=6.0)
         drem = DremConfig(d=0.13, epsilon=100.0)
         short = settings((0.005,), t_ft=5.0)
@@ -387,7 +386,8 @@ class TestEstimatorSettings:
         with pytest.raises(ConfigError, match="model.n = 2"):
             Pipeline(model, drem, short, SAMPLE_PERIOD)
         with pytest.raises(ConfigError, match="model.n = 2"):
-            run_trace(model, drem, short, SAMPLE_PERIOD, [0.0, SAMPLE_PERIOD], [0.0, 1.0], [0])
+            Pipeline(model, drem, short, SAMPLE_PERIOD).run(
+                [0.0, SAMPLE_PERIOD], [0.0, 1.0], [0])
 
     def test_state_starts_at_the_initial_guesses(self):
         state = new_state(settings((1.0, 1.0)))

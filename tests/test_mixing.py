@@ -273,6 +273,14 @@ class TestMix:
             energy += deltas[k] ** 2 * SAMPLE_PERIOD
         assert energy > 1e-6 * peak ** 2
 
+    @pytest.mark.parametrize("psi_rows", [[1.0], [1.0, 2.0, 3.0], 1.0, [[1.0], [2.0]]],
+                             ids=["short", "long", "scalar", "nested"])
+    def test_psi_rows_must_have_one_entry_per_stacked_row(self, psi_rows):
+        # a short or scalar psi_rows once mixed silently wrong, scaled by
+        # eps^1 for eps^2, and a long one raised a bare IndexError
+        with pytest.raises(ConfigError, match="psi_rows must have 2 entries"):
+            mix(0.0, psi_rows, [[1.0, 2.0], [3.0, 4.0]], 10.0)
+
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ConfigError):
             mix(0.0, (0.0,), ((0.0,),), 0.0)

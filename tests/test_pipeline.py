@@ -18,13 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import batched_recovery
+from conftest import batched_recovery, window_at
 from ftfreq import pipeline as pipeline_module
 from ftfreq.errors import NumericFault
 from ftfreq.estimator import EstimatorSettings
-from ftfreq.mixing import DremConfig
+from ftfreq.mixing import DremConfig, mix
 from ftfreq.pipeline import Pipeline, StepResult
-from ftfreq.regression import ModelConfig
+from ftfreq.regression import ModelConfig, regression_at
 from per_sample import PerSamplePipeline
 
 AHEAD = 7
@@ -206,18 +206,26 @@ def test_reset_in_mid_batch_drops_the_queue(reset):
     assert all(delta != 0.0 for delta in deltas[reset + 32:])
 
 
-def test_a_replayed_row_that_mixes_finite_is_an_error():
-    # the queued marker says the row's stack or output is non-finite; if mix
-    # then returns instead of raising, the step names its sample and stops
+def test_a_mixed_fault_is_the_one_row_mix_fault():
+    # a 1e307 spike d before the first warm row overflows that row's mixed
+    # psi: the block stops there, and the row's step raises exactly what a
+    # one-row mix raises on the row's stack, found once, by mix_rows
     n, steps_h, steps_d = 2, 3, 10
     warm_from = 2 * n * steps_h + n * steps_d
     model = ModelConfig(n=n, h=steps_h * PERIOD, omega_min=0.5, omega_max=4.0)
-    pipeline = Pipeline(model, DremConfig(d=steps_d * PERIOD, epsilon=10.0),
-                        settings_for(n, 10.0), PERIOD)
+    drem = DremConfig(d=steps_d * PERIOD, epsilon=10.0)
+    pipeline = Pipeline(model, drem, settings_for(n, 10.0), PERIOD)
     samples = tones(n, warm_from + 5)
     samples[warm_from - steps_d] = 1e307
-    with mock.patch.object(pipeline_module, "mix", lambda *args: (1.0, (0.0, 0.0))):
-        for k, y in enumerate(samples[:warm_from]):
-            pipeline.step(k * PERIOD, y)
-        with pytest.raises(RuntimeError, match=f"sample at t = {warm_from * PERIOD}: "):
-            pipeline.step(warm_from * PERIOD, samples[warm_from])
+    for k, y in enumerate(samples[:warm_from]):
+        pipeline.step(k * PERIOD, y)
+    t, taps = warm_from * PERIOD, pipeline.taps
+    window = window_at(samples, warm_from, taps.warm_from + 1)
+    psi_rows, phi_rows = zip(*(regression_at(window, taps, lag) for lag in taps.rows))
+    with pytest.raises(NumericFault, match="non-finite mixed regression") as expected:
+        mix(t, psi_rows, phi_rows, drem.epsilon)
+    with mock.patch.object(pipeline_module, "mix_rows", wraps=pipeline_module.mix_rows) as rows, \
+            pytest.raises(NumericFault) as got:
+        pipeline.step(t, samples[warm_from])
+    assert rows.call_count == 1
+    assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
