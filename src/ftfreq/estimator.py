@@ -29,7 +29,9 @@ mixed, and step_gradient is its one-row call.
 
 Extraction is one step: finite_time_estimate computes theta_ft and, under
 the imaginary-part tolerance, the frequencies omega_ft of its polynomial
-roots, and records both only when both succeed.
+roots, and returns both. It records nothing: the state is the gradient's
+alone, and the driver writes each extraction to its epoch's record
+(pipeline.Epoch).
 
 EstimatorSettings is the stage's one tuning type: the gains, the initial
 frequency guesses, the extraction time, the extraction floor and the root
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .recovery import DEFAULT_IMAG_TOL, recover_frequencies
+from .recovery import DEFAULT_IMAG_TOL, FrequencyEstimate, recover_frequencies
 from .regression import ModelConfig, true_theta
 
 
@@ -105,20 +107,16 @@ class EstimatorState:
     Keeps the settings and the model it was built from; settings of another
     length than model.n raise ConfigError. Starts from
     theta0 = true_theta(omega0, model.h), the parameters of the initial
-    frequency guesses under the model delay. Tracks the gradient estimates,
-    the shared excitation integral S = integral of delta^2 over the current
-    epoch (W_i = exp(-gamma_i S)), and the finite-time output theta_ft,
-    omega_ft once extracted, with the diagnostics of omega_ft's recovery:
-    root_residual, the largest root imaginary part dropped, and clamped,
-    whether a root's real part was clamped into [-1, 1]. max_decay_step
-    records the largest per-sample gamma_i * delta^2 * dt seen, as a
-    stiffness diagnostic. The state keeps
-    no clock: the driver, Pipeline, times the epoch and says when
-    extraction is due.
+    frequency guesses under the model delay. Tracks the gradient estimates
+    and the shared excitation integral S = integral of delta^2 over the
+    current epoch (W_i = exp(-gamma_i S)); max_decay_step records the
+    largest per-sample gamma_i * delta^2 * dt seen, as a stiffness
+    diagnostic. The state keeps no clock and no extraction: the driver,
+    Pipeline, times the epoch, says when extraction is due and records its
+    result in the epoch's Epoch.
     """
 
-    __slots__ = ("settings", "model", "theta_hat", "theta0", "excitation", "theta_ft",
-                 "omega_ft", "root_residual", "clamped", "extraction_time", "max_decay_step")
+    __slots__ = ("settings", "model", "theta_hat", "theta0", "excitation", "max_decay_step")
 
     def __init__(self, settings: EstimatorSettings, model: ModelConfig):
         bad = length_violations(settings, model)
@@ -129,11 +127,6 @@ class EstimatorState:
         self.theta0 = true_theta(settings.omega0, model.h)
         self.theta_hat = list(self.theta0)
         self.excitation = 0.0
-        self.theta_ft: tuple[float, ...] | None = None
-        self.omega_ft: tuple[float, ...] | None = None
-        self.root_residual: float | None = None
-        self.clamped: bool | None = None
-        self.extraction_time: float | None = None
         self.max_decay_step = 0.0
 
     @property
@@ -201,21 +194,17 @@ def step_gradient(state: EstimatorState, delta: float, psi, dt: float) -> None:
     state.excitation, state.max_decay_step = float(excitation[0]), float(max_steps[0])
 
 
-def finite_time_estimate(state: EstimatorState, t: float) -> tuple[float, ...] | None:
-    """Algebraic re-estimate of theta at time t, and its frequencies.
+def finite_time_estimate(
+        state: EstimatorState) -> tuple[tuple[float, ...], FrequencyEstimate] | None:
+    """Algebraic re-estimate of theta from state, and its frequencies.
 
     The caller decides when extraction is due (t_ft after its epoch start).
     Returns None while any 1 - W_i is still below settings.w_floor (not yet
     excited enough to divide safely); the caller retries on later samples.
-    Otherwise computes theta_ft, recovers omega_ft from its roots under
-    settings.imag_tol and the model band, and only then records theta_ft,
-    omega_ft, its recovery's root_residual and clamped, and
-    extraction_time = t: a recovery fault leaves the state as
-    it was, so calling again raises the same fault. The first successful
-    extraction is cached and returned unchanged afterward.
+    Otherwise returns (theta_ft, the FrequencyEstimate of omega_ft), its
+    roots recovered under settings.imag_tol and the model band, whose fault
+    propagates. Either way state is left as it was.
     """
-    if state.theta_ft is not None:
-        return state.theta_ft
     settings, model = state.settings, state.model
     w = state.W
     if any(1.0 - wi < settings.w_floor for wi in w):
@@ -223,25 +212,16 @@ def finite_time_estimate(state: EstimatorState, t: float) -> tuple[float, ...] |
     theta_ft = tuple(
         (state.theta_hat[i] - state.theta0[i] * w[i]) / (1.0 - w[i])
         for i in range(state.n))
-    estimate = recover_frequencies(theta_ft, model.h, model.band, settings.imag_tol)
-    state.theta_ft, state.omega_ft, state.extraction_time = theta_ft, estimate.omega_hat, t
-    state.root_residual, state.clamped = estimate.residual, estimate.clamped
-    return theta_ft
+    return theta_ft, recover_frequencies(theta_ft, model.h, model.band, settings.imag_tol)
 
 
 def reset_estimator(state: EstimatorState) -> EstimatorState:
     """Start a new estimation epoch.
 
-    The gradient estimate carries over as the new epoch's initial condition;
-    the excitation integral and the cached finite-time outputs are cleared so
-    re-estimation reflects only post-reset data. The driver restarts its
-    epoch clock.
+    The gradient estimate carries over as the new epoch's initial condition
+    and the excitation integral is cleared, so re-estimation reflects only
+    post-reset data. The driver restarts its epoch clock and its record.
     """
     state.theta0 = tuple(state.theta_hat)
     state.excitation = 0.0
-    state.theta_ft = None
-    state.omega_ft = None
-    state.root_residual = None
-    state.clamped = None
-    state.extraction_time = None
     return state

@@ -2,8 +2,10 @@
 
 run_scenario simulates the configured signal and estimate_from_file reads a
 recorded one; both hand the whole trace to Pipeline.run, with each
-scheduled reset mapped to the sample it applies at; the metadata records
-each epoch's start and extraction time and warns of a reset after the last
+scheduled reset mapped to the sample it applies at. The metadata reads the
+run's Epoch records, the one record of each extraction: the last epoch's
+extraction time and omega_ft diagnostics as the estimator.* keys, each
+epoch's start and extraction time, and warnings of a reset after the last
 sample and of an epoch that ends before its clock reaches t_ft. A run
 produces three files: the sampled measurement trace (time, y), the
 per-sample estimates, written column by column in bounded row chunks, and a
@@ -42,15 +44,11 @@ SIGN_CONVENTION = ("psi = [Z^2+1]^n y; theta_k = (-1)^(k+1) e_k(cos(omega_i h));
 
 @dataclass
 class RunResult:
-    """Per-sample outputs plus run metadata; extracted is False when the
-    last epoch ended without a finite-time estimate, because it was shorter
-    than t_ft or its excitation never reached the floor, and its rows'
-    finite-time columns stayed empty."""
+    """Per-sample outputs plus run metadata."""
 
     config: ScenarioConfig
     trajectory: Trajectory
     metadata: dict[str, str]
-    extracted: bool
     trace_path: str | None = None
     estimate_path: str | None = None
     metadata_path: str | None = None
@@ -59,6 +57,13 @@ class RunResult:
     def records(self) -> list[StepResult]:
         """One StepResult per sample, built on first access."""
         return self.trajectory.records()
+
+    @property
+    def extracted(self) -> bool:
+        """False when the last epoch ended without a finite-time estimate,
+        because it was shorter than t_ft or its excitation never reached the
+        floor, and its rows' finite-time columns stayed empty."""
+        return self.trajectory.epochs[-1].fired is not None
 
     @property
     def final(self) -> StepResult:
@@ -87,14 +92,14 @@ def _run(cfg: ScenarioConfig, source: str, times, samples) -> RunResult:
     reset_rows = _reset_rows(times, cfg.run.reset_times)
     trajectory = build_pipeline(cfg).run(times, samples, [0, *(k for k in reset_rows if k)])
     return RunResult(config=cfg, trajectory=trajectory,
-                     metadata=_metadata(cfg, trajectory, reset_rows, source),
-                     extracted=trajectory.state.theta_ft is not None)
+                     metadata=_metadata(cfg, trajectory, reset_rows, source))
 
 
 def _metadata(cfg: ScenarioConfig, trajectory: Trajectory, reset_rows,
               source: str) -> dict[str, str]:
     seed = cfg.signal.seed if cfg.signal is not None else None
-    state = trajectory.state
+    state, times = trajectory.state, trajectory.times
+    *earlier, last = trajectory.epochs
     meta = {
         "generator": f"ftfreq {__version__}",
         "versions": f"python {platform.python_version()}, numpy {np.__version__}",
@@ -105,17 +110,16 @@ def _metadata(cfg: ScenarioConfig, trajectory: Trajectory, reset_rows,
         "pipeline.warmup_time": repr(warmup_time(cfg.model, cfg.drem)),
         "pipeline.max_decay_step": repr(state.max_decay_step),
         "estimator.excitation_integral": repr(state.excitation),
-        "estimator.extraction_time": (
-            "none" if state.extraction_time is None else repr(state.extraction_time)),
-        # omega_ft's recovery: the largest root imaginary part it dropped and
-        # whether it clamped a root into [-1, 1]
-        "estimator.root_residual": (
-            "none" if state.root_residual is None else repr(state.root_residual)),
-        "estimator.clamped": "none" if state.clamped is None else repr(state.clamped),
+        # the last epoch's extraction: its time, and omega_ft's recovery, the
+        # largest root imaginary part it dropped and whether it clamped a
+        # root into [-1, 1]
+        "estimator.extraction_time": "none" if last.fired is None else repr(times[last.fired]),
+        "estimator.root_residual": "none" if last.fired is None else repr(last.root_residual),
+        "estimator.clamped": "none" if last.fired is None else repr(last.clamped),
     }
-    times, t_ft, resets = trajectory.times, cfg.estimator.t_ft, cfg.run.reset_times
-    # the estimator.* keys are the last epoch's; every epoch's start and
-    # extraction follow, so an earlier extraction is not lost
+    t_ft, resets = cfg.estimator.t_ft, cfg.run.reset_times
+    # every epoch's start and extraction follow, so an earlier extraction is
+    # not lost
     for k, epoch in enumerate(trajectory.epochs, start=1):
         meta[f"epoch.{k}.start"] = repr(times[epoch.first])
         meta[f"epoch.{k}.extraction_time"] = (
@@ -124,7 +128,6 @@ def _metadata(cfg: ScenarioConfig, trajectory: Trajectory, reset_rows,
     notes = config_warnings(cfg)
     notes += [f"run.reset_times entry {reset} is after the last sample, at t = {times[-1]:g}: "
               "it is not applied" for reset, k in zip(resets, reset_rows) if k is None]
-    *earlier, last = trajectory.epochs
     notes += [f"the epoch from t = {times[epoch.first]:g} to {times[epoch.stop]:g} is shorter "
               f"than estimator.t_ft = {t_ft}: it cannot extract"
               for epoch in earlier if epoch.due is None]

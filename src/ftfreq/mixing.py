@@ -84,8 +84,9 @@ def mix(time: float, psi_rows, phi_rows,
     stacked lag. With the whole stack scaled by epsilon first,
     delta = eps^n det(Phi) and mixed psi = eps^n adj(Phi) psi_rows
     (adj(eps M) = eps^(n-1) adj(M)); on clean data psi[i] = delta * theta_i.
-    A phi_rows that is not a square matrix of size 1..MAX_HARMONICS, or a
-    psi_rows without one entry per row of it, is bad input (ConfigError).
+    A phi_rows that is not a square matrix of numbers of size
+    1..MAX_HARMONICS, or a psi_rows without one number per row of it, is
+    bad input (ConfigError).
     A non-finite stack or delta or mixed psi is a fault of the data
     (mix_fault's NumericFault), so both are finite when returned. The eps^n
     scale is applied after adj(Phi) psi_rows is summed, so a small epsilon
@@ -94,10 +95,10 @@ def mix(time: float, psi_rows, phi_rows,
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
     stack = _one_row_stack(phi_rows)
-    psi = np.array(psi_rows, dtype=float)
+    entries = f"psi_rows must have {stack.shape[1]} entries, one per stacked row"
+    psi = _floats(psi_rows, entries)
     if psi.shape != stack.shape[1:2]:
-        raise ConfigError(f"psi_rows must have {stack.shape[1]} entries, one per stacked row, "
-                          f"got shape {psi.shape}")
+        raise ConfigError(f"{entries}, got shape {psi.shape}")
     delta, psi, bad = _mixed_stacks(psi[None], stack, epsilon)
     if bad is not None:
         raise mix_fault(time, *bad)
@@ -115,16 +116,23 @@ def mix_fault(time: float, delta: float | None = None, psi=None) -> NumericFault
 
 def _one_row_stack(matrix) -> np.ndarray:
     """matrix as a stack of one (1, n, n) float array; ConfigError unless it
-    is square with size 1..MAX_HARMONICS (a flat vector or a scalar has no
-    rows at all)."""
+    is a square matrix of numbers with size 1..MAX_HARMONICS (a flat vector
+    or a scalar has no rows at all)."""
+    square = f"matrix must be square with size 1..{MAX_HARMONICS}"
+    stack = _floats([matrix], square)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or \
+            not 1 <= stack.shape[1] <= MAX_HARMONICS:
+        raise ConfigError(square)
+    return stack
+
+
+def _floats(values, message: str) -> np.ndarray:
+    """values as a float array; ConfigError with message and numpy's reason
+    if its entries are not numbers or its nesting is ragged."""
     try:
-        rows = tuple(map(tuple, matrix))
-    except TypeError:
-        rows = ()
-    n = len(rows)
-    if not 1 <= n <= MAX_HARMONICS or any(len(row) != n for row in rows):
-        raise ConfigError(f"matrix must be square with size 1..{MAX_HARMONICS}")
-    return np.array([rows], dtype=float)
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{message}: {exc}") from None
 
 
 def mix_rows(y: np.ndarray, taps: DelayTable, first: int, stop: int,

@@ -3,10 +3,11 @@
 measurement history -> stacked regression -> adjugate mixing into
 (delta, psi) -> per-parameter gradient -> omega_grad recovery, with the
 finite-time extraction (theta_ft and its omega_ft) once per epoch. step()
-takes one arriving sample, run() a whole trace in memory. Both drive the
-chain through one block routine, Pipeline._rows: one mix_rows, one
-gradient_rows and one recover_rows call over a run of rows. The driver
-holds no stage math: it chooses the rows, tries extraction where it is due,
+takes one arriving sample, run() a whole trace in memory, as a session of
+its own. Both drive the chain through one block routine, Pipeline._rows:
+one mix_rows, one gradient_rows and one recover_rows call over a run of
+rows. The driver holds no stage math: it chooses the rows, tries extraction
+where it is due and writes its result to the epoch's one record, an Epoch,
 settles each row recover_rows flags as suspect with recover_frequencies
 (which may recover a row the stacked eigvals call did not) and raises each
 fault once, at its row, with its stage's own exception and message.
@@ -75,10 +76,13 @@ class StepResult:
 
 @dataclass(slots=True)
 class Epoch:
-    """Rows [first, stop) of one epoch: due is the row where its clock
-    reached t_ft and fired the row where extraction succeeded, each None if
-    never; the rows from fired on report theta_ft and omega_ft. stop reads
-    None while the epoch is open: Pipeline.epoch, which reset() replaces."""
+    """The one record of an epoch's rows [first, stop) and its extraction:
+    due is the row where its clock reached t_ft and fired the row where
+    extraction succeeded, each None if never; the rows from fired on report
+    theta_ft and omega_ft, whose recovery dropped root imaginary parts up to
+    root_residual and clamped a root's real part into [-1, 1] if clamped.
+    stop reads None while the epoch is open: Pipeline.epoch, which reset()
+    replaces."""
 
     first: int
     stop: int | None = None
@@ -86,15 +90,18 @@ class Epoch:
     fired: int | None = None
     theta_ft: tuple[float, ...] | None = None
     omega_ft: tuple[float, ...] | None = None
+    root_residual: float | None = None
+    clamped: bool | None = None
 
 
 @dataclass(eq=False)
 class Trajectory:
     """Every per-sample output of one run, held column by column.
 
-    epochs holds one Epoch per segment, in order; every row before an
-    epoch's fired row reports no finite-time estimate. state is the
-    estimator state after the last sample.
+    epochs holds one Epoch per segment, in order, each the one record of
+    its extraction; every row before an epoch's fired row reports no
+    finite-time estimate. state is the estimator state after the last
+    sample. Both are the run's own: no Pipeline holds them.
     """
 
     times: list[float]
@@ -162,10 +169,12 @@ class Pipeline:
     moved into theta_hat. step() keeps the measurements since the last
     clear and the queue of rows computed ahead, the first last. An epoch
     starts at the first sample after a clear, and extraction is tried from
-    t_ft after it on; epoch is its record, rows counted from the session's
-    first sample (run() counts from the trace's). omega_grad is recovered
-    with no imaginary-part limit (transients can wander through complex
-    root territory), omega_ft under the estimator's imag_tol.
+    t_ft after it on; epoch is its one record, which holds the extraction
+    and which step() reports theta_ft and omega_ft from, rows counted from
+    the session's first sample. state holds the gradient alone. omega_grad
+    is recovered with no imaginary-part limit (transients can wander
+    through complex root territory), omega_ft under the estimator's
+    imag_tol.
     """
 
     def __init__(self, model: ModelConfig, drem: DremConfig,
@@ -200,33 +209,36 @@ class Pipeline:
             delta, state.theta_hat, state.excitation, state.max_decay_step, self._omega_grad = \
                 self._queue.pop()
 
-        theta_ft = state.theta_ft
-        if theta_ft is None and t - self._epoch_start >= self.estimator.t_ft:
-            theta_ft = self._extract(self.epoch.first + self._count - 1, t)
+        epoch = self.epoch
+        if epoch.fired is None and t - self._epoch_start >= self.estimator.t_ft:
+            self._extract(epoch.first + self._count - 1)
 
         theta_hat = tuple(state.theta_hat)
         if self._omega_grad is None:
             self._omega_grad = self._omega(theta_hat)
         return StepResult(
             time=t, y=y, delta=delta, theta_hat=theta_hat,
-            theta_ft=theta_ft, omega_grad=self._omega_grad, omega_ft=state.omega_ft)
+            theta_ft=epoch.theta_ft, omega_grad=self._omega_grad, omega_ft=epoch.omega_ft)
 
     def run(self, times: list[float], samples: list[float], starts: list[int]) -> Trajectory:
         """Estimate over a whole uniform trace, whose epochs start at the
         sample indices starts (0 first, increasing), each after a reset:
-        step()'s outputs and one Epoch per epoch. A fault is raised as a
-        NumericFault naming its sample, from the stage's own. The returned
-        state and last Epoch are this Pipeline's: do not step() on after."""
+        the outputs a fresh Pipeline's step() gives and one Epoch per epoch.
+        A fault is raised as a NumericFault naming its sample, from the
+        stage's own. The run is a session of its own, built from this
+        Pipeline's config: it neither reads nor changes this Pipeline's
+        streaming session, so the Trajectory is the run's alone."""
+        session = Pipeline(self.model, self.drem, self.estimator, self.sample_period)
         count, n = len(times), self.model.n
         edges = [*starts, count]
-        state, depth = self.state, self.taps.warm_from
+        state, depth = session.state, self.taps.warm_from
         run = Trajectory(times=times, samples=samples, delta=np.empty(count),
                          theta_hat=np.empty((count, n)), omega_grad=np.empty((count, n)),
                          epochs=[Epoch(a, b) for a, b in zip(edges, edges[1:])], state=state)
         for epoch in run.epochs:
             first, stop = epoch.first, epoch.stop
-            self.reset()  # a fresh Pipeline's state is the same after it
-            self.epoch = epoch
+            session.reset()  # a fresh Pipeline's state is the same after it
+            session.epoch = epoch
             # the zeros before the segment make every row a valid mix_rows
             # row; warm rows never read them
             y = np.zeros(depth + stop - first)
@@ -242,12 +254,12 @@ class Pipeline:
             run.delta[first:warm] = 0.0
             run.theta_hat[first:warm] = state.theta_hat  # holds still until the stack is warm
             if warm > first:
-                if self._omega_grad is None:
+                if session._omega_grad is None:
                     with _at_sample(first, start):
-                        self._omega_grad = self._omega(tuple(state.theta_hat))
-                run.omega_grad[first:warm] = self._omega_grad
+                        session._omega_grad = self._omega(tuple(state.theta_hat))
+                run.omega_grad[first:warm] = session._omega_grad
             for a in range(warm, end, _CHUNK):
-                self._run_block(run, y, depth - first, a, min(a + _CHUNK, end), due)
+                session._run_block(run, y, depth - first, a, min(a + _CHUNK, end), due)
             if end < stop:
                 with _at_sample(end, times[end]):
                     check_measurement(times[end], samples[end])
@@ -263,11 +275,11 @@ class Pipeline:
         b = a + len(delta)  # the block stops at its first non-finite row, if any
         run.delta[a:b], run.theta_hat[a:b] = delta, theta
         fault = None if bad is None else (b, mix_fault(times[b], *bad))
-        for j in range(max(a, due), b) if state.theta_ft is None else ():
+        for j in range(max(a, due), b) if self.epoch.fired is None else ():
             state.theta_hat[:], state.excitation, state.max_decay_step = \
                 theta[j - a].tolist(), float(excitation[j - a]), float(max_steps[j - a])
             try:
-                if self._extract(j, times[j]) is not None:
+                if self._extract(j):
                     break
             except NumericFault as exc:  # the failed call left the state as it was
                 fault = j, exc
@@ -311,16 +323,19 @@ class Pipeline:
         self._queue = list(zip(delta.tolist(), theta.tolist(), excitation.tolist(),
                                max_steps.tolist(), omega))[::-1]
 
-    def _extract(self, row: int, t: float) -> tuple[float, ...] | None:
-        """Try extraction at row (time t), where it is due; the epoch's
-        record gets the row where it first came due and where it fired."""
+    def _extract(self, row: int) -> bool:
+        """Try extraction at row, where it is due, and say whether it fired;
+        the epoch's record gets the row where it first came due and, with
+        the result, the row where it fired."""
         epoch = self.epoch
         if epoch.due is None:
             epoch.due = row
-        theta_ft = finite_time_estimate(self.state, t)
-        if theta_ft is not None:
-            epoch.fired, epoch.theta_ft, epoch.omega_ft = row, theta_ft, self.state.omega_ft
-        return theta_ft
+        found = finite_time_estimate(self.state)
+        if found is not None:
+            epoch.theta_ft, estimate = found
+            epoch.fired, epoch.omega_ft = row, estimate.omega_hat
+            epoch.root_residual, epoch.clamped = estimate.residual, estimate.clamped
+        return found is not None
 
     def _omega(self, theta_hat: tuple[float, ...]) -> tuple[float, ...]:
         """omega_grad of one theta_hat, recovered on its own."""
@@ -348,4 +363,5 @@ class Pipeline:
 
     @property
     def extracted(self) -> bool:
-        return self.state.theta_ft is not None
+        """Whether the current epoch has extracted."""
+        return self.epoch.fired is not None

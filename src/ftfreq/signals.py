@@ -12,8 +12,9 @@ signal_values, evaluates a whole array of times at once: each harmonic's
 phase f*t + p in numpy, its sine through math.sin, summed in the harmonic
 order; the schedule set of each time located by searchsorted; the noise
 hash as numpy uint64 arithmetic, exact modulo 2**64. numpy does only the
-correctly rounded +, -, * and /, so every value equals the one-point
-evaluation sample_signal(spec, t), which calls the same sampler.
+correctly rounded +, -, * and /, so a time's value does not depend on the
+times evaluated with it: signal_values(spec, [t])[0] is the one-point
+evaluation. generate_trace samples it on the uniform grid.
 """
 
 from __future__ import annotations
@@ -184,11 +185,6 @@ def _uniform_noise(d: UniformDisturbance, t: np.ndarray) -> np.ndarray:
     z ^= z >> np.uint64(31)
     u = (z >> np.uint64(11)).astype(float) * 2.0 ** -53
     return (2.0 * u - 1.0) * d.half_range
-
-
-def sample_signal(spec: SignalSpec, t: float) -> float:
-    """Evaluate the signal (active harmonics plus disturbance) at time t."""
-    return signal_values(spec, [t])[0]
 
 
 def sample_times(sample_period: float, duration: float) -> list[float]:

@@ -46,6 +46,7 @@ class PerSamplePipeline:
         self.taps = delay_table(model, drem.d, sample_period)
         self._window = deque(maxlen=self.taps.warm_from + 1)
         self.state = EstimatorState(estimator, model)
+        self.theta_ft = self.omega_ft = None  # the epoch's extraction, once fired
         self._omega_grad = None
         self._clear_window()
 
@@ -64,9 +65,11 @@ class PerSamplePipeline:
             step_gradient(state, delta, psi, self.sample_period)
             self._omega_grad = None
 
-        theta_ft = state.theta_ft
-        if theta_ft is None and t - self._epoch_start >= self.estimator.t_ft:
-            theta_ft = finite_time_estimate(state, t)
+        if self.theta_ft is None and t - self._epoch_start >= self.estimator.t_ft:
+            extracted = finite_time_estimate(state)
+            if extracted is not None:
+                self.theta_ft, estimate = extracted
+                self.omega_ft = estimate.omega_hat
 
         theta_hat = tuple(state.theta_hat)
         if self._omega_grad is None:
@@ -74,11 +77,12 @@ class PerSamplePipeline:
                 theta_hat, self.model.h, self.model.band, imag_tol=math.inf).omega_hat
         return StepResult(
             time=t, y=y, delta=delta, theta_hat=theta_hat,
-            theta_ft=theta_ft, omega_grad=self._omega_grad, omega_ft=state.omega_ft)
+            theta_ft=self.theta_ft, omega_grad=self._omega_grad, omega_ft=self.omega_ft)
 
     def reset(self):
         self._clear_window()
         reset_estimator(self.state)
+        self.theta_ft = self.omega_ft = None
 
     def _clear_window(self):
         self._window.extend([0.0] * self._window.maxlen)

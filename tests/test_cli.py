@@ -389,8 +389,7 @@ class TestEpochCauses:
 
 # sha256 of each built-in's trace.csv and estimates.csv (Python 3.11, numpy
 # 2.4, x86-64). A change that alters these numbers says so and why, and
-# records the new digests; metadata.txt is left out, as it names the
-# interpreter's version
+# records the new digests; metadata.txt has its own digests below
 BUILTIN_DIGESTS = {
     "harmonic-noise": (
         "d7dcd8a8b516a938544f557e5a788e135449870d40f3512614d7c2b1039373c0",
@@ -413,6 +412,25 @@ def test_builtin_outputs_are_byte_identical(tmp_path, capsys, name):
     digests = tuple(hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
                     for file in ("trace.csv", "estimates.csv"))
     assert digests == BUILTIN_DIGESTS[name]
+
+
+# sha256 of each built-in's metadata.txt without its versions line, which
+# names the interpreter's and numpy's versions
+METADATA_DIGESTS = {
+    "harmonic-noise": "9641d7a58274efc9282d9a446ce0492fe792517e446ae7242d0868262a2f4253",
+    "noiseless-2h": "e7f2b2f50c45b3cabc4e11dc1fe1f2f93ee276578733ada2386ee802090d93d5",
+    "step-change": "6ac99e86f6cc2856e9955ec03f1b7680462b64dc243917415135e4c607d75477",
+    "uniform-noise": "ddca550053373eefa25e4c106e0ebbe1ed055e0b0748cd0a0c03a08c082571d3",
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_metadata_is_byte_identical(tmp_path, capsys, name):
+    assert main(["scenario", name, "--out", str(tmp_path)]) == EXIT_OK
+    lines = (tmp_path / "metadata.txt").read_bytes().splitlines(keepends=True)
+    assert sum(line.startswith(b"versions = ") for line in lines) == 1
+    kept = b"".join(line for line in lines if not line.startswith(b"versions = "))
+    assert hashlib.sha256(kept).hexdigest() == METADATA_DIGESTS[name]
 
 
 def test_python_m_ftfreq_runs_the_cli(tmp_path):

@@ -31,7 +31,7 @@ from ftfreq.errors import ConfigError, NumericFault
 from ftfreq.harness import (RunResult, build_pipeline, estimate_from_file,
                             run_scenario, write_metadata, write_trace_csv)
 from ftfreq.mixing import DremConfig, mix_rows
-from ftfreq.pipeline import warmup_time
+from ftfreq.pipeline import Epoch, warmup_time
 from ftfreq.regression import ModelConfig
 from ftfreq.signals import (HarmonicSpec, SignalSpec, UniformDisturbance,
                             generate_trace)
@@ -56,17 +56,19 @@ def pipeline_reference(cfg, times, samples):
     return records, pipeline
 
 
-def reference_metadata(pipeline):
-    state = pipeline.state
+def reference_metadata(pipeline, times):
+    """The Pipeline's state and its last epoch's record, stepped over times
+    from the first, as metadata.txt states them."""
+    state, epoch = pipeline.state, pipeline.epoch
     return {
         "pipeline.warmup_time": repr(warmup_time(pipeline.model, pipeline.drem)),
         "pipeline.max_decay_step": repr(state.max_decay_step),
         "estimator.excitation_integral": repr(state.excitation),
-        "estimator.extraction_time": (repr(state.extraction_time)
-                                      if state.extraction_time is not None else "none"),
-        "estimator.root_residual": (repr(state.root_residual)
-                                    if state.root_residual is not None else "none"),
-        "estimator.clamped": repr(state.clamped) if state.clamped is not None else "none",
+        "estimator.extraction_time": (repr(times[epoch.fired])
+                                      if epoch.fired is not None else "none"),
+        "estimator.root_residual": (repr(epoch.root_residual)
+                                    if epoch.root_residual is not None else "none"),
+        "estimator.clamped": repr(epoch.clamped) if epoch.clamped is not None else "none",
     }
 
 
@@ -102,7 +104,7 @@ def assert_parity(cfg, times, samples, tmp_path):
     assert len(result.records) == len(records)
     for k, (mine, ref) in enumerate(zip(result.records, records)):
         assert repr(mine) == repr(ref), k
-    for key, value in reference_metadata(pipeline).items():
+    for key, value in reference_metadata(pipeline, times).items():
         assert result.metadata[key] == value, key
     assert result.extracted == pipeline.extracted
     # each epoch comes due where its clock reaches t_ft and fires at the
@@ -229,18 +231,45 @@ def test_streaming_epochs_match_run(n):
 
 
 def test_a_second_run_starts_a_new_session():
-    # each run starts with a reset, so a second run on the same Pipeline
-    # extracts again and records it, from the theta_hat the first left
+    # each run is a session of its own, built from the Pipeline's config: a
+    # second run on the same Pipeline returns the first's trajectory, and
+    # neither touches the Pipeline's own state or epoch
     cfg = builtin_scenario("noiseless-2h")
     cfg = replace(cfg, run=replace(cfg.run, duration=6.0))
     times, samples = grid(cfg)
     pipeline = build_pipeline(cfg)
     first = pipeline.run(times, samples, [0])
     second = pipeline.run(times, samples, [0])
-    for run in (first, second):
-        assert run.epochs[0].fired == 5000
-        assert run.records()[-1].omega_ft == pipeline.state.omega_ft
-    assert pipeline.state.theta0 == tuple(first.theta_hat[-1].tolist())
+    assert first.epochs[0].fired == 5000
+    assert first.records()[-1].omega_ft == first.epochs[0].omega_ft
+    assert second.records() == first.records()
+    assert second.epochs == first.epochs
+    assert (second.state.theta0, second.state.excitation) == \
+        (first.state.theta0, first.state.excitation)
+    assert second.state is not first.state is not pipeline.state
+    assert pipeline.epoch == Epoch(0) and not pipeline.extracted
+    assert pipeline.state.theta0 == tuple(pipeline.state.theta_hat) == first.state.theta0
+
+
+def test_steps_after_a_run_leave_its_trajectory_alone():
+    # a run shares no record with the Pipeline's streaming session: stepping
+    # on after it changes neither the returned epochs nor the returned
+    # state, and the steps are those of a fresh Pipeline
+    cfg = builtin_scenario("noiseless-2h")
+    cfg = replace(cfg, run=replace(cfg.run, duration=8.0))
+    times, samples = grid(cfg)
+    pipeline = build_pipeline(cfg)
+    run = pipeline.run(times[:3000], samples[:3000], [0])
+    epochs = repr(run.epochs)
+    state = repr([getattr(run.state, name) for name in run.state.__slots__])
+    fresh = build_pipeline(cfg)
+    for t, y in zip(times, samples):
+        assert repr(pipeline.step(t, y)) == repr(fresh.step(t, y))
+    assert repr(run.epochs) == epochs
+    assert repr([getattr(run.state, name) for name in run.state.__slots__]) == state
+    assert (run.epochs[0].due, run.epochs[0].fired) == (None, None)
+    assert pipeline.epoch == fresh.epoch
+    assert pipeline.epoch.fired == 5000
 
 
 def engine_run(cfg, times, samples):
@@ -260,8 +289,9 @@ def test_t_ft_inside_the_warm_up():
     records, pipeline = pipeline_reference(cfg, times, samples)
     run = engine_run(cfg, times, samples)
     assert run.records() == records
-    assert run.state.extraction_time == pipeline.state.extraction_time
-    assert pipeline.state.extraction_time >= warmup_time(cfg.model, cfg.drem)
+    fired = pipeline.epoch.fired
+    assert run.epochs[0].fired == fired
+    assert times[fired] >= warmup_time(cfg.model, cfg.drem)
 
 
 def test_pipeline_rejects_a_non_finite_time():
@@ -575,9 +605,9 @@ def test_builtin_outputs_match_pipeline_files(tmp_path, name, resets):
                 fields += [repr(v) for v in values] if values is not None else [""] * n
             fh.write(",".join(fields) + "\n")
     meta = dict(result.metadata)
-    meta.update(reference_metadata(pipeline))
+    meta.update(reference_metadata(pipeline, times))
     write_metadata(str(ref / "metadata.txt"), RunResult(
-        config=cfg, trajectory=result.trajectory, metadata=meta, extracted=pipeline.extracted))
+        config=cfg, trajectory=result.trajectory, metadata=meta))
 
     for file in ("trace.csv", "estimates.csv", "metadata.txt"):
         assert (tmp_path / "engine" / file).read_bytes() == (ref / file).read_bytes(), file

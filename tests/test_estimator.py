@@ -198,33 +198,40 @@ class TestExcitationLevel:
             last = level
 
 
+def slots(state):
+    """Every slot of an estimator state, by repr."""
+    return repr([getattr(state, name) for name in EstimatorState.__slots__])
+
+
 class TestFiniteTimeEstimate:
     def test_no_learning_returns_initial_estimate(self):
         cfg = settings((1.0, 1.0), t_ft=0.5)
         state = new_state(cfg)
         state.excitation = 0.35  # W < 1, theta_hat still at theta0
-        result = finite_time_estimate(state, 1.0)
-        assert result == pytest.approx(state.theta0, rel=1e-14)
+        theta_ft, _ = finite_time_estimate(state)
+        assert theta_ft == pytest.approx(state.theta0, rel=1e-14)
 
     def test_fully_excited_returns_current_estimate(self):
         cfg = settings((1.0, 1.0), t_ft=0.5)
         state = new_state(cfg)
         state.theta_hat = [0.9, 0.7]
         state.excitation = 1e6  # W underflows to 0
-        assert finite_time_estimate(state, 1.0) == (0.9, 0.7)
-        assert state.extraction_time == 1.0
+        theta_ft, estimate = finite_time_estimate(state)
+        assert theta_ft == (0.9, 0.7)
+        assert estimate == recover_frequencies(theta_ft, H, state.model.band, cfg.imag_tol)
 
     def test_recovers_omega_ft_with_theta_ft(self):
         cfg = settings((1.0, 1.0), t_ft=0.5)
         state = new_state(cfg)
         state.theta_hat = list(true_theta((2.0, 3.0), H))
         state.excitation = 1e6  # W underflows to 0: theta_ft = theta_hat
-        assert finite_time_estimate(state, 1.0) == tuple(state.theta_hat)
-        assert state.omega_ft == pytest.approx((2.0, 3.0), rel=1e-12)
-        assert (state.root_residual, state.clamped) == (0.0, False)
+        theta_ft, estimate = finite_time_estimate(state)
+        assert theta_ft == tuple(state.theta_hat)
+        assert estimate.omega_hat == pytest.approx((2.0, 3.0), rel=1e-12)
+        assert (estimate.residual, estimate.clamped) == (0.0, False)
+        # a reset clears the excitation: the new epoch defers until excited
         reset_estimator(state)
-        assert (state.theta_ft, state.omega_ft, state.extraction_time) == (None, None, None)
-        assert (state.root_residual, state.clamped) == (None, None)
+        assert finite_time_estimate(state) is None
 
     @pytest.mark.parametrize("roots, residual, clamped", [
         ((0.5 + 1e-6j, 0.5 - 1e-6j), 1e-6, False),  # a pair just off the real axis
@@ -236,9 +243,9 @@ class TestFiniteTimeEstimate:
         a, b = roots
         state.theta_hat = [(a + b).real, -(a * b).real]
         state.excitation = 1e6
-        finite_time_estimate(state, 1.0)
-        assert state.root_residual == pytest.approx(residual, rel=1e-4)  # b^2 - 4c cancels
-        assert state.clamped is clamped
+        _, estimate = finite_time_estimate(state)
+        assert estimate.residual == pytest.approx(residual, rel=1e-4)  # b^2 - 4c cancels
+        assert estimate.clamped is clamped
 
     def test_failed_recovery_records_nothing(self):
         # x^2 + 1 has roots +-i: the fault leaves the state as it was, so a
@@ -247,21 +254,42 @@ class TestFiniteTimeEstimate:
         state = new_state(cfg)
         state.theta_hat = [0.0, -1.0]
         state.excitation = 1e6
+        before = slots(state)
         for _ in range(2):
             with pytest.raises(EstimateNotPhysical, match="beyond tolerance 0.001"):
-                finite_time_estimate(state, 1.0)
-            assert (state.theta_ft, state.omega_ft, state.extraction_time) == (None, None, None)
+                finite_time_estimate(state)
+            assert slots(state) == before
+
+    @pytest.mark.parametrize("theta_hat, excitation, outcome", [
+        ((0.9, 0.7), 1e-9, None),  # deferred: 1 - W_i below w_floor
+        (true_theta((2.0, 3.0), H), 0.35, "extracted"),
+        ((0.0, -1.0), 1e6, EstimateNotPhysical),  # roots +-i
+    ], ids=["deferred", "extracted", "not-physical"])
+    def test_leaves_the_state_as_it_was(self, theta_hat, excitation, outcome):
+        # the estimator computes and records nothing: on deferral, success
+        # and an unphysical fault every slot keeps its value
+        state = new_state(settings((1.0, 1.0), t_ft=0.5))
+        state.theta_hat, state.excitation, state.max_decay_step = list(theta_hat), excitation, 0.25
+        before = slots(state)
+        if outcome is EstimateNotPhysical:
+            with pytest.raises(EstimateNotPhysical):
+                finite_time_estimate(state)
+        elif outcome is None:
+            assert finite_time_estimate(state) is None
+        else:
+            assert finite_time_estimate(state) is not None
+        assert slots(state) == before
 
     def test_deferred_until_excited(self):
         cfg = settings((1.0,), t_ft=0.01, w_floor=1e-6)
         state = constant_session(cfg, delta=1e-5, theta=(0.3,), steps=20)
         assert 1.0 - state.W[0] < cfg.w_floor
-        assert finite_time_estimate(state, 20 * SAMPLE_PERIOD) is None
-        assert state.extraction_time is None
+        before = slots(state)
+        assert finite_time_estimate(state) is None
+        assert slots(state) == before
         # excitation arrives later; the next attempt extracts
         state2 = constant_session(cfg, delta=1.0, theta=(0.3,), steps=100)
-        assert finite_time_estimate(state2, 100 * SAMPLE_PERIOD) == pytest.approx(
-            (0.3,), abs=1e-9)
+        assert finite_time_estimate(state2)[0] == pytest.approx((0.3,), abs=1e-9)
 
     def test_exact_on_simulated_session_at_any_time(self):
         model = ModelConfig(n=2, h=0.1, omega_min=0.5, omega_max=5.5)
@@ -272,11 +300,11 @@ class TestFiniteTimeEstimate:
             for _, (delta, psi) in mixed_stream(two_tone(), model, d=0.13,
                                                 epsilon=1.0, duration=t_extract):
                 step_gradient(state, delta, psi, SAMPLE_PERIOD)
-            result = finite_time_estimate(state, t_extract)
+            result = finite_time_estimate(state)
             assert result is not None
             # gradient estimate itself is still far off at epsilon = 1
             assert max(abs(w - 1.0) for w in state.W) < 0.9
-            for got, want in zip(result, theta_star):
+            for got, want in zip(result[0], theta_star):
                 assert abs(got - want) <= 1e-4
 
     @hypothesis.settings(max_examples=50, deadline=None)
@@ -288,45 +316,50 @@ class TestFiniteTimeEstimate:
         # fires on the deferral edge: below 2e-9 over 2000 draws, so the
         # bound leaves 50x to spare. The gradient estimate alone is off by
         # W_i * |theta0 - theta|, far above the bound unless W_i is ~0.
-        state = run_scenario(cfg).trajectory.state
-        assert state.theta_ft is not None
-        assert state.extraction_time >= cfg.estimator.t_ft - 1e-9
+        run = run_scenario(cfg).trajectory
+        epoch, = run.epochs
+        assert epoch.fired is not None
+        assert run.times[epoch.fired] >= cfg.estimator.t_ft - 1e-9
         freqs = [tone.frequency for tone in cfg.signal.harmonics]
-        for got, want in zip(state.theta_ft, true_theta(freqs, cfg.model.h)):
+        for got, want in zip(epoch.theta_ft, true_theta(freqs, cfg.model.h)):
             assert abs(got - want) <= 1e-7
 
     def test_held_constant_after_extraction(self):
+        # the estimator keeps no cache: a later call re-estimates from the
+        # state it is given, and the first result, which the driver holds
+        # in its epoch's record, does not change
         cfg = settings((1.0,), t_ft=0.05)
         state = constant_session(cfg, delta=1.0, theta=(0.3,), steps=100)
-        first = finite_time_estimate(state, 100 * SAMPLE_PERIOD)
+        first = finite_time_estimate(state)
+        held = repr(first)
         for _ in range(200):
             step_gradient(state, 0.5, (0.5 * -0.9,), SAMPLE_PERIOD)  # new "truth"
-        assert finite_time_estimate(state, 300 * SAMPLE_PERIOD) is first
-        assert state.theta_ft == first
-        assert state.extraction_time == 100 * SAMPLE_PERIOD
+        later = finite_time_estimate(state)
+        assert repr(first) == held
+        assert first[0] == pytest.approx((0.3,), abs=1e-9)
+        assert later[0] != first[0]
 
 
 class TestReset:
     def test_reset_starts_new_epoch_with_carried_estimate(self):
         cfg = settings((1.0,), t_ft=0.05)
         state = constant_session(cfg, delta=1.0, theta=(0.3,), steps=100)
-        finite_time_estimate(state, 100 * SAMPLE_PERIOD)
+        finite_time_estimate(state)
         carried = tuple(state.theta_hat)
         reset_estimator(state)
         assert state.theta0 == carried
         assert state.excitation == 0.0
-        assert state.theta_ft is None
-        assert state.extraction_time is None
+        assert finite_time_estimate(state) is None
         assert state.W == (1.0,)
 
     def test_post_reset_extraction_reflects_new_data(self):
         cfg = settings((1.0,), t_ft=0.05)
         state = constant_session(cfg, delta=1.0, theta=(0.3,), steps=100)
-        finite_time_estimate(state, 100 * SAMPLE_PERIOD)
+        finite_time_estimate(state)
         reset_estimator(state)
         for _ in range(120):
             step_gradient(state, 1.0, (-0.9,), SAMPLE_PERIOD)
-        result = finite_time_estimate(state, 220 * SAMPLE_PERIOD)
+        result, _ = finite_time_estimate(state)
         assert result == pytest.approx((-0.9,), abs=1e-9)
 
 
@@ -393,4 +426,5 @@ class TestEstimatorSettings:
         state = new_state(settings((1.0, 1.0)))
         assert state.theta0 == true_theta((2.0, 5.0), H)
         assert state.theta_hat == list(state.theta0)
-        assert (state.theta_ft, state.extraction_time) == (None, None)
+        assert state.__slots__ == ("settings", "model", "theta_hat", "theta0", "excitation",
+                                   "max_decay_step")

@@ -150,11 +150,13 @@ class TestOutputs:
         assert "splitmix64" in text
         assert "convention = psi" in text
         assert "pipeline.max_decay_step" in text
-        # omega_ft's recovery diagnostics, as the last epoch's state holds them
-        state = result.trajectory.state
-        assert f"estimator.root_residual = {state.root_residual!r}\n" in text
-        assert f"estimator.clamped = {state.clamped!r}\n" in text
-        assert isinstance(state.root_residual, float) and isinstance(state.clamped, bool)
+        # omega_ft's recovery diagnostics and extraction time, as the last
+        # epoch's record holds them
+        last = result.trajectory.epochs[-1]
+        assert f"estimator.root_residual = {last.root_residual!r}\n" in text
+        assert f"estimator.clamped = {last.clamped!r}\n" in text
+        assert isinstance(last.root_residual, float) and isinstance(last.clamped, bool)
+        assert f"estimator.extraction_time = {result.trajectory.times[last.fired]!r}\n" in text
         # the config echo parses back to the original config
         echo = text.split("# config echo\n", 1)[1]
         assert parse_config(echo) == cfg

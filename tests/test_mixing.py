@@ -205,6 +205,8 @@ class TestAdjugate:
             adjugate([[1.0, 2.0], [3.0]])
         with pytest.raises(ConfigError):
             adjugate([1.0, 2.0])
+        with pytest.raises(ConfigError, match="could not convert string to float"):
+            adjugate([["x", 1.0], [2.0, 3.0]])
         with pytest.raises(ConfigError):
             adjugate([[1.0, float("nan")], [0.0, 1.0]])
         for n in (3, 8):
@@ -273,11 +275,13 @@ class TestMix:
             energy += deltas[k] ** 2 * SAMPLE_PERIOD
         assert energy > 1e-6 * peak ** 2
 
-    @pytest.mark.parametrize("psi_rows", [[1.0], [1.0, 2.0, 3.0], 1.0, [[1.0], [2.0]]],
-                             ids=["short", "long", "scalar", "nested"])
+    @pytest.mark.parametrize("psi_rows", [[1.0], [1.0, 2.0, 3.0], 1.0, [[1.0], [2.0]],
+                                          [[1.0], [2.0, 3.0]], ["a", "b"]],
+                             ids=["short", "long", "scalar", "nested", "ragged", "text"])
     def test_psi_rows_must_have_one_entry_per_stacked_row(self, psi_rows):
         # a short or scalar psi_rows once mixed silently wrong, scaled by
-        # eps^1 for eps^2, and a long one raised a bare IndexError
+        # eps^1 for eps^2, a long one raised a bare IndexError, and a ragged
+        # or non-numeric one numpy's bare ValueError
         with pytest.raises(ConfigError, match="psi_rows must have 2 entries"):
             mix(0.0, psi_rows, [[1.0, 2.0], [3.0, 4.0]], 10.0)
 
@@ -292,10 +296,13 @@ class TestMix:
         with pytest.raises(ConfigError, match="drem.d must be positive"):
             DremConfig(d=d, epsilon=1.0)
 
-    @pytest.mark.parametrize("phi_rows", [[1.0], [[1.0, math.nan]]], ids=["flat", "not-square"])
+    @pytest.mark.parametrize("phi_rows", [[1.0], [[1.0, math.nan]], [["x", 1.0], [2.0, 3.0]],
+                                          [[[1.0], [2.0]], [[3.0], [4.0]]]],
+                             ids=["flat", "not-square", "text", "nested"])
     def test_a_malformed_stack_is_bad_input(self, phi_rows):
-        # adjugate's shape check, before any finiteness check: a flat vector
-        # and a non-square stack with a NaN entry are not data faults
+        # adjugate's shape check, before any finiteness check: a flat vector,
+        # a non-square stack with a NaN entry, a non-numeric entry and a
+        # list entry are not data faults
         with pytest.raises(ConfigError, match="matrix must be square with size 1..8"):
             mix(0.0, [1.0, 2.0], phi_rows, 1.0)
 

@@ -46,9 +46,10 @@ def outcome(pipeline, t, y):
 
 def assert_same_state(mine, ref):
     """The estimator state the queue set against the one the oracle moved,
-    float for float by repr, so that a NaN theta_hat (after a recovery
-    fault) matches a NaN."""
-    assert mine.extraction_time == ref.extraction_time
+    and the epoch's extraction against the oracle's, float for float by
+    repr, so that a NaN theta_hat (after a recovery fault) matches a NaN."""
+    assert repr((mine.epoch.theta_ft, mine.epoch.omega_ft)) == repr((ref.theta_ft, ref.omega_ft))
+    mine, ref = mine.state, ref.state
     assert repr((mine.theta_hat, mine.excitation, mine.max_decay_step)) == \
         repr((ref.theta_hat, ref.excitation, ref.max_decay_step))
 
@@ -68,7 +69,7 @@ def step_both(model, drem, estimator, samples, resets):
             mine = outcome(ahead, k * PERIOD, y)
             ref = outcome(per_sample, k * PERIOD, y)
             assert repr(mine) == repr(ref), k
-            assert_same_state(ahead.state, per_sample.state)
+            assert_same_state(ahead, per_sample)
             outcomes.append(mine)
     return outcomes
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ftfreq.errors import ConfigError
 from ftfreq.signals import (GRID_TOL, HarmonicSpec, SampledTrace, ScheduleStep,
                             SignalSpec, UniformDisturbance, generate_trace,
-                            sample_signal, sample_times, signal_values)
+                            sample_times, signal_values)
 
 COS_PHASE = math.pi / 2
 
@@ -25,18 +25,18 @@ def two_tone():
 class TestSampleSignal:
     def test_sin_plus_cos_at_zero(self):
         # sin(0) = 0, cos(0) = 1
-        assert sample_signal(two_tone(), 0.0) == 1.0
+        assert signal_values(two_tone(), [0.0])[0] == 1.0
 
     def test_matches_two_sinusoid_reference(self):
         spec = two_tone()
-        for k in range(200):
-            t = 0.063 * k
+        times = [0.063 * k for k in range(200)]
+        for t, value in zip(times, signal_values(spec, times)):
             expected = math.sin(2 * t) + math.cos(3 * t)
-            assert sample_signal(spec, t) == pytest.approx(expected, abs=1e-12)
+            assert value == pytest.approx(expected, abs=1e-12)
 
     def test_quarter_period_peak(self):
         spec = SignalSpec(harmonics=(HarmonicSpec(1.0, 2.0, 0.0),))
-        assert sample_signal(spec, math.pi / 4) == pytest.approx(1.0, abs=1e-15)
+        assert signal_values(spec, [math.pi / 4])[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_amplitude_bound(self):
         spec = SignalSpec(harmonics=(
@@ -45,15 +45,15 @@ class TestSampleSignal:
             HarmonicSpec(2.1, 0.9, 5.0),
         ))
         total = 1.3 + 0.7 + 2.1
-        for k in range(2000):
-            assert abs(sample_signal(spec, 0.017 * k)) <= total
+        for value in signal_values(spec, [0.017 * k for k in range(2000)]):
+            assert abs(value) <= total
 
     def test_harmonic_disturbance_added(self):
         spec = SignalSpec(harmonics=(HarmonicSpec(1.0, 2.0, 0.0),),
                           disturbance=HarmonicSpec(0.25, 15.0, 0.0))
         t = 0.8
         expected = math.sin(2 * t) + 0.25 * math.sin(15 * t)
-        assert sample_signal(spec, t) == pytest.approx(expected, abs=1e-12)
+        assert signal_values(spec, [t])[0] == pytest.approx(expected, abs=1e-12)
 
 
 class TestSchedule:
@@ -69,13 +69,13 @@ class TestSchedule:
         t_before, t_after = 29.5, 31.5
         before = math.sin(1.8 * t_before) + math.sin(3.2 * t_before + COS_PHASE)
         after = math.sin(2.0 * t_after) + math.sin(3.0 * t_after + COS_PHASE)
-        assert sample_signal(spec, t_before) == pytest.approx(before, abs=1e-12)
-        assert sample_signal(spec, t_after) == pytest.approx(after, abs=1e-12)
+        assert signal_values(spec, [t_before])[0] == pytest.approx(before, abs=1e-12)
+        assert signal_values(spec, [t_after])[0] == pytest.approx(after, abs=1e-12)
 
     def test_switch_time_closed_on_the_right(self):
         spec = self.spec()
         at_switch = math.sin(2.0 * 30.0) + math.sin(3.0 * 30.0 + COS_PHASE)
-        assert sample_signal(spec, 30.0) == pytest.approx(at_switch, abs=1e-12)
+        assert signal_values(spec, [30.0])[0] == pytest.approx(at_switch, abs=1e-12)
 
     def test_switch_times_must_increase(self):
         replacement = (HarmonicSpec(1.0, 2.0, 0.0),)
@@ -103,17 +103,18 @@ class TestUniformNoise:
     def test_noise_within_half_range(self):
         spec = self.noisy()
         clean = SignalSpec(harmonics=spec.harmonics)
-        for k in range(5000):
-            t = 0.001 * k
-            assert abs(sample_signal(spec, t) - sample_signal(clean, t)) <= 0.2
+        times = [0.001 * k for k in range(5000)]
+        for noisy, plain in zip(signal_values(spec, times), signal_values(clean, times)):
+            assert abs(noisy - plain) <= 0.2
 
     def test_piecewise_constant_between_noise_samples(self):
         # noise slots are 10 signal samples wide here
         spec = SignalSpec(harmonics=(HarmonicSpec(1.0, 2.0, 0.0),),
                           disturbance=UniformDisturbance(0.2, 0.01, 7))
         clean = SignalSpec(harmonics=spec.harmonics)
-        noise = [sample_signal(spec, 0.001 * k) - sample_signal(clean, 0.001 * k)
-                 for k in range(100)]
+        times = [0.001 * k for k in range(100)]
+        noise = [noisy - plain for noisy, plain in
+                 zip(signal_values(spec, times), signal_values(clean, times))]
         for slot in range(10):
             values = {round(noise[slot * 10 + j], 15) for j in range(10)}
             assert len(values) == 1
@@ -150,14 +151,14 @@ class TestGenerateTrace:
     def test_length_and_grid(self):
         trace = generate_trace(two_tone(), 0.001, 2.0)
         assert len(trace.values) == 2001
-        assert trace.values[100] == sample_signal(two_tone(), sample_times(0.001, 2.0)[100])
+        assert trace.values[100] == signal_values(two_tone(), [sample_times(0.001, 2.0)[100]])[0]
         assert sample_times(0.001, 2.0)[100] == pytest.approx(0.1, abs=1e-15)
 
     def test_values_match_pointwise_evaluation(self):
         spec = two_tone()
         trace = generate_trace(spec, 0.002, 1.0)
         for k in (0, 1, 250, 500):
-            assert trace.values[k] == sample_signal(spec, k * 0.002)
+            assert trace.values[k] == signal_values(spec, [k * 0.002])[0]
 
     def test_rejects_non_finite_parameters(self):
         with pytest.raises(ConfigError):
@@ -201,7 +202,7 @@ class TestSpecValidation:
         # a trace starts at t = 0: sample k is the signal at k * sample_period
         trace = generate_trace(two_tone(), 0.5, 1.0)
         assert trace == SampledTrace(sample_period=0.5, values=tuple(
-            sample_signal(two_tone(), t) for t in (0.0, 0.5, 1.0)))
+            signal_values(two_tone(), [0.0, 0.5, 1.0])))
 
 
 # ---------------------------------------------------------------------------
@@ -279,4 +280,4 @@ def test_trace_matches_the_pointwise_oracle(drawn, count):
 def test_one_point_matches_the_oracle(drawn, t):
     # negative t reaches negative noise slots, which wrap modulo 2**64
     spec, _ = drawn
-    assert same_bits(sample_signal(spec, t), oracle(spec, t))
+    assert same_bits(signal_values(spec, [t])[0], oracle(spec, t))
