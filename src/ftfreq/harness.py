@@ -1,8 +1,8 @@
 """Scenario execution: run a Pipeline over a trace, write CSVs and metadata.
 
 run_scenario simulates the configured signal and estimate_from_file reads a
-recorded one; both hand the whole trace to Pipeline.run, with each
-scheduled reset mapped to the sample it applies at. The metadata reads the
+recorded one; both hand the whole trace to Pipeline.run's routine, with
+each scheduled reset mapped to the sample it applies at. The metadata reads the
 run's Epoch records, the one record of each extraction: the last epoch's
 extraction time and omega_ft diagnostics as the estimator.* keys, each
 epoch's start and extraction time, and warnings of a reset after the last
@@ -11,7 +11,9 @@ produces three files: the sampled measurement trace (time, y), the
 per-sample estimates, written column by column in bounded row chunks, and a
 key-value metadata file embedding the full config echo so the run is
 reproducible from its own outputs. build_pipeline makes the Pipeline of a
-config, for run and for callers that step() one sample at a time.
+config, for callers that run or step() it; a harness run builds one for
+itself alone and runs the trace with it as the session, so each run builds
+one delay table and one estimator state.
 """
 
 from __future__ import annotations
@@ -90,7 +92,8 @@ def _reset_rows(times: list[float], reset_times) -> list[int | None]:
 
 def _run(cfg: ScenarioConfig, source: str, times, samples) -> RunResult:
     reset_rows = _reset_rows(times, cfg.run.reset_times)
-    trajectory = build_pipeline(cfg).run(times, samples, [0, *(k for k in reset_rows if k)])
+    trajectory = build_pipeline(cfg)._run_fresh(times, samples,
+                                                [0, *(k for k in reset_rows if k)])
     return RunResult(config=cfg, trajectory=trajectory,
                      metadata=_metadata(cfg, trajectory, reset_rows, source))
 

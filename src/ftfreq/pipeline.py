@@ -14,12 +14,15 @@ fault once, at its row, with its stage's own exception and message.
 
 step() looks ahead: the stack reads the regression d, 2d, ..., nd seconds
 back, so the next d seconds' mixed pairs, theta_hat after each and its
-omega_grad are fixed by the history. A warm step with nothing queued calls
-the block routine on its own row and up to min(d / Ts, _AHEAD) - 1 later
-ones, and each later step pops its row. The cost is latency: on the n = 3
-stream benchmark (2-vCPU Xeon, Python 3.11, numpy 2.4) a 128-row batching
-step takes about 1.7 ms (0.3 mixing, 0.3 gradient, 0.9 recovery), against
-about 4 us for the 99th-percentile step. run() calls the block routine per
+omega_grad are fixed by the history. A warm step with nothing queued
+converts the samples since the last batch to floats, keeps the last
+warm_from + 1 in the window it carries, calls the block routine on its own
+row and up to min(d / Ts, _AHEAD) - 1 later ones, and queues each row as
+step() returns it; each later step pops its row. The cost is latency: on
+the n = 3 stream benchmark (2-vCPU Xeon, Python 3.11.7, numpy 2.4.6, one
+thread) a 128-row batching step takes 0.8-1.4 ms across runs (0.13 mixing,
+0.15 gradient and 0.44 recovery in the fastest), against about 2 us for
+the 99th-percentile step. run() calls the block routine per
 _CHUNK rows of each epoch and finds the row where the epoch comes due by
 bisection over the known times. Both entries' outputs, Epoch records and
 faults are equal bit for bit at every order n, because each batched
@@ -166,8 +169,10 @@ class Pipeline:
 
     A sample is warm once more than taps.warm_from samples arrived since
     the last clear (the start or a reset); only warm samples are mixed and
-    moved into theta_hat. step() keeps the measurements since the last
-    clear and the queue of rows computed ahead, the first last. An epoch
+    moved into theta_hat. Of the measurements since the last clear, step()
+    keeps at most warm_from + 2 min(d / Ts, _AHEAD) samples: those since
+    its last batch and the float window that batch read. It keeps the queue
+    of rows computed ahead, the first last. An epoch
     starts at the first sample after a clear, and extraction is tried from
     t_ft after it on; epoch is its one record, which holds the extraction
     and which step() reports theta_ft and omega_ft from, rows counted from
@@ -186,7 +191,14 @@ class Pipeline:
         self.taps = delay_table(model, drem.d, sample_period)
         self.state = EstimatorState(estimator, model)
         self.epoch = Epoch(0)
-        self._omega_grad = None  # of the current theta_hat, once recovered
+        # per-session constants step() reads: the last cold count, the
+        # clock of extraction and the rows one batch queues
+        self._warm_from = self.taps.warm_from
+        self._t_ft = estimator.t_ft
+        self._ahead = min(self.taps.rows[0], _AHEAD)
+        # what step() reports: theta_hat as a tuple and its omega_grad, both
+        # set when omega_grad is recovered or a queued row is popped
+        self._theta_hat = self._omega_grad = None
         self._clear_history()
 
     def step(self, t: float, y: float) -> StepResult:
@@ -197,28 +209,27 @@ class Pipeline:
             self._epoch_start = t
         self._history.append(y)
         self._count += 1
-        state = self.state
-        delta = 0.0  # a cold sample adds no excitation
-        if self._count > self.taps.warm_from:
+        delta = 0.0  # a cold sample adds no excitation, and theta_hat holds
+        if self._count > self._warm_from:
             if not self._queue and self._bad is None:
                 self._mix_ahead()
             if not self._queue:  # the block stopped at this row
                 bad, self._bad = self._bad, None
                 raise mix_fault(t, *bad)
             # a suspect row's omega_grad is None: recovered below
-            delta, state.theta_hat, state.excitation, state.max_decay_step, self._omega_grad = \
-                self._queue.pop()
+            state = self.state
+            delta, state.theta_hat, self._theta_hat, state.excitation, state.max_decay_step, \
+                self._omega_grad = self._queue.pop()
 
         epoch = self.epoch
-        if epoch.fired is None and t - self._epoch_start >= self.estimator.t_ft:
+        if epoch.fired is None and t - self._epoch_start >= self._t_ft:
             self._extract(epoch.first + self._count - 1)
 
-        theta_hat = tuple(state.theta_hat)
         if self._omega_grad is None:
-            self._omega_grad = self._omega(theta_hat)
-        return StepResult(
-            time=t, y=y, delta=delta, theta_hat=theta_hat,
-            theta_ft=epoch.theta_ft, omega_grad=self._omega_grad, omega_ft=epoch.omega_ft)
+            self._theta_hat = tuple(self.state.theta_hat)
+            self._omega_grad = self._omega(self._theta_hat)
+        return StepResult(t, y, delta, self._theta_hat, epoch.theta_ft, self._omega_grad,
+                          epoch.omega_ft)
 
     def run(self, times: list[float], samples: list[float], starts: list[int]) -> Trajectory:
         """Estimate over a whole uniform trace, whose epochs start at the
@@ -228,17 +239,24 @@ class Pipeline:
         stage's own. The run is a session of its own, built from this
         Pipeline's config: it neither reads nor changes this Pipeline's
         streaming session, so the Trajectory is the run's alone."""
-        session = Pipeline(self.model, self.drem, self.estimator, self.sample_period)
+        return Pipeline(self.model, self.drem, self.estimator, self.sample_period)._run_fresh(
+            times, samples, starts)
+
+    def _run_fresh(self, times: list[float], samples: list[float],
+                   starts: list[int]) -> Trajectory:
+        """run() with this Pipeline, built for the one run and never
+        stepped, as its session, which it leaves holding the run's last
+        epoch and its state."""
         count, n = len(times), self.model.n
         edges = [*starts, count]
-        state, depth = session.state, self.taps.warm_from
+        state, depth = self.state, self.taps.warm_from
         run = Trajectory(times=times, samples=samples, delta=np.empty(count),
                          theta_hat=np.empty((count, n)), omega_grad=np.empty((count, n)),
                          epochs=[Epoch(a, b) for a, b in zip(edges, edges[1:])], state=state)
         for epoch in run.epochs:
             first, stop = epoch.first, epoch.stop
-            session.reset()  # a fresh Pipeline's state is the same after it
-            session.epoch = epoch
+            self.reset()  # a fresh Pipeline's state is the same after it
+            self.epoch = epoch
             # the zeros before the segment make every row a valid mix_rows
             # row; warm rows never read them
             y = np.zeros(depth + stop - first)
@@ -254,12 +272,12 @@ class Pipeline:
             run.delta[first:warm] = 0.0
             run.theta_hat[first:warm] = state.theta_hat  # holds still until the stack is warm
             if warm > first:
-                if session._omega_grad is None:
+                if self._omega_grad is None:
                     with _at_sample(first, start):
-                        session._omega_grad = self._omega(tuple(state.theta_hat))
-                run.omega_grad[first:warm] = session._omega_grad
+                        self._omega_grad = self._omega(tuple(state.theta_hat))
+                run.omega_grad[first:warm] = self._omega_grad
             for a in range(warm, end, _CHUNK):
-                session._run_block(run, y, depth - first, a, min(a + _CHUNK, end), due)
+                self._run_block(run, y, depth - first, a, min(a + _CHUNK, end), due)
             if end < stop:
                 with _at_sample(end, times[end]):
                     check_measurement(times[end], samples[end])
@@ -308,19 +326,22 @@ class Pipeline:
 
     def _mix_ahead(self) -> None:
         """Queue the rows of this sample and the next, min(d / Ts, _AHEAD)
-        in all: (delta, theta_hat, excitation, max_decay_step, omega_grad),
-        omega_grad None where suspect. _bad keeps the fault of the row a
+        in all, last first, each as step() reports it: (delta, theta_hat as
+        the state's list and as a tuple, excitation, max_decay_step,
+        omega_grad), omega_grad None where suspect. The samples since the
+        last batch join the window as floats, which keeps the last
+        warm_from + 1, this sample last. _bad keeps the fault of the row a
         block stops at for that row's step."""
-        taps = self.taps
-        count = min(taps.rows[0], _AHEAD)
-        history = self._history
-        del history[:-(taps.warm_from + 1)]  # this sample is the last
-        y = np.array(history[:taps.warm_from + count - taps.rows[0]])
+        depth, count, history = self._warm_from, self._ahead, self._history
+        window = np.concatenate((self._window, np.array(history, dtype=float)))
+        del history[:]
+        self._window = window = window[-(depth + 1):]
         delta, theta, excitation, max_steps, omega, suspect, self._bad = self._rows(
-            y, taps.warm_from, taps.warm_from + count)
+            window[:depth + count - self.taps.rows[0]], depth, depth + count)
+        theta = theta.tolist()
         omega = [None if flagged else tuple(row)
                  for row, flagged in zip(omega.tolist(), suspect.tolist())]
-        self._queue = list(zip(delta.tolist(), theta.tolist(), excitation.tolist(),
+        self._queue = list(zip(delta.tolist(), theta, map(tuple, theta), excitation.tolist(),
                                max_steps.tolist(), omega))[::-1]
 
     def _extract(self, row: int) -> bool:
@@ -356,7 +377,8 @@ class Pipeline:
 
     def _clear_history(self) -> None:
         """Drop the history and the queue: the session re-warms from scratch."""
-        self._history = []
+        self._history = []  # the samples since the last batch
+        self._window = np.empty(0)  # the converted ones a batch reads
         self._queue = []
         self._bad = None  # mix_fault's arguments for the row the queue stops at
         self._count = 0  # samples since the last clear

@@ -28,11 +28,12 @@ from ftfreq.config import (BUILTIN_NAMES, EstimatorSettings, RunConfig,
                            ScenarioConfig, builtin_scenario, ensure_valid,
                            validate_config)
 from ftfreq.errors import ConfigError, NumericFault
+from ftfreq.estimator import EstimatorState
 from ftfreq.harness import (RunResult, build_pipeline, estimate_from_file,
                             run_scenario, write_metadata, write_trace_csv)
 from ftfreq.mixing import DremConfig, mix_rows
 from ftfreq.pipeline import Epoch, warmup_time
-from ftfreq.regression import ModelConfig
+from ftfreq.regression import DelayTable, ModelConfig
 from ftfreq.signals import (HarmonicSpec, SignalSpec, UniformDisturbance,
                             generate_trace)
 
@@ -270,6 +271,44 @@ def test_steps_after_a_run_leave_its_trajectory_alone():
     assert (run.epochs[0].due, run.epochs[0].fired) == (None, None)
     assert pipeline.epoch == fresh.epoch
     assert pipeline.epoch.fired == 5000
+
+
+def test_a_huge_int_sample_steps_as_run_takes_it():
+    # 10**20 is finite but beyond int64: step() converts its window to float,
+    # as run()'s buffer does, so both entries mix the same samples
+    cfg = builtin_scenario("noiseless-2h")
+    cfg = replace(cfg, run=replace(cfg.run, duration=0.67))
+    times, samples = grid(cfg)
+    samples[20] = 10**20
+    records, _ = pipeline_reference(cfg, times, samples)
+    run = engine_run(cfg, times, samples)
+    assert repr([record.delta for record in records]) == repr(run.delta.tolist())
+    assert any(record.delta != 0.0 for record in records)
+
+
+def test_a_harness_run_builds_one_session(tmp_path):
+    # run_scenario and estimate_from_file each build one delay table and one
+    # estimator state: the session their run goes through
+    cfg = builtin_scenario("noiseless-2h")
+    cfg = replace(cfg, run=replace(cfg.run, duration=6.0))
+    trace = tmp_path / "trace.csv"
+    write_trace_csv(str(trace), *grid(cfg))
+    built = {}
+
+    def counted(cls):
+        init = cls.__init__
+
+        def counting(self, *args, **kwargs):
+            built[cls.__name__] = built.get(cls.__name__, 0) + 1
+            init(self, *args, **kwargs)
+        return mock.patch.object(cls, "__init__", counting)
+
+    with counted(DelayTable), counted(EstimatorState):
+        run_scenario(cfg)
+        assert built == {"DelayTable": 1, "EstimatorState": 1}
+        built.clear()
+        estimate_from_file(str(trace), cfg)
+        assert built == {"DelayTable": 1, "EstimatorState": 1}
 
 
 def engine_run(cfg, times, samples):

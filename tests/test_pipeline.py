@@ -11,6 +11,7 @@ estimator state, bit for bit at every order n (as in tests/test_engine.py),
 or raises the same exception with the same message.
 """
 
+import hashlib
 import math
 from unittest import mock
 
@@ -230,3 +231,53 @@ def test_a_mixed_fault_is_the_one_row_mix_fault():
         pipeline.step(t, samples[warm_from])
     assert rows.call_count == 1
     assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
+
+
+# sha256 of an n = 3 step() session (Python 3.11, numpy 2.4, x86-64): the
+# repr of every StepResult, then of the first epoch's record and the last.
+# d / Ts = 130 > _AHEAD, so batches are full, and the reset at sample 800
+# lands inside the batch of rows 766..893. Like the built-in digests in
+# tests/test_cli.py, a change that alters these numbers says so and why.
+N3_SESSION_DIGEST = "81bb9c70224039227057dbbb3b3313a197ed8be921dc33e8f0fbc38b67fe64b3"
+
+
+def test_an_n3_session_is_byte_identical():
+    n, steps_h, steps_d = 3, 20, 130
+    model = ModelConfig(n=n, h=steps_h * PERIOD, omega_min=0.5, omega_max=4.0)
+    pipeline = Pipeline(model, DremConfig(d=steps_d * PERIOD, epsilon=1.0),
+                        settings_for(n, 7.0, 20.0), PERIOD)
+    lines = []
+    for k, y in enumerate(tones(n, 1800)):
+        if k == 800:
+            first = repr(pipeline.epoch)
+            pipeline.reset()
+        lines.append(repr(pipeline.step(k * PERIOD, y)))
+    assert (pipeline.epoch.first, pipeline.epoch.fired) == (800, 1500)
+    digest = hashlib.sha256("\n".join([*lines, first, repr(pipeline.epoch)]).encode())
+    assert digest.hexdigest() == N3_SESSION_DIGEST
+
+
+def held(pipeline):
+    """Samples the session keeps: the list not yet converted, plus the
+    numpy window with any array it is a view of."""
+    window = pipeline._window
+    return len(pipeline._history) + (window if window.base is None else window.base).size
+
+
+@pytest.mark.parametrize("steps_d", [5, 10])
+def test_a_long_stream_keeps_a_bounded_history(steps_d):
+    # a stream runs forever: over 20 warm-ups the session never keeps
+    # warm_from + 2 min(d / Ts, _AHEAD) + 1 samples, and reset() drops all
+    n, steps_h = 2, 3
+    model = ModelConfig(n=n, h=steps_h * PERIOD, omega_min=0.5, omega_max=4.0)
+    with mock.patch.object(pipeline_module, "_AHEAD", AHEAD):
+        pipeline = Pipeline(model, DremConfig(d=steps_d * PERIOD, epsilon=10.0),
+                            settings_for(n, 10.0), PERIOD)
+        warm_from = pipeline.taps.warm_from
+        most = 0
+        for k, y in enumerate(tones(n, 20 * warm_from + 1)):
+            pipeline.step(k * PERIOD, y)
+            most = max(most, held(pipeline))
+    assert warm_from < most < warm_from + 2 * min(steps_d, AHEAD) + 1
+    pipeline.reset()
+    assert held(pipeline) == 0
