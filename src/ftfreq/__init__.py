@@ -20,8 +20,7 @@ from .estimator import (EstimatorSettings, EstimatorState,
 from .harness import RunResult, estimate_from_file, run_scenario
 from .mixing import DremConfig, mix
 from .pipeline import Pipeline, StepResult
-from .recovery import (FrequencyEstimate, find_roots, recover_frequencies,
-                       roots_to_frequencies, theta_to_polynomial)
+from .recovery import FrequencyEstimate, recover_frequencies
 from .regression import (DelayTable, ModelConfig, delay_table, regression_at,
                          true_theta)
 from .signals import (HarmonicSpec, ScheduleStep, SignalSpec,
@@ -36,9 +35,9 @@ __all__ = [
     "ScenarioConfig", "ScheduleStep", "SignalSpec", "StepResult",
     "UniformDisturbance",
     "builtin_scenario", "config_warnings", "delay_table",
-    "estimate_from_file", "find_roots", "finite_time_estimate", "format_config",
+    "estimate_from_file", "finite_time_estimate", "format_config",
     "load_config", "mix", "parse_config",
-    "recover_frequencies", "regression_at", "reset_estimator", "roots_to_frequencies",
+    "recover_frequencies", "regression_at", "reset_estimator",
     "run_scenario",
-    "theta_to_polynomial", "true_theta", "validate_config", "with_seed",
+    "true_theta", "validate_config", "with_seed",
 ]

@@ -84,8 +84,8 @@ class Epoch:
     extraction succeeded, each None if never; the rows from fired on report
     theta_ft and omega_ft, whose recovery dropped root imaginary parts up to
     root_residual and clamped a root's real part into [-1, 1] if clamped.
-    stop reads None while the epoch is open: Pipeline.epoch, which reset()
-    replaces."""
+    stop reads None while the epoch is open: Pipeline.epoch, until reset()
+    closes and replaces it."""
 
     first: int
     stop: int | None = None
@@ -148,11 +148,24 @@ def warmup_time(model: ModelConfig, drem: DremConfig) -> float:
 
 
 def check_measurement(t: float, y: float) -> None:
-    """Reject a measurement sample with a non-finite time or value."""
+    """Reject a measurement sample with a non-finite time or value, or with
+    a value (an int) beyond the float range."""
     if not math.isfinite(t):
         raise NumericFault(f"non-finite time {t}")
-    if not math.isfinite(y):
+    try:
+        finite = math.isfinite(y)
+    except OverflowError as exc:
+        raise NumericFault(f"measurement at t = {t} is beyond the float range: {exc}") from None
+    if not finite:
         raise NumericFault(f"non-finite measurement {y} at t = {t}")
+
+
+def _float_or_nan(y: float) -> float:
+    """y as a float, NaN if it is beyond the float range."""
+    try:
+        return float(y)
+    except OverflowError:
+        return math.nan
 
 
 @contextmanager
@@ -260,7 +273,10 @@ class Pipeline:
             # the zeros before the segment make every row a valid mix_rows
             # row; warm rows never read them
             y = np.zeros(depth + stop - first)
-            y[depth:] = samples[first:stop]
+            try:
+                y[depth:] = samples[first:stop]
+            except OverflowError:  # an int sample beyond the float range: checked at its row
+                y[depth:] = list(map(_float_or_nan, samples[first:stop]))
             # times are checked one by one: a float copy of them raised the
             # builtins benchmark's peak RSS by 2 MB
             timed = np.fromiter(map(math.isfinite, islice(times, first, stop)), bool, stop - first)
@@ -367,11 +383,15 @@ class Pipeline:
         """Restart the session mid-stream after an external signal change.
 
         Flushes all delay history and the rows computed ahead from it (the
-        pipeline re-warms on post-reset data only) and starts a new epoch,
-        with a new record, carrying the gradient estimate over. Without a
+        pipeline re-warms on post-reset data only), closes the epoch's
+        record at the samples stepped and starts a new epoch, with a new
+        record, carrying the gradient estimate over. Without a
         reset the finite-time output keeps its stale extracted value.
         """
-        self.epoch = Epoch(self.epoch.first + self._count)
+        epoch = self.epoch
+        if epoch.stop is None:  # run() sets its epochs' stops
+            epoch.stop = epoch.first + self._count
+        self.epoch = Epoch(epoch.stop)
         self._clear_history()
         reset_estimator(self.state)
 

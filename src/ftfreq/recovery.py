@@ -10,13 +10,12 @@ ascending sort (the regression is symmetric in the harmonics, so sorted
 order is the only canonical labeling).
 
 Root finding has one written form, _roots, over stacked rows of theta in
-numpy complex arithmetic. recover_rows is its batched call, with which
-Pipeline's block routine recovers omega_grad; find_roots is its one-row
-call, which runs for omega_ft, for a session's first omega_grad and to
-settle a row recover_rows flags. The tail from cosines to sorted in-band
-frequencies has one written form as well, _frequencies, which recover_rows
-calls on all its rows and roots_to_frequencies on its one row, after
-checking each root.
+numpy complex arithmetic, and so has the tail from cosines to sorted
+in-band frequencies, _frequencies. recover_rows runs both on many rows,
+with which Pipeline's block routine recovers omega_grad;
+recover_frequencies runs both on one row, after checking it and then each
+root, for omega_ft, for a session's first omega_grad and to settle a row
+recover_rows flags.
 """
 
 from __future__ import annotations
@@ -47,13 +46,6 @@ class FrequencyEstimate:
     omega_hat: tuple[float, ...]
     residual: float
     clamped: bool
-
-
-def theta_to_polynomial(theta) -> list[float]:
-    """Monic coefficients (descending powers) of the polynomial with roots c_i."""
-    coeffs = [1.0]
-    coeffs.extend(-t for t in theta)
-    return coeffs
 
 
 def _horner(coeffs, x):
@@ -116,95 +108,72 @@ def _roots(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return roots, residual, allowed
 
 
-def find_roots(coeffs) -> list[complex]:
-    """All roots of a monic polynomial of degree 1..8, multiplicities repeated.
+def recover_frequencies(theta, h: float, bounds: tuple[float, float],
+                        imag_tol: float = DEFAULT_IMAG_TOL) -> FrequencyEstimate:
+    """Sorted in-band frequencies of one theta: recover_rows' root finder
+    and tail on its one row.
 
-    The one-row call of recover_rows' root finder: closed forms for degrees
-    1 and 2, companion-matrix eigenvalues with Newton polishing above that.
-    Every root is checked against the residual target; missing it raises
-    NumericFault with the offending data, and so do non-finite coefficients
-    (a fault of the data that produced them) and a failed eigenvalue
-    iteration.
+    The degree must be in 1..MAX_HARMONICS. Non-finite theta, a failed
+    eigenvalue iteration and a root that misses the residual target each
+    raise NumericFault naming the polynomial's coefficients. Imaginary
+    parts up to imag_tol * (1 + |Re|) are treated as numeric noise and
+    dropped; anything larger means theta does not describe real cosines and
+    raises EstimateNotPhysical with the roots. Used with the finite-time
+    estimate for the headline output and, with a permissive imag_tol
+    (math.inf), on a raw gradient estimate that recover_rows does not
+    settle: the exponentially convergent companion stream.
     """
-    coeffs = [float(c) for c in coeffs]
-    degree = len(coeffs) - 1
+    theta = np.array([[float(t) for t in theta]])  # a non-numeric element raises TypeError
+    degree = theta.shape[1]
     if not 1 <= degree <= MAX_HARMONICS:
         raise ValueError(f"degree must be in 1..{MAX_HARMONICS}, got {degree}")
-    if coeffs[0] != 1.0:
-        raise ValueError(f"polynomial must be monic, got leading coefficient {coeffs[0]}")
-    if any(not math.isfinite(c) for c in coeffs):
-        raise NumericFault(f"polynomial coefficients must be finite, got {coeffs}")
+    if not np.isfinite(theta).all():
+        raise NumericFault(f"polynomial coefficients must be finite, got {_coefficients(theta)}")
     try:
-        roots, residuals, allowed = _roots(-np.array([coeffs[1:]]))
+        roots, residuals, allowed = _roots(theta)
     except np.linalg.LinAlgError as exc:
-        raise NumericFault(
-            f"companion eigenvalue iteration failed for coefficients {coeffs}: {exc}"
-        ) from exc
-    roots, allowed = roots[0].tolist(), float(allowed[0])
+        raise NumericFault(f"companion eigenvalue iteration failed for coefficients "
+                           f"{_coefficients(theta)}: {exc}") from exc
+    values, allowed = roots[0].tolist(), float(allowed[0])
     for residual in residuals[0].tolist():
         if not residual <= allowed:
             raise NumericFault(
                 f"root residual {residual:.3g} exceeds {allowed:.3g} "
-                f"for coefficients {coeffs} (roots {roots})")
-    return roots
-
-
-def roots_to_frequencies(roots, h: float, bounds: tuple[float, float],
-                         imag_tol: float = DEFAULT_IMAG_TOL) -> FrequencyEstimate:
-    """Map cosine roots to sorted in-band frequency estimates.
-
-    A root with a non-finite real or imaginary part raises NumericFault.
-    Imaginary parts up to imag_tol * (1 + |Re|) are treated as numeric noise
-    and dropped; anything larger means the parameter estimate does not
-    describe real cosines and raises EstimateNotPhysical. Real parts are
-    clamped into [-1, 1], mapped through arccos, scaled by 1/h, and finally
-    projected into [omega_min, omega_max].
-    """
+                f"for coefficients {_coefficients(theta)} (roots {values})")
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"h must be positive, got {h}")
     omega_min, omega_max = bounds
     if not omega_min < omega_max:
         raise ValueError(f"bounds must satisfy omega_min < omega_max, got {bounds}")
-    values = [complex(root) for root in roots]
     for root in values:
-        if not (math.isfinite(root.real) and math.isfinite(root.imag)):
-            raise NumericFault(f"root {root} is not finite")
         if abs(root.imag) > imag_tol * (1.0 + abs(root.real)):
             raise EstimateNotPhysical(
-                f"root {root} has imaginary part beyond tolerance {imag_tol}", roots)
+                f"root {root} has imaginary part beyond tolerance {imag_tol}", values)
     return FrequencyEstimate(
-        omega_hat=tuple(_frequencies(np.array([[root.real for root in values]]), h,
-                                     bounds)[0].tolist()),
-        residual=max((abs(root.imag) for root in values), default=0.0),
+        omega_hat=tuple(_frequencies(roots.real, h, bounds)[0].tolist()),
+        residual=max(abs(root.imag) for root in values),
         clamped=any(abs(root.real) > 1.0 for root in values))
 
 
-def recover_frequencies(theta, h: float, bounds: tuple[float, float],
-                        imag_tol: float = DEFAULT_IMAG_TOL) -> FrequencyEstimate:
-    """Full recovery chain theta -> polynomial -> roots -> frequencies.
-
-    Used with the finite-time estimate for the headline output and, with a
-    permissive imag_tol (math.inf), on a raw gradient estimate that
-    recover_rows does not settle: the exponentially convergent companion
-    stream.
-    """
-    return roots_to_frequencies(
-        find_roots(theta_to_polynomial(theta)), h, bounds, imag_tol)
+def _coefficients(theta: np.ndarray) -> list[float]:
+    """The monic coefficients, descending, of the polynomial of theta's one
+    row, as a fault names them."""
+    return [1.0, *(-theta[0]).tolist()]
 
 
 def recover_rows(theta: np.ndarray, h: float,
                  bounds: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     """omega_grad of every row of theta under recover_frequencies(imag_tol=inf).
 
-    Returns (omega, suspect): rows whose coefficients are not finite or whose
-    roots miss find_roots' residual target are suspect, with NaN omegas; the
-    caller settles them with recover_frequencies, which raises its fault.
+    Returns (omega, suspect): rows that are not finite or whose roots miss
+    the residual target are suspect, with NaN omegas; the caller settles
+    them with recover_frequencies, which raises its fault.
     """
     count, n = theta.shape
     finite = np.isfinite(theta).all(axis=1)
     try:
         roots, residual, allowed = _roots(np.where(finite[:, None], theta, 0.0))
-    except np.linalg.LinAlgError:  # find_roots names the matrix that failed
+    except np.linalg.LinAlgError:  # recover_frequencies names the row that failed
         return np.full((count, n), np.nan), np.ones(count, dtype=bool)
     suspect = ~(finite & (residual <= allowed[:, None]).all(axis=1))
     omega = _frequencies(roots.real, h, bounds)

@@ -34,7 +34,7 @@ from functools import lru_cache
 from .errors import ConfigError
 from .signals import GRID_TOL
 
-MAX_HARMONICS = 8  # largest model order: also adjugate's matrix size and find_roots' degree limit
+MAX_HARMONICS = 8  # largest model order: also adjugate's matrix size and recover_frequencies' degree limit
 
 H_RULE_QUARTER = "quarter-period"
 H_RULE_HALF = "half-period"

@@ -58,7 +58,7 @@ def module_map_private_names():
 
 def test_module_map_private_names_resolve():
     names = module_map_private_names()
-    assert {("mixing", "_adjugates"), ("recovery", "_frequencies"),
+    assert {("mixing", "_adjugates"), ("recovery", "_roots"), ("recovery", "_frequencies"),
             ("pipeline", "_CHUNK")} <= set(names)
     for module, name in names:
         assert hasattr(importlib.import_module(f"ftfreq.{module}"), name), (module, name)
@@ -171,6 +171,15 @@ def test_one_block_routine_calls_the_batched_stages():
         "gradient_rows": {"pipeline.Pipeline._rows", "estimator.step_gradient"},
         "recover_rows": {"pipeline.Pipeline._rows"},
     }
+
+
+def test_one_route_from_theta_to_omega():
+    """The root finder, _roots, and the tail from cosines to frequencies,
+    _frequencies, are each called from their batched call, recover_rows,
+    and its one-row call, recover_frequencies, alone, so that a second
+    route from theta to omega shows here."""
+    both = {"recovery.recover_rows", "recovery.recover_frequencies"}
+    assert stage_callers(("_roots", "_frequencies")) == {"_roots": both, "_frequencies": both}
 
 
 # A built-in simulate, then an n = 3 Pipeline run through its extraction;

@@ -205,7 +205,8 @@ def test_streaming_epochs_match_run(n):
     # Pipeline.epoch, read before each reset and after the last sample, is
     # the record run writes for that epoch: a short epoch that never comes
     # due, then two that extract (seed 3: at n = 8, seed 1's roots leave the
-    # real axis); a streaming record stays open (stop None)
+    # real axis); reset() closes a streaming record at the run's stop, and
+    # the last stays open (stop None)
     cfg = synthetic(n, 3)
     t_ft = cfg.estimator.t_ft
     cfg = replace(cfg, run=replace(cfg.run, duration=round(2.5 * t_ft + 2.0, 9),
@@ -228,7 +229,8 @@ def test_streaming_epochs_match_run(n):
     assert list(map(record, streamed)) == list(map(record, run.epochs))
     assert [epoch.first for epoch in run.epochs] == [0, *resets]
     assert [epoch.fired is not None for epoch in run.epochs] == [False, True, True]
-    assert [epoch.stop for epoch in streamed] == [None] * 3
+    assert [epoch.stop for epoch in streamed] == [*resets, None]
+    assert [epoch.stop for epoch in run.epochs] == [*resets, len(times)]
 
 
 def test_a_second_run_starts_a_new_session():
@@ -284,6 +286,25 @@ def test_a_huge_int_sample_steps_as_run_takes_it():
     run = engine_run(cfg, times, samples)
     assert repr([record.delta for record in records]) == repr(run.delta.tolist())
     assert any(record.delta != 0.0 for record in records)
+
+
+def test_an_int_beyond_the_float_range_is_a_numeric_fault():
+    # 10**400 has no float: step() rejects it in its measurement check, and
+    # run() at its row, after the rows before it, as a non-finite sample; at
+    # sample 5000, where extraction would fire, the check comes first
+    cfg = builtin_scenario("noiseless-2h")
+    cfg = replace(cfg, run=replace(cfg.run, duration=6.0))
+    times, samples = grid(cfg)
+    message = ("measurement at t = {} is beyond the float range: "
+               "int too large to convert to float")
+    with pytest.raises(NumericFault, match=f"^{re.escape(message.format(0.0))}$"):
+        build_pipeline(cfg).step(0.0, 10**400)
+    for k in (20, 5000, len(samples) - 1):
+        huge = samples[:k] + [10**400] + samples[k + 1:]
+        expected = outcome(lambda: pipeline_reference(cfg, times, huge))
+        assert outcome(lambda: engine_run(cfg, times, huge)) == expected
+        assert expected == (NumericFault, k,
+                            f"sample {k} (t = {times[k]:.6g}): {message.format(times[k])}")
 
 
 def test_a_harness_run_builds_one_session(tmp_path):

@@ -257,6 +257,24 @@ def test_an_n3_session_is_byte_identical():
     assert digest.hexdigest() == N3_SESSION_DIGEST
 
 
+def test_reset_closes_the_epoch_record():
+    # the record a reset replaces ends where the new one starts, as a run's
+    # records do; the current record stays open
+    n = 2
+    model = ModelConfig(n=n, h=0.03, omega_min=0.5, omega_max=4.0)
+    pipeline = Pipeline(model, DremConfig(d=0.1, epsilon=10.0), settings_for(n, 10.0), PERIOD)
+    for k, y in enumerate(tones(n, 100)):
+        pipeline.step(k * PERIOD, y)
+    kept = pipeline.epoch
+    pipeline.reset()
+    assert (kept.first, kept.stop) == (0, 100)
+    assert (pipeline.epoch.first, pipeline.epoch.stop) == (100, None)
+    empty = pipeline.epoch
+    pipeline.reset()
+    assert (empty.first, empty.stop) == (100, 100)
+    assert (pipeline.epoch.first, pipeline.epoch.stop) == (100, None)
+
+
 def held(pipeline):
     """Samples the session keeps: the list not yet converted, plus the
     numpy window with any array it is a view of."""

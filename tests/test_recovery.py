@@ -1,4 +1,6 @@
-"""Unit tests for polynomial-based frequency recovery."""
+"""Unit tests for polynomial-based frequency recovery: the one root
+finder, recovery._roots, on rows of theta, and recover_frequencies, its
+one-row call from theta to sorted in-band frequencies."""
 
 import math
 import sys
@@ -15,55 +17,74 @@ from ftfreq.errors import EstimateNotPhysical, NumericFault
 from ftfreq.estimator import EstimatorSettings
 from ftfreq.mixing import DremConfig
 from ftfreq.pipeline import Pipeline
-from ftfreq.recovery import (find_roots, recover_frequencies, recover_rows,
-                             roots_to_frequencies, theta_to_polynomial)
+from ftfreq.recovery import _roots, recover_frequencies, recover_rows
 from ftfreq.regression import ModelConfig, true_theta
 
 
+def roots_of(coeffs):
+    """_roots' roots, as Python complexes, of the monic polynomial with
+    coefficients coeffs (descending powers): theta = -coeffs[1:]."""
+    return _roots(-np.array([coeffs[1:]], dtype=float))[0][0].tolist()
+
+
+def vieta(roots):
+    """theta of the cosines roots: minus the trailing coefficients of
+    their monic polynomial."""
+    return tuple((-np.poly(roots)[1:]).real.tolist())
+
+
 class TestThetaToPolynomial:
+    """theta holds the signed coefficients of the cosines' monic polynomial
+    x^n - theta_1 x^(n-1) - ... - theta_n."""
+
     def test_single_parameter(self):
+        # x - c: the closed form returns c itself
         c = math.cos(0.2)
-        assert theta_to_polynomial((c,)) == [1.0, -c]
+        assert roots_of([1.0, -c]) == [complex(c, 0.0)]
+        assert recover_frequencies((c,), 0.1, (0.5, 5.5)).omega_hat == (math.acos(c) / 0.1,)
 
     def test_two_parameters_signed(self):
         theta = true_theta([2.0, 3.0], 0.1)
-        coeffs = theta_to_polynomial(theta)
-        assert coeffs == pytest.approx([1.0, -1.9354031, 0.9362934], abs=1e-7)
+        assert theta == pytest.approx([1.9354031, -0.9362934], abs=1e-7)
         # the true cosines really are roots of this polynomial
         for c in (math.cos(0.2), math.cos(0.3)):
-            value = coeffs[0] * c * c + coeffs[1] * c + coeffs[2]
-            assert abs(value) < 1e-15
+            assert abs(c * c - theta[0] * c - theta[1]) < 1e-15
+        assert sorted(r.real for r in roots_of([1.0, *(-t for t in theta)])) == \
+            pytest.approx([math.cos(0.3), math.cos(0.2)], abs=1e-9)
 
     def test_zero_vector_gives_pure_power(self):
-        assert theta_to_polynomial((0.0, 0.0, 0.0)) == [1.0, -0.0, -0.0, -0.0]
-        roots = find_roots(theta_to_polynomial((0.0, 0.0, 0.0)))
-        assert all(abs(r) < 1e-12 for r in roots)
+        roots, residual, allowed = _roots(np.zeros((1, 3)))
+        assert np.abs(roots).max() < 1e-12
+        assert (residual <= allowed[:, None]).all()
 
 
 class TestFindRoots:
+    """_roots on theta = -coeffs[1:], and the checks recover_frequencies
+    makes before it."""
+
     def test_known_quadratic(self):
-        roots = sorted(r.real for r in find_roots(
+        roots = sorted(r.real for r in roots_of(
             [1.0, -1.9354030669668476, 0.9362933635841992]))
         assert roots[0] == pytest.approx(math.cos(0.3), abs=1e-9)
         assert roots[1] == pytest.approx(math.cos(0.2), abs=1e-9)
 
     def test_double_root(self):
-        roots = find_roots([1.0, -1.0, 0.25])  # (x - 0.5)^2
+        roots = roots_of([1.0, -1.0, 0.25])  # (x - 0.5)^2
         assert [r.real for r in roots] == [0.5, 0.5]
         assert all(r.imag == 0.0 for r in roots)
         # theta = (0, 0): the larger root q is 0, so Vieta cannot give its mate
-        assert find_roots([1.0, 0.0, 0.0]) == [0j, 0j]
+        assert roots_of([1.0, 0.0, 0.0]) == [0j, 0j]
 
     def test_cubic_roundtrip(self):
         rng = np.random.default_rng(31)
         for _ in range(100):
             wanted = sorted(rng.uniform(-0.9, 0.9, 3))
             coeffs = np.poly(wanted)
-            got = sorted(r.real for r in find_roots(list(coeffs)))
+            got = sorted(r.real for r in roots_of(list(coeffs)))
             assert got == pytest.approx(wanted, abs=1e-9)
 
     def test_complex_pair(self):
-        roots = find_roots([1.0, 0.0, 1.0])  # x^2 + 1
+        roots = roots_of([1.0, 0.0, 1.0])  # x^2 + 1
         assert sorted(r.imag for r in roots) == pytest.approx([-1.0, 1.0], abs=1e-12)
 
     def test_residual_certificate_on_high_degree(self):
@@ -71,9 +92,10 @@ class TestFindRoots:
         for degree in (5, 8):
             wanted = sorted(rng.uniform(-0.95, 0.95, degree))
             coeffs = [float(c) for c in np.poly(wanted)]
-            roots = find_roots(coeffs)
+            roots, residual, allowed = _roots(-np.array([coeffs[1:]]))
+            assert (residual <= allowed[:, None]).all()
             bound = 1e-10 * (1 + max(abs(c) for c in coeffs))
-            for r in roots:
+            for r in roots[0].tolist():
                 value = 0.0 + 0.0j
                 for c in coeffs:
                     value = value * r + c
@@ -96,43 +118,47 @@ class TestFindRoots:
     ])
     def test_signed_zeros_at_low_degree(self, coeffs, expected):
         # the closed forms' roots, signs of zero and order included
-        assert repr(find_roots(coeffs)) == expected
+        assert repr(roots_of(coeffs)) == expected
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
-            find_roots([1.0])  # degree 0
-        with pytest.raises(ValueError):
-            find_roots([1.0] + [0.0] * 9)  # degree 9
-        with pytest.raises(ValueError):
-            find_roots([2.0, 1.0])  # not monic
-        with pytest.raises(NumericFault):  # a fault of the data, not a bad call
-            find_roots([1.0, float("nan")])
+        with pytest.raises(ValueError, match=r"^degree must be in 1\.\.8, got 0$"):
+            recover_frequencies((), 0.1, (0.5, 5.5))
+        with pytest.raises(ValueError, match=r"^degree must be in 1\.\.8, got 9$"):
+            recover_frequencies((0.0,) * 9, 0.1, (0.5, 5.5))
+        # a fault of the data, not a bad call, found before h is checked
+        with pytest.raises(NumericFault) as info:
+            recover_frequencies((math.nan,), 0.0, (0.5, 5.5))
+        assert str(info.value) == "polynomial coefficients must be finite, got [1.0, nan]"
 
 
 class TestRootsToFrequencies:
+    """recover_frequencies from the theta of given cosines: a single root c
+    is theta = (c,), which the n = 1 closed form returns bit for bit, and
+    pairs and triples are theta by Vieta."""
+
     BOUNDS = (0.5, 5.5)
 
     def test_known_cosine_pair(self):
         # cos(0.2) = 0.9800666..., cos(0.3) = 0.9553365...
-        est = roots_to_frequencies([math.cos(0.2), math.cos(0.3)], 0.1, self.BOUNDS)
+        est = recover_frequencies(vieta([math.cos(0.2), math.cos(0.3)]), 0.1, self.BOUNDS)
         assert est.omega_hat == pytest.approx((2.0, 3.0), abs=1e-6)
         assert est.residual == 0.0
         assert not est.clamped
 
     def test_root_at_one_projects_to_band_floor(self):
-        est = roots_to_frequencies([1.0], 0.1, self.BOUNDS)
+        est = recover_frequencies((1.0,), 0.1, self.BOUNDS)
         assert est.omega_hat == (0.5,)
         assert not est.clamped
 
     def test_noise_inflated_root_clamped(self):
-        est = roots_to_frequencies([1.02], 0.1, self.BOUNDS)
+        est = recover_frequencies((1.02,), 0.1, self.BOUNDS)
         assert est.clamped
         assert est.omega_hat == (0.5,)
 
     @pytest.mark.parametrize("bounds, omega", [((0.5, 5.5), 5.5), ((0.5, 40.0), math.pi / 0.1)])
     def test_root_below_minus_one_clamped(self, bounds, omega):
         # clamped to -1, whose arccos is pi: omega = pi / h, projected into the band
-        est = roots_to_frequencies([-1.02], 0.1, bounds)
+        est = recover_frequencies((-1.02,), 0.1, bounds)
         assert est.clamped
         assert est.omega_hat == (omega,)
 
@@ -144,41 +170,73 @@ class TestRootsToFrequencies:
     ])
     def test_input_validation(self, h, bounds, message):
         with pytest.raises(ValueError, match=message):
-            roots_to_frequencies([0.9], h, bounds)
+            recover_frequencies((0.9,), h, bounds)
 
     def test_excessive_imaginary_part_rejected(self):
+        theta = vieta([complex(0.9, 0.2), complex(0.9, -0.2)])
         with pytest.raises(EstimateNotPhysical) as info:
-            roots_to_frequencies([complex(0.9, 0.2)], 0.1, self.BOUNDS)
-        assert info.value.roots == (complex(0.9, 0.2),)
+            recover_frequencies(theta, 0.1, self.BOUNDS)
+        assert info.value.roots == tuple(roots_of([1.0, *(-t for t in theta)]))
+        assert info.value.roots == pytest.approx((complex(0.9, 0.2), complex(0.9, -0.2)))
+        # a permissive tolerance, as for omega_grad, takes the real parts
+        assert recover_frequencies(theta, 0.1, self.BOUNDS, math.inf).omega_hat == \
+            pytest.approx((math.acos(0.9) / 0.1,) * 2)
 
     def test_small_imaginary_part_tolerated_and_reported(self):
-        est = roots_to_frequencies([complex(0.98, 1e-5)], 0.1, self.BOUNDS)
-        assert est.residual == pytest.approx(1e-5)
-        assert est.omega_hat[0] == pytest.approx(math.acos(0.98) / 0.1, rel=1e-9)
+        est = recover_frequencies(vieta([complex(0.98, 1e-5), complex(0.98, -1e-5)]),
+                                  0.1, self.BOUNDS)
+        assert est.residual == pytest.approx(1e-5, rel=1e-4)
+        assert est.omega_hat == pytest.approx((math.acos(0.98) / 0.1,) * 2, rel=1e-9)
 
     def test_monotone_endpoints(self):
         h = 0.1
         lo, hi = self.BOUNDS
-        at_hi = roots_to_frequencies([math.cos(hi * h)], h, self.BOUNDS)
-        at_lo = roots_to_frequencies([math.cos(lo * h)], h, self.BOUNDS)
+        at_hi = recover_frequencies((math.cos(hi * h),), h, self.BOUNDS)
+        at_lo = recover_frequencies((math.cos(lo * h),), h, self.BOUNDS)
         assert at_hi.omega_hat[0] == pytest.approx(hi, rel=1e-12)
         assert at_lo.omega_hat[0] == pytest.approx(lo, rel=1e-12)
         # strictly decreasing in the cosine across the band
         cs = np.linspace(math.cos(hi * h), math.cos(lo * h), 50)
-        omegas = [roots_to_frequencies([c], h, self.BOUNDS).omega_hat[0] for c in cs]
+        omegas = [recover_frequencies((c,), h, self.BOUNDS).omega_hat[0] for c in cs]
         assert all(b < a for a, b in zip(omegas, omegas[1:]))
 
-    @pytest.mark.parametrize("root", [math.nan, complex(0.9, math.nan), complex(math.inf, 0.0)],
-                             ids=["nan-real", "nan-imag", "inf-real"])
-    def test_non_finite_root_is_a_fault(self, root):
-        # a NaN part would pass the imaginary-part check and clamp to the band
-        with pytest.raises(NumericFault, match="is not finite") as info:
-            roots_to_frequencies([0.5, root], 0.1, self.BOUNDS)
-        assert type(info.value) is NumericFault
-
     def test_sorted_ascending(self):
-        est = roots_to_frequencies([0.5, 0.99, 0.8], 0.1, self.BOUNDS)
+        est = recover_frequencies(vieta([0.5, 0.99, 0.8]), 0.1, (0.5, 20.0))
         assert est.omega_hat == tuple(sorted(est.omega_hat))
+        assert est.omega_hat == pytest.approx(
+            [math.acos(c) / 0.1 for c in (0.99, 0.8, 0.5)], rel=1e-9)
+
+
+@pytest.mark.parametrize("theta", [
+    (1e300, 1e300), (1e300, -1e300), (-1e300, 1e300), (1e300,) * 3, (1e200,) * 5,
+    (-1e300, 1e300, -1e300, 1e300), (1e300,) * 8,
+], ids=lambda theta: f"n{len(theta)}")
+def test_overflowing_roots_are_a_residual_fault(theta):
+    # a finite theta whose roots overflow: the closed form (n = 2) or
+    # eigvals (n >= 3) returns a non-finite root or residual, which misses
+    # the residual target; recovery faults, and never returns a clamped
+    # omega, whatever the imaginary-part tolerance
+    for imag_tol in (recovery.DEFAULT_IMAG_TOL, math.inf):
+        with pytest.raises(NumericFault, match="^root residual ") as info:
+            recover_frequencies(theta, 0.3, (1.0, 4.0), imag_tol)
+        assert type(info.value) is NumericFault
+    omega, suspect = recover_rows(np.array([theta]), 0.3, (1.0, 4.0))
+    assert suspect.all() and np.isnan(omega).all()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_a_non_finite_root_always_misses_the_residual_target(n):
+    # so recover_frequencies needs no check of its own for one: over finite
+    # theta from 1e-300 to 1e308 in size, every row with a non-finite root
+    # fails the residual check (the closed form at n = 2 returns about a
+    # thousand such rows; balanced eigvals none)
+    rng = np.random.default_rng(n)
+    theta = rng.choice([-1.0, 1.0], (4000, n)) * 10.0 ** rng.uniform(-300, 308, (4000, n))
+    roots, residual, allowed = _roots(theta)
+    assert np.isfinite(theta).all()
+    non_finite = ~np.isfinite(roots).all(axis=1)
+    assert not (residual <= allowed[:, None]).all(axis=1)[non_finite].any()
+    assert non_finite.any() or n != 2
 
 
 class TestRoundtrip:
@@ -282,7 +340,6 @@ def test_a_failed_eigenvalue_iteration():
     def failing(matrices):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    coeffs = [1.0, -2.8, 2.6, -0.8]
     freqs = (1.5, 2.5, 3.5)
     model = ModelConfig(n=3, h=0.3, omega_min=1.0, omega_max=4.0)
     pipeline = Pipeline(model, DremConfig(d=0.4, epsilon=10.0),
@@ -294,9 +351,9 @@ def test_a_failed_eigenvalue_iteration():
         pipeline.step(0.1 * k, y)
     with mock.patch.object(recovery.np.linalg, "eigvals", failing):
         with pytest.raises(NumericFault) as info:
-            find_roots(coeffs)
-        assert str(info.value).startswith(
-            f"companion eigenvalue iteration failed for coefficients {coeffs}: ")
+            recover_frequencies((2.8, -2.6, 0.8), 0.3, (1.0, 4.0), math.inf)
+        assert str(info.value) == ("companion eigenvalue iteration failed for coefficients "
+                                   "[1.0, -2.8, 2.6, -0.8]: Eigenvalues did not converge")
         # the batch flags every row: one failure fails the stacked call
         omega, suspect = recover_rows(np.array([[2.8, -2.6, 0.8]] * 5), 0.3, (1.0, 4.0))
         assert suspect.all() and np.isnan(omega).all()
@@ -304,6 +361,6 @@ def test_a_failed_eigenvalue_iteration():
         with pytest.raises(NumericFault) as stepped:
             pipeline.step(0.1 * (len(signal) - 1), signal[-1])
         with pytest.raises(NumericFault) as alone:
-            find_roots(theta_to_polynomial(pipeline.state.theta_hat))
+            recover_frequencies(pipeline.state.theta_hat, 0.3, (1.0, 4.0), math.inf)
     assert str(stepped.value) == str(alone.value)
     assert "companion eigenvalue iteration failed" in str(stepped.value)
