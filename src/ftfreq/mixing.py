@@ -15,8 +15,9 @@ stack this multiplies delta and every mixed_psi_i by eps^n.
 Mixing has one written form, over K stacked systems at once: _adjugates
 (adj(M) and det(M) together: elementwise cofactors for n <= 3, above that
 G. W. Stewart's singular value form, "On the adjugate matrix", Lin. Alg.
-Appl. 1998; both stay valid for singular M, including the all-zero stack
-of a zero signal), _scaled_product (the eps^n scale and adj(M) psi_rows)
+Appl. 1998, with its products of singular values from _products; both
+stay valid for singular M, including the all-zero stack of a zero
+signal), _scaled_product (the eps^n scale and adj(M) psi_rows)
 and _mixed_stacks (both, up to the first non-finite stack or output).
 mix_rows stacks whole lagged columns for the driver; adjugate and mix are
 the one-row calls, behind one shape check (_one_row_stack). mix_fault
@@ -188,7 +189,7 @@ def _adjugates(phi_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """adj (K, n, n) and det (K,) of K stacked n x n matrices, as adjugate
     states them: elementwise cofactors over the K matrices for n <= 3, the
     stacked SVD for n >= 4."""
-    count, n = phi_rows.shape[:2]
+    n = phi_rows.shape[1]
     if n == 1:
         return np.ones_like(phi_rows), phi_rows[:, 0, 0]
     if n == 2:
@@ -202,11 +203,24 @@ def _adjugates(phi_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.moveaxis(adj, -1, 0), a * adj[0, 0] + b * adj[1, 0] + c * adj[2, 0]
     u, s, vt = np.linalg.svd(phi_rows)
     sign = np.copysign(1.0, np.linalg.det(u @ vt))  # U V^T is orthogonal: +-1
-    s, ones = s.T, np.ones(count)  # each product left to right from 1
-    others = np.stack([sign * math.prod(s[:i], start=ones) * math.prod(s[i + 1:], start=ones)
-                       for i in range(n)], axis=1)
+    others, det = _products(sign, s)
     adj = (np.swapaxes(vt, 1, 2) * others[:, None, :]) @ np.swapaxes(u, 1, 2)
-    return adj, sign * math.prod(s, start=ones)
+    return adj, det
+
+
+def _products(sign: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """others (K, n), sign times the product of every s_j but s_i, and
+    det (K,), sign times the product of all, for K rows of singular values
+    s (K, n): each product formed left to right from 1, the prefixes by one
+    accumulate and the suffixes by one reduce."""
+    count, n = s.shape
+    # 1, s_0, ..., s_(n-1), then n - 1 ones: row i's suffix window is
+    # s_(i+1), ..., s_(n-1) padded with ones to n - 1 entries
+    padded = np.concatenate((np.ones((count, 1)), s, np.ones((count, n - 1))), axis=1)
+    before = np.multiply.accumulate(padded[:, :n + 1], axis=1)
+    after = np.multiply.reduce(padded[:, np.add.outer(np.arange(2, n + 2), np.arange(n - 1))],
+                               axis=2)
+    return sign[:, None] * before[:, :n] * after, sign * before[:, n]
 
 
 def _scaled_product(adj: np.ndarray, det: np.ndarray, psi_rows: np.ndarray,

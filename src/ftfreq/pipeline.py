@@ -24,7 +24,11 @@ thread) a 128-row batching step takes 0.8-1.4 ms across runs (0.13 mixing,
 0.15 gradient and 0.44 recovery in the fastest), against about 2 us for
 the 99th-percentile step. run() calls the block routine per
 _CHUNK rows of each epoch and finds the row where the epoch comes due by
-bisection over the known times. Both entries' outputs, Epoch records and
+bisection over the known times. The cold rows report the session's first
+theta_hat: step() recovers its omega_grad on its own, at the first sample,
+before any batch exists; run() passes it to its first block as a lead row,
+so the block's one recover_rows call recovers it too (on its own only if
+no row is warm). Both entries' outputs, Epoch records and
 faults are equal bit for bit at every order n, because each batched
 stage's row equals its one-row call (tests/test_mixing.py,
 tests/test_recovery.py).
@@ -149,8 +153,12 @@ def warmup_time(model: ModelConfig, drem: DremConfig) -> float:
 
 def check_measurement(t: float, y: float) -> None:
     """Reject a measurement sample with a non-finite time or value, or with
-    a value (an int) beyond the float range."""
-    if not math.isfinite(t):
+    a time or value (an int) beyond the float range."""
+    try:
+        finite = math.isfinite(t)
+    except OverflowError as exc:
+        raise NumericFault(f"time beyond the float range: {exc}") from None
+    if not finite:
         raise NumericFault(f"non-finite time {t}")
     try:
         finite = math.isfinite(y)
@@ -160,12 +168,12 @@ def check_measurement(t: float, y: float) -> None:
         raise NumericFault(f"non-finite measurement {y} at t = {t}")
 
 
-def _float_or_nan(y: float) -> float:
-    """y as a float, NaN if it is beyond the float range."""
+def _as_float(value: float) -> float:
+    """value as a float, +-inf for an int beyond the float range."""
     try:
-        return float(y)
+        return float(value)
     except OverflowError:
-        return math.nan
+        return math.inf if value > 0 else -math.inf
 
 
 @contextmanager
@@ -174,7 +182,7 @@ def _at_sample(k: int, t: float):
     try:
         yield
     except NumericFault as exc:
-        raise NumericFault(f"sample {k} (t = {t:.6g}): {exc}") from exc
+        raise NumericFault(f"sample {k} (t = {_as_float(t):.6g}): {exc}") from exc
 
 
 class Pipeline:
@@ -259,7 +267,8 @@ class Pipeline:
                    starts: list[int]) -> Trajectory:
         """run() with this Pipeline, built for the one run and never
         stepped, as its session, which it leaves holding the run's last
-        epoch and its state."""
+        epoch and its state. The first epoch's cold rows take the omega_grad
+        of the first theta_hat, which rides its first block as a lead row."""
         count, n = len(times), self.model.n
         edges = [*starts, count]
         state, depth = self.state, self.taps.warm_from
@@ -273,13 +282,19 @@ class Pipeline:
             # the zeros before the segment make every row a valid mix_rows
             # row; warm rows never read them
             y = np.zeros(depth + stop - first)
+            # an int sample or time beyond the float range is checked at its row
             try:
                 y[depth:] = samples[first:stop]
-            except OverflowError:  # an int sample beyond the float range: checked at its row
-                y[depth:] = list(map(_float_or_nan, samples[first:stop]))
+            except OverflowError:
+                y[depth:] = list(map(_as_float, samples[first:stop]))
             # times are checked one by one: a float copy of them raised the
             # builtins benchmark's peak RSS by 2 MB
-            timed = np.fromiter(map(math.isfinite, islice(times, first, stop)), bool, stop - first)
+            try:
+                timed = np.fromiter(map(math.isfinite, islice(times, first, stop)), bool,
+                                    stop - first)
+            except OverflowError:
+                timed = np.fromiter(map(math.isfinite, map(_as_float, islice(times, first, stop))),
+                                    bool, stop - first)
             end = first + _first(~(np.isfinite(y[depth:]) & timed))
             warm = min(first + depth, end)
             start = times[first]  # the epoch clock starts at the segment's first sample
@@ -287,25 +302,37 @@ class Pipeline:
             epoch.due = due if due < end else None
             run.delta[first:warm] = 0.0
             run.theta_hat[first:warm] = state.theta_hat  # holds still until the stack is warm
-            if warm > first:
+            # the session's first theta_hat, not yet recovered, rides the
+            # first block as its lead row, unless no row is warm
+            lead = first if self._omega_grad is None and first < warm < end else None
+            if warm > first and lead is None:
                 if self._omega_grad is None:
                     with _at_sample(first, start):
                         self._omega_grad = self._omega(tuple(state.theta_hat))
                 run.omega_grad[first:warm] = self._omega_grad
             for a in range(warm, end, _CHUNK):
-                self._run_block(run, y, depth - first, a, min(a + _CHUNK, end), due)
+                self._run_block(run, y, depth - first, a, min(a + _CHUNK, end), due, lead)
+                lead = None
             if end < stop:
                 with _at_sample(end, times[end]):
                     check_measurement(times[end], samples[end])
         return run
 
     def _run_block(self, run: Trajectory, y: np.ndarray, offset: int, a: int, b: int,
-                   due: int) -> None:
+                   due: int, lead: int | None) -> None:
         """Rows a..b-1 of run from y[offset + a:]: the block routine, then
-        extraction from row due on, the suspect rows and the first fault."""
+        extraction from row due on, the suspect rows and the first fault.
+        Given lead, the state's theta_hat is recovered with them for the cold
+        rows lead..a-1, and settled first if suspect."""
         state, times = self.state, run.times
         delta, theta, excitation, max_steps, omega, suspect, bad = self._rows(
-            y, offset + a, offset + b)
+            y, offset + a, offset + b, lead is not None)
+        if lead is not None:
+            cold, omega, flagged, suspect = omega[0], omega[1:], suspect[0], suspect[1:]
+            if flagged:
+                with _at_sample(lead, times[lead]):
+                    cold = self._omega(tuple(state.theta_hat))
+            run.omega_grad[lead:a] = cold
         b = a + len(delta)  # the block stops at its first non-finite row, if any
         run.delta[a:b], run.theta_hat[a:b] = delta, theta
         fault = None if bad is None else (b, mix_fault(times[b], *bad))
@@ -330,14 +357,17 @@ class Pipeline:
             theta[-1].tolist(), float(excitation[-1]), float(max_steps[-1])
         self._omega_grad = tuple(omega[-1].tolist())
 
-    def _rows(self, y: np.ndarray, first: int, stop: int):
+    def _rows(self, y: np.ndarray, first: int, stop: int, lead: bool = False):
         """The block routine: (delta, theta_hat, excitation, max_decay_step,
         omega_grad, suspect) of the K rows first..first+K-1 of the samples
         y, mixed, moved from the state (left as it was) and recovered, and
-        bad: None, or mix_fault's arguments for row first + K < stop."""
+        bad: None, or mix_fault's arguments for row first + K < stop. With
+        lead, omega_grad and suspect have K + 1 rows, the state's theta_hat
+        recovered in the same call first."""
         delta, mixed, bad = mix_rows(y, self.taps, first, stop, self.drem.epsilon)
         theta, excitation, max_steps = gradient_rows(self.state, delta, mixed, self.sample_period)
-        omega, suspect = recover_rows(theta, self.model.h, self.model.band)
+        omega, suspect = recover_rows(np.vstack((self.state.theta_hat, theta)) if lead else theta,
+                                      self.model.h, self.model.band)
         return delta, theta, excitation, max_steps, omega, suspect, bad
 
     def _mix_ahead(self) -> None:

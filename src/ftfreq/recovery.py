@@ -12,9 +12,10 @@ order is the only canonical labeling).
 Root finding has one written form, _roots, over stacked rows of theta in
 numpy complex arithmetic, and so has the tail from cosines to sorted
 in-band frequencies, _frequencies. recover_rows runs both on many rows,
-with which Pipeline's block routine recovers omega_grad;
-recover_frequencies runs both on one row, after checking it and then each
-root, for omega_ft, for a session's first omega_grad and to settle a row
+with which Pipeline's block routine recovers omega_grad (a run's first
+theta_hat with its first block); recover_frequencies runs both on one row,
+after checking it and then each root, for omega_ft, for a stepped session's
+first omega_grad (and a run's with no warm row) and to settle a row
 recover_rows flags.
 """
 

@@ -11,6 +11,7 @@ exception and message.
 """
 
 import contextlib
+import hashlib
 import math
 import random
 import re
@@ -23,7 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_mixed_ahead, batched_mixing, batched_recovery
+from ftfreq import estimator as estimator_module
 from ftfreq import pipeline as pipeline_module
+from ftfreq import recovery as recovery_module
 from ftfreq.config import (BUILTIN_NAMES, EstimatorSettings, RunConfig,
                            ScenarioConfig, builtin_scenario, ensure_valid,
                            validate_config)
@@ -198,6 +201,44 @@ def test_engine_matches_pipeline_for_high_orders(tmp_path, n, seed):
     cfg = synthetic(n, seed)
     times, samples = grid(cfg)
     assert_parity(cfg, times, samples, tmp_path)
+
+
+def sweep(n, seed):
+    """synthetic(n, seed) as the n-sweep benchmark runs it: one epoch,
+    t_ft + 1 s long."""
+    cfg = synthetic(n, seed)
+    return replace(cfg, run=replace(cfg.run, duration=round(cfg.estimator.t_ft + 1.0, 9),
+                                    reset_times=()))
+
+
+# sha256 per order n of whole runs (Python 3.11, numpy 2.4, x86-64): for
+# seeds 1-3, sweep's run and then synthetic's, with its reset, each as the
+# repr of every record and Epoch of run_scenario, or the type and message of
+# the fault it raises. The built-in digests (tests/test_cli.py) cover n = 2
+# and tests/test_pipeline.py's session n = 3; these hold n = 4..8, where
+# mixing goes through the stacked SVD. A change that alters them says so
+# and why.
+HIGH_ORDER_DIGESTS = {
+    4: "35367f82d0a0db2f81ecf56b4d2e3be5a50c73f6f7c7231b8f808b7a10fb8d2a",
+    5: "894ac82b4a861d132072347b2036f19646ffa0ded581bf48b7fb7e16462f9793",
+    6: "9a1b965ffd2d0213c4a66d6b5f95ce2adb5fd4a13bb81614606f3a894520797c",
+    7: "d5b2e48c5d334832914c41e8790b9bf9a1d366225419970a27c21fb3a396ffd1",
+    8: "155927ec7e9962b52e7bda53000e8ad21b7619d38b32821548be56d2dd663c7d",
+}
+
+
+@pytest.mark.parametrize("n", sorted(HIGH_ORDER_DIGESTS))
+def test_high_order_runs_are_byte_identical(n):
+    lines = []
+    for seed in (1, 2, 3):
+        for cfg in (sweep(n, seed), synthetic(n, seed)):
+            try:
+                result = run_scenario(cfg)
+            except NumericFault as exc:
+                lines.append(f"{type(exc).__name__}: {exc}")
+            else:
+                lines += map(repr, [*result.records, *result.trajectory.epochs])
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == HIGH_ORDER_DIGESTS[n]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -395,6 +436,90 @@ def test_cold_samples_are_not_mixed_or_recovered():
     assert all(records[k].delta == 0.0 and run.delta[k] == 0.0 for k in cold)
 
 
+@pytest.mark.parametrize("n", [1, 3, 6])
+@pytest.mark.parametrize("short", [False, True], ids=["warm", "shorter-than-warm-up"])
+def test_a_run_recovers_its_first_theta_hat_with_its_first_block(n, short):
+    # a fresh session's theta_hat rides the first recover_rows call as its
+    # lead row, for the cold rows, so a clean run makes one recover_frequencies
+    # call, the extraction's; a trace shorter than the warm-up has no warm
+    # row, and recovers it on its own. The records are step()'s either way
+    cfg = sweep(n, 1)
+    if short:
+        cfg = replace(cfg, run=replace(cfg.run, duration=0.5))
+    times, samples = grid(cfg)
+    warm_from = build_pipeline(cfg).taps.warm_from
+    recover_one = estimator_module.recover_frequencies
+    with batched_recovery() as recoveries, mock.patch.object(
+            estimator_module, "recover_frequencies", wraps=recover_one) as extraction:
+        run = engine_run(cfg, times, samples)
+    if short:
+        assert len(times) <= warm_from
+        assert (recoveries, extraction.call_count) == ([(None, None)], 0)
+    else:
+        assert recoveries == [(None, len(times) - warm_from + 1)]
+        assert extraction.call_count == 1 and run.epochs[0].fired is not None
+    records, _ = pipeline_reference(cfg, times, samples)
+    assert repr(run.records()) == repr(records)
+
+
+def test_only_the_first_epoch_leads_with_its_theta_hat():
+    # after a reset the cold rows hold the last omega_grad, as step() does,
+    # so the second epoch's recover_rows call has its 21 warm rows alone
+    cfg = synthetic(3, 1)
+    cfg = replace(cfg, run=replace(cfg.run, duration=10.0, reset_times=(5.0,)))
+    times, samples = grid(cfg)
+    with batched_recovery() as recoveries:
+        run = build_pipeline(cfg).run(times, samples, [0, 50])
+    assert recoveries == [(None, 20 + 1), (None, 21)]
+    assert (run.omega_grad[50:80] == run.omega_grad[49]).all()
+    records, _ = pipeline_reference(cfg, times, samples)
+    assert repr(run.records()) == repr(records)
+
+
+@pytest.mark.parametrize("duration", [6.0, 2.0], ids=["warm", "shorter-than-warm-up"])
+def test_a_failing_first_recovery_faults_at_the_first_sample(duration):
+    # the root finder misses theta0's residual target: the lead row is
+    # suspect, and run raises recover_frequencies' fault at sample 0, as
+    # step() does at its first step, before any of the block's own rows
+    cfg = synthetic(3, 1)
+    cfg = replace(cfg, run=replace(cfg.run, duration=duration, reset_times=()))
+    times, samples = grid(cfg)
+    theta0 = build_pipeline(cfg).state.theta0
+    roots = recovery_module._roots
+
+    def missing(theta):
+        found, residual, allowed = roots(theta)
+        residual[(theta == theta0).all(axis=1)] = math.inf
+        return found, residual, allowed
+
+    with mock.patch.object(recovery_module, "_roots", missing):
+        expected = outcome(lambda: pipeline_reference(cfg, times, samples))
+        assert outcome(lambda: engine_run(cfg, times, samples)) == expected
+    assert expected[:2] == (NumericFault, 0)
+    assert expected[2].startswith("sample 0 (t = 0): root residual inf exceeds ")
+
+
+def test_an_int_time_beyond_the_float_range_is_a_numeric_fault():
+    # 10**400 has no float: step() rejects it in its measurement check, and
+    # run() at its row, after the rows before it, as a non-finite time; at
+    # sample 5000, where extraction would fire, the check comes first
+    cfg = builtin_scenario("noiseless-2h")
+    cfg = replace(cfg, run=replace(cfg.run, duration=6.0))
+    times, samples = grid(cfg)
+    message = "time beyond the float range: int too large to convert to float"
+    with pytest.raises(NumericFault, match=f"^{re.escape(message)}$"):
+        build_pipeline(cfg).step(10**400, 0.0)
+    records, _ = pipeline_reference(cfg, times, samples)
+    for k in (20, 5000, len(samples) - 1):
+        huge = times[:k] + [10**400] + times[k + 1:]
+        pipeline = build_pipeline(cfg)
+        assert [pipeline.step(t, y) for t, y in zip(huge[:k], samples)] == records[:k]
+        with pytest.raises(NumericFault, match=f"^{re.escape(message)}$"):
+            pipeline.step(huge[k], samples[k])
+        assert outcome(lambda: engine_run(cfg, huge, samples)) == \
+            (NumericFault, k, f"sample {k} (t = inf): {message}")
+
+
 def test_resets_closer_than_a_sample(tmp_path):
     # one reset per sample: the second and third of a burst land on the
     # following samples; one before the first sample changes nothing
@@ -470,7 +595,9 @@ class TestFaultParity:
         # recover_rows flags every warm row from `flagged` on, and recovering
         # any of them on its own fails. The block holding the extraction
         # fault at 5000 has such rows after it or before it: the first of
-        # the two faults, by row, is the run's, as in the streaming path
+        # the two faults, by row, is the run's, as in the streaming path.
+        # run()'s first recover_rows call leads with the cold rows'
+        # theta_hat, so there the rows are counted from warm_from - 1
         cfg = self.quick()
         noise = UniformDisturbance(0.5, 0.001, 7)
         cfg = replace(cfg, signal=replace(cfg.signal, disturbance=noise))
@@ -479,8 +606,8 @@ class TestFaultParity:
                                                 cfg.run.sample_period).warm_from
 
         @contextlib.contextmanager
-        def failing_from(row):
-            seen, flagged = [warm_from], set()
+        def failing_from(row, lead=0):
+            seen, flagged = [warm_from - lead], set()
             recover_many = pipeline_module.recover_rows
             recover_one = pipeline_module.recover_frequencies
 
@@ -503,7 +630,7 @@ class TestFaultParity:
 
         with failing_from(flagged):
             expected = outcome(lambda: pipeline_reference(cfg, times, samples))
-        with failing_from(flagged):
+        with failing_from(flagged, lead=1):
             assert outcome(lambda: engine_run(cfg, times, samples)) == expected
         assert expected[:2] == (NumericFault, index)
         assert fault in expected[2]

@@ -136,6 +136,16 @@ def low_rank_matrices(draw, n=None):
     return b @ c
 
 
+def per_i_products(sign, s):
+    """The SVD form's (others, det) with each product of singular values
+    formed by math.prod, left to right from 1, one i at a time."""
+    count, n = s.shape
+    s, ones = s.T, np.ones(count)
+    others = np.stack([sign * math.prod(s[:i], start=ones) * math.prod(s[i + 1:], start=ones)
+                       for i in range(n)], axis=1)
+    return others, sign * math.prod(s, start=ones)
+
+
 class TestAdjugate:
     def test_2x2_closed_form(self):
         assert adjugate([[1.0, 2.0], [3.0, 4.0]]) == ([[4.0, -2.0], [-3.0, 1.0]], -2.0)
@@ -168,6 +178,33 @@ class TestAdjugate:
             adj = np.array(adjugate(m.tolist())[0])
             cof = cofactor_adjugate(m)
             assert np.allclose(adj, cof, rtol=1e-9, atol=1e-9 * np.abs(cof).max())
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_products_are_the_per_i_products_bit_for_bit(self, n):
+        # the SVD form's products of singular values, on stacks of scales
+        # 1e-200..1e200, a third of them singular, plus rows whose products
+        # overflow to inf and, times a zero, to NaN: every product is the
+        # one math.prod forms left to right from 1
+        rng = np.random.default_rng(n)
+        kinds = set()
+        for trial in range(60):
+            count = int(rng.integers(1, 60))
+            stacks = rng.standard_normal((count, n, n)) * 10.0 ** rng.uniform(-200, 200,
+                                                                              (count, 1, 1))
+            if trial % 3 == 0:
+                stacks[:, -1] = stacks[:, 0]
+            u, s, vt = np.linalg.svd(stacks)
+            sign = np.copysign(1.0, np.linalg.det(u @ vt))
+            s = np.concatenate((s, [[1e300] * (n - 1) + [0.0], [0.0] * n]))
+            sign = np.concatenate((sign, [-1.0, 1.0]))
+            with np.errstate(all="ignore"):
+                got, want = mixing._products(sign, s), per_i_products(sign, s)
+            for mine, ref in zip(got, want):
+                assert mine.shape == ref.shape
+                assert mine.view(np.int64).tolist() == ref.view(np.int64).tolist()
+                kinds.update({"inf"} if np.isinf(ref).any() else ())
+                kinds.update({"nan"} if np.isnan(ref).any() else ())
+        assert kinds == {"inf", "nan"}
 
     def test_singular_matrix_still_satisfies_identity(self):
         # duplicated rows: det = 0, so adj(M) M must vanish
