@@ -18,7 +18,7 @@ from .errors import ConfigError, EstimateNotPhysical, NumericFault
 from .estimator import (EstimatorSettings, EstimatorState,
                         finite_time_estimate, reset_estimator)
 from .harness import RunResult, estimate_from_file, run_scenario
-from .mixing import DremConfig, mix
+from .mixing import DremConfig
 from .pipeline import Pipeline, StepResult
 from .recovery import FrequencyEstimate, recover_frequencies
 from .regression import (DelayTable, ModelConfig, delay_table, regression_at,
@@ -36,7 +36,7 @@ __all__ = [
     "UniformDisturbance",
     "builtin_scenario", "config_warnings", "delay_table",
     "estimate_from_file", "finite_time_estimate", "format_config",
-    "load_config", "mix", "parse_config",
+    "load_config", "parse_config",
     "recover_frequencies", "regression_at", "reset_estimator",
     "run_scenario",
     "true_theta", "validate_config", "with_seed",

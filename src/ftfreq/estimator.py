@@ -1,7 +1,7 @@
 """Per-parameter gradient estimation with finite-time re-estimation.
 
-Each mixed scalar regression psi_i = delta * theta_i, from the finite pair
-(delta, psi) that mix returns, drives the gradient law
+Each mixed scalar regression psi_i = delta * theta_i, from the finite pairs
+(delta, psi) that mix_rows returns, drives the gradient law
 
     d/dt theta_hat_i = gamma_i * delta * (psi_i - delta * theta_hat_i),
 

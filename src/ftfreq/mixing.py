@@ -19,10 +19,11 @@ Appl. 1998, with its products of singular values from _products; both
 stay valid for singular M, including the all-zero stack of a zero
 signal), _scaled_product (the eps^n scale and adj(M) psi_rows)
 and _mixed_stacks (both, up to the first non-finite stack or output).
-mix_rows stacks whole lagged columns for the driver; adjugate and mix are
-the one-row calls, behind one shape check (_one_row_stack). mix_fault
-builds the fault of a non-finite stack or output, which mix raises and the
-driver raises at the row where mix_rows stopped.
+mix_rows, the stage the driver calls, stacks whole lagged columns and
+mixes them with _mixed_stacks; a K-row call equals its rows mixed one by
+one. adjugate is the one-row call of _adjugates, behind its own input
+check. mix_fault builds the fault of a non-finite stack or output, which
+the driver raises at the row where mix_rows stopped.
 """
 
 from __future__ import annotations
@@ -69,41 +70,18 @@ def adjugate(matrix) -> tuple[list[list[float]], float]:
     matrix of size 1..MAX_HARMONICS raises ConfigError before any
     factorisation.
     """
-    stack = _one_row_stack(matrix)
+    square = f"matrix must be square with size 1..{MAX_HARMONICS}"
+    try:
+        stack = np.array([matrix], dtype=float)
+    except (TypeError, ValueError) as exc:  # a text entry or ragged rows
+        raise ConfigError(f"{square}: {exc}") from None
+    if stack.ndim != 3 or not 1 <= stack.shape[1] == stack.shape[2] <= MAX_HARMONICS:
+        raise ConfigError(square)  # a flat vector or a scalar has no rows at all
     if not np.isfinite(stack).all():
         raise ConfigError("matrix entries must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
         adj, det = _adjugates(stack)
     return adj[0].tolist(), float(det[0])
-
-
-def mix(time: float, psi_rows, phi_rows,
-        epsilon: float) -> tuple[float, tuple[float, ...]]:
-    """Mix the stacked system at one instant into (delta, mixed psi).
-
-    Row i of psi_rows and phi_rows is the regression delayed by the i-th
-    stacked lag. With the whole stack scaled by epsilon first,
-    delta = eps^n det(Phi) and mixed psi = eps^n adj(Phi) psi_rows
-    (adj(eps M) = eps^(n-1) adj(M)); on clean data psi[i] = delta * theta_i.
-    A phi_rows that is not a square matrix of numbers of size
-    1..MAX_HARMONICS, or a psi_rows without one number per row of it, is
-    bad input (ConfigError).
-    A non-finite stack or delta or mixed psi is a fault of the data
-    (mix_fault's NumericFault), so both are finite when returned. The eps^n
-    scale is applied after adj(Phi) psi_rows is summed, so a small epsilon
-    cannot keep an overflowing product finite.
-    """
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ConfigError(f"epsilon must be positive, got {epsilon}")
-    stack = _one_row_stack(phi_rows)
-    entries = f"psi_rows must have {stack.shape[1]} entries, one per stacked row"
-    psi = _floats(psi_rows, entries)
-    if psi.shape != stack.shape[1:2]:
-        raise ConfigError(f"{entries}, got shape {psi.shape}")
-    delta, psi, bad = _mixed_stacks(psi[None], stack, epsilon)
-    if bad is not None:
-        raise mix_fault(time, *bad)
-    return float(delta[0]), tuple(psi[0].tolist())
 
 
 def mix_fault(time: float, delta: float | None = None, psi=None) -> NumericFault:
@@ -115,27 +93,6 @@ def mix_fault(time: float, delta: float | None = None, psi=None) -> NumericFault
         f"non-finite mixed regression at t = {time}: delta = {delta}, psi = {psi}")
 
 
-def _one_row_stack(matrix) -> np.ndarray:
-    """matrix as a stack of one (1, n, n) float array; ConfigError unless it
-    is a square matrix of numbers with size 1..MAX_HARMONICS (a flat vector
-    or a scalar has no rows at all)."""
-    square = f"matrix must be square with size 1..{MAX_HARMONICS}"
-    stack = _floats([matrix], square)
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or \
-            not 1 <= stack.shape[1] <= MAX_HARMONICS:
-        raise ConfigError(square)
-    return stack
-
-
-def _floats(values, message: str) -> np.ndarray:
-    """values as a float array; ConfigError with message and numpy's reason
-    if its entries are not numbers or its nesting is ragged."""
-    try:
-        return np.array(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{message}: {exc}") from None
-
-
 def mix_rows(y: np.ndarray, taps: DelayTable, first: int, stop: int,
              epsilon: float) -> tuple[np.ndarray, np.ndarray, tuple | None]:
     """Regression, stack and mix of rows first..stop-1 of the samples y, up to
@@ -144,9 +101,12 @@ def mix_rows(y: np.ndarray, taps: DelayTable, first: int, stop: int,
     Row j is sample j; its stacked row i is the regression taps.rows[i]
     samples back, so the rows read y[first - taps.warm_from] up to
     y[stop - 1 - taps.rows[0]] and need first >= taps.warm_from and
-    stop - taps.rows[0] <= len(y). Returns (delta, mixed, bad): delta (K,)
-    and mixed psi (K, n) of the first K rows, as mix returns them, and bad,
-    None or the fault of row first + K as _mixed_stacks gives it.
+    stop - taps.rows[0] <= len(y). Returns (delta, mixed, bad): the finite
+    delta = eps^n det(Phi) (K,) and mixed psi = eps^n adj(Phi) psi_rows
+    (K, n) of the first K rows, and bad, None or mix_fault's arguments for
+    row first + K as _mixed_stacks gives them. The eps^n scale is applied
+    after the product is summed, so a small epsilon cannot keep an
+    overflowing product finite.
     """
     lo, hi = first - taps.rows[-1], stop - taps.rows[0]
     count = stop - first

@@ -44,7 +44,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import NumericFault
+from .errors import ConfigError, NumericFault
 from .estimator import (EstimatorSettings, EstimatorState,
                         finite_time_estimate, gradient_rows, reset_estimator)
 from .mixing import DremConfig, _first, mix_fault, mix_rows
@@ -53,7 +53,7 @@ from .regression import ModelConfig, delay_table
 
 # Most rows one step() batch computes ahead. Per row at n = 3 (same machine),
 # mix_rows costs about 20 us at 8 rows, 1.5 at 128 and 0.4 at 370, against
-# 61 us for one sample's regression and mix, and recover_rows 27-47 us at 4
+# 61 us for one sample's regression and mixing, and recover_rows 27-47 us at 4
 # rows and 4-6 at 128, against 90-175 us for recover_frequencies: 128 rows
 # spread each call's fixed part thin, while larger batches only lengthen
 # the step that computes them, and batching steps stay under 1 % of warm
@@ -254,12 +254,14 @@ class Pipeline:
 
     def run(self, times: list[float], samples: list[float], starts: list[int]) -> Trajectory:
         """Estimate over a whole uniform trace, whose epochs start at the
-        sample indices starts (0 first, increasing), each after a reset:
-        the outputs a fresh Pipeline's step() gives and one Epoch per epoch.
-        A fault is raised as a NumericFault naming its sample, from the
-        stage's own. The run is a session of its own, built from this
-        Pipeline's config: it neither reads nor changes this Pipeline's
-        streaming session, so the Trajectory is the run's alone."""
+        sample indices starts, each after a reset: the outputs a fresh
+        Pipeline's step() gives and one Epoch per epoch. times and samples
+        of unequal lengths or none, or starts that do not begin at 0 and
+        rise strictly below the sample count, are a ConfigError. A fault is
+        raised as a NumericFault naming its sample, from the stage's own.
+        The run is a session of its own, built from this Pipeline's config:
+        it neither reads nor changes this Pipeline's streaming session, so
+        the Trajectory is the run's alone."""
         return Pipeline(self.model, self.drem, self.estimator, self.sample_period)._run_fresh(
             times, samples, starts)
 
@@ -270,7 +272,14 @@ class Pipeline:
         epoch and its state. The first epoch's cold rows take the omega_grad
         of the first theta_hat, which rides its first block as a lead row."""
         count, n = len(times), self.model.n
+        if len(samples) != count:
+            raise ConfigError(f"times and samples differ in length: {count} and {len(samples)}")
+        if not count:
+            raise ConfigError("no samples")
         edges = [*starts, count]
+        if not starts or starts[0] != 0 or any(a >= b for a, b in zip(edges, edges[1:])):
+            raise ConfigError(f"starts must begin at 0 and rise strictly below {count}, "
+                              f"got {starts}")
         state, depth = self.state, self.taps.warm_from
         run = Trajectory(times=times, samples=samples, delta=np.empty(count),
                          theta_hat=np.empty((count, n)), omega_grad=np.empty((count, n)),

@@ -7,8 +7,8 @@ from unittest import mock
 import numpy as np
 
 from ftfreq import pipeline as pipeline_module
-from ftfreq.mixing import mix, mix_rows
-from ftfreq.regression import delay_table, regression_at
+from ftfreq.mixing import mix_rows
+from ftfreq.regression import delay_table
 from ftfreq.signals import generate_trace
 
 SAMPLE_PERIOD = 0.001
@@ -16,15 +16,12 @@ SAMPLE_PERIOD = 0.001
 
 def mixed_stream(spec, model_cfg, d, epsilon, duration, sample_period=SAMPLE_PERIOD):
     """Yield (k, (delta, psi)) at every warm sample k of a generated trace of
-    the given signal: the samples the drivers mix."""
+    the given signal: the samples the drivers mix, in one mix_rows call."""
     taps = delay_table(model_cfg, d, sample_period)
-    window = [0.0] * (taps.warm_from + 1)
-    trace = generate_trace(spec, sample_period, duration)
-    for k, y in enumerate(trace.values):
-        window = [y] + window[:-1]
-        if k >= taps.warm_from:
-            psi_rows, phi_rows = zip(*(regression_at(window, taps, lag) for lag in taps.rows))
-            yield k, mix(k * sample_period, psi_rows, phi_rows, epsilon)
+    y = np.array(generate_trace(spec, sample_period, duration).values)
+    delta, mixed, bad = mix_rows(y, taps, taps.warm_from, len(y), epsilon)
+    assert bad is None
+    yield from enumerate(zip(delta.tolist(), mixed.tolist()), start=taps.warm_from)
 
 
 def window_at(values, k, length):

@@ -42,8 +42,8 @@ def replaced(matrix, column: int, values) -> list[list[float]]:
 
 
 def mixed(psi_rows, phi_rows, epsilon: float) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Exact (delta, mixed psi) of one stacked system, as mixing.mix defines
-    them: delta = eps^n det(Phi), psi_i = eps^n det(Phi_i(psi_rows))."""
+    """Exact (delta, mixed psi) of one stacked system, as mixing.mix_rows
+    defines them: delta = eps^n det(Phi), psi_i = eps^n det(Phi_i(psi_rows))."""
     n = len(phi_rows)
     scale = Fraction(epsilon) ** n
     return (scale * determinant(phi_rows),

@@ -1,8 +1,9 @@
 """The streaming Pipeline as it ran before computing ahead: a test oracle.
 
 Each warm step reads its n stacked rows with regression_at from a
-zero-filled window of the last taps.warm_from + 1 samples, mixes them with
-one mix call and moves theta_hat with step_gradient below, the gradient
+zero-filled window of the last taps.warm_from + 1 samples, mixes them as a
+stack of one with _mixed_stacks, raising mix_fault's fault for a non-finite
+stack or output, and moves theta_hat with step_gradient below, the gradient
 law one sample at a time in scalar float arithmetic, written independently
 of the column form the package applies. Everything else is Pipeline's. The
 look-ahead Pipeline must return the same StepResults, leave the same
@@ -12,9 +13,11 @@ estimator state and raise the same faults at the same samples.
 import math
 from collections import deque
 
+import numpy as np
+
 from ftfreq.estimator import (EstimatorState, finite_time_estimate,
                               reset_estimator)
-from ftfreq.mixing import mix
+from ftfreq.mixing import _mixed_stacks, mix_fault
 from ftfreq.pipeline import StepResult, check_measurement
 from ftfreq.recovery import recover_frequencies
 from ftfreq.regression import delay_table, regression_at
@@ -61,7 +64,11 @@ class PerSamplePipeline:
         delta = 0.0
         if self._count > taps.warm_from:
             psi_rows, phi_rows = zip(*[regression_at(self._window, taps, lag) for lag in taps.rows])
-            delta, psi = mix(t, psi_rows, phi_rows, self.drem.epsilon)
+            delta, psi, bad = _mixed_stacks(np.array([psi_rows], dtype=float),
+                                            np.array([phi_rows], dtype=float), self.drem.epsilon)
+            if bad is not None:
+                raise mix_fault(t, *bad)
+            delta, psi = float(delta[0]), psi[0].tolist()
             step_gradient(state, delta, psi, self.sample_period)
             self._omega_grad = None
 

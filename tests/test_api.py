@@ -128,14 +128,18 @@ def test_the_streaming_path_does_not_import_the_engine():
 def test_both_drivers_call_the_one_batched_form_of_each_stage():
     """The mixing, gradient and omega_grad recovery stages each have one
     batched form, which the driver imports in place of their one-row calls,
-    so that a second form shows here; no stage module imports the driver."""
-    from ftfreq import estimator, pipeline
+    so that a second form shows here; no stage module imports the driver.
+    Mixing has no one-row form beside adjugate: mix and its input layer
+    are gone."""
+    from ftfreq import estimator, mixing, pipeline
     shared = {"ftfreq.estimator.gradient_rows", "ftfreq.mixing.mix_rows",
               "ftfreq.recovery.recover_rows"}
     assert shared <= imported_modules(pipeline)
     assert not {"ftfreq.estimator.step_gradient", "ftfreq.mixing.adjugate"} & \
         imported_modules(pipeline)
     assert "ftfreq.pipeline" not in imported_modules(estimator)
+    for gone in ("mix", "_one_row_stack", "_floats"):
+        assert not hasattr(mixing, gone), gone
 
 
 def stage_callers(names):

@@ -295,6 +295,26 @@ def test_a_second_run_starts_a_new_session():
     assert pipeline.state.theta0 == tuple(pipeline.state.theta_hat) == first.state.theta0
 
 
+# unchecked, these gave 2 rows from 1 sample, a bare IndexError, rows of
+# uninitialised memory outside every epoch, an epoch with first > stop whose
+# rows ran twice, an empty epoch and numpy's broadcast ValueError
+@pytest.mark.parametrize("count, samples, starts, message", [
+    (2, [1.0], [0], "times and samples differ in length: 2 and 1"),
+    (0, [], [0], "no samples"),
+    (100, None, [5], r"starts must begin at 0 .* got \[5\]"),
+    (100, None, [], r"starts must begin at 0 .* got \[\]"),
+    (100, None, [0, 50, 20], r"starts must .* got \[0, 50, 20\]"),
+    (100, None, [0, 0], r"starts must .* got \[0, 0\]"),
+    (100, None, [0, 200], r"rise strictly below 100, got \[0, 200\]"),
+], ids=["unequal-lengths", "empty", "late-first", "no-starts", "falling", "repeated",
+        "past-the-end"])
+def test_run_rejects_a_malformed_trace(count, samples, starts, message):
+    times = [k * 0.001 for k in range(count)]
+    samples = [1.0] * count if samples is None else samples
+    with pytest.raises(ConfigError, match=message):
+        build_pipeline(builtin_scenario("noiseless-2h")).run(times, samples, starts)
+
+
 def test_steps_after_a_run_leave_its_trajectory_alone():
     # a run shares no record with the Pipeline's streaming session: stepping
     # on after it changes neither the returned epochs nor the returned
@@ -731,8 +751,9 @@ class TestFaultParity:
 
     def test_overflowing_regressor(self, tmp_path):
         # a finite 1e308 overflows phi after warm-up, a fault of the data:
-        # mix raises it once the stack holds it, after phi's shallowest tap
-        # (h = 100 samples) and the first stacked row (d = 130 samples). One
+        # mix_rows stops at it once the stack holds it, after phi's
+        # shallowest tap (h = 100 samples) and the first stacked row
+        # (d = 130 samples). One
         # h earlier the first stacked psi row holds the spike: the adjugate
         # entries that multiply it are below 1 in magnitude there, so the
         # mixed sum stays finite, and eps^2 = 1e-200 keeps it so

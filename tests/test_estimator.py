@@ -159,9 +159,9 @@ class TestStepGradient:
         assert abs(state.theta_hat[0] - 0.2) < 1e-9
 
     def test_non_finite_delta_is_not_silent(self):
-        # step_gradient leaves the finiteness check to mix; given a NaN delta
-        # anyway, theta_hat turns NaN and recovery rejects it, so no silent
-        # number comes out
+        # step_gradient leaves the finiteness check to mix_rows; given a NaN
+        # delta anyway, theta_hat turns NaN and recovery rejects it, so no
+        # silent number comes out
         state = new_state(settings((1.0, 1.0)))
         step_gradient(state, float("nan"), (0.0, 0.0), SAMPLE_PERIOD)
         assert not any(map(math.isfinite, state.theta_hat))

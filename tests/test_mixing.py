@@ -17,7 +17,7 @@ from conftest import (SAMPLE_PERIOD, assert_mixed_ahead, batched_mixing,
 from ftfreq import mixing
 from ftfreq.errors import ConfigError, NumericFault
 from ftfreq.estimator import EstimatorSettings
-from ftfreq.mixing import DremConfig, adjugate, mix, mix_rows
+from ftfreq.mixing import DremConfig, adjugate, mix_fault, mix_rows
 from ftfreq.pipeline import Pipeline
 from ftfreq.regression import (ModelConfig, delay_table, regression_at,
                                true_theta)
@@ -261,9 +261,10 @@ def two_tone():
 
 class TestMix:
     def test_n1_reduces_to_scaled_scalars(self):
-        delta, psi = mix(1.0, (0.7,), ((0.2,),), 10.0)
-        assert delta == pytest.approx(2.0, abs=1e-15)
-        assert psi[0] == pytest.approx(7.0, abs=1e-14)
+        delta, psi, bad = mixing._mixed_stacks(np.array([[0.7]]), np.array([[[0.2]]]), 10.0)
+        assert bad is None
+        assert delta[0] == pytest.approx(2.0, abs=1e-15)
+        assert psi[0, 0] == pytest.approx(7.0, abs=1e-14)
 
     def test_mixing_identity_against_true_theta(self):
         for n, seed in ((1, 21), (2, 22), (3, 23), (4, 24), (5, 25), (6, 26)):
@@ -312,21 +313,10 @@ class TestMix:
             energy += deltas[k] ** 2 * SAMPLE_PERIOD
         assert energy > 1e-6 * peak ** 2
 
-    @pytest.mark.parametrize("psi_rows", [[1.0], [1.0, 2.0, 3.0], 1.0, [[1.0], [2.0]],
-                                          [[1.0], [2.0, 3.0]], ["a", "b"]],
-                             ids=["short", "long", "scalar", "nested", "ragged", "text"])
-    def test_psi_rows_must_have_one_entry_per_stacked_row(self, psi_rows):
-        # a short or scalar psi_rows once mixed silently wrong, scaled by
-        # eps^1 for eps^2, a long one raised a bare IndexError, and a ragged
-        # or non-numeric one numpy's bare ValueError
-        with pytest.raises(ConfigError, match="psi_rows must have 2 entries"):
-            mix(0.0, psi_rows, [[1.0, 2.0], [3.0, 4.0]], 10.0)
-
     def test_epsilon_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            mix(0.0, (0.0,), ((0.0,),), 0.0)
-        with pytest.raises(ConfigError):
-            DremConfig(d=0.1, epsilon=-1.0)
+        for epsilon in (0.0, -1.0, math.nan):
+            with pytest.raises(ConfigError, match="drem.epsilon must be positive"):
+                DremConfig(d=0.1, epsilon=epsilon)
 
     @pytest.mark.parametrize("d", [0.0, -0.1, math.nan])
     def test_delay_must_be_positive(self, d):
@@ -341,21 +331,36 @@ class TestMix:
         # a non-square stack with a NaN entry, a non-numeric entry and a
         # list entry are not data faults
         with pytest.raises(ConfigError, match="matrix must be square with size 1..8"):
-            mix(0.0, [1.0, 2.0], phi_rows, 1.0)
+            adjugate(phi_rows)
 
     def test_overflowed_stack_is_a_numeric_fault(self):
-        # adjugate rejects the matrix as input; mix reports it as a data fault
-        rows = ((float("inf"), 0.0), (0.0, 1.0))
-        with pytest.raises(NumericFault, match="t = 0.25"):
-            mix(0.25, (0.0, 0.0), rows, 1.0)
-        with pytest.raises(ConfigError):
-            mix(0.25, (0.0,), ((1.0, 2.0),), 1.0)
+        # a 1e308 sample overflows phi = 2 y(k - 5) from row 9 on: the rows
+        # before it are mixed, and the stack is a fault of the data, which
+        # the driver raises at row 9's time
+        delta, mixed, bad = spiked_rows(4, 1e308, 1.0)
+        assert (delta.tolist(), mixed.tolist(), bad) == ([2.0, 2.0], [[1e308], [2.0]], ())
+        with pytest.raises(NumericFault, match="non-finite stacked regressor at t = 0.25"):
+            raise mix_fault(0.25, *bad)
 
     def test_non_finite_mixed_output_is_a_numeric_fault(self):
-        # a finite stack whose mixed psi overflows: the gradient stage gets
-        # only finite (delta, psi) pairs
-        with pytest.raises(NumericFault, match="non-finite mixed regression at t = 0.25"):
-            mix(0.25, (1e308,), ((1.0,),), 10.0)
+        # a finite stack whose mixed psi overflows once scaled by eps = 10:
+        # the gradient stage gets only finite (delta, psi) pairs
+        delta, mixed, bad = spiked_rows(6, 1e308, 10.0)
+        assert (delta.tolist(), bad) == ([20.0, 20.0], (20.0, (math.inf,)))
+        with pytest.raises(NumericFault, match=r"non-finite mixed regression at t = 0.25: "
+                                               r"delta = 20.0, psi = \(inf,\)"):
+            raise mix_fault(0.25, *bad)
+
+
+def spiked_rows(at, spike, epsilon):
+    """mix_rows of rows 7..11 of ones with y[at] = spike, at n = 1 with
+    h = 2 and d = 3 samples: row k's stack is psi = y(k - 3) + y(k - 7)
+    and phi = 2 y(k - 5)."""
+    model = ModelConfig(n=1, h=2 * SAMPLE_PERIOD, omega_min=0.5, omega_max=5.0)
+    taps = delay_table(model, 3 * SAMPLE_PERIOD, SAMPLE_PERIOD)
+    y = np.ones(12)
+    y[at] = spike
+    return mix_rows(y, taps, 7, 12, epsilon)
 
 
 def stacked_mix(y, taps, first, stop, epsilon):
@@ -395,7 +400,7 @@ def tone_stacks(draw, n):
 
 @st.composite
 def low_rank_systems(draw, n):
-    """A low_rank_matrices stack with random psi rows, mixed by mix. Entries
+    """A low_rank_matrices stack with random psi rows, mixed on its own. Entries
     below 2^-100 are flushed to zero, so that no product of up to 9 of them
     underflows: the rounding model the oracle bound rests on has no
     underflow, and a determinant that underflows has no relative accuracy."""
@@ -405,8 +410,9 @@ def low_rank_systems(draw, n):
     phi_rows = flushed(draw(low_rank_matrices(n)))
     psi_rows = flushed(draw(arrays(float, (n,), elements=st.floats(-2.0, 2.0))))
     epsilon = draw(st.sampled_from([1.0, 2.0, 10.0]))
-    delta, mixed = mix(0.0, psi_rows.tolist(), phi_rows.tolist(), epsilon)
-    return [(delta, mixed, psi_rows, phi_rows, epsilon)]
+    delta, mixed, bad = mixing._mixed_stacks(psi_rows[None], phi_rows[None], epsilon)
+    assert bad is None
+    return [(delta[0], mixed[0], psi_rows, phi_rows, epsilon)]
 
 
 UNIT_ROUNDOFF = 2.0 ** -53
@@ -475,12 +481,15 @@ class TestExactOracle:
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("rows", [1, 7, 128])
     def test_rows_are_mixed_independently(self, n, rows):
-        # each row of one mix_rows call is bit for bit mix's one-row call,
-        # whatever else the call holds: both drivers' parity rests on it
+        # each row of one mix_rows call is bit for bit its stack mixed on
+        # its own, whatever else the call holds: both drivers' parity rests
+        # on it
         rng = random.Random(n * 1000 + rows)
         tones = [(rng.random(), rng.uniform(0.2, 2.0), rng.uniform(0.0, 6.3)) for _ in range(n)]
         delta, mixed, psi_rows, phi_rows = tone_rows(n, 20, 37, tones, 11, rows, 10.0)
         assert len(delta) == rows
         for k in range(rows):
-            one = mix(0.0, psi_rows[k].tolist(), phi_rows[k].tolist(), 10.0)
-            assert repr(one) == repr((float(delta[k]), tuple(mixed[k].tolist()))), k
+            one, psi, bad = mixing._mixed_stacks(psi_rows[k][None], phi_rows[k][None], 10.0)
+            assert bad is None
+            assert repr((one.tolist(), psi.tolist())) == \
+                repr(([delta[k].item()], [mixed[k].tolist()])), k

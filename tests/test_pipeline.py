@@ -15,6 +15,7 @@ import hashlib
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,7 @@ from conftest import batched_recovery, window_at
 from ftfreq import pipeline as pipeline_module
 from ftfreq.errors import NumericFault
 from ftfreq.estimator import EstimatorSettings
-from ftfreq.mixing import DremConfig, mix
+from ftfreq.mixing import DremConfig, _mixed_stacks, mix_fault
 from ftfreq.pipeline import Pipeline, StepResult
 from ftfreq.regression import ModelConfig, regression_at
 from per_sample import PerSamplePipeline
@@ -210,8 +211,8 @@ def test_reset_in_mid_batch_drops_the_queue(reset):
 
 def test_a_mixed_fault_is_the_one_row_mix_fault():
     # a 1e307 spike d before the first warm row overflows that row's mixed
-    # psi: the block stops there, and the row's step raises exactly what a
-    # one-row mix raises on the row's stack, found once, by mix_rows
+    # psi: the block stops there, and the row's step raises exactly the
+    # fault of the row's stack mixed on its own, found once, by mix_rows
     n, steps_h, steps_d = 2, 3, 10
     warm_from = 2 * n * steps_h + n * steps_d
     model = ModelConfig(n=n, h=steps_h * PERIOD, omega_min=0.5, omega_max=4.0)
@@ -224,13 +225,14 @@ def test_a_mixed_fault_is_the_one_row_mix_fault():
     t, taps = warm_from * PERIOD, pipeline.taps
     window = window_at(samples, warm_from, taps.warm_from + 1)
     psi_rows, phi_rows = zip(*(regression_at(window, taps, lag) for lag in taps.rows))
-    with pytest.raises(NumericFault, match="non-finite mixed regression") as expected:
-        mix(t, psi_rows, phi_rows, drem.epsilon)
+    _, _, bad = _mixed_stacks(np.array([psi_rows]), np.array([phi_rows]), drem.epsilon)
+    expected = mix_fault(t, *bad)
+    assert "non-finite mixed regression" in str(expected)
     with mock.patch.object(pipeline_module, "mix_rows", wraps=pipeline_module.mix_rows) as rows, \
             pytest.raises(NumericFault) as got:
         pipeline.step(t, samples[warm_from])
     assert rows.call_count == 1
-    assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
+    assert (type(got.value), str(got.value)) == (type(expected), str(expected))
 
 
 # sha256 of an n = 3 step() session (Python 3.11, numpy 2.4, x86-64): the
