@@ -31,7 +31,10 @@ Extraction is one step: finite_time_estimate computes theta_ft and, under
 the imaginary-part tolerance, the frequencies omega_ft of its polynomial
 roots, and returns both. It records nothing: the state is the gradient's
 alone, and the driver writes each extraction to its epoch's record
-(pipeline.Epoch).
+(pipeline.Epoch). The inversion has one written form, finite_time_theta:
+finite_time_estimate calls it for step(), and Pipeline's block routine
+for run(), which recovers theta_ft with the block's rows and calls
+finite_time_estimate only on a suspect one.
 
 EstimatorSettings is the stage's one tuning type: the gains, the initial
 frequency guesses, the extraction time, the extraction floor and the root
@@ -205,14 +208,23 @@ def finite_time_estimate(
     roots recovered under settings.imag_tol and the model band, whose fault
     propagates. Either way state is left as it was.
     """
-    settings, model = state.settings, state.model
-    w = state.W
-    if any(1.0 - wi < settings.w_floor for wi in w):
+    if (theta_ft := finite_time_theta(state, state.theta_hat, state.excitation)) is None:
         return None
-    theta_ft = tuple(
-        (state.theta_hat[i] - state.theta0[i] * w[i]) / (1.0 - w[i])
-        for i in range(state.n))
-    return theta_ft, recover_frequencies(theta_ft, model.h, model.band, settings.imag_tol)
+    model = state.model
+    return theta_ft, recover_frequencies(theta_ft, model.h, model.band, state.settings.imag_tol)
+
+
+def finite_time_theta(state: EstimatorState, theta_hat, excitation: float):
+    """theta_ft of the gradient estimate theta_hat after the excitation
+    integral excitation of state's epoch: (theta_hat_i - theta0_i W_i) /
+    (1 - W_i) with W_i = exp(-gamma_i excitation), by math.exp and Python
+    floats, or None while any 1 - W_i is below settings.w_floor. The one
+    form of the inversion: finite_time_estimate and the block routine
+    (pipeline.Pipeline._rows) both call it, so their bits agree."""
+    w = [math.exp(-g * excitation) for g in state.settings.gamma]
+    if any(1.0 - wi < state.settings.w_floor for wi in w):
+        return None
+    return tuple((t - t0 * wi) / (1.0 - wi) for t, t0, wi in zip(theta_hat, state.theta0, w))
 
 
 def reset_estimator(state: EstimatorState) -> EstimatorState:

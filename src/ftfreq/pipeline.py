@@ -24,11 +24,17 @@ thread) a 128-row batching step takes 0.8-1.4 ms across runs (0.13 mixing,
 0.15 gradient and 0.44 recovery in the fastest), against about 2 us for
 the 99th-percentile step. run() calls the block routine per
 _CHUNK rows of each epoch and finds the row where the epoch comes due by
-bisection over the known times. The cold rows report the session's first
-theta_hat: step() recovers its omega_grad on its own, at the first sample,
-before any batch exists; run() passes it to its first block as a lead row,
-so the block's one recover_rows call recovers it too (on its own only if
-no row is warm). Both entries' outputs, Epoch records and
+bisection over the known times. Extra rows ride a block's one recover_rows
+call. The cold rows report the session's first theta_hat: step() recovers
+its omega_grad on its own, at the first sample, before any batch exists;
+run() passes it to its first block as a lead row (on its own only if no
+row is warm). step() extracts as each sample comes due, with
+finite_time_estimate's one-row recovery; run() finds the row where
+extraction fires by bisection over its block's excitation, forms that
+row's theta_ft with the estimator's one formula, finite_time_theta, and
+passes it as the block's trailing row, under imag_tol, so a clean run
+calls the root finder once. A suspect trailing row is extracted on its
+own, which raises its fault. Both entries' outputs, Epoch records and
 faults are equal bit for bit at every order n, because each batched
 stage's row equals its one-row call (tests/test_mixing.py,
 tests/test_recovery.py).
@@ -37,6 +43,7 @@ tests/test_recovery.py).
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -45,8 +52,8 @@ from itertools import islice
 import numpy as np
 
 from .errors import ConfigError, NumericFault
-from .estimator import (EstimatorSettings, EstimatorState,
-                        finite_time_estimate, gradient_rows, reset_estimator)
+from .estimator import (EstimatorSettings, EstimatorState, finite_time_estimate,
+                        finite_time_theta, gradient_rows, reset_estimator)
 from .mixing import DremConfig, _first, mix_fault, mix_rows
 from .recovery import recover_frequencies, recover_rows
 from .regression import ModelConfig, delay_table
@@ -256,8 +263,9 @@ class Pipeline:
         """Estimate over a whole uniform trace, whose epochs start at the
         sample indices starts, each after a reset: the outputs a fresh
         Pipeline's step() gives and one Epoch per epoch. times and samples
-        of unequal lengths or none, or starts that do not begin at 0 and
-        rise strictly below the sample count, are a ConfigError. A fault is
+        of unequal lengths or none, or starts with an entry that is not an
+        integer or that do not begin at 0 and rise strictly below the sample
+        count, are a ConfigError; the Epochs hold starts as ints. A fault is
         raised as a NumericFault naming its sample, from the stage's own.
         The run is a session of its own, built from this Pipeline's config:
         it neither reads nor changes this Pipeline's streaming session, so
@@ -276,10 +284,16 @@ class Pipeline:
             raise ConfigError(f"times and samples differ in length: {count} and {len(samples)}")
         if not count:
             raise ConfigError("no samples")
-        edges = [*starts, count]
-        if not starts or starts[0] != 0 or any(a >= b for a, b in zip(edges, edges[1:])):
+        edges = []
+        for entry in starts:  # as plain ints, for the Epochs
+            try:
+                edges.append(operator.index(entry))
+            except TypeError:
+                raise ConfigError(f"starts entries must be integers, got {entry!r}") from None
+        if not edges or edges[0] != 0 or any(a >= b for a, b in zip(edges, [*edges[1:], count])):
             raise ConfigError(f"starts must begin at 0 and rise strictly below {count}, "
-                              f"got {starts}")
+                              f"got {edges}")
+        edges.append(count)
         state, depth = self.state, self.taps.warm_from
         run = Trajectory(times=times, samples=samples, delta=np.empty(count),
                          theta_hat=np.empty((count, n)), omega_grad=np.empty((count, n)),
@@ -330,12 +344,13 @@ class Pipeline:
     def _run_block(self, run: Trajectory, y: np.ndarray, offset: int, a: int, b: int,
                    due: int, lead: int | None) -> None:
         """Rows a..b-1 of run from y[offset + a:]: the block routine, then
-        extraction from row due on, the suspect rows and the first fault.
-        Given lead, the state's theta_hat is recovered with them for the cold
-        rows lead..a-1, and settled first if suspect."""
+        the extraction it formed at the row fired from row due on (a suspect
+        one tried on its own, for its fault), the suspect rows and the first
+        fault. Given lead, the state's theta_hat is recovered with them for
+        the cold rows lead..a-1, and settled first if suspect."""
         state, times = self.state, run.times
-        delta, theta, excitation, max_steps, omega, suspect, bad = self._rows(
-            y, offset + a, offset + b, lead is not None)
+        delta, theta, excitation, max_steps, omega, suspect, bad, ft = self._rows(
+            y, offset + a, offset + b, lead is not None, max(due, a) - a)
         if lead is not None:
             cold, omega, flagged, suspect = omega[0], omega[1:], suspect[0], suspect[1:]
             if flagged:
@@ -345,15 +360,13 @@ class Pipeline:
         b = a + len(delta)  # the block stops at its first non-finite row, if any
         run.delta[a:b], run.theta_hat[a:b] = delta, theta
         fault = None if bad is None else (b, mix_fault(times[b], *bad))
-        for j in range(max(a, due), b) if self.epoch.fired is None else ():
-            state.theta_hat[:], state.excitation, state.max_decay_step = \
-                theta[j - a].tolist(), float(excitation[j - a]), float(max_steps[j - a])
+        if ft is not None:  # a suspect theta_ft is extracted on its own, to raise its fault
+            k, found = ft
+            state.theta_hat[:], state.excitation = theta[k].tolist(), float(excitation[k])
             try:
-                if self._extract(j):
-                    break
+                self._extract(a + k, found)
             except NumericFault as exc:  # the failed call left the state as it was
-                fault = j, exc
-                break
+                fault = a + k, exc
         settled = b if fault is None else fault[0]
         for j in np.flatnonzero(suspect[:settled - a]).tolist():
             with _at_sample(a + j, times[a + j]):
@@ -366,18 +379,35 @@ class Pipeline:
             theta[-1].tolist(), float(excitation[-1]), float(max_steps[-1])
         self._omega_grad = tuple(omega[-1].tolist())
 
-    def _rows(self, y: np.ndarray, first: int, stop: int, lead: bool = False):
+    def _rows(self, y: np.ndarray, first: int, stop: int, lead: bool = False, due=None):
         """The block routine: (delta, theta_hat, excitation, max_decay_step,
         omega_grad, suspect) of the K rows first..first+K-1 of the samples
-        y, mixed, moved from the state (left as it was) and recovered, and
-        bad: None, or mix_fault's arguments for row first + K < stop. With
-        lead, omega_grad and suspect have K + 1 rows, the state's theta_hat
-        recovered in the same call first."""
+        y, mixed, moved from the state (left as it was) and recovered; bad:
+        None, or mix_fault's arguments for row first + K < stop; and ft.
+
+        Extra rows ride the one recover_rows call. With lead, the state's
+        theta_hat goes first, and omega_grad and suspect have K + 1 rows.
+        Given due while the epoch has not fired, the theta_ft of the fired
+        row goes last, the one row under imag_tol: the first row from
+        first + due on where finite_time_theta finds one, by bisection, as
+        the excitation never falls. ft is then (that row, counted from
+        first; finite_time_estimate's result there, or None if the row is
+        suspect), else None."""
+        state = self.state
         delta, mixed, bad = mix_rows(y, self.taps, first, stop, self.drem.epsilon)
-        theta, excitation, max_steps = gradient_rows(self.state, delta, mixed, self.sample_period)
-        omega, suspect = recover_rows(np.vstack((self.state.theta_hat, theta)) if lead else theta,
-                                      self.model.h, self.model.band)
-        return delta, theta, excitation, max_steps, omega, suspect, bad
+        theta, excitation, max_steps = gradient_rows(state, delta, mixed, self.sample_period)
+        count, held = len(theta), None
+        fired = count if due is None or self.epoch.fired is not None else bisect_left(
+            excitation, True, due, count, key=lambda s: finite_time_theta(state, (), s) is not None)
+        rows = [state.theta_hat, theta] if lead else [theta]
+        if fired < count:
+            rows.append(finite_time_theta(state, theta[fired].tolist(), float(excitation[fired])))
+            held = self.estimator.imag_tol
+        omega, suspect, estimate = recover_rows(
+            np.vstack(rows) if len(rows) > 1 else theta, self.model.h, self.model.band, held)
+        ft = None if held is None else (fired, None if estimate is None else (rows[-1], estimate))
+        return (delta, theta, excitation, max_steps, omega[:lead + count], suspect[:lead + count],
+                bad, ft)
 
     def _mix_ahead(self) -> None:
         """Queue the rows of this sample and the next, min(d / Ts, _AHEAD)
@@ -391,7 +421,7 @@ class Pipeline:
         window = np.concatenate((self._window, np.array(history, dtype=float)))
         del history[:]
         self._window = window = window[-(depth + 1):]
-        delta, theta, excitation, max_steps, omega, suspect, self._bad = self._rows(
+        delta, theta, excitation, max_steps, omega, suspect, self._bad, _ = self._rows(
             window[:depth + count - self.taps.rows[0]], depth, depth + count)
         theta = theta.tolist()
         omega = [None if flagged else tuple(row)
@@ -399,19 +429,19 @@ class Pipeline:
         self._queue = list(zip(delta.tolist(), theta, map(tuple, theta), excitation.tolist(),
                                max_steps.tolist(), omega))[::-1]
 
-    def _extract(self, row: int) -> bool:
-        """Try extraction at row, where it is due, and say whether it fired;
-        the epoch's record gets the row where it first came due and, with
-        the result, the row where it fired."""
+    def _extract(self, row: int, found=None) -> None:
+        """Try extraction at row, where it is due: the epoch's record gets
+        the row where it first came due and, with the result, the row where
+        it fired. found, if given, is finite_time_estimate's result at row,
+        formed in a block."""
         epoch = self.epoch
         if epoch.due is None:
             epoch.due = row
-        found = finite_time_estimate(self.state)
+        found = found or finite_time_estimate(self.state)
         if found is not None:
             epoch.theta_ft, estimate = found
             epoch.fired, epoch.omega_ft = row, estimate.omega_hat
             epoch.root_residual, epoch.clamped = estimate.residual, estimate.clamped
-        return found is not None
 
     def _omega(self, theta_hat: tuple[float, ...]) -> tuple[float, ...]:
         """omega_grad of one theta_hat, recovered on its own."""

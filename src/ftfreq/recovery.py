@@ -12,11 +12,13 @@ order is the only canonical labeling).
 Root finding has one written form, _roots, over stacked rows of theta in
 numpy complex arithmetic, and so has the tail from cosines to sorted
 in-band frequencies, _frequencies. recover_rows runs both on many rows,
-with which Pipeline's block routine recovers omega_grad (a run's first
-theta_hat with its first block); recover_frequencies runs both on one row,
-after checking it and then each root, for omega_ft, for a stepped session's
-first omega_grad (and a run's with no warm row) and to settle a row
-recover_rows flags.
+with which Pipeline's block routine recovers omega_grad and, in a run, the
+first theta_hat with the first block and theta_ft, held to imag_tol as the
+last row, with the block where extraction fires; recover_frequencies runs
+both on one row, after checking it and then each root, for a stepped
+session's omega_ft and first omega_grad (and a run's with no warm row) and
+to settle a row recover_rows flags, a run's suspect theta_ft among them.
+Both form an estimate through _estimate, which holds the roots to imag_tol.
 """
 
 from __future__ import annotations
@@ -146,14 +148,19 @@ def recover_frequencies(theta, h: float, bounds: tuple[float, float],
     omega_min, omega_max = bounds
     if not omega_min < omega_max:
         raise ValueError(f"bounds must satisfy omega_min < omega_max, got {bounds}")
+    return _estimate(values, _frequencies(roots.real, h, bounds)[0], imag_tol)
+
+
+def _estimate(values: list[complex], omega: np.ndarray, imag_tol: float) -> FrequencyEstimate:
+    """The FrequencyEstimate of one row's roots values and frequencies
+    omega; a root whose imaginary part exceeds imag_tol * (1 + |Re|)
+    raises EstimateNotPhysical with the roots."""
     for root in values:
         if abs(root.imag) > imag_tol * (1.0 + abs(root.real)):
             raise EstimateNotPhysical(
                 f"root {root} has imaginary part beyond tolerance {imag_tol}", values)
-    return FrequencyEstimate(
-        omega_hat=tuple(_frequencies(roots.real, h, bounds)[0].tolist()),
-        residual=max(abs(root.imag) for root in values),
-        clamped=any(abs(root.real) > 1.0 for root in values))
+    return FrequencyEstimate(tuple(omega.tolist()), max(abs(root.imag) for root in values),
+                             any(abs(root.real) > 1.0 for root in values))
 
 
 def _coefficients(theta: np.ndarray) -> list[float]:
@@ -162,24 +169,32 @@ def _coefficients(theta: np.ndarray) -> list[float]:
     return [1.0, *(-theta[0]).tolist()]
 
 
-def recover_rows(theta: np.ndarray, h: float,
-                 bounds: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """omega_grad of every row of theta under recover_frequencies(imag_tol=inf).
+def recover_rows(theta: np.ndarray, h: float, bounds: tuple[float, float],
+                 imag_tol: float | None = None):
+    """omega_grad of every row of theta under recover_frequencies(imag_tol=inf);
+    given imag_tol, the last row is held to it instead, as a run's theta_ft.
 
-    Returns (omega, suspect): rows that are not finite or whose roots miss
-    the residual target are suspect, with NaN omegas; the caller settles
-    them with recover_frequencies, which raises its fault.
+    Returns (omega, suspect, estimate): rows that are not finite or whose
+    roots miss the residual target, and a last row beyond imag_tol, are
+    suspect, with NaN omegas; the caller settles them with
+    recover_frequencies, which raises its fault. estimate is the held last
+    row's FrequencyEstimate, or None if it is suspect or no row is held.
     """
     count, n = theta.shape
     finite = np.isfinite(theta).all(axis=1)
     try:
         roots, residual, allowed = _roots(np.where(finite[:, None], theta, 0.0))
     except np.linalg.LinAlgError:  # recover_frequencies names the row that failed
-        return np.full((count, n), np.nan), np.ones(count, dtype=bool)
+        return np.full((count, n), np.nan), np.ones(count, dtype=bool), None
     suspect = ~(finite & (residual <= allowed[:, None]).all(axis=1))
-    omega = _frequencies(roots.real, h, bounds)
+    omega, estimate = _frequencies(roots.real, h, bounds), None
+    if imag_tol is not None and not suspect[-1]:
+        try:
+            estimate = _estimate(roots[-1].tolist(), omega[-1], imag_tol)
+        except EstimateNotPhysical:
+            suspect[-1] = True
     omega[suspect] = np.nan
-    return omega, suspect
+    return omega, suspect, estimate
 
 
 def _frequencies(cosines: np.ndarray, h: float, bounds: tuple[float, float]) -> np.ndarray:

@@ -177,13 +177,24 @@ def test_one_block_routine_calls_the_batched_stages():
     }
 
 
+def test_one_form_of_the_finite_time_inversion():
+    """theta_ft has one written form, finite_time_theta: the one-row
+    extraction, finite_time_estimate, and the block routine, which forms
+    the fired row's theta_ft to recover it with the block, each call it, so
+    that a second copy of the float formula shows here."""
+    assert stage_callers(("finite_time_theta",)) == {
+        "finite_time_theta": {"estimator.finite_time_estimate", "pipeline.Pipeline._rows"}}
+
+
 def test_one_route_from_theta_to_omega():
-    """The root finder, _roots, and the tail from cosines to frequencies,
-    _frequencies, are each called from their batched call, recover_rows,
-    and its one-row call, recover_frequencies, alone, so that a second
-    route from theta to omega shows here."""
+    """The root finder, _roots, the tail from cosines to frequencies,
+    _frequencies, and the imaginary-part test with the FrequencyEstimate it
+    passes, _estimate, are each called from their batched call,
+    recover_rows, and its one-row call, recover_frequencies, alone, so that
+    a second route from theta to omega shows here."""
     both = {"recovery.recover_rows", "recovery.recover_frequencies"}
-    assert stage_callers(("_roots", "_frequencies")) == {"_roots": both, "_frequencies": both}
+    assert stage_callers(("_roots", "_frequencies", "_estimate")) == {
+        "_roots": both, "_frequencies": both, "_estimate": both}
 
 
 # A built-in simulate, then an n = 3 Pipeline run through its extraction;

@@ -19,6 +19,7 @@ from bisect import bisect_left
 from dataclasses import replace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,7 +36,7 @@ from ftfreq.estimator import EstimatorState
 from ftfreq.harness import (RunResult, build_pipeline, estimate_from_file,
                             run_scenario, write_metadata, write_trace_csv)
 from ftfreq.mixing import DremConfig, mix_rows
-from ftfreq.pipeline import Epoch, warmup_time
+from ftfreq.pipeline import _CHUNK, Epoch, warmup_time
 from ftfreq.regression import DelayTable, ModelConfig
 from ftfreq.signals import (HarmonicSpec, SignalSpec, UniformDisturbance,
                             generate_trace)
@@ -297,7 +298,9 @@ def test_a_second_run_starts_a_new_session():
 
 # unchecked, these gave 2 rows from 1 sample, a bare IndexError, rows of
 # uninitialised memory outside every epoch, an epoch with first > stop whose
-# rows ran twice, an empty epoch and numpy's broadcast ValueError
+# rows ran twice, an empty epoch and numpy's broadcast ValueError; a float
+# entry gave numpy's TypeError naming neither starts nor the entry, and an
+# array of starts numpy's ambiguous-truth ValueError
 @pytest.mark.parametrize("count, samples, starts, message", [
     (2, [1.0], [0], "times and samples differ in length: 2 and 1"),
     (0, [], [0], "no samples"),
@@ -306,13 +309,36 @@ def test_a_second_run_starts_a_new_session():
     (100, None, [0, 50, 20], r"starts must .* got \[0, 50, 20\]"),
     (100, None, [0, 0], r"starts must .* got \[0, 0\]"),
     (100, None, [0, 200], r"rise strictly below 100, got \[0, 200\]"),
+    (100, None, [0, 50.0], r"^starts entries must be integers, got 50\.0$"),
+    (100, None, np.array([0, 50.0]),
+     r"^starts entries must be integers, got np\.float64\(0\.0\)$"),
+    (100, None, [0, "50"], r"^starts entries must be integers, got '50'$"),
+    (100, None, np.array([0, 50, 20]), r"starts must .* got \[0, 50, 20\]$"),
+    (100, None, np.array([], dtype=int), r"starts must begin at 0 .* got \[\]$"),
 ], ids=["unequal-lengths", "empty", "late-first", "no-starts", "falling", "repeated",
-        "past-the-end"])
+        "past-the-end", "float-entry", "float-array", "text-entry", "falling-array",
+        "empty-array"])
 def test_run_rejects_a_malformed_trace(count, samples, starts, message):
     times = [k * 0.001 for k in range(count)]
     samples = [1.0] * count if samples is None else samples
     with pytest.raises(ConfigError, match=message):
         build_pipeline(builtin_scenario("noiseless-2h")).run(times, samples, starts)
+
+
+@pytest.mark.parametrize("starts", [[0, np.int64(50)], np.array([0, 50]), (0, 50)],
+                         ids=["numpy-int-entry", "int-array", "tuple"])
+def test_run_takes_starts_as_plain_ints(starts):
+    # any sequence of integers, each read with operator.index: the Epochs
+    # record Python ints, and the run is the one a list of ints gives
+    cfg = synthetic(3, 1)
+    cfg = replace(cfg, run=replace(cfg.run, duration=10.0, reset_times=(5.0,)))
+    times, samples = grid(cfg)
+    run = build_pipeline(cfg).run(times, samples, starts)
+    assert [type(value) for epoch in run.epochs for value in (epoch.first, epoch.stop)] == \
+        [int] * 4
+    expected = build_pipeline(cfg).run(times, samples, [0, 50])
+    assert repr(run.epochs) == repr(expected.epochs)
+    assert repr(run.records()) == repr(expected.records())
 
 
 def test_steps_after_a_run_leave_its_trajectory_alone():
@@ -460,9 +486,10 @@ def test_cold_samples_are_not_mixed_or_recovered():
 @pytest.mark.parametrize("short", [False, True], ids=["warm", "shorter-than-warm-up"])
 def test_a_run_recovers_its_first_theta_hat_with_its_first_block(n, short):
     # a fresh session's theta_hat rides the first recover_rows call as its
-    # lead row, for the cold rows, so a clean run makes one recover_frequencies
-    # call, the extraction's; a trace shorter than the warm-up has no warm
-    # row, and recovers it on its own. The records are step()'s either way
+    # lead row, for the cold rows, and the fired row's theta_ft as its
+    # trailing row, so a clean run makes no recover_frequencies call; a
+    # trace shorter than the warm-up has no warm row, and recovers its
+    # theta_hat on its own. The records and Epoch are step()'s either way
     cfg = sweep(n, 1)
     if short:
         cfg = replace(cfg, run=replace(cfg.run, duration=0.5))
@@ -476,21 +503,60 @@ def test_a_run_recovers_its_first_theta_hat_with_its_first_block(n, short):
         assert len(times) <= warm_from
         assert (recoveries, extraction.call_count) == ([(None, None)], 0)
     else:
-        assert recoveries == [(None, len(times) - warm_from + 1)]
-        assert extraction.call_count == 1 and run.epochs[0].fired is not None
-    records, _ = pipeline_reference(cfg, times, samples)
+        assert recoveries == [(None, len(times) - warm_from + 2)]
+        assert extraction.call_count == 0 and run.epochs[0].fired is not None
+    records, pipeline = pipeline_reference(cfg, times, samples)
     assert repr(run.records()) == repr(records)
+    assert repr(run.epochs) == repr([replace(pipeline.epoch, stop=len(times))])
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_a_clean_sweep_run_calls_the_root_finder_once(n):
+    # the n-sweep benchmark's clean runs that extract: the cold rows'
+    # theta_hat, every warm row and the fired row's theta_ft go through one
+    # _roots call, and no one-row recovery is left
+    roots = recovery_module._roots
+    with mock.patch.object(recovery_module, "_roots", wraps=roots) as found, \
+            mock.patch.object(estimator_module, "recover_frequencies") as extraction, \
+            mock.patch.object(pipeline_module, "recover_frequencies") as settling:
+        result = run_scenario(sweep(n, 1))
+    assert result.extracted
+    assert (found.call_count, extraction.call_count, settling.call_count) == (1, 0, 0)
+
+
+@pytest.mark.parametrize("chunk", [_CHUNK, 64], ids=["one-block", "64-row-blocks"])
+def test_an_extraction_deferred_past_due(monkeypatch, chunk):
+    # under a small gain and a raised w_floor every 1 - W_i reaches the
+    # floor 391 rows after extraction comes due. run() finds that row by
+    # bisection over its block's excitation, in the due row's block or,
+    # with 64-row blocks, six blocks after it, and recovers its theta_ft
+    # with the block's rows: the Epoch and records are step()'s
+    cfg = builtin_scenario("noiseless-2h")
+    cfg = replace(cfg, estimator=replace(cfg.estimator, gamma=(1e-6,) * 2, w_floor=0.5,
+                                         t_ft=0.7), run=replace(cfg.run, duration=3.0))
+    monkeypatch.setattr(pipeline_module, "_CHUNK", chunk)
+    times, samples = grid(cfg)
+    warm_from = build_pipeline(cfg).taps.warm_from
+    with batched_recovery() as recoveries:
+        run = engine_run(cfg, times, samples)
+    assert (warm_from, run.epochs[0].due, run.epochs[0].fired) == (660, 700, 1091)
+    assert all(rows is not None for _, rows in recoveries)
+    assert sum(rows for _, rows in recoveries) == len(times) - warm_from + 2
+    records, pipeline = pipeline_reference(cfg, times, samples)
+    assert repr(run.records()) == repr(records)
+    assert repr(run.epochs) == repr([replace(pipeline.epoch, stop=len(times))])
 
 
 def test_only_the_first_epoch_leads_with_its_theta_hat():
     # after a reset the cold rows hold the last omega_grad, as step() does,
-    # so the second epoch's recover_rows call has its 21 warm rows alone
+    # so the second epoch's recover_rows call has no lead row: its 21 warm
+    # rows and, as in the first epoch's, its fired row's theta_ft
     cfg = synthetic(3, 1)
     cfg = replace(cfg, run=replace(cfg.run, duration=10.0, reset_times=(5.0,)))
     times, samples = grid(cfg)
     with batched_recovery() as recoveries:
         run = build_pipeline(cfg).run(times, samples, [0, 50])
-    assert recoveries == [(None, 20 + 1), (None, 21)]
+    assert recoveries == [(None, 1 + 20 + 1), (None, 21 + 1)]
     assert (run.omega_grad[50:80] == run.omega_grad[49]).all()
     records, _ = pipeline_reference(cfg, times, samples)
     assert repr(run.records()) == repr(records)
@@ -610,14 +676,17 @@ class TestFaultParity:
         assert "imaginary part beyond tolerance 0.001" in message
 
     @pytest.mark.parametrize("flagged, index, fault", [
-        (5001, 5000, "imaginary part beyond tolerance 0.001"), (4990, 4990, "a flagged row")])
+        (5001, 5000, "imaginary part beyond tolerance 0.001"), (4990, 4990, "a flagged row"),
+        (6001, 5000, "imaginary part beyond tolerance 0.001")])
     def test_suspect_rows_around_an_extraction_fault(self, flagged, index, fault):
         # recover_rows flags every warm row from `flagged` on, and recovering
         # any of them on its own fails. The block holding the extraction
         # fault at 5000 has such rows after it or before it: the first of
         # the two faults, by row, is the run's, as in the streaming path.
         # run()'s first recover_rows call leads with the cold rows'
-        # theta_hat, so there the rows are counted from warm_from - 1
+        # theta_hat, so there the rows are counted from warm_from - 1, and
+        # the block's theta_ft trails its last row, 6000: from 6001 on, it
+        # alone is flagged, and it is extracted on its own, to the same fault
         cfg = self.quick()
         noise = UniformDisturbance(0.5, 0.001, 7)
         cfg = replace(cfg, signal=replace(cfg.signal, disturbance=noise))
@@ -632,12 +701,12 @@ class TestFaultParity:
             recover_one = pipeline_module.recover_frequencies
 
             def flagging(theta, *args):
-                omega, suspect = recover_many(theta, *args)
+                omega, suspect, *estimates = recover_many(theta, *args)
                 for i in range(max(0, row - seen[0]), len(theta)):
                     suspect[i] = True
                     flagged.add(tuple(theta[i].tolist()))
                 seen[0] += len(theta)
-                return omega, suspect
+                return omega, suspect, *estimates
 
             def failing(theta, *args, **kwargs):
                 if tuple(theta) in flagged:
@@ -654,6 +723,45 @@ class TestFaultParity:
             assert outcome(lambda: engine_run(cfg, times, samples)) == expected
         assert expected[:2] == (NumericFault, index)
         assert fault in expected[2]
+
+    @pytest.mark.parametrize("n", [None, 3, 6], ids=["noiseless-2h", "n3", "n6"])
+    def test_a_suspect_theta_ft_is_extracted_on_its_own(self, n):
+        # the root finder misses its residual target on the fired row's
+        # theta_ft alone: run() extracts that row on its own, and raises
+        # recover_frequencies' fault at step()'s sample with its message
+        # (at n = 1 a theta_hat row equals theta_ft, and faults first)
+        cfg = self.quick() if n is None else sweep(n, 1)
+        times, samples = grid(cfg)
+        epoch = pipeline_reference(cfg, times, samples)[1].epoch
+        theta_ft, roots = np.array(epoch.theta_ft), recovery_module._roots
+
+        def missing(theta):
+            found, residual, allowed = roots(theta)
+            residual[(theta == theta_ft).all(axis=1)] = math.inf
+            return found, residual, allowed
+
+        with mock.patch.object(recovery_module, "_roots", missing):
+            expected = outcome(lambda: pipeline_reference(cfg, times, samples))
+            assert outcome(lambda: engine_run(cfg, times, samples)) == expected
+        assert expected[:2] == (NumericFault, epoch.fired)
+        assert re.match(rf"sample {epoch.fired} \(t = .*\): root residual inf exceeds ",
+                        expected[2])
+
+    def test_a_non_physical_theta_ft_at_n8(self):
+        # the n-sweep benchmark's n = 8 run on seed 1: theta_ft's roots leave
+        # the real axis at the due row, 90, so its trailing row is suspect
+        # and extracting it on its own raises step()'s fault there
+        cfg = sweep(8, 1)
+        times, samples = grid(cfg)
+        expected = outcome(lambda: pipeline_reference(cfg, times, samples))
+        recover_one = estimator_module.recover_frequencies
+        with mock.patch.object(estimator_module, "recover_frequencies",
+                               wraps=recover_one) as extraction:
+            assert outcome(lambda: engine_run(cfg, times, samples)) == expected
+        assert extraction.call_count == 1
+        assert expected[:2] == (NumericFault, 90)
+        assert expected[2].startswith("sample 90 (t = 9): root (")
+        assert expected[2].endswith("has imaginary part beyond tolerance 0.001")
 
     def test_sample_42(self, tmp_path):
         cfg = self.quick()

@@ -181,11 +181,11 @@ def test_a_suspect_row_whose_replay_returns():
     recover, batches = pipeline_module.recover_rows, []
 
     def flagging(theta, *args):
-        omega, suspect = recover(theta, *args)
+        omega, suspect, *estimates = recover(theta, *args)
         batches.append(len(theta))
         if len(batches) == 2:
             omega[3], suspect[3] = math.nan, True
-        return omega, suspect
+        return omega, suspect, *estimates
 
     with mock.patch.object(pipeline_module, "recover_rows", flagging), \
             batched_recovery() as recoveries:

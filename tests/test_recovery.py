@@ -220,8 +220,9 @@ def test_overflowing_roots_are_a_residual_fault(theta):
         with pytest.raises(NumericFault, match="^root residual ") as info:
             recover_frequencies(theta, 0.3, (1.0, 4.0), imag_tol)
         assert type(info.value) is NumericFault
-    omega, suspect = recover_rows(np.array([theta]), 0.3, (1.0, 4.0))
-    assert suspect.all() and np.isnan(omega).all()
+    for held in (None, recovery.DEFAULT_IMAG_TOL):  # held: the row is a run's theta_ft
+        omega, suspect, estimate = recover_rows(np.array([theta]), 0.3, (1.0, 4.0), held)
+        assert suspect.all() and np.isnan(omega).all() and estimate is None
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -324,7 +325,8 @@ def test_rows_are_recovered_independently(n, rows):
     h = 0.3
     freqs = random_distinct_frequencies(rng, n, 1.0, 4.0)
     theta = np.array(true_theta(freqs, h)) * (1.0 + rng.normal(0.0, 1e-3, (rows, n)))
-    omega, suspect = recover_rows(theta, h, (1.0, 4.0))
+    omega, suspect, estimate = recover_rows(theta, h, (1.0, 4.0))
+    assert estimate is None
     for k in range(rows):
         one = recover_rows(theta[k:k + 1], h, (1.0, 4.0))
         assert repr((omega[k].tolist(), bool(suspect[k]))) == repr(
@@ -334,6 +336,19 @@ def test_rows_are_recovered_independently(n, rows):
         if not suspect[k]:
             alone = recover_frequencies(tuple(theta[k].tolist()), h, (1.0, 4.0), math.inf)
             assert repr(alone.omega_hat) == repr(tuple(omega[k].tolist())), k
+    # a held last row, as a run's theta_ft, is recover_frequencies' call
+    # under imag_tol: its FrequencyEstimate, or suspect where that raises
+    for imag_tol in (recovery.DEFAULT_IMAG_TOL, 1e-12):
+        held = recover_rows(theta, h, (1.0, 4.0), imag_tol)
+        assert repr((held[0][:-1].tolist(), held[1][:-1].tolist())) == repr(
+            (omega[:-1].tolist(), suspect[:-1].tolist()))
+        try:
+            alone = recover_frequencies(tuple(theta[-1].tolist()), h, (1.0, 4.0), imag_tol)
+        except NumericFault:
+            assert held[1][-1] and np.isnan(held[0][-1]).all() and held[2] is None
+        else:
+            assert not held[1][-1] and repr(held[2]) == repr(alone)
+            assert repr(held[0][-1].tolist()) == repr(list(alone.omega_hat))
 
 
 def test_a_failed_eigenvalue_iteration():
@@ -355,7 +370,7 @@ def test_a_failed_eigenvalue_iteration():
         assert str(info.value) == ("companion eigenvalue iteration failed for coefficients "
                                    "[1.0, -2.8, 2.6, -0.8]: Eigenvalues did not converge")
         # the batch flags every row: one failure fails the stacked call
-        omega, suspect = recover_rows(np.array([[2.8, -2.6, 0.8]] * 5), 0.3, (1.0, 4.0))
+        omega, suspect, _ = recover_rows(np.array([[2.8, -2.6, 0.8]] * 5), 0.3, (1.0, 4.0))
         assert suspect.all() and np.isnan(omega).all()
         # the first warm step recovers its batch, then replays its own row
         with pytest.raises(NumericFault) as stepped:
