@@ -34,7 +34,8 @@ alone, and the driver writes each extraction to its epoch's record
 (pipeline.Epoch). The inversion has one written form, finite_time_theta:
 finite_time_estimate calls it for step(), and Pipeline's block routine
 for run(), which recovers theta_ft with the block's rows and calls
-finite_time_estimate only on a suspect one.
+finite_time_estimate only on one that is not finite or whose roots miss
+their residual target.
 
 EstimatorSettings is the stage's one tuning type: the gains, the initial
 frequency guesses, the extraction time, the extraction floor and the root

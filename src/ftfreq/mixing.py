@@ -13,12 +13,14 @@ The gain eps rescales the whole stacked system before mixing; with an n x n
 stack this multiplies delta and every mixed_psi_i by eps^n.
 
 Mixing has one written form, over K stacked systems at once: _adjugates
-(adj(M) and det(M) together: elementwise cofactors for n <= 3, above that
-G. W. Stewart's singular value form, "On the adjugate matrix", Lin. Alg.
-Appl. 1998, with its products of singular values from _products; both
-stay valid for singular M, including the all-zero stack of a zero
-signal), _scaled_product (the eps^n scale and adj(M) psi_rows)
-and _mixed_stacks (both, up to the first non-finite stack or output).
+(adj(M) and det(M) together: elementwise cofactors for n <= 3; above that
+det(M) inv(M) through one LU factorisation with partial pivoting, and,
+for the rows LU cannot take, G. W. Stewart's singular value form, "On the
+adjugate matrix", Lin. Alg. Appl. 1998, with its products of singular
+values from _products, which stays valid for singular M, including the
+all-zero stack of a zero signal), _scaled_product (the eps^n scale and
+adj(M) psi_rows) and _mixed_stacks (both, up to the first non-finite stack
+or output).
 mix_rows, the stage the driver calls, stacks whole lagged columns and
 mixes them with _mixed_stacks; a K-row call equals its rows mixed one by
 one. adjugate is the one-row call of _adjugates, behind its own input
@@ -60,15 +62,21 @@ def adjugate(matrix) -> tuple[list[list[float]], float]:
 
     Closed forms for n <= 3: the transposed cofactors, and det(M) expanded
     along the first row, polynomial identities that hold for singular M.
-    For n >= 4, with M = U diag(s) V^T,
+    For n >= 4, LU with partial pivoting, P M = L U: det(M) is the signed
+    product of U's pivots and adj(M) = det(M) inv(M), with the backward
+    error of LU with partial pivoting, which Higham bounds through its
+    growth factor (Accuracy and Stability of Numerical Algorithms, ch. 9;
+    ch. 14 for inv). Where that det is 0 (a zero pivot: inv(M) does not
+    exist) or not finite, or det(M) inv(M) is not finite, the singular
+    value form, with M = U diag(s) V^T,
 
         adj(M) = det(U V^T) V diag(prod_{j != i} s_j) U^T,
         det(M) = det(U V^T) prod_j s_j,
 
-    so no singular value is ever divided by. Either way an overflowed
-    cofactor makes inf or NaN entries. Input that is not a finite square
-    matrix of size 1..MAX_HARMONICS raises ConfigError before any
-    factorisation.
+    takes the matrix, so no singular value is ever divided by. Either way
+    an overflowed cofactor makes inf or NaN entries. Input that is not a
+    finite square matrix of size 1..MAX_HARMONICS raises ConfigError before
+    any factorisation.
     """
     square = f"matrix must be square with size 1..{MAX_HARMONICS}"
     try:
@@ -79,7 +87,7 @@ def adjugate(matrix) -> tuple[list[list[float]], float]:
         raise ConfigError(square)  # a flat vector or a scalar has no rows at all
     if not np.isfinite(stack).all():
         raise ConfigError("matrix entries must be finite")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         adj, det = _adjugates(stack)
     return adj[0].tolist(), float(det[0])
 
@@ -129,7 +137,7 @@ def _mixed_stacks(psi_rows: np.ndarray, phi_rows: np.ndarray,
     arguments after the time that mix_fault takes for it, () for a
     non-finite stack or (delta, psi) for a non-finite output."""
     with np.errstate(all="ignore"):  # non-finite values are scanned for, not warned about
-        # the SVD (n >= 4) rejects a non-finite stack: mix the rows before the first
+        # LU and the SVD (n >= 4) take no non-finite stack: mix the rows before the first
         finite = _first(~np.isfinite(phi_rows).all(axis=(1, 2)))
         delta, mixed = _scaled_product(*_adjugates(phi_rows[:finite]),
                                        psi_rows[:finite], epsilon)
@@ -146,9 +154,16 @@ def _first(mask: np.ndarray) -> int:
 
 
 def _adjugates(phi_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """adj (K, n, n) and det (K,) of K stacked n x n matrices, as adjugate
-    states them: elementwise cofactors over the K matrices for n <= 3, the
-    stacked SVD for n >= 4."""
+    """adj (K, n, n) and det (K,) of K stacked finite n x n matrices, as
+    adjugate states them: elementwise cofactors over the K matrices for
+    n <= 3; for n >= 4 det and det times inv over the K matrices, and the
+    stacked SVD form over the rows whose det is 0 or not finite or whose
+    product is not finite. A batched inv raises LinAlgError for the whole
+    stack if one matrix is exactly singular, and the SVD form is what
+    holds at and beyond singular and overflowing stacks. Each row is
+    formed on its own, as its one-row call forms it. Callers hold
+    np.errstate(all="ignore"): a zero pivot's log in det and an overflowed
+    product are scanned for, not warned about."""
     n = phi_rows.shape[1]
     if n == 1:
         return np.ones_like(phi_rows), phi_rows[:, 0, 0]
@@ -161,10 +176,18 @@ def _adjugates(phi_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                         [f * g - d * i, a * i - c * g, c * d - a * f],
                         [d * h - e * g, b * g - a * h, a * e - b * d]])
         return np.moveaxis(adj, -1, 0), a * adj[0, 0] + b * adj[1, 0] + c * adj[2, 0]
-    u, s, vt = np.linalg.svd(phi_rows)
-    sign = np.copysign(1.0, np.linalg.det(u @ vt))  # U V^T is orthogonal: +-1
-    others, det = _products(sign, s)
-    adj = (np.swapaxes(vt, 1, 2) * others[:, None, :]) @ np.swapaxes(u, 1, 2)
+    det = np.linalg.det(phi_rows)
+    adj = np.full_like(phi_rows, np.nan)
+    # det and inv factor each matrix by the same LU: a finite non-zero det
+    # means no zero pivot, so inv never meets a singular matrix
+    lu = np.isfinite(det) & (det != 0.0)
+    adj[lu] = det[lu, None, None] * np.linalg.inv(phi_rows[lu])
+    svd = ~np.isfinite(adj).all(axis=(1, 2))
+    if svd.any():
+        u, s, vt = np.linalg.svd(phi_rows[svd])
+        sign = np.copysign(1.0, np.linalg.det(u @ vt))  # U V^T is orthogonal: +-1
+        others, det[svd] = _products(sign, s)
+        adj[svd] = (np.swapaxes(vt, 1, 2) * others[:, None, :]) @ np.swapaxes(u, 1, 2)
     return adj, det
 
 

@@ -29,15 +29,17 @@ call. The cold rows report the session's first theta_hat: step() recovers
 its omega_grad on its own, at the first sample, before any batch exists;
 run() passes it to its first block as a lead row (on its own only if no
 row is warm). step() extracts as each sample comes due, with
-finite_time_estimate's one-row recovery; run() finds the row where
-extraction fires by bisection over its block's excitation, forms that
-row's theta_ft with the estimator's one formula, finite_time_theta, and
-passes it as the block's trailing row, under imag_tol, so a clean run
-calls the root finder once. A suspect trailing row is extracted on its
-own, which raises its fault. Both entries' outputs, Epoch records and
-faults are equal bit for bit at every order n, because each batched
-stage's row equals its one-row call (tests/test_mixing.py,
-tests/test_recovery.py).
+finite_time_estimate's one-row recovery; run() tests the row where
+extraction comes due and, if it defers, finds the row where extraction
+fires by bisection over its block's excitation, forms that row's theta_ft
+with the estimator's one formula, finite_time_theta, and passes it as the
+block's trailing row, under imag_tol, so a clean run calls the root finder
+once. A trailing row whose roots leave the real axis raises the
+EstimateNotPhysical recover_rows found for them; one that is otherwise
+suspect is extracted on its own, which raises its fault. Both entries'
+outputs, Epoch records and faults are equal bit for bit at every order n,
+because each batched stage's row equals its one-row call
+(tests/test_mixing.py, tests/test_recovery.py).
 """
 
 from __future__ import annotations
@@ -263,10 +265,11 @@ class Pipeline:
         """Estimate over a whole uniform trace, whose epochs start at the
         sample indices starts, each after a reset: the outputs a fresh
         Pipeline's step() gives and one Epoch per epoch. times and samples
-        of unequal lengths or none, or starts with an entry that is not an
-        integer or that do not begin at 0 and rise strictly below the sample
-        count, are a ConfigError; the Epochs hold starts as ints. A fault is
-        raised as a NumericFault naming its sample, from the stage's own.
+        of unequal lengths or none, or starts that are not a sequence, have
+        an entry that is not an integer or do not begin at 0 and rise
+        strictly below the sample count, are a ConfigError; the Epochs hold
+        starts as ints. A fault is raised as a NumericFault naming its
+        sample, from the stage's own.
         The run is a session of its own, built from this Pipeline's config:
         it neither reads nor changes this Pipeline's streaming session, so
         the Trajectory is the run's alone."""
@@ -284,8 +287,12 @@ class Pipeline:
             raise ConfigError(f"times and samples differ in length: {count} and {len(samples)}")
         if not count:
             raise ConfigError("no samples")
+        try:
+            entries = iter(starts)
+        except TypeError:
+            raise ConfigError(f"starts must be a sequence of integers, got {starts!r}") from None
         edges = []
-        for entry in starts:  # as plain ints, for the Epochs
+        for entry in entries:  # as plain ints, for the Epochs
             try:
                 edges.append(operator.index(entry))
             except TypeError:
@@ -344,10 +351,11 @@ class Pipeline:
     def _run_block(self, run: Trajectory, y: np.ndarray, offset: int, a: int, b: int,
                    due: int, lead: int | None) -> None:
         """Rows a..b-1 of run from y[offset + a:]: the block routine, then
-        the extraction it formed at the row fired from row due on (a suspect
-        one tried on its own, for its fault), the suspect rows and the first
-        fault. Given lead, the state's theta_hat is recovered with them for
-        the cold rows lead..a-1, and settled first if suspect."""
+        the extraction it formed at the row fired from row due on (one whose
+        roots leave the real axis a fault there, another suspect one tried
+        on its own, for its fault), the suspect rows and the first fault.
+        Given lead, the state's theta_hat is recovered with them for the
+        cold rows lead..a-1, and settled first if suspect."""
         state, times = self.state, run.times
         delta, theta, excitation, max_steps, omega, suspect, bad, ft = self._rows(
             y, offset + a, offset + b, lead is not None, max(due, a) - a)
@@ -360,13 +368,16 @@ class Pipeline:
         b = a + len(delta)  # the block stops at its first non-finite row, if any
         run.delta[a:b], run.theta_hat[a:b] = delta, theta
         fault = None if bad is None else (b, mix_fault(times[b], *bad))
-        if ft is not None:  # a suspect theta_ft is extracted on its own, to raise its fault
-            k, found = ft
-            state.theta_hat[:], state.excitation = theta[k].tolist(), float(excitation[k])
-            try:
-                self._extract(a + k, found)
-            except NumericFault as exc:  # the failed call left the state as it was
-                fault = a + k, exc
+        if ft is not None:
+            k, theta_ft, estimate = ft
+            if isinstance(estimate, NumericFault):  # its roots left the real axis
+                fault = a + k, estimate
+            else:  # recorded; a suspect one (no estimate) is extracted on its own, for its fault
+                state.theta_hat[:], state.excitation = theta[k].tolist(), float(excitation[k])
+                try:
+                    self._extract(a + k, None if estimate is None else (theta_ft, estimate))
+                except NumericFault as exc:  # the failed call left the state as it was
+                    fault = a + k, exc
         settled = b if fault is None else fault[0]
         for j in np.flatnonzero(suspect[:settled - a]).tolist():
             with _at_sample(a + j, times[a + j]):
@@ -389,23 +400,28 @@ class Pipeline:
         theta_hat goes first, and omega_grad and suspect have K + 1 rows.
         Given due while the epoch has not fired, the theta_ft of the fired
         row goes last, the one row under imag_tol: the first row from
-        first + due on where finite_time_theta finds one, by bisection, as
-        the excitation never falls. ft is then (that row, counted from
-        first; finite_time_estimate's result there, or None if the row is
-        suspect), else None."""
+        first + due on where finite_time_theta finds one, first + due itself
+        if it does, else found by bisection, as the excitation never falls.
+        ft is then (that row, counted from first; its theta_ft; recover_rows'
+        estimate of it: a FrequencyEstimate, the EstimateNotPhysical its
+        roots raise, or None if the row is otherwise suspect), else None."""
         state = self.state
         delta, mixed, bad = mix_rows(y, self.taps, first, stop, self.drem.epsilon)
         theta, excitation, max_steps = gradient_rows(state, delta, mixed, self.sample_period)
         count, held = len(theta), None
-        fired = count if due is None or self.epoch.fired is not None else bisect_left(
-            excitation, True, due, count, key=lambda s: finite_time_theta(state, (), s) is not None)
+        fired = count
+        if due is not None and due < count and self.epoch.fired is None:
+            fired = due
+            if finite_time_theta(state, (), excitation[due]) is None:  # deferred
+                fired = bisect_left(excitation, True, due + 1, count,
+                                    key=lambda s: finite_time_theta(state, (), s) is not None)
         rows = [state.theta_hat, theta] if lead else [theta]
         if fired < count:
             rows.append(finite_time_theta(state, theta[fired].tolist(), float(excitation[fired])))
             held = self.estimator.imag_tol
         omega, suspect, estimate = recover_rows(
             np.vstack(rows) if len(rows) > 1 else theta, self.model.h, self.model.band, held)
-        ft = None if held is None else (fired, None if estimate is None else (rows[-1], estimate))
+        ft = None if held is None else (fired, rows[-1], estimate)
         return (delta, theta, excitation, max_steps, omega[:lead + count], suspect[:lead + count],
                 bad, ft)
 

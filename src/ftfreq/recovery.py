@@ -18,7 +18,9 @@ last row, with the block where extraction fires; recover_frequencies runs
 both on one row, after checking it and then each root, for a stepped
 session's omega_ft and first omega_grad (and a run's with no warm row) and
 to settle a row recover_rows flags, a run's suspect theta_ft among them.
-Both form an estimate through _estimate, which holds the roots to imag_tol.
+Both form an estimate through _estimate, which holds the roots to imag_tol;
+recover_rows returns the EstimateNotPhysical of a held row beyond it, the
+fault recover_frequencies would raise for that row.
 """
 
 from __future__ import annotations
@@ -178,7 +180,9 @@ def recover_rows(theta: np.ndarray, h: float, bounds: tuple[float, float],
     roots miss the residual target, and a last row beyond imag_tol, are
     suspect, with NaN omegas; the caller settles them with
     recover_frequencies, which raises its fault. estimate is the held last
-    row's FrequencyEstimate, or None if it is suspect or no row is held.
+    row's FrequencyEstimate, or, if its roots are beyond imag_tol, the
+    EstimateNotPhysical recover_frequencies raises for them; None if the
+    row is otherwise suspect or no row is held.
     """
     count, n = theta.shape
     finite = np.isfinite(theta).all(axis=1)
@@ -191,8 +195,8 @@ def recover_rows(theta: np.ndarray, h: float, bounds: tuple[float, float],
     if imag_tol is not None and not suspect[-1]:
         try:
             estimate = _estimate(roots[-1].tolist(), omega[-1], imag_tol)
-        except EstimateNotPhysical:
-            suspect[-1] = True
+        except EstimateNotPhysical as exc:
+            suspect[-1], estimate = True, exc
     omega[suspect] = np.nan
     return omega, suspect, estimate
 

@@ -217,14 +217,14 @@ def sweep(n, seed):
 # repr of every record and Epoch of run_scenario, or the type and message of
 # the fault it raises. The built-in digests (tests/test_cli.py) cover n = 2
 # and tests/test_pipeline.py's session n = 3; these hold n = 4..8, where
-# mixing goes through the stacked SVD. A change that alters them says so
-# and why.
+# mixing goes through LU (det times inv), with Stewart's SVD form for the
+# rows LU cannot take. A change that alters them says so and why.
 HIGH_ORDER_DIGESTS = {
-    4: "35367f82d0a0db2f81ecf56b4d2e3be5a50c73f6f7c7231b8f808b7a10fb8d2a",
-    5: "894ac82b4a861d132072347b2036f19646ffa0ded581bf48b7fb7e16462f9793",
-    6: "9a1b965ffd2d0213c4a66d6b5f95ce2adb5fd4a13bb81614606f3a894520797c",
-    7: "d5b2e48c5d334832914c41e8790b9bf9a1d366225419970a27c21fb3a396ffd1",
-    8: "155927ec7e9962b52e7bda53000e8ad21b7619d38b32821548be56d2dd663c7d",
+    4: "549a647ca5473ecf036cc1009fb295754747898f274d8ceca082ff14e008dbde",
+    5: "931707efbbdd6576cbc5f246511d93a10042f7b4deb7df273271df5655682301",
+    6: "9742ebee8fd456409923925afa7d6c17f202cef6fde3760eb642b87d57ae2882",
+    7: "1710d63f8fe507152bfb39547a07b96afdf4684d927c399a36bf276260466a54",
+    8: "a10ae8df64083c0da1ad65336c3752224ceaffb154bdfe7cc309a848144354f5",
 }
 
 
@@ -300,7 +300,8 @@ def test_a_second_run_starts_a_new_session():
 # uninitialised memory outside every epoch, an epoch with first > stop whose
 # rows ran twice, an empty epoch and numpy's broadcast ValueError; a float
 # entry gave numpy's TypeError naming neither starts nor the entry, and an
-# array of starts numpy's ambiguous-truth ValueError
+# array of starts numpy's ambiguous-truth ValueError, and a bare int a
+# TypeError from the loop over it
 @pytest.mark.parametrize("count, samples, starts, message", [
     (2, [1.0], [0], "times and samples differ in length: 2 and 1"),
     (0, [], [0], "no samples"),
@@ -315,9 +316,10 @@ def test_a_second_run_starts_a_new_session():
     (100, None, [0, "50"], r"^starts entries must be integers, got '50'$"),
     (100, None, np.array([0, 50, 20]), r"starts must .* got \[0, 50, 20\]$"),
     (100, None, np.array([], dtype=int), r"starts must begin at 0 .* got \[\]$"),
+    (100, None, 5, r"^starts must be a sequence of integers, got 5$"),
 ], ids=["unequal-lengths", "empty", "late-first", "no-starts", "falling", "repeated",
         "past-the-end", "float-entry", "float-array", "text-entry", "falling-array",
-        "empty-array"])
+        "empty-array", "not-a-sequence"])
 def test_run_rejects_a_malformed_trace(count, samples, starts, message):
     times = [k * 0.001 for k in range(count)]
     samples = [1.0] * count if samples is None else samples
@@ -749,8 +751,9 @@ class TestFaultParity:
 
     def test_a_non_physical_theta_ft_at_n8(self):
         # the n-sweep benchmark's n = 8 run on seed 1: theta_ft's roots leave
-        # the real axis at the due row, 90, so its trailing row is suspect
-        # and extracting it on its own raises step()'s fault there
+        # the real axis at the due row, 90, so its trailing row is suspect,
+        # and run() raises the fault recover_rows found for its roots there,
+        # step()'s, with no extraction on its own
         cfg = sweep(8, 1)
         times, samples = grid(cfg)
         expected = outcome(lambda: pipeline_reference(cfg, times, samples))
@@ -758,7 +761,7 @@ class TestFaultParity:
         with mock.patch.object(estimator_module, "recover_frequencies",
                                wraps=recover_one) as extraction:
             assert outcome(lambda: engine_run(cfg, times, samples)) == expected
-        assert extraction.call_count == 1
+        assert extraction.call_count == 0
         assert expected[:2] == (NumericFault, 90)
         assert expected[2].startswith("sample 90 (t = 9): root (")
         assert expected[2].endswith("has imaginary part beyond tolerance 0.001")
@@ -796,10 +799,11 @@ class TestFaultParity:
         assert "non-finite mixed regression" in message
 
     def test_non_finite_mixed_regression_stacked_svd_n4(self, tmp_path):
-        # n = 4 mixes through the stacked SVD: the same spike after the reset
-        # at sample 25 overflows the products of the singular values at the
-        # segment's first warm sample (25 + 2nh + nd = 65), where inf * 0
-        # turns the adjugate NaN; both drivers raise the fault without a
+        # n = 4 mixes through LU: the same spike after the reset at sample 25
+        # overflows the LU determinant at the segment's first warm sample
+        # (25 + 2nh + nd = 65), which sends that row to the SVD form, whose
+        # products of the singular values overflow there and, where inf * 0,
+        # turn the adjugate NaN; both drivers raise the fault without a
         # numpy warning
         cfg = synthetic(4, 1)
         times, samples = grid(cfg)

@@ -1,5 +1,6 @@
 """Unit tests for regressor extension (the stacked rows) and adjugate mixing."""
 
+import contextlib
 import math
 import random
 from fractions import Fraction
@@ -17,11 +18,13 @@ from conftest import (SAMPLE_PERIOD, assert_mixed_ahead, batched_mixing,
 from ftfreq import mixing
 from ftfreq.errors import ConfigError, NumericFault
 from ftfreq.estimator import EstimatorSettings
+from ftfreq.harness import run_scenario
 from ftfreq.mixing import DremConfig, adjugate, mix_fault, mix_rows
 from ftfreq.pipeline import Pipeline
 from ftfreq.regression import (ModelConfig, delay_table, regression_at,
                                true_theta)
 from ftfreq.signals import HarmonicSpec, SignalSpec
+from test_engine import sweep
 
 
 def session(n, steps_h, steps_d, period=SAMPLE_PERIOD):
@@ -136,6 +139,12 @@ def low_rank_matrices(draw, n=None):
     return b @ c
 
 
+def criterion_8_bound(m):
+    """Acceptance criterion 8's scale-aware bound on |adj(M) M - det(M) I|."""
+    norm = float(np.linalg.norm(m))
+    return 1e-10 * (1.0 + norm) * max(1.0, norm ** (len(m) - 1))
+
+
 def per_i_products(sign, s):
     """The SVD form's (others, det) with each product of singular values
     formed by math.prod, left to right from 1, one i at a time."""
@@ -215,6 +224,28 @@ class TestAdjugate:
         m5 = np.vstack([np.ones((1, 5)), np.ones((1, 5)), np.random.default_rng(1).uniform(-1, 1, (3, 5))])
         adj5 = np.array(adjugate(m5.tolist())[0])
         assert np.abs(adj5 @ m5).max() < 1e-10
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_identity_on_exactly_singular_matrices(self, n):
+        # criterion 8's identity and bound on matrices of rank < n in exact
+        # arithmetic: the zero matrix, a zero row or column, a repeated row,
+        # and integer products B C of rank r < n. LU may meet an exactly zero
+        # pivot (the SVD form then takes the row) or, by rounding, a tiny
+        # non-zero one (det times inv)
+        rng = np.random.default_rng(n)
+        matrices = [np.zeros((n, n))]
+        for _ in range(10):
+            m = rng.uniform(-3.0, 3.0, (n, n))
+            zero_row, zero_column, repeated = m.copy(), m.copy(), m.copy()
+            zero_row[rng.integers(n)] = 0.0
+            zero_column[:, rng.integers(n)] = 0.0
+            repeated[n - 1] = repeated[rng.integers(n - 1)]
+            r = int(rng.integers(1, n))
+            product = rng.integers(-3, 4, (n, r)) @ rng.integers(-3, 4, (r, n))
+            matrices += [zero_row, zero_column, repeated, product.astype(float)]
+        for m in matrices:
+            adj, det = adjugate(m.tolist())
+            assert np.abs(np.array(adj) @ m - det * np.eye(n)).max() <= criterion_8_bound(m)
 
     def test_determinant_matches_numpy(self):
         rng = np.random.default_rng(13)
@@ -493,3 +524,73 @@ class TestExactOracle:
             assert bad is None
             assert repr((one.tolist(), psi.tolist())) == \
                 repr(([delta[k].item()], [mixed[k].tolist()])), k
+
+
+def route_stacks(n, rng):
+    """Stacks at order n, ones LU takes (uniform entries) interleaved with
+    ones the SVD form takes: the zero stack, an exactly zero row and column
+    (a zero pivot: det 0), a subnormal diagonal entry (finite det, inv
+    overflows), and, last, entries near 1e300, whose det overflows; and the
+    indices of the SVD rows."""
+    lu = rng.uniform(-2.0, 2.0, (5, n, n))
+    zero_row, zero_column = rng.uniform(-2.0, 2.0, (2, n, n))
+    zero_row[1] = 0.0
+    zero_column[:, 2] = 0.0
+    subnormal = np.diag([1e10] + [1.0] * (n - 2) + [1e-310])
+    huge = rng.uniform(-2.0, 2.0, (n, n)) * 1e300
+    stacks = [lu[0], np.zeros((n, n)), lu[1], zero_row, lu[2], zero_column, lu[3], subnormal,
+              lu[4], huge]
+    return np.array(stacks), [1, 3, 5, 7, 9]
+
+
+class TestRoutes:
+    """_adjugates at n >= 4: det times inv through one LU, Stewart's SVD
+    form for the rows LU cannot take."""
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_svd_rows_interleaved_with_lu_rows(self, n):
+        # each row of one _mixed_stacks call is bit for bit its one-row mix,
+        # whichever route it took; only the SVD rows reach the SVD; the
+        # identity holds on every finite row, and the last, whose det
+        # overflows, stops the call with the fault its own mix gives
+        rng = np.random.default_rng(n)
+        phi_rows, svd_rows = route_stacks(n, rng)
+        psi_rows = rng.uniform(-2.0, 2.0, (len(phi_rows), n))
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            delta, mixed, bad = mixing._mixed_stacks(psi_rows, phi_rows, 2.0)
+        (taken,), _ = svd.call_args
+        assert taken.tolist() == phi_rows[svd_rows].tolist()
+        assert len(delta) == len(phi_rows) - 1
+        for k in range(len(phi_rows)):
+            one = mixing._mixed_stacks(psi_rows[k][None], phi_rows[k][None], 2.0)
+            if k < len(delta):
+                assert one[2] is None
+                assert repr((one[0].tolist(), one[1].tolist())) == \
+                    repr(([delta[k].item()], [mixed[k].tolist()])), k
+            else:
+                assert one[0].size == 0 and repr(one[2]) == repr(bad)
+        assert math.isinf(bad[0])
+        with np.errstate(all="ignore"):  # as its callers hold it
+            adj, det = mixing._adjugates(phi_rows[:-1])
+        for m, a, d in zip(phi_rows[:-1], adj, det):
+            assert np.abs(a @ m - d * np.eye(n)).max() <= criterion_8_bound(m)
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_sweep_stacks_within_conditioned_roundoff_of_exact(self, n):
+        # every stack the n-sweep benchmark's seed-1 run mixes, against the
+        # exact oracle (n = 8 faults at extraction, after mixing its rows)
+        stacks = []
+        mixed_stacks = mixing._mixed_stacks
+
+        def recording(psi_rows, phi_rows, epsilon):
+            stacks.append((psi_rows, phi_rows, epsilon))
+            return mixed_stacks(psi_rows, phi_rows, epsilon)
+
+        with mock.patch.object(mixing, "_mixed_stacks", recording), \
+                contextlib.suppress(NumericFault):
+            run_scenario(sweep(n, 1))
+        ((psi_rows, phi_rows, epsilon),) = stacks
+        delta, mixed, bad = mixed_stacks(psi_rows, phi_rows, epsilon)
+        assert bad is None and len(delta) == 21
+        for system in zip(delta, mixed, psi_rows, phi_rows):
+            assert oracle_ratio(*system, epsilon) <= ORACLE_C

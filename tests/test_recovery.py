@@ -337,13 +337,18 @@ def test_rows_are_recovered_independently(n, rows):
             alone = recover_frequencies(tuple(theta[k].tolist()), h, (1.0, 4.0), math.inf)
             assert repr(alone.omega_hat) == repr(tuple(omega[k].tolist())), k
     # a held last row, as a run's theta_ft, is recover_frequencies' call
-    # under imag_tol: its FrequencyEstimate, or suspect where that raises
+    # under imag_tol: its FrequencyEstimate, or suspect where that raises,
+    # with the EstimateNotPhysical it raises for roots beyond imag_tol
     for imag_tol in (recovery.DEFAULT_IMAG_TOL, 1e-12):
         held = recover_rows(theta, h, (1.0, 4.0), imag_tol)
         assert repr((held[0][:-1].tolist(), held[1][:-1].tolist())) == repr(
             (omega[:-1].tolist(), suspect[:-1].tolist()))
         try:
             alone = recover_frequencies(tuple(theta[-1].tolist()), h, (1.0, 4.0), imag_tol)
+        except EstimateNotPhysical as exc:
+            assert held[1][-1] and np.isnan(held[0][-1]).all()
+            assert type(held[2]) is EstimateNotPhysical
+            assert (str(held[2]), held[2].roots) == (str(exc), exc.roots)
         except NumericFault:
             assert held[1][-1] and np.isnan(held[0][-1]).all() and held[2] is None
         else:
