@@ -20,9 +20,9 @@ warm_from + 1 in the window it carries, calls the block routine on its own
 row and up to min(d / Ts, _AHEAD) - 1 later ones, and queues each row as
 step() returns it; each later step pops its row. The cost is latency: on
 the n = 3 stream benchmark (2-vCPU Xeon, Python 3.11.7, numpy 2.4.6, one
-thread) a 128-row batching step takes 0.8-1.4 ms across runs (0.13 mixing,
-0.15 gradient and 0.44 recovery in the fastest), against about 2 us for
-the 99th-percentile step. run() calls the block routine per
+thread) a 128-row batching step takes 0.7-0.8 ms in median across runs
+(0.13 mixing, 0.16 gradient and 0.26 recovery in the fastest, 0.63 ms),
+against about 2-3 us for the 99th-percentile step. run() calls the block routine per
 _CHUNK rows of each epoch and finds the row where the epoch comes due by
 bisection over the known times. Extra rows ride a block's one recover_rows
 call. The cold rows report the session's first theta_hat: step() recovers
@@ -62,8 +62,8 @@ from .regression import ModelConfig, delay_table
 
 # Most rows one step() batch computes ahead. Per row at n = 3 (same machine),
 # mix_rows costs about 20 us at 8 rows, 1.5 at 128 and 0.4 at 370, against
-# 61 us for one sample's regression and mixing, and recover_rows 27-47 us at 4
-# rows and 4-6 at 128, against 90-175 us for recover_frequencies: 128 rows
+# 61 us for one sample's regression and mixing, and recover_rows 27-32 us at 4
+# rows and 2.0-2.2 at 128, against 130-140 us for recover_frequencies: 128 rows
 # spread each call's fixed part thin, while larger batches only lengthen
 # the step that computes them, and batching steps stay under 1 % of warm
 # steps, out of the 99th latency percentile.

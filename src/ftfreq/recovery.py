@@ -10,14 +10,19 @@ ascending sort (the regression is symmetric in the harmonics, so sorted
 order is the only canonical labeling).
 
 Root finding has one written form, _roots, over stacked rows of theta in
-numpy complex arithmetic, and so has the tail from cosines to sorted
-in-band frequencies, _frequencies. recover_rows runs both on many rows,
-with which Pipeline's block routine recovers omega_grad and, in a run, the
-first theta_hat with the first block and theta_ft, held to imag_tol as the
-last row, with the block where extraction fires; recover_frequencies runs
-both on one row, after checking it and then each root, for a stepped
-session's omega_ft and first omega_grad (and a run's with no warm row) and
-to settle a row recover_rows flags, a run's suspect theta_ft among them.
+numpy complex arithmetic: closed forms for n <= 3 (at n = 3 Viete's and
+Cardano's cubic, _cubic_roots), and LAPACK's eigvals on the companion
+matrices for n >= 4 and for the n = 3 rows whose closed-form roots, once
+polished, still miss the residual target, which that route often settles
+(rows whose coefficients span many orders of magnitude). So has the tail
+from cosines to sorted in-band frequencies, _frequencies. recover_rows
+runs both on many rows, with which Pipeline's block routine recovers
+omega_grad and, in a run, the first theta_hat with the first block and
+theta_ft, held to imag_tol as the last row, with the block where
+extraction fires; recover_frequencies runs both on one row, after checking
+it and then each root, for a stepped session's omega_ft and first
+omega_grad (and a run's with no warm row) and to settle a row recover_rows
+flags, a run's suspect theta_ft among them.
 Both form an estimate through _estimate, which holds the roots to imag_tol;
 recover_rows returns the EstimateNotPhysical of a held row beyond it, the
 fault recover_frequencies would raise for that row.
@@ -65,15 +70,19 @@ def _roots(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Roots of x^n - theta_1 x^(n-1) - ... - theta_n for each row of theta.
 
     Returns (roots (K, n) complex, |p| at each root, the |p| allowed per
-    row). Closed forms for n = 1 and 2; above that the stacked companion
-    matrices' eigenvalues, each polished by up to two Newton steps, a step
-    kept only if it shrinks |p|. An overflow shows as a residual miss, not
-    as a warning; eigvals' LinAlgError propagates.
+    row). Closed forms for n <= 3; above that the stacked companion
+    matrices' eigenvalues. The roots at n >= 3 are each polished by up to
+    two Newton steps, a step kept only if it shrinks |p|; a row whose
+    polished closed-form roots (n = 3) still miss the residual target is
+    found again from its companion matrix, as at n >= 4, so it is that
+    route's row bit for bit. An overflow shows as a residual miss, not as a
+    warning; eigvals' LinAlgError propagates.
     """
     count, n = theta.shape
     with np.errstate(all="ignore"):
-        coeffs = [1.0, *(-theta.T[:, :, None])]
+        allowed = RESIDUAL_TOL * (1.0 + np.abs(theta).max(axis=1, initial=1.0))
         if n <= 2:
+            coeffs = [1.0, *(-theta.T[:, :, None])]
             # set part by part, so that signed zeros survive
             roots = np.empty((count, n), dtype=complex)
             if n == 1:
@@ -91,26 +100,90 @@ def _roots(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 roots.real[:, 1] = np.where(double, mid, c / q)
                 roots.imag = np.where(real[:, None], 0.0, (0.5 * root)[:, None] * (1.0, -1.0))
             residual = np.abs(_horner(coeffs, roots))
+        elif n == 3:
+            roots, residual = _polished(theta, _cubic_roots(theta))
+            missed = ~(residual <= allowed[:, None]).all(axis=1)
+            if missed.any():
+                roots[missed], residual[missed] = _polished(
+                    theta[missed], _companion_roots(theta[missed]))
         else:
-            companion = np.zeros((count, n, n))
-            companion[:, 0, :] = theta
-            companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-            roots = np.linalg.eigvals(companion).astype(complex)
-            slopes = [(n - i) * c for i, c in enumerate(coeffs[:-1])]
-            active = np.ones(roots.shape, dtype=bool)
-            p = _horner(coeffs, roots)
-            for _ in range(2):
-                dp = _horner(slopes, roots)
-                candidate = roots - p / dp
-                p_candidate = _horner(coeffs, candidate)
-                active &= ~(np.abs(dp) < 1e-300) & (np.abs(p_candidate) < np.abs(p))
-                if not active.any():
-                    break
-                roots = np.where(active, candidate, roots)
-                p = np.where(active, p_candidate, p)
-            residual = np.abs(p)
-        allowed = RESIDUAL_TOL * (1.0 + np.abs(theta).max(axis=1, initial=1.0))
+            roots, residual = _polished(theta, _companion_roots(theta))
     return roots, residual, allowed
+
+
+# Below any exponent frexp gives a non-zero double (-1073), so that a zero
+# coefficient never sets the cubic's scale.
+_ZERO_EXPONENT = -1100
+_POWERS = np.array([[-1], [-2], [-3]])  # theta_k is scaled by s^-k
+_TINY = np.finfo(float).tiny
+_TURNS = np.array([0.0, 2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0])
+_CARDANO = np.array([1.0, -0.5, -0.5])  # A + B, and the pair's real part, per unit of A + B
+_PAIR = np.array([0.0, 1.0, -1.0]) * (0.5 * math.sqrt(3.0))  # its imaginary parts, per |A - B|
+
+
+def _cubic_roots(theta: np.ndarray) -> np.ndarray:
+    """Roots of x^3 - theta_1 x^2 - theta_2 x - theta_3 for each row of
+    theta, in closed form.
+
+    Each row is scaled by the least power of two s = 2^e with
+    |theta_k| < s^k for every k (from frexp's exponents), which rounds
+    exactly, so no finite row overflows below and the roots do not depend
+    on s. x = y + theta_1 / 3 gives the depressed cubic y^3 + p y + q;
+    where D = (q/2)^2 + (p/3)^3 <= 0 its three real roots are Viete's
+    2 sqrt(-p/3) cos(phi - 2 pi k / 3), cos(3 phi) = -q / (2 sqrt(-p/3)^3),
+    else Cardano's real root A + B, with A = -sign(q) cbrt(|q|/2 + sqrt(D))
+    and B = -p / (3 A) free of cancellation (D > 0, so A != 0), and its
+    conjugate pair -(A + B)/2 +- i sqrt(3)/2 (A - B).
+    """
+    exponents = np.where(theta.T == 0.0, _ZERO_EXPONENT, np.frexp(theta.T)[1])
+    # ceil(e_k / k) over k, where |theta_k| < 2^e_k: so |theta_k| / s^k < 1
+    e = np.maximum(exponents[0], np.maximum((exponents[1] + 1) >> 1, (exponents[2] + 2) // 3))
+    t1, t2, t3 = np.ldexp(theta.T, e * _POWERS)
+    u = t1 / 3.0
+    p = -t2 - t1 * u
+    q = -t3 - u * (t2 + 2.0 * u * u)
+    disc = 0.25 * q * q + p * p * p / 27.0
+    real = (disc <= 0.0)[:, None]
+    r = np.sqrt(-p / 3.0)
+    # r = 0 only at a triple root, where q = 0 as well: cos(3 phi) = 0, not 0/0
+    cosine = np.minimum(np.maximum(-0.5 * q / np.maximum(r * r * r, _TINY), -1.0), 1.0)
+    viete = 2.0 * r[:, None] * np.cos((np.arccos(cosine) / 3.0)[:, None] - _TURNS)
+    a = -np.copysign(np.cbrt(0.5 * np.abs(q) + np.sqrt(disc)), q)
+    b = -p / (3.0 * a)
+    parts = np.empty((len(theta), 3, 2))
+    np.add(np.where(real, viete, (a + b)[:, None] * _CARDANO), u[:, None], out=parts[..., 0])
+    parts[..., 1] = np.where(real, 0.0, np.abs(a - b)[:, None] * _PAIR)
+    return np.ldexp(parts, e[:, None, None]).view(complex)[..., 0]
+
+
+def _companion_roots(theta: np.ndarray) -> np.ndarray:
+    """The eigenvalues of each row of theta's companion matrix: the roots
+    of its polynomial, by one stacked LAPACK call."""
+    count, n = theta.shape
+    companion = np.zeros((count, n, n))
+    companion[:, 0, :] = theta
+    companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    return np.linalg.eigvals(companion).astype(complex)
+
+
+def _polished(theta: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """roots of each row of theta's polynomial after up to two Newton
+    steps, a step kept only where it shrinks |p|, and |p| at each."""
+    n = theta.shape[1]
+    coeffs = [1.0, *(-theta.T[:, :, None])]
+    slopes = [(n - i) * c for i, c in enumerate(coeffs[:-1])]
+    active = np.ones(roots.shape, dtype=bool)
+    p = _horner(coeffs, roots)
+    for _ in range(2):
+        dp = _horner(slopes, roots)
+        candidate = roots - p / dp
+        p_candidate = _horner(coeffs, candidate)
+        active &= ~(np.abs(dp) < 1e-300) & (np.abs(p_candidate) < np.abs(p))
+        if not active.any():
+            break
+        roots = np.where(active, candidate, roots)
+        p = np.where(active, p_candidate, p)
+    return roots, np.abs(p)
 
 
 def recover_frequencies(theta, h: float, bounds: tuple[float, float],
@@ -118,12 +191,13 @@ def recover_frequencies(theta, h: float, bounds: tuple[float, float],
     """Sorted in-band frequencies of one theta: recover_rows' root finder
     and tail on its one row.
 
-    The degree must be in 1..MAX_HARMONICS. Non-finite theta, a failed
-    eigenvalue iteration and a root that misses the residual target each
-    raise NumericFault naming the polynomial's coefficients. Imaginary
-    parts up to imag_tol * (1 + |Re|) are treated as numeric noise and
-    dropped; anything larger means theta does not describe real cosines and
-    raises EstimateNotPhysical with the roots. Used with the finite-time
+    The degree must be in 1..MAX_HARMONICS, and imag_tol positive (math.inf
+    included). Non-finite theta, a failed eigenvalue iteration (n >= 4, or
+    an n = 3 row the closed form leaves to eigvals) and a root that misses
+    the residual target each raise NumericFault naming the polynomial's
+    coefficients. Imaginary parts up to imag_tol * (1 + |Re|) are treated
+    as numeric noise and dropped; anything larger means theta does not
+    describe real cosines and raises EstimateNotPhysical with the roots. Used with the finite-time
     estimate for the headline output and, with a permissive imag_tol
     (math.inf), on a raw gradient estimate that recover_rows does not
     settle: the exponentially convergent companion stream.
@@ -150,6 +224,8 @@ def recover_frequencies(theta, h: float, bounds: tuple[float, float],
     omega_min, omega_max = bounds
     if not omega_min < omega_max:
         raise ValueError(f"bounds must satisfy omega_min < omega_max, got {bounds}")
+    if not imag_tol > 0:  # NaN included; math.inf, omega_grad's, passes
+        raise ValueError(f"imag_tol must be positive, got {imag_tol}")
     return _estimate(values, _frequencies(roots.real, h, bounds)[0], imag_tol)
 
 

@@ -190,11 +190,17 @@ def test_one_route_from_theta_to_omega():
     """The root finder, _roots, the tail from cosines to frequencies,
     _frequencies, and the imaginary-part test with the FrequencyEstimate it
     passes, _estimate, are each called from their batched call,
-    recover_rows, and its one-row call, recover_frequencies, alone, so that
-    a second route from theta to omega shows here."""
+    recover_rows, and its one-row call, recover_frequencies, alone; and the
+    root finder's two sources of roots, the closed form at n = 3,
+    _cubic_roots, and the companion matrices' eigenvalues,
+    _companion_roots, the one caller of np.linalg.eigvals, from _roots
+    alone, so that a second route from theta to omega shows here."""
     both = {"recovery.recover_rows", "recovery.recover_frequencies"}
-    assert stage_callers(("_roots", "_frequencies", "_estimate")) == {
-        "_roots": both, "_frequencies": both, "_estimate": both}
+    assert stage_callers(("_roots", "_frequencies", "_estimate", "_cubic_roots",
+                          "_companion_roots", "eigvals")) == {
+        "_roots": both, "_frequencies": both, "_estimate": both,
+        "_cubic_roots": {"recovery._roots"}, "_companion_roots": {"recovery._roots"},
+        "eigvals": {"recovery._companion_roots"}}
 
 
 # A built-in simulate, then an n = 3 Pipeline run through its extraction;

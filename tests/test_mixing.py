@@ -490,6 +490,15 @@ def oracle_ratio(delta, mixed, psi_rows, phi_rows, epsilon) -> float:
     return max(ratios)
 
 
+def relative_errors(delta, mixed, psi_rows, phi_rows, epsilon) -> tuple[float, float]:
+    """delta's distance from its exact value, and mixed psi's in the max
+    norm, each relative to the exact value's size."""
+    want_delta, want_psi = exact.mixed(psi_rows.tolist(), phi_rows.tolist(), epsilon)
+    psi_error = max(abs(Fraction(float(got)) - want) for got, want in zip(mixed, want_psi))
+    return (float(abs(Fraction(float(delta)) - want_delta) / abs(want_delta)),
+            float(psi_error / max(map(abs, want_psi))))
+
+
 class TestExactOracle:
     """mix_rows against tests/exact.py's rational (delta, mixed psi)."""
 
@@ -575,10 +584,20 @@ class TestRoutes:
         for m, a, d in zip(phi_rows[:-1], adj, det):
             assert np.abs(a @ m - d * np.eye(n)).max() <= criterion_8_bound(m)
 
+    # Relative error bounds (delta, psi) per n on the seed-1 sweep stacks:
+    # 10x the worst measured, which was 5.4e-14 / 9.8e-14 (n = 4),
+    # 1.1e-11 / 7.8e-12 (5), 4.3e-11 / 5.3e-11 (6), 7.4e-7 / 8.9e-7 (7) and
+    # 4.3e-7 / 2.5e-7 (8). oracle_ratio's absolute scale, Hadamard's bound,
+    # exceeds |det Phi| by orders at n >= 6, so it cannot see lost digits.
+    RELATIVE_BOUNDS = {4: (5.4e-13, 9.8e-13), 5: (1.1e-10, 7.9e-11), 6: (4.3e-10, 5.4e-10),
+                       7: (7.4e-6, 9.0e-6), 8: (4.4e-6, 2.6e-6)}
+
     @pytest.mark.parametrize("n", range(4, 9))
     def test_sweep_stacks_within_conditioned_roundoff_of_exact(self, n):
         # every stack the n-sweep benchmark's seed-1 run mixes, against the
-        # exact oracle (n = 8 faults at extraction, after mixing its rows)
+        # exact oracle (n = 8 faults at extraction, after mixing its rows):
+        # within oracle_ratio's bound, and delta and psi (in the max norm)
+        # within RELATIVE_BOUNDS of their exact values
         stacks = []
         mixed_stacks = mixing._mixed_stacks
 
@@ -594,3 +613,5 @@ class TestRoutes:
         assert bad is None and len(delta) == 21
         for system in zip(delta, mixed, psi_rows, phi_rows):
             assert oracle_ratio(*system, epsilon) <= ORACLE_C
+            errors = relative_errors(*system, epsilon)
+            assert all(e <= bound for e, bound in zip(errors, self.RELATIVE_BOUNDS[n])), errors

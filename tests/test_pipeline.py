@@ -240,7 +240,7 @@ def test_a_mixed_fault_is_the_one_row_mix_fault():
 # d / Ts = 130 > _AHEAD, so batches are full, and the reset at sample 800
 # lands inside the batch of rows 766..893. Like the built-in digests in
 # tests/test_cli.py, a change that alters these numbers says so and why.
-N3_SESSION_DIGEST = "81bb9c70224039227057dbbb3b3313a197ed8be921dc33e8f0fbc38b67fe64b3"
+N3_SESSION_DIGEST = "163e77917ec14dbd4573ce0d8e19441d345a4ad693f583bb1d8bd401771b6844"
 
 
 def test_an_n3_session_is_byte_identical():

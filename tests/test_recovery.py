@@ -3,7 +3,9 @@ finder, recovery._roots, on rows of theta, and recover_frequencies, its
 one-row call from theta to sorted in-band frequencies."""
 
 import math
+import random
 import sys
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -356,26 +358,32 @@ def test_rows_are_recovered_independently(n, rows):
             assert repr(held[0][-1].tolist()) == repr(list(alone.omega_hat))
 
 
-def test_a_failed_eigenvalue_iteration():
+def failing_eigvals(calls):
+    """A stand-in for np.linalg.eigvals that records each call's stack size
+    in calls and fails as LAPACK's iteration does when it does not converge."""
     def failing(matrices):
+        calls.append(len(matrices))
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return failing
 
-    freqs = (1.5, 2.5, 3.5)
-    model = ModelConfig(n=3, h=0.3, omega_min=1.0, omega_max=4.0)
+
+def test_a_failed_eigenvalue_iteration():
+    freqs = (1.2, 2.0, 2.8, 3.6)
+    model = ModelConfig(n=4, h=0.3, omega_min=1.0, omega_max=4.0)
     pipeline = Pipeline(model, DremConfig(d=0.4, epsilon=10.0),
-                        EstimatorSettings(gamma=(1.0,) * 3, omega0=(1.2, 2.2, 3.2), t_ft=100.0),
-                        0.1)
+                        EstimatorSettings(gamma=(1.0,) * 4, omega0=(1.1, 1.9, 2.7, 3.5),
+                                          t_ft=100.0), 0.1)
     signal = [sum(math.cos(w * 0.1 * k) for w in freqs)
               for k in range(pipeline.taps.warm_from + 1)]
     for k, y in enumerate(signal[:-1]):  # the cold steps
         pipeline.step(0.1 * k, y)
-    with mock.patch.object(recovery.np.linalg, "eigvals", failing):
+    with mock.patch.object(recovery.np.linalg, "eigvals", failing_eigvals([])):
         with pytest.raises(NumericFault) as info:
-            recover_frequencies((2.8, -2.6, 0.8), 0.3, (1.0, 4.0), math.inf)
+            recover_frequencies((3.0, -3.5, 2.0, -0.5), 0.3, (1.0, 4.0), math.inf)
         assert str(info.value) == ("companion eigenvalue iteration failed for coefficients "
-                                   "[1.0, -2.8, 2.6, -0.8]: Eigenvalues did not converge")
+                                   "[1.0, -3.0, 3.5, -2.0, 0.5]: Eigenvalues did not converge")
         # the batch flags every row: one failure fails the stacked call
-        omega, suspect, _ = recover_rows(np.array([[2.8, -2.6, 0.8]] * 5), 0.3, (1.0, 4.0))
+        omega, suspect, _ = recover_rows(np.array([[3.0, -3.5, 2.0, -0.5]] * 5), 0.3, (1.0, 4.0))
         assert suspect.all() and np.isnan(omega).all()
         # the first warm step recovers its batch, then replays its own row
         with pytest.raises(NumericFault) as stepped:
@@ -384,3 +392,179 @@ def test_a_failed_eigenvalue_iteration():
             recover_frequencies(pipeline.state.theta_hat, 0.3, (1.0, 4.0), math.inf)
     assert str(stepped.value) == str(alone.value)
     assert "companion eigenvalue iteration failed" in str(stepped.value)
+
+
+def test_eigvals_at_n3_takes_only_the_rows_the_closed_form_leaves():
+    # tone rows never reach eigvals, in a session or on their own; a row
+    # whose coefficients span twelve orders of magnitude (roots 1e6 and
+    # about +-1e-3), which the closed form cannot settle, does, and its
+    # failure is the companion route's fault, message for message
+    freqs = (1.5, 2.5, 3.5)
+    model = ModelConfig(n=3, h=0.3, omega_min=1.0, omega_max=4.0)
+    pipeline = Pipeline(model, DremConfig(d=0.4, epsilon=10.0),
+                        EstimatorSettings(gamma=(1.0,) * 3, omega0=(1.2, 2.2, 3.2), t_ft=100.0),
+                        0.1)
+    wide = (1e6, 1e-6, -1.0)
+    calls = []
+    with mock.patch.object(recovery.np.linalg, "eigvals", failing_eigvals(calls)):
+        for k in range(pipeline.taps.warm_from + 20):  # the cold steps and 5 batches
+            pipeline.step(0.1 * k, sum(math.cos(w * 0.1 * k) for w in freqs))
+        recover_frequencies((2.8, -2.6, 0.8), 0.3, (1.0, 4.0), math.inf)
+        omega, suspect, _ = recover_rows(np.array([[2.8, -2.6, 0.8]] * 5), 0.3, (1.0, 4.0))
+        assert not suspect.any() and not calls
+        with pytest.raises(NumericFault) as info:
+            recover_frequencies(wide, 0.3, (1.0, 4.0), math.inf)
+        assert str(info.value) == ("companion eigenvalue iteration failed for coefficients "
+                                   "[1.0, -1000000.0, -1e-06, 1.0]: Eigenvalues did not converge")
+        # in a batch, the one row eigvals takes fails the stacked call
+        omega, suspect, _ = recover_rows(np.array([[2.8, -2.6, 0.8]] * 4 + [wide]), 0.3,
+                                         (1.0, 4.0))
+        assert suspect.all() and np.isnan(omega).all()
+        assert calls == [1, 1]
+    # where eigvals converges, it settles the row
+    roots, residual, allowed = _roots(np.array([wide]))
+    assert (residual <= allowed[:, None]).all()
+    assert sorted(roots[0].real.tolist()) == pytest.approx([-1e-3, 1e-3, 1e6], rel=1e-6)
+
+
+class TestImagTol:
+    """recover_frequencies' imag_tol: positive, math.inf included."""
+
+    @pytest.mark.parametrize("imag_tol", [math.nan, 0.0, -1e-3, -math.inf])
+    def test_must_be_positive(self, imag_tol):
+        # a NaN tolerance would pass the roots +-i of x^2 + 1 as real cosines,
+        # and a negative one would reject real roots
+        with pytest.raises(ValueError, match=r"^imag_tol must be positive, got "):
+            recover_frequencies((0.0, -1.0), 0.3, (1.0, 4.0), imag_tol)
+        with pytest.raises(ValueError, match=r"^imag_tol must be positive, got "):
+            recover_frequencies((0.9,), 0.3, (1.0, 4.0), imag_tol)
+
+    def test_infinity_takes_the_real_parts(self):
+        # as omega_grad's recovery does: arccos(0) / h, projected into the band
+        assert recover_frequencies((0.0, -1.0), 0.3, (1.0, 4.0), math.inf) == \
+            recovery.FrequencyEstimate((4.0, 4.0), 1.0, False)
+
+
+def rational_cosines(rng):
+    """Three distinct rational cosines in (-1, 1), ascending, at least 1e-5
+    apart: uniform, or a tone-like cluster with gaps from 1e-5 to 1e-1."""
+    q = rng.randint(1000, 100000)
+    if rng.random() < 0.5:
+        cosines = {Fraction(rng.randint(1 - q, q - 1), q) for _ in range(3)}
+    else:
+        first = Fraction(rng.randint(1 - q, q // 2), q)
+        gaps = [Fraction(10.0 ** rng.uniform(-5.0, -1.0)) for _ in range(2)]
+        cosines = {first, first + gaps[0], first + gaps[0] + gaps[1]}
+    cosines = sorted(cosines)
+    if len(cosines) < 3 or min(b - a for a, b in zip(cosines, cosines[1:])) < Fraction(1, 10 ** 5):
+        return rational_cosines(rng)
+    return cosines
+
+
+UNIT_ROUNDOFF = 2.0 ** -53
+# Error allowed per unit of u * sum_k |theta_k| |c|^(3-k) / |p'(c)| (theta_0
+# = 1). 120k draws of rational_cosines peaked at 3.3 on the closed form and
+# 4.1 on the companion eigenvalues, both polished.
+CUBIC_C = 16.0
+
+
+class TestCubic:
+    """n = 3: Viete's and Cardano's closed form under the Newton polish, and
+    eigvals for the rows it cannot settle."""
+
+    def test_within_conditioned_roundoff_of_exact(self):
+        # theta of exact rational cosines, rounded once: each root within a
+        # few units of its first-order error bound. The extra u covers a
+        # root at 0 of theta_3 = 0, which the closed form starts about u off
+        # and the polish brings only to a power of u, not to 0
+        rng = random.Random(3)
+        for _ in range(2000):
+            cosines = rational_cosines(rng)
+            c1, c2, c3 = cosines
+            exact = (c1 + c2 + c3, -(c1 * c2 + c1 * c3 + c2 * c3), c1 * c2 * c3)
+            theta = [float(t) for t in exact]
+            roots = sorted(roots_of([1.0, *(-t for t in theta)]), key=lambda z: z.real)
+            for i, (root, c) in enumerate(zip(roots, cosines)):
+                slope = abs(math.prod(c - other for j, other in enumerate(cosines) if j != i))
+                size = sum(abs(t) * abs(float(c)) ** (3 - k)
+                           for k, t in enumerate([1.0, *theta]))
+                error = math.hypot(float(Fraction(root.real) - c), root.imag)
+                assert error <= CUBIC_C * UNIT_ROUNDOFF * (size + UNIT_ROUNDOFF) / float(slope), \
+                    (cosines, roots)
+
+    @pytest.mark.parametrize("spread", [300, 30, 8, 2])
+    def test_no_row_the_companion_settles_is_left_suspect(self, spread):
+        # random-sign theta of size 10^U(-spread, spread): every row the
+        # polished eigenvalues settle is settled; a row the polished closed
+        # form misses is the companion route's row bit for bit, and every
+        # other row is the closed form's. At wide spreads the closed form
+        # misses rows that eigvals settles, so the fallback is needed
+        rng = np.random.default_rng(spread)
+        theta = rng.choice([-1.0, 1.0], (20000, 3)) * 10.0 ** rng.uniform(
+            -spread, spread, (20000, 3))
+        roots, residual, allowed = _roots(theta)
+        with np.errstate(all="ignore"):
+            companion = recovery._polished(theta, recovery._companion_roots(theta))
+            closed = recovery._polished(theta, recovery._cubic_roots(theta))
+
+        def settled(residuals):
+            return (residuals <= allowed[:, None]).all(axis=1)
+
+        assert not (settled(companion[1]) & ~settled(residual)).any()
+        fallback = ~settled(closed[1])
+        for rows, route in ((fallback, companion), (~fallback, closed)):
+            assert roots[rows].tobytes() == route[0][rows].tobytes()
+            assert residual[rows].tobytes() == route[1][rows].tobytes()
+        assert (fallback & settled(companion[1])).any() == (spread > 2)
+
+    @pytest.mark.parametrize("k", [-300, -60, -7, 1, 13, 90, 300])
+    def test_roots_scale_exactly_with_theta(self, k):
+        # theta scaled by (2^k, 2^2k, 2^3k) has the roots scaled by 2^k, bit
+        # for bit, and the closed form settles every row at every scale,
+        # without eigvals: scaling each row by the power of two its non-zero
+        # coefficients set keeps the depressed cubic from over- or
+        # underflowing
+        rng = np.random.default_rng(k + 1000)
+        cosines = rng.uniform(-1.0, 1.0, (500, 3))
+        cosines[250:] = cosines[250:, :1] + 10.0 ** rng.uniform(-5.0, -1.0, (250, 3))
+        with_zeros = [(0.0, 0.0, 0.0), (0.75, 0.0, -0.0625), (0.0, -1.0, 0.0)]
+        theta = np.concatenate([[vieta(row) for row in cosines], rng.uniform(-2.0, 2.0, (500, 3)),
+                                with_zeros])
+        scale = 2.0 ** k
+        with mock.patch.object(recovery.np.linalg, "eigvals", failing_eigvals([])):
+            roots, _, _ = _roots(theta)
+            scaled, _, _ = _roots(theta * (scale, scale * scale, scale ** 3))
+        assert scaled.tobytes() == (roots * scale).tobytes()
+
+    @pytest.mark.parametrize("theta, roots", [
+        ((0.0, 0.0, 0.0), [0j, 0j, 0j]),
+        ((0.75, 0.0, -0.0625), [(0.5 + 0j), (0.5 + 0j), (-0.25 + 0j)]),  # (x - 0.5)^2 (x + 0.25)
+        ((1.5, -0.75, 0.125), [(0.5 + 0j)] * 3),  # (x - 0.5)^3
+        ((0.5, 1.0, -0.5), [(1 + 0j), (0.5 + 0j), (-1 + 0j)]),  # (x^2 - 1)(x - 0.5)
+    ])
+    def test_edge_rows(self, theta, roots):
+        # zero, exact double and triple roots and roots at +-1, from the
+        # closed form alone, to the last bit or next to it, with |p| = 0
+        with mock.patch.object(recovery.np.linalg, "eigvals", failing_eigvals([])):
+            got = _roots(np.array([theta]))
+        assert sorted(got[0][0].tolist(), key=lambda z: -z.real) == pytest.approx(roots, abs=2e-16)
+        assert got[1].tolist() == [[0.0] * 3]
+
+    def test_complex_pair(self):
+        # (x - 0.5)(x^2 + 1): the real root and the pair +-i
+        theta = (0.5, -1.0, 0.5)
+        roots = roots_of([1.0, *(-t for t in theta)])
+        assert roots[0] == 0.5
+        assert roots[1:] == pytest.approx([1j, -1j], abs=1e-15)
+        with pytest.raises(EstimateNotPhysical):
+            recover_frequencies(theta, 0.3, (1.0, 4.0))
+        assert recover_frequencies(theta, 0.3, (0.5, 20.0), math.inf).omega_hat == \
+            pytest.approx((math.acos(0.5) / 0.3, math.pi / 2 / 0.3, math.pi / 2 / 0.3))
+
+    @pytest.mark.parametrize("edge, clamped", [(1.0, False), (1.02, True)])
+    def test_roots_at_the_ends_of_the_cosine_range(self, edge, clamped):
+        # cosines +-1, exact or noise-inflated beyond: omega 0 and pi / h,
+        # projected into the band, with the clamp reported only beyond
+        est = recover_frequencies(vieta([edge, -edge, 0.5]), 0.3, (0.5, 20.0))
+        assert est.clamped is clamped
+        assert est.omega_hat == (0.5, pytest.approx(math.acos(0.5) / 0.3), math.pi / 0.3)
