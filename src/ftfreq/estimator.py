@@ -32,10 +32,10 @@ the imaginary-part tolerance, the frequencies omega_ft of its polynomial
 roots, and returns both. It records nothing: the state is the gradient's
 alone, and the driver writes each extraction to its epoch's record
 (pipeline.Epoch). The inversion has one written form, finite_time_theta:
-finite_time_estimate calls it for step(), and Pipeline's block routine
-for run(), which recovers theta_ft with the block's rows and calls
-finite_time_estimate only on one that is not finite or whose roots miss
-their residual target.
+Pipeline's block routine calls it for both entries and recovers theta_ft
+with the block's rows; finite_time_estimate, its one-row call with the
+recovery, extracts on its own only a fired row whose theta_ft is not
+finite or whose roots miss their residual target.
 
 EstimatorSettings is the stage's one tuning type: the gains, the initial
 frequency guesses, the extraction time, the extraction floor and the root
@@ -63,8 +63,11 @@ class EstimatorSettings:
         gamma: per-parameter positive tuning gains.
         omega0: initial frequency guesses, positive and distinct; the
             estimator starts from theta_hat(0) = true_theta(omega0, h).
-        t_ft: extraction time, measured from the start of the current
-            estimation epoch (a reset starts a new epoch).
+        t_ft: extraction time, measured from the first sample of the
+            current estimation epoch (a reset starts a new epoch) and
+            rounded up to whole sample periods Ts, within
+            ftfreq.signals.GRID_TOL: extraction comes due
+            ceil(t_ft / Ts - GRID_TOL) samples after that first one.
         w_floor: minimum 1 - W_i required before extraction; below it the
             division would amplify integration noise, so extraction defers.
         imag_tol: largest root imaginary part, relative to 1 + |real part|,
@@ -116,8 +119,8 @@ class EstimatorState:
     current epoch (W_i = exp(-gamma_i S)); max_decay_step records the
     largest per-sample gamma_i * delta^2 * dt seen, as a stiffness
     diagnostic. The state keeps no clock and no extraction: the driver,
-    Pipeline, times the epoch, says when extraction is due and records its
-    result in the epoch's Epoch.
+    Pipeline, counts the epoch's samples, says when extraction is due and
+    records its result in the epoch's Epoch.
     """
 
     __slots__ = ("settings", "model", "theta_hat", "theta0", "excitation", "max_decay_step")
@@ -132,10 +135,6 @@ class EstimatorState:
         self.theta_hat = list(self.theta0)
         self.excitation = 0.0
         self.max_decay_step = 0.0
-
-    @property
-    def n(self) -> int:
-        return len(self.theta0)
 
     @property
     def W(self) -> tuple[float, ...]:
@@ -233,7 +232,8 @@ def reset_estimator(state: EstimatorState) -> EstimatorState:
 
     The gradient estimate carries over as the new epoch's initial condition
     and the excitation integral is cleared, so re-estimation reflects only
-    post-reset data. The driver restarts its epoch clock and its record.
+    post-reset data. The driver restarts its epoch's sample count and its
+    record.
     """
     state.theta0 = tuple(state.theta_hat)
     state.excitation = 0.0

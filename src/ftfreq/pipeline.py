@@ -6,11 +6,24 @@ finite-time extraction (theta_ft and its omega_ft) once per epoch. step()
 takes one arriving sample, run() a whole trace in memory, as a session of
 its own. Both drive the chain through one block routine, Pipeline._rows:
 one mix_rows, one gradient_rows and one recover_rows call over a run of
-rows. The driver holds no stage math: it chooses the rows, tries extraction
-where it is due and writes its result to the epoch's one record, an Epoch,
-settles each row recover_rows flags as suspect with recover_frequencies
-(which may recover a row the stacked eigvals call did not) and raises each
-fault once, at its row, with its stage's own exception and message.
+rows. The driver holds no stage math: it chooses the rows, records each
+extraction in the epoch's one record, an Epoch, settles each row
+recover_rows flags as suspect with recover_frequencies (which may recover
+a row the stacked eigvals call did not) and raises each fault once, at its
+row, with its stage's own exception and message.
+
+The epoch clock counts samples: extraction comes due D = ceil(t_ft / Ts -
+GRID_TOL) rows after the epoch's first row, and time stamps only label
+rows. Each entry tells a block how many of its rows come before the due
+row. The block tests the due row and, if it defers, finds the row where
+extraction fires by bisection over its excitation, which never falls; it
+forms that row's theta_ft with the estimator's one formula,
+finite_time_theta, and recovers it as its trailing row under imag_tol.
+The entry then records it, through one routine, Pipeline._fire, when it
+reaches that row: roots that leave the real axis raise the
+EstimateNotPhysical recover_rows found for them, and an otherwise suspect
+row is extracted on its own, which raises its fault or recovers what the
+stacked call missed. So a clean session makes no one-row extraction.
 
 step() looks ahead: the stack reads the regression d, 2d, ..., nd seconds
 back, so the next d seconds' mixed pairs, theta_hat after each and its
@@ -18,28 +31,19 @@ omega_grad are fixed by the history. A warm step with nothing queued
 converts the samples since the last batch to floats, keeps the last
 warm_from + 1 in the window it carries, calls the block routine on its own
 row and up to min(d / Ts, _AHEAD) - 1 later ones, and queues each row as
-step() returns it; each later step pops its row. The cost is latency: on
-the n = 3 stream benchmark (2-vCPU Xeon, Python 3.11.7, numpy 2.4.6, one
+step() returns it; each later step pops its row, and the fired row's
+extraction waits for the step that pops it. The cost is latency: on the
+n = 3 stream benchmark (2-vCPU Xeon, Python 3.11.7, numpy 2.4.6, one
 thread) a 128-row batching step takes 0.7-0.8 ms in median across runs
 (0.13 mixing, 0.16 gradient and 0.26 recovery in the fastest, 0.63 ms),
-against about 2-3 us for the 99th-percentile step. run() calls the block routine per
-_CHUNK rows of each epoch and finds the row where the epoch comes due by
-bisection over the known times. Extra rows ride a block's one recover_rows
-call. The cold rows report the session's first theta_hat: step() recovers
-its omega_grad on its own, at the first sample, before any batch exists;
-run() passes it to its first block as a lead row (on its own only if no
-row is warm). step() extracts as each sample comes due, with
-finite_time_estimate's one-row recovery; run() tests the row where
-extraction comes due and, if it defers, finds the row where extraction
-fires by bisection over its block's excitation, forms that row's theta_ft
-with the estimator's one formula, finite_time_theta, and passes it as the
-block's trailing row, under imag_tol, so a clean run calls the root finder
-once. A trailing row whose roots leave the real axis raises the
-EstimateNotPhysical recover_rows found for them; one that is otherwise
-suspect is extracted on its own, which raises its fault. Both entries'
-outputs, Epoch records and faults are equal bit for bit at every order n,
-because each batched stage's row equals its one-row call
-(tests/test_mixing.py, tests/test_recovery.py).
+against about 2-3 us for the 99th-percentile step. run() calls the block
+routine per _CHUNK rows of each epoch. The cold rows report the session's
+first theta_hat: step() recovers its omega_grad on its own, at the first
+sample, before any batch exists; run() passes it to its first block as a
+lead row (on its own only if no row is warm), so a clean run calls the
+root finder once. Both entries' outputs, Epoch records and faults are
+equal bit for bit at every order n, because each batched stage's row
+equals its one-row call (tests/test_mixing.py, tests/test_recovery.py).
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ from .estimator import (EstimatorSettings, EstimatorState, finite_time_estimate,
 from .mixing import DremConfig, _first, mix_fault, mix_rows
 from .recovery import recover_frequencies, recover_rows
 from .regression import ModelConfig, delay_table
+from .signals import GRID_TOL
 
 # Most rows one step() batch computes ahead. Per row at n = 3 (same machine),
 # mix_rows costs about 20 us at 8 rows, 1.5 at 128 and 0.4 at 370, against
@@ -93,8 +98,9 @@ class StepResult:
 @dataclass(slots=True)
 class Epoch:
     """The one record of an epoch's rows [first, stop) and its extraction:
-    due is the row where its clock reached t_ft and fired the row where
-    extraction succeeded, each None if never; the rows from fired on report
+    due is the row where it came due, t_ft rounded up to whole sample
+    periods (within GRID_TOL) after first, and fired the row where it
+    succeeded, each None if never reached; the rows from fired on report
     theta_ft and omega_ft, whose recovery dropped root imaginary parts up to
     root_residual and clamped a root's real part into [-1, 1] if clamped.
     stop reads None while the epoch is open: Pipeline.epoch, until reset()
@@ -202,9 +208,10 @@ class Pipeline:
     moved into theta_hat. Of the measurements since the last clear, step()
     keeps at most warm_from + 2 min(d / Ts, _AHEAD) samples: those since
     its last batch and the float window that batch read. It keeps the queue
-    of rows computed ahead, the first last. An epoch
-    starts at the first sample after a clear, and extraction is tried from
-    t_ft after it on; epoch is its one record, which holds the extraction
+    of rows computed ahead, the first last, and the extraction one of them
+    fires. An epoch starts at the first sample after a clear, and extraction
+    comes due D = ceil(t_ft / Ts - GRID_TOL) rows after it; a sample step()
+    rejects takes no row. epoch is its one record, which holds the extraction
     and which step() reports theta_ft and omega_ft from, rows counted from
     the session's first sample. state holds the gradient alone. omega_grad
     is recovered with no imaginary-part limit (transients can wander
@@ -221,10 +228,10 @@ class Pipeline:
         self.taps = delay_table(model, drem.d, sample_period)
         self.state = EstimatorState(estimator, model)
         self.epoch = Epoch(0)
-        # per-session constants step() reads: the last cold count, the
-        # clock of extraction and the rows one batch queues
+        # per-session constants step() reads: the last cold count, the rows
+        # from an epoch's first to its due row, D, and the rows one batch queues
         self._warm_from = self.taps.warm_from
-        self._t_ft = estimator.t_ft
+        self._due = math.ceil(estimator.t_ft / sample_period - GRID_TOL)
         self._ahead = min(self.taps.rows[0], _AHEAD)
         # what step() reports: theta_hat as a tuple and its omega_grad, both
         # set when omega_grad is recovered or a queued row is popped
@@ -234,11 +241,11 @@ class Pipeline:
     def step(self, t: float, y: float) -> StepResult:
         """Process one measurement sample and report the session outputs."""
         check_measurement(t, y)
-        if self._count == 0:
-            # epochs are measured from the first sample actually processed
-            self._epoch_start = t
         self._history.append(y)
         self._count += 1
+        epoch = self.epoch
+        if self._count == self._due + 1:
+            epoch.due = epoch.first + self._due
         delta = 0.0  # a cold sample adds no excitation, and theta_hat holds
         if self._count > self._warm_from:
             if not self._queue and self._bad is None:
@@ -250,10 +257,13 @@ class Pipeline:
             state = self.state
             delta, state.theta_hat, self._theta_hat, state.excitation, state.max_decay_step, \
                 self._omega_grad = self._queue.pop()
-
-        epoch = self.epoch
-        if epoch.fired is None and t - self._epoch_start >= self._t_ft:
-            self._extract(epoch.first + self._count - 1)
+            ft = self._ft
+            if ft is not None and ft[0] == self._count:
+                # should it fault, the next row tries again on its own:
+                # extraction is tried at each row from due on until it fires
+                self._ft = (ft[0] + 1, None, None)
+                self._fire(epoch.first + ft[0] - 1, *ft[1:])
+                self._ft = None
 
         if self._omega_grad is None:
             self._theta_hat = tuple(self.state.theta_hat)
@@ -327,8 +337,7 @@ class Pipeline:
                                     bool, stop - first)
             end = first + _first(~(np.isfinite(y[depth:]) & timed))
             warm = min(first + depth, end)
-            start = times[first]  # the epoch clock starts at the segment's first sample
-            due = bisect_left(times, self.estimator.t_ft, first, end, key=lambda t: t - start)
+            due = first + self._due
             epoch.due = due if due < end else None
             run.delta[first:warm] = 0.0
             run.theta_hat[first:warm] = state.theta_hat  # holds still until the stack is warm
@@ -337,7 +346,7 @@ class Pipeline:
             lead = first if self._omega_grad is None and first < warm < end else None
             if warm > first and lead is None:
                 if self._omega_grad is None:
-                    with _at_sample(first, start):
+                    with _at_sample(first, times[first]):
                         self._omega_grad = self._omega(tuple(state.theta_hat))
                 run.omega_grad[first:warm] = self._omega_grad
             for a in range(warm, end, _CHUNK):
@@ -351,14 +360,14 @@ class Pipeline:
     def _run_block(self, run: Trajectory, y: np.ndarray, offset: int, a: int, b: int,
                    due: int, lead: int | None) -> None:
         """Rows a..b-1 of run from y[offset + a:]: the block routine, then
-        the extraction it formed at the row fired from row due on (one whose
-        roots leave the real axis a fault there, another suspect one tried
-        on its own, for its fault), the suspect rows and the first fault.
+        the extraction it formed at the row fired from row due on, recorded
+        by _fire (its fault raised there), the suspect rows and the first
+        fault.
         Given lead, the state's theta_hat is recovered with them for the
         cold rows lead..a-1, and settled first if suspect."""
         state, times = self.state, run.times
         delta, theta, excitation, max_steps, omega, suspect, bad, ft = self._rows(
-            y, offset + a, offset + b, lead is not None, max(due, a) - a)
+            y, offset + a, offset + b, max(due, a) - a, lead is not None)
         if lead is not None:
             cold, omega, flagged, suspect = omega[0], omega[1:], suspect[0], suspect[1:]
             if flagged:
@@ -369,15 +378,12 @@ class Pipeline:
         run.delta[a:b], run.theta_hat[a:b] = delta, theta
         fault = None if bad is None else (b, mix_fault(times[b], *bad))
         if ft is not None:
-            k, theta_ft, estimate = ft
-            if isinstance(estimate, NumericFault):  # its roots left the real axis
-                fault = a + k, estimate
-            else:  # recorded; a suspect one (no estimate) is extracted on its own, for its fault
-                state.theta_hat[:], state.excitation = theta[k].tolist(), float(excitation[k])
-                try:
-                    self._extract(a + k, None if estimate is None else (theta_ft, estimate))
-                except NumericFault as exc:  # the failed call left the state as it was
-                    fault = a + k, exc
+            k = ft[0]
+            state.theta_hat[:], state.excitation = theta[k].tolist(), float(excitation[k])
+            try:
+                self._fire(a + k, *ft[1:])
+            except NumericFault as exc:
+                fault = a + k, exc
         settled = b if fault is None else fault[0]
         for j in np.flatnonzero(suspect[:settled - a]).tolist():
             with _at_sample(a + j, times[a + j]):
@@ -390,7 +396,7 @@ class Pipeline:
             theta[-1].tolist(), float(excitation[-1]), float(max_steps[-1])
         self._omega_grad = tuple(omega[-1].tolist())
 
-    def _rows(self, y: np.ndarray, first: int, stop: int, lead: bool = False, due=None):
+    def _rows(self, y: np.ndarray, first: int, stop: int, due: int, lead: bool = False):
         """The block routine: (delta, theta_hat, excitation, max_decay_step,
         omega_grad, suspect) of the K rows first..first+K-1 of the samples
         y, mixed, moved from the state (left as it was) and recovered; bad:
@@ -398,10 +404,11 @@ class Pipeline:
 
         Extra rows ride the one recover_rows call. With lead, the state's
         theta_hat goes first, and omega_grad and suspect have K + 1 rows.
-        Given due while the epoch has not fired, the theta_ft of the fired
-        row goes last, the one row under imag_tol: the first row from
-        first + due on where finite_time_theta finds one, first + due itself
-        if it does, else found by bisection, as the excitation never falls.
+        Extraction comes due at row first + due. While the epoch has not
+        fired, the theta_ft of the fired row, if any, goes last, the one row
+        under imag_tol: the first row from first + due on where
+        finite_time_theta finds one, first + due itself if it does, else
+        found by bisection, as the excitation never falls.
         ft is then (that row, counted from first; its theta_ft; recover_rows'
         estimate of it: a FrequencyEstimate, the EstimateNotPhysical its
         roots raise, or None if the row is otherwise suspect), else None."""
@@ -410,7 +417,7 @@ class Pipeline:
         theta, excitation, max_steps = gradient_rows(state, delta, mixed, self.sample_period)
         count, held = len(theta), None
         fired = count
-        if due is not None and due < count and self.epoch.fired is None:
+        if due < count and self.epoch.fired is None:
             fired = due
             if finite_time_theta(state, (), excitation[due]) is None:  # deferred
                 fired = bisect_left(excitation, True, due + 1, count,
@@ -432,32 +439,36 @@ class Pipeline:
         omega_grad), omega_grad None where suspect. The samples since the
         last batch join the window as floats, which keeps the last
         warm_from + 1, this sample last. _bad keeps the fault of the row a
-        block stops at for that row's step."""
+        block stops at for that row's step, and _ft the extraction it fires,
+        with the sample count at its row, for that row's step."""
         depth, count, history = self._warm_from, self._ahead, self._history
         window = np.concatenate((self._window, np.array(history, dtype=float)))
         del history[:]
         self._window = window = window[-(depth + 1):]
-        delta, theta, excitation, max_steps, omega, suspect, self._bad, _ = self._rows(
-            window[:depth + count - self.taps.rows[0]], depth, depth + count)
+        delta, theta, excitation, max_steps, omega, suspect, self._bad, ft = self._rows(
+            window[:depth + count - self.taps.rows[0]], depth, depth + count,
+            max(self._due + 1 - self._count, 0))
+        self._ft = None if ft is None else (self._count + ft[0], *ft[1:])
         theta = theta.tolist()
         omega = [None if flagged else tuple(row)
                  for row, flagged in zip(omega.tolist(), suspect.tolist())]
         self._queue = list(zip(delta.tolist(), theta, map(tuple, theta), excitation.tolist(),
                                max_steps.tolist(), omega))[::-1]
 
-    def _extract(self, row: int, found=None) -> None:
-        """Try extraction at row, where it is due: the epoch's record gets
-        the row where it first came due and, with the result, the row where
-        it fired. found, if given, is finite_time_estimate's result at row,
-        formed in a block."""
+    def _fire(self, row: int, theta_ft, estimate) -> None:
+        """Record the extraction a block formed at row, where it fired, in
+        the epoch's record, given the block's theta_ft and recover_rows'
+        estimate of it (as _rows' ft): an EstimateNotPhysical is raised; an
+        otherwise suspect row (estimate None) is extracted on its own from
+        the state, which holds the row, for its fault or a recovery the
+        stacked call missed."""
+        if isinstance(estimate, NumericFault):  # its roots left the real axis
+            raise estimate
+        if estimate is None:
+            theta_ft, estimate = finite_time_estimate(self.state)
         epoch = self.epoch
-        if epoch.due is None:
-            epoch.due = row
-        found = found or finite_time_estimate(self.state)
-        if found is not None:
-            epoch.theta_ft, estimate = found
-            epoch.fired, epoch.omega_ft = row, estimate.omega_hat
-            epoch.root_residual, epoch.clamped = estimate.residual, estimate.clamped
+        epoch.fired, epoch.theta_ft, epoch.omega_ft = row, theta_ft, estimate.omega_hat
+        epoch.root_residual, epoch.clamped = estimate.residual, estimate.clamped
 
     def _omega(self, theta_hat: tuple[float, ...]) -> tuple[float, ...]:
         """omega_grad of one theta_hat, recovered on its own."""
@@ -467,11 +478,12 @@ class Pipeline:
     def reset(self) -> None:
         """Restart the session mid-stream after an external signal change.
 
-        Flushes all delay history and the rows computed ahead from it (the
-        pipeline re-warms on post-reset data only), closes the epoch's
-        record at the samples stepped and starts a new epoch, with a new
-        record, carrying the gradient estimate over. Without a
-        reset the finite-time output keeps its stale extracted value.
+        Flushes all delay history and the rows computed ahead from it, with
+        any extraction they fire (the pipeline re-warms on post-reset data
+        only), closes the epoch's record at the samples stepped and starts a
+        new epoch, with a new record, carrying the gradient estimate over.
+        Without a reset the finite-time output keeps its stale extracted
+        value.
         """
         epoch = self.epoch
         if epoch.stop is None:  # run() sets its epochs' stops
@@ -486,6 +498,7 @@ class Pipeline:
         self._window = np.empty(0)  # the converted ones a batch reads
         self._queue = []
         self._bad = None  # mix_fault's arguments for the row the queue stops at
+        self._ft = None  # (sample count at its row, theta_ft, estimate) of a queued fired row
         self._count = 0  # samples since the last clear
 
     @property

@@ -55,8 +55,6 @@ class PerSamplePipeline:
 
     def step(self, t, y):
         check_measurement(t, y)
-        if self._count == 0:
-            self._epoch_start = t
         taps = self.taps
         self._window.appendleft(y)
         self._count += 1
@@ -72,7 +70,11 @@ class PerSamplePipeline:
             step_gradient(state, delta, psi, self.sample_period)
             self._omega_grad = None
 
-        if self.theta_ft is None and t - self._epoch_start >= self.estimator.t_ft:
+        # the epoch clock counts samples: t_ft is due once the rows since the
+        # epoch's first span it, within the grid's slack
+        period = self.sample_period
+        due = (self._count - 1) * period >= self.estimator.t_ft - 1e-9 * period
+        if self.theta_ft is None and due:
             extracted = finite_time_estimate(state)
             if extracted is not None:
                 self.theta_ft, estimate = extracted

@@ -186,6 +186,15 @@ def test_one_form_of_the_finite_time_inversion():
         "finite_time_theta": {"estimator.finite_time_estimate", "pipeline.Pipeline._rows"}}
 
 
+def test_one_routine_records_an_extraction():
+    """Both entries record the extraction their block fired through one
+    routine, Pipeline._fire, the one caller of the one-row extraction,
+    finite_time_estimate, so that a second extraction path shows here."""
+    assert stage_callers(("_fire", "finite_time_estimate")) == {
+        "_fire": {"pipeline.Pipeline.step", "pipeline.Pipeline._run_block"},
+        "finite_time_estimate": {"pipeline.Pipeline._fire"}}
+
+
 def test_one_route_from_theta_to_omega():
     """The root finder, _roots, the tail from cosines to frequencies,
     _frequencies, and the imaginary-part test with the FrequencyEstimate it

@@ -112,16 +112,17 @@ def assert_parity(cfg, times, samples, tmp_path):
     for key, value in reference_metadata(pipeline, times).items():
         assert result.metadata[key] == value, key
     assert result.extracted == pipeline.extracted
-    # each epoch comes due where its clock reaches t_ft and fires at the
-    # first row of its segment whose Pipeline record holds omega_ft
+    # each epoch comes due where the rows since its first span t_ft, within
+    # the grid's slack, and fires at the first row of its segment whose
+    # Pipeline record holds omega_ft
+    period = cfg.run.sample_period
     epochs = result.trajectory.epochs
     assert [epoch.first for epoch in epochs] == [0, *(epoch.stop for epoch in epochs[:-1])]
     assert epochs[-1].stop == len(records)
     for epoch in epochs:
         rows = range(epoch.first, epoch.stop)
-        start = times[epoch.first]
-        assert epoch.due == next(
-            (k for k in rows if times[k] - start >= cfg.estimator.t_ft), None)
+        assert epoch.due == next((k for k in rows if (k - epoch.first) * period
+                                  >= cfg.estimator.t_ft - GRID_TOL * period), None)
         assert epoch.fired == next((k for k in rows if records[k].omega_ft is not None), None)
     return expected
 
@@ -443,9 +444,44 @@ def test_t_ft_inside_the_warm_up():
     assert times[fired] >= warmup_time(cfg.model, cfg.drem)
 
 
+def assert_entries_agree(cfg, times, samples, starts):
+    """run() and the step() loop give equal records and equal Epochs;
+    returns the Epochs."""
+    records, pipeline = pipeline_reference(cfg, times, samples)
+    run = build_pipeline(cfg).run(times, samples, starts)
+    assert repr(run.records()) == repr(records)
+    assert repr(run.epochs[-1]) == repr(replace(pipeline.epoch, stop=len(times)))
+    return run.epochs
+
+
+def test_an_off_grid_time_stamp_only_labels_its_row():
+    # the epoch clock counts samples, so one stamp far off the grid moves
+    # neither entry's due row: both come due and fire at t_ft / Ts = 5000
+    cfg = builtin_scenario("noiseless-2h")
+    cfg = replace(cfg, run=replace(cfg.run, duration=7.0))
+    times, samples = grid(cfg)
+    times[100] = 1e6
+    [epoch] = assert_entries_agree(cfg, times, samples, [0])
+    assert (epoch.due, epoch.fired) == (5000, 5000)
+
+
+def test_every_epoch_comes_due_the_same_rows_after_its_first():
+    # t_ft = 2.1 s at Ts = 0.01 s is 210 rows in every epoch, although the
+    # stamps 10.1 and 8.0 of the second epoch's due and first rows differ
+    # by 2.0999999999999996 in floats
+    cfg = synthetic(2, 1)
+    cfg = replace(cfg, estimator=replace(cfg.estimator, t_ft=2.1),
+                  run=replace(cfg.run, sample_period=0.01, duration=12.0, reset_times=(8.0,)))
+    times, samples = grid(cfg)
+    epochs = assert_entries_agree(cfg, times, samples, [0, 800])
+    assert [epoch.due for epoch in epochs] == [210, 1010]
+    assert all(epoch.fired is not None for epoch in epochs)
+
+
 def test_pipeline_rejects_a_non_finite_time():
-    # a non-finite first time would become the epoch start, so that
-    # t - start >= t_ft never holds and extraction silently never fires
+    # the sample count is the epoch clock, but a time labels its row in the
+    # outputs and in fault messages: a non-finite one is rejected before it
+    # takes a row
     for bad in (math.nan, math.inf, -math.inf):
         pipeline = build_pipeline(builtin_scenario("noiseless-2h"))
         with pytest.raises(NumericFault, match=f"non-finite time {bad}"):
@@ -458,8 +494,10 @@ def test_cold_samples_are_not_mixed_or_recovered():
     # are warm. Only their steps mix (d = 4 samples ahead at a time) and take
     # a mixed row, and only their gradient steps move theta_hat and so call
     # for a new omega_grad: the step that mixes a batch recovers its rows in
-    # one recover_rows call, and only the session's first, cold sample
-    # recovers on its own. The last batch runs 3 rows past the trace's end
+    # one recover_rows call, with the theta_ft of the row where its epoch's
+    # extraction fires if it holds that row, and only the session's first,
+    # cold sample recovers on its own. The last batch runs 3 rows past the
+    # trace's end
     cfg = synthetic(3, 1)
     cfg = replace(cfg, run=replace(cfg.run, duration=10.0, reset_times=(5.0,)))
     times, samples = grid(cfg)
@@ -468,8 +506,15 @@ def test_cold_samples_are_not_mixed_or_recovered():
         records, _ = pipeline_reference(cfg, times, samples)
     assert assert_mixed_ahead(batches, [rec.delta for rec in records], [0, 50], 30, 4,
                               cfg.run.sample_period) == sum(warm)
-    assert recoveries == [(times[0], None), *((t, len(rows)) for t, rows in batches)]
-    assert sum(rows for _, rows in recoveries[1:]) == sum(warm) + 3
+    fired = [next(k for k in range(a, b) if records[k].omega_ft is not None)
+             for a, b in ((0, 50), (50, len(records)))]
+
+    def recovered(t, rows):
+        first = round(t / cfg.run.sample_period)
+        return len(rows) + sum(first <= k < first + len(rows) for k in fired)
+
+    assert recoveries == [(times[0], None), *((t, recovered(t, rows)) for t, rows in batches)]
+    assert sum(rows for _, rows in recoveries[1:]) == sum(warm) + 3 + len(fired)
 
     rows = []
 

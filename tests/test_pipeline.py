@@ -301,3 +301,70 @@ def test_a_long_stream_keeps_a_bounded_history(steps_d):
     assert warm_from < most < warm_from + 2 * min(steps_d, AHEAD) + 1
     pipeline.reset()
     assert held(pipeline) == 0
+
+
+@pytest.mark.parametrize("reset", [46, 47, 51, 52, 53])
+def test_a_reset_drops_a_pending_extraction(reset):
+    # n = 2, d = 10 samples and batches of 7 from the first warm sample 32:
+    # extraction comes due and fires at row 52, the last row of the batch
+    # mixed at row 46, whose recover_rows call recovers its theta_ft as an
+    # eighth row. A reset at the batch's first row or its last, or one
+    # beside either, drops the queue and any extraction it fires: the new
+    # epoch reports no theta_ft until its own fires, 52 rows after it
+    n, steps_h, steps_d = 2, 3, 10
+    model = ModelConfig(n=n, h=steps_h * PERIOD, omega_min=0.5, omega_max=4.0)
+    with batched_recovery() as recoveries:
+        outcomes = step_both(model, DremConfig(d=steps_d * PERIOD, epsilon=10.0),
+                             settings_for(n, 0.52), tones(n, reset + 60), {reset})
+    batches = {round(t / PERIOD): rows for t, rows in recoveries[1:]}
+    if reset > 46:
+        assert batches[46] == 8
+    held = [k for k, out in enumerate(outcomes) if out.theta_ft is not None]
+    assert held == [*range(52, reset), *range(reset + 52, reset + 60)]
+
+
+def test_a_clean_stream_session_extracts_with_its_batches():
+    # the stream benchmark's config (n = 3, d = 0.37 s, Ts = 1 ms), two
+    # epochs: each fired row's theta_ft rides the recover_rows call of its
+    # batch, so nothing is extracted on its own, and the one one-row
+    # recovery is the first sample's omega_grad
+    n, period = 3, 0.001
+    freqs = [1.0 + (i + 0.5) * 3.0 / n for i in range(n)]
+    settings = EstimatorSettings(gamma=(1.0,) * n, t_ft=3.91,
+                                 omega0=tuple(1.0 + (i + 0.25) * 3.0 / n for i in range(n)))
+    pipeline = Pipeline(ModelConfig(n=n, h=0.3, omega_min=1.0, omega_max=4.0),
+                        DremConfig(d=0.37, epsilon=10.0), settings, period)
+    size = 4411
+    with batched_recovery() as recoveries, mock.patch.object(
+            pipeline_module, "finite_time_estimate",
+            wraps=pipeline_module.finite_time_estimate) as extraction:
+        for k in range(2 * size):
+            if k == size:
+                pipeline.reset()
+            result = pipeline.step(k * period, sum(math.sin(w * k * period + i)
+                                                   for i, w in enumerate(freqs)))
+            if k == size - 1:
+                assert result.omega_ft is not None
+    assert result.omega_ft == pytest.approx(freqs, abs=1e-6)
+    assert extraction.call_count == 0
+    assert [t for t, rows in recoveries if rows is None] == [0.0]
+
+
+def test_a_faulting_extraction_is_tried_again_at_the_next_row():
+    # a 1e4 spike d before the first warm row, 32, throws theta_hat off: the
+    # extraction due at row 33, mid-batch, misses its residual target, and
+    # so does row 34's. After a fault the next row extracts on its own, as
+    # the per-sample path tries every row until one fires, here row 35
+    n, steps_h, steps_d = 2, 3, 10
+    warm_from = 2 * n * steps_h + n * steps_d
+    model = ModelConfig(n=n, h=steps_h * PERIOD, omega_min=0.5, omega_max=4.0)
+    samples = tones(n, warm_from + 3 * AHEAD)
+    samples[warm_from - steps_d] = 1e4
+    with mock.patch.object(pipeline_module, "finite_time_estimate",
+                           wraps=pipeline_module.finite_time_estimate) as extraction:
+        outcomes = step_both(model, DremConfig(d=steps_d * PERIOD, epsilon=10.0),
+                             settings_for(n, (warm_from + 1) * PERIOD), samples, set())
+    faults = [k for k, out in enumerate(outcomes) if isinstance(out, tuple)]
+    assert faults == [33, 34]
+    assert all(outcomes[k][1].startswith("root residual ") for k in faults)
+    assert outcomes[35].theta_ft is not None and extraction.call_count == 3
