@@ -1,19 +1,21 @@
 """Scenario execution: run a Pipeline over a trace, write CSVs and metadata.
 
 run_scenario simulates the configured signal and estimate_from_file reads a
-recorded one; both hand the whole trace to Pipeline.run's routine, with
-each scheduled reset mapped to the sample it applies at. The metadata reads the
-run's Epoch records, the one record of each extraction: the last epoch's
-extraction time and omega_ft diagnostics as the estimator.* keys, each
-epoch's start and extraction time, and warnings of a reset after the last
-sample and of an epoch that ends before its clock reaches t_ft. A run
-produces three files: the sampled measurement trace (time, y), the
-per-sample estimates, written column by column in bounded row chunks, and a
-key-value metadata file embedding the full config echo so the run is
-reproducible from its own outputs. build_pipeline makes the Pipeline of a
-config, for callers that run or step() it; a harness run builds one for
-itself alone and runs the trace with it as the session, so each run builds
-one delay table and one estimator state.
+recorded one; both hand the whole trace, its times and samples as two
+float64 arrays, to Pipeline.run's routine, with each scheduled reset mapped
+to the sample it applies at. The arrays are the one format of a trace from
+sampler or reader to writer, which takes each chunk's reprs from them. The
+metadata reads the run's Epoch records, the one record of each extraction:
+the last epoch's extraction time and omega_ft diagnostics as the
+estimator.* keys, each epoch's start and extraction time, and warnings of a
+reset after the last sample and of an epoch that ends before its clock
+reaches t_ft. A run produces three files: the sampled measurement trace
+(time, y), the per-sample estimates, written column by column in bounded
+row chunks, and a key-value metadata file embedding the full config echo so
+the run is reproducible from its own outputs. build_pipeline makes the
+Pipeline of a config, for callers that run or step() it; a harness run
+builds one for itself alone and runs the trace with it as the session, so
+each run builds one delay table and one estimator state.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import contextlib
 import math
 import os
 import platform
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -116,7 +119,8 @@ def _metadata(cfg: ScenarioConfig, trajectory: Trajectory, reset_rows,
         # the last epoch's extraction: its time, and omega_ft's recovery, the
         # largest root imaginary part it dropped and whether it clamped a
         # root into [-1, 1]
-        "estimator.extraction_time": "none" if last.fired is None else repr(times[last.fired]),
+        "estimator.extraction_time": (
+            "none" if last.fired is None else repr(float(times[last.fired]))),
         "estimator.root_residual": "none" if last.fired is None else repr(last.root_residual),
         "estimator.clamped": "none" if last.fired is None else repr(last.clamped),
     }
@@ -124,9 +128,9 @@ def _metadata(cfg: ScenarioConfig, trajectory: Trajectory, reset_rows,
     # every epoch's start and extraction follow, so an earlier extraction is
     # not lost
     for k, epoch in enumerate(trajectory.epochs, start=1):
-        meta[f"epoch.{k}.start"] = repr(times[epoch.first])
+        meta[f"epoch.{k}.start"] = repr(float(times[epoch.first]))
         meta[f"epoch.{k}.extraction_time"] = (
-            "none" if epoch.fired is None else repr(times[epoch.fired]))
+            "none" if epoch.fired is None else repr(float(times[epoch.fired])))
     # the run's own notes, read from its times and epochs
     notes = config_warnings(cfg)
     notes += [f"run.reset_times entry {reset} is after the last sample, at t = {times[-1]:g}: "
@@ -184,9 +188,11 @@ def estimate_from_file(trace_path: str, cfg: ScenarioConfig,
     return result
 
 
-def _read_trace(path: str, sample_period: float) -> tuple[list[float], list[float]]:
-    times: list[float] = []
-    samples: list[float] = []
+def _read_trace(path: str, sample_period: float) -> tuple[np.ndarray, np.ndarray]:
+    """The trace file's times and samples as float64 arrays, its header and
+    every row checked as read: a row's time must lie on the uniform grid
+    from the first, and the times returned are that grid."""
+    samples = array("d")
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
@@ -209,25 +215,24 @@ def _read_trace(path: str, sample_period: float) -> tuple[list[float], list[floa
                 raise ConfigError([f"{path}: row {row}: non-finite time {t!r}"])
             if start is None:
                 start = t
-            expected = start + len(times) * sample_period
+            expected = start + len(samples) * sample_period
             # slack relative to the time, so a missing sample stays an
             # error until t reaches sample_period / GRID_TOL
             if abs(t - expected) > GRID_TOL * max(sample_period, abs(expected)):
                 raise ConfigError([
                     f"{path}: row {row}: time {t!r} off the uniform grid "
                     f"(expected {expected!r} at sample_period {sample_period})"])
-            times.append(expected)
             samples.append(y)
-    if not times:
+    if not samples:
         raise ConfigError([f"{path}: no samples"])
-    return times, samples
+    return start + np.arange(len(samples)) * sample_period, np.frombuffer(samples)
 
 
 # ---------------------------------------------------------------------------
 # output files
 
-def _reprs(values) -> list[str]:
-    return list(map(repr, values))
+def _reprs(values: np.ndarray) -> list[str]:
+    return list(map(repr, values.tolist()))
 
 
 def _write_rows(fh, columns) -> None:
@@ -252,14 +257,6 @@ def _finite_time_columns(trajectory: Trajectory, a: int, b: int, n: int):
     return theta, omega
 
 
-def write_trace_csv(path: str, times, samples) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("time,y\n")
-        for a in range(0, len(times), _CHUNK_ROWS):
-            _write_rows(fh, (_reprs(times[a:a + _CHUNK_ROWS]),
-                             _reprs(samples[a:a + _CHUNK_ROWS])))
-
-
 def _write_csvs(trajectory: Trajectory, estimate_path: str, trace_path: str | None) -> None:
     """Write the estimates and, given trace_path, the trace in lockstep,
     chunk by chunk, so each chunk's time and y strings serve both files."""
@@ -277,10 +274,10 @@ def _write_csvs(trajectory: Trajectory, estimate_path: str, trace_path: str | No
             if trace is not None:
                 _write_rows(trace, columns)
             theta_ft, omega_ft = _finite_time_columns(trajectory, a, b, n)
-            columns.append(_reprs(trajectory.delta[a:b].tolist()))
-            columns += map(_reprs, trajectory.theta_hat[a:b].T.tolist())
+            columns.append(_reprs(trajectory.delta[a:b]))
+            columns += map(_reprs, trajectory.theta_hat[a:b].T)
             columns += theta_ft
-            columns += map(_reprs, trajectory.omega_grad[a:b].T.tolist())
+            columns += map(_reprs, trajectory.omega_grad[a:b].T)
             columns += omega_ft
             _write_rows(estimates, columns)
 

@@ -4,13 +4,14 @@ measurement history -> stacked regression -> adjugate mixing into
 (delta, psi) -> per-parameter gradient -> omega_grad recovery, with the
 finite-time extraction (theta_ft and its omega_ft) once per epoch. step()
 takes one arriving sample, run() a whole trace in memory, as a session of
-its own. Both drive the chain through one block routine, Pipeline._rows:
-one mix_rows, one gradient_rows and one recover_rows call over a run of
-rows. The driver holds no stage math: it chooses the rows, records each
-extraction in the epoch's one record, an Epoch, settles each row
-recover_rows flags as suspect with recover_frequencies (which may recover
-a row the stacked eigvals call did not) and raises each fault once, at its
-row, with its stage's own exception and message.
+its own, converted once to float64 arrays that it mixes from by row. Both
+drive the chain through one block routine, Pipeline._rows: one mix_rows,
+one gradient_rows and one recover_rows call over a run of rows. The driver
+holds no stage math: it chooses the rows, records each extraction in the
+epoch's one record, an Epoch, settles each row recover_rows flags as
+suspect with recover_frequencies (which may recover a row the stacked
+eigvals call did not) and raises each fault once, at its row, with its
+stage's own exception and message.
 
 The epoch clock counts samples: extraction comes due D = ceil(t_ft / Ts -
 GRID_TOL) rows after the epoch's first row, and time stamps only label
@@ -53,7 +54,6 @@ import operator
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -118,7 +118,8 @@ class Epoch:
 
 @dataclass(eq=False)
 class Trajectory:
-    """Every per-sample output of one run, held column by column.
+    """Every per-sample output of one run, held column by column: times and
+    samples are the run's float64 arrays, as run() converted them.
 
     epochs holds one Epoch per segment, in order, each the one record of
     its extraction; every row before an epoch's fired row reports no
@@ -126,8 +127,8 @@ class Trajectory:
     sample. Both are the run's own: no Pipeline holds them.
     """
 
-    times: list[float]
-    samples: list[float]
+    times: np.ndarray  # (K,)
+    samples: np.ndarray  # (K,)
     delta: np.ndarray  # (K,)
     theta_hat: np.ndarray  # (K, n)
     omega_grad: np.ndarray  # (K, n)
@@ -155,7 +156,7 @@ class Trajectory:
             theta_ft[lo:hi] = [theta] * (hi - lo)
             omega_ft[lo:hi] = [omega] * (hi - lo)
         return list(map(
-            StepResult, self.times[first:stop], self.samples[first:stop],
+            StepResult, self.times[first:stop].tolist(), self.samples[first:stop].tolist(),
             self.delta[first:stop].tolist(),
             map(tuple, self.theta_hat[first:stop].tolist()), theta_ft,
             map(tuple, self.omega_grad[first:stop].tolist()), omega_ft))
@@ -183,12 +184,26 @@ def check_measurement(t: float, y: float) -> None:
         raise NumericFault(f"non-finite measurement {y} at t = {t}")
 
 
-def _as_float(value: float) -> float:
-    """value as a float, +-inf for an int beyond the float range."""
+def _floats(values) -> np.ndarray:
+    """values as one float64 array, itself if it is one. An array of any
+    other dtype kind than bool, int or float is read entry by entry, each as
+    check_measurement reads it: an int beyond the float range as +-inf, and
+    anything it rejects as no real number as NaN, so that entry's row is
+    where the check raises."""
+    array = np.asarray(values)
+    if array.dtype.kind in "biuf":
+        return array.astype(float, copy=False)
+    return np.fromiter(map(_as_float, values), float, len(values))
+
+
+def _as_float(value) -> float:
     try:
-        return float(value)
+        math.isfinite(value)  # check_measurement's reading of it
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+    except (TypeError, ValueError):
+        return math.nan
+    return float(value)
 
 
 @contextmanager
@@ -197,7 +212,7 @@ def _at_sample(k: int, t: float):
     try:
         yield
     except NumericFault as exc:
-        raise NumericFault(f"sample {k} (t = {_as_float(t):.6g}): {exc}") from exc
+        raise NumericFault(f"sample {k} (t = {t:.6g}): {exc}") from exc
 
 
 class Pipeline:
@@ -271,23 +286,25 @@ class Pipeline:
         return StepResult(t, y, delta, self._theta_hat, epoch.theta_ft, self._omega_grad,
                           epoch.omega_ft)
 
-    def run(self, times: list[float], samples: list[float], starts: list[int]) -> Trajectory:
+    def run(self, times, samples, starts: list[int]) -> Trajectory:
         """Estimate over a whole uniform trace, whose epochs start at the
         sample indices starts, each after a reset: the outputs a fresh
         Pipeline's step() gives and one Epoch per epoch. times and samples
+        are sequences or arrays, converted once to float64 arrays (no copy
+        for float64 arrays); the Trajectory holds those. times and samples
         of unequal lengths or none, or starts that are not a sequence, have
         an entry that is not an integer or do not begin at 0 and rise
         strictly below the sample count, are a ConfigError; the Epochs hold
         starts as ints. A fault is raised as a NumericFault naming its
-        sample, from the stage's own.
+        sample, from the stage's own; an entry that is not a real number
+        raises check_measurement's TypeError at its row, as in step().
         The run is a session of its own, built from this Pipeline's config:
         it neither reads nor changes this Pipeline's streaming session, so
         the Trajectory is the run's alone."""
         return Pipeline(self.model, self.drem, self.estimator, self.sample_period)._run_fresh(
             times, samples, starts)
 
-    def _run_fresh(self, times: list[float], samples: list[float],
-                   starts: list[int]) -> Trajectory:
+    def _run_fresh(self, times, samples, starts: list[int]) -> Trajectory:
         """run() with this Pipeline, built for the one run and never
         stepped, as its session, which it leaves holding the run's last
         epoch and its state. The first epoch's cold rows take the omega_grad
@@ -312,30 +329,17 @@ class Pipeline:
                               f"got {edges}")
         edges.append(count)
         state, depth = self.state, self.taps.warm_from
-        run = Trajectory(times=times, samples=samples, delta=np.empty(count),
+        run = Trajectory(times=_floats(times), samples=_floats(samples), delta=np.empty(count),
                          theta_hat=np.empty((count, n)), omega_grad=np.empty((count, n)),
                          epochs=[Epoch(a, b) for a, b in zip(edges, edges[1:])], state=state)
+        finite = np.isfinite(run.times) & np.isfinite(run.samples)
         for epoch in run.epochs:
             first, stop = epoch.first, epoch.stop
             self.reset()  # a fresh Pipeline's state is the same after it
             self.epoch = epoch
-            # the zeros before the segment make every row a valid mix_rows
-            # row; warm rows never read them
-            y = np.zeros(depth + stop - first)
-            # an int sample or time beyond the float range is checked at its row
-            try:
-                y[depth:] = samples[first:stop]
-            except OverflowError:
-                y[depth:] = list(map(_as_float, samples[first:stop]))
-            # times are checked one by one: a float copy of them raised the
-            # builtins benchmark's peak RSS by 2 MB
-            try:
-                timed = np.fromiter(map(math.isfinite, islice(times, first, stop)), bool,
-                                    stop - first)
-            except OverflowError:
-                timed = np.fromiter(map(math.isfinite, map(_as_float, islice(times, first, stop))),
-                                    bool, stop - first)
-            end = first + _first(~(np.isfinite(y[depth:]) & timed))
+            # the epoch's rows up to its first non-finite entry, which is
+            # checked at its row
+            end = first + _first(~finite[first:stop])
             warm = min(first + depth, end)
             due = first + self._due
             epoch.due = due if due < end else None
@@ -346,28 +350,28 @@ class Pipeline:
             lead = first if self._omega_grad is None and first < warm < end else None
             if warm > first and lead is None:
                 if self._omega_grad is None:
-                    with _at_sample(first, times[first]):
+                    with _at_sample(first, run.times[first]):
                         self._omega_grad = self._omega(tuple(state.theta_hat))
                 run.omega_grad[first:warm] = self._omega_grad
             for a in range(warm, end, _CHUNK):
-                self._run_block(run, y, depth - first, a, min(a + _CHUNK, end), due, lead)
+                self._run_block(run, a, min(a + _CHUNK, end), due, lead)
                 lead = None
             if end < stop:
-                with _at_sample(end, times[end]):
+                with _at_sample(end, run.times[end]):
                     check_measurement(times[end], samples[end])
         return run
 
-    def _run_block(self, run: Trajectory, y: np.ndarray, offset: int, a: int, b: int,
-                   due: int, lead: int | None) -> None:
-        """Rows a..b-1 of run from y[offset + a:]: the block routine, then
-        the extraction it formed at the row fired from row due on, recorded
-        by _fire (its fault raised there), the suspect rows and the first
-        fault.
+    def _run_block(self, run: Trajectory, a: int, b: int, due: int, lead: int | None) -> None:
+        """Rows a..b-1 of run, mixed straight from its samples by row (a warm
+        row never reads before its epoch's first sample): the block routine,
+        then the extraction it formed at the row fired from row due on,
+        recorded by _fire (its fault raised there), the suspect rows and the
+        first fault.
         Given lead, the state's theta_hat is recovered with them for the
         cold rows lead..a-1, and settled first if suspect."""
         state, times = self.state, run.times
         delta, theta, excitation, max_steps, omega, suspect, bad, ft = self._rows(
-            y, offset + a, offset + b, max(due, a) - a, lead is not None)
+            run.samples, a, b, max(due, a) - a, lead is not None)
         if lead is not None:
             cold, omega, flagged, suspect = omega[0], omega[1:], suspect[0], suspect[1:]
             if flagged:

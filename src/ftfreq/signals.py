@@ -8,13 +8,15 @@ times (step-wise frequency variation).
 
 Everything here is a pure function of the spec and the query time, so the
 same spec and seed always reproduce the same trace, bitwise. One sampler,
-signal_values, evaluates a whole array of times at once: each harmonic's
+signal_values, evaluates a whole array of times at once into one float64
+array, the format a trace keeps up to Pipeline.run: each harmonic's
 phase f*t + p in numpy, its sine through math.sin, summed in the harmonic
 order; the schedule set of each time located by searchsorted; the noise
 hash as numpy uint64 arithmetic, exact modulo 2**64. numpy does only the
 correctly rounded +, -, * and /, so a time's value does not depend on the
 times evaluated with it: signal_values(spec, [t])[0] is the one-point
-evaluation. generate_trace samples it on the uniform grid.
+evaluation. sample_times gives the uniform grid as a float64 array, and
+generate_trace samples the signal on it.
 """
 
 from __future__ import annotations
@@ -135,8 +137,9 @@ class SampledTrace:
     values: tuple[float, ...]
 
 
-def signal_values(spec: SignalSpec, times) -> list[float]:
-    """The signal (active harmonics plus disturbance) at each of times.
+def signal_values(spec: SignalSpec, times) -> np.ndarray:
+    """The signal (active harmonics plus disturbance) at each of times, as
+    one float64 array.
 
     A time t reads slot floor(t / sample_period) of uniform noise, which
     must lie within the int64 range.
@@ -158,7 +161,7 @@ def signal_values(spec: SignalSpec, times) -> list[float]:
         value += _sines(d, t)
     elif isinstance(d, UniformDisturbance):
         value += _uniform_noise(d, t)
-    return value.tolist()
+    return value
 
 
 def _sines(harmonic: HarmonicSpec, t: np.ndarray) -> np.ndarray:
@@ -187,10 +190,11 @@ def _uniform_noise(d: UniformDisturbance, t: np.ndarray) -> np.ndarray:
     return (2.0 * u - 1.0) * d.half_range
 
 
-def sample_times(sample_period: float, duration: float) -> list[float]:
-    """The uniform grid k * sample_period, k = 0..floor(duration / sample_period)."""
+def sample_times(sample_period: float, duration: float) -> np.ndarray:
+    """The uniform grid k * sample_period, k = 0..floor(duration / sample_period),
+    as one float64 array: each entry is the float product k * sample_period."""
     count = math.floor(duration / sample_period + GRID_TOL) + 1
-    return [k * sample_period for k in range(count)]
+    return np.arange(count) * sample_period
 
 
 def generate_trace(spec: SignalSpec, sample_period: float, duration: float) -> SampledTrace:
@@ -202,5 +206,5 @@ def generate_trace(spec: SignalSpec, sample_period: float, duration: float) -> S
         raise ConfigError(f"sample_period must be positive and finite, got {sample_period}")
     if not (math.isfinite(duration) and duration >= 0):
         raise ConfigError(f"duration must be non-negative and finite, got {duration}")
-    values = tuple(signal_values(spec, sample_times(sample_period, duration)))
+    values = tuple(signal_values(spec, sample_times(sample_period, duration)).tolist())
     return SampledTrace(sample_period=sample_period, values=values)

@@ -14,6 +14,14 @@ from ftfreq.signals import generate_trace
 SAMPLE_PERIOD = 0.001
 
 
+def write_trace_csv(path, times, samples):
+    """Write a (time, y) trace CSV as the harness writes one: the header, then
+    each time and sample as its float's repr."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("time,y\n")
+        fh.writelines(f"{t!r},{y!r}\n" for t, y in zip(map(float, times), map(float, samples)))
+
+
 def mixed_stream(spec, model_cfg, d, epsilon, duration, sample_period=SAMPLE_PERIOD):
     """Yield (k, (delta, psi)) at every warm sample k of a generated trace of
     the given signal: the samples the drivers mix, in one mix_rows call."""

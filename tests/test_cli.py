@@ -9,12 +9,11 @@ from dataclasses import replace
 import pytest
 
 import ftfreq
-
+from conftest import write_trace_csv
 from ftfreq.cli import (EXIT_CONFIG, EXIT_NOT_EXCITED, EXIT_NUMERIC, EXIT_OK,
                         main)
 from ftfreq.config import (BUILTIN_NAMES, OutputConfig, builtin_scenario,
                            format_config)
-from ftfreq.harness import write_trace_csv
 from ftfreq.signals import (HarmonicSpec, SignalSpec, generate_trace,
                             sample_times)
 

@@ -24,7 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_mixed_ahead, batched_mixing, batched_recovery
+from conftest import (assert_mixed_ahead, batched_mixing, batched_recovery,
+                      write_trace_csv)
 from ftfreq import estimator as estimator_module
 from ftfreq import pipeline as pipeline_module
 from ftfreq import recovery as recovery_module
@@ -34,7 +35,7 @@ from ftfreq.config import (BUILTIN_NAMES, EstimatorSettings, RunConfig,
 from ftfreq.errors import ConfigError, NumericFault
 from ftfreq.estimator import EstimatorState
 from ftfreq.harness import (RunResult, build_pipeline, estimate_from_file,
-                            run_scenario, write_metadata, write_trace_csv)
+                            run_scenario, write_metadata)
 from ftfreq.mixing import DremConfig, mix_rows
 from ftfreq.pipeline import _CHUNK, Epoch, warmup_time
 from ftfreq.regression import DelayTable, ModelConfig
@@ -651,6 +652,49 @@ def test_an_int_time_beyond_the_float_range_is_a_numeric_fault():
             pipeline.step(huge[k], samples[k])
         assert outcome(lambda: engine_run(cfg, huge, samples)) == \
             (NumericFault, k, f"sample {k} (t = inf): {message}")
+
+
+@pytest.mark.parametrize("column", ["times", "samples"])
+@pytest.mark.parametrize("entry", ["0.25", None, 0.25 + 0j], ids=["str", "None", "complex"])
+def test_an_entry_that_is_no_real_number_raises_as_step_does(column, entry):
+    # run() reads such an entry as NaN, and check_measurement raises its
+    # TypeError at that row, as step() does at that sample; numpy would parse
+    # a str sample if it were copied into a float buffer
+    cfg = builtin_scenario("noiseless-2h")
+    cfg = replace(cfg, run=replace(cfg.run, duration=6.0))
+    times, samples = grid(cfg)
+    {"times": times, "samples": samples}[column][500] = entry
+    pipeline = build_pipeline(cfg)
+    for t, y in zip(times[:500], samples):
+        pipeline.step(t, y)
+    with pytest.raises(TypeError) as stepped:
+        pipeline.step(times[500], samples[500])
+    with pytest.raises(TypeError) as ran:
+        engine_run(cfg, times, samples)
+    assert str(ran.value) == str(stepped.value)
+
+
+def test_a_list_and_a_float64_array_run_alike():
+    # the run converts its entry once: a float64 array is taken as it is,
+    # and a list of the same floats gives the same run, bit for bit
+    cfg = builtin_scenario("uniform-noise")
+    cfg = replace(cfg, run=replace(cfg.run, duration=22.0))  # two epochs past t_ft
+    times, samples = grid(cfg)
+    pipeline = build_pipeline(cfg)
+    starts = [0, len(times) // 2]
+    listed = pipeline.run(times, samples, starts)
+    arrayed = pipeline.run(np.array(times), np.array(samples), starts)
+    for column in ("times", "samples", "delta", "theta_hat", "omega_grad"):
+        mine, ref = getattr(arrayed, column), getattr(listed, column)
+        assert mine.dtype == ref.dtype == np.float64, column
+        assert mine.tobytes() == ref.tobytes(), column
+    assert arrayed.epochs == listed.epochs
+    assert all(epoch.fired is not None for epoch in listed.epochs)
+
+    def state(run):
+        return repr((run.state.theta_hat, run.state.excitation, run.state.max_decay_step))
+
+    assert state(arrayed) == state(listed)
 
 
 def test_resets_closer_than_a_sample(tmp_path):

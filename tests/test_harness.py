@@ -7,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from conftest import write_trace_csv
 from ftfreq.config import (BUILTIN_NAMES, EstimatorSettings, RunConfig,
                            ScenarioConfig, builtin_scenario, format_config,
                            load_config, parse_config)
 from ftfreq.errors import ConfigError
-from ftfreq.harness import estimate_from_file, run_scenario, write_trace_csv
+from ftfreq.harness import estimate_from_file, run_scenario
 from ftfreq.mixing import DremConfig
 from ftfreq.regression import ModelConfig
 from ftfreq.signals import (HarmonicSpec, ScheduleStep, SignalSpec,
@@ -156,7 +157,8 @@ class TestOutputs:
         assert f"estimator.root_residual = {last.root_residual!r}\n" in text
         assert f"estimator.clamped = {last.clamped!r}\n" in text
         assert isinstance(last.root_residual, float) and isinstance(last.clamped, bool)
-        assert f"estimator.extraction_time = {result.trajectory.times[last.fired]!r}\n" in text
+        assert f"estimator.extraction_time = {float(result.trajectory.times[last.fired])!r}\n" \
+            in text
         # the config echo parses back to the original config
         echo = text.split("# config echo\n", 1)[1]
         assert parse_config(echo) == cfg

@@ -3,6 +3,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,7 +115,7 @@ class TestUniformNoise:
         clean = SignalSpec(harmonics=spec.harmonics)
         times = [0.001 * k for k in range(100)]
         noise = [noisy - plain for noisy, plain in
-                 zip(signal_values(spec, times), signal_values(clean, times))]
+                 zip(signal_values(spec, times).tolist(), signal_values(clean, times).tolist())]
         for slot in range(10):
             values = {round(noise[slot * 10 + j], 15) for j in range(10)}
             assert len(values) == 1
@@ -280,4 +281,14 @@ def test_trace_matches_the_pointwise_oracle(drawn, count):
 def test_one_point_matches_the_oracle(drawn, t):
     # negative t reaches negative noise slots, which wrap modulo 2**64
     spec, _ = drawn
-    assert same_bits(signal_values(spec, [t])[0], oracle(spec, t))
+    assert same_bits(signal_values(spec, [t]).tolist()[0], oracle(spec, t))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1e-6, 10.0), st.integers(0, 3000), st.floats(0.0, 0.99))
+def test_sample_times_is_the_k_times_period_grid(period, count, part):
+    # one float64 array, each entry the float product k * sample_period
+    times = sample_times(period, (count + part) * period)
+    assert isinstance(times, np.ndarray) and times.dtype == np.float64
+    assert list(map(float.hex, times.tolist())) == \
+        [float.hex(k * period) for k in range(count + 1)]
