@@ -149,30 +149,40 @@ def gradient_rows(state: EstimatorState, delta: np.ndarray, psi: np.ndarray,
 
     Each theta_hat_i moves by theta*exp(-lam) + ((gamma*dt*delta)*psi)*g(lam),
     or below lam 1e-12 by the Euler form, with math.exp and math.expm1,
-    never numpy's, so every K rounds alike. A non-finite delta or psi turns
-    theta_hat non-finite, which the frequency recovery rejects.
+    never numpy's, so every K rounds alike. lam, its decay, its growth g and
+    its Euler rows depend on the gain alone, so they are computed once per
+    distinct gain value and shared by every parameter with that gain (DREM's
+    gains are usually equal); distinct gains are groups of one. A non-finite
+    delta or psi turns theta_hat non-finite, which the frequency recovery
+    rejects.
     """
     gains = state.settings.gamma
     with np.errstate(all="ignore"):  # lam = 0 rows divide 0 by 0 for a growth they never use
         d2dt = delta * delta * dt
         excitation = np.add.accumulate(np.concatenate(([state.excitation], d2dt)))[1:]
-        lams = [g * d2dt for g in gains]
-        largest = np.fmax.reduce(lams, axis=0)  # fmax skips a NaN lam, as lam > max does
+        lams = {g: g * d2dt for g in dict.fromkeys(gains)}  # one column per distinct gain
+        # fmax skips a NaN lam, as lam > max does; an equal gain's lam adds nothing
+        largest = np.fmax.reduce(list(lams.values()), axis=0)
         max_steps = np.fmax.accumulate(np.concatenate(([state.max_decay_step], largest)))[1:]
-        columns = [_advance(theta, g * dt, lam, delta, psi[:, i])
-                   for i, (theta, g, lam) in enumerate(zip(state.theta_hat, gains, lams))]
+        decays = {g: _decay(lam) for g, lam in lams.items()}
+        columns = [_advance(theta, g * dt, *decays[g], delta, psi[:, i])
+                   for i, (theta, g) in enumerate(zip(state.theta_hat, gains))]
     return np.array(columns).T, excitation, max_steps
 
 
-def _advance(theta: float, gdt: float, lam: np.ndarray, delta: np.ndarray,
-             psi: np.ndarray) -> list[float]:
-    """One theta_hat_i after each row, as gradient_rows moves it."""
+def _decay(lam: np.ndarray) -> tuple[list[float], np.ndarray, list[int]]:
+    """One gain's shared columns: exp(-lam) as floats, the growth
+    g(lam) = -expm1(-lam) / lam, and the rows below lam 1e-12."""
     exponents = (-lam).tolist()
-    decay = list(map(math.exp, exponents))
     growth = -np.fromiter(map(math.expm1, exponents), float, len(lam)) / lam
+    return list(map(math.exp, exponents)), growth, np.flatnonzero(lam < 1e-12).tolist()
+
+
+def _advance(theta: float, gdt: float, decay: list[float], growth: np.ndarray, small: list[int],
+             delta: np.ndarray, psi: np.ndarray) -> list[float]:
+    """One theta_hat_i after each row, as gradient_rows moves it, given its
+    gain's decay, growth and Euler rows."""
     drive = (gdt * delta * psi * growth).tolist()
-    small = np.flatnonzero(lam < 1e-12).tolist()
-    delta, psi = delta.tolist(), psi.tolist()
     out = []
     append = out.append
     lo = 0
@@ -181,7 +191,8 @@ def _advance(theta: float, gdt: float, lam: np.ndarray, delta: np.ndarray,
             theta = theta * a + b
             append(theta)
         if s < len(decay):
-            theta += gdt * delta[s] * (psi[s] - delta[s] * theta)
+            d = float(delta[s])
+            theta += gdt * d * (float(psi[s]) - d * theta)
             append(theta)
         lo = s + 1
     return out

@@ -33,18 +33,21 @@ converts the samples since the last batch to floats, keeps the last
 warm_from + 1 in the window it carries, calls the block routine on its own
 row and up to min(d / Ts, _AHEAD) - 1 later ones, and queues each row as
 step() returns it; each later step pops its row, and the fired row's
-extraction waits for the step that pops it. The cost is latency: on the
-n = 3 stream benchmark (2-vCPU Xeon, Python 3.11.7, numpy 2.4.6, one
-thread) a 128-row batching step takes 0.7-0.8 ms in median across runs
-(0.13 mixing, 0.16 gradient and 0.26 recovery in the fastest, 0.63 ms),
-against about 2-3 us for the 99th-percentile step. run() calls the block
-routine per _CHUNK rows of each epoch. The cold rows report the session's
-first theta_hat: step() recovers its omega_grad on its own, at the first
-sample, before any batch exists; run() passes it to its first block as a
-lead row (on its own only if no row is warm), so a clean run calls the
-root finder once. Both entries' outputs, Epoch records and faults are
-equal bit for bit at every order n, because each batched stage's row
-equals its one-row call (tests/test_mixing.py, tests/test_recovery.py).
+extraction waits for the step that pops it. As _AHEAD exceeds every
+shipped d / Ts, a batch holds every row the history fixes. The cost is
+latency: on the n = 3 stream benchmark (d / Ts = 370; 2-vCPU Xeon, Python
+3.11.7, numpy 2.4.6, one thread) a batching step takes 0.93-0.98 ms in
+median across runs, 1.05-1.07 ms at the 90th percentile (0.15 mixing,
+0.19 gradient and 0.40 recovery in the fastest, 0.85 ms), and at n = 8
+with the same d / Ts 7.4 ms in median, against 1.3-1.6 us for the
+99th-percentile step. run() calls the block routine per _CHUNK rows of
+each epoch. The cold rows report the session's first theta_hat: step()
+recovers its omega_grad on its own, at the first sample, before any batch
+exists; run() passes it to its first block as a lead row (on its own only
+if no row is warm), so a clean run calls the root finder once. Both
+entries' outputs, Epoch records and faults are equal bit for bit at every
+order n, because each batched stage's row equals its one-row call
+(tests/test_mixing.py, tests/test_recovery.py).
 """
 
 from __future__ import annotations
@@ -65,14 +68,16 @@ from .recovery import recover_frequencies, recover_rows
 from .regression import ModelConfig, delay_table
 from .signals import GRID_TOL
 
-# Most rows one step() batch computes ahead. Per row at n = 3 (same machine),
-# mix_rows costs about 20 us at 8 rows, 1.5 at 128 and 0.4 at 370, against
-# 61 us for one sample's regression and mixing, and recover_rows 27-32 us at 4
-# rows and 2.0-2.2 at 128, against 130-140 us for recover_frequencies: 128 rows
-# spread each call's fixed part thin, while larger batches only lengthen
-# the step that computes them, and batching steps stay under 1 % of warm
-# steps, out of the 99th latency percentile.
-_AHEAD = 128
+# Most rows one step() batch computes ahead: more than every shipped d / Ts
+# (130-400 rows for the built-ins, 370 for the stream benchmark), so a batch
+# holds all the rows the history fixes. Per row at n = 3 (same machine),
+# the block routine costs about 36 us at 8 rows, 3.6 at 128, 2.1 at 370 and
+# 1.9 at 512, against 61 us for one sample's regression and mixing and
+# 130-140 us for one recover_frequencies call: the larger the batch, the
+# thinner each call's fixed part is spread, at the price of a longer
+# batching step, and batching steps stay 1 in d / Ts warm steps, out of the
+# 99th latency percentile.
+_AHEAD = 512
 
 # Rows per run() block: bounds what one block holds. On the builtins
 # benchmark (2-vCPU Xeon, Python 3.11, alternating pairs against the former
@@ -169,7 +174,10 @@ def warmup_time(model: ModelConfig, drem: DremConfig) -> float:
 
 def check_measurement(t: float, y: float) -> None:
     """Reject a measurement sample with a non-finite time or value, or with
-    a time or value (an int) beyond the float range."""
+    a time or value (an int) beyond the float range. A complex time or
+    value, numpy's included, raises math.isfinite's TypeError."""
+    if type(t) is not float or type(y) is not float:
+        t, y = _real(t), _real(y)
     try:
         finite = math.isfinite(t)
     except OverflowError as exc:
@@ -182,6 +190,13 @@ def check_measurement(t: float, y: float) -> None:
         raise NumericFault(f"measurement at t = {t} is beyond the float range: {exc}") from None
     if not finite:
         raise NumericFault(f"non-finite measurement {y} at t = {t}")
+
+
+def _real(value):
+    """value as check_measurement reads it: a numpy complex as a Python
+    complex, which math.isfinite rejects, where numpy's conversion to float
+    would keep the real part with only a ComplexWarning."""
+    return complex(value) if isinstance(value, (complex, np.complexfloating)) else value
 
 
 def _floats(values) -> np.ndarray:
@@ -198,7 +213,7 @@ def _floats(values) -> np.ndarray:
 
 def _as_float(value) -> float:
     try:
-        math.isfinite(value)  # check_measurement's reading of it
+        math.isfinite(_real(value))  # check_measurement's reading of it
     except OverflowError:
         return math.inf if value > 0 else -math.inf
     except (TypeError, ValueError):

@@ -64,6 +64,21 @@ def test_module_map_private_names_resolve():
         assert hasattr(importlib.import_module(f"ftfreq.{module}"), name), (module, name)
 
 
+def test_readme_batch_sizes_are_the_pipeline_s():
+    # README quotes step()'s batch cap and run()'s block size in its Python
+    # API section and in its module map: every figure is the constant's, and
+    # every quote is still found
+    text = README.read_text(encoding="utf-8")
+    quotes = {"_AHEAD": (r"min\(d / Ts, (\d+)\)", r"at most (\d+), `_AHEAD`"),
+              "_CHUNK": (r"calls the block routine per (\d+) rows",
+                         r"per (\d+)-row block \(`_CHUNK`\)")}
+    pipeline = importlib.import_module("ftfreq.pipeline")
+    for name, patterns in quotes.items():
+        for pattern in patterns:
+            figures = re.findall(pattern, text)
+            assert figures and {int(f) for f in figures} == {getattr(pipeline, name)}, pattern
+
+
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 

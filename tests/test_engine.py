@@ -455,6 +455,34 @@ def assert_entries_agree(cfg, times, samples, starts):
     return run.epochs
 
 
+def test_the_stream_session_batches_its_whole_horizon():
+    # the stream benchmark's session (n = 3, h = 0.3 s, d = 0.37 s, Ts = 1 ms,
+    # t_ft 1 s after the warm-up, epochs of 4411 samples): every step() batch
+    # holds all d / Ts = 370 rows the history fixes, the last of the first
+    # epoch running 349 rows past the reset, and step() and run() agree bit
+    # for bit over both epochs
+    cfg, size = synthetic(3, 1), 4411
+    t_ft = round(2 * 3 * 0.3 + 3 * 0.37 + 1.0, 9)
+    cfg = replace(cfg, drem=replace(cfg.drem, d=0.37),
+                  estimator=replace(cfg.estimator, t_ft=t_ft),
+                  run=replace(cfg.run, sample_period=0.001, duration=(2 * size - 1) / 1000,
+                              reset_times=(size / 1000,)))
+    times, samples = grid(cfg)
+    assert len(times) == 2 * size
+    with batched_mixing() as batches:
+        records, pipeline = pipeline_reference(cfg, times, samples)
+    assert (pipeline.taps.rows[0], pipeline._ahead) == (370, 370)
+    warm = assert_mixed_ahead(batches, [rec.delta for rec in records], [0, size],
+                              pipeline.taps.warm_from, 370, 0.001)
+    assert warm == 2 * (size - pipeline.taps.warm_from) and len(batches) == 2 * 5
+    run = build_pipeline(cfg).run(times, samples, [0, size])
+    assert repr(run.records()) == repr(records)
+    assert repr(run.epochs[-1]) == repr(replace(pipeline.epoch, stop=len(times)))
+    assert repr((run.state.theta_hat, run.state.excitation, run.state.max_decay_step)) == \
+        repr((pipeline.state.theta_hat, pipeline.state.excitation, pipeline.state.max_decay_step))
+    assert all(epoch.fired is not None for epoch in run.epochs)
+
+
 def test_an_off_grid_time_stamp_only_labels_its_row():
     # the epoch clock counts samples, so one stamp far off the grid moves
     # neither entry's due row: both come due and fire at t_ft / Ts = 5000
@@ -672,6 +700,36 @@ def test_an_entry_that_is_no_real_number_raises_as_step_does(column, entry):
     with pytest.raises(TypeError) as ran:
         engine_run(cfg, times, samples)
     assert str(ran.value) == str(stepped.value)
+
+
+@pytest.mark.parametrize("column", ["times", "samples"])
+@pytest.mark.parametrize("kind", ["complex128", "complex64", "complex128 array"])
+def test_a_numpy_complex_raises_as_a_python_complex_does(column, kind):
+    # numpy converts a complex to float by its real part, with only a
+    # ComplexWarning; both entries raise a Python complex's TypeError at the
+    # same row instead: the entry's own, or a complex array's first
+    cfg = builtin_scenario("noiseless-2h")
+    cfg = replace(cfg, run=replace(cfg.run, duration=6.0))
+    columns = dict(zip(("times", "samples"), grid(cfg)))
+    if kind == "complex128 array":
+        row, columns[column] = 0, np.array(columns[column], dtype=complex)
+    else:
+        row, columns[column][500] = 500, getattr(np, kind)(0.25 + 1j)
+    times, samples = columns["times"], columns["samples"]
+    pipeline, stepped = build_pipeline(cfg), None
+    with mock.patch.object(pipeline_module, "check_measurement",
+                           wraps=pipeline_module.check_measurement) as checks:
+        for k, (t, y) in enumerate(zip(times, samples)):
+            try:
+                pipeline.step(t, y)
+            except TypeError as exc:
+                stepped = k, str(exc)
+                break
+        checks.reset_mock()
+        with pytest.raises(TypeError) as ran:
+            engine_run(cfg, times, samples)
+    assert stepped == (row, "must be real number, not complex")
+    assert (checks.call_args.args, str(ran.value)) == ((times[row], samples[row]), stepped[1])
 
 
 def test_a_list_and_a_float64_array_run_alike():

@@ -12,8 +12,8 @@ from conftest import SAMPLE_PERIOD, mixed_stream
 from ftfreq.config import RunConfig, ScenarioConfig, ensure_valid
 from ftfreq.errors import ConfigError, EstimateNotPhysical, NumericFault
 from ftfreq.estimator import (EstimatorSettings, EstimatorState,
-                              finite_time_estimate, reset_estimator,
-                              step_gradient)
+                              finite_time_estimate, gradient_rows,
+                              reset_estimator, step_gradient)
 from ftfreq.harness import build_pipeline, run_scenario
 from ftfreq.mixing import DremConfig
 from ftfreq.pipeline import Pipeline, warmup_time
@@ -94,6 +94,22 @@ def gradient_steps(draw):
     return gamma, steps
 
 
+@st.composite
+def shared_gain_rows(draw):
+    """Gains of n <= 5 parameters drawn from a pool of two values, so that
+    equal and distinct gains mix, a dt, and K <= 12 rows of (delta, psi)
+    with deltas small enough for lam < 1e-12, large enough for lam >> 2,
+    signed zeros and NaN."""
+    pool = draw(st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=2))
+    n = draw(st.integers(1, 5))
+    gamma = tuple(draw(st.sampled_from(pool)) for _ in range(n))
+    deltas = st.one_of(st.floats(-1e-6, 1e-6), st.floats(-1e3, 1e3),
+                       st.sampled_from([0.0, -0.0, math.nan]))
+    rows = draw(st.lists(st.tuples(deltas, st.tuples(*[st.floats(-1e3, 1e3)] * n)),
+                         min_size=1, max_size=12))
+    return gamma, draw(st.sampled_from([1e-3, 0.01, 0.5])), rows
+
+
 class TestStepGradient:
     @hypothesis.settings(max_examples=300, deadline=None)
     @given(gradient_steps())
@@ -115,6 +131,28 @@ class TestStepGradient:
             if math.isnan(delta):
                 assert mine.max_decay_step == before
                 assert all(map(math.isnan, mine.theta_hat))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @given(shared_gain_rows())
+    @example(((2.0, 5.0, 2.0), 0.01, [(1e-7, (1.0, -1.0, 0.5)), (40.0, (3.0, 2.0, 1.0)),
+                                      (-0.0, (1.0, 1.0, 1.0)), (math.nan, (0.0, 0.0, 0.0)),
+                                      (0.5, (0.1, 0.2, 0.3))]))
+    def test_rows_with_shared_gains_are_the_scalar_law(self, case):
+        # gradient_rows shares each distinct gain's decay among the
+        # parameters with that gain: every row of a multi-row call is the
+        # scalar law of tests/per_sample.py stepped row by row, bit for bit
+        gamma, dt, rows = case
+        cfg = settings(gamma, omega0=tuple(0.5 + i for i in range(len(gamma))))
+        state, ref = new_state(cfg), new_state(cfg)
+        deltas, psis = zip(*rows)
+        theta, excitation, max_steps = gradient_rows(
+            state, np.array(deltas, dtype=float), np.array(psis, dtype=float), dt)
+        assert repr(state.theta_hat) == repr(ref.theta_hat)  # left as it was
+        for k, (delta, psi) in enumerate(rows):
+            scalar_step_gradient(ref, delta, psi, dt)
+            assert list(map(repr, (*theta[k].tolist(), float(excitation[k]),
+                                   float(max_steps[k])))) == \
+                list(map(repr, (*ref.theta_hat, ref.excitation, ref.max_decay_step))), k
 
     def test_zero_delta_changes_nothing(self):
         state = new_state(settings((1.0, 1.0)))

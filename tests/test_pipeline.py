@@ -22,8 +22,10 @@ from hypothesis import strategies as st
 
 from conftest import batched_recovery, window_at
 from ftfreq import pipeline as pipeline_module
+from ftfreq.config import BUILTIN_NAMES, builtin_scenario
 from ftfreq.errors import NumericFault
 from ftfreq.estimator import EstimatorSettings
+from ftfreq.harness import build_pipeline
 from ftfreq.mixing import DremConfig, _mixed_stacks, mix_fault
 from ftfreq.pipeline import Pipeline, StepResult
 from ftfreq.regression import ModelConfig, regression_at
@@ -237,9 +239,10 @@ def test_a_mixed_fault_is_the_one_row_mix_fault():
 
 # sha256 of an n = 3 step() session (Python 3.11, numpy 2.4, x86-64): the
 # repr of every StepResult, then of the first epoch's record and the last.
-# d / Ts = 130 > _AHEAD, so batches are full, and the reset at sample 800
-# lands inside the batch of rows 766..893. Like the built-in digests in
-# tests/test_cli.py, a change that alters these numbers says so and why.
+# d / Ts = 130 <= _AHEAD, so each batch holds all 130 rows the history
+# fixes, and the reset at sample 800 lands inside the batch of rows
+# 770..899. Like the built-in digests in tests/test_cli.py, a change that
+# alters these numbers says so and why.
 N3_SESSION_DIGEST = "163e77917ec14dbd4573ce0d8e19441d345a4ad693f583bb1d8bd401771b6844"
 
 
@@ -257,6 +260,13 @@ def test_an_n3_session_is_byte_identical():
     assert (pipeline.epoch.first, pipeline.epoch.fired) == (800, 1500)
     digest = hashlib.sha256("\n".join([*lines, first, repr(pipeline.epoch)]).encode())
     assert digest.hexdigest() == N3_SESSION_DIGEST
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_a_batch_holds_a_builtin_s_whole_horizon(name):
+    # each built-in's d / Ts, 130 to 400 rows, fits one step() batch
+    pipeline = build_pipeline(builtin_scenario(name))
+    assert pipeline._ahead == pipeline.taps.rows[0]
 
 
 def test_reset_closes_the_epoch_record():
