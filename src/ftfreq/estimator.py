@@ -25,7 +25,11 @@ is algebraically identical to the decay actually applied to the error,
 which keeps the finite-time inversion exact on clean data at any
 extraction time. The law has one written form, gradient_rows, by columns
 over a run of warm rows: Pipeline's block routine calls it on the rows it
-mixed, and step_gradient is its one-row call.
+mixed, and step_gradient is its one-row call. Past lam = 746, exp(-lam)
+underflows to 0.0, so a run of such rows moves theta_hat to each row's
+drive gamma*dt*delta*psi / lam (theta * 0.0 + b is b for a finite theta
+and a finite non-zero b): gradient_rows takes those values without the
+libm maps or the per-row loop where that holds, the law's bits either way.
 
 Extraction is one step: finite_time_estimate computes theta_ft and, under
 the imaginary-part tolerance, the frequencies omega_ft of its polynomial
@@ -152,9 +156,14 @@ def gradient_rows(state: EstimatorState, delta: np.ndarray, psi: np.ndarray,
     never numpy's, so every K rounds alike. lam, its decay, its growth g and
     its Euler rows depend on the gain alone, so they are computed once per
     distinct gain value and shared by every parameter with that gain (DREM's
-    gains are usually equal); distinct gains are groups of one. A non-finite
-    delta or psi turns theta_hat non-finite, which the frequency recovery
-    rejects.
+    gains are usually equal); distinct gains are groups of one. A row past
+    the underflow point (lam > _UNDERFLOW, where exp(-lam) is 0.0 and
+    expm1(-lam) is -1.0) decays by 0.0 and grows by 1.0 / lam, with no libm
+    call unless it lies between two rows that are not past it (_decay), and
+    a run of such rows takes its drives as they are where theta * 0.0 + b
+    is b (_advance): the same bits as the loop. High-gain tunings put most
+    rows there. A non-finite delta or psi turns theta_hat non-finite, which
+    the frequency recovery rejects.
     """
     gains = state.settings.gamma
     with np.errstate(all="ignore"):  # lam = 0 rows divide 0 by 0 for a growth they never use
@@ -170,31 +179,76 @@ def gradient_rows(state: EstimatorState, delta: np.ndarray, psi: np.ndarray,
     return np.array(columns).T, excitation, max_steps
 
 
-def _decay(lam: np.ndarray) -> tuple[list[float], np.ndarray, list[int]]:
+# Past this lam, math.exp(-lam) is 0.0 and math.expm1(-lam) is -1.0 exactly:
+# exp(-746) is about a fifth of the least subnormal, which libm rounds to zero
+# (as every smaller value), and expm1 reaches -1.0 from lam 37.5 on. So such a
+# row's decay is 0.0 and its growth -expm1(-lam) / lam is 1.0 / lam.
+_UNDERFLOW = 746.0
+
+
+def _decay(lam: np.ndarray) -> tuple[list[float], np.ndarray, list[tuple[int, int, bool]]]:
     """One gain's shared columns: exp(-lam) as floats, the growth
-    g(lam) = -expm1(-lam) / lam, and the rows below lam 1e-12."""
-    exponents = (-lam).tolist()
-    growth = -np.fromiter(map(math.expm1, exponents), float, len(lam)) / lam
-    return list(map(math.exp, exponents)), growth, np.flatnonzero(lam < 1e-12).tolist()
+    g(lam) = -expm1(-lam) / lam, and the rows the general law skips, in
+    order: each row below lam 1e-12 as (row, row + 1, True), each run of
+    rows past _UNDERFLOW as (start, stop, False), and (K, K, False) last.
+    libm maps the rows from the first to the last that is not past the
+    underflow (the runs among them come out 0.0 and -1.0 from it too); the
+    runs before and after them take decay 0.0 and growth 1.0 / lam."""
+    count = len(lam)
+    under = (lam > _UNDERFLOW).nonzero()[0].tolist()  # a NaN lam is not
+    if len(under) == count:
+        return [0.0] * count, 1.0 / lam, [(0, count, False), (count, count, False)]
+    skipped = [(s, s + 1, True) for s in (lam < 1e-12).nonzero()[0].tolist()]
+    lo, hi = 0, count
+    if under:
+        runs = []
+        start = stop = under[0]
+        for k in under:
+            if k != stop:
+                runs.append((start, stop, False))
+                start = k
+            stop = k + 1
+        runs.append((start, stop, False))
+        skipped = sorted(skipped + runs)
+        lo = runs[0][1] if runs[0][0] == 0 else 0
+        hi = runs[-1][0] if runs[-1][1] == count else count
+    exponents = (-lam[lo:hi]).tolist()
+    growth = -np.fromiter(map(math.expm1, exponents), float, hi - lo) / lam[lo:hi]
+    if hi - lo < count:
+        growth = np.concatenate((1.0 / lam[:lo], growth, 1.0 / lam[hi:]))
+    decay = [0.0] * lo + list(map(math.exp, exponents)) + [0.0] * (count - hi)
+    return decay, growth, [*skipped, (count, count, False)]
 
 
-def _advance(theta: float, gdt: float, decay: list[float], growth: np.ndarray, small: list[int],
-             delta: np.ndarray, psi: np.ndarray) -> list[float]:
+def _advance(theta: float, gdt: float, decay: list[float], growth: np.ndarray,
+             skipped: list[tuple[int, int, bool]], delta: np.ndarray,
+             psi: np.ndarray) -> list[float]:
     """One theta_hat_i after each row, as gradient_rows moves it, given its
-    gain's decay, growth and Euler rows."""
+    gain's decay, growth and skipped rows. An underflowed row moves theta
+    to theta * 0.0 + b, which is its drive b itself for a finite theta and
+    a finite non-zero b: so a run of them entered with a finite theta whose
+    drives are all finite and non-zero takes those drives, with no loop;
+    another run takes the general law."""
     drive = (gdt * delta * psi * growth).tolist()
     out = []
     append = out.append
     lo = 0
-    for s in [*small, len(decay)]:
-        for a, b in zip(decay[lo:s], drive[lo:s]):
+    for start, stop, euler in skipped:
+        for a, b in zip(decay[lo:start], drive[lo:start]):
             theta = theta * a + b
             append(theta)
-        if s < len(decay):
-            d = float(delta[s])
-            theta += gdt * d * (float(psi[s]) - d * theta)
+        lo = start
+        if euler:
+            d = float(delta[start])
+            theta += gdt * d * (float(psi[start]) - d * theta)
             append(theta)
-        lo = s + 1
+            lo = stop
+        elif start < stop and math.isfinite(theta):
+            run = drive[start:stop]
+            # a sum that is finite has no infinite or NaN term
+            if 0.0 not in run and math.isfinite(sum(run)):
+                out += run
+                theta, lo = run[-1], stop
     return out
 
 

@@ -175,9 +175,18 @@ def estimate_from_file(trace_path: str, cfg: ScenarioConfig,
     The file must be on the uniform grid implied by run.sample_period; the
     first off-grid row is reported. The config's signal section, if any, is
     ignored, and so is run.duration: the trace's own times set the run's
-    length, so the config need only pass recording_violations.
+    length, so the config need only pass recording_violations. An out_dir
+    whose estimates or metadata file is the trace file itself is a
+    ConfigError, raised before anything is read or written.
     """
     violations = recording_violations(cfg)
+    if out_dir is not None:
+        for key in ("estimate_path", "metadata_path"):
+            name = getattr(cfg.output, key)
+            target = os.path.join(out_dir, name)
+            if _same_file(target, trace_path):
+                violations.append(f"{target}: output.{key} = {name!r} names the input file "
+                                  f"{trace_path}, which the run would overwrite")
     if violations:
         raise ConfigError(violations)
     times, samples = _read_trace(trace_path, cfg.run.sample_period)
@@ -186,6 +195,15 @@ def estimate_from_file(trace_path: str, cfg: ScenarioConfig,
         _write_outputs(result, out_dir, write_trace=False)
         result.trace_path = trace_path
     return result
+
+
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths a and b name one file: os.path.samefile where both
+    exist, else their normalized paths are equal."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.normpath(a) == os.path.normpath(b)
 
 
 def _read_trace(path: str, sample_period: float) -> tuple[np.ndarray, np.ndarray]:

@@ -26,21 +26,24 @@ EstimateNotPhysical recover_rows found for them, and an otherwise suspect
 row is extracted on its own, which raises its fault or recovers what the
 stacked call missed. So a clean session makes no one-row extraction.
 
-step() looks ahead: the stack reads the regression d, 2d, ..., nd seconds
-back, so the next d seconds' mixed pairs, theta_hat after each and its
-omega_grad are fixed by the history. A warm step with nothing queued
-converts the samples since the last batch to floats, keeps the last
-warm_from + 1 in the window it carries, calls the block routine on its own
-row and up to min(d / Ts, _AHEAD) - 1 later ones, and queues each row as
-step() returns it; each later step pops its row, and the fired row's
-extraction waits for the step that pops it. As _AHEAD exceeds every
-shipped d / Ts, a batch holds every row the history fixes. The cost is
-latency: on the n = 3 stream benchmark (d / Ts = 370; 2-vCPU Xeon, Python
-3.11.7, numpy 2.4.6, one thread) a batching step takes 0.93-0.98 ms in
-median across runs, 1.05-1.07 ms at the 90th percentile (0.15 mixing,
-0.19 gradient and 0.40 recovery in the fastest, 0.85 ms), and at n = 8
-with the same d / Ts 7.4 ms in median, against 1.3-1.6 us for the
-99th-percentile step. run() calls the block routine per _CHUNK rows of
+step() checks each sample with check_measurement, but for a pair of
+finite Python floats, which that check would pass: x is one when type(x)
+is float and x - x is 0.0 (NaN for an infinity or a NaN). step() looks
+ahead: the stack reads the regression d, 2d, ..., nd seconds back, so the
+next d seconds' mixed pairs, theta_hat after each and its omega_grad are
+fixed by the history. A warm step with nothing queued converts the
+samples since the last batch to floats, keeps the last warm_from + 1 in
+the window it carries, calls the block routine on its own row and up to
+min(d / Ts, _AHEAD) - 1 later ones, and queues each row as step() returns
+it; each later step pops its row, and the fired row's extraction waits for
+the step that pops it. As _AHEAD exceeds every shipped d / Ts, a batch
+holds every row the history fixes. The cost is latency: on the n = 3
+stream benchmark (d / Ts = 370; 2-vCPU Xeon, Python 3.11.7, numpy 2.4.6,
+one thread) a batching step takes 0.74-0.77 ms in median across runs,
+0.81-0.82 ms at the 90th percentile (0.14 mixing, 0.10 gradient and 0.30
+recovery in the fastest, 0.66 ms), and at n = 8 with the same d / Ts
+7.1-7.5 ms in median, against 0.57 us for the median step and 1.6 us for
+the 99th-percentile one. run() calls the block routine per _CHUNK rows of
 each epoch. The cold rows report the session's first theta_hat: step()
 recovers its omega_grad on its own, at the first sample, before any batch
 exists; run() passes it to its first block as a lead row (on its own only
@@ -71,9 +74,9 @@ from .signals import GRID_TOL
 # Most rows one step() batch computes ahead: more than every shipped d / Ts
 # (130-400 rows for the built-ins, 370 for the stream benchmark), so a batch
 # holds all the rows the history fixes. Per row at n = 3 (same machine),
-# the block routine costs about 36 us at 8 rows, 3.6 at 128, 2.1 at 370 and
-# 1.9 at 512, against 61 us for one sample's regression and mixing and
-# 130-140 us for one recover_frequencies call: the larger the batch, the
+# the block routine costs about 30 us at 8 rows, 2.9 at 128, 1.6 at 370 and
+# 1.45 at 512, against 61 us for one sample's regression and mixing and
+# about 90 us for one recover_frequencies call: the larger the batch, the
 # thinner each call's fixed part is spread, at the price of a longer
 # batching step, and batching steps stay 1 in d / Ts warm steps, out of the
 # 99th latency percentile.
@@ -270,14 +273,18 @@ class Pipeline:
 
     def step(self, t: float, y: float) -> StepResult:
         """Process one measurement sample and report the session outputs."""
-        check_measurement(t, y)
+        # check_measurement passes a pair of finite Python floats without a
+        # word, so they skip the call: x - x is 0.0 for a finite float alone
+        if not (type(t) is float and type(y) is float and t - t == 0.0 and y - y == 0.0):
+            check_measurement(t, y)
         self._history.append(y)
-        self._count += 1
+        self._count = count = self._count + 1
         epoch = self.epoch
-        if self._count == self._due + 1:
-            epoch.due = epoch.first + self._due
+        due = self._due
+        if count == due + 1:
+            epoch.due = epoch.first + due
         delta = 0.0  # a cold sample adds no excitation, and theta_hat holds
-        if self._count > self._warm_from:
+        if count > self._warm_from:
             if not self._queue and self._bad is None:
                 self._mix_ahead()
             if not self._queue:  # the block stopped at this row
@@ -288,7 +295,7 @@ class Pipeline:
             delta, state.theta_hat, self._theta_hat, state.excitation, state.max_decay_step, \
                 self._omega_grad = self._queue.pop()
             ft = self._ft
-            if ft is not None and ft[0] == self._count:
+            if ft is not None and ft[0] == count:
                 # should it fault, the next row tries again on its own:
                 # extraction is tried at each row from due on until it fires
                 self._ft = (ft[0] + 1, None, None)

@@ -14,7 +14,12 @@ numpy complex arithmetic: closed forms for n <= 3 (at n = 3 Viete's and
 Cardano's cubic, _cubic_roots), and LAPACK's eigvals on the companion
 matrices for n >= 4 and for the n = 3 rows whose closed-form roots, once
 polished, still miss the residual target, which that route often settles
-(rows whose coefficients span many orders of magnitude). So has the tail
+(rows whose coefficients span many orders of magnitude). A block whose
+roots all come out real (every row in Viete's branch at n = 3, or eigvals
+returning floats) is polished in float arithmetic by the same Newton
+polish, _polished, bit for bit the complex one; a block with a complex
+pair, or whose float polish overflows, is polished as complex. The real
+cosines of clean tones take the float path. So has the tail
 from cosines to sorted in-band frequencies, _frequencies. recover_rows
 runs both on many rows, with which Pipeline's block routine recovers
 omega_grad and, in a run, the first theta_hat with the first block and
@@ -72,7 +77,8 @@ def _roots(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns (roots (K, n) complex, |p| at each root, the |p| allowed per
     row). Closed forms for n <= 3; above that the stacked companion
     matrices' eigenvalues. The roots at n >= 3 are each polished by up to
-    two Newton steps, a step kept only if it shrinks |p|; a row whose
+    two Newton steps, a step kept only if it shrinks |p| (_polished: in
+    float arithmetic where every root of the block is real); a row whose
     polished closed-form roots (n = 3) still miss the residual target is
     found again from its companion matrix, as at n >= 4, so it is that
     route's row bit for bit. An overflow shows as a residual miss, not as a
@@ -104,11 +110,13 @@ def _roots(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             roots, residual = _polished(theta, _cubic_roots(theta))
             missed = ~(residual <= allowed[:, None]).all(axis=1)
             if missed.any():
-                roots[missed], residual[missed] = _polished(
+                found, residual[missed] = _polished(
                     theta[missed], _companion_roots(theta[missed]))
+                roots = roots.astype(np.result_type(roots, found), copy=False)
+                roots[missed] = found
         else:
             roots, residual = _polished(theta, _companion_roots(theta))
-    return roots, residual, allowed
+    return roots.astype(complex, copy=False), residual, allowed
 
 
 # Below any exponent frexp gives a non-zero double (-1073), so that a zero
@@ -133,7 +141,8 @@ def _cubic_roots(theta: np.ndarray) -> np.ndarray:
     2 sqrt(-p/3) cos(phi - 2 pi k / 3), cos(3 phi) = -q / (2 sqrt(-p/3)^3),
     else Cardano's real root A + B, with A = -sign(q) cbrt(|q|/2 + sqrt(D))
     and B = -p / (3 A) free of cancellation (D > 0, so A != 0), and its
-    conjugate pair -(A + B)/2 +- i sqrt(3)/2 (A - B).
+    conjugate pair -(A + B)/2 +- i sqrt(3)/2 (A - B). Where every row is
+    Viete's, the roots are returned as floats, else as complex.
     """
     exponents = np.where(theta.T == 0.0, _ZERO_EXPONENT, np.frexp(theta.T)[1])
     # ceil(e_k / k) over k, where |theta_k| < 2^e_k: so |theta_k| / s^k < 1
@@ -148,6 +157,8 @@ def _cubic_roots(theta: np.ndarray) -> np.ndarray:
     # r = 0 only at a triple root, where q = 0 as well: cos(3 phi) = 0, not 0/0
     cosine = np.minimum(np.maximum(-0.5 * q / np.maximum(r * r * r, _TINY), -1.0), 1.0)
     viete = 2.0 * r[:, None] * np.cos((np.arccos(cosine) / 3.0)[:, None] - _TURNS)
+    if real.all():
+        return np.ldexp(viete + u[:, None], e[:, None])
     a = -np.copysign(np.cbrt(0.5 * np.abs(q) + np.sqrt(disc)), q)
     b = -p / (3.0 * a)
     parts = np.empty((len(theta), 3, 2))
@@ -163,27 +174,40 @@ def _companion_roots(theta: np.ndarray) -> np.ndarray:
     companion = np.zeros((count, n, n))
     companion[:, 0, :] = theta
     companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-    return np.linalg.eigvals(companion).astype(complex)
+    return np.linalg.eigvals(companion)  # floats where every eigenvalue is real
 
 
 def _polished(theta: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """roots of each row of theta's polynomial after up to two Newton
-    steps, a step kept only where it shrinks |p|, and |p| at each."""
+    steps, a step kept only where it shrinks |p|, and |p| at each.
+
+    Real roots, given as floats, are polished in float arithmetic, each
+    step dividing as p * (1 / p'): with finite values that is bit for bit
+    numpy's complex arithmetic at zero imaginary parts, whose division
+    scales by 1 / p'. An overflow is not (complex products of an infinity
+    turn to NaN), so a float block whose residuals are not all finite is
+    polished again as complex."""
     n = theta.shape[1]
     coeffs = [1.0, *(-theta.T[:, :, None])]
     slopes = [(n - i) * c for i, c in enumerate(coeffs[:-1])]
-    active = np.ones(roots.shape, dtype=bool)
-    p = _horner(coeffs, roots)
-    for _ in range(2):
-        dp = _horner(slopes, roots)
-        candidate = roots - p / dp
-        p_candidate = _horner(coeffs, candidate)
-        active &= ~(np.abs(dp) < 1e-300) & (np.abs(p_candidate) < np.abs(p))
-        if not active.any():
-            break
-        roots = np.where(active, candidate, roots)
-        p = np.where(active, p_candidate, p)
-    return roots, np.abs(p)
+    start = roots
+    while True:
+        real = roots.dtype.kind == "f"
+        active = np.ones(roots.shape, dtype=bool)
+        p = _horner(coeffs, roots)
+        for _ in range(2):
+            dp = _horner(slopes, roots)
+            candidate = roots - (p * (1.0 / dp) if real else p / dp)
+            p_candidate = _horner(coeffs, candidate)
+            active &= ~(np.abs(dp) < 1e-300) & (np.abs(p_candidate) < np.abs(p))
+            if not active.any():
+                break
+            roots = np.where(active, candidate, roots)
+            p = np.where(active, p_candidate, p)
+        residual = np.abs(p)
+        if not real or np.isfinite(residual).all():
+            return roots, residual
+        roots = start.astype(complex)
 
 
 def recover_frequencies(theta, h: float, bounds: tuple[float, float],

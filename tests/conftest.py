@@ -61,15 +61,16 @@ def random_distinct_frequencies(rng, n, lo, hi, min_gap=0.05):
 @contextlib.contextmanager
 def _stepping():
     """Yield a one-item list holding the time of the sample a Pipeline is
-    stepping."""
+    stepping, recorded as Pipeline.step is called (step() checks a finite
+    float sample without a call to check_measurement)."""
     stepping = [None]
-    check = pipeline_module.check_measurement
+    step = pipeline_module.Pipeline.step
 
-    def checking(t, y):
+    def recording(self, t, y):
         stepping[0] = t
-        return check(t, y)
+        return step(self, t, y)
 
-    with mock.patch.object(pipeline_module, "check_measurement", checking):
+    with mock.patch.object(pipeline_module.Pipeline, "step", recording):
         yield stepping
 
 

@@ -218,13 +218,16 @@ def test_one_route_from_theta_to_omega():
     root finder's two sources of roots, the closed form at n = 3,
     _cubic_roots, and the companion matrices' eigenvalues,
     _companion_roots, the one caller of np.linalg.eigvals, from _roots
-    alone, so that a second route from theta to omega shows here."""
+    alone, so that a second route from theta to omega shows here; and the
+    Newton polish, _polished, which polishes real and complex roots alike,
+    from _roots alone, so that a second copy of it shows here too."""
     both = {"recovery.recover_rows", "recovery.recover_frequencies"}
     assert stage_callers(("_roots", "_frequencies", "_estimate", "_cubic_roots",
                           "_companion_roots", "eigvals")) == {
         "_roots": both, "_frequencies": both, "_estimate": both,
         "_cubic_roots": {"recovery._roots"}, "_companion_roots": {"recovery._roots"},
         "eigvals": {"recovery._companion_roots"}}
+    assert stage_callers(("_polished",)) == {"_polished": {"recovery._roots"}}
 
 
 # A built-in simulate, then an n = 3 Pipeline run through its extraction;

@@ -161,6 +161,27 @@ class TestEstimate:
         assert (tmp_path / "replay" / "estimates.csv").read_bytes() == \
             (tmp_path / "sim" / "estimates.csv").read_bytes()
 
+    @pytest.mark.parametrize("name, key", [("estimates.csv", "estimate_path"),
+                                           ("metadata.txt", "metadata_path")])
+    def test_an_output_that_is_the_input_exits_2(self, tmp_path, capsys, name, key):
+        # estimates.csv starts "time,y", so it reads as a trace: estimate
+        # on it into its own directory would overwrite its input. Rejected
+        # before anything is written, as the same file under another spelling
+        cfg_path = tmp_path / "scenario.cfg"
+        write_quick_config(cfg_path, duration=6.0)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        for target in (out / name, tmp_path / "sim" / ".." / "sim" / name):
+            capsys.readouterr()
+            code = main(["estimate", "--config", str(cfg_path), "--input", str(target),
+                         "--out", str(out)])
+            assert code == EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                f"config error: {os.path.join(str(out), name)}: output.{key} = {name!r} "
+                f"names the input file {target}, which the run would overwrite\n")
+            assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     def test_estimate_replays_simulated_trace(self, tmp_path, capsys):
         cfg_path = tmp_path / "scenario.cfg"
         write_quick_config(cfg_path)

@@ -515,6 +515,23 @@ def test_pipeline_rejects_a_non_finite_time():
         pipeline = build_pipeline(builtin_scenario("noiseless-2h"))
         with pytest.raises(NumericFault, match=f"non-finite time {bad}"):
             pipeline.step(bad, 0.0)
+    # step() passes a pair of finite Python floats without calling
+    # check_measurement; every sample raises or passes as that check does,
+    # in the time and in the value alike
+    def checked(call):
+        try:
+            call()
+        except (NumericFault, TypeError) as exc:
+            return type(exc), str(exc)
+        return None
+
+    entries = (0.25, -0.0, math.nan, math.inf, -math.inf, np.float64(0.25), np.float64(math.inf),
+               True, 3, 10**400)
+    for t, y in [*((entry, 0.5) for entry in entries), *((1.5, entry) for entry in entries)]:
+        pipeline = build_pipeline(builtin_scenario("noiseless-2h"))
+        expected = checked(lambda: pipeline_module.check_measurement(t, y))
+        assert checked(lambda: pipeline.step(t, y)) == expected, (t, y)
+        assert pipeline._count == (0 if expected else 1), (t, y)  # a rejected sample takes no row
 
 
 def test_cold_samples_are_not_mixed_or_recovered():

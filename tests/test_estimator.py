@@ -97,17 +97,35 @@ def gradient_steps(draw):
 @st.composite
 def shared_gain_rows(draw):
     """Gains of n <= 5 parameters drawn from a pool of two values, so that
-    equal and distinct gains mix, a dt, and K <= 12 rows of (delta, psi)
-    with deltas small enough for lam < 1e-12, large enough for lam >> 2,
-    signed zeros and NaN."""
+    equal and distinct gains mix, a dt, up to four runs of up to five rows
+    of (delta, psi), and the incoming theta_hat, or None to start from
+    theta0. A run's deltas are small enough for lam < 1e-12, large enough
+    for lam >> 2, signed zeros and NaN, or put the first gain's lam in
+    (37, 745], where expm1(-lam) is -1.0 but exp(-lam) is not 0.0, or
+    beyond 745, where it is (the underflow); psi holds signed zeros, so a
+    row's drive may be +-0.0, and 1e308, whose drive may overflow; the
+    incoming theta_hat may hold NaN and +-inf."""
     pool = draw(st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=2))
     n = draw(st.integers(1, 5))
     gamma = tuple(draw(st.sampled_from(pool)) for _ in range(n))
-    deltas = st.one_of(st.floats(-1e-6, 1e-6), st.floats(-1e3, 1e3),
-                       st.sampled_from([0.0, -0.0, math.nan]))
-    rows = draw(st.lists(st.tuples(deltas, st.tuples(*[st.floats(-1e3, 1e3)] * n)),
-                         min_size=1, max_size=12))
-    return gamma, draw(st.sampled_from([1e-3, 0.01, 0.5])), rows
+    dt = draw(st.sampled_from([1e-3, 0.01, 0.5]))
+
+    def at(lo, hi):  # the deltas that put the first gain's lam in [lo, hi]
+        return st.builds(lambda lam, sign: sign * math.sqrt(lam / (gamma[0] * dt)),
+                         st.floats(lo, hi), st.sampled_from([1.0, -1.0]))
+
+    deltas = st.sampled_from([
+        st.one_of(st.floats(-1e-6, 1e-6), st.floats(-1e3, 1e3),
+                  st.sampled_from([0.0, -0.0, math.nan])),
+        at(37.5, 745.0), at(745.0, 1e6)])
+    psi = st.tuples(*[st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1e308]))] * n)
+    rows = []
+    for kind in draw(st.lists(deltas, min_size=1, max_size=4)):
+        rows += draw(st.lists(st.tuples(kind, psi), min_size=1, max_size=5))
+    theta = draw(st.none() | st.lists(
+        st.floats(-2.0, 2.0) | st.sampled_from([math.nan, math.inf, -math.inf]),
+        min_size=n, max_size=n))
+    return gamma, dt, rows, theta
 
 
 class TestStepGradient:
@@ -136,14 +154,21 @@ class TestStepGradient:
     @given(shared_gain_rows())
     @example(((2.0, 5.0, 2.0), 0.01, [(1e-7, (1.0, -1.0, 0.5)), (40.0, (3.0, 2.0, 1.0)),
                                       (-0.0, (1.0, 1.0, 1.0)), (math.nan, (0.0, 0.0, 0.0)),
-                                      (0.5, (0.1, 0.2, 0.3))]))
+                                      (0.5, (0.1, 0.2, 0.3))], None))
+    @example(((1.0, 1.0, 3.0), 0.01, [(400.0, (1.0, -0.0, 0.5)), (500.0, (2.0, 1.0, 1e308)),
+                                      (1e-7, (1.0, 1.0, 1.0)), (450.0, (0.0, 3.0, 1.0)),
+                                      (300.0, (1.0, 2.0, 3.0))], [math.nan, 0.5, -1.5]))
     def test_rows_with_shared_gains_are_the_scalar_law(self, case):
         # gradient_rows shares each distinct gain's decay among the
-        # parameters with that gain: every row of a multi-row call is the
-        # scalar law of tests/per_sample.py stepped row by row, bit for bit
-        gamma, dt, rows = case
+        # parameters with that gain, and a run of underflowed rows takes
+        # its drives where theta * 0.0 + b is b: every row of a multi-row
+        # call is the scalar law of tests/per_sample.py stepped row by row,
+        # bit for bit
+        gamma, dt, rows, theta = case
         cfg = settings(gamma, omega0=tuple(0.5 + i for i in range(len(gamma))))
         state, ref = new_state(cfg), new_state(cfg)
+        if theta is not None:
+            state.theta_hat[:], ref.theta_hat[:] = theta, theta
         deltas, psis = zip(*rows)
         theta, excitation, max_steps = gradient_rows(
             state, np.array(deltas, dtype=float), np.array(psis, dtype=float), dt)

@@ -318,15 +318,74 @@ def test_roundtrip_with_clustered_cosines(case):
         assert abs(w_hat - w) <= allowed, (w_hat, w, allowed)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-@pytest.mark.parametrize("rows", [1, 7, 128])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_the_real_polish_is_the_complex_one(n):
+    # _polished polishes real roots, given as floats, in float arithmetic,
+    # each step dividing as p * (1 / p'): bit for bit the complex polish of
+    # the same roots at zero imaginary parts, roots and residuals alike, on
+    # rows of spread cosines, of clustered ones and of real roots from
+    # 1e-30 to 1e30 in size, each row kept where _roots would start it
+    # from real roots
+    rng = np.random.default_rng(n)
+    families = (np.sort(rng.uniform(-1.0, 1.0, (200, n)), axis=1),
+                0.5 + rng.normal(0.0, 1e-2, (200, n)),
+                rng.choice([-1.0, 1.0], (200, n)) * 10.0 ** rng.uniform(-30, 30, (200, n)))
+    theta = np.array([-np.poly(row)[1:] for roots in families for row in roots])
+    theta = theta[[start_is_real(theta[k:k + 1]) for k in range(len(theta))]]
+    assert len(theta) > 300
+    start = recovery._cubic_roots(theta) if n == 3 else recovery._companion_roots(theta)
+    real, residual = recovery._polished(theta, start)
+    assert start.dtype.kind == real.dtype.kind == "f"
+    roots, residuals = recovery._polished(theta, start.astype(complex))
+    assert repr((real.astype(complex).tolist(), residual.tolist())) == \
+        repr((roots.tolist(), residuals.tolist()))
+
+
+def mixed_block(rng, n, h):
+    """n >= 3 rows of theta whose block takes _roots' complex path: rows of
+    real cosines of tones, which alone take its real path, and among them
+    one row with a complex pair of roots, one non-finite row and one whose
+    polish overflows at its large real root, 1e160."""
+    def tones(count):
+        return np.cos(np.array(random_distinct_frequencies(rng, count, 1.0, 4.0)) * h)
+
+    rows = [true_theta(random_distinct_frequencies(rng, n, 1.0, 4.0), h) for _ in range(6)]
+    rows[1:1] = [vieta([0.3 + 0.4j, 0.3 - 0.4j, *tones(n - 2)])]
+    rows[4:4] = [[math.nan] * n, vieta([1e160, *tones(n - 1)])]
+    return np.array(rows)
+
+
+def start_is_real(theta):
+    """Whether _roots starts theta's block from real roots (floats)."""
+    with np.errstate(all="ignore"):
+        start = recovery._cubic_roots(theta) if theta.shape[1] == 3 else \
+            recovery._companion_roots(theta)
+    return start.dtype.kind == "f"
+
+
+@pytest.mark.parametrize("n, rows", [
+    *(pytest.param(n, rows, id=f"{rows}-{n}") for rows in (1, 7, 128) for n in range(1, 9)),
+    *(pytest.param(n, "mixed", id=f"mixed-{n}") for n in range(3, 9))])
 def test_rows_are_recovered_independently(n, rows):
     # each row of one recover_rows call is bit for bit its one-row call,
-    # whatever else the call holds: both drivers' parity rests on it
-    rng = np.random.default_rng(n * 1000 + rows)
+    # whatever else the call holds: both drivers' parity rests on it. The
+    # mixed block takes _roots' complex path while each tone row alone
+    # takes its real path, polished in float arithmetic, as is the
+    # overflowing row, which then falls back to the complex path
     h = 0.3
-    freqs = random_distinct_frequencies(rng, n, 1.0, 4.0)
-    theta = np.array(true_theta(freqs, h)) * (1.0 + rng.normal(0.0, 1e-3, (rows, n)))
+    mixed = rows == "mixed"
+    if mixed:
+        theta = mixed_block(np.random.default_rng(n), n, h)
+        rows = len(theta)
+    else:
+        rng = np.random.default_rng(n * 1000 + rows)
+        freqs = random_distinct_frequencies(rng, n, 1.0, 4.0)
+        theta = np.array(true_theta(freqs, h)) * (1.0 + rng.normal(0.0, 1e-3, (rows, n)))
+    block = np.where(np.isfinite(theta).all(axis=1)[:, None], theta, 0.0)  # as it is rooted
+    if mixed:
+        assert not start_is_real(block)
+        assert [start_is_real(block[k:k + 1]) for k in range(rows)] == \
+            [k != 1 for k in range(rows)]  # all but the complex pair's row
     omega, suspect, estimate = recover_rows(theta, h, (1.0, 4.0))
     assert estimate is None
     for k in range(rows):
@@ -334,9 +393,20 @@ def test_rows_are_recovered_independently(n, rows):
         assert repr((omega[k].tolist(), bool(suspect[k]))) == repr(
             (one[0][0].tolist(), bool(one[1][0]))), k
         # and recover_frequencies, as the drivers' cold rows, first steps
-        # and suspect replays call it, returns that row
-        if not suspect[k]:
+        # and suspect replays call it, returns that row, or for a suspect
+        # row raises the fault that names the block's own roots of it
+        try:
             alone = recover_frequencies(tuple(theta[k].tolist()), h, (1.0, 4.0), math.inf)
+        except NumericFault as exc:
+            assert suspect[k], k
+            if np.isfinite(theta[k]).all():
+                roots, residual, allowed = _roots(block)
+                worst = next(r for r in residual[k].tolist() if not r <= allowed[k])
+                assert str(exc) == (
+                    f"root residual {worst:.3g} exceeds {allowed[k]:.3g} for coefficients "
+                    f"{[1.0, *(-theta[k]).tolist()]} (roots {roots[k].tolist()})"), k
+        else:
+            assert not suspect[k], k
             assert repr(alone.omega_hat) == repr(tuple(omega[k].tolist())), k
     # a held last row, as a run's theta_ft, is recover_frequencies' call
     # under imag_tol: its FrequencyEstimate, or suspect where that raises,
