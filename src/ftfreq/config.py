@@ -316,8 +316,6 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
     signal = _read_signal(r)
     sections = {prefix: r.build(prefix, cls) for prefix, cls in _SECTIONS}
     r.finish()
-    if any(section is None for section in sections.values()):
-        raise ConfigError([f"{source}: configuration incomplete"])
     return ScenarioConfig(signal=signal, name=name, **sections)
 
 
@@ -327,6 +325,8 @@ def load_config(path) -> ScenarioConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config file: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: cannot read config file: not UTF-8 ({exc.reason})") from exc
     return parse_config(text, source=str(path))
 
 

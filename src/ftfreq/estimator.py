@@ -170,8 +170,8 @@ def gradient_rows(state: EstimatorState, delta: np.ndarray, psi: np.ndarray,
         d2dt = delta * delta * dt
         excitation = np.add.accumulate(np.concatenate(([state.excitation], d2dt)))[1:]
         lams = {g: g * d2dt for g in dict.fromkeys(gains)}  # one column per distinct gain
-        # fmax skips a NaN lam, as lam > max does; an equal gain's lam adds nothing
-        largest = np.fmax.reduce(list(lams.values()), axis=0)
+        # d2dt is >= 0 or NaN and g * d2dt is monotone in g: the largest gain's lam is the max
+        largest = lams[max(gains)]
         max_steps = np.fmax.accumulate(np.concatenate(([state.max_decay_step], largest)))[1:]
         decays = {g: _decay(lam) for g, lam in lams.items()}
         columns = [_advance(theta, g * dt, *decays[g], delta, psi[:, i])

@@ -215,32 +215,35 @@ def _read_trace(path: str, sample_period: float) -> tuple[np.ndarray, np.ndarray
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise ConfigError([f"{path}: cannot read trace file: {exc.strerror or exc}"]) from exc
-    with fh:
-        header = fh.readline().strip()
-        if header.split(",")[:2] != ["time", "y"]:
-            raise ConfigError([f"{path}: expected header 'time,y', got {header!r}"])
-        start = None
-        for row, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                t, y = float(parts[0]), float(parts[1])
-            except (ValueError, IndexError):
-                raise ConfigError([f"{path}: row {row}: malformed line {line!r}"]) from None
-            if not math.isfinite(t):
-                raise ConfigError([f"{path}: row {row}: non-finite time {t!r}"])
-            if start is None:
-                start = t
-            expected = start + len(samples) * sample_period
-            # slack relative to the time, so a missing sample stays an
-            # error until t reaches sample_period / GRID_TOL
-            if abs(t - expected) > GRID_TOL * max(sample_period, abs(expected)):
-                raise ConfigError([
-                    f"{path}: row {row}: time {t!r} off the uniform grid "
-                    f"(expected {expected!r} at sample_period {sample_period})"])
-            samples.append(y)
+    try:
+        with fh:
+            header = fh.readline().strip()
+            if header.split(",")[:2] != ["time", "y"]:
+                raise ConfigError([f"{path}: expected header 'time,y', got {header!r}"])
+            start = None
+            for row, line in enumerate(fh, start=2):
+                line = line.strip()
+                if not line:
+                    continue
+                parts = line.split(",")
+                try:
+                    t, y = float(parts[0]), float(parts[1])
+                except (ValueError, IndexError):
+                    raise ConfigError([f"{path}: row {row}: malformed line {line!r}"]) from None
+                if not math.isfinite(t):
+                    raise ConfigError([f"{path}: row {row}: non-finite time {t!r}"])
+                if start is None:
+                    start = t
+                expected = start + len(samples) * sample_period
+                # slack relative to the time, so a missing sample stays an
+                # error until t reaches sample_period / GRID_TOL
+                if abs(t - expected) > GRID_TOL * max(sample_period, abs(expected)):
+                    raise ConfigError([
+                        f"{path}: row {row}: time {t!r} off the uniform grid "
+                        f"(expected {expected!r} at sample_period {sample_period})"])
+                samples.append(y)
+    except UnicodeDecodeError as exc:  # decoded chunk by chunk: the row loop raises it too
+        raise ConfigError([f"{path}: cannot read trace file: not UTF-8 ({exc.reason})"]) from exc
     if not samples:
         raise ConfigError([f"{path}: no samples"])
     return start + np.arange(len(samples)) * sample_period, np.frombuffer(samples)

@@ -12,9 +12,11 @@ order is the only canonical labeling).
 Root finding has one written form, _roots, over stacked rows of theta in
 numpy complex arithmetic: closed forms for n <= 3 (at n = 3 Viete's and
 Cardano's cubic, _cubic_roots), and LAPACK's eigvals on the companion
-matrices for n >= 4 and for the n = 3 rows whose closed-form roots, once
-polished, still miss the residual target, which that route often settles
-(rows whose coefficients span many orders of magnitude). A block whose
+matrices for n >= 4. At n = 3 the closed form takes the rows whose
+depressed cubic stays in range, and eigvals the rest: a row whose
+closed-form roots, once polished, still miss the residual target (its
+cubic over- or underflows, or its coefficients span many orders of
+magnitude) is found again from its companion matrix. A block whose
 roots all come out real (every row in Viete's branch at n = 3, or eigvals
 returning floats) is polished in float arithmetic by the same Newton
 polish, _polished, bit for bit the complex one; a block with a complex
@@ -79,10 +81,11 @@ def _roots(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     matrices' eigenvalues. The roots at n >= 3 are each polished by up to
     two Newton steps, a step kept only if it shrinks |p| (_polished: in
     float arithmetic where every root of the block is real); a row whose
-    polished closed-form roots (n = 3) still miss the residual target is
-    found again from its companion matrix, as at n >= 4, so it is that
-    route's row bit for bit. An overflow shows as a residual miss, not as a
-    warning; eigvals' LinAlgError propagates.
+    polished closed-form roots (n = 3) miss the residual target, as every
+    row whose depressed cubic over- or underflows does, is found again from
+    its companion matrix, so it is that route's row bit for bit. An
+    overflow shows as a residual miss, not as a warning; eigvals'
+    LinAlgError propagates.
     """
     count, n = theta.shape
     with np.errstate(all="ignore"):
@@ -119,10 +122,6 @@ def _roots(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return roots.astype(complex, copy=False), residual, allowed
 
 
-# Below any exponent frexp gives a non-zero double (-1073), so that a zero
-# coefficient never sets the cubic's scale.
-_ZERO_EXPONENT = -1100
-_POWERS = np.array([[-1], [-2], [-3]])  # theta_k is scaled by s^-k
 _TINY = np.finfo(float).tiny
 _TURNS = np.array([0.0, 2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0])
 _CARDANO = np.array([1.0, -0.5, -0.5])  # A + B, and the pair's real part, per unit of A + B
@@ -133,38 +132,35 @@ def _cubic_roots(theta: np.ndarray) -> np.ndarray:
     """Roots of x^3 - theta_1 x^2 - theta_2 x - theta_3 for each row of
     theta, in closed form.
 
-    Each row is scaled by the least power of two s = 2^e with
-    |theta_k| < s^k for every k (from frexp's exponents), which rounds
-    exactly, so no finite row overflows below and the roots do not depend
-    on s. x = y + theta_1 / 3 gives the depressed cubic y^3 + p y + q;
+    x = y + theta_1 / 3 gives the depressed cubic y^3 + p y + q;
     where D = (q/2)^2 + (p/3)^3 <= 0 its three real roots are Viete's
     2 sqrt(-p/3) cos(phi - 2 pi k / 3), cos(3 phi) = -q / (2 sqrt(-p/3)^3),
     else Cardano's real root A + B, with A = -sign(q) cbrt(|q|/2 + sqrt(D))
     and B = -p / (3 A) free of cancellation (D > 0, so A != 0), and its
     conjugate pair -(A + B)/2 +- i sqrt(3)/2 (A - B). Where every row is
-    Viete's, the roots are returned as floats, else as complex.
+    Viete's, the roots are returned as floats, else as complex. A row
+    whose depressed cubic over- or underflows comes out far off or not
+    finite, and misses the residual target, so _roots gives it to eigvals.
     """
-    exponents = np.where(theta.T == 0.0, _ZERO_EXPONENT, np.frexp(theta.T)[1])
-    # ceil(e_k / k) over k, where |theta_k| < 2^e_k: so |theta_k| / s^k < 1
-    e = np.maximum(exponents[0], np.maximum((exponents[1] + 1) >> 1, (exponents[2] + 2) // 3))
-    t1, t2, t3 = np.ldexp(theta.T, e * _POWERS)
+    t1, t2, t3 = theta.T
     u = t1 / 3.0
     p = -t2 - t1 * u
     q = -t3 - u * (t2 + 2.0 * u * u)
     disc = 0.25 * q * q + p * p * p / 27.0
     real = (disc <= 0.0)[:, None]
     r = np.sqrt(-p / 3.0)
-    # r = 0 only at a triple root, where q = 0 as well: cos(3 phi) = 0, not 0/0
+    # r^3 = 0 at a triple root, where q = 0 as well: cos(3 phi) = 0, not 0/0
+    # (an underflowed r^3 takes the guard too; the residual target judges it)
     cosine = np.minimum(np.maximum(-0.5 * q / np.maximum(r * r * r, _TINY), -1.0), 1.0)
     viete = 2.0 * r[:, None] * np.cos((np.arccos(cosine) / 3.0)[:, None] - _TURNS)
     if real.all():
-        return np.ldexp(viete + u[:, None], e[:, None])
+        return viete + u[:, None]
     a = -np.copysign(np.cbrt(0.5 * np.abs(q) + np.sqrt(disc)), q)
     b = -p / (3.0 * a)
     parts = np.empty((len(theta), 3, 2))
     np.add(np.where(real, viete, (a + b)[:, None] * _CARDANO), u[:, None], out=parts[..., 0])
     parts[..., 1] = np.where(real, 0.0, np.abs(a - b)[:, None] * _PAIR)
-    return np.ldexp(parts, e[:, None, None]).view(complex)[..., 0]
+    return parts.view(complex)[..., 0]
 
 
 def _companion_roots(theta: np.ndarray) -> np.ndarray:

@@ -92,6 +92,15 @@ class TestSimulate:
         cfg_path.write_text("model.n two\n")
         assert main(["simulate", "--config", str(cfg_path)]) == EXIT_CONFIG
 
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "scenario.cfg"
+        cfg_path.write_bytes(b"\xff\xfe" + format_config(builtin_scenario("noiseless-2h")).encode())
+        code = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: {cfg_path}: cannot read config file: not UTF-8 (invalid start byte)\n")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "missing.cfg"
         code = main(["simulate", "--config", str(missing), "--out", str(tmp_path / "out")])
@@ -236,6 +245,22 @@ class TestEstimate:
         assert code == EXIT_NUMERIC
         err = capsys.readouterr().err
         assert "numeric fault: sample 3230" in err and "non-finite stacked regressor" in err
+
+    @pytest.mark.parametrize("at", [2, 9000], ids=["in-the-header", "past-8-KiB"])
+    def test_trace_not_utf8_exits_2(self, tmp_path, capsys, at):
+        # the text layer decodes 8 KiB at a time: a bad byte in the header
+        # raises as the header is read, one past the first chunk in the row loop
+        cfg_path = tmp_path / "scenario.cfg"
+        write_quick_config(cfg_path)
+        trace = tmp_path / "latin1.csv"
+        text = "time,y\n" + "".join(f"{k * 0.001!r},0.5\n" for k in range(2000))
+        trace.write_bytes(text[:at].encode() + b"\xff" + text[at:].encode())
+        code = main(["estimate", "--config", str(cfg_path),
+                     "--input", str(trace), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: {trace}: cannot read trace file: not UTF-8 (invalid start byte)\n")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "scenario.cfg"

@@ -41,6 +41,7 @@ from ftfreq.pipeline import _CHUNK, Epoch, warmup_time
 from ftfreq.regression import DelayTable, ModelConfig
 from ftfreq.signals import (HarmonicSpec, SignalSpec, UniformDisturbance,
                             generate_trace)
+from test_recovery import failing_eigvals
 
 GRID_TOL = 1e-9
 
@@ -615,6 +616,33 @@ def test_a_clean_sweep_run_calls_the_root_finder_once(n):
         result = run_scenario(sweep(n, 1))
     assert result.extracted
     assert (found.call_count, extraction.call_count, settling.call_count) == (1, 0, 0)
+
+
+def test_the_benchmark_n3_rows_are_settled_without_eigvals():
+    # the closed form settles every n = 3 row the benchmark recovers, so no
+    # row goes on to eigvals: the stream's step() session (d = 0.37 s,
+    # Ts = 1 ms, two epochs of 4411 samples with a reset between them) and
+    # the n-sweep's n = 3 run
+    size = 4411
+    t_ft = round(2 * 3 * 0.3 + 3 * 0.37 + 1.0, 9)
+    cfg = synthetic(3, 1)
+    stream = replace(cfg, drem=replace(cfg.drem, d=0.37),
+                     estimator=replace(cfg.estimator, t_ft=t_ft),
+                     run=replace(cfg.run, sample_period=0.001, duration=(2 * size - 1) / 1000,
+                                 reset_times=(size / 1000,)))
+    calls = []
+    with mock.patch.object(recovery_module.np.linalg, "eigvals", failing_eigvals(calls)), \
+            mock.patch.object(recovery_module, "_cubic_roots",
+                              wraps=recovery_module._cubic_roots) as closed:
+        records, pipeline = pipeline_reference(stream, *grid(stream))
+        swept = len(closed.call_args_list)
+        result = run_scenario(sweep(3, 1))
+    rows = [len(call.args[0]) for call in closed.call_args_list]
+    assert calls == []
+    # every warm row of both epochs, and the sweep's block
+    assert sum(rows[:swept]) >= 2 * (size - pipeline.taps.warm_from) and sum(rows[swept:]) > 0
+    assert records[size - 1].omega_ft is not None and pipeline.epoch.fired is not None
+    assert result.extracted
 
 
 @pytest.mark.parametrize("chunk", [_CHUNK, 64], ids=["one-block", "64-row-blocks"])
