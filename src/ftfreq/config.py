@@ -321,7 +321,7 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
 
 def load_config(path) -> ScenarioConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config file: {exc.strerror or exc}") from exc

@@ -222,14 +222,16 @@ def _decay(lam: np.ndarray) -> tuple[list[float], np.ndarray, list[tuple[int, in
 
 def _advance(theta: float, gdt: float, decay: list[float], growth: np.ndarray,
              skipped: list[tuple[int, int, bool]], delta: np.ndarray,
-             psi: np.ndarray) -> list[float]:
+             psi: np.ndarray) -> list[float] | np.ndarray:
     """One theta_hat_i after each row, as gradient_rows moves it, given its
     gain's decay, growth and skipped rows. An underflowed row moves theta
     to theta * 0.0 + b, which is its drive b itself for a finite theta and
     a finite non-zero b: so a run of them entered with a finite theta whose
-    drives are all finite and non-zero takes those drives, with no loop;
+    drives are all finite and non-zero takes those drives, with no loop,
+    and a column that is one such run from row 0 is the drive array itself;
     another run takes the general law."""
-    drive = (gdt * delta * psi * growth).tolist()
+    drives = gdt * delta * psi * growth
+    drive = drives.tolist()
     out = []
     append = out.append
     lo = 0
@@ -247,6 +249,8 @@ def _advance(theta: float, gdt: float, decay: list[float], growth: np.ndarray,
             run = drive[start:stop]
             # a sum that is finite has no infinite or NaN term
             if 0.0 not in run and math.isfinite(sum(run)):
+                if stop - start == len(drive):
+                    return drives
                 out += run
                 theta, lo = run[-1], stop
     return out

@@ -212,7 +212,7 @@ def _read_trace(path: str, sample_period: float) -> tuple[np.ndarray, np.ndarray
     from the first, and the times returned are that grid."""
     samples = array("d")
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise ConfigError([f"{path}: cannot read trace file: {exc.strerror or exc}"]) from exc
     try:

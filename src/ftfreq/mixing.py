@@ -12,20 +12,25 @@ one per unknown, which is what lets each parameter be estimated on its own.
 The gain eps rescales the whole stacked system before mixing; with an n x n
 stack this multiplies delta and every mixed_psi_i by eps^n.
 
-Mixing has one written form, over K stacked systems at once: _adjugates
-(adj(M) and det(M) together: elementwise cofactors for n <= 3; above that
-det(M) inv(M) through one LU factorisation with partial pivoting, and,
-for the rows LU cannot take, G. W. Stewart's singular value form, "On the
+Mixing has one written form, over K stacked systems at once, entry by
+entry for n <= 3 and by stacks above: _cofactors (adj(M) and det(M)
+together as the elementwise cofactors of entry arrays, which
+_mixed_entries scales by eps^n and multiplies into psi_rows, up to the
+first non-finite stack or output) and, for n >= 4, _adjugates (det(M)
+inv(M) through one LU factorisation with partial pivoting, and, for the
+rows LU cannot take, G. W. Stewart's singular value form, "On the
 adjugate matrix", Lin. Alg. Appl. 1998, with its products of singular
 values from _products, which stays valid for singular M, including the
-all-zero stack of a zero signal), _scaled_product (the eps^n scale and
-adj(M) psi_rows) and _mixed_stacks (both, up to the first non-finite stack
-or output).
-mix_rows, the stage the driver calls, stacks whole lagged columns and
-mixes them with _mixed_stacks; a K-row call equals its rows mixed one by
-one. adjugate is the one-row call of _adjugates, behind its own input
-check. mix_fault builds the fault of a non-finite stack or output, which
-the driver raises at the row where mix_rows stopped.
+all-zero stack of a zero signal) with _scaled_product (the eps^n scale
+and adj(M) psi_rows). _mixed_stacks mixes whole stacks, taking their
+entries at n <= 3.
+mix_rows, the stage the driver calls, takes whole lagged regression
+columns: at n <= 3 it mixes their slices as entries, with no stack, and
+above it stacks them for _mixed_stacks; a K-row call equals its rows
+mixed one by one. adjugate is the one-row call of _cofactors or
+_adjugates, behind its own input check. mix_fault builds the fault of a
+non-finite stack or output, which the driver raises at the row where
+mix_rows stopped.
 """
 
 from __future__ import annotations
@@ -88,6 +93,9 @@ def adjugate(matrix) -> tuple[list[list[float]], float]:
     if not np.isfinite(stack).all():
         raise ConfigError("matrix entries must be finite")
     with np.errstate(all="ignore"):
+        if len(stack[0]) <= 3:
+            adj, det = _cofactors(_entries(stack))
+            return [[float(a[0]) for a in row] for row in adj], float(det[0])
         adj, det = _adjugates(stack)
     return adj[0].tolist(), float(det[0])
 
@@ -103,7 +111,7 @@ def mix_fault(time: float, delta: float | None = None, psi=None) -> NumericFault
 
 def mix_rows(y: np.ndarray, taps: DelayTable, first: int, stop: int,
              epsilon: float) -> tuple[np.ndarray, np.ndarray, tuple | None]:
-    """Regression, stack and mix of rows first..stop-1 of the samples y, up to
+    """Regression and mixing of rows first..stop-1 of the samples y, up to
     the first row whose stack or mixed output is non-finite.
 
     Row j is sample j; its stacked row i is the regression taps.rows[i]
@@ -114,20 +122,33 @@ def mix_rows(y: np.ndarray, taps: DelayTable, first: int, stop: int,
     (K, n) of the first K rows, and bad, None or mix_fault's arguments for
     row first + K as _mixed_stacks gives them. The eps^n scale is applied
     after the product is summed, so a small epsilon cannot keep an
-    overflowing product finite.
+    overflowing product finite. At n <= 3 row j's stacked entry (i, c) is
+    entry j of a slice of regressor column c, so the rows are mixed from
+    those slices and their stacks are never built.
     """
     lo, hi = first - taps.rows[-1], stop - taps.rows[0]
     count = stop - first
+    # stacked row i of row j is the regression at j - taps.rows[i], shifts[i]
+    # rows into the regression columns
+    shifts = [taps.rows[-1] - lag for lag in taps.rows]
     with np.errstate(all="ignore"):  # non-finite values are scanned for, not warned about
         # regression_at reads window[tap]: here samples lo..hi-1, tap samples back
         window = {tap: y[lo - tap:hi - tap] for _, tap in chain(taps.psi, *taps.phi)}
         psi, phi = regression_at(window, taps)
-        phi = np.stack(phi, axis=1)
-        # stacked row i of row j is the regression at j - taps.rows[i]
-        shifts = [taps.rows[-1] - lag for lag in taps.rows]
-        psi_rows = np.stack([psi[s:s + count] for s in shifts], axis=1)
-        phi_rows = np.stack([phi[s:s + count] for s in shifts], axis=1)
-    return _mixed_stacks(psi_rows, phi_rows, epsilon)
+        if len(phi) > 3:  # LU takes stacks
+            phi = np.stack(phi, axis=1)
+            return _mixed_stacks(np.stack([psi[s:s + count] for s in shifts], axis=1),
+                                 np.stack([phi[s:s + count] for s in shifts], axis=1), epsilon)
+        # a stack is finite where the regressor rows at all of its lags are
+        finite = np.isfinite(phi[0])
+        for column in phi[1:]:
+            finite &= np.isfinite(column)
+        stacked = finite[shifts[0]:shifts[0] + count]
+        for s in shifts[1:]:
+            stacked = stacked & finite[s:s + count]
+        return _mixed_entries([psi[s:s + count] for s in shifts],
+                              [[column[s:s + count] for column in phi] for s in shifts],
+                              _first(~stacked), epsilon)
 
 
 def _mixed_stacks(psi_rows: np.ndarray, phi_rows: np.ndarray,
@@ -137,14 +158,39 @@ def _mixed_stacks(psi_rows: np.ndarray, phi_rows: np.ndarray,
     arguments after the time that mix_fault takes for it, () for a
     non-finite stack or (delta, psi) for a non-finite output."""
     with np.errstate(all="ignore"):  # non-finite values are scanned for, not warned about
-        # LU and the SVD (n >= 4) take no non-finite stack: mix the rows before the first
         finite = _first(~np.isfinite(phi_rows).all(axis=(1, 2)))
-        delta, mixed = _scaled_product(*_adjugates(phi_rows[:finite]),
-                                       psi_rows[:finite], epsilon)
-        bad = _first(~(np.isfinite(delta) & np.isfinite(mixed).all(axis=1)))
+        if phi_rows.shape[1] <= 3:
+            return _mixed_entries(list(psi_rows.T), _entries(phi_rows), finite, epsilon)
+        # LU and the SVD take no non-finite stack: mix the rows before the first
+        delta, mixed = _scaled_product(*_adjugates(phi_rows[:finite]), psi_rows[:finite],
+                                       epsilon)
+        return _checked(delta, mixed, finite, len(phi_rows))
+
+
+def _mixed_entries(psi: list, phi: list, finite: int,
+                   epsilon: float) -> tuple[np.ndarray, np.ndarray, tuple | None]:
+    """_mixed_stacks of K stacks at n <= 3 given by their entries, each a
+    (K,) array: psi[i] and phi[i][c] are entry i of psi_rows and (i, c) of
+    phi_rows, and the stacks from row finite on are not finite. Each mixed
+    psi_i is summed left to right from 0 over the stacked rows, so a -0.0
+    sum reads +0.0, and scaled by eps^n after."""
+    adj, det = _cofactors(phi)
+    scale = epsilon ** len(psi)
+    delta = scale * det
+    mixed = np.empty((len(psi), len(delta))).T  # (K, n), each column contiguous
+    for i, row in enumerate(adj):
+        np.multiply(scale, sum(a * p for a, p in zip(row, psi)), out=mixed[:, i])
+    return _checked(delta, mixed, finite, len(delta))
+
+
+def _checked(delta: np.ndarray, mixed: np.ndarray, finite: int,
+             count: int) -> tuple[np.ndarray, np.ndarray, tuple | None]:
+    """_mixed_stacks' result from delta and mixed of at least the first
+    finite of count stacks, the stacks from row finite on not finite."""
+    bad = _first(~(np.isfinite(delta[:finite]) & np.isfinite(mixed[:finite]).all(axis=1)))
     if bad < finite:
         return delta[:bad], mixed[:bad], (float(delta[bad]), tuple(mixed[bad].tolist()))
-    return delta, mixed, None if finite == len(phi_rows) else ()
+    return delta[:finite], mixed[:finite], None if finite == count else ()
 
 
 def _first(mask: np.ndarray) -> int:
@@ -153,29 +199,39 @@ def _first(mask: np.ndarray) -> int:
     return int(hits[0]) if len(hits) else len(mask)
 
 
+def _entries(stacks: np.ndarray) -> list[list[np.ndarray]]:
+    """Entry (r, c) of K stacked matrices (K, n, n) as a (K,) view, at [r][c]."""
+    return [list(row) for row in np.moveaxis(stacks, 0, -1)]
+
+
+def _cofactors(m: list) -> tuple[list, np.ndarray]:
+    """adj and det of K matrices of size n <= 3 whose entry (r, c) is the
+    (K,) array m[r][c]: adj[r][c] is the (K,) array of the transposed
+    cofactors, and det is expanded along the first row. Each is the same
+    polynomial of the entries for every K, and holds for singular M."""
+    if len(m) == 1:
+        ((a,),) = m
+        return [[np.ones_like(a)]], a
+    if len(m) == 2:
+        (a, b), (c, d) = m
+        return [[d, -b], [-c, a]], a * d - b * c
+    (a, b, c), (d, e, f), (g, h, i) = m
+    adj = [[e * i - f * h, c * h - b * i, b * f - c * e],
+           [f * g - d * i, a * i - c * g, c * d - a * f],
+           [d * h - e * g, b * g - a * h, a * e - b * d]]
+    return adj, a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+
+
 def _adjugates(phi_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """adj (K, n, n) and det (K,) of K stacked finite n x n matrices, as
-    adjugate states them: elementwise cofactors over the K matrices for
-    n <= 3; for n >= 4 det and det times inv over the K matrices, and the
-    stacked SVD form over the rows whose det is 0 or not finite or whose
-    product is not finite. A batched inv raises LinAlgError for the whole
-    stack if one matrix is exactly singular, and the SVD form is what
-    holds at and beyond singular and overflowing stacks. Each row is
+    """adj (K, n, n) and det (K,) of K stacked finite n x n matrices, n >= 4,
+    as adjugate states them: det and det times inv over the K matrices,
+    and the stacked SVD form over the rows whose det is 0 or not finite or
+    whose product is not finite. A batched inv raises LinAlgError for the
+    whole stack if one matrix is exactly singular, and the SVD form is
+    what holds at and beyond singular and overflowing stacks. Each row is
     formed on its own, as its one-row call forms it. Callers hold
     np.errstate(all="ignore"): a zero pivot's log in det and an overflowed
     product are scanned for, not warned about."""
-    n = phi_rows.shape[1]
-    if n == 1:
-        return np.ones_like(phi_rows), phi_rows[:, 0, 0]
-    if n == 2:
-        (a, b), (c, d) = np.moveaxis(phi_rows, 0, -1)
-        return np.moveaxis(np.array([[d, -b], [-c, a]]), -1, 0), a * d - b * c
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(phi_rows, 0, -1)
-        adj = np.array([[e * i - f * h, c * h - b * i, b * f - c * e],
-                        [f * g - d * i, a * i - c * g, c * d - a * f],
-                        [d * h - e * g, b * g - a * h, a * e - b * d]])
-        return np.moveaxis(adj, -1, 0), a * adj[0, 0] + b * adj[1, 0] + c * adj[2, 0]
     det = np.linalg.det(phi_rows)
     adj = np.full_like(phi_rows, np.nan)
     # det and inv factor each matrix by the same LU: a finite non-zero det

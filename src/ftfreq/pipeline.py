@@ -39,12 +39,12 @@ it; each later step pops its row, and the fired row's extraction waits for
 the step that pops it. As _AHEAD exceeds every shipped d / Ts, a batch
 holds every row the history fixes. The cost is latency: on the n = 3
 stream benchmark (d / Ts = 370; 2-vCPU Xeon, Python 3.11.7, numpy 2.4.6,
-one thread) a batching step takes 0.74-0.77 ms in median across runs,
-0.81-0.82 ms at the 90th percentile (0.14 mixing, 0.10 gradient and 0.30
-recovery in the fastest, 0.66 ms), and at n = 8 with the same d / Ts
-7.1-7.5 ms in median, against 0.57 us for the median step and 1.6 us for
-the 99th-percentile one. run() calls the block routine per _CHUNK rows of
-each epoch. The cold rows report the session's first theta_hat: step()
+one thread) a batching step takes 0.78-0.80 ms in median across runs,
+0.87-0.94 ms at the 90th percentile (0.085 mixing, 0.075 gradient and 0.28
+recovery in the fastest, 0.65 ms), and at n = 8 with the same d / Ts
+7.2-8.5 ms in median, against 0.70 us for the median step and 1.3-1.6 us
+for the 99th-percentile one. run() calls the block routine per _CHUNK
+rows of each epoch. The cold rows report the session's first theta_hat: step()
 recovers its omega_grad on its own, at the first sample, before any batch
 exists; run() passes it to its first block as a lead row (on its own only
 if no row is warm), so a clean run calls the root finder once. Both
@@ -74,8 +74,8 @@ from .signals import GRID_TOL
 # Most rows one step() batch computes ahead: more than every shipped d / Ts
 # (130-400 rows for the built-ins, 370 for the stream benchmark), so a batch
 # holds all the rows the history fixes. Per row at n = 3 (same machine),
-# the block routine costs about 30 us at 8 rows, 2.9 at 128, 1.6 at 370 and
-# 1.45 at 512, against 61 us for one sample's regression and mixing and
+# the block routine costs about 26 us at 8 rows, 2.4 at 128, 1.25 at 370 and
+# 1.05 at 512, against 64 us for one sample's regression and mixing and
 # about 90 us for one recover_frequencies call: the larger the batch, the
 # thinner each call's fixed part is spread, at the price of a longer
 # batching step, and batching steps stay 1 in d / Ts warm steps, out of the
@@ -241,7 +241,7 @@ class Pipeline:
     moved into theta_hat. Of the measurements since the last clear, step()
     keeps at most warm_from + 2 min(d / Ts, _AHEAD) samples: those since
     its last batch and the float window that batch read. It keeps the queue
-    of rows computed ahead, the first last, and the extraction one of them
+    of rows computed ahead, in order, and the extraction one of them
     fires. An epoch starts at the first sample after a clear, and extraction
     comes due D = ceil(t_ft / Ts - GRID_TOL) rows after it; a sample step()
     rejects takes no row. epoch is its one record, which holds the extraction
@@ -285,15 +285,17 @@ class Pipeline:
             epoch.due = epoch.first + due
         delta = 0.0  # a cold sample adds no excitation, and theta_hat holds
         if count > self._warm_from:
-            if not self._queue and self._bad is None:
+            row = next(self._queue, None)
+            if row is None and self._bad is None:
                 self._mix_ahead()
-            if not self._queue:  # the block stopped at this row
+                row = next(self._queue, None)
+            if row is None:  # the block stopped at this row
                 bad, self._bad = self._bad, None
                 raise mix_fault(t, *bad)
             # a suspect row's omega_grad is None: recovered below
             state = self.state
             delta, state.theta_hat, self._theta_hat, state.excitation, state.max_decay_step, \
-                self._omega_grad = self._queue.pop()
+                self._omega_grad = row
             ft = self._ft
             if ft is not None and ft[0] == count:
                 # should it fault, the next row tries again on its own:
@@ -460,10 +462,11 @@ class Pipeline:
 
     def _mix_ahead(self) -> None:
         """Queue the rows of this sample and the next, min(d / Ts, _AHEAD)
-        in all, last first, each as step() reports it: (delta, theta_hat as
+        in all, in order, each as step() reports it: (delta, theta_hat as
         the state's list and as a tuple, excitation, max_decay_step,
-        omega_grad), omega_grad None where suspect. The samples since the
-        last batch join the window as floats, which keeps the last
+        omega_grad), omega_grad None where suspect, in a lazy zip over the
+        block's lists, which builds each row as step() takes it. The samples
+        since the last batch join the window as floats, which keeps the last
         warm_from + 1, this sample last. _bad keeps the fault of the row a
         block stops at for that row's step, and _ft the extraction it fires,
         with the sample count at its row, for that row's step."""
@@ -476,10 +479,11 @@ class Pipeline:
             max(self._due + 1 - self._count, 0))
         self._ft = None if ft is None else (self._count + ft[0], *ft[1:])
         theta = theta.tolist()
-        omega = [None if flagged else tuple(row)
-                 for row, flagged in zip(omega.tolist(), suspect.tolist())]
-        self._queue = list(zip(delta.tolist(), theta, map(tuple, theta), excitation.tolist(),
-                               max_steps.tolist(), omega))[::-1]
+        omega = list(map(tuple, omega.tolist()))
+        for j in np.flatnonzero(suspect).tolist():
+            omega[j] = None
+        self._queue = zip(delta.tolist(), theta, map(tuple, theta), excitation.tolist(),
+                          max_steps.tolist(), omega)
 
     def _fire(self, row: int, theta_ft, estimate) -> None:
         """Record the extraction a block formed at row, where it fired, in
@@ -522,7 +526,7 @@ class Pipeline:
         """Drop the history and the queue: the session re-warms from scratch."""
         self._history = []  # the samples since the last batch
         self._window = np.empty(0)  # the converted ones a batch reads
-        self._queue = []
+        self._queue = iter(())  # the rows computed ahead, in order
         self._bad = None  # mix_fault's arguments for the row the queue stops at
         self._ft = None  # (sample count at its row, theta_ft, estimate) of a queued fired row
         self._count = 0  # samples since the last clear

@@ -299,9 +299,10 @@ def recover_rows(theta: np.ndarray, h: float, bounds: tuple[float, float],
 
 def _frequencies(cosines: np.ndarray, h: float, bounds: tuple[float, float]) -> np.ndarray:
     """omega (K, n) of cosines (K, n): each clipped into [-1, 1], mapped
-    through arccos (math.acos, value by value), scaled by 1/h, projected
-    into [omega_min, omega_max] and sorted ascending within its row."""
+    through arccos (math.acos, value by value: np.arccos differs from it
+    in the last bit on some values), scaled by 1/h, projected into
+    [omega_min, omega_max] and sorted ascending within its row."""
     count, n = cosines.shape
     clipped = np.clip(cosines, -1.0, 1.0).ravel().tolist()
-    omega = np.array(list(map(math.acos, clipped))).reshape(count, n) / h
+    omega = np.fromiter(map(math.acos, clipped), float, count * n).reshape(count, n) / h
     return np.sort(np.minimum(bounds[1], np.maximum(bounds[0], omega)), axis=1)

@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, outputs, exit codes."""
 
+import codecs
 import hashlib
 import os
 import subprocess
@@ -100,6 +101,18 @@ class TestSimulate:
         assert capsys.readouterr().err == (
             f"config error: {cfg_path}: cannot read config file: not UTF-8 (invalid start byte)\n")
         assert not (tmp_path / "out").exists()
+
+    def test_config_with_byte_order_mark_exits_0(self, tmp_path):
+        # a UTF-8 byte-order mark is no part of the text: the run is the
+        # one without it
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        write_quick_config(plain)
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        for cfg_path in (plain, marked):
+            assert main(["simulate", "--config", str(cfg_path),
+                         "--out", str(tmp_path / cfg_path.stem)]) == EXIT_OK
+        assert (tmp_path / "marked" / "estimates.csv").read_bytes() == \
+            (tmp_path / "plain" / "estimates.csv").read_bytes()
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "missing.cfg"
@@ -261,6 +274,21 @@ class TestEstimate:
         assert capsys.readouterr().err == (
             f"config error: {trace}: cannot read trace file: not UTF-8 (invalid start byte)\n")
         assert not (tmp_path / "out").exists()
+
+    def test_trace_with_byte_order_mark_exits_0(self, tmp_path):
+        # a UTF-8 byte-order mark before the header is no part of it: the
+        # estimates are those of the trace without it
+        cfg_path = tmp_path / "scenario.cfg"
+        write_quick_config(cfg_path)
+        assert main(["simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "sim")]) == EXIT_OK
+        plain, marked = tmp_path / "sim" / "trace.csv", tmp_path / "marked.csv"
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        for trace, out in ((plain, "plain"), (marked, "marked")):
+            assert main(["estimate", "--config", str(cfg_path), "--input", str(trace),
+                         "--out", str(tmp_path / out)]) == EXIT_OK
+        assert (tmp_path / "marked" / "estimates.csv").read_bytes() == \
+            (tmp_path / "plain" / "estimates.csv").read_bytes()
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "scenario.cfg"

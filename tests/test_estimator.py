@@ -158,6 +158,16 @@ class TestStepGradient:
     @example(((1.0, 1.0, 3.0), 0.01, [(400.0, (1.0, -0.0, 0.5)), (500.0, (2.0, 1.0, 1e308)),
                                       (1e-7, (1.0, 1.0, 1.0)), (450.0, (0.0, 3.0, 1.0)),
                                       (300.0, (1.0, 2.0, 3.0))], [math.nan, 0.5, -1.5]))
+    # wholly underflowed blocks (lam > 746 on every row for every gain): a
+    # -0.0 drive, an overflowed drive and a NaN incoming theta_hat each keep
+    # their column on the general law; one row, and 370 rows as a stream
+    # batch, take the drives as they are
+    @example(((1.0, 2.0), 0.01, [(400.0, (1.0, -0.0)), (500.0, (2.0, 1.0))], None))
+    @example(((1.0, 2.0), 0.01, [(500.0, (1e308, 1.0)), (450.0, (1.0, 2.0))], None))
+    @example(((1.0, 1.0), 0.01, [(400.0, (1.0, 2.0)), (-450.0, (0.5, 1.0))], [math.nan, 0.5]))
+    @example(((1.0, 1.0, 1.0), 0.01, [(600.0, (1.0, 2.0, 3.0))], None))
+    @example(((1.0, 1.0, 1.0), 0.001,
+              [(1000.0 + k, (1.0 + k / 370, -2.0, 0.5)) for k in range(370)], [0.3, -0.2, 0.1]))
     def test_rows_with_shared_gains_are_the_scalar_law(self, case):
         # gradient_rows shares each distinct gain's decay among the
         # parameters with that gain, and a run of underflowed rows takes

@@ -396,12 +396,53 @@ def spiked_rows(at, spike, epsilon):
 
 def stacked_mix(y, taps, first, stop, epsilon):
     """mix_rows' (delta, mixed) of rows first..stop-1, all finite, with the
-    stacks (psi_rows, phi_rows) it mixed them from."""
-    with mock.patch.object(mixing, "_adjugates", wraps=mixing._adjugates) as adjugates, \
-            mock.patch.object(mixing, "_scaled_product", wraps=mixing._scaled_product) as product:
-        delta, mixed, bad = mix_rows(y, taps, first, stop, epsilon)
+    stacks (psi_rows, phi_rows) they are mixed from."""
+    delta, mixed, bad = mix_rows(y, taps, first, stop, epsilon)
     assert bad is None
-    return delta, mixed, product.call_args.args[2], adjugates.call_args.args[0]
+    return (delta, mixed, *stacks_at(y, taps, first, stop))
+
+
+def stacks_at(y, taps, first, stop):
+    """psi_rows (K, n) and phi_rows (K, n, n) of rows first..stop-1 of the
+    samples y, each row's stacked row i from regression_at at taps.rows[i]."""
+    y = y.tolist()
+    stacks = [zip(*(regression_at(window_at(y, k, taps.warm_from + 1), taps, lag)
+                    for lag in taps.rows)) for k in range(first, stop)]
+    psi_rows, phi_rows = zip(*stacks)
+    return np.array(psi_rows, dtype=float), np.array(phi_rows, dtype=float)
+
+
+@st.composite
+def spiked_samples(draw, n):
+    """(y, taps, first, stop, epsilon): an order-n session of 1-3 samples
+    per h and d and 1-12 rows of samples in [-2, 2] or signed zeros, up to
+    three of them replaced by a non-finite or an overflowing value."""
+    model = ModelConfig(n=n, h=draw(st.integers(1, 3)) * SAMPLE_PERIOD, omega_min=0.5,
+                        omega_max=5.0)
+    taps = delay_table(model, draw(st.integers(1, 3)) * SAMPLE_PERIOD, SAMPLE_PERIOD)
+    first = taps.warm_from
+    stop = first + draw(st.integers(1, 12))
+    y = np.array(draw(st.lists(st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0]),
+                               min_size=stop, max_size=stop)))
+    specials = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308])
+    for k, value in draw(st.lists(st.tuples(st.integers(0, stop - 1), specials), max_size=3)):
+        y[k] = value
+    return y, taps, first, stop, draw(st.sampled_from([1.0, 10.0, 1e100]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_view_mixing_is_stacked_mixing(n, data):
+    # at n <= 3 mix_rows mixes slices of the regression columns, with no
+    # stack: its (delta, mixed, bad) is _mixed_stacks' on the stacks
+    # regression_at gives row by row, bit for bit, up to and at a
+    # non-finite stack or output
+    y, taps, first, stop, epsilon = data.draw(spiked_samples(n))
+    delta, mixed, bad = mix_rows(y, taps, first, stop, epsilon)
+    want = mixing._mixed_stacks(*stacks_at(y, taps, first, stop), epsilon)
+    assert repr((delta.tolist(), mixed.tolist(), bad)) == \
+        repr((want[0].tolist(), want[1].tolist(), want[2]))
 
 
 def tone_rows(n, steps_h, steps_d, tones, offset, rows, epsilon, period=0.01):
