@@ -4,18 +4,23 @@ run_scenario simulates the configured signal and estimate_from_file reads a
 recorded one; both hand the whole trace, its times and samples as two
 float64 arrays, to Pipeline.run's routine, with each scheduled reset mapped
 to the sample it applies at. The arrays are the one format of a trace from
-sampler or reader to writer, which takes each chunk's reprs from them. The
-metadata reads the run's Epoch records, the one record of each extraction:
-the last epoch's extraction time and omega_ft diagnostics as the
-estimator.* keys, each epoch's start and extraction time, and warnings of a
-reset after the last sample and of an epoch that ends before its clock
-reaches t_ft. A run produces three files: the sampled measurement trace
-(time, y), the per-sample estimates, written column by column in bounded
-row chunks, and a key-value metadata file embedding the full config echo so
-the run is reproducible from its own outputs. build_pipeline makes the
-Pipeline of a config, for callers that run or step() it; a harness run
-builds one for itself alone and runs the trace with it as the session, so
-each run builds one delay table and one estimator state.
+sampler or reader to writer. The reader parses a recorded trace with
+numpy's C reader in bounded blocks and checks the grid with array
+operations; a row loop, whose values are the same, reads the file instead
+where a block does not parse or fails a check, and names the first bad row.
+The writer takes each chunk's reprs from the arrays, one repr per run of
+bit-equal values. The metadata reads the run's Epoch records, the one
+record of each extraction: the last epoch's extraction time and omega_ft
+diagnostics as the estimator.* keys, each epoch's start and extraction
+time, and warnings of a reset after the last sample and of an epoch that
+ends before its clock reaches t_ft. A run produces three files: the
+sampled measurement trace (time, y), the per-sample estimates, written
+column by column in bounded row chunks, and a key-value metadata file
+embedding the full config echo so the run is reproducible from its own
+outputs. build_pipeline makes the Pipeline of a config, for callers that
+run or step() it; a harness run builds one for itself alone and runs the
+trace with it as the session, so each run builds one delay table and one
+estimator state.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -42,6 +48,9 @@ from .signals import GRID_TOL, sample_times, signal_values
 # the lockstep trace and estimates write raised the builtins benchmark's peak
 # RSS by about 10 MB (allocator fragmentation); 512 rows do not.
 _CHUNK_ROWS = 512
+# trace lines parsed per loadtxt call: bounds the lines and fields held at
+# once, as _CHUNK_ROWS does for the writer
+_READ_LINES = 4096
 
 SIGN_CONVENTION = ("psi = [Z^2+1]^n y; theta_k = (-1)^(k+1) e_k(cos(omega_i h)); "
                    "recovery polynomial x^n - theta_1 x^(n-1) - ... - theta_n")
@@ -81,7 +90,7 @@ def build_pipeline(cfg: ScenarioConfig) -> Pipeline:
         sample_period=cfg.run.sample_period)
 
 
-def _reset_rows(times: list[float], reset_times) -> list[int | None]:
+def _reset_rows(times: np.ndarray, reset_times) -> list[int | None]:
     """The sample at which each reset applies: the first at or after its time
     (within the grid slack), at most one reset per sample; None for a reset
     after the last sample. A reset at sample 0 changes nothing."""
@@ -208,8 +217,57 @@ def _same_file(a: str, b: str) -> bool:
 
 def _read_trace(path: str, sample_period: float) -> tuple[np.ndarray, np.ndarray]:
     """The trace file's times and samples as float64 arrays, its header and
-    every row checked as read: a row's time must lie on the uniform grid
-    from the first, and the times returned are that grid."""
+    every row checked: a row's time must lie on the uniform grid from the
+    first, and the times returned are that grid.
+
+    numpy's C reader parses the body in blocks of _READ_LINES lines. Its
+    float conversion is float()'s, so the arrays are the row loop's. The
+    row loop reads the file instead where the blocks are not a clean trace:
+    it names the first bad row, and it reads what numpy refuses but float()
+    accepts (whitespace-only lines, 1_5)."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            _check_header(path, fh)
+            read = _read_blocks(fh, sample_period)
+    except (OSError, ValueError):
+        # a decode error is a ValueError, and so is the header's
+        # ConfigError, which the row loop raises again
+        read = None
+    return read if read is not None else _read_rows(path, sample_period)
+
+
+def _check_header(path: str, fh) -> None:
+    header = fh.readline().strip()
+    if header.split(",")[:2] != ["time", "y"]:
+        raise ConfigError([f"{path}: expected header 'time,y', got {header!r}"])
+
+
+def _read_blocks(fh, sample_period: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """The body's grid and samples, parsed _READ_LINES lines at a time, or
+    None for an empty body, a non-finite time or an off-grid row."""
+    samples, start, k = [], None, 0
+    while lines := list(islice(fh, _READ_LINES)):
+        if not any(map(str.strip, lines)):  # all blank: loadtxt would warn
+            continue
+        block = np.loadtxt(lines, delimiter=",", comments=None, usecols=(0, 1), ndmin=2)
+        times = block[:, 0]
+        if not np.isfinite(times).all():
+            return None
+        if start is None:
+            start = float(times[0])
+        expected = start + np.arange(k, k + len(times)) * sample_period
+        if (abs(times - expected) > GRID_TOL * np.maximum(sample_period, abs(expected))).any():
+            return None
+        samples.append(block[:, 1])
+        k += len(times)
+    if not k:
+        return None
+    return start + np.arange(k) * sample_period, np.concatenate(samples)
+
+
+def _read_rows(path: str, sample_period: float) -> tuple[np.ndarray, np.ndarray]:
+    """_read_trace row by row: the first bad row raises a ConfigError
+    naming it."""
     samples = array("d")
     try:
         fh = open(path, "r", encoding="utf-8-sig", newline="")
@@ -217,9 +275,7 @@ def _read_trace(path: str, sample_period: float) -> tuple[np.ndarray, np.ndarray
         raise ConfigError([f"{path}: cannot read trace file: {exc.strerror or exc}"]) from exc
     try:
         with fh:
-            header = fh.readline().strip()
-            if header.split(",")[:2] != ["time", "y"]:
-                raise ConfigError([f"{path}: expected header 'time,y', got {header!r}"])
+            _check_header(path, fh)
             start = None
             for row, line in enumerate(fh, start=2):
                 line = line.strip()
@@ -253,7 +309,16 @@ def _read_trace(path: str, sample_period: float) -> tuple[np.ndarray, np.ndarray
 # output files
 
 def _reprs(values: np.ndarray) -> list[str]:
-    return list(map(repr, values.tolist()))
+    """Each value's repr. A run of bit-equal values (a cold row's zeros, a
+    theta_hat that holds still) shares the repr of its first: the bits, so
+    -0.0 and 0.0 differ. Where fewer than an eighth of the values repeat
+    their predecessor, the plain map is the faster."""
+    bits = values.view(np.int64)
+    first = np.concatenate(([True], bits[1:] != bits[:-1]))
+    if np.count_nonzero(first) * 8 > len(values) * 7:
+        return list(map(repr, values.tolist()))
+    texts = np.array(list(map(repr, values[first].tolist())), dtype=object)
+    return texts[np.cumsum(first) - 1].tolist()
 
 
 def _write_rows(fh, columns) -> None:
