@@ -44,12 +44,13 @@ one thread) a batching step takes 0.78-0.80 ms in median across runs,
 recovery in the fastest, 0.65 ms), and at n = 8 with the same d / Ts
 7.2-8.5 ms in median, against 0.70 us for the median step and 1.3-1.6 us
 for the 99th-percentile one. run() calls the block routine per _CHUNK
-rows of each epoch. The cold rows report the session's first theta_hat: step()
-recovers its omega_grad on its own, at the first sample, before any batch
-exists; run() passes it to its first block as a lead row (on its own only
-if no row is warm), so a clean run calls the root finder once. Both
-entries' outputs, Epoch records and faults are equal bit for bit at every
-order n, because each batched stage's row equals its one-row call
+rows of each epoch. The cold rows report the session's theta_hat and
+omega_grad as they stand: at the start theta0 and the guesses omega0 it
+is built from, put in band as recovery puts every omega, with no round
+trip through the root finder; after a reset the last warm row's. So a
+clean session calls the root finder once per block and no other time.
+Both entries' outputs, Epoch records and faults are equal bit for bit at
+every order n, because each batched stage's row equals its one-row call
 (tests/test_mixing.py, tests/test_recovery.py).
 """
 
@@ -67,7 +68,7 @@ from .errors import ConfigError, NumericFault
 from .estimator import (EstimatorSettings, EstimatorState, finite_time_estimate,
                         finite_time_theta, gradient_rows, reset_estimator)
 from .mixing import DremConfig, _first, mix_fault, mix_rows
-from .recovery import recover_frequencies, recover_rows
+from .recovery import _in_band, recover_frequencies, recover_rows
 from .regression import ModelConfig, delay_table
 from .signals import GRID_TOL
 
@@ -179,8 +180,7 @@ def check_measurement(t: float, y: float) -> None:
     """Reject a measurement sample with a non-finite time or value, or with
     a time or value (an int) beyond the float range. A complex time or
     value, numpy's included, raises math.isfinite's TypeError."""
-    if type(t) is not float or type(y) is not float:
-        t, y = _real(t), _real(y)
+    t, y = _real(t), _real(y)
     try:
         finite = math.isfinite(t)
     except OverflowError as exc:
@@ -266,9 +266,11 @@ class Pipeline:
         self._warm_from = self.taps.warm_from
         self._due = math.ceil(estimator.t_ft / sample_period - GRID_TOL)
         self._ahead = min(self.taps.rows[0], _AHEAD)
-        # what step() reports: theta_hat as a tuple and its omega_grad, both
-        # set when omega_grad is recovered or a queued row is popped
-        self._theta_hat = self._omega_grad = None
+        # what step() reports: theta_hat as a tuple and its omega_grad, set
+        # when a queued row is popped; until then theta0 and the guesses it
+        # was built from, put in band, and after a reset the last popped row's
+        self._theta_hat = tuple(self.state.theta_hat)
+        self._omega_grad = tuple(_in_band(np.array(estimator.omega0), model.band).tolist())
         self._clear_history()
 
     def step(self, t: float, y: float) -> StepResult:
@@ -305,7 +307,6 @@ class Pipeline:
                 self._ft = None
 
         if self._omega_grad is None:
-            self._theta_hat = tuple(self.state.theta_hat)
             self._omega_grad = self._omega(self._theta_hat)
         return StepResult(t, y, delta, self._theta_hat, epoch.theta_ft, self._omega_grad,
                           epoch.omega_ft)
@@ -331,8 +332,9 @@ class Pipeline:
     def _run_fresh(self, times, samples, starts: list[int]) -> Trajectory:
         """run() with this Pipeline, built for the one run and never
         stepped, as its session, which it leaves holding the run's last
-        epoch and its state. The first epoch's cold rows take the omega_grad
-        of the first theta_hat, which rides its first block as a lead row."""
+        epoch and its state. An epoch's cold rows hold the session's
+        theta_hat and omega_grad: the first epoch's are theta0 and the
+        guesses, put in band, a later epoch's its previous epoch's last."""
         count, n = len(times), self.model.n
         if len(samples) != count:
             raise ConfigError(f"times and samples differ in length: {count} and {len(samples)}")
@@ -368,40 +370,25 @@ class Pipeline:
             due = first + self._due
             epoch.due = due if due < end else None
             run.delta[first:warm] = 0.0
-            run.theta_hat[first:warm] = state.theta_hat  # holds still until the stack is warm
-            # the session's first theta_hat, not yet recovered, rides the
-            # first block as its lead row, unless no row is warm
-            lead = first if self._omega_grad is None and first < warm < end else None
-            if warm > first and lead is None:
-                if self._omega_grad is None:
-                    with _at_sample(first, run.times[first]):
-                        self._omega_grad = self._omega(tuple(state.theta_hat))
-                run.omega_grad[first:warm] = self._omega_grad
+            # theta_hat and omega_grad hold still until the stack is warm
+            run.theta_hat[first:warm] = state.theta_hat
+            run.omega_grad[first:warm] = self._omega_grad
             for a in range(warm, end, _CHUNK):
-                self._run_block(run, a, min(a + _CHUNK, end), due, lead)
-                lead = None
+                self._run_block(run, a, min(a + _CHUNK, end), due)
             if end < stop:
                 with _at_sample(end, run.times[end]):
                     check_measurement(times[end], samples[end])
         return run
 
-    def _run_block(self, run: Trajectory, a: int, b: int, due: int, lead: int | None) -> None:
+    def _run_block(self, run: Trajectory, a: int, b: int, due: int) -> None:
         """Rows a..b-1 of run, mixed straight from its samples by row (a warm
         row never reads before its epoch's first sample): the block routine,
         then the extraction it formed at the row fired from row due on,
         recorded by _fire (its fault raised there), the suspect rows and the
-        first fault.
-        Given lead, the state's theta_hat is recovered with them for the
-        cold rows lead..a-1, and settled first if suspect."""
+        first fault."""
         state, times = self.state, run.times
         delta, theta, excitation, max_steps, omega, suspect, bad, ft = self._rows(
-            run.samples, a, b, max(due, a) - a, lead is not None)
-        if lead is not None:
-            cold, omega, flagged, suspect = omega[0], omega[1:], suspect[0], suspect[1:]
-            if flagged:
-                with _at_sample(lead, times[lead]):
-                    cold = self._omega(tuple(state.theta_hat))
-            run.omega_grad[lead:a] = cold
+            run.samples, a, b, max(due, a) - a)
         b = a + len(delta)  # the block stops at its first non-finite row, if any
         run.delta[a:b], run.theta_hat[a:b] = delta, theta
         fault = None if bad is None else (b, mix_fault(times[b], *bad))
@@ -424,41 +411,38 @@ class Pipeline:
             theta[-1].tolist(), float(excitation[-1]), float(max_steps[-1])
         self._omega_grad = tuple(omega[-1].tolist())
 
-    def _rows(self, y: np.ndarray, first: int, stop: int, due: int, lead: bool = False):
+    def _rows(self, y: np.ndarray, first: int, stop: int, due: int):
         """The block routine: (delta, theta_hat, excitation, max_decay_step,
         omega_grad, suspect) of the K rows first..first+K-1 of the samples
         y, mixed, moved from the state (left as it was) and recovered; bad:
         None, or mix_fault's arguments for row first + K < stop; and ft.
 
-        Extra rows ride the one recover_rows call. With lead, the state's
-        theta_hat goes first, and omega_grad and suspect have K + 1 rows.
         Extraction comes due at row first + due. While the epoch has not
-        fired, the theta_ft of the fired row, if any, goes last, the one row
-        under imag_tol: the first row from first + due on where
-        finite_time_theta finds one, first + due itself if it does, else
-        found by bisection, as the excitation never falls.
+        fired, the theta_ft of the fired row, if any, rides the one
+        recover_rows call as its last row, the one row under imag_tol: the
+        first row from first + due on where finite_time_theta finds one,
+        first + due itself if it does, else found by bisection, as the
+        excitation never falls.
         ft is then (that row, counted from first; its theta_ft; recover_rows'
         estimate of it: a FrequencyEstimate, the EstimateNotPhysical its
         roots raise, or None if the row is otherwise suspect), else None."""
         state = self.state
         delta, mixed, bad = mix_rows(y, self.taps, first, stop, self.drem.epsilon)
         theta, excitation, max_steps = gradient_rows(state, delta, mixed, self.sample_period)
-        count, held = len(theta), None
+        count, theta_ft, imag_tol = len(theta), None, None
         fired = count
         if due < count and self.epoch.fired is None:
             fired = due
             if finite_time_theta(state, (), excitation[due]) is None:  # deferred
                 fired = bisect_left(excitation, True, due + 1, count,
                                     key=lambda s: finite_time_theta(state, (), s) is not None)
-        rows = [state.theta_hat, theta] if lead else [theta]
+        rows = theta
         if fired < count:
-            rows.append(finite_time_theta(state, theta[fired].tolist(), float(excitation[fired])))
-            held = self.estimator.imag_tol
-        omega, suspect, estimate = recover_rows(
-            np.vstack(rows) if len(rows) > 1 else theta, self.model.h, self.model.band, held)
-        ft = None if held is None else (fired, rows[-1], estimate)
-        return (delta, theta, excitation, max_steps, omega[:lead + count], suspect[:lead + count],
-                bad, ft)
+            theta_ft = finite_time_theta(state, theta[fired].tolist(), float(excitation[fired]))
+            rows, imag_tol = np.vstack((theta, theta_ft)), self.estimator.imag_tol
+        omega, suspect, estimate = recover_rows(rows, self.model.h, self.model.band, imag_tol)
+        ft = None if theta_ft is None else (fired, theta_ft, estimate)
+        return delta, theta, excitation, max_steps, omega[:count], suspect[:count], bad, ft
 
     def _mix_ahead(self) -> None:
         """Queue the rows of this sample and the next, min(d / Ts, _AHEAD)

@@ -22,14 +22,13 @@ returning floats) is polished in float arithmetic by the same Newton
 polish, _polished, bit for bit the complex one; a block with a complex
 pair, or whose float polish overflows, is polished as complex. The real
 cosines of clean tones take the float path. So has the tail
-from cosines to sorted in-band frequencies, _frequencies. recover_rows
-runs both on many rows, with which Pipeline's block routine recovers
-omega_grad and, in a run, the first theta_hat with the first block and
-theta_ft, held to imag_tol as the last row, with the block where
-extraction fires; recover_frequencies runs both on one row, after checking
-it and then each root, for a stepped session's omega_ft and first
-omega_grad (and a run's with no warm row) and to settle a row recover_rows
-flags, a run's suspect theta_ft among them.
+from cosines to sorted in-band frequencies, _frequencies, whose band rule,
+_in_band, also puts a session's guesses in band for its cold rows.
+recover_rows runs both on many rows, with which Pipeline's block routine
+recovers omega_grad and theta_ft, held to imag_tol as the last row, with
+the block where extraction fires; recover_frequencies runs both on one
+row, after checking it and then each root, to settle a row recover_rows
+flags, a suspect theta_ft among them.
 Both form an estimate through _estimate, which holds the roots to imag_tol;
 recover_rows returns the EstimateNotPhysical of a held row beyond it, the
 fault recover_frequencies would raise for that row.
@@ -300,9 +299,16 @@ def recover_rows(theta: np.ndarray, h: float, bounds: tuple[float, float],
 def _frequencies(cosines: np.ndarray, h: float, bounds: tuple[float, float]) -> np.ndarray:
     """omega (K, n) of cosines (K, n): each clipped into [-1, 1], mapped
     through arccos (math.acos, value by value: np.arccos differs from it
-    in the last bit on some values), scaled by 1/h, projected into
-    [omega_min, omega_max] and sorted ascending within its row."""
+    in the last bit on some values), scaled by 1/h, projected and sorted
+    by _in_band."""
     count, n = cosines.shape
     clipped = np.clip(cosines, -1.0, 1.0).ravel().tolist()
     omega = np.fromiter(map(math.acos, clipped), float, count * n).reshape(count, n) / h
-    return np.sort(np.minimum(bounds[1], np.maximum(bounds[0], omega)), axis=1)
+    return _in_band(omega, bounds)
+
+
+def _in_band(omega: np.ndarray, bounds: tuple[float, float]) -> np.ndarray:
+    """omega (..., n) projected into [omega_min, omega_max] and sorted
+    ascending along its last axis: the band rule of every omega the
+    package reports."""
+    return np.sort(np.minimum(bounds[1], np.maximum(bounds[0], omega)), axis=-1)

@@ -50,7 +50,10 @@ class PerSamplePipeline:
         self._window = deque(maxlen=self.taps.warm_from + 1)
         self.state = EstimatorState(estimator, model)
         self.theta_ft = self.omega_ft = None  # the epoch's extraction, once fired
-        self._omega_grad = None
+        # the cold steps report the guesses theta0 was built from, each
+        # projected into the band, sorted, until the first warm step
+        lo, hi = model.band
+        self._omega_grad = tuple(sorted(min(hi, max(lo, w)) for w in estimator.omega0))
         self._clear_window()
 
     def step(self, t, y):

@@ -220,7 +220,10 @@ def test_one_route_from_theta_to_omega():
     _companion_roots, the one caller of np.linalg.eigvals, from _roots
     alone, so that a second route from theta to omega shows here; and the
     Newton polish, _polished, which polishes real and complex roots alike,
-    from _roots alone, so that a second copy of it shows here too."""
+    from _roots alone, so that a second copy of it shows here too. The band
+    rule, _in_band, is called by _frequencies and by Pipeline.__init__ alone,
+    which puts the cold rows' guesses in band without a round trip through
+    theta0."""
     both = {"recovery.recover_rows", "recovery.recover_frequencies"}
     assert stage_callers(("_roots", "_frequencies", "_estimate", "_cubic_roots",
                           "_companion_roots", "eigvals")) == {
@@ -228,6 +231,8 @@ def test_one_route_from_theta_to_omega():
         "_cubic_roots": {"recovery._roots"}, "_companion_roots": {"recovery._roots"},
         "eigvals": {"recovery._companion_roots"}}
     assert stage_callers(("_polished",)) == {"_polished": {"recovery._roots"}}
+    assert stage_callers(("_in_band",)) == {
+        "_in_band": {"recovery._frequencies", "pipeline.Pipeline.__init__"}}
 
 
 # A built-in simulate, then an n = 3 Pipeline run through its extraction;

@@ -466,10 +466,10 @@ class TestEpochCauses:
 BUILTIN_DIGESTS = {
     "harmonic-noise": (
         "d7dcd8a8b516a938544f557e5a788e135449870d40f3512614d7c2b1039373c0",
-        "9cc39adab022b1e99f949e9d983f4ca916c4efdde535060706328d73f0fbb7c7"),
+        "35d6d77013424c53eda8d9305e68cebf1dfe4a0491911a6074eaa66d3c3beb53"),
     "noiseless-2h": (
         "8d32f9b6095eb633234f9c6fa28f6236a7039e28961cc043159de126f838cab8",
-        "b9850fd5cc6d39c0fefddeee18b7dcd9517e28060ffe44d8d9569729a1725214"),
+        "bd4cffc915d4aa547d908b2297f7dace24bef4762a79438126a89c922ddfd2a4"),
     "step-change": (
         "71b027b3649299ca7ecfd2850e5315bcba97fce3645d7fe67724ade3f88bfc0b",
         "4574e5f06cc325d5b64f395186784fc939dc3c9ae9afc3656978b64173e0e30a"),

@@ -223,11 +223,11 @@ def sweep(n, seed):
 # mixing goes through LU (det times inv), with Stewart's SVD form for the
 # rows LU cannot take. A change that alters them says so and why.
 HIGH_ORDER_DIGESTS = {
-    4: "549a647ca5473ecf036cc1009fb295754747898f274d8ceca082ff14e008dbde",
-    5: "931707efbbdd6576cbc5f246511d93a10042f7b4deb7df273271df5655682301",
-    6: "9742ebee8fd456409923925afa7d6c17f202cef6fde3760eb642b87d57ae2882",
-    7: "1710d63f8fe507152bfb39547a07b96afdf4684d927c399a36bf276260466a54",
-    8: "a10ae8df64083c0da1ad65336c3752224ceaffb154bdfe7cc309a848144354f5",
+    4: "53a35c684434afa7193f164412725c40e55cec6840a615da61487020990fdb3b",
+    5: "adfec1557639a548f7d9d0bcaeddb24828fdd42228452f2554160ee636dbcb83",
+    6: "412048386c8aee943f1a009d1f3a858a487234e328dad26dee59018737de08b3",
+    7: "192f9b28334bfcb9dedd0a0a14ff295d604906a7b6deb47096296f485f7e4b35",
+    8: "7cc46a2e0f9a5927b53bbcba47693b03bc34dcdacfd820d485fb3822a2edd101",
 }
 
 # The same digests at n = 1 and n = 3, where mixing takes the closed-form
@@ -235,8 +235,8 @@ HIGH_ORDER_DIGESTS = {
 # closed-form cubic: whole runs through run_scenario, beside the stepped
 # n = 3 session of tests/test_pipeline.py.
 LOW_ORDER_DIGESTS = {
-    1: "0ee309c3c31c2f24722eb7979e75f9eb099c8ec3cb1b585908a7dd96e66d3776",
-    3: "90feef04d174c27abee1e17bd98b1500d1100db6d58ebe33ddf82101b50554e4",
+    1: "b52bb55283e8f9a5f8cf0f13855494c5872282c04315a1240ca457888ec321a5",
+    3: "4a0256b0e2359ceba53aef89f39a71f23b34cb10cd6b4ad71de4411bd04d8d74",
 }
 
 
@@ -561,9 +561,9 @@ def test_cold_samples_are_not_mixed_or_recovered():
     # a mixed row, and only their gradient steps move theta_hat and so call
     # for a new omega_grad: the step that mixes a batch recovers its rows in
     # one recover_rows call, with the theta_ft of the row where its epoch's
-    # extraction fires if it holds that row, and only the session's first,
-    # cold sample recovers on its own. The last batch runs 3 rows past the
-    # trace's end
+    # extraction fires if it holds that row, and no cold sample recovers:
+    # it reports the guesses, or after the reset the last omega_grad. The
+    # last batch runs 3 rows past the trace's end
     cfg = synthetic(3, 1)
     cfg = replace(cfg, run=replace(cfg.run, duration=10.0, reset_times=(5.0,)))
     times, samples = grid(cfg)
@@ -579,8 +579,8 @@ def test_cold_samples_are_not_mixed_or_recovered():
         first = round(t / cfg.run.sample_period)
         return len(rows) + sum(first <= k < first + len(rows) for k in fired)
 
-    assert recoveries == [(times[0], None), *((t, recovered(t, rows)) for t, rows in batches)]
-    assert sum(rows for _, rows in recoveries[1:]) == sum(warm) + 3 + len(fired)
+    assert recoveries == [(t, recovered(t, rows)) for t, rows in batches]
+    assert sum(rows for _, rows in recoveries) == sum(warm) + 3 + len(fired)
 
     rows = []
 
@@ -598,11 +598,12 @@ def test_cold_samples_are_not_mixed_or_recovered():
 @pytest.mark.parametrize("n", [1, 3, 6])
 @pytest.mark.parametrize("short", [False, True], ids=["warm", "shorter-than-warm-up"])
 def test_a_run_recovers_its_first_theta_hat_with_its_first_block(n, short):
-    # a fresh session's theta_hat rides the first recover_rows call as its
-    # lead row, for the cold rows, and the fired row's theta_ft as its
-    # trailing row, so a clean run makes no recover_frequencies call; a
-    # trace shorter than the warm-up has no warm row, and recovers its
-    # theta_hat on its own. The records and Epoch are step()'s either way
+    # the first theta_hat a run recovers, its first warm row's, rides the
+    # first recover_rows call with the other warm rows and the fired row's
+    # theta_ft as its trailing row; the cold rows report the guesses, so a
+    # clean run makes no recover_frequencies call, and a trace shorter than
+    # the warm-up, with no warm row, no recovery at all. The records and
+    # Epoch are step()'s either way
     cfg = sweep(n, 1)
     if short:
         cfg = replace(cfg, run=replace(cfg.run, duration=0.5))
@@ -614,9 +615,9 @@ def test_a_run_recovers_its_first_theta_hat_with_its_first_block(n, short):
         run = engine_run(cfg, times, samples)
     if short:
         assert len(times) <= warm_from
-        assert (recoveries, extraction.call_count) == ([(None, None)], 0)
+        assert (recoveries, extraction.call_count) == ([], 0)
     else:
-        assert recoveries == [(None, len(times) - warm_from + 2)]
+        assert recoveries == [(None, len(times) - warm_from + 1)]
         assert extraction.call_count == 0 and run.epochs[0].fired is not None
     records, pipeline = pipeline_reference(cfg, times, samples)
     assert repr(run.records()) == repr(records)
@@ -625,9 +626,9 @@ def test_a_run_recovers_its_first_theta_hat_with_its_first_block(n, short):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_a_clean_sweep_run_calls_the_root_finder_once(n):
-    # the n-sweep benchmark's clean runs that extract: the cold rows'
-    # theta_hat, every warm row and the fired row's theta_ft go through one
-    # _roots call, and no one-row recovery is left
+    # the n-sweep benchmark's clean runs that extract: every warm row and
+    # the fired row's theta_ft go through one _roots call, and no one-row
+    # recovery is left
     roots = recovery_module._roots
     with mock.patch.object(recovery_module, "_roots", wraps=roots) as found, \
             mock.patch.object(estimator_module, "recover_frequencies") as extraction, \
@@ -637,18 +638,26 @@ def test_a_clean_sweep_run_calls_the_root_finder_once(n):
     assert (found.call_count, extraction.call_count, settling.call_count) == (1, 0, 0)
 
 
+STREAM_EPOCH = 4411  # samples per epoch of the stream benchmark's session
+
+
+def stream_session():
+    """synthetic(3, 1) as the stream benchmark's step() session runs it:
+    d = 0.37 s, Ts = 1 ms, two epochs of STREAM_EPOCH samples with a reset
+    between them."""
+    size = STREAM_EPOCH
+    cfg = synthetic(3, 1)
+    return replace(cfg, drem=replace(cfg.drem, d=0.37),
+                   estimator=replace(cfg.estimator, t_ft=round(2 * 3 * 0.3 + 3 * 0.37 + 1.0, 9)),
+                   run=replace(cfg.run, sample_period=0.001, duration=(2 * size - 1) / 1000,
+                               reset_times=(size / 1000,)))
+
+
 def test_the_benchmark_n3_rows_are_settled_without_eigvals():
     # the closed form settles every n = 3 row the benchmark recovers, so no
-    # row goes on to eigvals: the stream's step() session (d = 0.37 s,
-    # Ts = 1 ms, two epochs of 4411 samples with a reset between them) and
-    # the n-sweep's n = 3 run
-    size = 4411
-    t_ft = round(2 * 3 * 0.3 + 3 * 0.37 + 1.0, 9)
-    cfg = synthetic(3, 1)
-    stream = replace(cfg, drem=replace(cfg.drem, d=0.37),
-                     estimator=replace(cfg.estimator, t_ft=t_ft),
-                     run=replace(cfg.run, sample_period=0.001, duration=(2 * size - 1) / 1000,
-                                 reset_times=(size / 1000,)))
+    # row goes on to eigvals: the stream's step() session and the n-sweep's
+    # n = 3 run
+    size, stream = STREAM_EPOCH, stream_session()
     calls = []
     with mock.patch.object(recovery_module.np.linalg, "eigvals", failing_eigvals(calls)), \
             mock.patch.object(recovery_module, "_cubic_roots",
@@ -681,48 +690,126 @@ def test_an_extraction_deferred_past_due(monkeypatch, chunk):
         run = engine_run(cfg, times, samples)
     assert (warm_from, run.epochs[0].due, run.epochs[0].fired) == (660, 700, 1091)
     assert all(rows is not None for _, rows in recoveries)
-    assert sum(rows for _, rows in recoveries) == len(times) - warm_from + 2
+    assert sum(rows for _, rows in recoveries) == len(times) - warm_from + 1
     records, pipeline = pipeline_reference(cfg, times, samples)
     assert repr(run.records()) == repr(records)
     assert repr(run.epochs) == repr([replace(pipeline.epoch, stop=len(times))])
 
 
-def test_only_the_first_epoch_leads_with_its_theta_hat():
-    # after a reset the cold rows hold the last omega_grad, as step() does,
-    # so the second epoch's recover_rows call has no lead row: its 21 warm
-    # rows and, as in the first epoch's, its fired row's theta_ft
+def test_cold_rows_after_a_reset_hold_the_last_omega_grad():
+    # after a reset the cold rows hold the last omega_grad, in run() as in
+    # step(), and neither entry recovers them: each epoch's recover_rows
+    # call holds its warm rows, 20 and 21, and its fired row's theta_ft
     cfg = synthetic(3, 1)
     cfg = replace(cfg, run=replace(cfg.run, duration=10.0, reset_times=(5.0,)))
     times, samples = grid(cfg)
     with batched_recovery() as recoveries:
         run = build_pipeline(cfg).run(times, samples, [0, 50])
-    assert recoveries == [(None, 1 + 20 + 1), (None, 21 + 1)]
+    assert recoveries == [(None, 20 + 1), (None, 21 + 1)]
     assert (run.omega_grad[50:80] == run.omega_grad[49]).all()
     records, _ = pipeline_reference(cfg, times, samples)
     assert repr(run.records()) == repr(records)
+    assert all(rec.omega_grad == records[49].omega_grad for rec in records[50:80])
+
+
+def missing_for(theta):
+    """_roots, with an infinite residual on every row equal to theta."""
+    roots = recovery_module._roots
+
+    def missing(rows):
+        found, residual, allowed = roots(rows)
+        residual[(rows == np.array(theta)).all(axis=1)] = math.inf
+        return found, residual, allowed
+    return missing
 
 
 @pytest.mark.parametrize("duration", [6.0, 2.0], ids=["warm", "shorter-than-warm-up"])
-def test_a_failing_first_recovery_faults_at_the_first_sample(duration):
-    # the root finder misses theta0's residual target: the lead row is
-    # suspect, and run raises recover_frequencies' fault at sample 0, as
-    # step() does at its first step, before any of the block's own rows
+def test_a_theta0_the_root_finder_cannot_settle_does_not_fault(duration):
+    # the root finder misses theta0's residual target, but neither entry
+    # roots theta0: the cold rows report the guesses it was built from, and
+    # both entries run to the same records, through extraction if warm
     cfg = synthetic(3, 1)
     cfg = replace(cfg, run=replace(cfg.run, duration=duration, reset_times=()))
     times, samples = grid(cfg)
-    theta0 = build_pipeline(cfg).state.theta0
-    roots = recovery_module._roots
+    pipeline = build_pipeline(cfg)
+    theta0, warm_from = pipeline.state.theta0, pipeline.taps.warm_from
+    with mock.patch.object(recovery_module, "_roots", missing_for(theta0)):
+        with pytest.raises(NumericFault, match="^root residual inf exceeds "):
+            recovery_module.recover_frequencies(theta0, cfg.model.h, cfg.model.band, math.inf)
+        records, pipeline = pipeline_reference(cfg, times, samples)
+        run = engine_run(cfg, times, samples)
+    assert repr(run.records()) == repr(records)
+    assert [rec.omega_grad for rec in records[:warm_from]] == \
+        [cfg.estimator.omega0] * min(warm_from, len(records))
+    assert pipeline.extracted == (run.epochs[0].fired is not None) == (len(times) > warm_from)
 
-    def missing(theta):
-        found, residual, allowed = roots(theta)
-        residual[(theta == theta0).all(axis=1)] = math.inf
-        return found, residual, allowed
 
-    with mock.patch.object(recovery_module, "_roots", missing):
-        expected = outcome(lambda: pipeline_reference(cfg, times, samples))
-        assert outcome(lambda: engine_run(cfg, times, samples)) == expected
-    assert expected[:2] == (NumericFault, 0)
-    assert expected[2].startswith("sample 0 (t = 0): root residual inf exceeds ")
+# (name, first-epoch omega_grad of the cold rows) beyond the built-ins and
+# n-sweep runs: an n = 3 run whose guesses come in reverse order, and one
+# whose guesses lie below, inside and above the band [1, 4]
+GUESS_CASES = {"reversed": ((3.5, 2.5, 1.5), (1.5, 2.5, 3.5)),
+               "out-of-band": ((0.2, 2.5, 5.0), (1.0, 2.5, 4.0))}
+
+
+def cold_case(name):
+    """The config of name (a built-in, "sweep-n<n>" or a GUESS_CASES key)
+    cut to its warm-up and 5 warm rows, before any extraction, with no
+    reset; validation would reject the out-of-band guesses, but Pipeline
+    does not check them."""
+    if name in BUILTIN_NAMES:
+        cfg = builtin_scenario(name)
+    elif name in GUESS_CASES:
+        cfg = synthetic(3, 1)
+        cfg = replace(cfg, estimator=replace(cfg.estimator, omega0=GUESS_CASES[name][0]))
+    else:
+        cfg = sweep(int(name.removeprefix("sweep-n")), 1)
+    period = cfg.run.sample_period
+    warm_from = build_pipeline(cfg).taps.warm_from
+    return replace(cfg, run=replace(cfg.run, duration=round((warm_from + 5) * period, 9),
+                                    reset_times=()))
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, *(f"sweep-n{n}" for n in range(1, 9)),
+                                  *GUESS_CASES])
+def test_cold_rows_report_the_guesses_in_band(name):
+    # theta0 is built from the guesses omega0, so the first epoch's cold
+    # rows report them as omega_grad in both entries: each projected into
+    # the band and sorted, as recovery reports every omega, and exact, as
+    # no root finder goes round trip through theta0
+    cfg = cold_case(name)
+    lo, hi = cfg.model.band
+    guesses = tuple(sorted(min(hi, max(lo, w)) for w in cfg.estimator.omega0))
+    if name in GUESS_CASES:
+        assert guesses == GUESS_CASES[name][1]
+    times, samples = grid(cfg)
+    warm_from = build_pipeline(cfg).taps.warm_from
+    records, pipeline = pipeline_reference(cfg, times, samples)
+    run = engine_run(cfg, times, samples)
+    assert len(records) == warm_from + 6 and not pipeline.extracted
+    assert [rec.omega_grad for rec in records[:warm_from]] == [guesses] * warm_from
+    assert run.omega_grad[:warm_from].tolist() == [list(guesses)] * warm_from
+    assert repr(run.records()) == repr(records)
+
+
+def test_a_clean_session_makes_no_one_row_recovery():
+    # recover_frequencies settles suspect rows alone, so a clean session
+    # never calls it: the stream's step() session, and run() on the n-sweep's
+    # runs at n = 1..8 (n = 8 stops at its non-physical theta_ft) and on an
+    # n = 3 trace shorter than the warm-up, which has no warm row
+    def one_row(*args, **kwargs):
+        raise AssertionError("a one-row omega_grad recovery")
+
+    size, stream = STREAM_EPOCH, stream_session()
+    short = sweep(3, 1)
+    short = replace(short, run=replace(short.run, duration=2.0))
+    with mock.patch.object(pipeline_module, "recover_frequencies", one_row):
+        records, pipeline = pipeline_reference(stream, *grid(stream))
+        outcomes = [outcome(lambda: engine_run(cfg, *grid(cfg)))
+                    for cfg in [*(sweep(n, 1) for n in range(1, 9)), short]]
+    assert records[size - 1].omega_ft is not None and pipeline.epoch.fired is not None
+    assert [out[0] for out in outcomes] == ["ok"] * 7 + [NumericFault, "ok"]
+    assert outcomes[7][1] == 90 and "imaginary part beyond tolerance" in outcomes[7][2]
+    assert len(outcomes[8][1]) < build_pipeline(short).taps.warm_from
 
 
 def test_an_int_time_beyond_the_float_range_is_a_numeric_fault():
@@ -896,10 +983,9 @@ class TestFaultParity:
         # any of them on its own fails. The block holding the extraction
         # fault at 5000 has such rows after it or before it: the first of
         # the two faults, by row, is the run's, as in the streaming path.
-        # run()'s first recover_rows call leads with the cold rows'
-        # theta_hat, so there the rows are counted from warm_from - 1, and
-        # the block's theta_ft trails its last row, 6000: from 6001 on, it
-        # alone is flagged, and it is extracted on its own, to the same fault
+        # run()'s theta_ft trails its block's last row, 6000: from 6001 on,
+        # it alone is flagged, and it is extracted on its own, to the same
+        # fault
         cfg = self.quick()
         noise = UniformDisturbance(0.5, 0.001, 7)
         cfg = replace(cfg, signal=replace(cfg.signal, disturbance=noise))
@@ -908,8 +994,8 @@ class TestFaultParity:
                                                 cfg.run.sample_period).warm_from
 
         @contextlib.contextmanager
-        def failing_from(row, lead=0):
-            seen, flagged = [warm_from - lead], set()
+        def failing_from(row):
+            seen, flagged = [warm_from], set()
             recover_many = pipeline_module.recover_rows
             recover_one = pipeline_module.recover_frequencies
 
@@ -932,7 +1018,7 @@ class TestFaultParity:
 
         with failing_from(flagged):
             expected = outcome(lambda: pipeline_reference(cfg, times, samples))
-        with failing_from(flagged, lead=1):
+        with failing_from(flagged):
             assert outcome(lambda: engine_run(cfg, times, samples)) == expected
         assert expected[:2] == (NumericFault, index)
         assert fault in expected[2]

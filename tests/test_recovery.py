@@ -395,9 +395,9 @@ def test_rows_are_recovered_independently(n, rows):
         one = recover_rows(theta[k:k + 1], h, (1.0, 4.0))
         assert repr((omega[k].tolist(), bool(suspect[k]))) == repr(
             (one[0][0].tolist(), bool(one[1][0]))), k
-        # and recover_frequencies, as the drivers' cold rows, first steps
-        # and suspect replays call it, returns that row, or for a suspect
-        # row raises the fault that names the block's own roots of it
+        # and recover_frequencies, as the drivers' suspect replays call it,
+        # returns that row, or for a suspect row raises the fault that
+        # names the block's own roots of it
         try:
             alone = recover_frequencies(tuple(theta[k].tolist()), h, (1.0, 4.0), math.inf)
         except NumericFault as exc:
